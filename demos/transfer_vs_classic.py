@@ -20,8 +20,8 @@ GRID_RESOLUTION = 101
 import numpy as np
 
 from relbayes import (LinearScenario, RelevanceConfig, classic_posterior,
-                      combine_proxies, gen_linear_instance, linear_model,
-                      r_weighted_posterior, refine_relevance, task_rng)
+                      gen_linear_instance, linear_model, refine_relevance,
+                      task_rng)
 from relbayes.grids import ParameterGrid, midpoint_nodes
 
 rng = task_rng(SEED, 0)
@@ -40,14 +40,14 @@ a_star, dist = grid.nearest_theta(theta_true)
 print(f"true theta {float(theta_true[0]):+.3f}, "
       f"nearest grid node {float(nodes[a_star, 0]):+.3f} (off by {dist:.3f})")
 print(f"{inst.source.n} source observations, "
-      f"{len(inst.proxies)} proxy ratings\n")
+      f"{len(inst.proxy.payload)} proxy ratings\n")
 
 classic = classic_posterior(model, inst.source, grid, grid.psi_prior_mass)
 
-proxy = combine_proxies(inst.proxies)
-refined = refine_relevance(model, inst.source, grid, proxy, RelevanceConfig())
-weighted = r_weighted_posterior(model, inst.source, grid,
-                                refined.weights_per_psi, proxy)
+# inst.proxy holds every expert rating; refinement returns the weighted
+# posterior under its final weights
+refined = refine_relevance(model, inst.source, grid, inst.proxy, RelevanceConfig())
+weighted = refined.posterior
 
 # relevance profile under the proxy-informed task belief, a few entries
 w_bar = refined.weights_per_psi.mean(axis=0)

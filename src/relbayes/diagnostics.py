@@ -21,8 +21,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .grids import ParameterGrid
-from .inference import (ProxyObservation, classic_posterior, r_weighted_posterior,
-                        uninformative_proxy)
+from .inference import (ProxyObservation, classic_posterior, proxy_loglik_vector,
+                        r_weighted_posterior)
 from .models import ModelSpec, Observation, SharedParam, SourceData, TaskParam, \
     loglik_tensor, param_values
 from .relevance import RelevanceConfig, constant_one_weights, refine_relevance
@@ -187,8 +187,9 @@ class DiagnosticsReport:
 class ProxyModel:
     """A proxy generator the diagnostics can integrate over.
 
-    log_likelihood(payload, psi) is the learner's model; simulate(psi, rng)
-    draws one payload; payloads lists the full alphabet when it is finite,
+    log_likelihood(payload, psi_nodes) is the learner's model, returning a
+    (B,) array for psi_nodes of shape (B, k_psi); simulate(psi, rng) draws
+    one payload; payloads lists the full alphabet when it is finite,
     enabling exact expectation over z.
     """
 
@@ -347,14 +348,14 @@ def info_gain_rweighted(model: ModelSpec, true_process: TrueProcess, grid: Param
         datasets = _all_datasets(model, true_process.n)
         star = _star_logpmf(model, true_process)
         pstar = np.exp(_dataset_logprobs(star, datasets))
-        z_ll = np.array([[proxy_model.log_likelihood(z, psi) for psi in grid.psi_nodes]
-                         for z in proxy_model.payloads])                    # (Z, B)
         if proxy_expectation == "subjective":
+            z_ll = np.stack([proxy_loglik_vector(proxy_model.observation(z), grid.psi_nodes)
+                             for z in proxy_model.payloads])                # (Z, B)
             z_mass = np.exp(logsumexp(z_ll + grid.log_psi_prior()[None, :], axis=1))
         else:
-            target = param_values(true_process.psi_target_star)
-            z_mass = np.exp(np.array([proxy_model.log_likelihood(z, target)
-                                      for z in proxy_model.payloads]))
+            target = param_values(true_process.psi_target_star)[None, :]
+            z_mass = np.exp([proxy_loglik_vector(proxy_model.observation(z), target)[0]
+                             for z in proxy_model.payloads])
         value = 0.0
         for zi, z in enumerate(proxy_model.payloads):
             if z_mass[zi] == 0.0:

@@ -21,7 +21,7 @@ from .. import __version__
 from ..diagnostics import DiagnosticsReport, ProxyModel, TrueProcess, \
     toy_diagnostics_report
 from ..grids import ParameterGrid, build_grid, midpoint_nodes
-from ..inference import classic_posterior, combine_proxies, r_weighted_posterior
+from ..inference import classic_posterior
 from ..models import SharedParam, TaskParam, discrete_toy_model, gp_model, linear_model
 from ..relevance import RelevanceConfig, refine_relevance
 from ..synthetic import GP_PSI_SCALE, GP_PSI_SHAPE, LINEAR_THETA_STAR, \
@@ -82,11 +82,8 @@ def _linear_sim(config: ExperimentConfig, index: int):
     classic = classic_posterior(model, inst.source, grid, grid.psi_prior_mass)
     ig_c = _log_ratio_at(grid, classic.theta_marginal(), a_star)
 
-    proxy = combine_proxies(inst.proxies)
-    refined = refine_relevance(model, inst.source, grid, proxy, RelevanceConfig())
-    weighted = r_weighted_posterior(model, inst.source, grid,
-                                    refined.weights_per_psi, proxy)
-    ig_r = _log_ratio_at(grid, weighted.theta_marginal(), a_star)
+    refined = refine_relevance(model, inst.source, grid, inst.proxy, RelevanceConfig())
+    ig_r = _log_ratio_at(grid, refined.posterior.theta_marginal(), a_star)
     return ig_c, ig_r, None
 
 
@@ -110,16 +107,13 @@ def _gp_sim(config: ExperimentConfig, index: int):
     classic = classic_posterior(model, inst.source, grid, grid.psi_prior_mass)
     ig_c = _log_ratio_at(grid, classic.theta_marginal(), a_star)
 
-    proxies = gen_expert_proxy(model, inst.prompts, inst.psi_target_star,
-                               scenario.contamination_pct, rng,
-                               theta_nodes=grid.theta_nodes,
-                               theta_prior=grid.theta_prior_mass)
-    proxy = combine_proxies(proxies)
+    proxy = gen_expert_proxy(model, inst.prompts, inst.psi_target_star,
+                             scenario.contamination_pct, rng,
+                             theta_nodes=grid.theta_nodes,
+                             theta_prior=grid.theta_prior_mass)
     rel_config = RelevanceConfig(refinement_iterations=scenario.refinement_T)
     refined = refine_relevance(model, inst.source, grid, proxy, rel_config)
-    weighted = r_weighted_posterior(model, inst.source, grid,
-                                    refined.weights_per_psi, proxy)
-    ig_r = _log_ratio_at(grid, weighted.theta_marginal(), a_star)
+    ig_r = _log_ratio_at(grid, refined.posterior.theta_marginal(), a_star)
     return ig_c, ig_r, None
 
 
@@ -149,9 +143,9 @@ def toy_verify_instance(rng: np.random.Generator):
 
     endorse = rng.uniform(0.2, 0.8, size=n_psi)
 
-    def proxy_ll(payload, psi):
-        p = endorse[int(round(float(np.atleast_1d(psi)[0])))]
-        return float(np.log(p if payload == 1 else 1.0 - p))
+    def proxy_ll(payload, psi_nodes):
+        p = endorse[np.rint(psi_nodes[:, 0]).astype(int)]
+        return np.log(p if payload == 1 else 1.0 - p)
 
     def proxy_sim(psi, sim_rng):
         p = endorse[int(round(float(np.atleast_1d(psi)[0])))]

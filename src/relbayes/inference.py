@@ -33,9 +33,9 @@ class McmcInitError(ValueError):
 class ProxyObservation:
     """Proxy information z with its learner-side likelihood model.
 
-    proxy_log_likelihood(payload, psi) -> float, where psi is a task
-    parameter vector.  The payload never depends on theta; there is no way
-    to even pass one.
+    proxy_log_likelihood(payload, psi_nodes) -> (B,) array, where psi_nodes
+    is a (B, k_psi) array of task parameter vectors.  The payload never
+    depends on theta; there is no way to even pass one.
     """
 
     payload: object
@@ -49,14 +49,15 @@ def combine_proxies(proxies) -> ProxyObservation:
         raise ValueError("no proxies to combine")
     payloads = [p.payload for p in proxies]
 
-    def joint_ll(payload, psi):
-        return sum(p.proxy_log_likelihood(z, psi) for p, z in zip(proxies, payload))
+    def joint_ll(payload, psi_nodes):
+        return sum(p.proxy_log_likelihood(z, psi_nodes) for p, z in zip(proxies, payload))
 
     return ProxyObservation(payload=payloads, proxy_log_likelihood=joint_ll)
 
 
 def uninformative_proxy() -> ProxyObservation:
-    return ProxyObservation(payload=None, proxy_log_likelihood=lambda z, psi: 0.0)
+    return ProxyObservation(payload=None,
+                            proxy_log_likelihood=lambda z, psi_nodes: np.zeros(len(psi_nodes)))
 
 
 @dataclass(frozen=True)
@@ -92,10 +93,24 @@ class ProxyPosterior:
 
 
 def proxy_loglik_vector(proxy: ProxyObservation, psi_nodes: np.ndarray) -> np.ndarray:
-    return np.array(
-        [proxy.proxy_log_likelihood(proxy.payload, psi) for psi in np.atleast_2d(psi_nodes)],
-        dtype=float,
-    )
+    """The proxy log-likelihood at every row of psi_nodes (B, k_psi), shape (B,).
+
+    The one checked entry point to a proxy's likelihood: a result of any
+    other shape (a scalar callback would otherwise broadcast) is rejected,
+    and so is a NaN, which would poison every log-sum-exp downstream.
+    """
+    psi_nodes = np.asarray(psi_nodes, dtype=float)
+    if psi_nodes.ndim != 2:
+        raise ValueError(f"psi_nodes must be a (B, k_psi) array, got shape {psi_nodes.shape}")
+    out = np.asarray(proxy.proxy_log_likelihood(proxy.payload, psi_nodes), dtype=float)
+    if out.shape != (psi_nodes.shape[0],):
+        raise ValueError(f"proxy log-likelihood has shape {out.shape}, "
+                         f"expected ({psi_nodes.shape[0]},), one value per psi node")
+    nan = np.isnan(out)
+    if nan.any():
+        raise FloatingPointError(
+            f"NaN proxy log-likelihood at psi node index {int(np.argmax(nan))}")
+    return out
 
 
 def proxy_posterior(grid: ParameterGrid, proxy: ProxyObservation) -> ProxyPosterior:
@@ -187,6 +202,21 @@ def r_weighted_likelihood(model: ModelSpec, data: SourceData, theta, psi_target,
     return float(terms.sum())
 
 
+def _r_weighted_table(tensor: np.ndarray, grid: ParameterGrid, weights_per_psi,
+                      proxy_vec: np.ndarray) -> PosteriorTable:
+    """The r-weighted engine on a precomputed (n, A, B) tensor and (B,) proxy vector."""
+    mat = _weights_matrix(weights_per_psi, grid.n_psi, tensor.shape[0])
+    safe = np.where(np.isneginf(tensor) & (mat.T[:, None, :] == 0.0), 0.0, tensor)
+    weighted = np.einsum("bi,iab->ab", mat, safe)
+    log_joint = (weighted + proxy_vec[None, :]
+                 + grid.log_theta_prior()[:, None] + grid.log_psi_prior()[None, :])
+    log_evidence = float(logsumexp(log_joint))
+    if not np.isfinite(log_evidence):
+        raise DegenerateProxyError("posterior mass is identically zero on the grid")
+    joint = np.exp(log_joint - log_evidence)
+    return PosteriorTable(grid=grid, joint_mass=joint / joint.sum(), log_evidence=log_evidence)
+
+
 def r_weighted_posterior(model: ModelSpec, data: SourceData, grid: ParameterGrid,
                          weights_per_psi, proxy: ProxyObservation) -> PosteriorTable:
     """Joint posterior over (theta, psi_target) from the weighted likelihood.
@@ -195,18 +225,9 @@ def r_weighted_posterior(model: ModelSpec, data: SourceData, grid: ParameterGrid
     exp(sum_i w[b, i] loglik(d_i | theta_a, psi_b) + proxy loglik at psi_b)
     times the prior masses, normalized over the whole grid.
     """
-    mat = _weights_matrix(weights_per_psi, grid.n_psi, data.n)
     tensor = loglik_tensor(model, data, grid.theta_nodes, grid.psi_nodes)   # (n, A, B)
-    safe = np.where(np.isneginf(tensor) & (mat.T[:, None, :] == 0.0), 0.0, tensor)
-    weighted = np.einsum("bi,iab->ab", mat, safe)
-    proxy_vec = proxy_loglik_vector(proxy, grid.psi_nodes)
-    log_joint = (weighted + proxy_vec[None, :]
-                 + grid.log_theta_prior()[:, None] + grid.log_psi_prior()[None, :])
-    log_evidence = float(logsumexp(log_joint))
-    if not np.isfinite(log_evidence):
-        raise DegenerateProxyError("posterior mass is identically zero on the grid")
-    joint = np.exp(log_joint - log_evidence)
-    return PosteriorTable(grid=grid, joint_mass=joint / joint.sum(), log_evidence=log_evidence)
+    return _r_weighted_table(tensor, grid, weights_per_psi,
+                             proxy_loglik_vector(proxy, grid.psi_nodes))
 
 
 @dataclass(frozen=True)
@@ -327,7 +348,7 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
                 terms = np.where(w == 0.0, 0.0, w * lls)
             ll = float(terms.sum())
             if proxy is not None:
-                ll += float(proxy.proxy_log_likelihood(proxy.payload, psi))
+                ll += float(proxy_loglik_vector(proxy, psi[None, :])[0])
         return lp + ll
 
     current = log_target(state)

@@ -10,7 +10,8 @@ observational case study.  constant_one_weights recovers unweighted pooling.
 refine_relevance alternates weight evaluation with the grid posterior a
 fixed number of times, feeding the exact theta marginal back in as the next
 belief.  The normalizer is belief-dependent, so it is re-evaluated along
-with the weights at every round.
+with the weights at every round; the log-likelihood tensor and the proxy
+vector are not, so they are built once per call.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from .grids import ParameterGrid
-from .inference import r_weighted_posterior
+from .inference import PosteriorTable, _r_weighted_table, proxy_loglik_vector
 from .models import ModelSpec, SourceData, loglik_tensor, param_values
 
 CLIP_WARN_TOL = 0.5
@@ -178,11 +179,13 @@ def sigmoid_ratio_relevance(model: ModelSpec, data: SourceData, psi_target) -> n
 
 @dataclass(frozen=True)
 class RefinementResult:
-    """Final weights for every candidate target task, plus the final belief."""
+    """Final weights for every candidate target task, the final belief, and
+    the r-weighted posterior under the final weights."""
 
     weights_per_psi: np.ndarray
     theta_belief: np.ndarray
     iterations: int
+    posterior: PosteriorTable
 
     def as_weights(self) -> list[RelevanceWeights]:
         return [RelevanceWeights(psi_node_index=b, weights=row)
@@ -197,9 +200,12 @@ def refine_relevance(model: ModelSpec, data: SourceData, grid: ParameterGrid,
     configured weights, forms the r-weighted posterior, and adopts its exact
     theta marginal as the next belief.  The returned weights are evaluated
     once more under the final belief, so refinement_iterations=0 gives the
-    plain prior-expected weights.
+    plain prior-expected weights, and the returned posterior is the
+    r-weighted posterior under those final weights.  The log-likelihood
+    tensor and the proxy vector are built once and shared by every round.
     """
     tensor = loglik_tensor(model, data, grid.theta_nodes, grid.psi_nodes)
+    proxy_vec = proxy_loglik_vector(proxy, grid.psi_nodes)
 
     if config.kind == "constant-one":
         def evaluate(belief):
@@ -227,9 +233,9 @@ def refine_relevance(model: ModelSpec, data: SourceData, grid: ParameterGrid,
 
     belief = grid.theta_prior_mass
     for _ in range(config.refinement_iterations):
-        weights = evaluate(belief)
-        posterior = r_weighted_posterior(model, data, grid, weights, proxy)
+        posterior = _r_weighted_table(tensor, grid, evaluate(belief), proxy_vec)
         belief = posterior.theta_marginal()
     weights = evaluate(belief)
     return RefinementResult(weights_per_psi=weights, theta_belief=belief,
-                            iterations=config.refinement_iterations)
+                            iterations=config.refinement_iterations,
+                            posterior=_r_weighted_table(tensor, grid, weights, proxy_vec))

@@ -22,8 +22,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .inference import ProxyObservation
-from .models import LOG_2PI, ModelSpec, Observation, SharedParam, SourceData, \
-    TaskParam, param_values
+from .models import LOG_2PI, ModelSpec, SharedParam, SourceData, TaskParam, \
+    loglik_tensor, param_values
 
 PROXY_TRIALS = 7
 PROB_FLOOR = 1e-9
@@ -121,68 +121,64 @@ def gen_linear_covariates(rho_c: float, count: int, seed) -> np.ndarray:
 # expert-prompt proxy (0-7 agreement scale)
 # ---------------------------------------------------------------------------
 
-def prompt_agreement(model: ModelSpec, prompt: Observation, psi_value,
-                     theta_nodes=None, theta_prior=None) -> float:
-    """Probability that an expert endorses the prompt as target-like.
+def prompt_agreement(model: ModelSpec, prompts, psi_nodes, theta_nodes=None,
+                     theta_prior=None) -> np.ndarray:
+    """Probability that an expert endorses each prompt as target-like.
 
-    The prompt's likelihood is marginalized over the theta prior and divided
-    by the modal density of that marginal predictive, so the result lives in
-    [0, 1].  The linear model admits a closed form: theta integrates out to
-    a Gaussian in the outcome with variance 1 + x1^2, whose own mode is the
-    normalizer, leaving exp(-resid^2 / (2 var)).  Other models marginalize
-    over the supplied theta grid and normalize by the prior-mixed component
-    modes, exact for the trajectory model where every component peaks at
-    the zero trajectory.
+    Returns a (J, B) array for J prompts and the B rows of psi_nodes
+    (B, k_psi).  Each prompt's likelihood is marginalized over the theta
+    prior and divided by the modal density of that marginal predictive, so
+    the result lives in [0, 1].  The linear model admits a closed form:
+    theta integrates out to a Gaussian in the outcome with variance
+    1 + x1^2, whose own mode is the normalizer, leaving
+    exp(-resid^2 / (2 var)).  Other models marginalize over the supplied
+    theta grid and normalize by the prior-mixed component modes, exact for
+    the trajectory model where every component peaks at the zero trajectory.
     """
-    psi = np.atleast_1d(np.asarray(psi_value, dtype=float))
+    prompts = SourceData(tuple(prompts))
+    psi = np.asarray(psi_nodes, dtype=float)
+    if psi.ndim != 2:
+        raise ValueError(f"psi_nodes must be a (B, k_psi) array, got shape {psi.shape}")
     if model.name == "linear":
-        x1, x2 = prompt.covariates
-        var = 1.0 + x1 ** 2
-        resid = float(prompt.outcome) - psi[0] * x2
-        return float(np.exp(-0.5 * resid ** 2 / var))
+        x = np.stack([o.covariates for o in prompts])           # (J, 2)
+        y = np.array([float(o.outcome) for o in prompts])       # (J,)
+        var = 1.0 + x[:, 0] ** 2
+        resid = y[:, None] - psi[None, :, 0] * x[:, 1, None]    # (J, B)
+        return np.exp(-0.5 * resid ** 2 / var[:, None])
     if theta_nodes is None or theta_prior is None:
         raise ValueError(f"model {model.name!r} needs theta_nodes and theta_prior "
                          "to marginalize the prompt likelihood")
     if model.log_mode_density is None:
         raise ValueError(f"model {model.name!r} has no mode density to normalize with")
-    thetas = np.atleast_2d(np.asarray(theta_nodes, dtype=float))
-    if thetas.shape[0] == model.k_theta and thetas.shape[1] != model.k_theta:
-        thetas = thetas.T
-    lls = np.array([model.log_likelihood(prompt, th, psi) for th in thetas])
-    log_mode = np.asarray(model.log_mode_density(thetas, psi[None, :]), dtype=float)[:, 0]
+    thetas = np.asarray(theta_nodes, dtype=float)
+    if thetas.ndim == 1:
+        thetas = thetas[:, None]
+    lls = loglik_tensor(model, prompts, thetas, psi)                        # (J, A, B)
+    log_mode = np.asarray(model.log_mode_density(thetas, psi), dtype=float)  # (A, B)
     with np.errstate(divide="ignore"):
         log_prior = np.log(np.asarray(theta_prior, dtype=float))
-    log_p = logsumexp(lls + log_prior) - logsumexp(log_mode + log_prior)
-    return float(min(1.0, np.exp(log_p)))
+    log_p = (logsumexp(lls + log_prior[None, :, None], axis=1)
+             - logsumexp(log_mode + log_prior[:, None], axis=0)[None, :])
+    return np.minimum(1.0, np.exp(log_p))
 
 
-_LOG_BINOM_COEF = tuple(math.log(math.comb(PROXY_TRIALS, z))
-                        for z in range(PROXY_TRIALS + 1))
-
-
-def _prompt_loglik(model: ModelSpec, prompt: Observation, theta_nodes, theta_prior):
-    def pll(payload, psi) -> float:
-        p = prompt_agreement(model, prompt, psi, theta_nodes, theta_prior)
-        p = min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
-        z = int(payload)
-        return _LOG_BINOM_COEF[z] + z * math.log(p) \
-            + (PROXY_TRIALS - z) * math.log1p(-p)
-
-    return pll
+_LOG_BINOM_COEF = np.array([math.log(math.comb(PROXY_TRIALS, z))
+                            for z in range(PROXY_TRIALS + 1)])
 
 
 def gen_expert_proxy(model: ModelSpec, prompts, psi_target_star,
                      contamination_pct: float, seed, theta_nodes=None,
-                     theta_prior=None) -> list[ProxyObservation]:
-    """Simulated expert ratings z_j ~ Binomial(7, p~_j) for each prompt.
+                     theta_prior=None) -> ProxyObservation:
+    """Simulated expert ratings z_j ~ Binomial(7, p~_j), one per prompt.
 
     p~_j is the prompt's agreement probability at the true target task
     parameter.  A contaminated_pct share of prompts (exact count, rounded,
     positions drawn without replacement) is answered adversarially from
-    Binomial(7, 1 - p~_j).  The returned observations carry the learner's
-    likelihood, which always models the clean process.
+    Binomial(7, 1 - p~_j).  The returned observation's payload is the tuple
+    of ratings, and its likelihood, which always models the clean process,
+    is the sum over prompts of the binomial log-pmfs.
     """
-    prompts = list(prompts)
+    prompts = tuple(prompts)
     if len(prompts) == 0:
         raise ValueError("prompts must be nonempty")
     _check_pct(contamination_pct, "contamination_pct")
@@ -195,15 +191,23 @@ def gen_expert_proxy(model: ModelSpec, prompts, psi_target_star,
     if n_bad > 0:
         bad[rng.choice(n, size=n_bad, replace=False)] = True
 
-    out = []
-    for j, prompt in enumerate(prompts):
-        p = prompt_agreement(model, prompt, psi_star, theta_nodes, theta_prior)
-        z = int(rng.binomial(PROXY_TRIALS, 1.0 - p if bad[j] else p))
-        out.append(ProxyObservation(
-            payload=z,
-            proxy_log_likelihood=_prompt_loglik(model, prompt, theta_nodes, theta_prior),
-        ))
-    return out
+    p_star = prompt_agreement(model, prompts, psi_star[None, :], theta_nodes,
+                              theta_prior)[:, 0]
+    ratings = tuple(int(rng.binomial(PROXY_TRIALS, 1.0 - p if bad[j] else p))
+                    for j, p in enumerate(p_star))
+
+    def ratings_loglik(payload, psi_nodes) -> np.ndarray:
+        p = np.clip(prompt_agreement(model, prompts, psi_nodes, theta_nodes, theta_prior),
+                    PROB_FLOOR, 1.0 - PROB_FLOOR)                       # (J, B)
+        z = np.asarray(payload, dtype=int)
+        if z.shape != (len(prompts),) or np.any((z < 0) | (z > PROXY_TRIALS)):
+            raise ValueError(f"payload must hold one rating in [0, {PROXY_TRIALS}] "
+                             f"per prompt ({len(prompts)}), got {payload!r}")
+        z = z[:, None]
+        return (_LOG_BINOM_COEF[z] + z * np.log(p)
+                + (PROXY_TRIALS - z) * np.log1p(-p)).sum(axis=0)
+
+    return ProxyObservation(payload=ratings, proxy_log_likelihood=ratings_loglik)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +218,7 @@ def gen_expert_proxy(model: ModelSpec, prompts, psi_target_star,
 class LinearInstance:
     source: SourceData
     prompts: tuple
-    proxies: tuple
+    proxy: ProxyObservation
     theta_star: SharedParam
     psi_star: tuple
     psi_target_star: TaskParam
@@ -253,9 +257,8 @@ def gen_linear_instance(scenario: LinearScenario, seed) -> LinearInstance:
                                      scenario.n_proxy_prompts, rng)
     prompts = tuple(model.simulate(x_prompt[j], theta_star, psi_target, rng)
                     for j in range(scenario.n_proxy_prompts))
-    proxies = tuple(gen_expert_proxy(model, prompts, psi_target,
-                                     scenario.contamination_pct, rng))
-    return LinearInstance(source=source, prompts=prompts, proxies=proxies,
+    proxy = gen_expert_proxy(model, prompts, psi_target, scenario.contamination_pct, rng)
+    return LinearInstance(source=source, prompts=prompts, proxy=proxy,
                           theta_star=theta_star,
                           psi_star=tuple(TaskParam(v) for v in psi_vals),
                           psi_target_star=psi_target)
@@ -333,9 +336,9 @@ def gen_imprecise_estimate_proxy(psi_target_star, sigma: float, bias_flag: bool,
     if bias_flag:
         z += float(rng.normal(0.0, 3.0))
 
-    def pll(payload, psi) -> float:
-        p = np.atleast_1d(np.asarray(psi, dtype=float))
-        return float(-0.5 * LOG_2PI - np.log(sigma)
-                     - 0.5 * ((payload - p[0]) / sigma) ** 2)
+    log_norm = -0.5 * LOG_2PI - np.log(sigma)
+
+    def pll(payload, psi_nodes) -> np.ndarray:
+        return log_norm - 0.5 * ((payload - psi_nodes[:, 0]) / sigma) ** 2
 
     return ProxyObservation(payload=z, proxy_log_likelihood=pll)

@@ -47,9 +47,8 @@ def _verdict(tag: str, ok: bool, detail: str) -> None:
 
 
 def _onehot_proxy(pinned_value: float) -> ProxyObservation:
-    def pll(payload, psi):
-        return 0.0 if abs(float(np.atleast_1d(psi)[0]) - pinned_value) < 1e-12 \
-            else -np.inf
+    def pll(payload, psi_nodes):
+        return np.where(np.abs(psi_nodes[:, 0] - pinned_value) < 1e-12, 0.0, -np.inf)
 
     return ProxyObservation(payload=None, proxy_log_likelihood=pll)
 
@@ -211,8 +210,8 @@ class TestCriterion3EngineCrossValidation:
 
         pin_sd = 1e-4
 
-        def pll(payload, psi):
-            return float(-0.5 * ((np.atleast_1d(psi)[0] - node) / pin_sd) ** 2)
+        def pll(payload, psi_nodes):
+            return -0.5 * ((psi_nodes[:, 0] - node) / pin_sd) ** 2
 
         def prior_ld(theta, psi):
             return float(-0.5 * theta[0] ** 2

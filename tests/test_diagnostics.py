@@ -100,9 +100,9 @@ def _endorse_proxy(rng, n_psi):
     """Two-payload proxy whose endorsement rate depends on the psi node."""
     probs = rng.uniform(0.2, 0.8, size=n_psi)
 
-    def ll(payload, psi):
-        p = probs[int(psi[0])]
-        return float(np.log(p) if payload == 1 else np.log1p(-p))
+    def ll(payload, psi_nodes):
+        p = probs[psi_nodes[:, 0].astype(int)]
+        return np.log(p) if payload == 1 else np.log1p(-p)
 
     def sim(psi, rng_):
         return int(rng_.random() < probs[int(psi[0])])
@@ -200,7 +200,7 @@ class TestInfoGainRweighted:
         """No data and no proxy information leaves the posterior at the
         prior, so the expected log-ratio is exactly zero."""
         model, grid, truth, _, rng = _toy_instance(RNG_SEED)
-        flat = ProxyModel(log_likelihood=lambda z, psi: 0.0,
+        flat = ProxyModel(log_likelihood=lambda z, psi_nodes: np.zeros(len(psi_nodes)),
                           simulate=lambda psi, rng_: 0, payloads=(0,))
         got = info_gain_rweighted(
             model, truth, grid, RelevanceConfig(kind="constant-one"), flat,
@@ -216,7 +216,7 @@ class TestInfoGainRweighted:
         grid = toy_grid(2, 1, theta_prior=rng.dirichlet(np.full(2, 5.0)))
         truth = TrueProcess(SharedParam(1.0), (TaskParam(0.0), TaskParam(0.0)),
                             TaskParam(0.0))
-        flat = ProxyModel(log_likelihood=lambda z, psi: 0.0,
+        flat = ProxyModel(log_likelihood=lambda z, psi_nodes: np.zeros(len(psi_nodes)),
                           simulate=lambda psi, rng_: 0, payloads=(0,))
         ig_r = info_gain_rweighted(
             model, truth, grid, RelevanceConfig(kind="constant-one"), flat,

@@ -328,6 +328,27 @@ def _toy_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+# ig values of the gp experiment at grid 10; a change that only reorders
+# summations may move them at rounding level, within the benchmark's
+# reference tolerance of rel 1e-8
+GP_PINNED = {
+    1: (1.3086406741117476, -2.1441662085121487),
+    2: (1.308668340008861, -2.3193162665710494),
+    3: (1.3054240404156023, -1.3508071172685372),
+}
+
+
+@pytest.mark.parametrize("master_seed", sorted(GP_PINNED))
+def test_gp_results_pinned(master_seed):
+    config = ExperimentConfig(experiment="gp", n_simulations=1,
+                              master_seed=master_seed, grid_resolution=10)
+    result = run_experiment(config)[0]
+    assert result.error is None
+    ig_c, ig_r = GP_PINNED[master_seed]
+    assert math.isclose(result.ig_classic, ig_c, rel_tol=1e-8)
+    assert math.isclose(result.ig_rweighted, ig_r, rel_tol=1e-8)
+
+
 class TestRunExperiment:
     def test_toy_verify_sweep_is_clean(self):
         results = run_experiment(_toy_config())

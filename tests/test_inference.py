@@ -17,9 +17,9 @@ from relbayes.inference import (DegenerateProxyError, McmcInitError,
                                 PosteriorTable, ProxyObservation,
                                 chain_grid_tv, classic_posterior,
                                 combine_proxies, metropolis_posterior,
-                                posterior_predictive, proxy_posterior,
-                                r_weighted_likelihood, r_weighted_posterior,
-                                uninformative_proxy)
+                                posterior_predictive, proxy_loglik_vector,
+                                proxy_posterior, r_weighted_likelihood,
+                                r_weighted_posterior, uninformative_proxy)
 from relbayes.models import (Observation, SharedParam, SourceData, TaskParam,
                              discrete_toy_model, linear_model)
 from relbayes.relevance import RelevanceWeights
@@ -44,9 +44,9 @@ def _toy_setup(seed=RNG_SEED, n_theta=3, n_psi=2, n_out=3, n_obs=4):
 def _normal_proxy(z, sigma=0.8):
     """Gaussian proxy likelihood on a scalar task parameter."""
 
-    def pll(payload, psi):
-        return float(-0.5 * np.log(2 * np.pi * sigma ** 2)
-                     - (payload - psi[0]) ** 2 / (2 * sigma ** 2))
+    def pll(payload, psi_nodes):
+        return (-0.5 * np.log(2 * np.pi * sigma ** 2)
+                - (payload - psi_nodes[:, 0]) ** 2 / (2 * sigma ** 2))
 
     return ProxyObservation(payload=float(z), proxy_log_likelihood=pll)
 
@@ -59,9 +59,8 @@ class TestProxyPosterior:
         prior /= prior.sum()
         grid = ParameterGrid(np.zeros((1, 1)), nodes, np.array([1.0]), prior)
 
-        def pll(payload, psi):
-            p = float(expit(psi[0]))
-            return float(stats.binom.logpmf(payload, 7, p))
+        def pll(payload, psi_nodes):
+            return stats.binom.logpmf(payload, 7, expit(psi_nodes[:, 0]))
 
         proxy = ProxyObservation(payload=5, proxy_log_likelihood=pll)
         post = proxy_posterior(grid, proxy)
@@ -84,8 +83,9 @@ class TestProxyPosterior:
 
     def test_zero_everywhere_raises(self):
         _, grid, _, _, _ = _toy_setup()
-        dead = ProxyObservation(payload=None,
-                                proxy_log_likelihood=lambda z, psi: -np.inf)
+        dead = ProxyObservation(
+            payload=None,
+            proxy_log_likelihood=lambda z, psi_nodes: np.full(len(psi_nodes), -np.inf))
         with pytest.raises(DegenerateProxyError):
             proxy_posterior(grid, dead)
 
@@ -96,14 +96,80 @@ class TestProxyPosterior:
         p1, p2 = _normal_proxy(0.5), _normal_proxy(-0.2, sigma=1.5)
         both = combine_proxies([p1, p2])
         post = proxy_posterior(grid, both)
-        l1 = np.array([p1.proxy_log_likelihood(0.5, psi) for psi in nodes])
-        l2 = np.array([p2.proxy_log_likelihood(-0.2, psi) for psi in nodes])
+        l1 = np.array([p1.proxy_log_likelihood(0.5, psi[None, :])[0] for psi in nodes])
+        l2 = np.array([p2.proxy_log_likelihood(-0.2, psi[None, :])[0] for psi in nodes])
         want = np.exp(l1 + l2) / np.exp(l1 + l2).sum()
         assert_allclose(post.mass, want, rtol=1e-12)
 
     def test_combine_rejects_empty(self):
         with pytest.raises(ValueError):
             combine_proxies([])
+
+
+class TestProxyLoglikVector:
+    """proxy_loglik_vector is the one checked entry point to a proxy."""
+
+    NODES = np.linspace(-2, 2, 5)[:, None]
+
+    def test_returns_one_value_per_node(self):
+        got = proxy_loglik_vector(_normal_proxy(0.3), self.NODES)
+        want = (-0.5 * np.log(2 * np.pi * 0.64)
+                - (0.3 - self.NODES[:, 0]) ** 2 / (2 * 0.64))
+        assert got.shape == (5,)
+        assert_allclose(got, want, rtol=1e-15)
+
+    def test_uninformative_proxy_is_zeros(self):
+        got = proxy_loglik_vector(uninformative_proxy(), self.NODES)
+        assert_allclose(got, np.zeros(5), rtol=0, atol=0)
+
+    def test_scalar_callback_rejected(self):
+        """A leftover per-node callback returns a scalar; it must not
+        broadcast over the grid."""
+        legacy = ProxyObservation(payload=0.3,
+                                  proxy_log_likelihood=lambda z, psi: -0.5)
+        with pytest.raises(ValueError, match="shape"):
+            proxy_loglik_vector(legacy, self.NODES)
+        with pytest.raises(ValueError, match="shape"):
+            proxy_posterior(ParameterGrid(np.zeros((1, 1)), self.NODES,
+                                          np.array([1.0]), np.full(5, 0.2)), legacy)
+
+    def test_wrong_length_rejected(self):
+        short = ProxyObservation(
+            payload=None, proxy_log_likelihood=lambda z, psi_nodes: np.zeros(len(psi_nodes) - 1))
+        with pytest.raises(ValueError, match="expected \\(5,\\)"):
+            proxy_loglik_vector(short, self.NODES)
+        column = ProxyObservation(
+            payload=None, proxy_log_likelihood=lambda z, psi_nodes: np.zeros((len(psi_nodes), 1)))
+        with pytest.raises(ValueError, match="shape"):
+            proxy_loglik_vector(column, self.NODES)
+
+    def test_nan_rejected(self):
+        def pll(payload, psi_nodes):
+            out = np.zeros(len(psi_nodes))
+            out[3] = np.nan
+            return out
+
+        with pytest.raises(FloatingPointError, match="index 3"):
+            proxy_loglik_vector(ProxyObservation(None, pll), self.NODES)
+
+    def test_neg_inf_allowed(self):
+        dead = ProxyObservation(
+            payload=None,
+            proxy_log_likelihood=lambda z, psi_nodes: np.full(len(psi_nodes), -np.inf))
+        assert np.all(np.isneginf(proxy_loglik_vector(dead, self.NODES)))
+
+    def test_nodes_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="psi_nodes"):
+            proxy_loglik_vector(_normal_proxy(0.3), self.NODES[:, 0])
+
+    def test_metropolis_goes_through_the_check(self):
+        model = linear_model()
+        data = SourceData((Observation([1.0, 0.0], 0.0),))
+        legacy = ProxyObservation(payload=0.3,
+                                  proxy_log_likelihood=lambda z, psi: -0.5)
+        with pytest.raises(ValueError, match="shape"):
+            metropolis_posterior(model, data, legacy, lambda d, psi: np.ones(d.n),
+                                 lambda t, p: 0.0, n_samples=1000, seed=0)
 
 
 class TestClassicPosterior:
@@ -212,9 +278,9 @@ class TestRWeightedPosterior:
         weights = rng.uniform(0, 1, size=(grid.n_psi, data.n))
         endorse = rng.uniform(0.2, 0.8, size=grid.n_psi)
 
-        def pll(payload, psi):
-            return float(np.log(endorse[int(psi[0])]) if payload == 1
-                         else np.log1p(-endorse[int(psi[0])]))
+        def pll(payload, psi_nodes):
+            p = endorse[psi_nodes[:, 0].astype(int)]
+            return np.log(p) if payload == 1 else np.log1p(-p)
 
         proxy = ProxyObservation(payload=1, proxy_log_likelihood=pll)
         post = r_weighted_posterior(model, data, grid, weights, proxy)
@@ -282,8 +348,8 @@ class TestRWeightedPosterior:
         model, grid, data, _, rng = _toy_setup()
         endorse = rng.uniform(0.2, 0.8, size=grid.n_psi)
 
-        def pll(payload, psi):
-            return float(np.log(endorse[int(psi[0])]))
+        def pll(payload, psi_nodes):
+            return np.log(endorse[psi_nodes[:, 0].astype(int)])
 
         proxy = ProxyObservation(payload=1, proxy_log_likelihood=pll)
         post = r_weighted_posterior(model, data, grid,
@@ -306,8 +372,8 @@ class TestEngineEquivalence:
         grid = toy_grid(grid0.n_theta, grid0.n_psi,
                         theta_prior=grid0.theta_prior_mass, psi_prior=psi_prior)
 
-        def pll(payload, psi):
-            return 0.0 if int(psi[0]) == target else -np.inf
+        def pll(payload, psi_nodes):
+            return np.where(psi_nodes[:, 0].astype(int) == target, 0.0, -np.inf)
 
         proxy = ProxyObservation(payload=None, proxy_log_likelihood=pll)
         weighted = r_weighted_posterior(model, data, grid,

@@ -1,13 +1,15 @@
 """Relevance weight families and the refinement loop."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from relbayes import inference, models
 from relbayes.grids import ParameterGrid, toy_grid
-from relbayes.inference import uninformative_proxy
+from relbayes.inference import r_weighted_posterior, uninformative_proxy
 from relbayes.models import (Observation, SourceData, discrete_toy_model,
                              linear_model)
 from relbayes.relevance import (DegenerateRelevanceError, RelevanceConfig,
@@ -15,6 +17,7 @@ from relbayes.relevance import (DegenerateRelevanceError, RelevanceConfig,
                                 constant_one_weights,
                                 prior_expected_relevance, refine_relevance,
                                 sigmoid_ratio_relevance)
+from relbayes.synthetic import LinearScenario, gen_linear_instance
 
 RNG_SEED = 20260817
 
@@ -281,6 +284,55 @@ class TestRefineRelevance:
         with pytest.raises(RelevanceConfigError):
             refine_relevance(model, _toy_obs(0), grid, uninformative_proxy(),
                              RelevanceConfig())
+
+
+def _count_calls(monkeypatch, original) -> list:
+    """Replace `original` in every relbayes namespace that binds it with a
+    wrapper that appends to the returned list on each call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "relbayes":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+class TestComputeOnce:
+    """refine_relevance builds the log-likelihood tensor and the proxy
+    vector once, whatever the number of rounds."""
+
+    def _instance(self):
+        inst = gen_linear_instance(
+            LinearScenario(multicollinearity=2.0, n_outcome=20, n_proxy_prompts=10,
+                           contamination_pct=20.0), 5)
+        return linear_model(), inst.source, _linear_grid(np.random.default_rng(RNG_SEED)), \
+            inst.proxy
+
+    def test_one_tensor_and_one_proxy_vector_per_call(self, monkeypatch):
+        model, data, grid, proxy = self._instance()
+        tensors = _count_calls(monkeypatch, models.loglik_tensor)
+        vectors = _count_calls(monkeypatch, inference.proxy_loglik_vector)
+        result = refine_relevance(model, data, grid, proxy,
+                                  RelevanceConfig(refinement_iterations=3))
+        assert result.iterations == 3
+        assert len(tensors) == 1
+        assert len(vectors) == 1
+
+    @pytest.mark.parametrize("iterations", [0, 3])
+    def test_posterior_is_the_weighted_posterior_of_the_final_weights(self, iterations):
+        model, data, grid, proxy = self._instance()
+        result = refine_relevance(model, data, grid, proxy,
+                                  RelevanceConfig(refinement_iterations=iterations))
+        want = r_weighted_posterior(model, data, grid, result.weights_per_psi, proxy)
+        assert_allclose(result.posterior.joint_mass, want.joint_mass, rtol=0, atol=1e-12)
+        assert_allclose(result.posterior.log_evidence, want.log_evidence,
+                        rtol=0, atol=1e-12)
 
 
 class TestValidation:

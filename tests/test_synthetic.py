@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
+from scipy.special import logsumexp
 
 from relbayes.models import LOG_2PI, Observation, gp_model, linear_model
 from relbayes.synthetic import (GpScenario, LinearScenario, gen_expert_proxy,
@@ -88,6 +89,30 @@ class TestLinearCovariates:
             gen_linear_covariates(1.0, 0, 0)
 
 
+def _scalar_agreement(model, prompt, psi, theta_nodes=None, theta_prior=None):
+    """Reference agreement of one prompt at one psi value: the linear closed
+    form, otherwise a per-theta-node loop over model.log_likelihood divided
+    by the prior-mixed mode heights."""
+    psi = np.atleast_1d(np.asarray(psi, dtype=float))
+    if model.name == "linear":
+        x1, x2 = prompt.covariates
+        resid = float(prompt.outcome) - psi[0] * x2
+        return float(np.exp(-0.5 * resid ** 2 / (1.0 + x1 ** 2)))
+    lls = np.array([model.log_likelihood(prompt, th, psi) for th in theta_nodes])
+    log_mode = model.log_mode_density(theta_nodes, psi[None, :])[:, 0]
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(theta_prior)
+    log_p = logsumexp(lls + log_prior) - logsumexp(log_mode + log_prior)
+    return float(min(1.0, np.exp(log_p)))
+
+
+def _gp_prompt_setup(seed=5):
+    inst = gen_gp_trajectories(GpScenario(), task_rng(seed, 0))
+    nodes = np.linspace(0.2, 3.0, 8)[:, None]
+    prior = np.random.default_rng(RNG_SEED).dirichlet(np.full(8, 3.0))
+    return gp_model(inst.x_grid), inst.prompts, nodes, prior
+
+
 class TestPromptAgreement:
     def test_linear_closed_form(self):
         """Marginalizing theta ~ N(0,1) gives y ~ N(psi x2, 1 + x1^2); the
@@ -95,22 +120,23 @@ class TestPromptAgreement:
         model = linear_model()
         prompt = Observation([1.5, -2.0], 0.7)
         psi = 0.4
-        got = prompt_agreement(model, prompt, psi)
+        got = prompt_agreement(model, [prompt], np.array([[psi]]))
+        assert got.shape == (1, 1)
         var = 1.0 + 1.5 ** 2
         resid = 0.7 - psi * -2.0
         want = np.exp(-0.5 * resid ** 2 / var)
-        assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert_allclose(got[0, 0], want, rtol=0, atol=1e-15)
 
     def test_perfect_prompt_scores_one(self):
         # x1 = 0 removes the theta variance, and a zero residual hits the mode
         model = linear_model()
         prompt = Observation([0.0, 2.0], 1.0)
-        assert prompt_agreement(model, prompt, 0.5) == 1.0
+        assert prompt_agreement(model, [prompt], np.array([[0.5]]))[0, 0] == 1.0
 
     def test_agreement_decreases_with_residual(self):
         model = linear_model()
-        vals = [prompt_agreement(model, Observation([1.0, 1.0], y), 0.0)
-                for y in (0.0, 1.0, 2.0, 4.0)]
+        prompts = [Observation([1.0, 1.0], y) for y in (0.0, 1.0, 2.0, 4.0)]
+        vals = prompt_agreement(model, prompts, np.array([[0.0]]))[:, 0]
         assert np.all(np.diff(vals) < 0)
 
     def test_grid_marginalization_path(self):
@@ -120,8 +146,8 @@ class TestPromptAgreement:
         prompt = Observation(x, rng.normal(size=5) * 0.5)
         nodes = np.array([[0.5], [1.0], [2.0]])
         prior = np.array([0.2, 0.5, 0.3])
-        got = prompt_agreement(model, prompt, 1.5, theta_nodes=nodes,
-                               theta_prior=prior)
+        got = prompt_agreement(model, [prompt], np.array([[1.5]]), theta_nodes=nodes,
+                               theta_prior=prior)[0, 0]
         lls = np.array([model.log_likelihood(prompt, th, np.array([1.5]))
                         for th in nodes])
         mode = model.log_mode_density(nodes, np.array([[1.5]]))[:, 0]
@@ -134,7 +160,75 @@ class TestPromptAgreement:
         x = np.linspace(0, 1, 4)
         model = gp_model(x)
         with pytest.raises(ValueError, match="theta_nodes"):
-            prompt_agreement(model, Observation(x, np.zeros(4)), 1.0)
+            prompt_agreement(model, [Observation(x, np.zeros(4))], np.array([[1.0]]))
+
+    def test_psi_nodes_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="psi_nodes"):
+            prompt_agreement(linear_model(), [Observation([1.0, 1.0], 0.0)], 0.5)
+
+
+class TestVectorisedAgreementEquivalence:
+    """The (J, B) agreement array against the per-prompt, per-psi reference."""
+
+    def test_linear_matches_scalar_reference(self):
+        model = linear_model()
+        rng = np.random.default_rng(RNG_SEED)
+        prompts = [Observation(rng.normal(size=2), rng.normal()) for _ in range(6)]
+        psi_nodes = np.linspace(-3.0, 3.0, 7)[:, None]
+        got = prompt_agreement(model, prompts, psi_nodes)
+        want = np.array([[_scalar_agreement(model, p, psi) for psi in psi_nodes]
+                         for p in prompts])
+        assert got.shape == (6, 7)
+        assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_gp_matches_scalar_reference(self):
+        """The reference solves one trajectory at a time and the batch solves
+        all prompts at once; on kernel matrices of condition number up to
+        about 1e8 the two orders round differently, by up to 1.1e-11 in the
+        log-agreement here (measured), so rtol is 1e-10 rather than the
+        linear case's 1e-12."""
+        model, prompts, nodes, prior = _gp_prompt_setup()
+        psi_nodes = np.array([[0.1], [0.3], [0.6], [0.9], [1.7], [4.0], [11.0]])
+        got = prompt_agreement(model, prompts, psi_nodes, nodes, prior)
+        want = np.array([[_scalar_agreement(model, p, psi, nodes, prior)
+                          for psi in psi_nodes] for p in prompts])
+        assert got.shape == (len(prompts), 7)
+        assert_allclose(got, want, rtol=1e-10, atol=0)
+
+    def test_gp_zero_prior_mass_nodes_drop_out(self):
+        model, prompts, nodes, prior = _gp_prompt_setup()
+        prior = prior.copy()
+        prior[[0, 5]] = 0.0
+        prior /= prior.sum()
+        psi_nodes = np.array([[0.5], [2.0]])
+        got = prompt_agreement(model, prompts, psi_nodes, nodes, prior)
+        keep = prior > 0
+        want = prompt_agreement(model, prompts, psi_nodes, nodes[keep], prior[keep])
+        assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("which", ["linear", "gp"])
+    def test_expert_proxy_vector_is_summed_binomial_logpmf(self, which):
+        if which == "linear":
+            model = linear_model()
+            rng = np.random.default_rng(RNG_SEED + 1)
+            prompts = [Observation(rng.normal(size=2), rng.normal()) for _ in range(9)]
+            grid_kw = {}
+            psi_nodes = np.linspace(-2.0, 2.0, 6)[:, None]
+        else:
+            model, prompts, nodes, prior = _gp_prompt_setup(seed=8)
+            grid_kw = {"theta_nodes": nodes, "theta_prior": prior}
+            psi_nodes = np.array([[0.4], [1.0], [2.5], [6.0]])
+        proxy = gen_expert_proxy(model, prompts, 0.8, 30.0, task_rng(4, 0), **grid_kw)
+        got = proxy.proxy_log_likelihood(proxy.payload, psi_nodes)
+        assert got.shape == (psi_nodes.shape[0],)
+        want = np.zeros(psi_nodes.shape[0])
+        for prompt, z in zip(prompts, proxy.payload):
+            for b, psi in enumerate(psi_nodes):
+                p = _scalar_agreement(model, prompt, psi, grid_kw.get("theta_nodes"),
+                                      grid_kw.get("theta_prior"))
+                p = min(max(p, 1e-9), 1 - 1e-9)
+                want[b] += stats.binom.logpmf(z, 7, p)
+        assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestExpertProxy:
@@ -142,24 +236,31 @@ class TestExpertProxy:
         # agreement probability exactly 1 at this psi
         return Observation([0.0, 1.0], float(psi))
 
+    def test_one_observation_with_one_rating_per_prompt(self):
+        model = linear_model()
+        prompts = [Observation([1.0, 0.5], 0.2), Observation([0.5, 1.0], -0.4)]
+        proxy = gen_expert_proxy(model, prompts, 0.1, 0.0, task_rng(6, 0))
+        assert isinstance(proxy.payload, tuple) and len(proxy.payload) == 2
+        assert all(isinstance(z, int) and 0 <= z <= 7 for z in proxy.payload)
+
     def test_clean_ratings_of_perfect_prompts_max_out(self):
         model = linear_model()
         prompts = [self._perfect_prompt(0.5) for _ in range(40)]
-        proxies = gen_expert_proxy(model, prompts, 0.5, 0.0, task_rng(1, 0))
-        assert [p.payload for p in proxies] == [7] * 40
+        proxy = gen_expert_proxy(model, prompts, 0.5, 0.0, task_rng(1, 0))
+        assert proxy.payload == (7,) * 40
 
     def test_full_contamination_flips_perfect_prompts_to_zero(self):
         model = linear_model()
         prompts = [self._perfect_prompt(0.5) for _ in range(40)]
-        proxies = gen_expert_proxy(model, prompts, 0.5, 100.0, task_rng(1, 0))
-        assert [p.payload for p in proxies] == [0] * 40
+        proxy = gen_expert_proxy(model, prompts, 0.5, 100.0, task_rng(1, 0))
+        assert proxy.payload == (0,) * 40
 
     def test_contaminated_count_is_exact(self):
         model = linear_model()
         prompts = [self._perfect_prompt(0.0) for _ in range(10)]
         for pct, expect in ((40.0, 4), (25.0, 2), (75.0, 8), (0.0, 0)):
-            proxies = gen_expert_proxy(model, prompts, 0.0, pct, task_rng(2, 0))
-            zeros = sum(1 for p in proxies if p.payload == 0)
+            proxy = gen_expert_proxy(model, prompts, 0.0, pct, task_rng(2, 0))
+            zeros = sum(1 for z in proxy.payload if z == 0)
             # round(pct * 10 / 100), and flipped perfect prompts give z = 0
             assert zeros == expect
 
@@ -169,38 +270,61 @@ class TestExpertProxy:
         model = linear_model()
         r = np.sqrt(2 * np.log(2))
         prompts = [Observation([0.0, 1.0], r) for _ in range(10_000)]
-        proxies = gen_expert_proxy(model, prompts, 0.0, 0.0, task_rng(3, 0))
-        z = np.array([p.payload for p in proxies], dtype=float)
+        proxy = gen_expert_proxy(model, prompts, 0.0, 0.0, task_rng(3, 0))
+        z = np.array(proxy.payload, dtype=float)
         assert_allclose(z.mean(), 3.5, atol=0.06)
 
     def test_learner_likelihood_matches_binomial_pmf(self):
         model = linear_model()
         prompt = Observation([1.0, -0.5], 0.3)
-        proxies = gen_expert_proxy(model, [prompt], 0.2, 0.0, task_rng(4, 0))
-        pll = proxies[0].proxy_log_likelihood
-        psi = np.array([0.8])
-        p = prompt_agreement(model, prompt, psi)
+        proxy = gen_expert_proxy(model, [prompt], 0.2, 0.0, task_rng(4, 0))
+        pll = proxy.proxy_log_likelihood
+        psi = np.array([[0.8]])
+        p = prompt_agreement(model, [prompt], psi)[0, 0]
         p = min(max(p, 1e-9), 1 - 1e-9)
         for z in range(8):
-            assert_allclose(pll(z, psi), stats.binom.logpmf(z, 7, p),
+            assert_allclose(pll((z,), psi)[0], stats.binom.logpmf(z, 7, p),
                             rtol=1e-12)
 
     def test_likelihood_finite_at_extreme_agreement(self):
         model = linear_model()
         perfect = self._perfect_prompt(0.0)
         hopeless = Observation([0.0, 1.0], 500.0)
-        proxies = gen_expert_proxy(model, [perfect, hopeless], 0.0, 0.0,
-                                   task_rng(5, 0))
-        for proxy in proxies:
-            for z in (0, 7):
-                assert np.isfinite(proxy.proxy_log_likelihood(z, np.array([0.0])))
+        proxy = gen_expert_proxy(model, [perfect, hopeless], 0.0, 0.0,
+                                 task_rng(5, 0))
+        for z_perfect in (0, 7):
+            for z_hopeless in (0, 7):
+                ll = proxy.proxy_log_likelihood((z_perfect, z_hopeless),
+                                                np.array([[0.0]]))
+                assert np.all(np.isfinite(ll))
+
+    def test_payload_must_rate_every_prompt(self):
+        model = linear_model()
+        prompts = [Observation([1.0, 0.5], 0.2), Observation([0.5, 1.0], -0.4)]
+        pll = gen_expert_proxy(model, prompts, 0.1, 0.0, task_rng(6, 0)).proxy_log_likelihood
+        psi = np.array([[0.0], [1.0]])
+        for payload in ((3,), (3, 4, 5), (3, 8), (-1, 2)):
+            with pytest.raises(ValueError, match="payload"):
+                pll(payload, psi)
 
     def test_deterministic_given_seed(self):
         model = linear_model()
         prompts = [Observation([1.0, 0.5], 0.2), Observation([0.5, 1.0], -0.4)]
         a = gen_expert_proxy(model, prompts, 0.1, 50.0, task_rng(6, 0))
         b = gen_expert_proxy(model, prompts, 0.1, 50.0, task_rng(6, 0))
-        assert [p.payload for p in a] == [p.payload for p in b]
+        assert a.payload == b.payload
+
+    def test_pinned_ratings(self):
+        """The draw order (contamination positions first, then one binomial
+        per prompt in order) fixes every rating for a given stream."""
+        inst = gen_linear_instance(
+            LinearScenario(multicollinearity=2.0, contamination_pct=25.0), 11)
+        assert inst.proxy.payload == (5, 2, 7, 5, 7, 4, 6, 4, 7, 7, 5, 1, 2, 0, 3,
+                                      7, 1, 2, 3, 0, 6, 4, 6, 3, 2)
+        model, prompts, nodes, _ = _gp_prompt_setup()
+        proxy = gen_expert_proxy(model, prompts, 1.0, 50.0, task_rng(6, 0),
+                                 theta_nodes=nodes, theta_prior=np.full(8, 1 / 8))
+        assert proxy.payload == (0, 7, 6, 0, 7, 7, 1, 0)
 
     def test_empty_prompt_list_rejected(self):
         with pytest.raises(ValueError):
@@ -212,7 +336,7 @@ class TestLinearInstance:
         inst = gen_linear_instance(LinearScenario(), 42)
         assert inst.source.n == 75
         assert len(inst.prompts) == 25
-        assert len(inst.proxies) == 25
+        assert len(inst.proxy.payload) == 25
         assert len(inst.psi_star) == 75
         assert inst.theta_star.value[0] == -1.0
 
@@ -237,7 +361,7 @@ class TestLinearInstance:
         ya = [o.outcome for o in a.source]
         yb = [o.outcome for o in b.source]
         assert_allclose(ya, yb, rtol=0, atol=0)
-        assert [p.payload for p in a.proxies] == [p.payload for p in b.proxies]
+        assert a.proxy.payload == b.proxy.payload
 
     def test_different_seeds_differ(self):
         a = gen_linear_instance(LinearScenario(), 1)
@@ -327,17 +451,17 @@ class TestImpreciseEstimateProxy:
     def test_likelihood_is_exact_normal_density(self):
         proxy = gen_imprecise_estimate_proxy(0.7, 3.0, False, 0)
         z = proxy.payload
-        at_center = proxy.proxy_log_likelihood(z, np.array([z]))
+        at_center = proxy.proxy_log_likelihood(z, np.array([[z]]))[0]
         assert_allclose(at_center, -0.5 * LOG_2PI - np.log(3.0), rtol=0,
                         atol=1e-15)
-        off = proxy.proxy_log_likelihood(z, np.array([z + 1.5]))
+        off = proxy.proxy_log_likelihood(z, np.array([[z + 1.5]]))[0]
         assert_allclose(at_center - off, 0.5 * (1.5 / 3.0) ** 2, rtol=1e-12)
 
     def test_learner_model_ignores_the_bias(self):
         """The bias corrupts the draw, never the learner's likelihood."""
         clean = gen_imprecise_estimate_proxy(0.0, 1.0, False, 5)
         biased = gen_imprecise_estimate_proxy(0.0, 1.0, True, 5)
-        psi = np.array([0.4])
+        psi = np.array([[0.4]])
         want = -0.5 * LOG_2PI - 0.5 * (clean.payload - 0.4) ** 2
         assert_allclose(clean.proxy_log_likelihood(clean.payload, psi), want,
                         rtol=1e-12)
