@@ -21,8 +21,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .grids import ParameterGrid
-from .inference import (ProxyObservation, classic_posterior, proxy_loglik_vector,
-                        r_weighted_posterior)
+from .inference import (ProxyObservation, _check_weights, _weighted_terms,
+                        classic_posterior, proxy_loglik_vector, r_weighted_posterior)
 from .models import ModelSpec, Observation, SharedParam, SourceData, TaskParam, \
     loglik_tensor, param_values
 from .relevance import RelevanceConfig, constant_one_weights, refine_relevance
@@ -424,10 +424,7 @@ def delta_rweighted(model: ModelSpec, true_process: TrueProcess, grid: Parameter
     (the decomposition's object) are returned; see DeltaRweighted.
     """
     _require_enumerable(model)
-    w = np.asarray(weights_per_psi, dtype=float)
-    n = true_process.n
-    if w.shape != (grid.n_psi, n):
-        raise ValueError(f"weights shape {w.shape}, expected {(grid.n_psi, n)}")
+    w = _check_weights(weights_per_psi, (grid.n_psi, true_process.n))
     theta = param_values(true_process.theta_star)[None, :]
     logpmf = _outcome_logpmf(model, theta, grid.psi_nodes)[:, 0, :].T    # (B, O)
     star = np.exp(_star_logpmf(model, true_process))                     # (n, O)
@@ -437,7 +434,7 @@ def delta_rweighted(model: ModelSpec, true_process: TrueProcess, grid: Parameter
     norm = np.zeros(grid.n_psi)
     for b in range(grid.n_psi):
         lp = logpmf[b]                                                   # (O,)
-        weighted = np.where(w[b][:, None] == 0.0, 0.0, w[b][:, None] * lp[None, :])
+        weighted = _weighted_terms(w[b][:, None], lp[None, :])            # (n, O)
         cross = (star * weighted).sum()
         log_z = logsumexp(weighted, axis=1)                              # per-observation
         unnorm[b] = -star_entropy - cross
@@ -455,39 +452,16 @@ def _cov_terms(weights: np.ndarray, lls: np.ndarray) -> float:
 
 
 def rho_fidelity(model: ModelSpec, true_process: TrueProcess, grid: ParameterGrid,
-                 weights_provider, n_outer: int = 0, seed: Optional[int] = None) -> float:
+                 weights_provider) -> float:
     """Expected covariance between weights and pseudo-intervened log-likelihoods.
 
     weights_provider(data, psi_node_index, psi_value) -> (n,) weight vector.
-    Exact over the toy's finite outcome and target-parameter alphabets,
-    Monte Carlo otherwise.
+    Enumerated exactly over the toy's finite outcome and target-parameter
+    alphabets; this is the rho term of check_prop55.
     """
     if true_process.n < 2:
         raise ValueError("fidelity needs n >= 2 source observations")
-    if model.outcome_space is not None:
-        datasets = _all_datasets(model, true_process.n)
-        star = _star_logpmf(model, true_process)
-        pstar = np.exp(_dataset_logprobs(star, datasets))
-        theta = param_values(true_process.theta_star)[None, :]
-        logpmf = _outcome_logpmf(model, theta, grid.psi_nodes)[:, 0, :].T  # (B, O)
-        total = 0.0
-        for b in range(grid.n_psi):
-            qb = grid.psi_prior_mass[b]
-            if qb == 0.0:
-                continue
-            acc = 0.0
-            for d, pd in zip(datasets, pstar):
-                if pd == 0.0:
-                    continue
-                data = _as_source(model, d)
-                w = np.asarray(weights_provider(data, b, grid.psi_nodes[b]), dtype=float)
-                acc += pd * _cov_terms(w, logpmf[b][d])
-            total += qb * acc
-        return float(total)
-
-    if n_outer < 1:
-        raise ValueError("continuous models need n_outer >= 1")
-    raise NotImplementedError("Monte-Carlo fidelity needs a data template; use the toy model")
+    return check_prop55(model, true_process, grid, weights_provider).rho_fidelity
 
 
 def ess_dis(model: ModelSpec, data: SourceData, true_process: TrueProcess,
@@ -497,9 +471,7 @@ def ess_dis(model: ModelSpec, data: SourceData, true_process: TrueProcess,
     dis is the negative log-likelihood of the whole dataset under theta*
     with every task parameter forced to psi_target.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (data.n,):
-        raise ValueError(f"weights shape {w.shape}, expected ({data.n},)")
+    w = _check_weights(weights, (data.n,))
     theta = param_values(true_process.theta_star)[None, :]
     psi = param_values(psi_target)[None, :]
     lls = loglik_tensor(model, data, theta, psi)[:, 0, 0]
@@ -543,8 +515,7 @@ def check_prop55(model: ModelSpec, true_process: TrueProcess, grid: ParameterGri
             data = _as_source(model, d)
             w = np.asarray(weights_provider(data, b, grid.psi_nodes[b]), dtype=float)
             lls = lp[d]
-            weighted = np.where(w == 0.0, 0.0, w * lls)
-            d_acc += pd * (lpd - weighted.sum())
+            d_acc += pd * (lpd - _weighted_terms(w, lls).sum())
             e_acc += pd * w.sum() * (-lls.sum())
             r_acc += pd * _cov_terms(w, lls)
         delta_unnorm += qb * d_acc

@@ -138,8 +138,7 @@ def toy_verify_instance(rng: np.random.Generator):
     weight_table = rng.uniform(0.0, 1.0, size=(n_psi, n_obs, n_out))
 
     def weights_provider(data, b, psi_value):
-        return np.array([weight_table[b, i, int(o.outcome)]
-                         for i, o in enumerate(data)])
+        return weight_table[b, np.arange(data.n), data.outcomes.astype(int)]
 
     endorse = rng.uniform(0.2, 0.8, size=n_psi)
 

@@ -162,10 +162,8 @@ def fit_study_intercepts(records, n_samples: int, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def _arm_arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x = np.stack([_one_hot(r.treatment) for r in records])
-    y = np.array([r.events for r in records], dtype=float)
-    n = np.array([r.total for r in records], dtype=float)
-    return x, y, n
+    data = SourceData(tuple(_arm_observation(r) for r in records))
+    return data.covariates, data.outcomes, data.trial_counts
 
 
 def _paired_loglik(records, thetas: np.ndarray, psis: np.ndarray) -> np.ndarray:

@@ -142,6 +142,8 @@ def classic_posterior(model: ModelSpec, data: SourceData, grid: ParameterGrid,
     source_psi_prior = _check_mass(source_psi_prior, "source_psi_prior")
     if source_psi_prior.size != grid.n_psi:
         raise ValueError("source_psi_prior length does not match the psi grid")
+    if groups is not None:
+        groups = _check_groups(groups, data.n)
     tensor = loglik_tensor(model, data, grid.theta_nodes, grid.psi_nodes)  # (n, A, B)
     with np.errstate(divide="ignore"):
         log_psi = np.log(source_psi_prior)
@@ -150,12 +152,9 @@ def classic_posterior(model: ModelSpec, data: SourceData, grid: ParameterGrid,
         per_obs = logsumexp(tensor + log_psi[None, None, :], axis=2)       # (n, A)
         loglik_theta = per_obs.sum(axis=0)
     else:
-        seen = sorted(i for g in groups for i in g)
-        if seen != list(range(data.n)):
-            raise ValueError("groups must partition the observation indices")
         loglik_theta = np.zeros(grid.n_theta)
         for g in groups:
-            block = tensor[list(g)].sum(axis=0)                            # (A, B)
+            block = tensor[g].sum(axis=0)                                  # (A, B)
             loglik_theta += logsumexp(block + log_psi[None, :], axis=1)
 
     log_joint_theta = loglik_theta + grid.log_theta_prior()
@@ -165,20 +164,42 @@ def classic_posterior(model: ModelSpec, data: SourceData, grid: ParameterGrid,
     return PosteriorTable(grid=grid, joint_mass=joint / joint.sum(), log_evidence=log_evidence)
 
 
+def _check_groups(groups, n_obs: int) -> list:
+    """The groups as lists of indices, checked to partition range(n_obs)."""
+    groups = [list(g) for g in groups]
+    if sorted(i for g in groups for i in g) != list(range(n_obs)):
+        raise ValueError("groups must partition the observation indices")
+    return groups
+
+
+def _check_weights(weights, shape: tuple) -> np.ndarray:
+    """Relevance weights as a float array of the given shape, each in [0, 1].
+
+    One comparison pass also rejects NaN and infinities.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.shape != shape:
+        raise ValueError(f"weights shape {w.shape}, expected {shape}")
+    if not ((w >= 0.0) & (w <= 1.0)).all():
+        raise ValueError("relevance weights must lie in [0, 1]")
+    return w
+
+
+def _weighted_terms(weights: np.ndarray, lls: np.ndarray) -> np.ndarray:
+    """weights * lls, broadcast, where a zero weight kills its term outright
+    (0 * -inf would be nan)."""
+    with np.errstate(invalid="ignore"):
+        return np.where(weights == 0.0, 0.0, weights * lls)
+
+
 def _weights_matrix(weights_per_psi, n_psi: int, n_obs: int) -> np.ndarray:
     """Coerce per-psi-node relevance weights into a validated (B, n) matrix."""
-    if hasattr(weights_per_psi, "shape"):
-        mat = np.asarray(weights_per_psi, dtype=float)
-    else:
+    if not hasattr(weights_per_psi, "shape"):
         rows = sorted(weights_per_psi, key=lambda w: w.psi_node_index)
         if [w.psi_node_index for w in rows] != list(range(n_psi)):
             raise ValueError("need exactly one weight vector per psi node")
-        mat = np.stack([w.weights for w in rows])
-    if mat.shape != (n_psi, n_obs):
-        raise ValueError(f"weights matrix shape {mat.shape}, expected {(n_psi, n_obs)}")
-    if np.any(~np.isfinite(mat)) or np.any(mat < 0.0) or np.any(mat > 1.0):
-        raise ValueError("relevance weights must lie in [0, 1]")
-    return mat
+        weights_per_psi = np.stack([w.weights for w in rows])
+    return _check_weights(weights_per_psi, (n_psi, n_obs))
 
 
 def r_weighted_likelihood(model: ModelSpec, data: SourceData, theta, psi_target,
@@ -188,18 +209,11 @@ def r_weighted_likelihood(model: ModelSpec, data: SourceData, theta, psi_target,
     Every source observation is evaluated as if its task parameter equaled
     psi_target, and its log-likelihood is scaled by its weight.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (data.n,):
-        raise ValueError(f"weights shape {w.shape}, expected ({data.n},)")
-    if np.any(~np.isfinite(w)) or np.any(w < 0.0) or np.any(w > 1.0):
-        raise ValueError("relevance weights must lie in [0, 1]")
+    w = _check_weights(weights, (data.n,))
     th = param_values(theta)[None, :]
     ps = param_values(psi_target)[None, :]
     lls = loglik_tensor(model, data, th, ps)[:, 0, 0]
-    # 0 * (-inf) would be nan; a zero weight must kill the term outright
-    with np.errstate(invalid="ignore"):
-        terms = np.where(w == 0.0, 0.0, w * lls)
-    return float(terms.sum())
+    return float(_weighted_terms(w, lls).sum())
 
 
 def _r_weighted_table(tensor: np.ndarray, grid: ParameterGrid, weights_per_psi,
@@ -297,7 +311,8 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
     """Gaussian random-walk Metropolis over the stacked (theta, psi) state.
 
     The target is the relevance-weighted joint density when weights_fn is a
-    callable (data, psi) -> weights, with the proxy log-likelihood added.
+    callable (data, psi) -> weights, with the proxy log-likelihood added; its
+    output must be an (n,) vector in [0, 1] at every evaluated state.
     With weights_fn=None and a groups partition, the target is instead the
     known-groups likelihood where psi holds one intercept per group, stacked
     in group order (the classic fixed-effects baseline).
@@ -313,10 +328,7 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
     if weights_fn is None:
         if groups is None:
             raise ValueError("weights_fn=None needs a groups partition")
-        groups = [list(g) for g in groups]
-        seen = sorted(i for g in groups for i in g)
-        if seen != list(range(data.n)):
-            raise ValueError("groups must partition the observation indices")
+        groups = _check_groups(groups, data.n)
         psi_dim = model.k_psi * len(groups)
         obs_group = np.empty(data.n, dtype=int)
         for gi, g in enumerate(groups):
@@ -342,11 +354,9 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
             tensor = loglik_tensor(model, data, theta[None, :], psi_nodes)  # (n, 1, G)
             ll = float(tensor[np.arange(data.n), 0, obs_group].sum())
         else:
-            w = np.asarray(weights_fn(data, psi), dtype=float)
+            w = _check_weights(weights_fn(data, psi), (data.n,))
             lls = loglik_tensor(model, data, theta[None, :], psi[None, :])[:, 0, 0]
-            with np.errstate(invalid="ignore"):
-                terms = np.where(w == 0.0, 0.0, w * lls)
-            ll = float(terms.sum())
+            ll = float(_weighted_terms(w, lls).sum())
             if proxy is not None:
                 ll += float(proxy_loglik_vector(proxy, psi[None, :])[0])
         return lp + ll

@@ -2,9 +2,12 @@
 
 A model couples a per-observation log-likelihood log p(d_i | theta, psi_i)
 with a simulator for the same distribution.  theta is shared across tasks,
-psi_i is task-specific.  Everything downstream (grid posteriors, relevance
-weighting, diagnostics) talks to models only through ModelSpec, so adding a
-model means writing one factory function here.
+psi_i is task-specific.  Each model supplies its log-likelihood once, as a
+vectorised evaluator over a parameter product that reads the columns
+SourceData stacks at construction; loglik_tensor is its checked entry point.
+Everything downstream (grid posteriors, relevance weighting, diagnostics)
+talks to models only through ModelSpec, so adding a model means writing one
+factory function here.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ class Observation:
 
     covariates has the layout the owning model declares.  outcome is a real
     scalar, a count, or a whole trajectory vector (GP model).  trial_count is
-    present exactly for binomial models.
+    present exactly for binomial models, and then the outcome is a count in
+    [0, trial_count].
     """
 
     covariates: np.ndarray
@@ -68,23 +72,50 @@ class Observation:
             tc = int(self.trial_count)
             if tc <= 0:
                 raise ValueError(f"trial_count must be positive, got {tc}")
+            y = int(self.outcome)
+            if not 0 <= y <= tc:
+                raise ValueError(f"outcome {y} outside [0, trial_count={tc}]")
             object.__setattr__(self, "trial_count", tc)
+            object.__setattr__(self, "outcome", y)
 
 
 @dataclass(frozen=True)
 class SourceData:
-    """Ordered source observations d = (d_1, ..., d_n), n >= 1."""
+    """Ordered source observations d = (d_1, ..., d_n), n >= 1, plus columns.
+
+    The columns are stacked once, here: covariates (n, c); outcomes (n,), or
+    (n, m) for trajectory outcomes; trial_counts (n,), or None when no
+    observation has one.  All three are float arrays.
+    """
 
     observations: tuple
+    covariates: np.ndarray = field(init=False, repr=False, compare=False)
+    outcomes: np.ndarray = field(init=False, repr=False, compare=False)
+    trial_counts: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         obs = tuple(self.observations)
         if len(obs) == 0:
             raise ValueError("SourceData needs at least one observation")
-        dims = {o.covariates.shape for o in obs}
-        if len(dims) > 1:
-            raise ValueError(f"observations have mixed covariate shapes: {sorted(dims)}")
+        # np.array raises on ragged rows, which is the shape check
+        try:
+            covariates = np.array([o.covariates for o in obs])
+        except ValueError:
+            dims = sorted({o.covariates.shape for o in obs})
+            raise ValueError(f"observations have mixed covariate shapes: {dims}") from None
+        try:
+            outcomes = np.array([o.outcome for o in obs], dtype=float)
+        except ValueError:
+            shapes = sorted({np.shape(o.outcome) for o in obs})
+            raise ValueError(f"observations have ragged outcome shapes: {shapes}") from None
+        counts = [o.trial_count for o in obs]
+        if None in counts and counts.count(None) < len(counts):
+            raise ValueError("observations mix present and absent trial_count")
         object.__setattr__(self, "observations", obs)
+        object.__setattr__(self, "covariates", covariates)
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "trial_counts",
+                           None if None in counts else np.array(counts, dtype=float))
 
     @property
     def n(self) -> int:
@@ -108,11 +139,13 @@ class ModelSpec:
         Expected length of Observation.covariates.
     theta_support, psi_support : (k, 2) arrays
         Interval box per parameter coordinate.
-    log_likelihood : callable (Observation, SharedParam, TaskParam) -> float
+    log_likelihood : callable
+        (SourceData, thetas (A, k_theta), psis (B, k_psi)) -> (n, A, B) array,
+        log p(d_i | theta_a, psi_b) for every observation and parameter pair,
+        read from the data's columns.  The one likelihood a model supplies;
+        call it through loglik_tensor, which coerces the parameter arrays and
+        rejects NaN.  A single value is its 1 x 1 x 1 cell.
     simulate : callable (covariates, SharedParam, TaskParam, rng, ...) -> Observation
-    log_likelihood_batch : optional vectorized evaluator
-        (SourceData, thetas (A, k_theta), psis (B, k_psi)) -> (n, A, B) array.
-        Falls back to a python loop when absent.
     log_mode_density : optional callable (theta_values, psi_values) -> array
         Log of the outcome density at its mode, broadcast over parameter
         rows.  Defined only for models with a density mode that does not
@@ -138,7 +171,6 @@ class ModelSpec:
     psi_support: np.ndarray
     log_likelihood: Callable
     simulate: Callable
-    log_likelihood_batch: Optional[Callable] = None
     log_mode_density: Optional[Callable] = None
     log_predictive_mode_density: Optional[Callable] = None
     outcome_space: Optional[np.ndarray] = field(default=None, repr=False)
@@ -180,25 +212,17 @@ def linear_model() -> ModelSpec:
 
     support = _support_box(-10.0, 10.0, 1)
 
-    def log_likelihood(obs: Observation, theta, psi) -> float:
-        th, ps = param_values(theta), param_values(psi)
-        mean = th[0] * obs.covariates[0] + ps[0] * obs.covariates[1]
-        return -0.5 * LOG_2PI - 0.5 * (float(obs.outcome) - mean) ** 2
+    def log_likelihood(data: SourceData, thetas, psis) -> np.ndarray:
+        x = data.covariates                                 # (n, 2)
+        mean = (x[:, 0, None, None] * thetas[None, :, 0, None]
+                + x[:, 1, None, None] * psis[None, None, :, 0])  # (n, A, B)
+        return -0.5 * LOG_2PI - 0.5 * (data.outcomes[:, None, None] - mean) ** 2
 
     def simulate(covariates, theta, psi, rng) -> Observation:
         covariates = np.asarray(covariates, dtype=float)
         th, ps = param_values(theta), param_values(psi)
         mean = th[0] * covariates[0] + ps[0] * covariates[1]
         return Observation(covariates, mean + rng.standard_normal())
-
-    def log_likelihood_batch(data: SourceData, thetas, psis) -> np.ndarray:
-        x = np.stack([o.covariates for o in data])          # (n, 2)
-        y = np.array([float(o.outcome) for o in data])      # (n,)
-        th = np.asarray(thetas, dtype=float)[:, 0]          # (A,)
-        ps = np.asarray(psis, dtype=float)[:, 0]            # (B,)
-        mean = (x[:, 0, None, None] * th[None, :, None]
-                + x[:, 1, None, None] * ps[None, None, :])  # (n, A, B)
-        return -0.5 * LOG_2PI - 0.5 * (y[:, None, None] - mean) ** 2
 
     def log_mode_density(thetas, psis) -> np.ndarray:
         a = np.asarray(thetas).shape[0]
@@ -209,8 +233,7 @@ def linear_model() -> ModelSpec:
         th = np.asarray(thetas, dtype=float)[:, 0]
         b = np.asarray(belief, dtype=float)
         var_theta = max(float(b @ th ** 2 - (b @ th) ** 2), 0.0)
-        x1 = np.array([o.covariates[0] for o in data])
-        v = 1.0 + x1 ** 2 * var_theta                       # (n,)
+        v = 1.0 + data.covariates[:, 0] ** 2 * var_theta    # (n,)
         n_psi = np.asarray(psis).shape[0]
         return np.tile(-0.5 * np.log(2.0 * np.pi * v)[:, None], (1, n_psi))
 
@@ -221,7 +244,6 @@ def linear_model() -> ModelSpec:
         psi_support=support.copy(),
         log_likelihood=log_likelihood,
         simulate=simulate,
-        log_likelihood_batch=log_likelihood_batch,
         log_mode_density=log_mode_density,
         log_predictive_mode_density=log_predictive_mode_density,
     )
@@ -243,24 +265,16 @@ def _binom_logpmf(y, n, t):
 def binomial_logit_model() -> ModelSpec:
     """Count outcome y ~ Binomial(sigmoid(theta . x + psi), trial_count).
 
-    Four treatment indicators in theta, a scalar intercept psi.
+    Four treatment indicators in theta, a scalar intercept psi.  Observation
+    already holds each count inside [0, trial_count].
     """
 
-    def _validate(obs: Observation):
-        if obs.trial_count is None:
+    def log_likelihood(data: SourceData, thetas, psis) -> np.ndarray:
+        if data.trial_counts is None:
             raise ValueError("binomial model requires trial_count on every observation")
-        y = int(obs.outcome)
-        if y < 0 or y > obs.trial_count:
-            raise ValueError(
-                f"invalid observation: outcome {y} exceeds trial_count {obs.trial_count}"
-            )
-        return y
-
-    def log_likelihood(obs: Observation, theta, psi) -> float:
-        y = _validate(obs)
-        th, ps = param_values(theta), param_values(psi)
-        t = float(th @ obs.covariates) + ps[0]
-        return float(_binom_logpmf(y, obs.trial_count, t))
+        t = (data.covariates @ thetas.T)[:, :, None] + psis[None, None, :, 0]  # (n, A, B)
+        return _binom_logpmf(data.outcomes[:, None, None],
+                             data.trial_counts[:, None, None], t)
 
     def simulate(covariates, theta, psi, rng, trial_count=None) -> Observation:
         if trial_count is None:
@@ -271,17 +285,6 @@ def binomial_logit_model() -> ModelSpec:
         y = int(rng.binomial(int(trial_count), p))
         return Observation(covariates, y, trial_count=int(trial_count))
 
-    def log_likelihood_batch(data: SourceData, thetas, psis) -> np.ndarray:
-        for o in data:
-            _validate(o)
-        x = np.stack([o.covariates for o in data])                    # (n, 4)
-        y = np.array([int(o.outcome) for o in data], dtype=float)     # (n,)
-        trials = np.array([o.trial_count for o in data], dtype=float)
-        th = np.asarray(thetas, dtype=float)                          # (A, 4)
-        ps = np.asarray(psis, dtype=float)[:, 0]                      # (B,)
-        t = (x @ th.T)[:, :, None] + ps[None, None, :]                # (n, A, B)
-        return _binom_logpmf(y[:, None, None], trials[:, None, None], t)
-
     return ModelSpec(
         name="binomial-logit",
         covariate_dim=4,
@@ -289,7 +292,6 @@ def binomial_logit_model() -> ModelSpec:
         psi_support=_support_box(-10.0, 10.0, 1),
         log_likelihood=log_likelihood,
         simulate=simulate,
-        log_likelihood_batch=log_likelihood_batch,
     )
 
 
@@ -303,25 +305,6 @@ MAX_JITTER = 1e-4
 
 class GpNumericalError(RuntimeError):
     """Cholesky failed even at the maximum jitter level."""
-
-
-def _composite_kernel(sq_dists: np.ndarray, theta: float, psi: float, jitter: float) -> np.ndarray:
-    k = 0.5 * (np.exp(-sq_dists / (2.0 * theta ** 2)) + np.exp(-sq_dists / (2.0 * psi ** 2)))
-    return k + jitter * np.eye(sq_dists.shape[0])
-
-
-def _chol_with_escalation(build):
-    """Try Cholesky at escalating jitter, 1e-8 up to 1e-4 in powers of ten."""
-    jitter = BASE_JITTER
-    while True:
-        try:
-            return np.linalg.cholesky(build(jitter)), jitter
-        except np.linalg.LinAlgError:
-            if jitter >= MAX_JITTER:
-                raise GpNumericalError(
-                    f"Cholesky failed at maximum jitter {MAX_JITTER}"
-                ) from None
-            jitter *= 10.0
 
 
 def gp_model(x_grid) -> ModelSpec:
@@ -342,59 +325,50 @@ def gp_model(x_grid) -> ModelSpec:
     sq = (x[:, None] - x[None, :]) ** 2
     support = np.array([[0.05, 12.0]])
 
-    def _scales(theta, psi):
-        th, ps = param_values(theta), param_values(psi)
-        if th[0] <= 0 or ps[0] <= 0:
-            raise ValueError(f"lengthscales must be positive, got theta={th[0]}, psi={ps[0]}")
-        return th[0], ps[0]
-
-    def log_likelihood(obs: Observation, theta, psi) -> float:
-        t, p = _scales(theta, psi)
-        y = np.asarray(obs.outcome, dtype=float)
-        chol, _ = _chol_with_escalation(lambda j: _composite_kernel(sq, t, p, j))
-        z = np.linalg.solve(chol, y)
-        return float(-0.5 * (z @ z) - np.log(np.diag(chol)).sum() - 0.5 * m * LOG_2PI)
-
-    def simulate(covariates, theta, psi, rng) -> Observation:
-        t, p = _scales(theta, psi)
-        chol, _ = _chol_with_escalation(lambda j: _composite_kernel(sq, t, p, j))
-        return Observation(x, chol @ rng.standard_normal(m))
-
     def _batch_chol(thetas, psis):
-        """Batched Cholesky over the (A, B) parameter product, (A*B, m, m)."""
+        """Kernel Cholesky factors over the (A, B) parameter product, (A*B, m, m).
+
+        The jitter starts at 1e-8 and rises by powers of ten up to 1e-4
+        until every matrix in the batch factors.
+        """
         th = np.asarray(thetas, dtype=float)[:, 0]
         ps = np.asarray(psis, dtype=float)[:, 0]
+        if np.any(th <= 0) or np.any(ps <= 0):
+            raise ValueError(f"lengthscales must be positive, got theta={th.min()}, "
+                             f"psi={ps.min()}")
         r_th = np.exp(-sq[None, :, :] / (2.0 * th[:, None, None] ** 2))   # (A, m, m)
         r_ps = np.exp(-sq[None, :, :] / (2.0 * ps[:, None, None] ** 2))   # (B, m, m)
         kmats = 0.5 * (r_th[:, None] + r_ps[None, :])                     # (A, B, m, m)
-        a, b = th.size, ps.size
-        kmats = kmats.reshape(a * b, m, m)
+        kmats = kmats.reshape(th.size * ps.size, m, m)
         eye = np.eye(m)
         jitter = BASE_JITTER
         while True:
             try:
-                chol = np.linalg.cholesky(kmats + jitter * eye)
-                return chol, a, b
+                return np.linalg.cholesky(kmats + jitter * eye)
             except np.linalg.LinAlgError:
                 if jitter >= MAX_JITTER:
                     raise GpNumericalError(
-                        f"batched Cholesky failed at maximum jitter {MAX_JITTER}"
-                    ) from None
+                        f"Cholesky failed at maximum jitter {MAX_JITTER}") from None
                 jitter *= 10.0
 
-    def log_likelihood_batch(data: SourceData, thetas, psis) -> np.ndarray:
-        chol, a, b = _batch_chol(thetas, psis)
-        y = np.stack([np.asarray(o.outcome, dtype=float) for o in data])  # (n, m)
-        z = np.linalg.solve(chol, np.broadcast_to(y.T, (a * b, m, data.n)))
+    def _log_det(chol) -> np.ndarray:
+        return np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+
+    def log_likelihood(data: SourceData, thetas, psis) -> np.ndarray:
+        a, b = thetas.shape[0], psis.shape[0]
+        chol = _batch_chol(thetas, psis)
+        z = np.linalg.solve(chol, np.broadcast_to(data.outcomes.T, (a * b, m, data.n)))
         quad = np.einsum("kmi,kmi->ki", z, z)                             # (A*B, n)
-        logdet = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)  # (A*B,)
-        ll = -0.5 * quad - logdet[:, None] - 0.5 * m * LOG_2PI
+        ll = -0.5 * quad - _log_det(chol)[:, None] - 0.5 * m * LOG_2PI
         return np.moveaxis(ll.reshape(a, b, data.n), 2, 0)                # (n, A, B)
 
+    def simulate(covariates, theta, psi, rng) -> Observation:
+        chol = _batch_chol(param_values(theta)[None, :], param_values(psi)[None, :])[0]
+        return Observation(x, chol @ rng.standard_normal(m))
+
     def log_mode_density(thetas, psis) -> np.ndarray:
-        chol, a, b = _batch_chol(thetas, psis)
-        logdet = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-        return (-logdet - 0.5 * m * LOG_2PI).reshape(a, b)
+        chol = _batch_chol(thetas, psis)
+        return (-_log_det(chol) - 0.5 * m * LOG_2PI).reshape(len(thetas), len(psis))
 
     def log_predictive_mode_density(data, thetas, psis, belief) -> np.ndarray:
         # every component is a zero-mean Gaussian, so the belief mixture
@@ -412,7 +386,6 @@ def gp_model(x_grid) -> ModelSpec:
         psi_support=support.copy(),
         log_likelihood=log_likelihood,
         simulate=simulate,
-        log_likelihood_batch=log_likelihood_batch,
         log_mode_density=log_mode_density,
         log_predictive_mode_density=log_predictive_mode_density,
     )
@@ -446,27 +419,19 @@ def discrete_toy_model(outcome_count: int, theta_count: int, psi_count: int, tab
     with np.errstate(divide="ignore"):
         log_table = np.log(table)
 
-    def _indices(theta, psi):
+    def log_likelihood(data: SourceData, thetas, psis) -> np.ndarray:
+        a = np.rint(thetas[:, 0]).astype(int)
+        b = np.rint(psis[:, 0]).astype(int)
+        y = data.outcomes.astype(int)
+        return log_table[a[None, :, None], b[None, None, :], y[:, None, None]]
+
+    def simulate(covariates, theta, psi, rng) -> Observation:
         a = int(round(param_values(theta)[0]))
         b = int(round(param_values(psi)[0]))
         if not (0 <= a < theta_count and 0 <= b < psi_count):
             raise ValueError(f"toy indices ({a}, {b}) out of range")
-        return a, b
-
-    def log_likelihood(obs: Observation, theta, psi) -> float:
-        a, b = _indices(theta, psi)
-        return float(log_table[a, b, int(obs.outcome)])
-
-    def simulate(covariates, theta, psi, rng) -> Observation:
-        a, b = _indices(theta, psi)
         y = int(rng.choice(outcome_count, p=table[a, b]))
         return Observation(np.empty(0), y)
-
-    def log_likelihood_batch(data: SourceData, thetas, psis) -> np.ndarray:
-        a_idx = np.rint(np.asarray(thetas, dtype=float)[:, 0]).astype(int)
-        b_idx = np.rint(np.asarray(psis, dtype=float)[:, 0]).astype(int)
-        y = np.array([int(o.outcome) for o in data])
-        return log_table[a_idx[None, :, None], b_idx[None, None, :], y[:, None, None]]
 
     return ModelSpec(
         name="discrete-toy",
@@ -475,7 +440,6 @@ def discrete_toy_model(outcome_count: int, theta_count: int, psi_count: int, tab
         psi_support=np.array([[0.0, float(psi_count - 1)]]),
         log_likelihood=log_likelihood,
         simulate=simulate,
-        log_likelihood_batch=log_likelihood_batch,
         outcome_space=np.arange(outcome_count),
     )
 
@@ -483,20 +447,12 @@ def discrete_toy_model(outcome_count: int, theta_count: int, psi_count: int, tab
 def loglik_tensor(model: ModelSpec, data: SourceData, thetas, psis) -> np.ndarray:
     """Per-observation log-likelihoods over a parameter product, shape (n, A, B).
 
-    Uses the model's vectorized evaluator when it has one, otherwise loops.
-    NaNs are rejected with the offending observation named, since a NaN in a
-    log-sum-exp would silently poison the whole posterior.
+    The checked entry point to model.log_likelihood.  NaNs are rejected with
+    the offending observation named, since a NaN in a log-sum-exp would
+    silently poison the whole posterior.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    psis = np.asarray(psis, dtype=float)
-    if model.log_likelihood_batch is not None:
-        out = model.log_likelihood_batch(data, thetas, psis)
-    else:
-        out = np.empty((data.n, thetas.shape[0], psis.shape[0]))
-        for i, obs in enumerate(data):
-            for a, th in enumerate(thetas):
-                for b, ps in enumerate(psis):
-                    out[i, a, b] = model.log_likelihood(obs, th, ps)
+    out = model.log_likelihood(data, np.asarray(thetas, dtype=float),
+                               np.asarray(psis, dtype=float))
     if np.any(np.isnan(out)):
         i = int(np.argwhere(np.isnan(out))[0][0])
         raise FloatingPointError(f"NaN log-likelihood at observation index {i}")

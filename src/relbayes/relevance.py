@@ -23,7 +23,8 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from .grids import ParameterGrid
-from .inference import PosteriorTable, _r_weighted_table, proxy_loglik_vector
+from .inference import PosteriorTable, _check_weights, _r_weighted_table, \
+    proxy_loglik_vector
 from .models import ModelSpec, SourceData, loglik_tensor, param_values
 
 CLIP_WARN_TOL = 0.5
@@ -49,13 +50,7 @@ class RelevanceWeights:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1:
-            raise ValueError("weights must be a vector")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.any(w < 0.0) or np.any(w > 1.0):
-            raise ValueError("weights must lie in [0, 1]")
+        w = _check_weights(self.weights, (np.size(self.weights),))
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "psi_node_index", int(self.psi_node_index))
 
@@ -157,24 +152,28 @@ def prior_expected_relevance(model: ModelSpec, data: SourceData, theta_nodes,
     return _clip_unit(weights, "prior_expected_relevance")
 
 
+def _sigmoid_ratio(model: ModelSpec, data: SourceData, psis: np.ndarray) -> np.ndarray:
+    """sigmoid(n * p_i / prod_j p_j) at theta = 0 for every psi row, shape (n, B).
+
+    The ratio is formed in log space; overflow saturates cleanly to weight 1.
+    """
+    lls = loglik_tensor(model, data, np.zeros((1, model.k_theta)), psis)[:, 0, :]  # (n, B)
+    denom = lls.sum(axis=0)
+    if np.any(np.isneginf(denom)):
+        raise DegenerateRelevanceError(
+            "pooled likelihood at the null shared parameter is zero; the "
+            "sigmoid ratio is undefined for this dataset and target task")
+    with np.errstate(over="ignore"):
+        return expit(np.exp(np.log(data.n) + lls - denom[None, :]))
+
+
 def sigmoid_ratio_relevance(model: ModelSpec, data: SourceData, psi_target) -> np.ndarray:
     """Sigmoid of each observation's share of the pooled null likelihood.
 
     With the shared parameter pinned to zero and every task parameter set to
-    the target's, observation i gets sigmoid(n * p_i / prod_j p_j).  The
-    ratio is formed in log space; overflow saturates cleanly to weight 1.
+    the target's, observation i gets sigmoid(n * p_i / prod_j p_j).
     """
-    theta = np.zeros((1, model.k_theta))
-    psi = param_values(psi_target)[None, :]
-    lls = loglik_tensor(model, data, theta, psi)[:, 0, 0]
-    denom = lls.sum()
-    if np.isneginf(denom):
-        raise DegenerateRelevanceError(
-            "pooled likelihood at the null shared parameter is zero; the "
-            "sigmoid ratio is undefined for this dataset")
-    log_ratio = np.log(data.n) + lls - denom
-    with np.errstate(over="ignore"):
-        return expit(np.exp(log_ratio))
+    return _sigmoid_ratio(model, data, param_values(psi_target)[None, :])[:, 0]
 
 
 @dataclass(frozen=True)
@@ -211,15 +210,7 @@ def refine_relevance(model: ModelSpec, data: SourceData, grid: ParameterGrid,
         def evaluate(belief):
             return constant_one_weights(grid.n_psi, data.n)
     elif config.kind == "sigmoid-ratio":
-        theta0 = np.zeros((1, model.k_theta))
-        lls = loglik_tensor(model, data, theta0, grid.psi_nodes)[:, 0, :]   # (n, B)
-        denom = lls.sum(axis=0)
-        if np.any(np.isneginf(denom)):
-            raise DegenerateRelevanceError(
-                "pooled likelihood at the null shared parameter is zero for "
-                "some candidate target task")
-        with np.errstate(over="ignore"):
-            fixed = expit(np.exp(np.log(data.n) + lls - denom[None, :])).T  # (B, n)
+        fixed = _sigmoid_ratio(model, data, grid.psi_nodes).T              # (B, n)
 
         def evaluate(belief):
             return fixed

@@ -140,10 +140,9 @@ def prompt_agreement(model: ModelSpec, prompts, psi_nodes, theta_nodes=None,
     if psi.ndim != 2:
         raise ValueError(f"psi_nodes must be a (B, k_psi) array, got shape {psi.shape}")
     if model.name == "linear":
-        x = np.stack([o.covariates for o in prompts])           # (J, 2)
-        y = np.array([float(o.outcome) for o in prompts])       # (J,)
+        x = prompts.covariates                                  # (J, 2)
         var = 1.0 + x[:, 0] ** 2
-        resid = y[:, None] - psi[None, :, 0] * x[:, 1, None]    # (J, B)
+        resid = prompts.outcomes[:, None] - psi[None, :, 0] * x[:, 1, None]  # (J, B)
         return np.exp(-0.5 * resid ** 2 / var[:, None])
     if theta_nodes is None or theta_prior is None:
         raise ValueError(f"model {model.name!r} needs theta_nodes and theta_prior "

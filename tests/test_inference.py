@@ -504,6 +504,28 @@ class TestMetropolis:
             metropolis_posterior(model, data, None, None,
                                  self._std_normal_prior, n_samples=2000, seed=0)
 
+    def test_groups_must_partition(self):
+        model = linear_model()
+        data = SourceData((Observation([1.0, 0.0], 0.0), Observation([0.5, 1.0], 0.2)))
+        with pytest.raises(ValueError, match="partition"):
+            metropolis_posterior(model, data, None, None, self._std_normal_prior,
+                                 n_samples=1000, seed=0, groups=[[0], [0, 1]])
+
+    @pytest.mark.parametrize("weights_fn, match", [
+        (lambda d, psi: 1.7, "shape"),
+        (lambda d, psi: np.ones(d.n + 1), "shape"),
+        (lambda d, psi: np.full(d.n, 1.7), r"\[0, 1\]"),
+        (lambda d, psi: np.full(d.n, np.nan), r"\[0, 1\]"),
+    ], ids=["scalar", "wrong-length", "out-of-range", "nan"])
+    def test_weights_fn_output_is_validated(self, weights_fn, match):
+        """The weighted target holds weights_fn to the contract every other
+        weighted engine enforces: an (n,) vector in [0, 1]."""
+        model = linear_model()
+        data = SourceData((Observation([1.0, 0.0], 0.0), Observation([0.5, 1.0], 0.2)))
+        with pytest.raises(ValueError, match=match):
+            metropolis_posterior(model, data, None, weights_fn, self._std_normal_prior,
+                                 n_samples=1000, seed=0)
+
     def test_init_must_be_finite(self):
         model = linear_model()
         data = SourceData((Observation([1.0, 0.0], 0.0),))

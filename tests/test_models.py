@@ -1,5 +1,7 @@
 """Model-layer tests: exact log-likelihood values against independent
-oracles, batch-versus-loop consistency, and simulator goodness of fit."""
+oracles (read from the tensor's 1 x 1 x 1 cells), tensor-versus-scalar
+consistency against the reference evaluators in _scalar_reference, the
+columns SourceData stacks, and simulator goodness of fit."""
 
 import numpy as np
 import pytest
@@ -7,12 +9,19 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.special import expit
 
+import _scalar_reference as scalar
 from relbayes.models import (LOG_2PI, Observation, SharedParam, SourceData,
                              TaskParam, binomial_logit_model, check_support,
                              discrete_toy_model, gp_model, linear_model,
                              loglik_tensor, param_values)
 
 RNG_SEED = 20260817
+
+
+def _cell(model, obs, theta, psi) -> float:
+    """log p(obs | theta, psi), the 1 x 1 x 1 cell of the tensor."""
+    return float(loglik_tensor(model, SourceData((obs,)), [param_values(theta)],
+                               [param_values(psi)])[0, 0, 0])
 
 
 def _toy_table(rng, n_out=3, n_theta=2, n_psi=2):
@@ -48,6 +57,47 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             SourceData(())
 
+    def test_source_data_columns_match_observations(self):
+        rng = np.random.default_rng(RNG_SEED)
+        obs = tuple(Observation(rng.normal(size=4), int(rng.integers(0, 6)),
+                                trial_count=int(rng.integers(6, 12)))
+                    for _ in range(5))
+        data = SourceData(obs)
+        assert data.covariates.shape == (5, 4)
+        assert data.outcomes.shape == (5,)
+        assert data.trial_counts.shape == (5,)
+        for i, o in enumerate(obs):
+            assert np.array_equal(data.covariates[i], o.covariates)
+            assert data.outcomes[i] == o.outcome
+            assert data.trial_counts[i] == o.trial_count
+
+    def test_source_data_trajectory_columns(self):
+        rng = np.random.default_rng(RNG_SEED)
+        x = np.linspace(0.0, 1.0, 6)
+        obs = tuple(Observation(x, rng.normal(size=6)) for _ in range(3))
+        data = SourceData(obs)
+        assert data.outcomes.shape == (3, 6)
+        assert data.trial_counts is None
+        for i, o in enumerate(obs):
+            assert np.array_equal(data.outcomes[i], o.outcome)
+
+    def test_source_data_rejects_ragged_outcomes(self):
+        x = np.linspace(0.0, 1.0, 3)
+        obs = (Observation(x, np.zeros(3)), Observation(x, np.zeros(4)))
+        with pytest.raises(ValueError, match="ragged"):
+            SourceData(obs)
+
+    def test_source_data_rejects_mixed_trial_counts(self):
+        obs = (Observation(np.zeros(4), 1, trial_count=5), Observation(np.zeros(4), 1))
+        with pytest.raises(ValueError, match="trial_count"):
+            SourceData(obs)
+
+    def test_observation_rejects_outcome_outside_trials(self):
+        with pytest.raises(ValueError, match="trial_count"):
+            Observation(np.zeros(4), 6, trial_count=5)
+        with pytest.raises(ValueError, match="trial_count"):
+            Observation(np.zeros(4), -1, trial_count=5)
+
     def test_check_support(self):
         box = np.array([[-1.0, 1.0]])
         check_support(np.array([0.5]), box, "x")
@@ -63,13 +113,13 @@ class TestLinearModel:
 
     def test_loglik_at_mean_is_normal_mode(self):
         obs = Observation([2.0, -1.0], 2.0 * 0.7 - 1.0 * 0.3)
-        ll = self.model.log_likelihood(obs, SharedParam(0.7), TaskParam(0.3))
+        ll = _cell(self.model, obs, SharedParam(0.7), TaskParam(0.3))
         assert_allclose(ll, -0.9189385332046727, rtol=0, atol=1e-15)
 
     def test_unit_residual_costs_half(self):
         obs = Observation([1.0, 0.0], 1.0)
-        ll0 = self.model.log_likelihood(obs, SharedParam(1.0), TaskParam(5.0))
-        ll1 = self.model.log_likelihood(obs, SharedParam(2.0), TaskParam(5.0))
+        ll0 = _cell(self.model, obs, SharedParam(1.0), TaskParam(5.0))
+        ll1 = _cell(self.model, obs, SharedParam(2.0), TaskParam(5.0))
         assert_allclose(ll0 - ll1, 0.5, rtol=0, atol=1e-12)
 
     def test_batch_matches_scalar_loop(self):
@@ -84,7 +134,7 @@ class TestLinearModel:
                 for b in range(3):
                     assert_allclose(
                         tensor[i, a, b],
-                        self.model.log_likelihood(obs, thetas[a], psis[b]),
+                        scalar.linear(obs, thetas[a], psis[b]),
                         rtol=0, atol=1e-12)
 
     def test_mode_density_is_standard_normal_mode(self):
@@ -108,7 +158,7 @@ class TestBinomialLogitModel:
 
     def test_single_trial_even_odds(self):
         obs = Observation(np.zeros(4), 1, trial_count=1)
-        ll = self.model.log_likelihood(obs, SharedParam(np.zeros(4)), TaskParam(0.0))
+        ll = _cell(self.model, obs, SharedParam(np.zeros(4)), TaskParam(0.0))
         assert_allclose(ll, np.log(0.5), rtol=0, atol=1e-15)
 
     def test_matches_high_precision_oracle(self):
@@ -127,7 +177,7 @@ class TestBinomialLogitModel:
             theta = np.zeros(4)
             psi = t - float(theta @ x)
             obs = Observation(x, y, trial_count=n)
-            got = self.model.log_likelihood(obs, SharedParam(theta), TaskParam(psi))
+            got = _cell(self.model, obs, SharedParam(theta), TaskParam(psi))
             p = 1 / (1 + mp.e ** (-mp.mpf(t)))
             want = float(mp.log(mp.binomial(n, y)) + y * mp.log(p)
                          + (n - y) * mp.log(1 - p))
@@ -136,12 +186,12 @@ class TestBinomialLogitModel:
     def test_requires_trial_count(self):
         obs = Observation(np.zeros(4), 1)
         with pytest.raises(ValueError, match="trial_count"):
-            self.model.log_likelihood(obs, SharedParam(np.zeros(4)), TaskParam(0.0))
+            _cell(self.model, obs, SharedParam(np.zeros(4)), TaskParam(0.0))
 
     def test_rejects_outcome_above_trials(self):
-        obs = Observation(np.zeros(4), 9, trial_count=5)
+        # the count is checked once, when the observation is built
         with pytest.raises(ValueError):
-            self.model.log_likelihood(obs, SharedParam(np.zeros(4)), TaskParam(0.0))
+            Observation(np.zeros(4), 9, trial_count=5)
 
     def test_batch_matches_scalar_loop(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -157,7 +207,7 @@ class TestBinomialLogitModel:
                 for b in range(4):
                     assert_allclose(
                         tensor[i, a, b],
-                        self.model.log_likelihood(obs, thetas[a], psis[b]),
+                        scalar.binomial_logit(obs, thetas[a], psis[b]),
                         rtol=0, atol=1e-11)
 
     def test_simulate_mean(self):
@@ -197,7 +247,7 @@ class TestGpModel:
             k = self._kernel(theta, psi)
             _, logdet = np.linalg.slogdet(k)
             want = -0.5 * (logdet + 7 * LOG_2PI)
-            got = self.model.log_likelihood(obs, SharedParam(theta), TaskParam(psi))
+            got = _cell(self.model, obs, SharedParam(theta), TaskParam(psi))
             # long lengthscales leave K barely above the jitter floor, so
             # LU and Cholesky determinants drift apart in the last digits
             assert_allclose(got, want, rtol=1e-8)
@@ -209,7 +259,7 @@ class TestGpModel:
         obs = Observation(self.x, y)
         _, logdet = np.linalg.slogdet(k)
         want = -0.5 * (y @ np.linalg.solve(k, y) + logdet + 7 * LOG_2PI)
-        got = self.model.log_likelihood(obs, SharedParam(0.7), TaskParam(2.5))
+        got = _cell(self.model, obs, SharedParam(0.7), TaskParam(2.5))
         assert_allclose(got, want, rtol=1e-9)
 
     def test_equal_lengthscales_collapse_to_single_rbf(self):
@@ -219,7 +269,7 @@ class TestGpModel:
         _, logdet = np.linalg.slogdet(k)
         y = obs.outcome
         want = -0.5 * (y @ np.linalg.solve(k, y) + logdet + 7 * LOG_2PI)
-        got = self.model.log_likelihood(obs, SharedParam(0.8), TaskParam(0.8))
+        got = _cell(self.model, obs, SharedParam(0.8), TaskParam(0.8))
         assert_allclose(got, want, rtol=1e-9)
 
     def test_kernel_diagonal_is_one_plus_jitter(self):
@@ -232,7 +282,7 @@ class TestGpModel:
         for _ in range(100):
             theta = rng.uniform(0.05, 12.0)
             psi = rng.uniform(0.05, 12.0)
-            ll = self.model.log_likelihood(obs, SharedParam(theta), TaskParam(psi))
+            ll = _cell(self.model, obs, SharedParam(theta), TaskParam(psi))
             assert np.isfinite(ll)
 
     def test_batch_matches_scalar_loop(self):
@@ -247,7 +297,7 @@ class TestGpModel:
                 for b in range(2):
                     assert_allclose(
                         tensor[i, a, b],
-                        self.model.log_likelihood(obs, thetas[a], psis[b]),
+                        scalar.gp(obs, thetas[a], psis[b]),
                         rtol=1e-9)
 
     def test_simulate_pointwise_variance(self):
@@ -261,8 +311,32 @@ class TestGpModel:
 
     def test_rejects_nonpositive_lengthscale(self):
         obs = Observation(self.x, np.zeros(7))
-        with pytest.raises(ValueError):
-            self.model.log_likelihood(obs, SharedParam(-1.0), TaskParam(1.0))
+        data = SourceData((obs,))
+        for theta, psi in [(-1.0, 1.0), (1.0, 0.0)]:
+            with pytest.raises(ValueError, match="positive"):
+                _cell(self.model, obs, SharedParam(theta), TaskParam(psi))
+            with pytest.raises(ValueError, match="positive"):
+                loglik_tensor(self.model, data, [[1.0], [theta]], [[psi], [2.0]])
+            with pytest.raises(ValueError, match="positive"):
+                self.model.log_mode_density(np.array([[theta]]), np.array([[psi]]))
+            with pytest.raises(ValueError, match="positive"):
+                self.model.simulate(self.x, SharedParam(theta), TaskParam(psi),
+                                    np.random.default_rng(0))
+
+    def test_simulate_stream_pinned(self):
+        """Two draws recorded on the code that factored one kernel at a
+        time; the batched factor at A = B = 1 must reproduce them exactly."""
+        rng = np.random.default_rng(RNG_SEED)
+        first = self.model.simulate(self.x, SharedParam(1.0), TaskParam(3.0), rng)
+        second = self.model.simulate(self.x, SharedParam(0.05), TaskParam(12.0), rng)
+        assert first.outcome.tolist() == [
+            -0.9787531550557662, -0.7861107587411116, -0.5849983500129359,
+            -0.3926286316000853, -0.22125182078713523, -0.07636784434769331,
+            0.03948493310800927]
+        assert second.outcome.tolist() == [
+            -0.13397888754672144, 1.4871920834236168, 0.7026165097819768,
+            2.1804326759142434, -1.2157452747397643, 0.9183078061091721,
+            -0.21572800242287127]
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
@@ -280,15 +354,15 @@ class TestDiscreteToyModel:
             for b in range(2):
                 for o in range(3):
                     obs = Observation(np.empty(0), o)
-                    got = model.log_likelihood(obs, SharedParam(float(a)),
-                                               TaskParam(float(b)))
+                    got = _cell(model, obs, SharedParam(float(a)),
+                                TaskParam(float(b)))
                     assert_allclose(got, np.log(table[a, b, o]), rtol=0, atol=1e-14)
 
     def test_uniform_table(self):
         table = np.full((2, 2, 4), 0.25)
         model = discrete_toy_model(4, 2, 2, table)
         obs = Observation(np.empty(0), 2)
-        ll = model.log_likelihood(obs, SharedParam(0.0), TaskParam(1.0))
+        ll = _cell(model, obs, SharedParam(0.0), TaskParam(1.0))
         assert_allclose(ll, np.log(0.25), rtol=0, atol=1e-15)
 
     def test_rows_must_sum_to_one(self):
@@ -301,7 +375,7 @@ class TestDiscreteToyModel:
                           [[0.3, 0.7], [0.9, 0.1]]])
         model = discrete_toy_model(2, 2, 2, table)
         obs = Observation(np.empty(0), 1)
-        ll = model.log_likelihood(obs, SharedParam(0.0), TaskParam(0.0))
+        ll = _cell(model, obs, SharedParam(0.0), TaskParam(0.0))
         assert ll == -np.inf
 
     def test_batch_lookup_matches_loop(self):
@@ -317,7 +391,7 @@ class TestDiscreteToyModel:
             for a in range(3):
                 for b in range(2):
                     assert_allclose(tensor[i, a, b],
-                                    np.log(table[a, b, int(obs.outcome)]),
+                                    scalar.discrete_toy(table, obs, thetas[a], psis[b]),
                                     rtol=0, atol=1e-14)
 
     def test_simulate_goodness_of_fit(self):
@@ -340,7 +414,6 @@ class TestDiscreteToyModel:
 class TestLoglikTensor:
     def test_nan_is_reported_with_observation_index(self):
         model = linear_model()
-        bad = dict(vars(model))
 
         def nan_batch(data, thetas, psis):
             out = np.zeros((data.n, thetas.shape[0], psis.shape[0]))
@@ -348,7 +421,7 @@ class TestLoglikTensor:
             return out
 
         import dataclasses
-        model_bad = dataclasses.replace(model, log_likelihood_batch=nan_batch)
+        model_bad = dataclasses.replace(model, log_likelihood=nan_batch)
         data = SourceData((Observation([0, 0], 0.0), Observation([0, 0], 0.0)))
         with pytest.raises(FloatingPointError, match="1"):
             loglik_tensor(model_bad, data, np.zeros((1, 1)), np.zeros((1, 1)))

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.special import logsumexp
 
+import _scalar_reference as scalar
 from relbayes.models import LOG_2PI, Observation, gp_model, linear_model
 from relbayes.synthetic import (GpScenario, LinearScenario, gen_expert_proxy,
                                 gen_gp_trajectories, gen_imprecise_estimate_proxy,
@@ -91,14 +92,14 @@ class TestLinearCovariates:
 
 def _scalar_agreement(model, prompt, psi, theta_nodes=None, theta_prior=None):
     """Reference agreement of one prompt at one psi value: the linear closed
-    form, otherwise a per-theta-node loop over model.log_likelihood divided
-    by the prior-mixed mode heights."""
+    form, otherwise (the GP model) a per-theta-node loop over the scalar
+    reference likelihood divided by the prior-mixed mode heights."""
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
     if model.name == "linear":
         x1, x2 = prompt.covariates
         resid = float(prompt.outcome) - psi[0] * x2
         return float(np.exp(-0.5 * resid ** 2 / (1.0 + x1 ** 2)))
-    lls = np.array([model.log_likelihood(prompt, th, psi) for th in theta_nodes])
+    lls = np.array([scalar.gp(prompt, th, psi) for th in theta_nodes])
     log_mode = model.log_mode_density(theta_nodes, psi[None, :])[:, 0]
     with np.errstate(divide="ignore"):
         log_prior = np.log(theta_prior)
@@ -148,8 +149,7 @@ class TestPromptAgreement:
         prior = np.array([0.2, 0.5, 0.3])
         got = prompt_agreement(model, [prompt], np.array([[1.5]]), theta_nodes=nodes,
                                theta_prior=prior)[0, 0]
-        lls = np.array([model.log_likelihood(prompt, th, np.array([1.5]))
-                        for th in nodes])
+        lls = np.array([scalar.gp(prompt, th, np.array([1.5])) for th in nodes])
         mode = model.log_mode_density(nodes, np.array([[1.5]]))[:, 0]
         # prior-mixed density over the prior-mixed mode heights
         want = float(prior @ np.exp(lls)) / float(prior @ np.exp(mode))
