@@ -8,8 +8,7 @@ from .inference import (DegenerateProxyError, McmcChain, McmcInitError,
                         PosteriorPredictive, PosteriorTable, ProxyObservation,
                         ProxyPosterior, chain_grid_tv, classic_posterior,
                         combine_proxies, metropolis_posterior, posterior_predictive,
-                        proxy_posterior, r_weighted_likelihood, r_weighted_posterior,
-                        uninformative_proxy)
+                        proxy_posterior, r_weighted_posterior, uninformative_proxy)
 from .relevance import (DegenerateRelevanceError, RefinementResult, RelevanceConfig,
                         RelevanceConfigError, RelevanceWeights, constant_one_weights,
                         prior_expected_relevance, refine_relevance,

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .grids import ParameterGrid
 from .inference import (ProxyObservation, _check_weights, _weighted_terms,
                         classic_posterior, proxy_loglik_vector, r_weighted_posterior)
 from .models import ModelSpec, Observation, SharedParam, SourceData, TaskParam, \
-    loglik_tensor, param_values
+    loglik_tensor, logsumexp, param_values
 from .relevance import RelevanceConfig, constant_one_weights, refine_relevance
 
 

@@ -22,10 +22,10 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ..inference import metropolis_posterior, uninformative_proxy
-from ..models import Observation, SourceData, binomial_logit_model, _binom_logpmf
+from ..models import Observation, SourceData, binomial_logit_model, _binom_logpmf, \
+    logsumexp
 from ..relevance import sigmoid_ratio_relevance
 from ..synthetic import gen_imprecise_estimate_proxy, task_rng
 

@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .grids import ParameterGrid, _check_mass
-from .models import ModelSpec, SourceData, loglik_tensor, param_values
+from .models import ModelSpec, SourceData, loglik_tensor, logsumexp
 
 JOINT_TOL = 1e-10
 
@@ -200,20 +199,6 @@ def _weights_matrix(weights_per_psi, n_psi: int, n_obs: int) -> np.ndarray:
             raise ValueError("need exactly one weight vector per psi node")
         weights_per_psi = np.stack([w.weights for w in rows])
     return _check_weights(weights_per_psi, (n_psi, n_obs))
-
-
-def r_weighted_likelihood(model: ModelSpec, data: SourceData, theta, psi_target,
-                          weights) -> float:
-    """Log of the relevance-weighted likelihood at one (theta, psi_target).
-
-    Every source observation is evaluated as if its task parameter equaled
-    psi_target, and its log-likelihood is scaled by its weight.
-    """
-    w = _check_weights(weights, (data.n,))
-    th = param_values(theta)[None, :]
-    ps = param_values(psi_target)[None, :]
-    lls = loglik_tensor(model, data, th, ps)[:, 0, 0]
-    return float(_weighted_terms(w, lls).sum())
 
 
 def _r_weighted_table(tensor: np.ndarray, grid: ParameterGrid, weights_per_psi,

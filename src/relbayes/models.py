@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit, gammaln, logsumexp
+from scipy.special import expit, gammaln
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -200,6 +200,21 @@ def param_values(p) -> np.ndarray:
     return p.value if isinstance(p, (SharedParam, TaskParam)) else np.atleast_1d(np.asarray(p, dtype=float))
 
 
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) along axis, or over every element when axis is None.
+
+    Shifted by the slice maximum, treated as 0 where it is not finite, so an
+    all -inf slice gives -inf and a slice holding +inf gives +inf.
+    """
+    a = np.asarray(a, dtype=float)
+    peak = np.max(a, axis=axis, keepdims=True, initial=-np.inf)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    shifted = np.atleast_1d(a - peak)
+    np.exp(shifted, out=shifted)
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(shifted, axis=axis)) + np.squeeze(peak, axis=axis)
+
+
 # ---------------------------------------------------------------------------
 # linear regression model
 # ---------------------------------------------------------------------------
@@ -314,6 +329,16 @@ def gp_model(x_grid) -> ModelSpec:
     equal-weight sum of two unit-amplitude RBF kernels, one with the shared
     lengthscale theta and one with the task lengthscale psi, scaled by 1/2
     so the diagonal is 1 (plus jitter).
+
+    The kernel factors depend only on the parameter nodes, never on the
+    data, and one simulation asks for the same node product many times: the
+    classic and r-weighted tensors, the expert prompts, and the mode-density
+    normaliser of every refinement round.  So the model keeps the Cholesky
+    factors and log-determinants of the last two node products it factored,
+    keyed on the exact bytes of the node arrays; two slots hold the full
+    grid and the (theta grid, psi*) product the expert proxy is drawn at.
+    The factor serves both the quadratic form, by forward substitution, and
+    the log-determinant (Rasmussen & Williams 2006, Algorithm 2.1).
     """
 
     x = np.asarray(x_grid, dtype=float)
@@ -324,6 +349,7 @@ def gp_model(x_grid) -> ModelSpec:
     m = x.size
     sq = (x[:, None] - x[None, :]) ** 2
     support = np.array([[0.05, 12.0]])
+    kept = []       # [(key, factor (m, m, A*B), log-determinants (A*B,))], newest last
 
     def _batch_chol(thetas, psis):
         """Kernel Cholesky factors over the (A, B) parameter product, (A*B, m, m).
@@ -351,24 +377,45 @@ def gp_model(x_grid) -> ModelSpec:
                         f"Cholesky failed at maximum jitter {MAX_JITTER}") from None
                 jitter *= 10.0
 
-    def _log_det(chol) -> np.ndarray:
-        return np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    def _factor(thetas, psis):
+        """The kept (m, m, A*B) factor and (A*B,) log-determinants, factoring on a miss."""
+        th = np.asarray(thetas, dtype=float)
+        ps = np.asarray(psis, dtype=float)
+        key = (th.shape, th.tobytes(), ps.shape, ps.tobytes())
+        for entry in kept:
+            if entry[0] == key:
+                return entry[1], entry[2]
+        chol = _batch_chol(th, ps)
+        log_det = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        factor = np.ascontiguousarray(np.moveaxis(chol, 0, 2))
+        factor.flags.writeable = log_det.flags.writeable = False
+        kept.append((key, factor, log_det))
+        del kept[:-2]
+        return factor, log_det
 
     def log_likelihood(data: SourceData, thetas, psis) -> np.ndarray:
-        a, b = thetas.shape[0], psis.shape[0]
-        chol = _batch_chol(thetas, psis)
-        z = np.linalg.solve(chol, np.broadcast_to(data.outcomes.T, (a * b, m, data.n)))
-        quad = np.einsum("kmi,kmi->ki", z, z)                             # (A*B, n)
-        ll = -0.5 * quad - _log_det(chol)[:, None] - 0.5 * m * LOG_2PI
-        return np.moveaxis(ll.reshape(a, b, data.n), 2, 0)                # (n, A, B)
+        if data.outcomes.shape != (data.n, m):
+            raise ValueError(f"trajectories must have length {m}, got outcomes of "
+                             f"shape {data.outcomes.shape}")
+        factor, log_det = _factor(thetas, psis)
+        # forward substitution L z = y for every factor at once, with the
+        # A*B factors innermost: z[i] = (y_i - sum_{j<i} L_ij z_j) / L_ii
+        y = data.outcomes.T                                               # (m, n)
+        z = np.empty((m, data.n, factor.shape[2]))
+        for i in range(m):
+            z[i] = (y[i, :, None] - np.einsum("jk,jnk->nk", factor[i, :i], z[:i])) \
+                / factor[i, i]
+        quad = np.einsum("mnk,mnk->nk", z, z)                              # (n, A*B)
+        ll = -0.5 * quad - log_det - 0.5 * m * LOG_2PI
+        return ll.reshape(data.n, thetas.shape[0], psis.shape[0])         # (n, A, B)
 
     def simulate(covariates, theta, psi, rng) -> Observation:
         chol = _batch_chol(param_values(theta)[None, :], param_values(psi)[None, :])[0]
         return Observation(x, chol @ rng.standard_normal(m))
 
     def log_mode_density(thetas, psis) -> np.ndarray:
-        chol = _batch_chol(thetas, psis)
-        return (-_log_det(chol) - 0.5 * m * LOG_2PI).reshape(len(thetas), len(psis))
+        _, log_det = _factor(thetas, psis)
+        return (-log_det - 0.5 * m * LOG_2PI).reshape(len(thetas), len(psis))
 
     def log_predictive_mode_density(data, thetas, psis, belief) -> np.ndarray:
         # every component is a zero-mean Gaussian, so the belief mixture
@@ -422,6 +469,9 @@ def discrete_toy_model(outcome_count: int, theta_count: int, psi_count: int, tab
     def log_likelihood(data: SourceData, thetas, psis) -> np.ndarray:
         a = np.rint(thetas[:, 0]).astype(int)
         b = np.rint(psis[:, 0]).astype(int)
+        # a negative index would wrap round; one past the end already raises
+        if a.min(initial=0) < 0 or b.min(initial=0) < 0:
+            raise ValueError("toy node indices must be non-negative")
         y = data.outcomes.astype(int)
         return log_table[a[None, :, None], b[None, None, :], y[:, None, None]]
 

@@ -20,12 +20,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .grids import ParameterGrid
 from .inference import PosteriorTable, _check_weights, _r_weighted_table, \
     proxy_loglik_vector
-from .models import ModelSpec, SourceData, loglik_tensor, param_values
+from .models import ModelSpec, SourceData, loglik_tensor, logsumexp, param_values
 
 CLIP_WARN_TOL = 0.5
 MAX_REFINEMENTS = 10

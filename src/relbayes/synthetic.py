@@ -19,11 +19,10 @@ from typing import Optional
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .inference import ProxyObservation
 from .models import LOG_2PI, ModelSpec, SharedParam, SourceData, TaskParam, \
-    loglik_tensor, param_values
+    loglik_tensor, logsumexp, param_values
 
 PROXY_TRIALS = 7
 PROB_FLOOR = 1e-9

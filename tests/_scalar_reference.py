@@ -3,13 +3,17 @@
 The library supplies each model's likelihood once, as a vectorised
 evaluator over a parameter product.  These are the per-observation forms it
 replaced, kept here as oracles so the tensor can be checked cell by cell
-against code that shares none of its broadcasting.
+against code that shares none of its broadcasting.  The GP oracle factors
+one kernel at a time and solves with LU, sharing no factor cache and no
+forward substitution with the library.  r_weighted_likelihood is one cell
+of the r-weighted engine, the scalar form the grid engine replaced.
 """
 
 import numpy as np
 
+from relbayes.inference import _check_weights, _weighted_terms
 from relbayes.models import BASE_JITTER, LOG_2PI, MAX_JITTER, _binom_logpmf, \
-    param_values
+    loglik_tensor, param_values
 
 
 def linear(obs, theta, psi) -> float:
@@ -48,3 +52,13 @@ def discrete_toy(table, obs, theta, psi) -> float:
     b = int(round(param_values(psi)[0]))
     with np.errstate(divide="ignore"):
         return float(np.log(table[a, b, int(obs.outcome)]))
+
+
+def r_weighted_likelihood(model, data, theta, psi_target, weights) -> float:
+    """Log of the relevance-weighted likelihood at one (theta, psi_target):
+    every observation evaluated at psi_target, its log-likelihood scaled by
+    its weight, a zero weight removing the term even where it is -inf."""
+    w = _check_weights(weights, (data.n,))
+    lls = loglik_tensor(model, data, param_values(theta)[None, :],
+                        param_values(psi_target)[None, :])[:, 0, 0]
+    return float(_weighted_terms(w, lls).sum())

@@ -12,14 +12,15 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.special import expit
 
+from _scalar_reference import r_weighted_likelihood
 from relbayes.grids import ParameterGrid, toy_grid
 from relbayes.inference import (DegenerateProxyError, McmcInitError,
                                 PosteriorTable, ProxyObservation,
                                 chain_grid_tv, classic_posterior,
                                 combine_proxies, metropolis_posterior,
                                 posterior_predictive, proxy_loglik_vector,
-                                proxy_posterior, r_weighted_likelihood,
-                                r_weighted_posterior, uninformative_proxy)
+                                proxy_posterior, r_weighted_posterior,
+                                uninformative_proxy)
 from relbayes.models import (Observation, SharedParam, SourceData, TaskParam,
                              discrete_toy_model, linear_model)
 from relbayes.relevance import RelevanceWeights
@@ -408,6 +409,17 @@ class TestRWeightedLikelihood:
         got = r_weighted_likelihood(model, data, SharedParam(0.0),
                                     TaskParam(0.0), np.array([0.0]))
         assert got == 0.0
+
+    def test_engine_cells_match_oracle(self):
+        model, grid, data, _, rng = _toy_setup()
+        weights = rng.uniform(0, 1, size=(grid.n_psi, data.n))
+        table = r_weighted_posterior(model, data, grid, weights, uninformative_proxy())
+        log_joint = np.array([[r_weighted_likelihood(model, data, th, ps, weights[b])
+                               for b, ps in enumerate(grid.psi_nodes)]
+                              for th in grid.theta_nodes])
+        log_joint += grid.log_theta_prior()[:, None] + grid.log_psi_prior()[None, :]
+        want = np.exp(log_joint - log_joint.max())
+        assert_allclose(table.joint_mass, want / want.sum(), rtol=1e-12)
 
 
 class TestPosteriorPredictive:

@@ -1,19 +1,26 @@
 """Model-layer tests: exact log-likelihood values against independent
 oracles (read from the tensor's 1 x 1 x 1 cells), tensor-versus-scalar
 consistency against the reference evaluators in _scalar_reference, the
-columns SourceData stacks, and simulator goodness of fit."""
+columns SourceData stacks, the GP factor cache, the library's log-sum-exp
+against scipy's, and simulator goodness of fit."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+import scipy.special
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 from scipy.special import expit
 
 import _scalar_reference as scalar
+from relbayes.harness.config import ExperimentConfig
+from relbayes.harness.runner import run_experiment
 from relbayes.models import (LOG_2PI, Observation, SharedParam, SourceData,
                              TaskParam, binomial_logit_model, check_support,
                              discrete_toy_model, gp_model, linear_model,
-                             loglik_tensor, param_values)
+                             loglik_tensor, logsumexp, param_values)
 
 RNG_SEED = 20260817
 
@@ -300,6 +307,34 @@ class TestGpModel:
                         scalar.gp(obs, thetas[a], psis[b]),
                         rtol=1e-9)
 
+    def test_long_lengthscales_match_scalar_oracle(self):
+        """Lengthscales near the top of the support leave the kernel nearly
+        singular (condition number about 1e8); the batched forward
+        substitution still agrees with one-kernel LU solves."""
+        x = np.linspace(0.0, 1.0, 10)
+        model = gp_model(x)
+        rng = np.random.default_rng(RNG_SEED)
+        thetas = rng.uniform(11.0, 12.0, size=(4, 1))
+        psis = rng.uniform(11.0, 12.0, size=(3, 1))
+        data = SourceData(tuple(
+            model.simulate(x, SharedParam(th), TaskParam(ps), rng)
+            for th, ps in [(11.5, 11.8), (0.3, 2.0), (12.0, 0.05)]))
+        sq = (x[:, None] - x[None, :]) ** 2
+        kernel = 0.5 * (np.exp(-0.5 * sq / thetas[0, 0] ** 2)
+                        + np.exp(-0.5 * sq / psis[0, 0] ** 2)) + 1e-8 * np.eye(10)
+        assert np.linalg.cond(kernel) > 1e7
+        tensor = loglik_tensor(model, data, thetas, psis)
+        for i, obs in enumerate(data):
+            for a in range(4):
+                for b in range(3):
+                    assert_allclose(tensor[i, a, b],
+                                    scalar.gp(obs, thetas[a], psis[b]), rtol=1e-9)
+
+    def test_rejects_trajectory_of_wrong_length(self):
+        data = SourceData((Observation(self.x[:5], np.zeros(5)),))
+        with pytest.raises(ValueError, match="length 7"):
+            loglik_tensor(self.model, data, [[1.0]], [[1.0]])
+
     def test_simulate_pointwise_variance(self):
         rng = np.random.default_rng(RNG_SEED)
         theta, psi = SharedParam(1.0), TaskParam(3.0)
@@ -343,6 +378,120 @@ class TestGpModel:
             gp_model([0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             gp_model([0.5])
+
+
+class TestGpFactorCache:
+    """The GP model factors each node product once and keeps the last two:
+    counted by wrapping np.linalg.cholesky, which records the batch size of
+    every factorisation that succeeds."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        sizes = []
+        original = np.linalg.cholesky
+
+        def counting(a, *args, **kwargs):
+            out = original(a, *args, **kwargs)
+            sizes.append(int(np.prod(np.shape(a)[:-2])))
+            return out
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        return sizes
+
+    @staticmethod
+    def _data(x, rng, n=3):
+        return SourceData(tuple(Observation(x, rng.normal(size=x.size)) for _ in range(n)))
+
+    def test_one_simulation_factors_each_node_product_once(self, batches):
+        config = ExperimentConfig(experiment="gp", n_simulations=1, master_seed=1,
+                                  grid_resolution=10)
+        assert run_experiment(config)[0].error is None
+        # the 10 x 10 grid and the (theta grid, psi*) product of the expert
+        # proxy, once each; every other factorisation draws one trajectory
+        assert sorted(b for b in batches if b > 1) == [10, 100]
+        assert batches.count(1) == config.gp_scenario().n_trajectories
+
+    def test_mode_density_after_tensor_adds_no_factorisation(self, batches):
+        x = np.linspace(0.0, 1.0, 7)
+        model = gp_model(x)
+        thetas = np.array([[0.3], [1.0], [4.0]])
+        psis = np.array([[0.5], [2.0]])
+        loglik_tensor(model, self._data(x, np.random.default_rng(RNG_SEED)), thetas, psis)
+        assert batches == [6]
+        got = model.log_mode_density(thetas, psis)
+        assert batches == [6]
+        fresh = gp_model(x).log_mode_density(thetas, psis)
+        assert_array_equal(got, fresh)
+
+    def test_kept_factor_does_not_depend_on_data(self, batches):
+        x = np.linspace(0.0, 1.0, 7)
+        model = gp_model(x)
+        rng = np.random.default_rng(RNG_SEED)
+        thetas = rng.uniform(0.1, 6.0, size=(3, 1))
+        psis = rng.uniform(0.1, 6.0, size=(2, 1))
+        loglik_tensor(model, self._data(x, rng), thetas, psis)
+        second = self._data(x, rng, n=4)
+        tensor = loglik_tensor(model, second, thetas, psis)
+        assert batches == [6]
+        for i, obs in enumerate(second):
+            for a in range(3):
+                for b in range(2):
+                    assert_allclose(tensor[i, a, b],
+                                    scalar.gp(obs, thetas[a], psis[b]), rtol=1e-9)
+
+    def test_third_product_evicts_the_oldest(self, batches):
+        x = np.linspace(0.0, 1.0, 7)
+        model = gp_model(x)
+        data = self._data(x, np.random.default_rng(RNG_SEED))
+        products = [(np.array([[0.5], [1.0]]), np.array([[2.0]])),
+                    (np.array([[0.5]]), np.array([[2.0], [3.0], [4.0]])),
+                    (np.array([[1.0], [0.5]]), np.array([[2.0]]))]
+        tensors = [loglik_tensor(model, data, th, ps) for th, ps in products]
+        assert batches == [2, 3, 2]
+        # the newest two are kept, the first was evicted and is factored anew
+        for (th, ps), want in zip(products[1:], tensors[1:]):
+            assert_array_equal(loglik_tensor(model, data, th, ps), want)
+        assert batches == [2, 3, 2]
+        assert_array_equal(loglik_tensor(model, data, *products[0]), tensors[0])
+        assert batches == [2, 3, 2, 2]
+        assert_array_equal(tensors[0][:, ::-1], tensors[2])
+
+
+class TestLogsumexp:
+    """The library's one log-sum-exp against scipy.special.logsumexp."""
+
+    @pytest.mark.parametrize("axis", [None, 0, 1, 2, -1])
+    def test_random_blocks_match_scipy(self, axis):
+        block = np.random.default_rng(RNG_SEED).normal(scale=5.0, size=(6, 7, 8))
+        assert_allclose(logsumexp(block, axis=axis),
+                        scipy.special.logsumexp(block, axis=axis), rtol=1e-12)
+
+    def test_infinite_slices_match_scipy(self):
+        rows = np.array([[-np.inf, -np.inf, -np.inf],
+                         [-np.inf, 0.5, -3.0],
+                         [np.inf, 0.5, -3.0],
+                         [np.inf, -np.inf, 2.0]])
+        want = scipy.special.logsumexp(rows, axis=1)
+        assert_array_equal(want[[0, 2, 3]], [-np.inf, np.inf, np.inf])
+        got = logsumexp(rows, axis=1)
+        assert_array_equal(got[[0, 2, 3]], want[[0, 2, 3]])
+        assert_allclose(got[1], want[1], rtol=1e-12)
+        assert logsumexp(rows[0]) == -np.inf
+        assert_array_equal(logsumexp(rows.T, axis=0), got)
+
+    def test_no_module_imports_scipy_logsumexp(self):
+        """Every log-sum-exp in the library goes through models.logsumexp."""
+        src = Path(__file__).resolve().parents[1] / "src" / "relbayes"
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            text = path.read_text()
+            for node in ast.walk(ast.parse(text)):
+                if (isinstance(node, ast.ImportFrom) and node.module == "scipy.special"
+                        and any(a.name == "logsumexp" for a in node.names)):
+                    offenders.append(f"{path.name}:{node.lineno}")
+            if "special.logsumexp" in text:
+                offenders.append(f"{path.name}: special.logsumexp")
+        assert offenders == []
 
 
 class TestDiscreteToyModel:
@@ -393,6 +542,17 @@ class TestDiscreteToyModel:
                     assert_allclose(tensor[i, a, b],
                                     scalar.discrete_toy(table, obs, thetas[a], psis[b]),
                                     rtol=0, atol=1e-14)
+
+    def test_negative_index_raises(self):
+        """A negative node would wrap round to the end of the table."""
+        model = discrete_toy_model(3, 2, 2, _toy_table(np.random.default_rng(RNG_SEED)))
+        data = SourceData((Observation(np.empty(0), 1),))
+        with pytest.raises(ValueError, match="non-negative"):
+            loglik_tensor(model, data, [[-1.0], [1.0]], [[0.0]])
+        with pytest.raises(ValueError, match="non-negative"):
+            loglik_tensor(model, data, [[0.0]], [[1.0], [-1.0]])
+        with pytest.raises(IndexError):
+            loglik_tensor(model, data, [[2.0]], [[0.0]])
 
     def test_simulate_goodness_of_fit(self):
         rng = np.random.default_rng(RNG_SEED)
