@@ -5,26 +5,29 @@ numerically: information gains of the classic and the relevance-weighted
 learners, the two misspecification divergences, relevance fidelity, the
 effective-sample-size decomposition, and the negative-transfer bound.
 
-On the discrete toy model every expectation is a finite sum and is
-enumerated exactly.  Continuous models get Monte-Carlo estimates with
-standard errors attached.
+Every expectation is a finite sum over the datasets of an enumerable
+outcome alphabet (the discrete toy model) and is enumerated exactly: the
+(M, n) array of every dataset's outcome indices gathers the per-outcome
+log-likelihood table once, and each expectation is one reduction weighted
+by the true dataset probabilities P*(d).  A dataset with P*(d) = 0 adds
+exactly 0, the 0 log 0 = 0 rule.  Models without an enumerable alphabet are
+rejected.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .grids import ParameterGrid
-from .inference import (ProxyObservation, _check_weights, _weighted_terms,
-                        classic_posterior, proxy_loglik_vector, r_weighted_posterior)
+from .inference import (DegenerateProxyError, ProxyObservation, _check_weights,
+                        _weighted_terms, proxy_loglik_vector)
 from .models import ModelSpec, Observation, SharedParam, SourceData, TaskParam, \
     loglik_tensor, logsumexp, param_values
-from .relevance import RelevanceConfig, constant_one_weights, refine_relevance
+from .relevance import RelevanceConfig, refine_relevance
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +94,13 @@ class TrueProcess:
 
 @dataclass(frozen=True)
 class IgEstimate:
-    """An information-gain value with its Monte-Carlo standard error.
+    """An exactly enumerated information-gain value.
 
-    standard_error is 0 for exact enumeration.  theta_snap_distance is how
-    far theta* sat from the grid node it was snapped to.
+    theta_snap_distance is how far theta* sat from the grid node it was
+    snapped to.
     """
 
     value: float
-    standard_error: float
     theta_snap_distance: float
 
 
@@ -184,17 +186,15 @@ class DiagnosticsReport:
 
 @dataclass(frozen=True)
 class ProxyModel:
-    """A proxy generator the diagnostics can integrate over.
+    """A proxy generator the diagnostics integrate over exactly.
 
     log_likelihood(payload, psi_nodes) is the learner's model, returning a
-    (B,) array for psi_nodes of shape (B, k_psi); simulate(psi, rng) draws
-    one payload; payloads lists the full alphabet when it is finite,
-    enabling exact expectation over z.
+    (B,) array for psi_nodes of shape (B, k_psi); payloads lists the finite
+    alphabet of z that the expectation sums over.
     """
 
     log_likelihood: Callable
-    simulate: Callable
-    payloads: Optional[tuple] = None
+    payloads: tuple
 
     def observation(self, payload) -> ProxyObservation:
         return ProxyObservation(payload=payload, proxy_log_likelihood=self.log_likelihood)
@@ -229,9 +229,9 @@ def _star_logpmf(model: ModelSpec, true_process: TrueProcess) -> np.ndarray:
 
 
 def _all_datasets(model: ModelSpec, n: int) -> np.ndarray:
-    """Every outcome tuple of length n as an (M, n) index array."""
-    outcomes = np.asarray(model.outcome_space)
-    return np.array(list(itertools.product(range(outcomes.size), repeat=n)), dtype=int)
+    """Every outcome tuple of length n as an (M, n) index array, in
+    lexicographic order (the last observation varies fastest)."""
+    return np.indices((np.size(model.outcome_space),) * n).reshape(n, -1).T
 
 
 def _dataset_logprobs(star: np.ndarray, datasets: np.ndarray) -> np.ndarray:
@@ -240,9 +240,17 @@ def _dataset_logprobs(star: np.ndarray, datasets: np.ndarray) -> np.ndarray:
     return star[np.arange(n)[None, :], datasets].sum(axis=1)
 
 
-def _as_source(model: ModelSpec, dataset: np.ndarray) -> SourceData:
-    outcomes = model.outcome_space
-    return SourceData(tuple(Observation(np.empty(0), int(outcomes[o])) for o in dataset))
+def _expect(mass: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """mass @ values over the leading axis, where a zero mass adds exactly 0
+    even if its value is infinite or NaN (the 0 log 0 = 0 rule)."""
+    live = mass > 0.0
+    return mass[live] @ values[live]
+
+
+def _provider_weights(weights_provider, datasets: np.ndarray, n_psi: int) -> np.ndarray:
+    """The provider's weights for every dataset, checked to shape (M, n_psi, n)."""
+    m, n = datasets.shape
+    return _check_weights(weights_provider(datasets), (m, n_psi, n))
 
 
 def _snap_theta(grid: ParameterGrid, theta_star: SharedParam) -> tuple[int, float]:
@@ -271,125 +279,75 @@ def _classic_theta_loglik(model: ModelSpec, grid: ParameterGrid, source_psi_prio
 # ---------------------------------------------------------------------------
 
 def info_gain_classic(model: ModelSpec, true_process: TrueProcess, grid: ParameterGrid,
-                      source_psi_prior, n_outer: int = 0, seed: Optional[int] = None,
-                      data_template: Optional[SourceData] = None) -> IgEstimate:
-    """Expected log posterior-to-prior ratio at theta* for the classic learner.
-
-    Enumerated exactly for models with a finite outcome alphabet; otherwise
-    estimated over n_outer datasets simulated from the true process using
-    data_template's covariate layout.
-    """
+                      source_psi_prior) -> IgEstimate:
+    """Expected log posterior-to-prior ratio at theta* for the classic learner,
+    enumerated exactly over every dataset."""
+    _require_enumerable(model)
     a_star, snap = _snap_theta(grid, true_process.theta_star)
-    log_prior_at_star = float(grid.log_theta_prior()[a_star])
-
-    if model.outcome_space is not None:
-        datasets = _all_datasets(model, true_process.n)
-        star = _star_logpmf(model, true_process)
-        log_pstar = _dataset_logprobs(star, datasets)
-        loglik = _classic_theta_loglik(model, grid, source_psi_prior, datasets)  # (A, M)
-        log_post = loglik + grid.log_theta_prior()[:, None]
-        ratios = log_post[a_star] - logsumexp(log_post, axis=0) - log_prior_at_star
-        value = float(np.exp(log_pstar) @ ratios)
-        return IgEstimate(value=value, standard_error=0.0, theta_snap_distance=snap)
-
-    if n_outer < 1 or data_template is None:
-        raise ValueError("continuous models need n_outer >= 1 and a data_template")
-    rng = np.random.default_rng(seed)
-    vals = np.empty(n_outer)
-    for k in range(n_outer):
-        data = _simulate_from_truth(model, true_process, data_template, rng)
-        post = classic_posterior(model, data, grid, source_psi_prior)
-        with np.errstate(divide="ignore"):
-            vals[k] = np.log(post.theta_marginal()[a_star]) - log_prior_at_star
-    se = float(vals.std(ddof=1) / np.sqrt(n_outer)) if n_outer > 1 else float("nan")
-    return IgEstimate(value=float(vals.mean()), standard_error=se, theta_snap_distance=snap)
-
-
-def _simulate_from_truth(model: ModelSpec, true_process: TrueProcess,
-                         template: SourceData, rng) -> SourceData:
-    if template.n != true_process.n:
-        raise ValueError("data_template length must match the number of source tasks")
-    obs = []
-    for o, psi in zip(template, true_process.psi_star):
-        kwargs = {} if o.trial_count is None else {"trial_count": o.trial_count}
-        obs.append(model.simulate(o.covariates, true_process.theta_star, psi, rng, **kwargs))
-    return SourceData(tuple(obs))
-
-
-def _weights_for(model, data, grid, proxy, relevance_config, weights_provider):
-    if weights_provider is not None:
-        return np.asarray(weights_provider(data, proxy), dtype=float)
-    result = refine_relevance(model, data, grid, proxy, relevance_config)
-    return result.weights_per_psi
+    datasets = _all_datasets(model, true_process.n)
+    log_pstar = _dataset_logprobs(_star_logpmf(model, true_process), datasets)
+    loglik = _classic_theta_loglik(model, grid, source_psi_prior, datasets)  # (A, M)
+    log_post = loglik + grid.log_theta_prior()[:, None]
+    with np.errstate(invalid="ignore"):                                   # only where P*(d) = 0
+        ratios = log_post[a_star] - logsumexp(log_post, axis=0) - grid.log_theta_prior()[a_star]
+    return IgEstimate(value=float(_expect(np.exp(log_pstar), ratios)),
+                      theta_snap_distance=snap)
 
 
 def info_gain_rweighted(model: ModelSpec, true_process: TrueProcess, grid: ParameterGrid,
                         relevance_config: RelevanceConfig, proxy_model: ProxyModel,
-                        n_outer: int = 0, seed: Optional[int] = None,
-                        data_template: Optional[SourceData] = None,
                         weights_provider=None,
                         proxy_expectation: str = "subjective") -> IgEstimate:
     """Expected log posterior-to-prior ratio at theta* for the weighted learner.
 
-    The proxy z is integrated over the learner's own predictive distribution
-    of z (psi drawn from the grid prior) by default; proxy_expectation="true"
+    The expectation runs over every payload z and every dataset.  z is
+    integrated over the learner's own predictive distribution of z (psi
+    drawn from the grid prior) by default; proxy_expectation="true"
     conditions on the true target task parameter instead, which is the
     variant the experiment sweeps report.  weights_provider, when given,
-    maps (data, proxy_observation) to a (n_psi, n) weight matrix and
-    bypasses the relevance configuration.
+    maps the (M, n) dataset-index array to (M, n_psi, n) weights and
+    bypasses the relevance configuration; without one, refine_relevance
+    runs once per (payload, dataset) pair of positive probability.
     """
     if proxy_expectation not in ("subjective", "true"):
         raise ValueError(f"unknown proxy_expectation {proxy_expectation!r}")
+    _require_enumerable(model)
     a_star, snap = _snap_theta(grid, true_process.theta_star)
-    log_prior_at_star = float(grid.log_theta_prior()[a_star])
+    datasets = _all_datasets(model, true_process.n)
+    pstar = np.exp(_dataset_logprobs(_star_logpmf(model, true_process), datasets))
+    z_ll = np.stack([proxy_loglik_vector(proxy_model.observation(z), grid.psi_nodes)
+                     for z in proxy_model.payloads])                        # (Z, B)
+    if proxy_expectation == "subjective":
+        z_mass = np.exp(logsumexp(z_ll + grid.log_psi_prior()[None, :], axis=1))
+    else:
+        target = param_values(true_process.psi_target_star)[None, :]
+        z_mass = np.exp([proxy_loglik_vector(proxy_model.observation(z), target)[0]
+                         for z in proxy_model.payloads])
+    live = (z_mass[:, None] > 0.0) & (pstar[None, :] > 0.0)                # (Z, M)
 
-    if model.outcome_space is not None and proxy_model.payloads is not None:
-        datasets = _all_datasets(model, true_process.n)
-        star = _star_logpmf(model, true_process)
-        pstar = np.exp(_dataset_logprobs(star, datasets))
-        if proxy_expectation == "subjective":
-            z_ll = np.stack([proxy_loglik_vector(proxy_model.observation(z), grid.psi_nodes)
-                             for z in proxy_model.payloads])                # (Z, B)
-            z_mass = np.exp(logsumexp(z_ll + grid.log_psi_prior()[None, :], axis=1))
-        else:
-            target = param_values(true_process.psi_target_star)[None, :]
-            z_mass = np.exp([proxy_loglik_vector(proxy_model.observation(z), target)[0]
-                             for z in proxy_model.payloads])
-        value = 0.0
-        for zi, z in enumerate(proxy_model.payloads):
-            if z_mass[zi] == 0.0:
-                continue
-            proxy_obs = proxy_model.observation(z)
-            for d, pd in zip(datasets, pstar):
-                if pd == 0.0:
-                    continue
-                data = _as_source(model, d)
-                w = _weights_for(model, data, grid, proxy_obs, relevance_config,
-                                 weights_provider)
-                post = r_weighted_posterior(model, data, grid, w, proxy_obs)
-                with np.errstate(divide="ignore"):
-                    ratio = float(np.log(post.theta_marginal()[a_star])) - log_prior_at_star
-                value += z_mass[zi] * pd * ratio
-        return IgEstimate(value=value, standard_error=0.0, theta_snap_distance=snap)
+    if weights_provider is not None:
+        weights = _provider_weights(weights_provider, datasets, grid.n_psi)[None]
+    else:
+        weights = np.zeros(live.shape + (grid.n_psi, true_process.n))     # (Z, M, B, n)
+        for zi, m in zip(*np.nonzero(live)):
+            data = SourceData(tuple(Observation(np.empty(0), int(model.outcome_space[o]))
+                                    for o in datasets[m]))
+            proxy = proxy_model.observation(proxy_model.payloads[zi])
+            weights[zi, m] = refine_relevance(model, data, grid, proxy,
+                                              relevance_config).weights_per_psi
 
-    if n_outer < 1 or data_template is None:
-        raise ValueError("continuous models need n_outer >= 1 and a data_template")
-    rng = np.random.default_rng(seed)
-    vals = np.empty(n_outer)
-    for k in range(n_outer):
-        data = _simulate_from_truth(model, true_process, data_template, rng)
-        if proxy_expectation == "subjective":
-            b = rng.choice(grid.n_psi, p=grid.psi_prior_mass)
-            psi_for_z = grid.psi_nodes[b]
-        else:
-            psi_for_z = param_values(true_process.psi_target_star)
-        proxy_obs = proxy_model.observation(proxy_model.simulate(psi_for_z, rng))
-        w = _weights_for(model, data, grid, proxy_obs, relevance_config, weights_provider)
-        post = r_weighted_posterior(model, data, grid, w, proxy_obs)
-        with np.errstate(divide="ignore"):
-            vals[k] = np.log(post.theta_marginal()[a_star]) - log_prior_at_star
-    se = float(vals.std(ddof=1) / np.sqrt(n_outer)) if n_outer > 1 else float("nan")
-    return IgEstimate(value=float(vals.mean()), standard_error=se, theta_snap_distance=snap)
+    lls = _outcome_logpmf(model, grid.theta_nodes, grid.psi_nodes)[datasets]  # (M, n, A, B)
+    weighted = _weighted_terms(np.swapaxes(weights, 2, 3)[..., None, :], lls).sum(axis=2)
+    log_joint = (weighted + z_ll[:, None, None, :] + grid.log_theta_prior()[:, None]
+                 + grid.log_psi_prior()[None, :])                           # (Z, M, A, B)
+    log_theta = logsumexp(log_joint, axis=3)                                # (Z, M, A)
+    log_evidence = logsumexp(log_theta, axis=2)                             # (Z, M)
+    if not np.isfinite(log_evidence[live]).all():
+        raise DegenerateProxyError("posterior mass is identically zero on the grid")
+    with np.errstate(invalid="ignore"):                                   # only where not live
+        ratios = log_theta[..., a_star] - log_evidence - grid.log_theta_prior()[a_star]
+    value = _expect(z_mass, _expect(pstar, ratios.T))
+    return IgEstimate(value=float(value), theta_snap_distance=snap)
 
 
 # ---------------------------------------------------------------------------
@@ -429,34 +387,25 @@ def delta_rweighted(model: ModelSpec, true_process: TrueProcess, grid: Parameter
     star = np.exp(_star_logpmf(model, true_process))                     # (n, O)
     star_entropy = sum(entropy(row) for row in star)
 
-    unnorm = np.zeros(grid.n_psi)
-    norm = np.zeros(grid.n_psi)
-    for b in range(grid.n_psi):
-        lp = logpmf[b]                                                   # (O,)
-        weighted = _weighted_terms(w[b][:, None], lp[None, :])            # (n, O)
-        cross = (star * weighted).sum()
-        log_z = logsumexp(weighted, axis=1)                              # per-observation
-        unnorm[b] = -star_entropy - cross
-        norm[b] = -star_entropy - cross + log_z.sum()
+    weighted = _weighted_terms(w[:, :, None], logpmf[:, None, :])        # (B, n, O)
+    cross = _weighted_terms(star, weighted).sum(axis=(1, 2))             # (B,)
+    log_z = logsumexp(weighted, axis=2).sum(axis=1)                      # per-observation
+    unnorm = -star_entropy - cross
     q = grid.psi_prior_mass
-    return DeltaRweighted(normalized=float(q @ norm), unnormalized=float(q @ unnorm))
+    return DeltaRweighted(normalized=float(q @ (unnorm + log_z)), unnormalized=float(q @ unnorm))
 
 
 # ---------------------------------------------------------------------------
 # fidelity, effective sample size, dissimilarity
 # ---------------------------------------------------------------------------
 
-def _cov_terms(weights: np.ndarray, lls: np.ndarray) -> float:
-    return float(np.mean((weights - weights.mean()) * (lls - lls.mean())))
-
-
 def rho_fidelity(model: ModelSpec, true_process: TrueProcess, grid: ParameterGrid,
                  weights_provider) -> float:
     """Expected covariance between weights and pseudo-intervened log-likelihoods.
 
-    weights_provider(data, psi_node_index, psi_value) -> (n,) weight vector.
-    Enumerated exactly over the toy's finite outcome and target-parameter
-    alphabets; this is the rho term of check_prop55.
+    weights_provider(datasets) maps the (M, n) dataset-index array to
+    (M, n_psi, n) weights.  Enumerated exactly over the toy's finite outcome
+    and target-parameter alphabets; this is the rho term of check_prop55.
     """
     if true_process.n < 2:
         raise ValueError("fidelity needs n >= 2 source observations")
@@ -486,44 +435,33 @@ def check_prop55(model: ModelSpec, true_process: TrueProcess, grid: ParameterGri
     """Verify the effective-sample-size decomposition by exact enumeration.
 
     See Prop55Check for the identity and for why the E[ESS * DIS] term
-    carries a 1/n.  weights_provider(data, psi_node_index, psi_value) may
-    depend on the realized data; the identity holds regardless.
+    carries a 1/n.  weights_provider(datasets) maps the (M, n) dataset-index
+    array to (M, n_psi, n) weights, so the weights may depend on the
+    realized data; the identity holds regardless.
     """
     _require_enumerable(model)
     n = true_process.n
     datasets = _all_datasets(model, n)
-    star = _star_logpmf(model, true_process)
-    log_pstar = _dataset_logprobs(star, datasets)
+    log_pstar = _dataset_logprobs(_star_logpmf(model, true_process), datasets)
     pstar = np.exp(log_pstar)
-    h_true = float(-(pstar * log_pstar).sum())
+    h_true = -float(_expect(pstar, log_pstar))
     theta = param_values(true_process.theta_star)[None, :]
-    logpmf = _outcome_logpmf(model, theta, grid.psi_nodes)[:, 0, :].T    # (B, O)
+    logpmf = _outcome_logpmf(model, theta, grid.psi_nodes)[:, 0, :]      # (O, B)
+    lls = np.swapaxes(logpmf[datasets], 1, 2)                            # (M, B, n)
+    w = _provider_weights(weights_provider, datasets, grid.n_psi)        # (M, B, n)
 
-    delta_unnorm = 0.0
-    ess_dis_exp = 0.0
-    rho = 0.0
-    for b in range(grid.n_psi):
-        qb = grid.psi_prior_mass[b]
-        if qb == 0.0:
-            continue
-        lp = logpmf[b]
-        d_acc = e_acc = r_acc = 0.0
-        for d, pd, lpd in zip(datasets, pstar, log_pstar):
-            if pd == 0.0:
-                continue
-            data = _as_source(model, d)
-            w = np.asarray(weights_provider(data, b, grid.psi_nodes[b]), dtype=float)
-            lls = lp[d]
-            d_acc += pd * (lpd - _weighted_terms(w, lls).sum())
-            e_acc += pd * w.sum() * (-lls.sum())
-            r_acc += pd * _cov_terms(w, lls)
-        delta_unnorm += qb * d_acc
-        ess_dis_exp += qb * e_acc
-        rho += qb * r_acc
+    def expect(terms):                                                   # (M, B) -> float
+        return float(_expect(grid.psi_prior_mass, _expect(pstar, terms)))
+
+    with np.errstate(invalid="ignore"):                                   # only where P*(d) = 0
+        delta_unnorm = expect(log_pstar[:, None] - _weighted_terms(w, lls).sum(axis=2))
+        ess_dis_exp = expect(w.sum(axis=2) * -lls.sum(axis=2))
+        rho = expect(((w - w.mean(axis=2, keepdims=True))
+                      * (lls - lls.mean(axis=2, keepdims=True))).mean(axis=2))
 
     residual = delta_unnorm - (ess_dis_exp / n - n * rho - h_true)
-    return Prop55Check(residual=float(residual), delta_unnormalized=float(delta_unnorm),
-                       ess_dis_expectation=float(ess_dis_exp), rho_fidelity=float(rho),
+    return Prop55Check(residual=float(residual), delta_unnormalized=delta_unnorm,
+                       ess_dis_expectation=ess_dis_exp, rho_fidelity=rho,
                        entropy_true=h_true)
 
 
@@ -549,15 +487,14 @@ def check_theorem24(model: ModelSpec, true_process: TrueProcess, grid: Parameter
                               satisfied=True, degenerate=True)
 
     datasets = _all_datasets(model, true_process.n)
-    star = _star_logpmf(model, true_process)
-    log_pstar = _dataset_logprobs(star, datasets)
-    pstar = np.exp(log_pstar)
+    log_pstar = _dataset_logprobs(_star_logpmf(model, true_process), datasets)
     loglik = _classic_theta_loglik(model, grid, source_psi_prior, datasets)  # (A, M)
     keep = np.arange(grid.n_theta) != a_star
     with np.errstate(divide="ignore"):
         log_w = np.log(grid.theta_prior_mass[keep] / a_excl)
     log_mix = logsumexp(loglik[keep] + log_w[:, None], axis=0)               # (M,)
-    b_const = float((pstar * (log_pstar - log_mix)).sum())
+    with np.errstate(invalid="ignore"):                                   # only where P*(d) = 0
+        b_const = float(_expect(np.exp(log_pstar), log_pstar - log_mix))
     satisfied = ig <= a_excl * (b_const - d_c) + 1e-12
     return Theorem24Check(info_gain=ig, prior_mass_excluded=a_excl,
                           kl_excluded_mixture=b_const, delta_classic=d_c,
@@ -575,25 +512,22 @@ def toy_diagnostics_report(model: ModelSpec, true_process: TrueProcess,
 
     The weighted information gain uses constant-one relevance so it stays
     comparable across instances; the decomposition check runs under the
-    supplied weights provider.
+    supplied weights provider, and the weighted divergence under its
+    weights for the first dataset.
     """
-    ig_c = info_gain_classic(model, true_process, grid, source_psi_prior)
+    n = true_process.n
     ig_r = info_gain_rweighted(
         model, true_process, grid, RelevanceConfig(kind="constant-one"), proxy_model,
-        weights_provider=lambda data, proxy: constant_one_weights(grid.n_psi, data.n),
+        weights_provider=lambda datasets: np.ones((len(datasets), grid.n_psi, n)),
     )
     prop = check_prop55(model, true_process, grid, weights_provider)
     bound = check_theorem24(model, true_process, grid, source_psi_prior)
-
-    first = _as_source(model, _all_datasets(model, true_process.n)[0])
-    w_first = np.stack([
-        np.asarray(weights_provider(first, b, grid.psi_nodes[b]), dtype=float)
-        for b in range(grid.n_psi)
-    ])
-    d_r = delta_rweighted(model, true_process, grid, w_first)
+    first = np.zeros((1, n), dtype=int)                                  # every outcome index 0
+    d_r = delta_rweighted(model, true_process, grid,
+                          _provider_weights(weights_provider, first, grid.n_psi)[0])
 
     return DiagnosticsReport(
-        ig_classic=ig_c.value,
+        ig_classic=bound.info_gain,
         ig_rweighted=ig_r.value,
         delta_classic=bound.delta_classic,
         delta_rweighted=d_r.value,

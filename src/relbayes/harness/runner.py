@@ -137,8 +137,8 @@ def toy_verify_instance(rng: np.random.Generator):
     )
     weight_table = rng.uniform(0.0, 1.0, size=(n_psi, n_obs, n_out))
 
-    def weights_provider(data, b, psi_value):
-        return weight_table[b, np.arange(data.n), data.outcomes.astype(int)]
+    def weights_provider(datasets):
+        return weight_table[:, np.arange(n_obs), datasets].transpose(1, 0, 2)
 
     endorse = rng.uniform(0.2, 0.8, size=n_psi)
 
@@ -146,12 +146,7 @@ def toy_verify_instance(rng: np.random.Generator):
         p = endorse[np.rint(psi_nodes[:, 0]).astype(int)]
         return np.log(p if payload == 1 else 1.0 - p)
 
-    def proxy_sim(psi, sim_rng):
-        p = endorse[int(round(float(np.atleast_1d(psi)[0])))]
-        return int(sim_rng.random() < p)
-
-    proxy_model = ProxyModel(log_likelihood=proxy_ll, simulate=proxy_sim,
-                             payloads=(0, 1))
+    proxy_model = ProxyModel(log_likelihood=proxy_ll, payloads=(0, 1))
     return model, truth, grid, weight_table, weights_provider, proxy_model
 
 

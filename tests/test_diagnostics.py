@@ -2,16 +2,20 @@
 
 The toy-model expectations here are re-derived from scratch (mpmath sums
 or direct loops over every dataset), never by calling back into the
-module under test, so agreement at 1e-12 is meaningful.
+module under test, so agreement at 1e-12 is meaningful.  The per-dataset
+loops that the gather-and-reduce enumeration replaced live in
+_scalar_reference and are checked against it field by field.
 """
 
 import itertools
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import _scalar_reference as ref
 from relbayes.diagnostics import (DeltaRweighted, DiagnosticsReport,
                                   IgEstimate, ProxyModel, TrueProcess,
                                   check_prop55, check_theorem24,
@@ -21,9 +25,10 @@ from relbayes.diagnostics import (DeltaRweighted, DiagnosticsReport,
                                   kl_divergence, rho_fidelity,
                                   toy_diagnostics_report)
 from relbayes.grids import ParameterGrid, toy_grid
+from relbayes.harness.runner import toy_verify_instance
 from relbayes.models import (Observation, SharedParam, SourceData, TaskParam,
                              discrete_toy_model, linear_model)
-from relbayes.relevance import RelevanceConfig, constant_one_weights
+from relbayes.relevance import RelevanceConfig
 
 mp.mp.dps = 50
 
@@ -104,19 +109,20 @@ def _endorse_proxy(rng, n_psi):
         p = probs[psi_nodes[:, 0].astype(int)]
         return np.log(p) if payload == 1 else np.log1p(-p)
 
-    def sim(psi, rng_):
-        return int(rng_.random() < probs[int(psi[0])])
-
-    return ProxyModel(log_likelihood=ll, simulate=sim, payloads=(0, 1)), probs
+    return ProxyModel(log_likelihood=ll, payloads=(0, 1)), probs
 
 
 def _table_weights_provider(g):
-    """Deterministic data-dependent weights: w_i = g[b, outcome_i]."""
+    """Deterministic data-dependent weights: w[m, b, i] = g[b, d_m[i]]."""
 
-    def provider(data, b, psi_value):
-        return g[b, [int(o.outcome) for o in data]]
+    def provider(datasets):
+        return g[:, datasets].transpose(1, 0, 2)
 
     return provider
+
+
+def _constant_provider(n_psi, value):
+    return lambda datasets: np.full((len(datasets), n_psi, datasets.shape[1]), value)
 
 
 class TestInfoGainClassic:
@@ -124,7 +130,6 @@ class TestInfoGainClassic:
         model, grid, truth, table, rng = _toy_instance(RNG_SEED)
         src = rng.dirichlet(np.full(grid.n_psi, 3.0))
         got = info_gain_classic(model, truth, grid, src)
-        assert got.standard_error == 0.0
         assert got.theta_snap_distance == 0.0
 
         a_star = 0
@@ -162,37 +167,18 @@ class TestInfoGainClassic:
         with pytest.raises(ValueError, match="span"):
             info_gain_classic(model, truth, grid, src)
 
-    def test_continuous_model_requires_template(self):
+    def test_continuous_model_rejected_as_not_enumerable(self):
         model = linear_model()
         grid = ParameterGrid(np.linspace(-2, 2, 5)[:, None],
                              np.zeros((1, 1)), np.full(5, 0.2), np.array([1.0]))
         truth = TrueProcess(SharedParam(0.0), (TaskParam(0.0),), TaskParam(0.0))
-        with pytest.raises(ValueError, match="data_template"):
+        with pytest.raises(ValueError, match="enumerable"):
             info_gain_classic(model, truth, grid, np.array([1.0]))
-
-    def test_monte_carlo_seeds_agree_within_error(self):
-        """Two independent MC runs must land within four combined standard
-        errors of each other; disagreement flags a biased estimator."""
-        model = linear_model()
-        tn = np.linspace(-2, 2, 9)[:, None]
-        pn = np.linspace(-2, 2, 5)[:, None]
-        tm = np.exp(-0.5 * tn[:, 0] ** 2)
-        pm = np.exp(-0.5 * pn[:, 0] ** 2)
-        grid = ParameterGrid(tn, pn, tm / tm.sum(), pm / pm.sum())
-        truth = TrueProcess(SharedParam(-1.0),
-                            (TaskParam(0.0), TaskParam(1.0), TaskParam(0.0)),
-                            TaskParam(0.0))
-        template = SourceData(tuple(
-            Observation([1.0, 0.5], 0.0) for _ in range(3)))
-        src = grid.psi_prior_mass
-        e1 = info_gain_classic(model, truth, grid, src, n_outer=300, seed=1,
-                               data_template=template)
-        e2 = info_gain_classic(model, truth, grid, src, n_outer=300, seed=2,
-                               data_template=template)
-        gap = abs(e1.value - e2.value)
-        combined = np.hypot(e1.standard_error, e2.standard_error)
-        assert gap < 4 * combined
-        assert e1.standard_error > 0
+        flat = ProxyModel(log_likelihood=lambda z, psi_nodes: np.zeros(len(psi_nodes)),
+                          payloads=(0,))
+        with pytest.raises(ValueError, match="enumerable"):
+            info_gain_rweighted(model, truth, grid, RelevanceConfig(kind="constant-one"),
+                                flat, weights_provider=_constant_provider(1, 1.0))
 
 
 class TestInfoGainRweighted:
@@ -201,10 +187,10 @@ class TestInfoGainRweighted:
         prior, so the expected log-ratio is exactly zero."""
         model, grid, truth, _, rng = _toy_instance(RNG_SEED)
         flat = ProxyModel(log_likelihood=lambda z, psi_nodes: np.zeros(len(psi_nodes)),
-                          simulate=lambda psi, rng_: 0, payloads=(0,))
+                          payloads=(0,))
         got = info_gain_rweighted(
             model, truth, grid, RelevanceConfig(kind="constant-one"), flat,
-            weights_provider=lambda data, proxy: np.zeros((grid.n_psi, data.n)))
+            weights_provider=_constant_provider(grid.n_psi, 0.0))
         assert_allclose(got.value, 0.0, rtol=0, atol=1e-14)
 
     def test_single_psi_node_reduces_to_classic(self):
@@ -217,10 +203,10 @@ class TestInfoGainRweighted:
         truth = TrueProcess(SharedParam(1.0), (TaskParam(0.0), TaskParam(0.0)),
                             TaskParam(0.0))
         flat = ProxyModel(log_likelihood=lambda z, psi_nodes: np.zeros(len(psi_nodes)),
-                          simulate=lambda psi, rng_: 0, payloads=(0,))
+                          payloads=(0,))
         ig_r = info_gain_rweighted(
             model, truth, grid, RelevanceConfig(kind="constant-one"), flat,
-            weights_provider=lambda data, proxy: np.ones((1, data.n)))
+            weights_provider=_constant_provider(1, 1.0))
         ig_c = info_gain_classic(model, truth, grid, np.array([1.0]))
         assert_allclose(ig_r.value, ig_c.value, rtol=0, atol=1e-13)
 
@@ -228,13 +214,9 @@ class TestInfoGainRweighted:
         model, grid, truth, table, rng = _toy_instance(RNG_SEED + 1)
         proxy_model, probs = _endorse_proxy(rng, grid.n_psi)
         g = rng.uniform(0.1, 0.9, size=(grid.n_psi, 2))
-
-        def provider(data, proxy):
-            return g[:, [int(o.outcome) for o in data]]
-
         got = info_gain_rweighted(model, truth, grid,
                                   RelevanceConfig(kind="constant-one"),
-                                  proxy_model, weights_provider=provider)
+                                  proxy_model, weights_provider=_table_weights_provider(g))
 
         a_star = 0
         stars = [int(p.value[0]) for p in truth.psi_star]
@@ -262,8 +244,7 @@ class TestInfoGainRweighted:
     def test_true_expectation_reweights_proxy(self):
         model, grid, truth, _, rng = _toy_instance(RNG_SEED + 2)
         proxy_model, probs = _endorse_proxy(rng, grid.n_psi)
-        kwargs = dict(weights_provider=lambda data, proxy: constant_one_weights(
-            grid.n_psi, data.n))
+        kwargs = dict(weights_provider=_constant_provider(grid.n_psi, 1.0))
         subj = info_gain_rweighted(model, truth, grid,
                                    RelevanceConfig(kind="constant-one"),
                                    proxy_model, **kwargs)
@@ -280,6 +261,41 @@ class TestInfoGainRweighted:
         with pytest.raises(ValueError, match="proxy_expectation"):
             info_gain_rweighted(model, truth, grid, RelevanceConfig(),
                                 proxy_model, proxy_expectation="both")
+
+    @pytest.mark.parametrize("mode", ["subjective", "true"])
+    def test_refined_constant_one_equals_constant_one_provider(self, mode):
+        """Without a provider, refine_relevance runs per (payload, dataset);
+        constant-one refinement must give the provider's unit weights."""
+        model, grid, truth, _, rng = _toy_instance(RNG_SEED + 11, n_theta=3, n_psi=3,
+                                                   n_out=3, n_obs=3)
+        proxy_model, _ = _endorse_proxy(rng, grid.n_psi)
+        config = RelevanceConfig(kind="constant-one")
+        refined = info_gain_rweighted(model, truth, grid, config, proxy_model,
+                                      proxy_expectation=mode)
+        provided = info_gain_rweighted(model, truth, grid, config, proxy_model,
+                                       weights_provider=_constant_provider(grid.n_psi, 1.0),
+                                       proxy_expectation=mode)
+        assert_allclose(refined.value, provided.value, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("mode", ["subjective", "true"])
+    def test_refined_sigmoid_ratio_matches_loop_oracle(self, mode):
+        model, grid, truth, _, rng = _toy_instance(RNG_SEED + 12, n_theta=3, n_psi=3,
+                                                   n_out=3, n_obs=3)
+        proxy_model, _ = _endorse_proxy(rng, grid.n_psi)
+        config = RelevanceConfig(kind="sigmoid-ratio")
+        got = info_gain_rweighted(model, truth, grid, config, proxy_model,
+                                  proxy_expectation=mode)
+        want = ref.info_gain_rweighted(model, truth, grid, config, proxy_model,
+                                       proxy_expectation=mode)
+        assert_allclose(got.value, want, rtol=0, atol=1e-13)
+
+    def test_provider_weights_shape_validated(self):
+        model, grid, truth, _, rng = _toy_instance(RNG_SEED)
+        proxy_model, _ = _endorse_proxy(rng, grid.n_psi)
+        with pytest.raises(ValueError, match="shape"):
+            info_gain_rweighted(model, truth, grid, RelevanceConfig(kind="constant-one"),
+                                proxy_model,
+                                weights_provider=lambda d: np.ones((grid.n_psi, truth.n)))
 
 
 class TestDeltaClassic:
@@ -381,8 +397,7 @@ class TestDeltaRweighted:
 class TestRhoFidelity:
     def test_constant_weights_have_zero_covariance(self):
         model, grid, truth, _, _ = _toy_instance(RNG_SEED)
-        rho = rho_fidelity(model, truth, grid,
-                                lambda data, b, psi: np.full(data.n, 0.7))
+        rho = rho_fidelity(model, truth, grid, _constant_provider(grid.n_psi, 0.7))
         assert rho == 0.0
 
     def test_matches_direct_enumeration(self):
@@ -406,8 +421,7 @@ class TestRhoFidelity:
         model, grid, _, _, _ = _toy_instance(RNG_SEED)
         truth = TrueProcess(SharedParam(0.0), (TaskParam(0.0),), TaskParam(0.0))
         with pytest.raises(ValueError, match="n >= 2"):
-            rho_fidelity(model, truth, grid,
-                              lambda data, b, psi: np.ones(data.n))
+            rho_fidelity(model, truth, grid, _constant_provider(grid.n_psi, 1.0))
 
 
 class TestEssDis:
@@ -472,10 +486,18 @@ class TestCheckProp55:
 
     def test_constant_weights_still_decompose(self):
         model, grid, truth, _, _ = _toy_instance(RNG_SEED + 7)
-        check = check_prop55(model, truth, grid,
-                             lambda data, b, psi: np.full(data.n, 0.5))
+        check = check_prop55(model, truth, grid, _constant_provider(grid.n_psi, 0.5))
         assert abs(check.residual) < 1e-12
         assert check.rho_fidelity == 0.0
+
+    @pytest.mark.parametrize("n_obs", [6, 7, 8])
+    def test_residual_vanishes_at_larger_n(self, n_obs):
+        """Up to 4**8 = 65,536 datasets, at the criterion-1 tolerance."""
+        model, grid, truth, _, rng = _toy_instance(RNG_SEED + 300 + n_obs, n_theta=3,
+                                                   n_psi=3, n_out=4, n_obs=n_obs)
+        g = rng.uniform(0, 1, size=(grid.n_psi, 4))
+        check = check_prop55(model, truth, grid, _table_weights_provider(g))
+        assert abs(check.residual) < 1e-9
 
 
 class TestCheckTheorem24:
@@ -491,6 +513,15 @@ class TestCheckTheorem24:
             src = rng.dirichlet(np.full(grid.n_psi, 1.0))
             check = check_theorem24(model, truth, grid, src)
             assert check.satisfied
+
+    @pytest.mark.parametrize("n_obs", [6, 7, 8])
+    def test_bound_holds_at_larger_n(self, n_obs):
+        model, grid, truth, _, rng = _toy_instance(RNG_SEED + 400 + n_obs, n_theta=3,
+                                                   n_psi=3, n_out=4, n_obs=n_obs)
+        src = rng.dirichlet(np.full(grid.n_psi, 1.0))
+        check = check_theorem24(model, truth, grid, src)
+        assert not check.degenerate
+        assert check.satisfied
 
     def test_point_mass_prior_is_degenerate(self):
         model, _, truth, _, rng = _toy_instance(RNG_SEED)
@@ -589,3 +620,90 @@ class TestToyDiagnosticsReport:
                 delta_rweighted=0.0, rho_fidelity=0.0, ess_dis_expectation=0.0,
                 entropy_true=0.0, decomposition_residual=0.0,
                 bound_classic=check)
+
+
+class TestImpossibleOutcome:
+    """Outcome 2 has probability 0 at theta*, so every dataset holding it
+    has P*(d) = 0 and must add exactly 0 to each expectation."""
+
+    TABLE = np.array([[[0.5, 0.5, 0.0], [0.3, 0.7, 0.0]],
+                      [[0.2, 0.3, 0.5], [0.4, 0.4, 0.2]]])
+
+    def _instance(self):
+        model = discrete_toy_model(3, 2, 2, self.TABLE)
+        grid = toy_grid(2, 2)
+        truth = TrueProcess(SharedParam(0.0), (TaskParam(0.0), TaskParam(1.0)),
+                            TaskParam(0.0))
+        return model, grid, truth
+
+    def test_classic_gain_matches_direct_sum(self):
+        model, grid, truth = self._instance()
+        src = grid.psi_prior_mass
+        want = 0.0
+        for d in itertools.product(range(3), repeat=2):
+            pd = self.TABLE[0, 0, d[0]] * self.TABLE[0, 1, d[1]]
+            if pd == 0.0:
+                continue
+            post = [grid.theta_prior_mass[a] * np.prod([src @ self.TABLE[a, :, o] for o in d])
+                    for a in range(2)]
+            want += pd * np.log(post[0] / sum(post) / grid.theta_prior_mass[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = info_gain_classic(model, truth, grid, src).value
+        assert_allclose(got, want, rtol=0, atol=1e-14)
+        assert_allclose(got, ref.info_gain_classic(model, truth, grid, src), rtol=0, atol=1e-14)
+
+    def test_every_diagnostic_stays_finite_and_matches_loops(self):
+        model, grid, truth = self._instance()
+        rng = np.random.default_rng(RNG_SEED)
+        provider = _table_weights_provider(rng.uniform(0.1, 0.9, size=(2, 3)))
+        proxy_model, _ = _endorse_proxy(rng, 2)
+        src = grid.psi_prior_mass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check = check_prop55(model, truth, grid, provider)
+            bound = check_theorem24(model, truth, grid, src)
+            report = toy_diagnostics_report(model, truth, grid, src, proxy_model, provider)
+            ig_r = info_gain_rweighted(model, truth, grid, RelevanceConfig(kind="constant-one"),
+                                       proxy_model, weights_provider=provider)
+        for field, value in ref.check_prop55(model, truth, grid, provider).items():
+            assert_allclose(getattr(check, field), value, rtol=0, atol=1e-13)
+        assert abs(check.residual) < 1e-9
+        assert np.isfinite(bound.info_gain) and np.isfinite(bound.kl_excluded_mixture)
+        assert bound.satisfied
+        assert_allclose(ig_r.value, ref.info_gain_rweighted(
+            model, truth, grid, None, proxy_model, weights_provider=provider),
+            rtol=0, atol=1e-13)
+        assert all(np.isfinite(getattr(report, f)) for f in (
+            "ig_classic", "ig_rweighted", "delta_classic", "delta_rweighted",
+            "rho_fidelity", "ess_dis_expectation", "entropy_true",
+            "decomposition_residual"))
+
+
+def test_enumeration_matches_per_dataset_loops_on_toy_verify_instances():
+    """Every field of the gather-and-reduce diagnostics against the loops it
+    replaced, on the 100 criterion-1 instances of toy_verify_instance."""
+    for i in range(100):
+        model, truth, grid, _, provider, proxy_model = \
+            toy_verify_instance(np.random.default_rng(1000 + i))
+        src = grid.psi_prior_mass
+        check = check_prop55(model, truth, grid, provider)
+        for field, value in ref.check_prop55(model, truth, grid, provider).items():
+            assert_allclose(getattr(check, field), value, rtol=0, atol=1e-13,
+                            err_msg=f"instance {i}, {field}")
+        config = RelevanceConfig(kind="constant-one")
+        for mode in ("subjective", "true"):
+            got = info_gain_rweighted(model, truth, grid, config, proxy_model,
+                                      weights_provider=provider, proxy_expectation=mode)
+            want = ref.info_gain_rweighted(model, truth, grid, config, proxy_model,
+                                           weights_provider=provider, proxy_expectation=mode)
+            assert_allclose(got.value, want, rtol=0, atol=1e-13,
+                            err_msg=f"instance {i}, {mode}")
+        w_first = provider(np.zeros((1, truth.n), dtype=int))[0]
+        got = delta_rweighted(model, truth, grid, w_first)
+        want = ref.delta_rweighted(model, truth, grid, w_first)
+        assert_allclose([got.normalized, got.unnormalized], want, rtol=0, atol=1e-13,
+                        err_msg=f"instance {i}")
+        assert_allclose(info_gain_classic(model, truth, grid, src).value,
+                        ref.info_gain_classic(model, truth, grid, src), rtol=0, atol=1e-13,
+                        err_msg=f"instance {i}")
