@@ -26,7 +26,6 @@ import numpy as np
 from ..inference import metropolis_posterior, uninformative_proxy
 from ..models import Observation, SourceData, binomial_logit_model, _binom_logpmf, \
     logsumexp
-from ..relevance import sigmoid_ratio_relevance
 from ..synthetic import gen_imprecise_estimate_proxy, task_rng
 
 TREATMENTS = ("A", "B", "C", "D")
@@ -259,11 +258,8 @@ def run_smoking_comparison(records, proxy_mode: str, seed: int,
         rest = {s: recs for s, recs in study_map.items() if s != held}
         data, groups = _stacked_data(rest)
 
-        def weights_fn(d, psi, _model=model):
-            return sigmoid_ratio_relevance(_model, d, psi)
-
         chain_r = metropolis_posterior(
-            model, data, proxy, weights_fn, _normal_prior, n_samples,
+            model, data, proxy, "sigmoid-ratio", _normal_prior, n_samples,
             int(rng.integers(2 ** 31)), init_psi=np.array([z]))
         chain_c = metropolis_posterior(
             model, data, uninformative_proxy(), None, _normal_prior, n_samples,

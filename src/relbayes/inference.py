@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grids import ParameterGrid, _check_mass
-from .models import ModelSpec, SourceData, loglik_tensor, logsumexp
+from .models import ModelSpec, SourceData, loglik_tensor, logsumexp, sigmoid_ratio_weights
 
 JOINT_TOL = 1e-10
 
@@ -201,12 +201,22 @@ def _weights_matrix(weights_per_psi, n_psi: int, n_obs: int) -> np.ndarray:
     return _check_weights(weights_per_psi, (n_psi, n_obs))
 
 
+def _neginf_mask(tensor: np.ndarray) -> Optional[np.ndarray]:
+    """Where the tensor is -inf, or None when it holds no -inf (always so for
+    the linear and gp models)."""
+    mask = np.isneginf(tensor)
+    return mask if mask.any() else None
+
+
 def _r_weighted_table(tensor: np.ndarray, grid: ParameterGrid, weights_per_psi,
-                      proxy_vec: np.ndarray) -> PosteriorTable:
-    """The r-weighted engine on a precomputed (n, A, B) tensor and (B,) proxy vector."""
+                      proxy_vec: np.ndarray, neginf: Optional[np.ndarray]) -> PosteriorTable:
+    """The r-weighted engine on a precomputed (n, A, B) tensor, its
+    _neginf_mask and the (B,) proxy vector."""
     mat = _weights_matrix(weights_per_psi, grid.n_psi, tensor.shape[0])
-    safe = np.where(np.isneginf(tensor) & (mat.T[:, None, :] == 0.0), 0.0, tensor)
-    weighted = np.einsum("bi,iab->ab", mat, safe)
+    if neginf is not None:
+        # a zero weight kills its -inf term outright (0 * -inf would be nan)
+        tensor = np.where(neginf & (mat.T[:, None, :] == 0.0), 0.0, tensor)
+    weighted = np.einsum("bi,iab->ab", mat, tensor)
     log_joint = (weighted + proxy_vec[None, :]
                  + grid.log_theta_prior()[:, None] + grid.log_psi_prior()[None, :])
     log_evidence = float(logsumexp(log_joint))
@@ -226,7 +236,7 @@ def r_weighted_posterior(model: ModelSpec, data: SourceData, grid: ParameterGrid
     """
     tensor = loglik_tensor(model, data, grid.theta_nodes, grid.psi_nodes)   # (n, A, B)
     return _r_weighted_table(tensor, grid, weights_per_psi,
-                             proxy_loglik_vector(proxy, grid.psi_nodes))
+                             proxy_loglik_vector(proxy, grid.psi_nodes), _neginf_mask(tensor))
 
 
 @dataclass(frozen=True)
@@ -298,9 +308,18 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
     The target is the relevance-weighted joint density when weights_fn is a
     callable (data, psi) -> weights, with the proxy log-likelihood added; its
     output must be an (n,) vector in [0, 1] at every evaluated state.
+    weights_fn="sigmoid-ratio" (the RelevanceConfig kind name) gives the
+    weights of relevance.sigmoid_ratio_relevance without calling it: the
+    model is evaluated at the two theta rows (theta, 0) and the state's psi,
+    and the null column feeds the sigmoid ratio.
     With weights_fn=None and a groups partition, the target is instead the
     known-groups likelihood where psi holds one intercept per group, stacked
-    in group order (the classic fixed-effects baseline).
+    in group order (the classic fixed-effects baseline); each observation is
+    evaluated at its own group's intercept, one cell per observation.
+
+    Each step evaluates the model once: one loglik_tensor call per proposed
+    state, of n x 2 cells for the "sigmoid-ratio" kind and n cells
+    otherwise (a callable weights_fn does its own work besides).
 
     n_samples counts total iterations; the first quarter is burn-in, during
     which per-coordinate proposal scales adapt toward 0.3 acceptance, and is
@@ -309,6 +328,9 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
+    if isinstance(weights_fn, str) and weights_fn != "sigmoid-ratio":
+        raise ValueError(f"weights_fn must be a callable, None or 'sigmoid-ratio', "
+                         f"got {weights_fn!r}")
     k_theta = model.k_theta
     if weights_fn is None:
         if groups is None:
@@ -320,6 +342,7 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
             obs_group[g] = gi
     else:
         psi_dim = model.k_psi
+    thetas = np.zeros((2, k_theta))     # row 0 the state's theta, row 1 the null theta
 
     theta0 = (model.theta_support.mean(axis=1) if init_theta is None
               else np.asarray(init_theta, dtype=float))
@@ -335,15 +358,19 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
         if not np.isfinite(lp):
             return -np.inf
         if weights_fn is None:
-            psi_nodes = psi.reshape(len(groups), model.k_psi)
-            tensor = loglik_tensor(model, data, theta[None, :], psi_nodes)  # (n, 1, G)
-            ll = float(tensor[np.arange(data.n), 0, obs_group].sum())
-        else:
-            w = _check_weights(weights_fn(data, psi), (data.n,))
+            rows = psi.reshape(len(groups), model.k_psi)[obs_group][:, None, :]
+            return lp + float(loglik_tensor(model, data, theta[None, :], rows).sum())
+        if callable(weights_fn):
+            w = weights_fn(data, psi)
             lls = loglik_tensor(model, data, theta[None, :], psi[None, :])[:, 0, 0]
-            ll = float(_weighted_terms(w, lls).sum())
-            if proxy is not None:
-                ll += float(proxy_loglik_vector(proxy, psi[None, :])[0])
+        else:
+            thetas[0] = theta
+            both = loglik_tensor(model, data, thetas, psi[None, :])[:, :, 0]   # (n, 2)
+            w = sigmoid_ratio_weights(both[:, 1:])[:, 0]
+            lls = both[:, 0]
+        ll = float(_weighted_terms(_check_weights(w, (data.n,)), lls).sum())
+        if proxy is not None:
+            ll += float(proxy_loglik_vector(proxy, psi[None, :])[0])
         return lp + ll
 
     current = log_target(state)

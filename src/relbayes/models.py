@@ -7,7 +7,9 @@ vectorised evaluator over a parameter product that reads the columns
 SourceData stacks at construction; loglik_tensor is its checked entry point.
 Everything downstream (grid posteriors, relevance weighting, diagnostics)
 talks to models only through ModelSpec, so adding a model means writing one
-factory function here.
+factory function here.  The two formulas every layer above shares live here
+too: the log-sum-exp and the sigmoid-ratio weights, which both the relevance
+module and the Metropolis sampler form from null-parameter log-likelihoods.
 """
 
 from __future__ import annotations
@@ -85,7 +87,8 @@ class SourceData:
 
     The columns are stacked once, here: covariates (n, c); outcomes (n,), or
     (n, m) for trajectory outcomes; trial_counts (n,), or None when no
-    observation has one.  All three are float arrays.
+    observation has one.  All three are read-only float arrays, so a model
+    may key constants it derives from them on the SourceData's identity.
     """
 
     observations: tuple
@@ -111,11 +114,14 @@ class SourceData:
         counts = [o.trial_count for o in obs]
         if None in counts and counts.count(None) < len(counts):
             raise ValueError("observations mix present and absent trial_count")
+        trial_counts = None if None in counts else np.array(counts, dtype=float)
+        for column in (covariates, outcomes, trial_counts):
+            if column is not None:
+                column.flags.writeable = False
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "covariates", covariates)
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "trial_counts",
-                           None if None in counts else np.array(counts, dtype=float))
+        object.__setattr__(self, "trial_counts", trial_counts)
 
     @property
     def n(self) -> int:
@@ -140,11 +146,15 @@ class ModelSpec:
     theta_support, psi_support : (k, 2) arrays
         Interval box per parameter coordinate.
     log_likelihood : callable
-        (SourceData, thetas (A, k_theta), psis (B, k_psi)) -> (n, A, B) array,
-        log p(d_i | theta_a, psi_b) for every observation and parameter pair,
-        read from the data's columns.  The one likelihood a model supplies;
-        call it through loglik_tensor, which coerces the parameter arrays and
-        rejects NaN.  A single value is its 1 x 1 x 1 cell.
+        (SourceData, thetas (A, k_theta), psis) -> (n, A, B) array read from
+        the data's columns.  With psis of shape (B, k_psi) the cell [i, a, b]
+        is log p(d_i | theta_a, psi_b), every observation against the whole
+        parameter product.  With psis of shape (n, B, k_psi) observation i
+        gets its own rows and the cell is log p(d_i | theta_a, psis[i, b]),
+        so a known-groups likelihood costs n cells, not n x G.  The one
+        likelihood a model supplies; call it through loglik_tensor, which
+        coerces the parameter arrays and rejects NaN.  A single value is its
+        1 x 1 x 1 cell.
     simulate : callable (covariates, SharedParam, TaskParam, rng, ...) -> Observation
     log_mode_density : optional callable (theta_values, psi_values) -> array
         Log of the outcome density at its mode, broadcast over parameter
@@ -200,6 +210,32 @@ def param_values(p) -> np.ndarray:
     return p.value if isinstance(p, (SharedParam, TaskParam)) else np.atleast_1d(np.asarray(p, dtype=float))
 
 
+def _task_column(psis: np.ndarray) -> np.ndarray:
+    """Coordinate 0 of the task parameters, (1, B) or (n, 1, B) for the
+    (B, k_psi) and (n, B, k_psi) forms; either broadcasts against (n, A, 1)."""
+    return psis[..., None, :, 0]
+
+
+class DegenerateRelevanceError(ValueError):
+    """The weight formula hit an undefined 0/0 or -inf/-inf ratio."""
+
+
+def sigmoid_ratio_weights(null_lls: np.ndarray) -> np.ndarray:
+    """sigmoid(n * p_i / prod_j p_j) for every column of null_lls, shape (n, B).
+
+    null_lls holds each observation's log-likelihood at the null shared
+    parameter theta = 0, one column per task-parameter row.  The ratio is
+    formed in log space; overflow saturates cleanly to weight 1.
+    """
+    denom = null_lls.sum(axis=0)
+    if np.any(np.isneginf(denom)):
+        raise DegenerateRelevanceError(
+            "pooled likelihood at the null shared parameter is zero; the "
+            "sigmoid ratio is undefined for this dataset and target task")
+    with np.errstate(over="ignore"):
+        return expit(np.exp(np.log(null_lls.shape[0]) + null_lls - denom[None, :]))
+
+
 def logsumexp(a, axis=None):
     """log(sum(exp(a))) along axis, or over every element when axis is None.
 
@@ -230,7 +266,7 @@ def linear_model() -> ModelSpec:
     def log_likelihood(data: SourceData, thetas, psis) -> np.ndarray:
         x = data.covariates                                 # (n, 2)
         mean = (x[:, 0, None, None] * thetas[None, :, 0, None]
-                + x[:, 1, None, None] * psis[None, None, :, 0])  # (n, A, B)
+                + x[:, 1, None, None] * _task_column(psis))      # (n, A, B)
         return -0.5 * LOG_2PI - 0.5 * (data.outcomes[:, None, None] - mean) ** 2
 
     def simulate(covariates, theta, psi, rng) -> Observation:
@@ -268,13 +304,22 @@ def linear_model() -> ModelSpec:
 # binomial-logit model
 # ---------------------------------------------------------------------------
 
-def _binom_logpmf(y, n, t):
-    """log Binomial(y; n, sigmoid(t)) computed from the logit t, stably."""
+def _binom_log_coef(y, n):
+    """log C(n, y), the data-only term of the binomial log pmf."""
+    return gammaln(n + 1) - gammaln(y + 1) - gammaln(n - y + 1)
+
+
+def _binom_logpmf(y, n, t, log_coef=None):
+    """log Binomial(y; n, sigmoid(t)) computed from the logit t, stably.
+
+    log_coef, when given, is _binom_log_coef(y, n) computed beforehand.
+    """
     y = np.asarray(y, dtype=float)
     n = np.asarray(n, dtype=float)
-    const = gammaln(n + 1) - gammaln(y + 1) - gammaln(n - y + 1)
+    if log_coef is None:
+        log_coef = _binom_log_coef(y, n)
     # log sigmoid(t) = -log(1 + exp(-t)); log(1 - sigmoid(t)) = -log(1 + exp(t))
-    return const - y * np.logaddexp(0.0, -t) - (n - y) * np.logaddexp(0.0, t)
+    return log_coef - y * np.logaddexp(0.0, -t) - (n - y) * np.logaddexp(0.0, t)
 
 
 def binomial_logit_model() -> ModelSpec:
@@ -282,14 +327,29 @@ def binomial_logit_model() -> ModelSpec:
 
     Four treatment indicators in theta, a scalar intercept psi.  Observation
     already holds each count inside [0, trial_count].
+
+    The log binomial coefficient depends only on the data, and a Metropolis
+    chain evaluates one SourceData thousands of times.  So the model keeps
+    the coefficient and the broadcast count columns of the last SourceData
+    it saw, compared by identity; the columns are read-only, so a kept
+    constant cannot go stale.
     """
+
+    kept = [None, None]     # [SourceData, (y, n, log_coef) broadcast as (n, 1, 1)]
+
+    def _columns(data: SourceData):
+        if kept[0] is not data:
+            y = data.outcomes[:, None, None]
+            n = data.trial_counts[:, None, None]
+            kept[:] = [data, (y, n, _binom_log_coef(y, n))]
+        return kept[1]
 
     def log_likelihood(data: SourceData, thetas, psis) -> np.ndarray:
         if data.trial_counts is None:
             raise ValueError("binomial model requires trial_count on every observation")
-        t = (data.covariates @ thetas.T)[:, :, None] + psis[None, None, :, 0]  # (n, A, B)
-        return _binom_logpmf(data.outcomes[:, None, None],
-                             data.trial_counts[:, None, None], t)
+        t = (data.covariates @ thetas.T)[:, :, None] + _task_column(psis)   # (n, A, B)
+        y, n, log_coef = _columns(data)
+        return _binom_logpmf(y, n, t, log_coef)
 
     def simulate(covariates, theta, psi, rng, trial_count=None) -> Observation:
         if trial_count is None:
@@ -394,6 +454,10 @@ def gp_model(x_grid) -> ModelSpec:
         return factor, log_det
 
     def log_likelihood(data: SourceData, thetas, psis) -> np.ndarray:
+        if psis.ndim != 2:
+            raise ValueError("the gp model keeps kernel factors per node product, so "
+                             "psis must be a (B, k_psi) array, not per-observation "
+                             f"rows of shape {psis.shape}")
         if data.outcomes.shape != (data.n, m):
             raise ValueError(f"trajectories must have length {m}, got outcomes of "
                              f"shape {data.outcomes.shape}")
@@ -468,12 +532,12 @@ def discrete_toy_model(outcome_count: int, theta_count: int, psi_count: int, tab
 
     def log_likelihood(data: SourceData, thetas, psis) -> np.ndarray:
         a = np.rint(thetas[:, 0]).astype(int)
-        b = np.rint(psis[:, 0]).astype(int)
+        b = np.rint(_task_column(psis)).astype(int)
         # a negative index would wrap round; one past the end already raises
         if a.min(initial=0) < 0 or b.min(initial=0) < 0:
             raise ValueError("toy node indices must be non-negative")
         y = data.outcomes.astype(int)
-        return log_table[a[None, :, None], b[None, None, :], y[:, None, None]]
+        return log_table[a[None, :, None], b, y[:, None, None]]
 
     def simulate(covariates, theta, psi, rng) -> Observation:
         a = int(round(param_values(theta)[0]))
@@ -495,15 +559,21 @@ def discrete_toy_model(outcome_count: int, theta_count: int, psi_count: int, tab
 
 
 def loglik_tensor(model: ModelSpec, data: SourceData, thetas, psis) -> np.ndarray:
-    """Per-observation log-likelihoods over a parameter product, shape (n, A, B).
+    """Per-observation log-likelihoods, shape (n, A, B).
 
-    The checked entry point to model.log_likelihood.  NaNs are rejected with
-    the offending observation named, since a NaN in a log-sum-exp would
-    silently poison the whole posterior.
+    The checked entry point to model.log_likelihood.  thetas is (A, k_theta).
+    psis is (B, k_psi), evaluated against every observation (the parameter
+    product), or (n, B, k_psi), one block of rows per observation, so that
+    cell [i, a, b] is log p(d_i | thetas[a], psis[i, b]).  The gp model
+    accepts only the product form.  NaNs are rejected with the offending
+    observation named, since a NaN in a log-sum-exp would silently poison
+    the whole posterior.
     """
-    out = model.log_likelihood(data, np.asarray(thetas, dtype=float),
-                               np.asarray(psis, dtype=float))
-    if np.any(np.isnan(out)):
+    psis = np.asarray(psis, dtype=float)
+    if psis.ndim == 3 and psis.shape[0] != data.n:
+        raise ValueError(f"per-observation psis has {psis.shape[0]} rows, data has {data.n}")
+    out = model.log_likelihood(data, np.asarray(thetas, dtype=float), psis)
+    if np.isnan(out).any():
         i = int(np.argwhere(np.isnan(out))[0][0])
         raise FloatingPointError(f"NaN log-likelihood at observation index {i}")
     return out

@@ -20,12 +20,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .grids import ParameterGrid
-from .inference import PosteriorTable, _check_weights, _r_weighted_table, \
+from .inference import PosteriorTable, _check_weights, _neginf_mask, _r_weighted_table, \
     proxy_loglik_vector
-from .models import ModelSpec, SourceData, loglik_tensor, logsumexp, param_values
+from .models import DegenerateRelevanceError, ModelSpec, SourceData, loglik_tensor, \
+    logsumexp, param_values, sigmoid_ratio_weights  # noqa: F401  (error re-exported)
 
 CLIP_WARN_TOL = 0.5
 MAX_REFINEMENTS = 10
@@ -36,10 +36,6 @@ NORMALIZERS = ("mode-density", "none")
 
 class RelevanceConfigError(ValueError):
     """The requested relevance computation is not defined for this model."""
-
-
-class DegenerateRelevanceError(ValueError):
-    """The weight formula hit an undefined 0/0 or -inf/-inf ratio."""
 
 
 @dataclass(frozen=True)
@@ -153,18 +149,9 @@ def prior_expected_relevance(model: ModelSpec, data: SourceData, theta_nodes,
 
 
 def _sigmoid_ratio(model: ModelSpec, data: SourceData, psis: np.ndarray) -> np.ndarray:
-    """sigmoid(n * p_i / prod_j p_j) at theta = 0 for every psi row, shape (n, B).
-
-    The ratio is formed in log space; overflow saturates cleanly to weight 1.
-    """
+    """sigmoid(n * p_i / prod_j p_j) at theta = 0 for every psi row, shape (n, B)."""
     lls = loglik_tensor(model, data, np.zeros((1, model.k_theta)), psis)[:, 0, :]  # (n, B)
-    denom = lls.sum(axis=0)
-    if np.any(np.isneginf(denom)):
-        raise DegenerateRelevanceError(
-            "pooled likelihood at the null shared parameter is zero; the "
-            "sigmoid ratio is undefined for this dataset and target task")
-    with np.errstate(over="ignore"):
-        return expit(np.exp(np.log(data.n) + lls - denom[None, :]))
+    return sigmoid_ratio_weights(lls)
 
 
 def sigmoid_ratio_relevance(model: ModelSpec, data: SourceData, psi_target) -> np.ndarray:
@@ -201,9 +188,11 @@ def refine_relevance(model: ModelSpec, data: SourceData, grid: ParameterGrid,
     once more under the final belief, so refinement_iterations=0 gives the
     plain prior-expected weights, and the returned posterior is the
     r-weighted posterior under those final weights.  The log-likelihood
-    tensor and the proxy vector are built once and shared by every round.
+    tensor, its -inf mask and the proxy vector are built once and shared by
+    every round.
     """
     tensor = loglik_tensor(model, data, grid.theta_nodes, grid.psi_nodes)
+    neginf = _neginf_mask(tensor)
     proxy_vec = proxy_loglik_vector(proxy, grid.psi_nodes)
 
     if config.kind == "constant-one":
@@ -224,9 +213,10 @@ def refine_relevance(model: ModelSpec, data: SourceData, grid: ParameterGrid,
 
     belief = grid.theta_prior_mass
     for _ in range(config.refinement_iterations):
-        posterior = _r_weighted_table(tensor, grid, evaluate(belief), proxy_vec)
+        posterior = _r_weighted_table(tensor, grid, evaluate(belief), proxy_vec, neginf)
         belief = posterior.theta_marginal()
     weights = evaluate(belief)
     return RefinementResult(weights_per_psi=weights, theta_belief=belief,
                             iterations=config.refinement_iterations,
-                            posterior=_r_weighted_table(tensor, grid, weights, proxy_vec))
+                            posterior=_r_weighted_table(tensor, grid, weights, proxy_vec,
+                                                        neginf))

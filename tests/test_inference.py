@@ -8,22 +8,23 @@ tolerances can sit at 1e-12 without slack for float error in the oracle.
 import mpmath as mp
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 from scipy.special import expit
 
 from _scalar_reference import r_weighted_likelihood
-from relbayes.grids import ParameterGrid, toy_grid
+from relbayes.grids import ParameterGrid, midpoint_nodes, toy_grid
 from relbayes.inference import (DegenerateProxyError, McmcInitError,
-                                PosteriorTable, ProxyObservation,
-                                chain_grid_tv, classic_posterior,
+                                PosteriorTable, ProxyObservation, _neginf_mask,
+                                _r_weighted_table, chain_grid_tv, classic_posterior,
                                 combine_proxies, metropolis_posterior,
                                 posterior_predictive, proxy_loglik_vector,
                                 proxy_posterior, r_weighted_posterior,
                                 uninformative_proxy)
 from relbayes.models import (Observation, SharedParam, SourceData, TaskParam,
-                             discrete_toy_model, linear_model)
-from relbayes.relevance import RelevanceWeights
+                             binomial_logit_model, discrete_toy_model, linear_model,
+                             loglik_tensor, logsumexp)
+from relbayes.relevance import RelevanceWeights, sigmoid_ratio_relevance
 
 mp.mp.dps = 50
 
@@ -361,6 +362,55 @@ class TestRWeightedPosterior:
         assert_allclose(post.theta_marginal(), grid.theta_prior_mass, rtol=1e-12)
 
 
+    @staticmethod
+    def _every_call_table(tensor, grid, mat, proxy_vec):
+        """The engine with the zero-weight-safe copy rebuilt on every call."""
+        safe = np.where(np.isneginf(tensor) & (mat.T[:, None, :] == 0.0), 0.0, tensor)
+        log_joint = (np.einsum("bi,iab->ab", mat, safe) + proxy_vec[None, :]
+                     + grid.log_theta_prior()[:, None] + grid.log_psi_prior()[None, :])
+        log_evidence = float(logsumexp(log_joint))
+        joint = np.exp(log_joint - log_evidence)
+        return joint / joint.sum(), log_evidence
+
+    def test_kept_neginf_mask_equals_every_call_formula(self):
+        """The -inf test is made once per tensor; on a toy tensor holding
+        -inf under zero weights the table is exactly the old one."""
+        table = np.array([[[1.0, 0.0, 0.0], [0.4, 0.6, 0.0]],
+                          [[0.5, 0.2, 0.3], [0.2, 0.0, 0.8]],
+                          [[0.1, 0.1, 0.8], [0.3, 0.3, 0.4]]])
+        model = discrete_toy_model(3, 3, 2, table)
+        grid = toy_grid(3, 2)
+        data = SourceData(tuple(Observation(np.empty(0), o) for o in (1, 2, 0, 1)))
+        tensor = loglik_tensor(model, data, grid.theta_nodes, grid.psi_nodes)
+        mask = _neginf_mask(tensor)
+        assert mask is not None and mask.any()
+        rng = np.random.default_rng(RNG_SEED)
+        proxy_vec = np.log(rng.uniform(0.2, 0.8, size=grid.n_psi))
+        weights = np.array([[0.0, 0.0, 0.7, 0.0], [0.3, 0.0, 1.0, 0.5]])
+        for round_weights in (weights, weights[::-1], np.zeros_like(weights)):
+            post = _r_weighted_table(tensor, grid, round_weights, proxy_vec, mask)
+            joint, log_evidence = self._every_call_table(tensor, grid, round_weights,
+                                                         proxy_vec)
+            assert_array_equal(post.joint_mass, joint)
+            assert post.log_evidence == log_evidence
+
+    def test_finite_tensor_skips_the_mask(self):
+        rng = np.random.default_rng(RNG_SEED)
+        model = linear_model()
+        nodes = midpoint_nodes(-3.0, 3.0, 9)[:, None]
+        grid = ParameterGrid(nodes, nodes, np.full(9, 1 / 9), np.full(9, 1 / 9))
+        data = SourceData(tuple(Observation(rng.normal(size=2), rng.normal())
+                                for _ in range(6)))
+        tensor = loglik_tensor(model, data, grid.theta_nodes, grid.psi_nodes)
+        assert _neginf_mask(tensor) is None
+        weights = rng.uniform(0, 1, size=(9, 6))
+        weights[:, 2] = 0.0
+        post = _r_weighted_table(tensor, grid, weights, np.zeros(9), None)
+        joint, log_evidence = self._every_call_table(tensor, grid, weights, np.zeros(9))
+        assert_array_equal(post.joint_mass, joint)
+        assert post.log_evidence == log_evidence
+
+
 class TestEngineEquivalence:
     """Unit weights, a point-mass source task prior, and a proxy that pins
     the target node reduce the weighted engine to the classic one."""
@@ -563,6 +613,32 @@ class TestMetropolis:
                 self._std_normal_prior, n_samples=1000, seed=0,
                 proposal_scale=1e7)
         assert chain.warning is not None
+
+    def test_sigmoid_ratio_kind_matches_callable(self):
+        """The kind evaluates the model once per step and forms the weights
+        itself; the chain is the one the callable weights give."""
+        rng = np.random.default_rng(RNG_SEED)
+        model = binomial_logit_model()
+        data = SourceData(tuple(
+            Observation(rng.normal(size=4), int(rng.integers(0, 9)), trial_count=8)
+            for _ in range(7)))
+        proxy = _normal_proxy(0.4, sigma=0.6)
+
+        def sigmoid_weights(d, psi):
+            return sigmoid_ratio_relevance(model, d, psi)
+
+        chains = [metropolis_posterior(model, data, proxy, weights_fn,
+                                       self._std_normal_prior, 2000, 17)
+                  for weights_fn in ("sigmoid-ratio", sigmoid_weights)]
+        assert_array_equal(chains[0].theta_samples, chains[1].theta_samples)
+        assert_array_equal(chains[0].psi_samples, chains[1].psi_samples)
+        assert chains[0].acceptance_rate == chains[1].acceptance_rate
+
+    def test_unknown_weights_kind_rejected(self):
+        data = SourceData((Observation([1.0, 0.0], 0.0),))
+        with pytest.raises(ValueError, match="sigmoid-ratio"):
+            metropolis_posterior(linear_model(), data, None, "prior-expected",
+                                 self._std_normal_prior, n_samples=1000, seed=0)
 
     def test_same_seed_reproduces_chain(self):
         model = linear_model()

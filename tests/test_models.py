@@ -15,8 +15,10 @@ from scipy import stats
 from scipy.special import expit
 
 import _scalar_reference as scalar
+import relbayes.models
 from relbayes.harness.config import ExperimentConfig
 from relbayes.harness.runner import run_experiment
+from relbayes.inference import metropolis_posterior
 from relbayes.models import (LOG_2PI, Observation, SharedParam, SourceData,
                              TaskParam, binomial_logit_model, check_support,
                              discrete_toy_model, gp_model, linear_model,
@@ -569,6 +571,128 @@ class TestDiscreteToyModel:
         table = np.full((1, 1, 5), 0.2)
         model = discrete_toy_model(5, 1, 1, table)
         assert_allclose(model.outcome_space, np.arange(5))
+
+
+def _binomial_data(rng, n, trials) -> SourceData:
+    return SourceData(tuple(
+        Observation(rng.normal(size=4), int(rng.integers(0, trials + 1)), trial_count=trials)
+        for _ in range(n)))
+
+
+class TestBinomialKeptConstants:
+    """The binomial model keeps the log binomial coefficient and the count
+    columns of the last SourceData it saw, compared by identity; counted by
+    wrapping the gammaln the model looks up at call time."""
+
+    @pytest.fixture
+    def gammaln_calls(self, monkeypatch):
+        calls = []
+        original = relbayes.models.gammaln
+
+        def counting(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(relbayes.models, "gammaln", counting)
+        return calls
+
+    def test_alternating_data_sets_match_scalar_oracle(self):
+        rng = np.random.default_rng(RNG_SEED)
+        model = binomial_logit_model()
+        first, second = _binomial_data(rng, 5, 10), _binomial_data(rng, 3, 40)
+        thetas = rng.normal(size=(2, 4))
+        psis = rng.normal(size=(3, 1))
+        for data in (first, second, first, second):
+            tensor = loglik_tensor(model, data, thetas, psis)
+            for i, obs in enumerate(data):
+                for a in range(2):
+                    for b in range(3):
+                        assert_allclose(tensor[i, a, b],
+                                        scalar.binomial_logit(obs, thetas[a], psis[b]),
+                                        rtol=0, atol=1e-11)
+
+    @pytest.mark.filterwarnings("ignore:acceptance rate")
+    def test_chain_computes_the_coefficient_once_per_data_set(self, gammaln_calls):
+        rng = np.random.default_rng(RNG_SEED)
+        model = binomial_logit_model()
+        data = _binomial_data(rng, 6, 12)
+
+        def prior(theta, psi):
+            return float(-0.5 * (theta @ theta + psi @ psi))
+
+        metropolis_posterior(model, data, None, "sigmoid-ratio", prior, 2000, 1)
+        assert len(gammaln_calls) == 3
+        # a second chain, the known-groups target, on the same data set
+        metropolis_posterior(model, data, None, None, prior, 2000, 2,
+                             groups=[[0, 1, 2], [3, 4, 5]])
+        assert len(gammaln_calls) == 3
+        loglik_tensor(model, _binomial_data(rng, 2, 5), np.zeros((1, 4)), np.zeros((1, 1)))
+        assert len(gammaln_calls) == 6
+
+    @pytest.mark.parametrize("column", ["outcomes", "covariates", "trial_counts"])
+    def test_source_data_columns_are_read_only(self, column):
+        data = _binomial_data(np.random.default_rng(RNG_SEED), 3, 10)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(data, column)[0] = 1.0
+
+
+class TestPerObservationPsi:
+    """psis of shape (n, B, k_psi) gives observation i its own task rows: the
+    known-groups cells are the gather of the full parameter product."""
+
+    @staticmethod
+    def _check_gather(model, data, thetas, nodes, rng):
+        obs_group = rng.integers(0, nodes.shape[0], size=data.n)
+        product = loglik_tensor(model, data, thetas, nodes)                  # (n, A, G)
+        rows = loglik_tensor(model, data, thetas, nodes[obs_group][:, None, :])
+        assert rows.shape == (data.n, thetas.shape[0], 1)
+        assert_array_equal(rows[:, :, 0], product[np.arange(data.n), :, obs_group])
+
+    def test_linear(self):
+        rng = np.random.default_rng(RNG_SEED)
+        data = SourceData(tuple(Observation(rng.normal(size=2), rng.normal())
+                                for _ in range(9)))
+        self._check_gather(linear_model(), data, rng.normal(size=(3, 1)),
+                           rng.normal(size=(4, 1)), rng)
+
+    def test_binomial(self):
+        rng = np.random.default_rng(RNG_SEED)
+        data = _binomial_data(rng, 9, 15)
+        self._check_gather(binomial_logit_model(), data, rng.normal(size=(3, 4)),
+                           rng.normal(size=(5, 1)), rng)
+
+    def test_toy(self):
+        rng = np.random.default_rng(RNG_SEED)
+        table = _toy_table(rng, n_out=4, n_theta=3, n_psi=3)
+        table[1, 2] = [0.0, 0.5, 0.5, 0.0]     # -inf cells gather like any other
+        model = discrete_toy_model(4, 3, 3, table)
+        data = SourceData(tuple(Observation(np.empty(0), int(o))
+                                for o in rng.integers(0, 4, size=9)))
+        self._check_gather(model, data, np.arange(3, dtype=float)[:, None],
+                           np.arange(3, dtype=float)[:, None], rng)
+
+    def test_several_rows_per_observation(self):
+        rng = np.random.default_rng(RNG_SEED)
+        data = SourceData(tuple(Observation(rng.normal(size=2), rng.normal())
+                                for _ in range(4)))
+        thetas = rng.normal(size=(2, 1))
+        rows = rng.normal(size=(4, 3, 1))
+        tensor = loglik_tensor(linear_model(), data, thetas, rows)
+        for i in range(4):
+            single = SourceData((data[i],))
+            assert_array_equal(tensor[i], loglik_tensor(linear_model(), single,
+                                                        thetas, rows[i])[0])
+
+    def test_gp_rejects_per_observation_rows(self):
+        x = np.linspace(0.0, 1.0, 5)
+        data = SourceData((Observation(x, np.zeros(5)), Observation(x, np.ones(5))))
+        with pytest.raises(ValueError, match="per-observation"):
+            loglik_tensor(gp_model(x), data, [[1.0]], np.ones((2, 1, 1)))
+
+    def test_row_count_must_match_data(self):
+        data = SourceData((Observation([1.0, 0.0], 0.0),))
+        with pytest.raises(ValueError, match="rows"):
+            loglik_tensor(linear_model(), data, [[1.0]], np.ones((2, 1, 1)))
 
 
 class TestLoglikTensor:

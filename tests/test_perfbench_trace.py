@@ -4,7 +4,10 @@ perfbench/tracer.py wraps library functions by module and name, so a
 rename in the library would otherwise surface only when
 `perfbench/run.py --trace 1` fails.  The tracer is imported unchanged
 through sys.path, installed in this process around one toy diagnostics
-report, and uninstalled.
+report, and uninstalled.  A second test traces one short smoking partition
+the way the benchmark narrows a unit, through perfbench/workloads.py, and
+checks what the tracer reads of the sampler: n_samples as the sixth
+positional argument, and the cells of every model evaluation.
 """
 
 import importlib
@@ -12,6 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 # the tracer finds its target modules in sys.modules
 import relbayes.diagnostics
@@ -54,3 +58,38 @@ def test_tracer_binds_every_target_and_uninstalls(monkeypatch):
     for name in ("check_prop55", "check_theorem24", "info_gain_rweighted",
                  "delta_rweighted", "delta_classic"):
         assert stats[f"diagnostics.{name}"].calls == 1, name
+
+
+@pytest.mark.filterwarnings("ignore:acceptance rate")
+def test_traced_smoking_partition_counts_one_evaluation_per_step(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("tracer", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    tracer_module = importlib.import_module("tracer")
+    workloads = importlib.import_module("workloads")
+    smoking = relbayes.harness.smoking
+    records = smoking.ingest_smoking_csv(smoking.packaged_smoking_path())
+    intercepts = {study: 0.0 for study in smoking.arms_by_study(records)}
+
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        with workloads._only_partition("01"):
+            results = smoking.run_smoking_comparison(records, "weak", 3, 1000,
+                                                     intercepts=intercepts)
+    finally:
+        tracer.uninstall()
+        for name in ("tracer", "workloads"):
+            monkeypatch.delitem(sys.modules, name, raising=False)
+
+    assert [r.held_out_study for r in results] == ["01"]
+    metrics = {name: value for name, (value, _) in tracer.metrics(1, 1.0, 0).items()}
+    assert tracer.counts["mcmc_chains"] == 2
+    assert metrics["inference.metropolis_posterior.iters_per_unit"] == 2000
+    # each chain evaluates its initial state, then one proposal per iteration:
+    # the weighted chain at (theta, 0) for 47 arms, 94 cells, and the
+    # fixed-effects chain one cell per arm at its own study's intercept, 47
+    assert metrics["models.loglik_tensor.calls_per_unit"] == 2 * 1001
+    assert metrics["models.loglik_tensor.cells_per_unit"] == 1001 * (94 + 47)
+    # the weighted chain forms the sigmoid-ratio weights without the public call
+    assert metrics["relevance.sigmoid_ratio_relevance.calls_per_unit"] == 0
