@@ -19,9 +19,9 @@ GRID_RESOLUTION = 101
 
 import numpy as np
 
-from relbayes import (LinearScenario, RelevanceConfig, classic_posterior,
-                      gen_linear_instance, linear_model, refine_relevance,
-                      task_rng)
+from relbayes import (GridProblem, LinearScenario, RelevanceConfig,
+                      classic_posterior, gen_linear_instance, linear_model,
+                      refine_relevance, task_rng)
 from relbayes.grids import ParameterGrid, midpoint_nodes
 
 rng = task_rng(SEED, 0)
@@ -42,11 +42,13 @@ print(f"true theta {float(theta_true[0]):+.3f}, "
 print(f"{inst.source.n} source observations, "
       f"{len(inst.proxy.payload)} proxy ratings\n")
 
-classic = classic_posterior(model, inst.source, grid, grid.psi_prior_mass)
+# both learners read one log-likelihood tensor, built here
+problem = GridProblem(model, inst.source, grid)
+classic = classic_posterior(problem, grid.psi_prior_mass)
 
 # inst.proxy holds every expert rating; refinement returns the weighted
 # posterior under its final weights
-refined = refine_relevance(model, inst.source, grid, inst.proxy, RelevanceConfig())
+refined = refine_relevance(problem, inst.proxy, RelevanceConfig())
 weighted = refined.posterior
 
 # relevance profile under the proxy-informed task belief, a few entries

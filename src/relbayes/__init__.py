@@ -4,7 +4,7 @@ from .models import (LOG_2PI, ModelSpec, Observation, SharedParam, SourceData,
                      TaskParam, binomial_logit_model, discrete_toy_model, gp_model,
                      linear_model, loglik_tensor)
 from .grids import ParameterGrid, box_nodes, build_grid, midpoint_nodes, toy_grid
-from .inference import (DegenerateProxyError, McmcChain, McmcInitError,
+from .inference import (DegenerateProxyError, GridProblem, McmcChain, McmcInitError,
                         PosteriorPredictive, PosteriorTable, ProxyObservation,
                         ProxyPosterior, chain_grid_tv, classic_posterior,
                         combine_proxies, metropolis_posterior, posterior_predictive,

@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .grids import ParameterGrid
-from .inference import (DegenerateProxyError, ProxyObservation, _check_weights,
-                        _weighted_terms, proxy_loglik_vector)
+from .inference import (DegenerateProxyError, GridProblem, ProxyObservation,
+                        _check_weights, _weighted_terms, proxy_loglik_vector)
 from .models import ModelSpec, Observation, SharedParam, SourceData, TaskParam, \
     loglik_tensor, logsumexp, param_values
 from .relevance import RelevanceConfig, refine_relevance
@@ -333,7 +333,7 @@ def info_gain_rweighted(model: ModelSpec, true_process: TrueProcess, grid: Param
             data = SourceData(tuple(Observation(np.empty(0), int(model.outcome_space[o]))
                                     for o in datasets[m]))
             proxy = proxy_model.observation(proxy_model.payloads[zi])
-            weights[zi, m] = refine_relevance(model, data, grid, proxy,
+            weights[zi, m] = refine_relevance(GridProblem(model, data, grid), proxy,
                                               relevance_config).weights_per_psi
 
     lls = _outcome_logpmf(model, grid.theta_nodes, grid.psi_nodes)[datasets]  # (M, n, A, B)

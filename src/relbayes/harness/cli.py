@@ -88,6 +88,9 @@ def _cmd_run(args) -> int:
     for row in summary_rows(results_rows(results, config.group_label())):
         print(f"{row['label']}: median advantage {row['median']:+.4f} "
               f"over {row['count']} simulations")
+    times = [r.wall_time_ms for r in results]
+    print(f"wall time per simulation: median {np.median(times):g} ms, "
+          f"max {max(times)} ms over {len(times)} simulations")
     print(f"outputs in {out}")
     return 0
 

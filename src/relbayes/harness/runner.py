@@ -21,7 +21,7 @@ from .. import __version__
 from ..diagnostics import DiagnosticsReport, ProxyModel, TrueProcess, \
     toy_diagnostics_report
 from ..grids import ParameterGrid, build_grid, midpoint_nodes
-from ..inference import classic_posterior
+from ..inference import GridProblem, classic_posterior
 from ..models import SharedParam, TaskParam, discrete_toy_model, gp_model, linear_model
 from ..relevance import RelevanceConfig, refine_relevance
 from ..synthetic import GP_PSI_SCALE, GP_PSI_SHAPE, LINEAR_THETA_STAR, \
@@ -79,10 +79,11 @@ def _linear_sim(config: ExperimentConfig, index: int):
     grid = _normal_prior_grid(config.grid_resolution)
     a_star, _ = grid.nearest_theta(np.array([LINEAR_THETA_STAR]))
 
-    classic = classic_posterior(model, inst.source, grid, grid.psi_prior_mass)
+    problem = GridProblem(model, inst.source, grid)
+    classic = classic_posterior(problem, grid.psi_prior_mass)
     ig_c = _log_ratio_at(grid, classic.theta_marginal(), a_star)
 
-    refined = refine_relevance(model, inst.source, grid, inst.proxy, RelevanceConfig())
+    refined = refine_relevance(problem, inst.proxy, RelevanceConfig())
     ig_r = _log_ratio_at(grid, refined.posterior.theta_marginal(), a_star)
     return ig_c, ig_r, None
 
@@ -104,15 +105,16 @@ def _gp_sim(config: ExperimentConfig, index: int):
                       psi_resolution=config.grid_resolution)
     a_star, _ = grid.nearest_theta(np.array([scenario.theta_star]))
 
-    classic = classic_posterior(model, inst.source, grid, grid.psi_prior_mass)
-    ig_c = _log_ratio_at(grid, classic.theta_marginal(), a_star)
-
     proxy = gen_expert_proxy(model, inst.prompts, inst.psi_target_star,
                              scenario.contamination_pct, rng,
                              theta_nodes=grid.theta_nodes,
                              theta_prior=grid.theta_prior_mass)
+    problem = GridProblem(model, inst.source, grid)
+    classic = classic_posterior(problem, grid.psi_prior_mass)
+    ig_c = _log_ratio_at(grid, classic.theta_marginal(), a_star)
+
     rel_config = RelevanceConfig(refinement_iterations=scenario.refinement_T)
-    refined = refine_relevance(model, inst.source, grid, proxy, rel_config)
+    refined = refine_relevance(problem, proxy, rel_config)
     ig_r = _log_ratio_at(grid, refined.posterior.theta_marginal(), a_star)
     return ig_c, ig_r, None
 

@@ -3,7 +3,13 @@
 Two engines cover every model here: exact grid quadrature when the joint
 parameter dimension is small, and random-walk Metropolis when it is not
 (the smoking fixed-effects model).  All mass accumulation happens in log
-space through log-sum-exp.
+space through log-sum-exp, with one exception: the belief average behind
+the prior-expected relevance weights (relevance.py) shifts each
+observation's log-likelihoods by their peak over theta, exponentiates them
+once, and averages them in the exp domain.
+
+Both grid engines read one GridProblem, which builds the (n, A, B)
+log-likelihood tensor of its (model, data, grid) once.
 """
 
 from __future__ import annotations
@@ -125,8 +131,37 @@ def proxy_posterior(grid: ParameterGrid, proxy: ProxyObservation) -> ProxyPoster
     return ProxyPosterior(mass=np.exp(log_unnorm - log_norm), log_normalizer=log_norm)
 
 
-def classic_posterior(model: ModelSpec, data: SourceData, grid: ParameterGrid,
-                      source_psi_prior, groups=None) -> PosteriorTable:
+def _neginf_mask(tensor: np.ndarray) -> Optional[np.ndarray]:
+    """Where the tensor is -inf, or None when it holds no -inf (always so for
+    the linear and gp models)."""
+    mask = np.isneginf(tensor)
+    return mask if mask.any() else None
+
+
+@dataclass(frozen=True)
+class GridProblem:
+    """One (model, data, grid) with its (n, A, B) log-likelihood tensor.
+
+    The tensor is built once, at construction, and is read-only; both grid
+    engines and every refinement round read it.  neginf is its -inf mask,
+    None when the tensor holds no -inf (always so for linear and gp).
+    """
+
+    model: ModelSpec
+    data: SourceData
+    grid: ParameterGrid
+    tensor: np.ndarray = field(init=False, repr=False)
+    neginf: Optional[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        tensor = loglik_tensor(self.model, self.data, self.grid.theta_nodes,
+                               self.grid.psi_nodes)
+        tensor.flags.writeable = False
+        object.__setattr__(self, "tensor", tensor)
+        object.__setattr__(self, "neginf", _neginf_mask(tensor))
+
+
+def classic_posterior(problem: GridProblem, source_psi_prior, groups=None) -> PosteriorTable:
     """Posterior for the learner who cannot tell which observations share a task.
 
     Each observation's task parameter is marginalized independently against
@@ -137,13 +172,18 @@ def classic_posterior(model: ModelSpec, data: SourceData, grid: ParameterGrid,
     groups, when given, is a partition of observation indices whose members
     share one task parameter; the mixture is then taken per group instead of
     per observation (the known-groups variant).
+
+    The mixture over psi stays an exact log-sum-exp.  An exp-domain sum
+    shifted by a peak shared across theta, as the relevance belief average
+    uses, could underflow a whole theta row to -inf here and turn an
+    information gain into -inf.
     """
+    grid, tensor = problem.grid, problem.tensor                        # (n, A, B)
     source_psi_prior = _check_mass(source_psi_prior, "source_psi_prior")
     if source_psi_prior.size != grid.n_psi:
         raise ValueError("source_psi_prior length does not match the psi grid")
     if groups is not None:
-        groups = _check_groups(groups, data.n)
-    tensor = loglik_tensor(model, data, grid.theta_nodes, grid.psi_nodes)  # (n, A, B)
+        groups = _check_groups(groups, problem.data.n)
     with np.errstate(divide="ignore"):
         log_psi = np.log(source_psi_prior)
 
@@ -201,21 +241,14 @@ def _weights_matrix(weights_per_psi, n_psi: int, n_obs: int) -> np.ndarray:
     return _check_weights(weights_per_psi, (n_psi, n_obs))
 
 
-def _neginf_mask(tensor: np.ndarray) -> Optional[np.ndarray]:
-    """Where the tensor is -inf, or None when it holds no -inf (always so for
-    the linear and gp models)."""
-    mask = np.isneginf(tensor)
-    return mask if mask.any() else None
-
-
-def _r_weighted_table(tensor: np.ndarray, grid: ParameterGrid, weights_per_psi,
-                      proxy_vec: np.ndarray, neginf: Optional[np.ndarray]) -> PosteriorTable:
-    """The r-weighted engine on a precomputed (n, A, B) tensor, its
-    _neginf_mask and the (B,) proxy vector."""
+def _r_weighted_table(problem: GridProblem, weights_per_psi,
+                      proxy_vec: np.ndarray) -> PosteriorTable:
+    """The r-weighted engine on a grid problem and the (B,) proxy vector."""
+    grid, tensor = problem.grid, problem.tensor
     mat = _weights_matrix(weights_per_psi, grid.n_psi, tensor.shape[0])
-    if neginf is not None:
+    if problem.neginf is not None:
         # a zero weight kills its -inf term outright (0 * -inf would be nan)
-        tensor = np.where(neginf & (mat.T[:, None, :] == 0.0), 0.0, tensor)
+        tensor = np.where(problem.neginf & (mat.T[:, None, :] == 0.0), 0.0, tensor)
     weighted = np.einsum("bi,iab->ab", mat, tensor)
     log_joint = (weighted + proxy_vec[None, :]
                  + grid.log_theta_prior()[:, None] + grid.log_psi_prior()[None, :])
@@ -226,17 +259,16 @@ def _r_weighted_table(tensor: np.ndarray, grid: ParameterGrid, weights_per_psi,
     return PosteriorTable(grid=grid, joint_mass=joint / joint.sum(), log_evidence=log_evidence)
 
 
-def r_weighted_posterior(model: ModelSpec, data: SourceData, grid: ParameterGrid,
-                         weights_per_psi, proxy: ProxyObservation) -> PosteriorTable:
+def r_weighted_posterior(problem: GridProblem, weights_per_psi,
+                         proxy: ProxyObservation) -> PosteriorTable:
     """Joint posterior over (theta, psi_target) from the weighted likelihood.
 
     joint[a, b] is proportional to
     exp(sum_i w[b, i] loglik(d_i | theta_a, psi_b) + proxy loglik at psi_b)
     times the prior masses, normalized over the whole grid.
     """
-    tensor = loglik_tensor(model, data, grid.theta_nodes, grid.psi_nodes)   # (n, A, B)
-    return _r_weighted_table(tensor, grid, weights_per_psi,
-                             proxy_loglik_vector(proxy, grid.psi_nodes), _neginf_mask(tensor))
+    return _r_weighted_table(problem, weights_per_psi,
+                             proxy_loglik_vector(proxy, problem.grid.psi_nodes))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,20 @@ refine_relevance alternates weight evaluation with the grid posterior a
 fixed number of times, feeding the exact theta marginal back in as the next
 belief.  The normalizer is belief-dependent, so it is re-evaluated along
 with the weights at every round; the log-likelihood tensor and the proxy
-vector are not, so they are built once per call.
+vector are not.  The tensor comes built once per simulation, in the
+GridProblem both grid engines share, and refine_relevance builds the proxy
+vector once per call.
+
+The belief average behind the prior-expected weights is the one sum here
+taken in the exp domain instead of by log-sum-exp.  Each observation's
+log-likelihoods are shifted by their peak over theta and exponentiated
+once per refine_relevance call, so a round is one matrix-vector product
+with the belief and an (n, B) logarithm.  The sum underflows only where
+every belief-weighted term lies below the smallest double, relative to the
+peak, so the weight it zeroes is at most A x 5e-324 times the peak density
+over the predictive mode.  That is below 1e-300 for the linear, binomial and
+toy models; for the gp model it grows with the trajectory length m, and at
+the default m = 10 it is below 1e-270.
 """
 
 from __future__ import annotations
@@ -21,11 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ParameterGrid
-from .inference import PosteriorTable, _check_weights, _neginf_mask, _r_weighted_table, \
+from .inference import GridProblem, PosteriorTable, _check_weights, _r_weighted_table, \
     proxy_loglik_vector
 from .models import DegenerateRelevanceError, ModelSpec, SourceData, loglik_tensor, \
-    logsumexp, param_values, sigmoid_ratio_weights  # noqa: F401  (error re-exported)
+    param_values, sigmoid_ratio_weights  # noqa: F401  (error re-exported)
 
 CLIP_WARN_TOL = 0.5
 MAX_REFINEMENTS = 10
@@ -109,17 +121,27 @@ def _predictive_mode_matrix(model: ModelSpec, data: SourceData,
     return out
 
 
-def _prior_expected_matrix(tensor: np.ndarray, log_pred_mode: np.ndarray,
-                           theta_belief: np.ndarray) -> np.ndarray:
-    """Weights for all (psi node, observation) pairs at once, shape (B, n).
+def _belief_averager(tensor: np.ndarray):
+    """log sum_a belief[a] exp(tensor[:, a, :]) as a function of the belief.
 
-    tensor is the (n, A, B) log-likelihood block and log_pred_mode the
-    (n, B) normalizer block; the belief is a mass vector over theta nodes.
+    tensor is an (n, A, B) log-likelihood block.  It is shifted by its peak
+    over theta (a non-finite peak counts as 0, as in models.logsumexp) and
+    exponentiated once, into an (A, n*B) array; each belief then costs one
+    matrix-vector product and an (n, B) logarithm.
     """
-    with np.errstate(divide="ignore"):
-        log_belief = np.log(theta_belief)
-    log_w = logsumexp(tensor + log_belief[None, :, None], axis=1) - log_pred_mode
-    return np.exp(log_w).T
+    n, n_theta, n_psi = tensor.shape
+    peak = tensor.max(axis=1)                                          # (n, B)
+    peak[~np.isfinite(peak)] = 0.0
+    scaled = np.empty((n_theta, n, n_psi))
+    np.subtract(tensor.transpose(1, 0, 2), peak, out=scaled)
+    np.exp(scaled, out=scaled)
+    scaled = scaled.reshape(n_theta, n * n_psi)
+
+    def log_average(belief: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(belief @ scaled).reshape(n, n_psi) + peak
+
+    return log_average
 
 
 def prior_expected_relevance(model: ModelSpec, data: SourceData, theta_nodes,
@@ -142,10 +164,10 @@ def prior_expected_relevance(model: ModelSpec, data: SourceData, theta_nodes,
     if np.any(belief < 0) or abs(belief.sum() - 1.0) > 1e-9:
         raise ValueError("theta_belief must be a normalized mass vector")
     psi = param_values(psi_target)[None, :]
-    tensor = loglik_tensor(model, data, thetas, psi)
+    log_average = _belief_averager(loglik_tensor(model, data, thetas, psi))
     log_mode = _predictive_mode_matrix(model, data, thetas, psi, belief, normalizer)
-    weights = _prior_expected_matrix(tensor, log_mode, belief)[0]
-    return _clip_unit(weights, "prior_expected_relevance")
+    return _clip_unit(np.exp(log_average(belief) - log_mode)[:, 0],
+                      "prior_expected_relevance")
 
 
 def _sigmoid_ratio(model: ModelSpec, data: SourceData, psis: np.ndarray) -> np.ndarray:
@@ -178,8 +200,7 @@ class RefinementResult:
                 for b, row in enumerate(self.weights_per_psi)]
 
 
-def refine_relevance(model: ModelSpec, data: SourceData, grid: ParameterGrid,
-                     proxy, config: RelevanceConfig) -> RefinementResult:
+def refine_relevance(problem: GridProblem, proxy, config: RelevanceConfig) -> RefinementResult:
     """Alternate weight evaluation and posterior updating on the grid.
 
     Starting from the prior belief over theta, each round evaluates the
@@ -187,12 +208,11 @@ def refine_relevance(model: ModelSpec, data: SourceData, grid: ParameterGrid,
     theta marginal as the next belief.  The returned weights are evaluated
     once more under the final belief, so refinement_iterations=0 gives the
     plain prior-expected weights, and the returned posterior is the
-    r-weighted posterior under those final weights.  The log-likelihood
-    tensor, its -inf mask and the proxy vector are built once and shared by
-    every round.
+    r-weighted posterior under those final weights.  Every round reads the
+    problem's one tensor; the proxy vector, and for prior-expected weights
+    the exponentiated tensor, are built once per call.
     """
-    tensor = loglik_tensor(model, data, grid.theta_nodes, grid.psi_nodes)
-    neginf = _neginf_mask(tensor)
+    model, data, grid = problem.model, problem.data, problem.grid
     proxy_vec = proxy_loglik_vector(proxy, grid.psi_nodes)
 
     if config.kind == "constant-one":
@@ -204,19 +224,20 @@ def refine_relevance(model: ModelSpec, data: SourceData, grid: ParameterGrid,
         def evaluate(belief):
             return fixed
     else:
+        log_average = _belief_averager(problem.tensor)
+
         def evaluate(belief):
             log_mode = _predictive_mode_matrix(model, data, grid.theta_nodes,
                                                grid.psi_nodes, belief,
                                                config.normalizer)
-            raw = _prior_expected_matrix(tensor, log_mode, belief)
+            raw = np.exp(log_average(belief) - log_mode).T
             return _clip_unit(raw, "refine_relevance")
 
     belief = grid.theta_prior_mass
     for _ in range(config.refinement_iterations):
-        posterior = _r_weighted_table(tensor, grid, evaluate(belief), proxy_vec, neginf)
+        posterior = _r_weighted_table(problem, evaluate(belief), proxy_vec)
         belief = posterior.theta_marginal()
     weights = evaluate(belief)
     return RefinementResult(weights_per_psi=weights, theta_belief=belief,
                             iterations=config.refinement_iterations,
-                            posterior=_r_weighted_table(tensor, grid, weights, proxy_vec,
-                                                        neginf))
+                            posterior=_r_weighted_table(problem, weights, proxy_vec))

@@ -8,6 +8,11 @@ one kernel at a time and solves with LU, sharing no factor cache and no
 forward substitution with the library.  r_weighted_likelihood is one cell
 of the r-weighted engine, the scalar form the grid engine replaced.
 
+prior_expected_matrix is the prior-expected weight formula as a full
+log-sum-exp over the (n, A, B) tensor at every belief, the form the
+exponentiate-once belief average replaced; refine_prior_expected is the
+refinement loop on it.
+
 The diagnostics oracles at the end are the per-dataset loops the exact
 enumeration replaced: each dataset of positive probability becomes its own
 SourceData and, for the information gains, its own grid posterior.  A
@@ -19,11 +24,12 @@ import itertools
 import numpy as np
 from scipy.special import logsumexp
 
-from relbayes.inference import (_check_weights, _weighted_terms, classic_posterior,
-                                proxy_loglik_vector, r_weighted_posterior)
+from relbayes.inference import (GridProblem, _check_weights, _weighted_terms,
+                                classic_posterior, proxy_loglik_vector,
+                                r_weighted_posterior)
 from relbayes.models import BASE_JITTER, LOG_2PI, MAX_JITTER, Observation, SourceData, \
     _binom_logpmf, loglik_tensor, param_values
-from relbayes.relevance import refine_relevance
+from relbayes.relevance import _clip_unit, _predictive_mode_matrix, refine_relevance
 
 
 def linear(obs, theta, psi) -> float:
@@ -74,6 +80,35 @@ def r_weighted_likelihood(model, data, theta, psi_target, weights) -> float:
     return float(_weighted_terms(w, lls).sum())
 
 
+def prior_expected_matrix(tensor, log_pred_mode, theta_belief) -> np.ndarray:
+    """Weights for all (psi node, observation) pairs at once, shape (B, n).
+
+    tensor is the (n, A, B) log-likelihood block and log_pred_mode the
+    (n, B) normalizer block; the belief is a mass vector over theta nodes.
+    """
+    with np.errstate(divide="ignore"):
+        log_belief = np.log(theta_belief)
+        log_w = logsumexp(tensor + log_belief[None, :, None], axis=1) - log_pred_mode
+    return np.exp(log_w).T
+
+
+def refine_prior_expected(problem, proxy, config):
+    """(weights, belief, posterior) of refine_relevance with prior-expected
+    weights, each round's belief average taken by prior_expected_matrix."""
+    grid = problem.grid
+
+    def evaluate(belief):
+        log_mode = _predictive_mode_matrix(problem.model, problem.data, grid.theta_nodes,
+                                           grid.psi_nodes, belief, config.normalizer)
+        return _clip_unit(prior_expected_matrix(problem.tensor, log_mode, belief), "oracle")
+
+    belief = grid.theta_prior_mass
+    for _ in range(config.refinement_iterations):
+        belief = r_weighted_posterior(problem, evaluate(belief), proxy).theta_marginal()
+    weights = evaluate(belief)
+    return weights, belief, r_weighted_posterior(problem, weights, proxy)
+
+
 def _alphabet(model) -> SourceData:
     return SourceData(tuple(Observation(np.empty(0), int(o)) for o in model.outcome_space))
 
@@ -104,8 +139,8 @@ def _log_ratio(grid, table, a_star) -> float:
 def info_gain_classic(model, true_process, grid, source_psi_prior) -> float:
     """Sum over datasets of P*(d) times the classic posterior's log ratio at theta*."""
     a_star, _ = grid.nearest_theta(param_values(true_process.theta_star))
-    return sum(pd * _log_ratio(grid, classic_posterior(model, data, grid, source_psi_prior),
-                               a_star)
+    return sum(pd * _log_ratio(grid, classic_posterior(GridProblem(model, data, grid),
+                                                       source_psi_prior), a_star)
                for _, data, pd, _ in _datasets(model, true_process))
 
 
@@ -125,11 +160,12 @@ def info_gain_rweighted(model, true_process, grid, relevance_config, proxy_model
         if z_mass == 0.0:
             continue
         for d, data, pd, _ in _datasets(model, true_process):
+            problem = GridProblem(model, data, grid)
             if weights_provider is None:
-                w = refine_relevance(model, data, grid, proxy, relevance_config).weights_per_psi
+                w = refine_relevance(problem, proxy, relevance_config).weights_per_psi
             else:
                 w = weights_provider(d[None, :])[0]
-            post = r_weighted_posterior(model, data, grid, w, proxy)
+            post = r_weighted_posterior(problem, w, proxy)
             value += z_mass * pd * _log_ratio(grid, post, a_star)
     return float(value)
 

@@ -32,7 +32,7 @@ from relbayes.grids import ParameterGrid, midpoint_nodes
 from relbayes.harness.cli import main as cli_main
 from relbayes.harness.config import parse_config_text
 from relbayes.harness.runner import run_experiment, toy_verify_instance
-from relbayes.inference import (ProxyObservation, chain_grid_tv,
+from relbayes.inference import (GridProblem, ProxyObservation, chain_grid_tv,
                                 classic_posterior, metropolis_posterior,
                                 r_weighted_posterior)
 from relbayes.models import (Observation, SourceData, binomial_logit_model,
@@ -118,10 +118,11 @@ class TestCriterion3EngineCrossValidation:
         data = SourceData(tuple(
             model.simulate(np.empty(0), truth.theta_star, truth.psi_star[0], rng)
             for _ in range(4)))
-        weighted = r_weighted_posterior(model, data, grid,
+        problem = GridProblem(model, data, grid)
+        weighted = r_weighted_posterior(problem,
                                         np.ones((grid.n_psi, data.n)),
                                         _onehot_proxy(float(target)))
-        classic = classic_posterior(model, data, grid, psi_prior)
+        classic = classic_posterior(problem, psi_prior)
         gap = float(np.abs(weighted.theta_marginal()
                            - classic.theta_marginal()).max())
         _verdict("criterion 3, toy engines", gap < MARGINAL_TOL,
@@ -140,10 +141,11 @@ class TestCriterion3EngineCrossValidation:
         psi_prior = np.zeros(41)
         psi_prior[b_star] = 1.0
         grid = ParameterGrid(nodes, nodes, mass, psi_prior)
-        weighted = r_weighted_posterior(model, data, grid,
+        problem = GridProblem(model, data, grid)
+        weighted = r_weighted_posterior(problem,
                                         np.ones((grid.n_psi, data.n)),
                                         _onehot_proxy(float(nodes[b_star, 0])))
-        classic = classic_posterior(model, data, grid, psi_prior)
+        classic = classic_posterior(problem, psi_prior)
         gap = float(np.abs(weighted.theta_marginal()
                            - classic.theta_marginal()).max())
         _verdict("criterion 3, linear engines", gap < MARGINAL_TOL,
@@ -164,10 +166,11 @@ class TestCriterion3EngineCrossValidation:
             model.simulate(designs[i % 4], theta_nodes[0], psi_nodes[b_star],
                            rng, trial_count=20)
             for i in range(6)))
-        weighted = r_weighted_posterior(model, data, grid,
+        problem = GridProblem(model, data, grid)
+        weighted = r_weighted_posterior(problem,
                                         np.ones((grid.n_psi, data.n)),
                                         _onehot_proxy(float(psi_nodes[b_star, 0])))
-        classic = classic_posterior(model, data, grid, psi_prior)
+        classic = classic_posterior(problem, psi_prior)
         gap = float(np.abs(weighted.theta_marginal()
                            - classic.theta_marginal()).max())
         _verdict("criterion 3, binomial-logit engines", gap < MARGINAL_TOL,
@@ -187,10 +190,11 @@ class TestCriterion3EngineCrossValidation:
         data = SourceData(tuple(
             model.simulate(x, np.array([1.0]), np.array([1.5]), rng)
             for _ in range(2)))
-        weighted = r_weighted_posterior(model, data, grid,
+        problem = GridProblem(model, data, grid)
+        weighted = r_weighted_posterior(problem,
                                         np.ones((grid.n_psi, data.n)),
                                         _onehot_proxy(float(psi_nodes[b_star, 0])))
-        classic = classic_posterior(model, data, grid, psi_prior)
+        classic = classic_posterior(problem, psi_prior)
         gap = float(np.abs(weighted.theta_marginal()
                            - classic.theta_marginal()).max())
         _verdict("criterion 3, trajectory engines", gap < MARGINAL_TOL,
@@ -212,7 +216,7 @@ class TestCriterion3EngineCrossValidation:
         psi_prior = np.zeros(41)
         psi_prior[b_star] = 1.0
         grid = ParameterGrid(nodes, nodes, mass, psi_prior)
-        classic = classic_posterior(model, data, grid, psi_prior)
+        classic = classic_posterior(GridProblem(model, data, grid), psi_prior)
 
         pin_sd = 1e-4
 
@@ -255,7 +259,7 @@ def test_criterion_4_sampler_matches_grid_table():
 
     w_matrix = np.vstack([weights_fn(data, grid.psi_nodes[b])
                           for b in range(grid.n_psi)])
-    table = r_weighted_posterior(model, data, grid, w_matrix, proxy)
+    table = r_weighted_posterior(GridProblem(model, data, grid), w_matrix, proxy)
 
     def prior_ld(theta, psi):
         return float(-0.5 * (theta[0] ** 2 + psi[0] ** 2))

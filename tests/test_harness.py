@@ -8,6 +8,7 @@ arm tables; statistical quality of those fits is covered elsewhere.
 
 import dataclasses
 import math
+import re
 import xml.dom.minidom
 
 import numpy as np
@@ -616,6 +617,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "median advantage" in out
+        timing = re.search(r"^wall time per simulation: median (\S+) ms, "
+                           r"max (\d+) ms over (\d+) simulations$", out, re.MULTILINE)
+        assert timing is not None, out
+        assert 0 <= float(timing[1]) <= int(timing[2])
+        assert int(timing[3]) == 3
         for name in ("results.csv", "summary.csv", "boxplot.svg",
                      "run_metadata.txt"):
             assert (tmp_path / "out" / name).exists(), name

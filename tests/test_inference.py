@@ -14,16 +14,15 @@ from scipy.special import expit
 
 from _scalar_reference import r_weighted_likelihood
 from relbayes.grids import ParameterGrid, midpoint_nodes, toy_grid
-from relbayes.inference import (DegenerateProxyError, McmcInitError,
-                                PosteriorTable, ProxyObservation, _neginf_mask,
-                                _r_weighted_table, chain_grid_tv, classic_posterior,
-                                combine_proxies, metropolis_posterior,
-                                posterior_predictive, proxy_loglik_vector,
-                                proxy_posterior, r_weighted_posterior,
-                                uninformative_proxy)
+from relbayes.inference import (DegenerateProxyError, GridProblem, McmcInitError,
+                                PosteriorTable, ProxyObservation, _r_weighted_table,
+                                chain_grid_tv, classic_posterior, combine_proxies,
+                                metropolis_posterior, posterior_predictive,
+                                proxy_loglik_vector, proxy_posterior,
+                                r_weighted_posterior, uninformative_proxy)
 from relbayes.models import (Observation, SharedParam, SourceData, TaskParam,
                              binomial_logit_model, discrete_toy_model, linear_model,
-                             loglik_tensor, logsumexp)
+                             logsumexp)
 from relbayes.relevance import RelevanceWeights, sigmoid_ratio_relevance
 
 mp.mp.dps = 50
@@ -178,7 +177,7 @@ class TestClassicPosterior:
     def test_toy_matches_mpmath_brute_force(self):
         model, grid, data, table, rng = _toy_setup()
         src = rng.dirichlet(np.full(grid.n_psi, 3.0))
-        post = classic_posterior(model, data, grid, src)
+        post = classic_posterior(GridProblem(model, data, grid), src)
 
         outcomes = [int(o.outcome) for o in data]
         unnorm = []
@@ -204,7 +203,7 @@ class TestClassicPosterior:
         data = SourceData(tuple(
             Observation(rng.normal(size=2), rng.normal()) for _ in range(3)))
 
-        post = classic_posterior(model, data, grid, pmass)
+        post = classic_posterior(GridProblem(model, data, grid), pmass)
 
         def dens(obs, th, ps):
             resid = mp.mpf(float(obs.outcome)) - th * mp.mpf(float(obs.covariates[0])) \
@@ -228,7 +227,7 @@ class TestClassicPosterior:
     def test_joint_factorizes_into_marginal_times_psi_prior(self):
         model, grid, data, _, rng = _toy_setup()
         src = rng.dirichlet(np.full(grid.n_psi, 3.0))
-        post = classic_posterior(model, data, grid, src)
+        post = classic_posterior(GridProblem(model, data, grid), src)
         want = post.theta_marginal()[:, None] * grid.psi_prior_mass[None, :]
         assert_allclose(post.joint_mass, want, rtol=0, atol=1e-15)
 
@@ -238,7 +237,7 @@ class TestClassicPosterior:
         model, grid, data, table, rng = _toy_setup(n_obs=3)
         src = rng.dirichlet(np.full(grid.n_psi, 3.0))
         groups = [[0, 2], [1]]
-        post = classic_posterior(model, data, grid, src, groups=groups)
+        post = classic_posterior(GridProblem(model, data, grid), src, groups=groups)
 
         outcomes = [int(o.outcome) for o in data]
         unnorm = []
@@ -257,8 +256,9 @@ class TestClassicPosterior:
     def test_singleton_groups_equal_default(self):
         model, grid, data, _, rng = _toy_setup()
         src = rng.dirichlet(np.full(grid.n_psi, 3.0))
-        plain = classic_posterior(model, data, grid, src)
-        single = classic_posterior(model, data, grid, src,
+        problem = GridProblem(model, data, grid)
+        plain = classic_posterior(problem, src)
+        single = classic_posterior(problem, src,
                                    groups=[[i] for i in range(data.n)])
         assert_allclose(single.joint_mass, plain.joint_mass, rtol=0, atol=1e-14)
 
@@ -266,12 +266,14 @@ class TestClassicPosterior:
         model, grid, data, _, rng = _toy_setup()
         src = rng.dirichlet(np.full(grid.n_psi, 3.0))
         with pytest.raises(ValueError, match="partition"):
-            classic_posterior(model, data, grid, src, groups=[[0, 1], [1, 2, 3]])
+            classic_posterior(GridProblem(model, data, grid), src,
+                              groups=[[0, 1], [1, 2, 3]])
 
     def test_source_prior_length_checked(self):
         model, grid, data, _, _ = _toy_setup()
         with pytest.raises(ValueError):
-            classic_posterior(model, data, grid, np.array([0.2, 0.3, 0.5]))
+            classic_posterior(GridProblem(model, data, grid),
+                              np.array([0.2, 0.3, 0.5]))
 
 
 class TestRWeightedPosterior:
@@ -285,7 +287,7 @@ class TestRWeightedPosterior:
             return np.log(p) if payload == 1 else np.log1p(-p)
 
         proxy = ProxyObservation(payload=1, proxy_log_likelihood=pll)
-        post = r_weighted_posterior(model, data, grid, weights, proxy)
+        post = r_weighted_posterior(GridProblem(model, data, grid), weights, proxy)
 
         outcomes = [int(o.outcome) for o in data]
         unnorm = mp.zeros(grid.n_theta, grid.n_psi)
@@ -315,7 +317,7 @@ class TestRWeightedPosterior:
         data = SourceData((Observation(np.empty(0), 1),
                            Observation(np.empty(0), 0)))
         weights = np.array([[0.0, 1.0], [0.5, 0.5]])
-        post = r_weighted_posterior(model, data, grid, weights,
+        post = r_weighted_posterior(GridProblem(model, data, grid), weights,
                                     uninformative_proxy())
         assert np.all(np.isfinite(post.joint_mass))
         assert post.joint_mass[0, 0] > 0
@@ -325,24 +327,26 @@ class TestRWeightedPosterior:
         mat = rng.uniform(0, 1, size=(grid.n_psi, data.n))
         rows = [RelevanceWeights(psi_node_index=b, weights=mat[b])
                 for b in range(grid.n_psi)]
-        p1 = r_weighted_posterior(model, data, grid, mat, uninformative_proxy())
-        p2 = r_weighted_posterior(model, data, grid, rows, uninformative_proxy())
+        problem = GridProblem(model, data, grid)
+        p1 = r_weighted_posterior(problem, mat, uninformative_proxy())
+        p2 = r_weighted_posterior(problem, rows, uninformative_proxy())
         assert_allclose(p1.joint_mass, p2.joint_mass, rtol=0, atol=0)
 
     def test_out_of_range_weights_rejected(self):
         model, grid, data, _, _ = _toy_setup()
+        problem = GridProblem(model, data, grid)
         bad = np.full((grid.n_psi, data.n), 0.5)
         bad[0, 0] = 1.0 + 1e-6
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            r_weighted_posterior(model, data, grid, bad, uninformative_proxy())
+            r_weighted_posterior(problem, bad, uninformative_proxy())
         bad[0, 0] = -1e-6
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            r_weighted_posterior(model, data, grid, bad, uninformative_proxy())
+            r_weighted_posterior(problem, bad, uninformative_proxy())
 
     def test_weight_shape_checked(self):
         model, grid, data, _, _ = _toy_setup()
         with pytest.raises(ValueError, match="shape"):
-            r_weighted_posterior(model, data, grid,
+            r_weighted_posterior(GridProblem(model, data, grid),
                                  np.ones((grid.n_psi, data.n + 1)),
                                  uninformative_proxy())
 
@@ -354,7 +358,7 @@ class TestRWeightedPosterior:
             return np.log(endorse[psi_nodes[:, 0].astype(int)])
 
         proxy = ProxyObservation(payload=1, proxy_log_likelihood=pll)
-        post = r_weighted_posterior(model, data, grid,
+        post = r_weighted_posterior(GridProblem(model, data, grid),
                                     np.zeros((grid.n_psi, data.n)), proxy)
         psi_want = endorse * grid.psi_prior_mass
         psi_want /= psi_want.sum()
@@ -381,16 +385,16 @@ class TestRWeightedPosterior:
         model = discrete_toy_model(3, 3, 2, table)
         grid = toy_grid(3, 2)
         data = SourceData(tuple(Observation(np.empty(0), o) for o in (1, 2, 0, 1)))
-        tensor = loglik_tensor(model, data, grid.theta_nodes, grid.psi_nodes)
-        mask = _neginf_mask(tensor)
-        assert mask is not None and mask.any()
+        problem = GridProblem(model, data, grid)
+        assert problem.neginf is not None and problem.neginf.any()
+        assert_array_equal(problem.neginf, np.isneginf(problem.tensor))
         rng = np.random.default_rng(RNG_SEED)
         proxy_vec = np.log(rng.uniform(0.2, 0.8, size=grid.n_psi))
         weights = np.array([[0.0, 0.0, 0.7, 0.0], [0.3, 0.0, 1.0, 0.5]])
         for round_weights in (weights, weights[::-1], np.zeros_like(weights)):
-            post = _r_weighted_table(tensor, grid, round_weights, proxy_vec, mask)
-            joint, log_evidence = self._every_call_table(tensor, grid, round_weights,
-                                                         proxy_vec)
+            post = _r_weighted_table(problem, round_weights, proxy_vec)
+            joint, log_evidence = self._every_call_table(problem.tensor, grid,
+                                                         round_weights, proxy_vec)
             assert_array_equal(post.joint_mass, joint)
             assert post.log_evidence == log_evidence
 
@@ -401,12 +405,13 @@ class TestRWeightedPosterior:
         grid = ParameterGrid(nodes, nodes, np.full(9, 1 / 9), np.full(9, 1 / 9))
         data = SourceData(tuple(Observation(rng.normal(size=2), rng.normal())
                                 for _ in range(6)))
-        tensor = loglik_tensor(model, data, grid.theta_nodes, grid.psi_nodes)
-        assert _neginf_mask(tensor) is None
+        problem = GridProblem(model, data, grid)
+        assert problem.neginf is None
         weights = rng.uniform(0, 1, size=(9, 6))
         weights[:, 2] = 0.0
-        post = _r_weighted_table(tensor, grid, weights, np.zeros(9), None)
-        joint, log_evidence = self._every_call_table(tensor, grid, weights, np.zeros(9))
+        post = _r_weighted_table(problem, weights, np.zeros(9))
+        joint, log_evidence = self._every_call_table(problem.tensor, grid, weights,
+                                                     np.zeros(9))
         assert_array_equal(post.joint_mass, joint)
         assert post.log_evidence == log_evidence
 
@@ -427,9 +432,9 @@ class TestEngineEquivalence:
             return np.where(psi_nodes[:, 0].astype(int) == target, 0.0, -np.inf)
 
         proxy = ProxyObservation(payload=None, proxy_log_likelihood=pll)
-        weighted = r_weighted_posterior(model, data, grid,
-                                        np.ones((grid.n_psi, data.n)), proxy)
-        classic = classic_posterior(model, data, grid, psi_prior)
+        problem = GridProblem(model, data, grid)
+        weighted = r_weighted_posterior(problem, np.ones((grid.n_psi, data.n)), proxy)
+        classic = classic_posterior(problem, psi_prior)
         assert_allclose(weighted.theta_marginal(), classic.theta_marginal(),
                         rtol=0, atol=1e-14)
         assert_allclose(weighted.log_evidence, classic.log_evidence, atol=1e-12)
@@ -463,7 +468,8 @@ class TestRWeightedLikelihood:
     def test_engine_cells_match_oracle(self):
         model, grid, data, _, rng = _toy_setup()
         weights = rng.uniform(0, 1, size=(grid.n_psi, data.n))
-        table = r_weighted_posterior(model, data, grid, weights, uninformative_proxy())
+        table = r_weighted_posterior(GridProblem(model, data, grid), weights,
+                                     uninformative_proxy())
         log_joint = np.array([[r_weighted_likelihood(model, data, th, ps, weights[b])
                                for b, ps in enumerate(grid.psi_nodes)]
                               for th in grid.theta_nodes])
@@ -486,7 +492,7 @@ class TestPosteriorPredictive:
     def test_predictive_mass_sums_to_one(self):
         model, grid, data, _, rng = _toy_setup()
         src = rng.dirichlet(np.full(grid.n_psi, 3.0))
-        post = classic_posterior(model, data, grid, src)
+        post = classic_posterior(GridProblem(model, data, grid), src)
         pred = posterior_predictive(model, post, np.empty(0))
         total = sum(np.exp(pred.log_density(o)) for o in model.outcome_space)
         assert_allclose(total, 1.0, rtol=0, atol=1e-12)

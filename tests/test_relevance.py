@@ -5,19 +5,25 @@ import sys
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+from _scalar_reference import prior_expected_matrix, refine_prior_expected
 from relbayes import inference, models
-from relbayes.grids import ParameterGrid, toy_grid
-from relbayes.inference import r_weighted_posterior, uninformative_proxy
-from relbayes.models import (Observation, SourceData, discrete_toy_model,
-                             linear_model)
+from relbayes.grids import ParameterGrid, build_grid, toy_grid
+from relbayes.harness import runner
+from relbayes.harness.config import ExperimentConfig
+from relbayes.inference import (GridProblem, _r_weighted_table, proxy_loglik_vector,
+                                r_weighted_posterior, uninformative_proxy)
+from relbayes.models import (Observation, SourceData, binomial_logit_model,
+                             discrete_toy_model, gp_model, linear_model, loglik_tensor)
 from relbayes.relevance import (DegenerateRelevanceError, RelevanceConfig,
                                 RelevanceConfigError, RelevanceWeights,
+                                _belief_averager, _predictive_mode_matrix,
                                 constant_one_weights,
                                 prior_expected_relevance, refine_relevance,
                                 sigmoid_ratio_relevance)
-from relbayes.synthetic import LinearScenario, gen_linear_instance
+from relbayes.synthetic import GpScenario, LinearScenario, gen_expert_proxy, \
+    gen_gp_trajectories, gen_linear_instance
 
 RNG_SEED = 20260817
 
@@ -188,7 +194,7 @@ class TestRefineRelevance:
         grid = _linear_grid(rng)
         data = SourceData(tuple(
             Observation(rng.normal(size=2), rng.normal()) for _ in range(5)))
-        result = refine_relevance(model, data, grid, uninformative_proxy(),
+        result = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(),
                                   RelevanceConfig(refinement_iterations=0))
         assert result.iterations == 0
         assert_allclose(result.theta_belief, grid.theta_prior_mass, rtol=0, atol=0)
@@ -207,10 +213,10 @@ class TestRefineRelevance:
         model = discrete_toy_model(3, 2, 2, table)
         grid = toy_grid(2, 2, theta_prior=[0.4, 0.6])
         data = _toy_obs(0, 1, 2)
-        shallow = refine_relevance(model, data, grid, uninformative_proxy(),
+        shallow = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(),
                                    RelevanceConfig(normalizer="none",
                                                    refinement_iterations=0))
-        deep = refine_relevance(model, data, grid, uninformative_proxy(),
+        deep = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(),
                                 RelevanceConfig(normalizer="none",
                                                 refinement_iterations=5))
         assert_allclose(deep.theta_belief, [0.4, 0.6], rtol=0, atol=1e-12)
@@ -223,7 +229,7 @@ class TestRefineRelevance:
         grid = _linear_grid(rng)
         data = SourceData(tuple(
             Observation([1.0, 0.1], -1.0 + 0.05 * i) for i in range(6)))
-        result = refine_relevance(model, data, grid, uninformative_proxy(),
+        result = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(),
                                   RelevanceConfig(refinement_iterations=3))
         assert result.iterations == 3
         moved = np.abs(result.theta_belief - grid.theta_prior_mass).sum()
@@ -239,7 +245,8 @@ class TestRefineRelevance:
         data = SourceData(tuple(
             Observation(rng.normal(size=2), rng.normal()) for _ in range(4)))
         config = RelevanceConfig(kind="sigmoid-ratio", refinement_iterations=2)
-        result = refine_relevance(model, data, grid, uninformative_proxy(), config)
+        result = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(),
+                                  config)
         for b in range(grid.n_psi):
             want = sigmoid_ratio_relevance(model, data, grid.psi_nodes[b])
             assert_allclose(result.weights_per_psi[b], want, rtol=0, atol=1e-14)
@@ -249,7 +256,7 @@ class TestRefineRelevance:
         model = linear_model()
         grid = _linear_grid(rng)
         data = SourceData((Observation([1.0, 0.0], 0.5),))
-        result = refine_relevance(model, data, grid, uninformative_proxy(),
+        result = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(),
                                   RelevanceConfig(kind="constant-one"))
         assert np.all(result.weights_per_psi == 1.0)
 
@@ -260,8 +267,8 @@ class TestRefineRelevance:
         data = SourceData(tuple(
             Observation(rng.normal(size=2), rng.normal()) for _ in range(5)))
         config = RelevanceConfig(refinement_iterations=3)
-        r1 = refine_relevance(model, data, grid, uninformative_proxy(), config)
-        r2 = refine_relevance(model, data, grid, uninformative_proxy(), config)
+        r1 = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(), config)
+        r2 = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(), config)
         assert_allclose(r1.weights_per_psi, r2.weights_per_psi, rtol=0, atol=0)
         assert_allclose(r1.theta_belief, r2.theta_belief, rtol=0, atol=0)
 
@@ -270,7 +277,7 @@ class TestRefineRelevance:
         model = linear_model()
         grid = _linear_grid(rng, n_psi=3)
         data = SourceData((Observation([1.0, 0.0], 0.5),))
-        result = refine_relevance(model, data, grid, uninformative_proxy(),
+        result = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(),
                                   RelevanceConfig(refinement_iterations=1))
         rows = result.as_weights()
         assert [r.psi_node_index for r in rows] == [0, 1, 2]
@@ -282,7 +289,7 @@ class TestRefineRelevance:
         model = discrete_toy_model(2, 2, 2, table)
         grid = toy_grid(2, 2)
         with pytest.raises(RelevanceConfigError):
-            refine_relevance(model, _toy_obs(0), grid, uninformative_proxy(),
+            refine_relevance(GridProblem(model, _toy_obs(0), grid), uninformative_proxy(),
                              RelevanceConfig())
 
 
@@ -304,8 +311,9 @@ def _count_calls(monkeypatch, original) -> list:
 
 
 class TestComputeOnce:
-    """refine_relevance builds the log-likelihood tensor and the proxy
-    vector once, whatever the number of rounds."""
+    """A simulation builds its log-likelihood tensor once, in one GridProblem
+    that both engines read; refine_relevance builds the proxy vector once,
+    whatever the number of rounds."""
 
     def _instance(self):
         inst = gen_linear_instance(
@@ -318,21 +326,160 @@ class TestComputeOnce:
         model, data, grid, proxy = self._instance()
         tensors = _count_calls(monkeypatch, models.loglik_tensor)
         vectors = _count_calls(monkeypatch, inference.proxy_loglik_vector)
-        result = refine_relevance(model, data, grid, proxy,
+        result = refine_relevance(GridProblem(model, data, grid), proxy,
                                   RelevanceConfig(refinement_iterations=3))
         assert result.iterations == 3
         assert len(tensors) == 1
         assert len(vectors) == 1
 
+    @pytest.mark.parametrize("experiment, calls", [("linear", 1), ("gp", 3)])
+    def test_tensor_calls_per_simulation(self, monkeypatch, experiment, calls):
+        """linear: the shared grid tensor only.  gp: the shared grid tensor,
+        and the expert prompts' tensor twice, at the true target task when
+        the ratings are drawn and over the psi grid in the proxy likelihood."""
+        tensors = _count_calls(monkeypatch, models.loglik_tensor)
+        config = ExperimentConfig(experiment=experiment, n_simulations=1,
+                                  grid_resolution=21 if experiment == "linear" else 10)
+        runner._SIM_BODIES[experiment](config, 0)
+        assert len(tensors) == calls
+
+    def test_tensor_is_read_only(self):
+        model, data, grid, _ = self._instance()
+        problem = GridProblem(model, data, grid)
+        with pytest.raises(ValueError):
+            problem.tensor[0, 0, 0] = 0.0
+        assert_array_equal(problem.tensor,
+                           loglik_tensor(model, data, grid.theta_nodes, grid.psi_nodes))
+
+    def test_r_weighted_posterior_is_the_table_on_the_record(self):
+        model, data, grid, proxy = self._instance()
+        problem = GridProblem(model, data, grid)
+        weights = np.random.default_rng(RNG_SEED).uniform(0, 1, size=(grid.n_psi, data.n))
+        got = r_weighted_posterior(problem, weights, proxy)
+        want = _r_weighted_table(problem, weights, proxy_loglik_vector(proxy, grid.psi_nodes))
+        assert_array_equal(got.joint_mass, want.joint_mass)
+        assert got.log_evidence == want.log_evidence
+
     @pytest.mark.parametrize("iterations", [0, 3])
     def test_posterior_is_the_weighted_posterior_of_the_final_weights(self, iterations):
         model, data, grid, proxy = self._instance()
-        result = refine_relevance(model, data, grid, proxy,
+        problem = GridProblem(model, data, grid)
+        result = refine_relevance(problem, proxy,
                                   RelevanceConfig(refinement_iterations=iterations))
-        want = r_weighted_posterior(model, data, grid, result.weights_per_psi, proxy)
+        want = r_weighted_posterior(problem, result.weights_per_psi, proxy)
         assert_allclose(result.posterior.joint_mass, want.joint_mass, rtol=0, atol=1e-12)
         assert_allclose(result.posterior.log_evidence, want.log_evidence,
                         rtol=0, atol=1e-12)
+
+
+def _gp_problem(seed=RNG_SEED, resolution=8):
+    """A small gp instance on a build_grid lengthscale grid, with its expert proxy."""
+    scenario = GpScenario(n_trajectories=6, m_target=3, m_source=2, resolution=6)
+    rng = np.random.default_rng(seed)
+    inst = gen_gp_trajectories(scenario, rng)
+    model = gp_model(inst.x_grid)
+    grid = build_grid(model, lambda t: -0.5 * (np.log(t[0]) - 0.5) ** 2,
+                      lambda p: -0.5 * (np.log(p[0]) - 0.5) ** 2,
+                      theta_resolution=resolution, psi_resolution=resolution)
+    proxy = gen_expert_proxy(model, inst.prompts, inst.psi_target_star, 0.0, rng,
+                             theta_nodes=grid.theta_nodes,
+                             theta_prior=grid.theta_prior_mass)
+    return GridProblem(model, inst.source, grid), proxy
+
+
+def _with_zeros(rng, size, zeros):
+    """A random mass vector with exact zeros at the given indices."""
+    belief = rng.dirichlet(np.full(size, 0.5))
+    belief[list(zeros)] = 0.0
+    return belief / belief.sum()
+
+
+class TestBeliefAverage:
+    """The exponentiate-once belief average against the per-round
+    log-sum-exp it replaced (prior_expected_matrix in _scalar_reference)."""
+
+    def _linear(self, rng):
+        grid = _linear_grid(rng)
+        data = SourceData(tuple(Observation(rng.normal(size=2), 3.0 * rng.normal())
+                                for _ in range(7)))
+        problem = GridProblem(linear_model(), data, grid)
+        return problem.tensor, lambda belief: _predictive_mode_matrix(
+            problem.model, data, grid.theta_nodes, grid.psi_nodes, belief, "mode-density")
+
+    def _shifted(self, rng):
+        """The linear tensor with every other (i, b) column moved down by
+        about 800, past where exp underflows, and the normalizer moved with
+        it: the weights are the linear ones, and only a per-(i, b) peak keeps
+        those columns from underflowing to 0."""
+        tensor, log_mode_of = self._linear(rng)
+        n, _, n_psi = tensor.shape
+        offset = np.where(np.add.outer(np.arange(n), np.arange(n_psi)) % 2 == 1,
+                          rng.uniform(-850.0, -760.0, size=(n, n_psi)), 0.0)
+        return tensor + offset[:, None, :], lambda belief: log_mode_of(belief) + offset
+
+    def _gp(self, rng):
+        problem, _ = _gp_problem()
+        grid = problem.grid
+        return problem.tensor, lambda belief: _predictive_mode_matrix(
+            problem.model, problem.data, grid.theta_nodes, grid.psi_nodes, belief,
+            "mode-density")
+
+    def _binomial(self, rng):
+        thetas = rng.normal(scale=1.5, size=(9, 4))
+        psis = np.linspace(-3.0, 3.0, 6)[:, None]
+        data = SourceData(tuple(Observation(rng.integers(0, 2, size=4).astype(float),
+                                            int(rng.integers(0, 31)), trial_count=30)
+                                for _ in range(5)))
+        tensor = loglik_tensor(binomial_logit_model(), data, thetas, psis)
+        return tensor, lambda belief: np.zeros((data.n, psis.shape[0]))
+
+    def _toy(self, rng):
+        table = rng.dirichlet(np.full(3, 1.0), size=(4, 3))
+        table[:, 0, 2] = 0.0                # outcome 2 impossible at psi node 0
+        table[1, 2, 0] = table[3, 1, 1] = 0.0
+        table /= table.sum(axis=2, keepdims=True)
+        data = _toy_obs(2, 0, 1, 2, 0)
+        tensor = loglik_tensor(discrete_toy_model(3, 4, 3, table), data,
+                               toy_grid(4, 3).theta_nodes, toy_grid(4, 3).psi_nodes)
+        assert np.isneginf(tensor[0, :, 0]).all()   # one all -inf (i, ., b) column
+        return tensor, lambda belief: np.zeros((data.n, 3))
+
+    @pytest.mark.parametrize("kind", ["linear", "shifted", "gp", "binomial", "toy"])
+    def test_weights_match_full_logsumexp(self, kind):
+        rng = np.random.default_rng(RNG_SEED)
+        tensor, log_mode_of = getattr(self, "_" + kind)(rng)
+        n_theta = tensor.shape[1]
+        log_average = _belief_averager(tensor)
+        point = np.zeros(n_theta)
+        point[n_theta // 2] = 1.0
+        beliefs = [np.full(n_theta, 1.0 / n_theta), point,
+                   _with_zeros(rng, n_theta, [0, 2]),
+                   _with_zeros(rng, n_theta, range(1, n_theta, 2))]
+        for belief in beliefs:
+            log_mode = log_mode_of(belief)
+            want = prior_expected_matrix(tensor, log_mode, belief)
+            got = np.exp(log_average(belief) - log_mode).T
+            assert_allclose(got, want, rtol=1e-12, atol=0)
+            assert (got[want == 0.0] == 0.0).all()
+        if kind == "toy":
+            assert (want == 0.0).any()
+
+    @pytest.mark.parametrize("kind", ["linear", "gp"])
+    def test_refinement_matches_full_logsumexp_rounds(self, kind):
+        if kind == "linear":
+            model, data, grid, proxy = TestComputeOnce()._instance()
+            problem = GridProblem(model, data, grid)
+        else:
+            problem, proxy = _gp_problem()
+        config = RelevanceConfig(refinement_iterations=3)
+        result = refine_relevance(problem, proxy, config)
+        weights, belief, posterior = refine_prior_expected(problem, proxy, config)
+        assert_allclose(result.weights_per_psi, weights, rtol=1e-12, atol=0)
+        assert_allclose(result.theta_belief, belief, rtol=1e-12, atol=0)
+        assert_allclose(result.posterior.joint_mass, posterior.joint_mass,
+                        rtol=1e-12, atol=0)
+        assert_allclose(result.posterior.log_evidence, posterior.log_evidence,
+                        rtol=1e-12)
 
 
 class TestValidation:
