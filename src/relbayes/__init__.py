@@ -13,8 +13,8 @@ from .relevance import (DegenerateRelevanceError, RefinementResult, RelevanceCon
                         RelevanceConfigError, RelevanceWeights, constant_one_weights,
                         prior_expected_relevance, refine_relevance,
                         sigmoid_ratio_relevance)
-from .diagnostics import (DeltaRweighted, DiagnosticsReport, IgEstimate, Prop55Check,
-                          ProxyModel, Theorem24Check, TrueProcess, check_prop55,
+from .diagnostics import (DeltaRweighted, DiagnosticsReport, Prop55Check, ProxyModel,
+                          Theorem24Check, ToyEnumeration, TrueProcess, check_prop55,
                           check_theorem24, cross_entropy, delta_classic,
                           delta_rweighted, entropy, ess_dis, info_gain_classic,
                           info_gain_rweighted, kl_divergence, rho_fidelity,

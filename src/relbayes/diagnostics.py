@@ -6,25 +6,28 @@ learners, the two misspecification divergences, relevance fidelity, the
 effective-sample-size decomposition, and the negative-transfer bound.
 
 Every expectation is a finite sum over the datasets of an enumerable
-outcome alphabet (the discrete toy model) and is enumerated exactly: the
-(M, n) array of every dataset's outcome indices gathers the per-outcome
-log-likelihood table once, and each expectation is one reduction weighted
-by the true dataset probabilities P*(d).  A dataset with P*(d) = 0 adds
-exactly 0, the 0 log 0 = 0 rule.  Models without an enumerable alphabet are
-rejected.
+outcome alphabet (the discrete toy model) and is enumerated exactly.  One
+ToyEnumeration record holds a toy instance's enumeration, built once: the
+(M, n) array of every dataset's outcome indices, the true dataset
+log-probabilities log P*(d), and the per-outcome log-likelihood tables.
+Every diagnostic reads that record: the dataset array gathers a table, and
+each expectation is one reduction weighted by P*(d).  A dataset with
+P*(d) = 0 adds exactly 0, the 0 log 0 = 0 rule.  Models without an
+enumerable alphabet are rejected when the record is built.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .grids import ParameterGrid
 from .inference import (DegenerateProxyError, GridProblem, ProxyObservation,
-                        _check_weights, _weighted_terms, proxy_loglik_vector)
+                        _check_weights, _log_source_prior, _weighted_terms,
+                        proxy_loglik_vector)
 from .models import ModelSpec, Observation, SharedParam, SourceData, TaskParam, \
     loglik_tensor, logsumexp, param_values
 from .relevance import RelevanceConfig, refine_relevance
@@ -90,18 +93,6 @@ class TrueProcess:
     @property
     def n(self) -> int:
         return len(self.psi_star)
-
-
-@dataclass(frozen=True)
-class IgEstimate:
-    """An exactly enumerated information-gain value.
-
-    theta_snap_distance is how far theta* sat from the grid node it was
-    snapped to.
-    """
-
-    value: float
-    theta_snap_distance: float
 
 
 @dataclass(frozen=True)
@@ -201,43 +192,68 @@ class ProxyModel:
 
 
 # ---------------------------------------------------------------------------
-# enumeration plumbing for the discrete toy model
+# the enumeration record of one toy instance
 # ---------------------------------------------------------------------------
 
-def _require_enumerable(model: ModelSpec):
-    if model.outcome_space is None:
-        raise ValueError(
-            f"model {model.name!r} has no enumerable outcome alphabet; "
-            "exact enumeration needs the discrete toy model"
-        )
+@dataclass(frozen=True)
+class ToyEnumeration:
+    """Every dataset of one toy instance with the outcome tables the
+    diagnostics read, each built once at construction and read-only.
 
+    theta* is snapped to its nearest grid node a_star, theta_snap_distance
+    away; a theta* outside the grid span raises.  datasets is every outcome
+    tuple of length n as an (M, n) index array in lexicographic order (the
+    last observation varies fastest), and log_pstar its log P*(d), (M,).
+    The three log-pmf tables are log p(o | theta_a, psi_b) over the full
+    grid, table (|O|, A, B); log p(o | theta*, psi_b), at_theta_star
+    (|O|, B); and log p(o | theta*, psi*_i), star (n, |O|).
+    """
 
-def _outcome_data(model: ModelSpec) -> SourceData:
-    return SourceData(tuple(Observation(np.empty(0), int(o)) for o in model.outcome_space))
+    model: ModelSpec
+    true_process: TrueProcess
+    grid: ParameterGrid
+    a_star: int = field(init=False)
+    theta_snap_distance: float = field(init=False)
+    datasets: np.ndarray = field(init=False, repr=False)
+    log_pstar: np.ndarray = field(init=False, repr=False)
+    table: np.ndarray = field(init=False, repr=False)
+    at_theta_star: np.ndarray = field(init=False, repr=False)
+    star: np.ndarray = field(init=False, repr=False)
 
+    def __post_init__(self):
+        model, truth, grid = self.model, self.true_process, self.grid
+        if model.outcome_space is None:
+            raise ValueError(
+                f"model {model.name!r} has no enumerable outcome alphabet; "
+                "exact enumeration needs the discrete toy model"
+            )
+        theta = param_values(truth.theta_star)
+        lo = grid.theta_nodes.min(axis=0)
+        hi = grid.theta_nodes.max(axis=0)
+        half_cell = 0.5 * np.where(hi > lo, hi - lo, 1.0) / max(grid.n_theta - 1, 1)
+        if np.any(theta < lo - half_cell) or np.any(theta > hi + half_cell):
+            raise ValueError(f"theta*={theta} lies outside the grid span [{lo}, {hi}]")
+        a_star, snap = grid.nearest_theta(theta)
 
-def _outcome_logpmf(model: ModelSpec, thetas: np.ndarray, psis: np.ndarray) -> np.ndarray:
-    """log p(o | theta_a, psi_b) for the whole alphabet, shape (|O|, A, B)."""
-    return loglik_tensor(model, _outcome_data(model), thetas, psis)
-
-
-def _star_logpmf(model: ModelSpec, true_process: TrueProcess) -> np.ndarray:
-    """log p(o | theta*, psi*_i), shape (n, |O|)."""
-    theta = param_values(true_process.theta_star)[None, :]
-    psis = np.stack([param_values(p) for p in true_process.psi_star])
-    return _outcome_logpmf(model, theta, psis)[:, 0, :].T
-
-
-def _all_datasets(model: ModelSpec, n: int) -> np.ndarray:
-    """Every outcome tuple of length n as an (M, n) index array, in
-    lexicographic order (the last observation varies fastest)."""
-    return np.indices((np.size(model.outcome_space),) * n).reshape(n, -1).T
-
-
-def _dataset_logprobs(star: np.ndarray, datasets: np.ndarray) -> np.ndarray:
-    """log P*(d) for each enumerated dataset, shape (M,)."""
-    n = star.shape[0]
-    return star[np.arange(n)[None, :], datasets].sum(axis=1)
+        outcomes = SourceData(tuple(Observation(np.empty(0), int(o))
+                                    for o in model.outcome_space))
+        psis = np.stack([param_values(p) for p in truth.psi_star])
+        n = truth.n
+        star = loglik_tensor(model, outcomes, theta[None, :], psis)[:, 0, :].T
+        datasets = np.indices((outcomes.n,) * n).reshape(n, -1).T
+        arrays = {
+            "datasets": datasets,
+            "log_pstar": star[np.arange(n)[None, :], datasets].sum(axis=1),
+            "table": loglik_tensor(model, outcomes, grid.theta_nodes, grid.psi_nodes),
+            "at_theta_star": loglik_tensor(model, outcomes, theta[None, :],
+                                           grid.psi_nodes)[:, 0, :],
+            "star": star,
+        }
+        object.__setattr__(self, "a_star", a_star)
+        object.__setattr__(self, "theta_snap_distance", snap)
+        for name, value in arrays.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 def _expect(mass: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -253,51 +269,31 @@ def _provider_weights(weights_provider, datasets: np.ndarray, n_psi: int) -> np.
     return _check_weights(weights_provider(datasets), (m, n_psi, n))
 
 
-def _snap_theta(grid: ParameterGrid, theta_star: SharedParam) -> tuple[int, float]:
-    value = param_values(theta_star)
-    lo = grid.theta_nodes.min(axis=0)
-    hi = grid.theta_nodes.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    if np.any(value < lo - 0.5 * span / max(grid.n_theta - 1, 1)) or \
-       np.any(value > hi + 0.5 * span / max(grid.n_theta - 1, 1)):
-        raise ValueError(f"theta*={value} lies outside the grid span [{lo}, {hi}]")
-    return grid.nearest_theta(value)
-
-
-def _classic_theta_loglik(model: ModelSpec, grid: ParameterGrid, source_psi_prior,
-                          datasets: np.ndarray) -> np.ndarray:
+def _classic_theta_loglik(record: ToyEnumeration, source_psi_prior) -> np.ndarray:
     """Classic marginalized log-likelihood of theta per dataset, shape (A, M)."""
-    logpmf = _outcome_logpmf(model, grid.theta_nodes, grid.psi_nodes)   # (O, A, B)
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(np.asarray(source_psi_prior, dtype=float))
-    mix = logsumexp(logpmf + log_prior[None, None, :], axis=2)          # (O, A)
-    return mix[datasets, :].sum(axis=1).T                               # (A, M)
+    log_prior = _log_source_prior(source_psi_prior, record.grid.n_psi)
+    mix = logsumexp(record.table + log_prior[None, None, :], axis=2)    # (O, A)
+    return mix[record.datasets, :].sum(axis=1).T                        # (A, M)
 
 
 # ---------------------------------------------------------------------------
 # information gains
 # ---------------------------------------------------------------------------
 
-def info_gain_classic(model: ModelSpec, true_process: TrueProcess, grid: ParameterGrid,
-                      source_psi_prior) -> IgEstimate:
+def info_gain_classic(record: ToyEnumeration, source_psi_prior) -> float:
     """Expected log posterior-to-prior ratio at theta* for the classic learner,
     enumerated exactly over every dataset."""
-    _require_enumerable(model)
-    a_star, snap = _snap_theta(grid, true_process.theta_star)
-    datasets = _all_datasets(model, true_process.n)
-    log_pstar = _dataset_logprobs(_star_logpmf(model, true_process), datasets)
-    loglik = _classic_theta_loglik(model, grid, source_psi_prior, datasets)  # (A, M)
+    grid, a_star = record.grid, record.a_star
+    loglik = _classic_theta_loglik(record, source_psi_prior)             # (A, M)
     log_post = loglik + grid.log_theta_prior()[:, None]
     with np.errstate(invalid="ignore"):                                   # only where P*(d) = 0
         ratios = log_post[a_star] - logsumexp(log_post, axis=0) - grid.log_theta_prior()[a_star]
-    return IgEstimate(value=float(_expect(np.exp(log_pstar), ratios)),
-                      theta_snap_distance=snap)
+    return float(_expect(np.exp(record.log_pstar), ratios))
 
 
-def info_gain_rweighted(model: ModelSpec, true_process: TrueProcess, grid: ParameterGrid,
-                        relevance_config: RelevanceConfig, proxy_model: ProxyModel,
-                        weights_provider=None,
-                        proxy_expectation: str = "subjective") -> IgEstimate:
+def info_gain_rweighted(record: ToyEnumeration, relevance_config: RelevanceConfig,
+                        proxy_model: ProxyModel, weights_provider=None,
+                        proxy_expectation: str = "subjective") -> float:
     """Expected log posterior-to-prior ratio at theta* for the weighted learner.
 
     The expectation runs over every payload z and every dataset.  z is
@@ -307,20 +303,19 @@ def info_gain_rweighted(model: ModelSpec, true_process: TrueProcess, grid: Param
     variant the experiment sweeps report.  weights_provider, when given,
     maps the (M, n) dataset-index array to (M, n_psi, n) weights and
     bypasses the relevance configuration; without one, refine_relevance
-    runs once per (payload, dataset) pair of positive probability.
+    runs once per (payload, dataset) pair of positive probability, on one
+    grid problem per dataset.
     """
     if proxy_expectation not in ("subjective", "true"):
         raise ValueError(f"unknown proxy_expectation {proxy_expectation!r}")
-    _require_enumerable(model)
-    a_star, snap = _snap_theta(grid, true_process.theta_star)
-    datasets = _all_datasets(model, true_process.n)
-    pstar = np.exp(_dataset_logprobs(_star_logpmf(model, true_process), datasets))
+    model, grid, datasets = record.model, record.grid, record.datasets
+    pstar = np.exp(record.log_pstar)
     z_ll = np.stack([proxy_loglik_vector(proxy_model.observation(z), grid.psi_nodes)
                      for z in proxy_model.payloads])                        # (Z, B)
     if proxy_expectation == "subjective":
         z_mass = np.exp(logsumexp(z_ll + grid.log_psi_prior()[None, :], axis=1))
     else:
-        target = param_values(true_process.psi_target_star)[None, :]
+        target = param_values(record.true_process.psi_target_star)[None, :]
         z_mass = np.exp([proxy_loglik_vector(proxy_model.observation(z), target)[0]
                          for z in proxy_model.payloads])
     live = (z_mass[:, None] > 0.0) & (pstar[None, :] > 0.0)                # (Z, M)
@@ -328,15 +323,17 @@ def info_gain_rweighted(model: ModelSpec, true_process: TrueProcess, grid: Param
     if weights_provider is not None:
         weights = _provider_weights(weights_provider, datasets, grid.n_psi)[None]
     else:
-        weights = np.zeros(live.shape + (grid.n_psi, true_process.n))     # (Z, M, B, n)
-        for zi, m in zip(*np.nonzero(live)):
+        weights = np.zeros(live.shape + (grid.n_psi, datasets.shape[1]))   # (Z, M, B, n)
+        for m in np.nonzero(live.any(axis=0))[0]:
             data = SourceData(tuple(Observation(np.empty(0), int(model.outcome_space[o]))
                                     for o in datasets[m]))
-            proxy = proxy_model.observation(proxy_model.payloads[zi])
-            weights[zi, m] = refine_relevance(GridProblem(model, data, grid), proxy,
-                                              relevance_config).weights_per_psi
+            problem = GridProblem(model, data, grid)
+            for zi in np.nonzero(live[:, m])[0]:
+                proxy = proxy_model.observation(proxy_model.payloads[zi])
+                weights[zi, m] = refine_relevance(problem, proxy,
+                                                  relevance_config).weights_per_psi
 
-    lls = _outcome_logpmf(model, grid.theta_nodes, grid.psi_nodes)[datasets]  # (M, n, A, B)
+    lls = record.table[datasets]                                            # (M, n, A, B)
     weighted = _weighted_terms(np.swapaxes(weights, 2, 3)[..., None, :], lls).sum(axis=2)
     log_joint = (weighted + z_ll[:, None, None, :] + grid.log_theta_prior()[:, None]
                  + grid.log_psi_prior()[None, :])                           # (Z, M, A, B)
@@ -345,46 +342,39 @@ def info_gain_rweighted(model: ModelSpec, true_process: TrueProcess, grid: Param
     if not np.isfinite(log_evidence[live]).all():
         raise DegenerateProxyError("posterior mass is identically zero on the grid")
     with np.errstate(invalid="ignore"):                                   # only where not live
-        ratios = log_theta[..., a_star] - log_evidence - grid.log_theta_prior()[a_star]
-    value = _expect(z_mass, _expect(pstar, ratios.T))
-    return IgEstimate(value=float(value), theta_snap_distance=snap)
+        ratios = (log_theta[..., record.a_star] - log_evidence
+                  - grid.log_theta_prior()[record.a_star])
+    return float(_expect(z_mass, _expect(pstar, ratios.T)))
 
 
 # ---------------------------------------------------------------------------
 # misspecification divergences
 # ---------------------------------------------------------------------------
 
-def delta_classic(model: ModelSpec, true_process: TrueProcess, grid: ParameterGrid,
-                  source_psi_prior) -> float:
+def delta_classic(record: ToyEnumeration, source_psi_prior) -> float:
     """KL from the true data distribution to the classic likelihood at theta*.
 
     Both sides factor over observations (the classic likelihood marginalizes
     each observation's task parameter independently), so the divergence is a
     sum of per-observation KLs.
     """
-    _require_enumerable(model)
-    theta = param_values(true_process.theta_star)[None, :]
-    logpmf = _outcome_logpmf(model, theta, grid.psi_nodes)[:, 0, :]      # (O, B)
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(np.asarray(source_psi_prior, dtype=float))
-    mix = np.exp(logsumexp(logpmf + log_prior[None, :], axis=1))         # (O,)
-    star = np.exp(_star_logpmf(model, true_process))                     # (n, O)
+    log_prior = _log_source_prior(source_psi_prior, record.grid.n_psi)
+    mix = np.exp(logsumexp(record.at_theta_star + log_prior[None, :], axis=1))  # (O,)
+    star = np.exp(record.star)                                           # (n, O)
     return float(sum(kl_divergence(row, mix) for row in star))
 
 
-def delta_rweighted(model: ModelSpec, true_process: TrueProcess, grid: ParameterGrid,
-                    weights_per_psi) -> DeltaRweighted:
+def delta_rweighted(record: ToyEnumeration, weights_per_psi) -> DeltaRweighted:
     """Expected divergence from truth to the pseudo-intervened weighted density.
 
     The expectation is over the target task prior on the grid.  Both the
     per-instance-normalized reading (a true KL) and the unnormalized reading
     (the decomposition's object) are returned; see DeltaRweighted.
     """
-    _require_enumerable(model)
-    w = _check_weights(weights_per_psi, (grid.n_psi, true_process.n))
-    theta = param_values(true_process.theta_star)[None, :]
-    logpmf = _outcome_logpmf(model, theta, grid.psi_nodes)[:, 0, :].T    # (B, O)
-    star = np.exp(_star_logpmf(model, true_process))                     # (n, O)
+    grid = record.grid
+    w = _check_weights(weights_per_psi, (grid.n_psi, record.true_process.n))
+    logpmf = record.at_theta_star.T                                      # (B, O)
+    star = np.exp(record.star)                                           # (n, O)
     star_entropy = sum(entropy(row) for row in star)
 
     weighted = _weighted_terms(w[:, :, None], logpmf[:, None, :])        # (B, n, O)
@@ -399,17 +389,16 @@ def delta_rweighted(model: ModelSpec, true_process: TrueProcess, grid: Parameter
 # fidelity, effective sample size, dissimilarity
 # ---------------------------------------------------------------------------
 
-def rho_fidelity(model: ModelSpec, true_process: TrueProcess, grid: ParameterGrid,
-                 weights_provider) -> float:
+def rho_fidelity(record: ToyEnumeration, weights_provider) -> float:
     """Expected covariance between weights and pseudo-intervened log-likelihoods.
 
     weights_provider(datasets) maps the (M, n) dataset-index array to
     (M, n_psi, n) weights.  Enumerated exactly over the toy's finite outcome
     and target-parameter alphabets; this is the rho term of check_prop55.
     """
-    if true_process.n < 2:
+    if record.true_process.n < 2:
         raise ValueError("fidelity needs n >= 2 source observations")
-    return check_prop55(model, true_process, grid, weights_provider).rho_fidelity
+    return check_prop55(record, weights_provider).rho_fidelity
 
 
 def ess_dis(model: ModelSpec, data: SourceData, true_process: TrueProcess,
@@ -430,8 +419,7 @@ def ess_dis(model: ModelSpec, data: SourceData, true_process: TrueProcess,
 # theorem-level checks
 # ---------------------------------------------------------------------------
 
-def check_prop55(model: ModelSpec, true_process: TrueProcess, grid: ParameterGrid,
-                 weights_provider) -> Prop55Check:
+def check_prop55(record: ToyEnumeration, weights_provider) -> Prop55Check:
     """Verify the effective-sample-size decomposition by exact enumeration.
 
     See Prop55Check for the identity and for why the E[ESS * DIS] term
@@ -439,15 +427,11 @@ def check_prop55(model: ModelSpec, true_process: TrueProcess, grid: ParameterGri
     array to (M, n_psi, n) weights, so the weights may depend on the
     realized data; the identity holds regardless.
     """
-    _require_enumerable(model)
-    n = true_process.n
-    datasets = _all_datasets(model, n)
-    log_pstar = _dataset_logprobs(_star_logpmf(model, true_process), datasets)
+    grid, datasets, log_pstar = record.grid, record.datasets, record.log_pstar
+    n = record.true_process.n
     pstar = np.exp(log_pstar)
     h_true = -float(_expect(pstar, log_pstar))
-    theta = param_values(true_process.theta_star)[None, :]
-    logpmf = _outcome_logpmf(model, theta, grid.psi_nodes)[:, 0, :]      # (O, B)
-    lls = np.swapaxes(logpmf[datasets], 1, 2)                            # (M, B, n)
+    lls = np.swapaxes(record.at_theta_star[datasets], 1, 2)              # (M, B, n)
     w = _provider_weights(weights_provider, datasets, grid.n_psi)        # (M, B, n)
 
     def expect(terms):                                                   # (M, B) -> float
@@ -465,8 +449,7 @@ def check_prop55(model: ModelSpec, true_process: TrueProcess, grid: ParameterGri
                        entropy_true=h_true)
 
 
-def check_theorem24(model: ModelSpec, true_process: TrueProcess, grid: ParameterGrid,
-                    source_psi_prior) -> Theorem24Check:
+def check_theorem24(record: ToyEnumeration, source_psi_prior) -> Theorem24Check:
     """Check the classic learner's negative-transfer bound by enumeration.
 
     The neighborhood around theta* is the single nearest grid node.  The
@@ -474,21 +457,19 @@ def check_theorem24(model: ModelSpec, true_process: TrueProcess, grid: Parameter
     nodes; with every node excluded (prior mass 1 at theta*) the bound is
     degenerate and trivially satisfied.
     """
-    _require_enumerable(model)
-    a_star, _ = _snap_theta(grid, true_process.theta_star)
+    grid, a_star = record.grid, record.a_star
     p_star = float(grid.theta_prior_mass[a_star])
     a_excl = 1.0 - p_star
-    ig = info_gain_classic(model, true_process, grid, source_psi_prior).value
-    d_c = delta_classic(model, true_process, grid, source_psi_prior)
+    ig = info_gain_classic(record, source_psi_prior)
+    d_c = delta_classic(record, source_psi_prior)
 
     if a_excl <= 0.0:
         return Theorem24Check(info_gain=ig, prior_mass_excluded=0.0,
                               kl_excluded_mixture=float("nan"), delta_classic=d_c,
                               satisfied=True, degenerate=True)
 
-    datasets = _all_datasets(model, true_process.n)
-    log_pstar = _dataset_logprobs(_star_logpmf(model, true_process), datasets)
-    loglik = _classic_theta_loglik(model, grid, source_psi_prior, datasets)  # (A, M)
+    log_pstar = record.log_pstar
+    loglik = _classic_theta_loglik(record, source_psi_prior)             # (A, M)
     keep = np.arange(grid.n_theta) != a_star
     with np.errstate(divide="ignore"):
         log_w = np.log(grid.theta_prior_mass[keep] / a_excl)
@@ -510,25 +491,26 @@ def toy_diagnostics_report(model: ModelSpec, true_process: TrueProcess,
                            proxy_model: ProxyModel, weights_provider) -> DiagnosticsReport:
     """Every diagnostic on one toy instance, enumerated exactly.
 
-    The weighted information gain uses constant-one relevance so it stays
+    One ToyEnumeration record is built and every diagnostic reads it.  The
+    weighted information gain uses constant-one relevance so it stays
     comparable across instances; the decomposition check runs under the
     supplied weights provider, and the weighted divergence under its
     weights for the first dataset.
     """
+    record = ToyEnumeration(model, true_process, grid)
     n = true_process.n
     ig_r = info_gain_rweighted(
-        model, true_process, grid, RelevanceConfig(kind="constant-one"), proxy_model,
+        record, RelevanceConfig(kind="constant-one"), proxy_model,
         weights_provider=lambda datasets: np.ones((len(datasets), grid.n_psi, n)),
     )
-    prop = check_prop55(model, true_process, grid, weights_provider)
-    bound = check_theorem24(model, true_process, grid, source_psi_prior)
+    prop = check_prop55(record, weights_provider)
+    bound = check_theorem24(record, source_psi_prior)
     first = np.zeros((1, n), dtype=int)                                  # every outcome index 0
-    d_r = delta_rweighted(model, true_process, grid,
-                          _provider_weights(weights_provider, first, grid.n_psi)[0])
+    d_r = delta_rweighted(record, _provider_weights(weights_provider, first, grid.n_psi)[0])
 
     return DiagnosticsReport(
         ig_classic=bound.info_gain,
-        ig_rweighted=ig_r.value,
+        ig_rweighted=ig_r,
         delta_classic=bound.delta_classic,
         delta_rweighted=d_r.value,
         rho_fidelity=prop.rho_fidelity,

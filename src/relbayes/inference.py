@@ -161,6 +161,15 @@ class GridProblem:
         object.__setattr__(self, "neginf", _neginf_mask(tensor))
 
 
+def _log_source_prior(source_psi_prior, n_psi: int) -> np.ndarray:
+    """log source_psi_prior, checked to be a mass vector over the n_psi psi nodes."""
+    source_psi_prior = _check_mass(source_psi_prior, "source_psi_prior")
+    if source_psi_prior.size != n_psi:
+        raise ValueError("source_psi_prior length does not match the psi grid")
+    with np.errstate(divide="ignore"):
+        return np.log(source_psi_prior)
+
+
 def classic_posterior(problem: GridProblem, source_psi_prior, groups=None) -> PosteriorTable:
     """Posterior for the learner who cannot tell which observations share a task.
 
@@ -179,13 +188,9 @@ def classic_posterior(problem: GridProblem, source_psi_prior, groups=None) -> Po
     information gain into -inf.
     """
     grid, tensor = problem.grid, problem.tensor                        # (n, A, B)
-    source_psi_prior = _check_mass(source_psi_prior, "source_psi_prior")
-    if source_psi_prior.size != grid.n_psi:
-        raise ValueError("source_psi_prior length does not match the psi grid")
+    log_psi = _log_source_prior(source_psi_prior, grid.n_psi)
     if groups is not None:
         groups = _check_groups(groups, problem.data.n)
-    with np.errstate(divide="ignore"):
-        log_psi = np.log(source_psi_prior)
 
     if groups is None:
         per_obs = logsumexp(tensor + log_psi[None, None, :], axis=2)       # (n, A)

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from relbayes.diagnostics import check_prop55, check_theorem24
+from relbayes.diagnostics import ToyEnumeration, check_prop55, check_theorem24
 from relbayes.grids import ParameterGrid, midpoint_nodes
 from relbayes.harness.cli import main as cli_main
 from relbayes.harness.config import parse_config_text
@@ -79,7 +79,7 @@ def test_criterion_1_decomposition_identity_on_random_toys():
     for i in range(100):
         rng = np.random.default_rng(1000 + i)
         model, truth, grid, _, provider, _ = toy_verify_instance(rng)
-        result = check_prop55(model, truth, grid, provider)
+        result = check_prop55(ToyEnumeration(model, truth, grid), provider)
         worst = max(worst, abs(result.residual))
     elapsed = time.perf_counter() - start
     _verdict("criterion 1, decomposition identity",
@@ -95,7 +95,7 @@ def test_criterion_2_negative_transfer_bound_on_random_toys():
     for i in range(100):
         rng = np.random.default_rng(2000 + i)
         model, truth, grid, _, _, _ = toy_verify_instance(rng)
-        result = check_theorem24(model, truth, grid, grid.psi_prior_mass)
+        result = check_theorem24(ToyEnumeration(model, truth, grid), grid.psi_prior_mass)
         holds += bool(result.satisfied)
     elapsed = time.perf_counter() - start
     _verdict("criterion 2, negative-transfer bound",

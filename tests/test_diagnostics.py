@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 
 import _scalar_reference as ref
 from relbayes.diagnostics import (DeltaRweighted, DiagnosticsReport,
-                                  IgEstimate, ProxyModel, TrueProcess,
+                                  ProxyModel, ToyEnumeration, TrueProcess,
                                   check_prop55, check_theorem24,
                                   cross_entropy, delta_classic,
                                   delta_rweighted, entropy, ess_dis,
@@ -27,7 +27,7 @@ from relbayes.diagnostics import (DeltaRweighted, DiagnosticsReport,
 from relbayes.grids import ParameterGrid, toy_grid
 from relbayes.harness.runner import toy_verify_instance
 from relbayes.models import (Observation, SharedParam, SourceData, TaskParam,
-                             discrete_toy_model, linear_model)
+                             discrete_toy_model, linear_model, loglik_tensor)
 from relbayes.relevance import RelevanceConfig
 
 mp.mp.dps = 50
@@ -125,12 +125,72 @@ def _constant_provider(n_psi, value):
     return lambda datasets: np.full((len(datasets), n_psi, datasets.shape[1]), value)
 
 
+class TestToyEnumeration:
+    def test_tables_are_the_outcome_log_pmfs(self):
+        model, grid, truth, table, _ = _toy_instance(RNG_SEED, n_out=3, n_obs=3)
+        record = ToyEnumeration(model, truth, grid)
+        stars = [int(p.value[0]) for p in truth.psi_star]
+        assert_allclose(record.table, np.log(table).transpose(2, 0, 1), rtol=0, atol=1e-15)
+        assert_allclose(record.at_theta_star, np.log(table[0]).T, rtol=0, atol=1e-15)
+        assert_allclose(record.star, np.log(table[0, stars]), rtol=0, atol=1e-15)
+        assert record.datasets.shape == (27, 3)
+        assert record.datasets[1].tolist() == [0, 0, 1]       # the last index varies fastest
+        want = [np.log(table[0, stars, list(d)]).sum()
+                for d in itertools.product(range(3), repeat=3)]
+        assert_allclose(record.log_pstar, want, rtol=0, atol=1e-14)
+        for name in ("datasets", "log_pstar", "table", "at_theta_star", "star"):
+            assert not getattr(record, name).flags.writeable, name
+
+    def test_theta_star_snaps_to_nearest_node(self):
+        model, grid, _, _, rng = _toy_instance(RNG_SEED)
+        src = rng.dirichlet(np.full(grid.n_psi, 3.0))
+        truth = TrueProcess(SharedParam(0.4), (TaskParam(0.0),), TaskParam(0.0))
+        record = ToyEnumeration(model, truth, grid)
+        assert record.a_star == 0
+        assert_allclose(record.theta_snap_distance, 0.4, rtol=0, atol=1e-12)
+        snapped = TrueProcess(SharedParam(0.0), (TaskParam(0.0),), TaskParam(0.0))
+        on_node = ToyEnumeration(model, snapped, grid)
+        assert on_node.theta_snap_distance == 0.0
+        assert_allclose(info_gain_classic(record, src), info_gain_classic(on_node, src),
+                        rtol=0, atol=0)
+
+    def test_theta_star_outside_span_raises(self):
+        model, grid, _, _, _ = _toy_instance(RNG_SEED)
+        truth = TrueProcess(SharedParam(5.0), (TaskParam(0.0),), TaskParam(0.0))
+        with pytest.raises(ValueError, match="span"):
+            ToyEnumeration(model, truth, grid)
+
+    def test_continuous_model_rejected_as_not_enumerable(self):
+        model = linear_model()
+        grid = ParameterGrid(np.linspace(-2, 2, 5)[:, None],
+                             np.zeros((1, 1)), np.full(5, 0.2), np.array([1.0]))
+        truth = TrueProcess(SharedParam(0.0), (TaskParam(0.0),), TaskParam(0.0))
+        with pytest.raises(ValueError, match="enumerable"):
+            ToyEnumeration(model, truth, grid)
+
+
+class TestSourcePsiPrior:
+    """A source prior of the wrong length or not summing to one is rejected,
+    as classic_posterior rejects it, instead of broadcasting into a negative
+    divergence."""
+
+    @pytest.mark.parametrize("diagnostic", [info_gain_classic, delta_classic,
+                                            check_theorem24])
+    def test_wrong_length_and_unnormalized_priors_raise(self, diagnostic):
+        model, truth, grid, *_ = toy_verify_instance(np.random.default_rng(0))
+        record = ToyEnumeration(model, truth, grid)
+        assert grid.n_psi == 3
+        with pytest.raises(ValueError, match="length"):
+            diagnostic(record, [1.0])
+        with pytest.raises(ValueError, match="sums to"):
+            diagnostic(record, 5.0 * grid.psi_prior_mass)
+
+
 class TestInfoGainClassic:
     def test_matches_mpmath_enumeration(self):
         model, grid, truth, table, rng = _toy_instance(RNG_SEED)
         src = rng.dirichlet(np.full(grid.n_psi, 3.0))
-        got = info_gain_classic(model, truth, grid, src)
-        assert got.theta_snap_distance == 0.0
+        got = info_gain_classic(ToyEnumeration(model, truth, grid), src)
 
         a_star = 0
         stars = [int(p.value[0]) for p in truth.psi_star]
@@ -148,37 +208,7 @@ class TestInfoGainClassic:
             ratio = mp.log(post[a_star] / mp.fsum(post)) \
                 - mp.log(mp.mpf(float(grid.theta_prior_mass[a_star])))
             value += pd * ratio
-        assert_allclose(got.value, float(value), rtol=0, atol=1e-13)
-
-    def test_theta_star_snaps_to_nearest_node(self):
-        model, grid, _, _, rng = _toy_instance(RNG_SEED)
-        src = rng.dirichlet(np.full(grid.n_psi, 3.0))
-        truth = TrueProcess(SharedParam(0.4), (TaskParam(0.0),), TaskParam(0.0))
-        got = info_gain_classic(model, truth, grid, src)
-        assert_allclose(got.theta_snap_distance, 0.4, rtol=0, atol=1e-12)
-        snapped = TrueProcess(SharedParam(0.0), (TaskParam(0.0),), TaskParam(0.0))
-        want = info_gain_classic(model, snapped, grid, src)
-        assert_allclose(got.value, want.value, rtol=0, atol=0)
-
-    def test_theta_star_outside_span_raises(self):
-        model, grid, _, _, rng = _toy_instance(RNG_SEED)
-        src = rng.dirichlet(np.full(grid.n_psi, 3.0))
-        truth = TrueProcess(SharedParam(5.0), (TaskParam(0.0),), TaskParam(0.0))
-        with pytest.raises(ValueError, match="span"):
-            info_gain_classic(model, truth, grid, src)
-
-    def test_continuous_model_rejected_as_not_enumerable(self):
-        model = linear_model()
-        grid = ParameterGrid(np.linspace(-2, 2, 5)[:, None],
-                             np.zeros((1, 1)), np.full(5, 0.2), np.array([1.0]))
-        truth = TrueProcess(SharedParam(0.0), (TaskParam(0.0),), TaskParam(0.0))
-        with pytest.raises(ValueError, match="enumerable"):
-            info_gain_classic(model, truth, grid, np.array([1.0]))
-        flat = ProxyModel(log_likelihood=lambda z, psi_nodes: np.zeros(len(psi_nodes)),
-                          payloads=(0,))
-        with pytest.raises(ValueError, match="enumerable"):
-            info_gain_rweighted(model, truth, grid, RelevanceConfig(kind="constant-one"),
-                                flat, weights_provider=_constant_provider(1, 1.0))
+        assert_allclose(got, float(value), rtol=0, atol=1e-13)
 
 
 class TestInfoGainRweighted:
@@ -189,9 +219,9 @@ class TestInfoGainRweighted:
         flat = ProxyModel(log_likelihood=lambda z, psi_nodes: np.zeros(len(psi_nodes)),
                           payloads=(0,))
         got = info_gain_rweighted(
-            model, truth, grid, RelevanceConfig(kind="constant-one"), flat,
+            ToyEnumeration(model, truth, grid), RelevanceConfig(kind="constant-one"), flat,
             weights_provider=_constant_provider(grid.n_psi, 0.0))
-        assert_allclose(got.value, 0.0, rtol=0, atol=1e-14)
+        assert_allclose(got, 0.0, rtol=0, atol=1e-14)
 
     def test_single_psi_node_reduces_to_classic(self):
         """With one candidate task and unit weights the weighted engine is
@@ -204,17 +234,17 @@ class TestInfoGainRweighted:
                             TaskParam(0.0))
         flat = ProxyModel(log_likelihood=lambda z, psi_nodes: np.zeros(len(psi_nodes)),
                           payloads=(0,))
-        ig_r = info_gain_rweighted(
-            model, truth, grid, RelevanceConfig(kind="constant-one"), flat,
-            weights_provider=_constant_provider(1, 1.0))
-        ig_c = info_gain_classic(model, truth, grid, np.array([1.0]))
-        assert_allclose(ig_r.value, ig_c.value, rtol=0, atol=1e-13)
+        record = ToyEnumeration(model, truth, grid)
+        ig_r = info_gain_rweighted(record, RelevanceConfig(kind="constant-one"), flat,
+                                   weights_provider=_constant_provider(1, 1.0))
+        ig_c = info_gain_classic(record, np.array([1.0]))
+        assert_allclose(ig_r, ig_c, rtol=0, atol=1e-13)
 
     def test_matches_direct_enumeration_with_proxy(self):
         model, grid, truth, table, rng = _toy_instance(RNG_SEED + 1)
         proxy_model, probs = _endorse_proxy(rng, grid.n_psi)
         g = rng.uniform(0.1, 0.9, size=(grid.n_psi, 2))
-        got = info_gain_rweighted(model, truth, grid,
+        got = info_gain_rweighted(ToyEnumeration(model, truth, grid),
                                   RelevanceConfig(kind="constant-one"),
                                   proxy_model, weights_provider=_table_weights_provider(g))
 
@@ -239,27 +269,26 @@ class TestInfoGainRweighted:
                 marg = joint.sum(axis=1) / joint.sum()
                 value += z_mass * pd * (np.log(marg[a_star])
                                         - np.log(grid.theta_prior_mass[a_star]))
-        assert_allclose(got.value, value, rtol=1e-11)
+        assert_allclose(got, value, rtol=1e-11)
 
     def test_true_expectation_reweights_proxy(self):
         model, grid, truth, _, rng = _toy_instance(RNG_SEED + 2)
         proxy_model, probs = _endorse_proxy(rng, grid.n_psi)
+        record = ToyEnumeration(model, truth, grid)
         kwargs = dict(weights_provider=_constant_provider(grid.n_psi, 1.0))
-        subj = info_gain_rweighted(model, truth, grid,
-                                   RelevanceConfig(kind="constant-one"),
+        subj = info_gain_rweighted(record, RelevanceConfig(kind="constant-one"),
                                    proxy_model, **kwargs)
-        true = info_gain_rweighted(model, truth, grid,
-                                   RelevanceConfig(kind="constant-one"),
+        true = info_gain_rweighted(record, RelevanceConfig(kind="constant-one"),
                                    proxy_model, proxy_expectation="true",
                                    **kwargs)
         # endorsement rates differ across nodes, so the two z-averages differ
-        assert abs(subj.value - true.value) > 1e-12
+        assert abs(subj - true) > 1e-12
 
     def test_unknown_expectation_mode_raises(self):
         model, grid, truth, _, rng = _toy_instance(RNG_SEED)
         proxy_model, _ = _endorse_proxy(rng, grid.n_psi)
         with pytest.raises(ValueError, match="proxy_expectation"):
-            info_gain_rweighted(model, truth, grid, RelevanceConfig(),
+            info_gain_rweighted(ToyEnumeration(model, truth, grid), RelevanceConfig(),
                                 proxy_model, proxy_expectation="both")
 
     @pytest.mark.parametrize("mode", ["subjective", "true"])
@@ -270,12 +299,34 @@ class TestInfoGainRweighted:
                                                    n_out=3, n_obs=3)
         proxy_model, _ = _endorse_proxy(rng, grid.n_psi)
         config = RelevanceConfig(kind="constant-one")
-        refined = info_gain_rweighted(model, truth, grid, config, proxy_model,
-                                      proxy_expectation=mode)
-        provided = info_gain_rweighted(model, truth, grid, config, proxy_model,
+        record = ToyEnumeration(model, truth, grid)
+        refined = info_gain_rweighted(record, config, proxy_model, proxy_expectation=mode)
+        provided = info_gain_rweighted(record, config, proxy_model,
                                        weights_provider=_constant_provider(grid.n_psi, 1.0),
                                        proxy_expectation=mode)
-        assert_allclose(refined.value, provided.value, rtol=0, atol=1e-15)
+        assert_allclose(refined, provided, rtol=0, atol=1e-15)
+
+    def test_refinement_builds_one_grid_problem_per_dataset(self, monkeypatch):
+        """Both payloads refine on the same dataset's grid problem: 16
+        datasets of n = 4 binary outcomes make 16 model evaluations, not 32."""
+        model, grid, truth, _, rng = _toy_instance(RNG_SEED + 13, n_out=2, n_obs=4)
+        proxy_model, _ = _endorse_proxy(rng, grid.n_psi)
+        config = RelevanceConfig(kind="constant-one")
+        record = ToyEnumeration(model, truth, grid)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return loglik_tensor(*args, **kwargs)
+
+        for module in ("inference", "relevance", "diagnostics"):
+            monkeypatch.setattr(f"relbayes.{module}.loglik_tensor", counting)
+        got = info_gain_rweighted(record, config, proxy_model)
+        monkeypatch.undo()
+        assert len(proxy_model.payloads) == 2 and record.datasets.shape == (16, 4)
+        assert len(calls) == 16
+        want = ref.info_gain_rweighted(model, truth, grid, config, proxy_model)
+        assert_allclose(got, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("mode", ["subjective", "true"])
     def test_refined_sigmoid_ratio_matches_loop_oracle(self, mode):
@@ -283,18 +334,18 @@ class TestInfoGainRweighted:
                                                    n_out=3, n_obs=3)
         proxy_model, _ = _endorse_proxy(rng, grid.n_psi)
         config = RelevanceConfig(kind="sigmoid-ratio")
-        got = info_gain_rweighted(model, truth, grid, config, proxy_model,
+        got = info_gain_rweighted(ToyEnumeration(model, truth, grid), config, proxy_model,
                                   proxy_expectation=mode)
         want = ref.info_gain_rweighted(model, truth, grid, config, proxy_model,
                                        proxy_expectation=mode)
-        assert_allclose(got.value, want, rtol=0, atol=1e-13)
+        assert_allclose(got, want, rtol=0, atol=1e-13)
 
     def test_provider_weights_shape_validated(self):
         model, grid, truth, _, rng = _toy_instance(RNG_SEED)
         proxy_model, _ = _endorse_proxy(rng, grid.n_psi)
         with pytest.raises(ValueError, match="shape"):
-            info_gain_rweighted(model, truth, grid, RelevanceConfig(kind="constant-one"),
-                                proxy_model,
+            info_gain_rweighted(ToyEnumeration(model, truth, grid),
+                                RelevanceConfig(kind="constant-one"), proxy_model,
                                 weights_provider=lambda d: np.ones((grid.n_psi, truth.n)))
 
 
@@ -305,7 +356,7 @@ class TestDeltaClassic:
         model, grid, truth, table, rng = _toy_instance(RNG_SEED, n_out=3,
                                                        n_obs=2)
         src = rng.dirichlet(np.full(grid.n_psi, 3.0))
-        got = delta_classic(model, truth, grid, src)
+        got = delta_classic(ToyEnumeration(model, truth, grid), src)
 
         a_star = 0
         stars = [int(p.value[0]) for p in truth.psi_star]
@@ -326,7 +377,7 @@ class TestDeltaClassic:
         truth = TrueProcess(SharedParam(0.0), (TaskParam(1.0), TaskParam(1.0)),
                             TaskParam(0.0))
         src = np.array([0.0, 1.0])
-        assert_allclose(delta_classic(model, truth, grid, src), 0.0,
+        assert_allclose(delta_classic(ToyEnumeration(model, truth, grid), src), 0.0,
                         rtol=0, atol=1e-15)
 
     def test_nonnegative_on_random_instances(self):
@@ -334,7 +385,7 @@ class TestDeltaClassic:
             model, grid, truth, _, rng = _toy_instance(RNG_SEED + k,
                                                        n_theta=3, n_out=3)
             src = rng.dirichlet(np.full(grid.n_psi, 1.0))
-            assert delta_classic(model, truth, grid, src) >= 0.0
+            assert delta_classic(ToyEnumeration(model, truth, grid), src) >= 0.0
 
 
 class TestDeltaRweighted:
@@ -345,7 +396,7 @@ class TestDeltaRweighted:
                                                      n_obs=2)
         stars = [int(p.value[0]) for p in truth.psi_star]
         h_star = sum(entropy(table[0, s]) for s in stars)
-        got = delta_rweighted(model, truth, grid,
+        got = delta_rweighted(ToyEnumeration(model, truth, grid),
                               np.zeros((grid.n_psi, truth.n)))
         assert_allclose(got.unnormalized, -h_star, rtol=0, atol=1e-13)
         assert_allclose(got.normalized, 2 * np.log(3) - h_star, rtol=0,
@@ -356,7 +407,7 @@ class TestDeltaRweighted:
         model, grid, truth, table, rng = _toy_instance(RNG_SEED + 4, n_out=3,
                                                        n_obs=3)
         w = rng.uniform(0, 1, size=(grid.n_psi, truth.n))
-        got = delta_rweighted(model, truth, grid, w)
+        got = delta_rweighted(ToyEnumeration(model, truth, grid), w)
 
         stars = [int(p.value[0]) for p in truth.psi_star]
         unnorm = mp.mpf(0)
@@ -385,26 +436,27 @@ class TestDeltaRweighted:
             model, grid, truth, _, rng = _toy_instance(RNG_SEED + k, n_out=3,
                                                        n_obs=2)
             w = rng.uniform(0, 1, size=(grid.n_psi, truth.n))
-            got = delta_rweighted(model, truth, grid, w)
+            got = delta_rweighted(ToyEnumeration(model, truth, grid), w)
             assert got.normalized >= -1e-13
 
     def test_weights_shape_validated(self):
         model, grid, truth, _, _ = _toy_instance(RNG_SEED)
         with pytest.raises(ValueError, match="shape"):
-            delta_rweighted(model, truth, grid, np.ones((grid.n_psi, 5)))
+            delta_rweighted(ToyEnumeration(model, truth, grid), np.ones((grid.n_psi, 5)))
 
 
 class TestRhoFidelity:
     def test_constant_weights_have_zero_covariance(self):
         model, grid, truth, _, _ = _toy_instance(RNG_SEED)
-        rho = rho_fidelity(model, truth, grid, _constant_provider(grid.n_psi, 0.7))
+        rho = rho_fidelity(ToyEnumeration(model, truth, grid),
+                           _constant_provider(grid.n_psi, 0.7))
         assert rho == 0.0
 
     def test_matches_direct_enumeration(self):
         model, grid, truth, table, rng = _toy_instance(RNG_SEED + 5, n_out=3,
                                                        n_obs=3)
         g = rng.uniform(0, 1, size=(grid.n_psi, 3))
-        rho = rho_fidelity(model, truth, grid, _table_weights_provider(g))
+        rho = rho_fidelity(ToyEnumeration(model, truth, grid), _table_weights_provider(g))
 
         stars = [int(p.value[0]) for p in truth.psi_star]
         total = 0.0
@@ -421,7 +473,8 @@ class TestRhoFidelity:
         model, grid, _, _, _ = _toy_instance(RNG_SEED)
         truth = TrueProcess(SharedParam(0.0), (TaskParam(0.0),), TaskParam(0.0))
         with pytest.raises(ValueError, match="n >= 2"):
-            rho_fidelity(model, truth, grid, _constant_provider(grid.n_psi, 1.0))
+            rho_fidelity(ToyEnumeration(model, truth, grid),
+                         _constant_provider(grid.n_psi, 1.0))
 
 
 class TestEssDis:
@@ -456,7 +509,8 @@ class TestCheckProp55:
                 RNG_SEED + 100 + k, n_theta=n_theta, n_psi=n_psi,
                 n_out=n_out, n_obs=n_obs)
             g = rng.uniform(0, 1, size=(n_psi, n_out))
-            check = check_prop55(model, truth, grid, _table_weights_provider(g))
+            check = check_prop55(ToyEnumeration(model, truth, grid),
+                                 _table_weights_provider(g))
             assert abs(check.residual) < 1e-10
 
     def test_components_match_standalone_operations(self):
@@ -464,9 +518,10 @@ class TestCheckProp55:
                                                        n_obs=3)
         g = rng.uniform(0, 1, size=(grid.n_psi, 3))
         provider = _table_weights_provider(g)
-        check = check_prop55(model, truth, grid, provider)
+        record = ToyEnumeration(model, truth, grid)
+        check = check_prop55(record, provider)
 
-        rho = rho_fidelity(model, truth, grid, provider)
+        rho = rho_fidelity(record, provider)
         assert_allclose(check.rho_fidelity, rho, rtol=0, atol=1e-14)
 
         stars = [int(p.value[0]) for p in truth.psi_star]
@@ -486,7 +541,8 @@ class TestCheckProp55:
 
     def test_constant_weights_still_decompose(self):
         model, grid, truth, _, _ = _toy_instance(RNG_SEED + 7)
-        check = check_prop55(model, truth, grid, _constant_provider(grid.n_psi, 0.5))
+        check = check_prop55(ToyEnumeration(model, truth, grid),
+                             _constant_provider(grid.n_psi, 0.5))
         assert abs(check.residual) < 1e-12
         assert check.rho_fidelity == 0.0
 
@@ -496,7 +552,7 @@ class TestCheckProp55:
         model, grid, truth, _, rng = _toy_instance(RNG_SEED + 300 + n_obs, n_theta=3,
                                                    n_psi=3, n_out=4, n_obs=n_obs)
         g = rng.uniform(0, 1, size=(grid.n_psi, 4))
-        check = check_prop55(model, truth, grid, _table_weights_provider(g))
+        check = check_prop55(ToyEnumeration(model, truth, grid), _table_weights_provider(g))
         assert abs(check.residual) < 1e-9
 
 
@@ -511,7 +567,7 @@ class TestCheckTheorem24:
                 n_out=int(rng_sizes.integers(2, 4)),
                 n_obs=int(rng_sizes.integers(1, 4)))
             src = rng.dirichlet(np.full(grid.n_psi, 1.0))
-            check = check_theorem24(model, truth, grid, src)
+            check = check_theorem24(ToyEnumeration(model, truth, grid), src)
             assert check.satisfied
 
     @pytest.mark.parametrize("n_obs", [6, 7, 8])
@@ -519,7 +575,7 @@ class TestCheckTheorem24:
         model, grid, truth, _, rng = _toy_instance(RNG_SEED + 400 + n_obs, n_theta=3,
                                                    n_psi=3, n_out=4, n_obs=n_obs)
         src = rng.dirichlet(np.full(grid.n_psi, 1.0))
-        check = check_theorem24(model, truth, grid, src)
+        check = check_theorem24(ToyEnumeration(model, truth, grid), src)
         assert not check.degenerate
         assert check.satisfied
 
@@ -527,7 +583,7 @@ class TestCheckTheorem24:
         model, _, truth, _, rng = _toy_instance(RNG_SEED)
         grid = toy_grid(2, 2, theta_prior=[1.0, 0.0])
         src = rng.dirichlet(np.full(2, 3.0))
-        check = check_theorem24(model, truth, grid, src)
+        check = check_theorem24(ToyEnumeration(model, truth, grid), src)
         assert check.degenerate
         assert check.satisfied
         assert check.prior_mass_excluded == 0.0
@@ -544,7 +600,7 @@ class TestCheckTheorem24:
         truth = TrueProcess(SharedParam(0.0), (TaskParam(0.0), TaskParam(1.0)),
                             TaskParam(0.0))
         src = np.array([0.4, 0.6])
-        check = check_theorem24(model, truth, grid, src)
+        check = check_theorem24(ToyEnumeration(model, truth, grid), src)
         assert_allclose(check.info_gain, 0.0, rtol=0, atol=1e-12)
         assert_allclose(check.kl_excluded_mixture, check.delta_classic,
                         rtol=0, atol=1e-12)
@@ -554,15 +610,13 @@ class TestCheckTheorem24:
         model, grid, truth, table, rng = _toy_instance(RNG_SEED + 8, n_out=3,
                                                        n_obs=2)
         src = rng.dirichlet(np.full(grid.n_psi, 3.0))
-        check = check_theorem24(model, truth, grid, src)
+        record = ToyEnumeration(model, truth, grid)
+        check = check_theorem24(record, src)
 
         assert_allclose(check.prior_mass_excluded,
                         1.0 - grid.theta_prior_mass[0], rtol=0, atol=1e-15)
-        assert_allclose(check.delta_classic,
-                        delta_classic(model, truth, grid, src), rtol=0, atol=0)
-        assert_allclose(check.info_gain,
-                        info_gain_classic(model, truth, grid, src).value,
-                        rtol=0, atol=0)
+        assert_allclose(check.delta_classic, delta_classic(record, src), rtol=0, atol=0)
+        assert_allclose(check.info_gain, info_gain_classic(record, src), rtol=0, atol=0)
 
         stars = [int(p.value[0]) for p in truth.psi_star]
         excl_w = grid.theta_prior_mass[1:] / grid.theta_prior_mass[1:].sum()
@@ -649,7 +703,7 @@ class TestImpossibleOutcome:
             want += pd * np.log(post[0] / sum(post) / grid.theta_prior_mass[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = info_gain_classic(model, truth, grid, src).value
+            got = info_gain_classic(ToyEnumeration(model, truth, grid), src)
         assert_allclose(got, want, rtol=0, atol=1e-14)
         assert_allclose(got, ref.info_gain_classic(model, truth, grid, src), rtol=0, atol=1e-14)
 
@@ -661,17 +715,18 @@ class TestImpossibleOutcome:
         src = grid.psi_prior_mass
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            check = check_prop55(model, truth, grid, provider)
-            bound = check_theorem24(model, truth, grid, src)
+            record = ToyEnumeration(model, truth, grid)
+            check = check_prop55(record, provider)
+            bound = check_theorem24(record, src)
             report = toy_diagnostics_report(model, truth, grid, src, proxy_model, provider)
-            ig_r = info_gain_rweighted(model, truth, grid, RelevanceConfig(kind="constant-one"),
+            ig_r = info_gain_rweighted(record, RelevanceConfig(kind="constant-one"),
                                        proxy_model, weights_provider=provider)
         for field, value in ref.check_prop55(model, truth, grid, provider).items():
             assert_allclose(getattr(check, field), value, rtol=0, atol=1e-13)
         assert abs(check.residual) < 1e-9
         assert np.isfinite(bound.info_gain) and np.isfinite(bound.kl_excluded_mixture)
         assert bound.satisfied
-        assert_allclose(ig_r.value, ref.info_gain_rweighted(
+        assert_allclose(ig_r, ref.info_gain_rweighted(
             model, truth, grid, None, proxy_model, weights_provider=provider),
             rtol=0, atol=1e-13)
         assert all(np.isfinite(getattr(report, f)) for f in (
@@ -687,23 +742,24 @@ def test_enumeration_matches_per_dataset_loops_on_toy_verify_instances():
         model, truth, grid, _, provider, proxy_model = \
             toy_verify_instance(np.random.default_rng(1000 + i))
         src = grid.psi_prior_mass
-        check = check_prop55(model, truth, grid, provider)
+        record = ToyEnumeration(model, truth, grid)
+        check = check_prop55(record, provider)
         for field, value in ref.check_prop55(model, truth, grid, provider).items():
             assert_allclose(getattr(check, field), value, rtol=0, atol=1e-13,
                             err_msg=f"instance {i}, {field}")
         config = RelevanceConfig(kind="constant-one")
         for mode in ("subjective", "true"):
-            got = info_gain_rweighted(model, truth, grid, config, proxy_model,
+            got = info_gain_rweighted(record, config, proxy_model,
                                       weights_provider=provider, proxy_expectation=mode)
             want = ref.info_gain_rweighted(model, truth, grid, config, proxy_model,
                                            weights_provider=provider, proxy_expectation=mode)
-            assert_allclose(got.value, want, rtol=0, atol=1e-13,
+            assert_allclose(got, want, rtol=0, atol=1e-13,
                             err_msg=f"instance {i}, {mode}")
         w_first = provider(np.zeros((1, truth.n), dtype=int))[0]
-        got = delta_rweighted(model, truth, grid, w_first)
+        got = delta_rweighted(record, w_first)
         want = ref.delta_rweighted(model, truth, grid, w_first)
         assert_allclose([got.normalized, got.unnormalized], want, rtol=0, atol=1e-13,
                         err_msg=f"instance {i}")
-        assert_allclose(info_gain_classic(model, truth, grid, src).value,
+        assert_allclose(info_gain_classic(record, src),
                         ref.info_gain_classic(model, truth, grid, src), rtol=0, atol=1e-13,
                         err_msg=f"instance {i}")

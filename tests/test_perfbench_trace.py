@@ -58,6 +58,9 @@ def test_tracer_binds_every_target_and_uninstalls(monkeypatch):
     for name in ("check_prop55", "check_theorem24", "info_gain_rweighted",
                  "delta_rweighted", "delta_classic"):
         assert stats[f"diagnostics.{name}"].calls == 1, name
+    # one enumeration record per report: the full-grid table, the theta* row
+    # and the theta*, psi*_i table, one model evaluation each
+    assert stats["models.loglik_tensor"].calls == 3
 
 
 @pytest.mark.filterwarnings("ignore:acceptance rate")
