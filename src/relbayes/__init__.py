@@ -5,10 +5,9 @@ from .models import (LOG_2PI, ModelSpec, Observation, SharedParam, SourceData,
                      linear_model, loglik_tensor)
 from .grids import ParameterGrid, box_nodes, build_grid, midpoint_nodes, toy_grid
 from .inference import (DegenerateProxyError, GridProblem, McmcChain, McmcInitError,
-                        PosteriorPredictive, PosteriorTable, ProxyObservation,
-                        ProxyPosterior, chain_grid_tv, classic_posterior,
-                        combine_proxies, metropolis_posterior, posterior_predictive,
-                        proxy_posterior, r_weighted_posterior, uninformative_proxy)
+                        PosteriorTable, ProxyObservation, ProxyPosterior, chain_grid_tv,
+                        classic_posterior, metropolis_posterior, proxy_posterior,
+                        r_weighted_posterior, uninformative_proxy)
 from .relevance import (DegenerateRelevanceError, RefinementResult, RelevanceConfig,
                         RelevanceConfigError, RelevanceWeights, constant_one_weights,
                         prior_expected_relevance, refine_relevance,

@@ -14,6 +14,7 @@ log-likelihood tensor of its (model, data, grid) once.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -21,7 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grids import ParameterGrid, _check_mass
-from .models import ModelSpec, SourceData, loglik_tensor, logsumexp, sigmoid_ratio_weights
+from .models import (NULL_POOL_ZERO, DegenerateRelevanceError, ModelSpec, SourceData,
+                     _sigmoid_of_ratio, loglik_tensor, logsumexp)
 
 JOINT_TOL = 1e-10
 
@@ -45,19 +47,6 @@ class ProxyObservation:
 
     payload: object
     proxy_log_likelihood: Callable
-
-
-def combine_proxies(proxies) -> ProxyObservation:
-    """Merge independent proxy observations into one (log-likelihoods add)."""
-    proxies = list(proxies)
-    if not proxies:
-        raise ValueError("no proxies to combine")
-    payloads = [p.payload for p in proxies]
-
-    def joint_ll(payload, psi_nodes):
-        return sum(p.proxy_log_likelihood(z, psi_nodes) for p, z in zip(proxies, payload))
-
-    return ProxyObservation(payload=payloads, proxy_log_likelihood=joint_ll)
 
 
 def uninformative_proxy() -> ProxyObservation:
@@ -276,43 +265,6 @@ def r_weighted_posterior(problem: GridProblem, weights_per_psi,
                              proxy_loglik_vector(proxy, problem.grid.psi_nodes))
 
 
-@dataclass(frozen=True)
-class PosteriorPredictive:
-    """Mixture predictive for the next observation under a posterior table."""
-
-    model: ModelSpec
-    table: PosteriorTable
-    covariates: np.ndarray
-    trial_count: Optional[int] = None
-
-    def log_density(self, outcome) -> float:
-        from .models import Observation
-
-        obs = Observation(self.covariates, outcome, trial_count=self.trial_count)
-        grid = self.table.grid
-        lls = loglik_tensor(model=self.model, data=SourceData((obs,)),
-                            thetas=grid.theta_nodes, psis=grid.psi_nodes)[0]
-        with np.errstate(divide="ignore"):
-            log_mass = np.log(self.table.joint_mass)
-        return float(logsumexp(log_mass + lls))
-
-    def sample(self, rng):
-        grid = self.table.grid
-        flat = self.table.joint_mass.ravel()
-        idx = rng.choice(flat.size, p=flat / flat.sum())
-        a, b = divmod(idx, grid.n_psi)
-        kwargs = {} if self.trial_count is None else {"trial_count": self.trial_count}
-        return self.model.simulate(self.covariates, grid.theta_nodes[a],
-                                   grid.psi_nodes[b], rng, **kwargs)
-
-
-def posterior_predictive(model: ModelSpec, table: PosteriorTable, covariates,
-                         trial_count: Optional[int] = None) -> PosteriorPredictive:
-    return PosteriorPredictive(model=model, table=table,
-                               covariates=np.asarray(covariates, dtype=float),
-                               trial_count=trial_count)
-
-
 # ---------------------------------------------------------------------------
 # random-walk Metropolis
 # ---------------------------------------------------------------------------
@@ -336,6 +288,79 @@ ACCEPT_TARGET = 0.3
 ACCEPT_BAND = (0.1, 0.6)
 
 
+def _state_part(value, size: int, name: str) -> np.ndarray:
+    """value as a float vector, checked to have shape (size,)."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != (size,):
+        raise ValueError(f"{name} must have shape ({size},), got {arr.shape}")
+    return arr
+
+
+def _chain_log_target(model: ModelSpec, data: SourceData, proxy, weights_fn,
+                      prior_log_density, obs_group: Optional[np.ndarray]):
+    """The sampler's log-target as a function of the stacked (theta, psi) state.
+
+    What does not change within a chain is formed here, once: for the
+    "sigmoid-ratio" kind, the (2, k_theta) theta rows, whose null row stays
+    zero, and log n; for the fixed-effects target (obs_group given, one
+    group index per observation), the flat index that gathers each
+    observation's intercept rows out of psi in one step.  A state of
+    non-finite prior density is rejected before any model call.
+    """
+    k_theta, n = model.k_theta, data.n
+
+    if weights_fn is None:
+        k_psi = model.k_psi
+        gather = (obs_group[:, None] * k_psi + np.arange(k_psi))[:, None, :]  # (n, 1, k_psi)
+
+        def log_lik(theta, psi):
+            return float(loglik_tensor(model, data, theta[None, :], psi[gather]).sum())
+    else:
+        if callable(weights_fn):
+            def weighted_sum(theta, psi):
+                w = np.asarray(weights_fn(data, psi), dtype=float)
+                lls = loglik_tensor(model, data, theta[None, :], psi[None, :])[:, 0, 0]
+                if w.shape != (n,):
+                    raise ValueError(f"weights shape {w.shape}, expected {(n,)}")
+                # NaN fails both comparisons
+                if not (w.min() >= 0.0 and w.max() <= 1.0):
+                    raise ValueError("relevance weights must lie in [0, 1]")
+                # a zero weight kills its term outright (0 * -inf would be nan)
+                return float(np.multiply(w, lls, out=np.zeros(n), where=w != 0.0).sum())
+        else:
+            thetas = np.zeros((2, k_theta))     # row 0 the state's theta, row 1 the null theta
+            log_n = np.log(n)
+
+            def weighted_sum(theta, psi):
+                thetas[0] = theta
+                both = loglik_tensor(model, data, thetas, psi[None, :])          # (n, 2, 1)
+                null = both[:, 1, 0]
+                denom = null.sum()
+                if not math.isfinite(denom):
+                    if denom == -math.inf:
+                        raise DegenerateRelevanceError(NULL_POOL_ZERO)
+                    # a +inf log-likelihood: some weight would be nan
+                    raise ValueError("relevance weights must lie in [0, 1]")
+                # with every null log-likelihood finite, each weight lies in
+                # [0.5, 1]: there is no range to check and no zero to mask
+                return float((_sigmoid_of_ratio(null, log_n, denom) * both[:, 0, 0]).sum())
+
+        def log_lik(theta, psi):
+            ll = weighted_sum(theta, psi)
+            if proxy is not None:
+                ll += float(proxy_loglik_vector(proxy, psi[None, :])[0])
+            return ll
+
+    def log_target(vec: np.ndarray) -> float:
+        theta, psi = vec[:k_theta], vec[k_theta:]
+        lp = prior_log_density(theta, psi)
+        if not math.isfinite(lp):
+            return -math.inf
+        return lp + log_lik(theta, psi)
+
+    return log_target
+
+
 def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
                          prior_log_density, n_samples: int, seed: int, *,
                          groups=None, init_theta=None, init_psi=None,
@@ -356,7 +381,20 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
 
     Each step evaluates the model once: one loglik_tensor call per proposed
     state, of n x 2 cells for the "sigmoid-ratio" kind and n cells
-    otherwise (a callable weights_fn does its own work besides).
+    otherwise (a callable weights_fn does its own work besides).  A
+    proposal of non-finite prior density is rejected without a model call.
+    The log-target is built once per chain, with its per-chain constants:
+    the null theta row and log n of the sigmoid ratio and, for fixed
+    effects, one index that gathers every observation's group intercept
+    from psi.  The per-step checks are scalar tests or a min and a max: a
+    callable's weights are range-checked by their min and max (NaN fails
+    both), and the sigmoid-ratio weights, which lie in [0.5, 1] once the
+    pooled null log-likelihood is finite, are neither checked nor masked.
+
+    init_theta must have shape (k_theta,), init_psi (k_psi,), or
+    (k_psi * len(groups),) for fixed effects, and an array proposal_scale
+    one entry per state coordinate; each defaults to the middle of the
+    support box, or 0.5.
 
     n_samples counts total iterations; the first quarter is burn-in, during
     which per-coordinate proposal scales adapt toward 0.3 acceptance, and is
@@ -369,6 +407,7 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
         raise ValueError(f"weights_fn must be a callable, None or 'sigmoid-ratio', "
                          f"got {weights_fn!r}")
     k_theta = model.k_theta
+    obs_group = None
     if weights_fn is None:
         if groups is None:
             raise ValueError("weights_fn=None needs a groups partition")
@@ -379,45 +418,23 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
             obs_group[g] = gi
     else:
         psi_dim = model.k_psi
-    thetas = np.zeros((2, k_theta))     # row 0 the state's theta, row 1 the null theta
+    dim = k_theta + psi_dim
 
     theta0 = (model.theta_support.mean(axis=1) if init_theta is None
-              else np.asarray(init_theta, dtype=float))
-    if init_psi is None:
-        psi0 = np.tile(model.psi_support.mean(axis=1), psi_dim // model.k_psi)
-    else:
-        psi0 = np.asarray(init_psi, dtype=float)
+              else _state_part(init_theta, k_theta, "init_theta"))
+    psi0 = (np.tile(model.psi_support.mean(axis=1), psi_dim // model.k_psi)
+            if init_psi is None else _state_part(init_psi, psi_dim, "init_psi"))
+    scales = (np.full(dim, float(proposal_scale)) if np.ndim(proposal_scale) == 0
+              else _state_part(proposal_scale, dim, "proposal_scale").copy())
     state = np.concatenate([theta0, psi0])
 
-    def log_target(vec: np.ndarray) -> float:
-        theta, psi = vec[:k_theta], vec[k_theta:]
-        lp = prior_log_density(theta, psi)
-        if not np.isfinite(lp):
-            return -np.inf
-        if weights_fn is None:
-            rows = psi.reshape(len(groups), model.k_psi)[obs_group][:, None, :]
-            return lp + float(loglik_tensor(model, data, theta[None, :], rows).sum())
-        if callable(weights_fn):
-            w = weights_fn(data, psi)
-            lls = loglik_tensor(model, data, theta[None, :], psi[None, :])[:, 0, 0]
-        else:
-            thetas[0] = theta
-            both = loglik_tensor(model, data, thetas, psi[None, :])[:, :, 0]   # (n, 2)
-            w = sigmoid_ratio_weights(both[:, 1:])[:, 0]
-            lls = both[:, 0]
-        ll = float(_weighted_terms(_check_weights(w, (data.n,)), lls).sum())
-        if proxy is not None:
-            ll += float(proxy_loglik_vector(proxy, psi[None, :])[0])
-        return lp + ll
-
+    log_target = _chain_log_target(model, data, proxy, weights_fn, prior_log_density,
+                                   obs_group)
     current = log_target(state)
     if not np.isfinite(current):
         raise McmcInitError(f"log-target is {current} at the initial state")
 
     rng = np.random.default_rng(seed)
-    dim = state.size
-    scales = np.full(dim, float(proposal_scale)) if np.isscalar(proposal_scale) \
-        else np.asarray(proposal_scale, dtype=float).copy()
     burn = n_samples // 4
     keep = n_samples - burn
     kept_theta = np.empty((keep, k_theta))

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import expit, gammaln
 
 LOG_2PI = math.log(2.0 * math.pi)
+LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
 def _as_vector(value, name: str) -> np.ndarray:
@@ -220,20 +221,37 @@ class DegenerateRelevanceError(ValueError):
     """The weight formula hit an undefined 0/0 or -inf/-inf ratio."""
 
 
+NULL_POOL_ZERO = ("pooled likelihood at the null shared parameter is zero; the sigmoid "
+                  "ratio is undefined for this dataset and target task")
+
+
 def sigmoid_ratio_weights(null_lls: np.ndarray) -> np.ndarray:
     """sigmoid(n * p_i / prod_j p_j) for every column of null_lls, shape (n, B).
 
     null_lls holds each observation's log-likelihood at the null shared
-    parameter theta = 0, one column per task-parameter row.  The ratio is
-    formed in log space; overflow saturates cleanly to weight 1.
+    parameter theta = 0, one column per task-parameter row.
     """
     denom = null_lls.sum(axis=0)
-    if np.any(np.isneginf(denom)):
-        raise DegenerateRelevanceError(
-            "pooled likelihood at the null shared parameter is zero; the "
-            "sigmoid ratio is undefined for this dataset and target task")
-    with np.errstate(over="ignore"):
-        return expit(np.exp(np.log(null_lls.shape[0]) + null_lls - denom[None, :]))
+    if (denom == -np.inf).any():
+        raise DegenerateRelevanceError(NULL_POOL_ZERO)
+    return _sigmoid_of_ratio(null_lls, np.log(null_lls.shape[0]), denom)
+
+
+def _sigmoid_of_ratio(null_lls: np.ndarray, log_n, denom) -> np.ndarray:
+    """The sigmoid-ratio weights of null_lls, (n,) or (n, B), given log n and
+    the pooled null log-likelihoods denom, which the caller has checked are
+    not -inf.
+
+    The ratio is formed in log space, its exponent clamped at log(DBL_MAX)
+    so the exp stays finite; the sigmoid of anything that large is exactly
+    1, as it is of +inf.  Where denom is finite, every weight lies in
+    [0.5, 1].
+    """
+    w = log_n + null_lls
+    w -= denom
+    np.minimum(w, LOG_DBL_MAX, out=w)
+    np.exp(w, out=w)
+    return expit(w, out=w)
 
 
 def logsumexp(a, axis=None):
@@ -309,17 +327,17 @@ def _binom_log_coef(y, n):
     return gammaln(n + 1) - gammaln(y + 1) - gammaln(n - y + 1)
 
 
-def _binom_logpmf(y, n, t, log_coef=None):
-    """log Binomial(y; n, sigmoid(t)) computed from the logit t, stably.
-
-    log_coef, when given, is _binom_log_coef(y, n) computed beforehand.
-    """
+def _binom_logpmf(y, n, t):
+    """log Binomial(y; n, sigmoid(t)) computed from the logit t, stably."""
     y = np.asarray(y, dtype=float)
     n = np.asarray(n, dtype=float)
-    if log_coef is None:
-        log_coef = _binom_log_coef(y, n)
+    return _binom_terms(y, n - y, _binom_log_coef(y, n), t)
+
+
+def _binom_terms(y, failures, log_coef, t):
+    """The binomial log pmf from its data columns: y, n - y and log C(n, y)."""
     # log sigmoid(t) = -log(1 + exp(-t)); log(1 - sigmoid(t)) = -log(1 + exp(t))
-    return log_coef - y * np.logaddexp(0.0, -t) - (n - y) * np.logaddexp(0.0, t)
+    return log_coef - y * np.logaddexp(0.0, -t) - failures * np.logaddexp(0.0, t)
 
 
 def binomial_logit_model() -> ModelSpec:
@@ -328,28 +346,27 @@ def binomial_logit_model() -> ModelSpec:
     Four treatment indicators in theta, a scalar intercept psi.  Observation
     already holds each count inside [0, trial_count].
 
-    The log binomial coefficient depends only on the data, and a Metropolis
-    chain evaluates one SourceData thousands of times.  So the model keeps
-    the coefficient and the broadcast count columns of the last SourceData
-    it saw, compared by identity; the columns are read-only, so a kept
-    constant cannot go stale.
+    The failure counts and the log binomial coefficient depend only on the
+    data, and a Metropolis chain evaluates one SourceData thousands of
+    times.  So the model keeps the count columns, broadcast as (n, 1, 1),
+    of the last SourceData it saw, compared by identity; the columns are
+    read-only, so a kept constant cannot go stale.
     """
 
-    kept = [None, None]     # [SourceData, (y, n, log_coef) broadcast as (n, 1, 1)]
+    kept = [None, None]     # [SourceData, (y, n - y, log_coef) broadcast as (n, 1, 1)]
 
     def _columns(data: SourceData):
         if kept[0] is not data:
             y = data.outcomes[:, None, None]
             n = data.trial_counts[:, None, None]
-            kept[:] = [data, (y, n, _binom_log_coef(y, n))]
+            kept[:] = [data, (y, n - y, _binom_log_coef(y, n))]
         return kept[1]
 
     def log_likelihood(data: SourceData, thetas, psis) -> np.ndarray:
         if data.trial_counts is None:
             raise ValueError("binomial model requires trial_count on every observation")
         t = (data.covariates @ thetas.T)[:, :, None] + _task_column(psis)   # (n, A, B)
-        y, n, log_coef = _columns(data)
-        return _binom_logpmf(y, n, t, log_coef)
+        return _binom_terms(*_columns(data), t)
 
     def simulate(covariates, theta, psi, rng, trial_count=None) -> Observation:
         if trial_count is None:

@@ -13,6 +13,12 @@ log-sum-exp over the (n, A, B) tensor at every belief, the form the
 exponentiate-once belief average replaced; refine_prior_expected is the
 refinement loop on it.
 
+sigmoid_ratio_weights and metropolis_log_target are the sigmoid-ratio
+formula and the Metropolis log-target as written before the sampler kept
+its per-chain constants: every step slices the state, reshapes and gathers
+the group intercepts, and forms the weights through the full (n, B)
+formula, the range check and the zero-weight mask.
+
 The diagnostics oracles at the end are the per-dataset loops the exact
 enumeration replaced: each dataset of positive probability becomes its own
 SourceData and, for the information gains, its own grid posterior.  A
@@ -22,13 +28,13 @@ weights provider is called with one dataset at a time.
 import itertools
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from relbayes.inference import (GridProblem, _check_weights, _weighted_terms,
                                 classic_posterior, proxy_loglik_vector,
                                 r_weighted_posterior)
-from relbayes.models import BASE_JITTER, LOG_2PI, MAX_JITTER, Observation, SourceData, \
-    _binom_logpmf, loglik_tensor, param_values
+from relbayes.models import BASE_JITTER, LOG_2PI, MAX_JITTER, DegenerateRelevanceError, \
+    Observation, SourceData, _binom_logpmf, loglik_tensor, param_values
 from relbayes.relevance import _clip_unit, _predictive_mode_matrix, refine_relevance
 
 
@@ -78,6 +84,48 @@ def r_weighted_likelihood(model, data, theta, psi_target, weights) -> float:
     lls = loglik_tensor(model, data, param_values(theta)[None, :],
                         param_values(psi_target)[None, :])[:, 0, 0]
     return float(_weighted_terms(w, lls).sum())
+
+
+def sigmoid_ratio_weights(null_lls) -> np.ndarray:
+    """sigmoid(n * p_i / prod_j p_j) for every column of null_lls, shape (n, B)."""
+    denom = null_lls.sum(axis=0)
+    if np.any(np.isneginf(denom)):
+        raise DegenerateRelevanceError("pooled likelihood at the null shared parameter is zero")
+    with np.errstate(over="ignore"):
+        return expit(np.exp(np.log(null_lls.shape[0]) + null_lls - denom[None, :]))
+
+
+def metropolis_log_target(model, data, proxy, weights_fn, prior_log_density, groups=None):
+    """The Metropolis log-target at one stacked (theta, psi) state, as a function."""
+    k_theta = model.k_theta
+    if weights_fn is None:
+        obs_group = np.empty(data.n, dtype=int)
+        for gi, g in enumerate(groups):
+            obs_group[g] = gi
+    thetas = np.zeros((2, k_theta))
+
+    def log_target(vec: np.ndarray) -> float:
+        theta, psi = vec[:k_theta], vec[k_theta:]
+        lp = prior_log_density(theta, psi)
+        if not np.isfinite(lp):
+            return -np.inf
+        if weights_fn is None:
+            rows = psi.reshape(len(groups), model.k_psi)[obs_group][:, None, :]
+            return lp + float(loglik_tensor(model, data, theta[None, :], rows).sum())
+        if callable(weights_fn):
+            w = weights_fn(data, psi)
+            lls = loglik_tensor(model, data, theta[None, :], psi[None, :])[:, 0, 0]
+        else:
+            thetas[0] = theta
+            both = loglik_tensor(model, data, thetas, psi[None, :])[:, :, 0]   # (n, 2)
+            w = sigmoid_ratio_weights(both[:, 1:])[:, 0]
+            lls = both[:, 0]
+        ll = float(_weighted_terms(_check_weights(w, (data.n,)), lls).sum())
+        if proxy is not None:
+            ll += float(proxy_loglik_vector(proxy, psi[None, :])[0])
+        return lp + ll
+
+    return log_target
 
 
 def prior_expected_matrix(tensor, log_pred_mode, theta_belief) -> np.ndarray:

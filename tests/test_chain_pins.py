@@ -4,9 +4,14 @@ Each chain's samples are hashed (sha256 over the theta then the psi sample
 bytes) and compared, with its acceptance rate, to literals recorded before
 the sampler's per-step work was cut: a weighted chain and a fixed-effects
 chain of the partition that holds out study 01, and the all-data
-fixed-effects fit behind fit_study_intercepts.  A change to the sampler, the
-binomial model or the sigmoid-ratio weights that moves any chain by one bit
-fails here, so "bit-identical chains" is checked, not claimed.
+fixed-effects fit behind fit_study_intercepts.  One end-to-end pin covers
+the whole weak-proxy partition that holds out study 01 at the benchmark's
+6,000 iterations: the intercept fit, both chains and the predictive scores,
+hashed over the repr of its partition_rows, which round-trips every float
+exactly; its literal was recorded before the sampler kept its per-chain
+constants.  A change to the sampler, the binomial model or the
+sigmoid-ratio weights that moves any chain by one bit fails here, so
+"bit-identical chains" is checked, not claimed.
 """
 
 import hashlib
@@ -87,3 +92,27 @@ def test_all_data_intercept_fit_is_pinned(study_map):
     assert list(means) == list(study_map)
     assert hashlib.sha256(np.array(list(means.values())).tobytes()).hexdigest() \
         == INTERCEPT_MEANS
+
+
+PARTITION_SAMPLES = 6000
+PARTITION_ROWS = "4077eb46cf2c10fb694ff8e347e4a1034e610467fda28d30e303b485a4d84fe8"
+
+
+class _FirstStudyOnly(dict):
+    """A study map that iterates over study 01 alone but keeps every study
+    for the pooled source data; 01 is the first study, so its partition draws
+    from the same task stream as in a full sweep."""
+
+    def __iter__(self):
+        return iter(["01"])
+
+
+def test_held_out_partition_rows_are_pinned(study_map, monkeypatch):
+    records = [r for recs in study_map.values() for r in recs]
+    intercepts = smoking.fit_study_intercepts(records, PARTITION_SAMPLES, 20240)
+    monkeypatch.setattr(smoking, "arms_by_study", lambda recs: _FirstStudyOnly(study_map))
+    results = smoking.run_smoking_comparison(records, "weak", 1, PARTITION_SAMPLES,
+                                             intercepts=intercepts)
+    rows = smoking.partition_rows(results)
+    assert [row["held_out_study"] for row in rows] == ["01"]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == PARTITION_ROWS

@@ -16,8 +16,7 @@ from _scalar_reference import r_weighted_likelihood
 from relbayes.grids import ParameterGrid, midpoint_nodes, toy_grid
 from relbayes.inference import (DegenerateProxyError, GridProblem, McmcInitError,
                                 PosteriorTable, ProxyObservation, _r_weighted_table,
-                                chain_grid_tv, classic_posterior, combine_proxies,
-                                metropolis_posterior, posterior_predictive,
+                                chain_grid_tv, classic_posterior, metropolis_posterior,
                                 proxy_loglik_vector, proxy_posterior,
                                 r_weighted_posterior, uninformative_proxy)
 from relbayes.models import (Observation, SharedParam, SourceData, TaskParam,
@@ -89,22 +88,6 @@ class TestProxyPosterior:
             proxy_log_likelihood=lambda z, psi_nodes: np.full(len(psi_nodes), -np.inf))
         with pytest.raises(DegenerateProxyError):
             proxy_posterior(grid, dead)
-
-    def test_combined_proxies_multiply_likelihoods(self):
-        nodes = np.linspace(-2, 2, 9)[:, None]
-        grid = ParameterGrid(np.zeros((1, 1)), nodes, np.array([1.0]),
-                             np.full(9, 1 / 9))
-        p1, p2 = _normal_proxy(0.5), _normal_proxy(-0.2, sigma=1.5)
-        both = combine_proxies([p1, p2])
-        post = proxy_posterior(grid, both)
-        l1 = np.array([p1.proxy_log_likelihood(0.5, psi[None, :])[0] for psi in nodes])
-        l2 = np.array([p2.proxy_log_likelihood(-0.2, psi[None, :])[0] for psi in nodes])
-        want = np.exp(l1 + l2) / np.exp(l1 + l2).sum()
-        assert_allclose(post.mass, want, rtol=1e-12)
-
-    def test_combine_rejects_empty(self):
-        with pytest.raises(ValueError):
-            combine_proxies([])
 
 
 class TestProxyLoglikVector:
@@ -476,40 +459,6 @@ class TestRWeightedLikelihood:
         log_joint += grid.log_theta_prior()[:, None] + grid.log_psi_prior()[None, :]
         want = np.exp(log_joint - log_joint.max())
         assert_allclose(table.joint_mass, want / want.sum(), rtol=1e-12)
-
-
-class TestPosteriorPredictive:
-    def test_log_density_matches_two_term_mixture(self):
-        table = np.array([[[0.7, 0.3], [0.1, 0.9]]])
-        model = discrete_toy_model(2, 1, 2, table)
-        grid = toy_grid(1, 2)
-        post = PosteriorTable(grid=grid, joint_mass=np.array([[0.25, 0.75]]),
-                              log_evidence=0.0)
-        pred = posterior_predictive(model, post, np.empty(0))
-        want = np.log(0.25 * 0.7 + 0.75 * 0.1)
-        assert_allclose(pred.log_density(0), want, rtol=1e-14)
-
-    def test_predictive_mass_sums_to_one(self):
-        model, grid, data, _, rng = _toy_setup()
-        src = rng.dirichlet(np.full(grid.n_psi, 3.0))
-        post = classic_posterior(GridProblem(model, data, grid), src)
-        pred = posterior_predictive(model, post, np.empty(0))
-        total = sum(np.exp(pred.log_density(o)) for o in model.outcome_space)
-        assert_allclose(total, 1.0, rtol=0, atol=1e-12)
-
-    def test_sampler_goodness_of_fit(self):
-        table = np.array([[[0.6, 0.4], [0.2, 0.8]]])
-        model = discrete_toy_model(2, 1, 2, table)
-        grid = toy_grid(1, 2)
-        post = PosteriorTable(grid=grid, joint_mass=np.array([[0.3, 0.7]]),
-                              log_evidence=0.0)
-        pred = posterior_predictive(model, post, np.empty(0))
-        rng = np.random.default_rng(RNG_SEED)
-        draws = np.array([pred.sample(rng).outcome for _ in range(3000)])
-        p1 = 0.3 * 0.4 + 0.7 * 0.8
-        counts = np.bincount(draws.astype(int), minlength=2)
-        result = stats.chisquare(counts, 3000 * np.array([1 - p1, p1]))
-        assert result.pvalue > 0.01
 
 
 class TestMetropolis:

@@ -1,0 +1,371 @@
+"""The Metropolis step against the log-target it replaced, and its error paths.
+
+The sampler builds its log-target once per chain (inference._chain_log_target)
+and keeps what does not change within the chain.  Every kind is compared,
+bit for bit, with the per-step oracle in _scalar_reference at a few hundred
+random states, including states outside the prior's support and zero weights
+against -inf log-likelihoods.  The error tests hold each failure that could
+occur mid-chain to the exception the oracle raises, and check that warnings
+raised inside user callables still reach the caller.
+"""
+
+import dataclasses
+import warnings
+
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+from _scalar_reference import metropolis_log_target, sigmoid_ratio_weights as oracle_weights
+from relbayes import inference
+from relbayes.harness import smoking
+from relbayes.inference import _chain_log_target, metropolis_posterior
+from relbayes.models import (DegenerateRelevanceError, ModelSpec, Observation, SourceData,
+                             binomial_logit_model, discrete_toy_model, linear_model,
+                             sigmoid_ratio_weights)
+from relbayes.synthetic import gen_imprecise_estimate_proxy
+
+N_STATES = 240
+SEED = 20261018
+
+
+def _std_normal_prior(theta, psi):
+    return float(-0.5 * (theta @ theta + psi @ psi))
+
+
+def _box_prior(hi):
+    """Flat on [0, hi] in every coordinate, -inf outside."""
+
+    def prior(theta, psi):
+        vec = np.concatenate([theta, psi])
+        return 0.0 if vec.min() >= 0.0 and vec.max() <= hi else -np.inf
+
+    return prior
+
+
+def _obs_group(groups, n):
+    obs_group = np.empty(n, dtype=int)
+    for gi, g in enumerate(groups):
+        obs_group[g] = gi
+    return obs_group
+
+
+def _new_and_old(model, data, proxy, weights_fn, prior, groups=None):
+    obs_group = None if groups is None else _obs_group(groups, data.n)
+    return (_chain_log_target(model, data, proxy, weights_fn, prior, obs_group),
+            metropolis_log_target(model, data, proxy, weights_fn, prior, groups))
+
+
+def _assert_same_at(states, new, old):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.array([new(v) for v in states])
+    want = np.array([old(v) for v in states])
+    assert_array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+@pytest.fixture(scope="module")
+def partition():
+    """The 47 arms, 23 groups and a weak proxy of the partition holding out study 01."""
+    study_map = smoking.arms_by_study(smoking.ingest_smoking_csv(smoking.packaged_smoking_path()))
+    data, groups = smoking._stacked_data({s: r for s, r in study_map.items() if s != "01"})
+    proxy = gen_imprecise_estimate_proxy(0.25, 3.0, False, np.random.default_rng(7))
+    return data, groups, proxy
+
+
+def _small_binomial(rng, n=7, trials=8):
+    return SourceData(tuple(
+        Observation(rng.normal(size=4), int(rng.integers(0, trials + 1)), trial_count=trials)
+        for _ in range(n)))
+
+
+def _two_intercept_model() -> ModelSpec:
+    """Gaussian y ~ N(theta x1 + psi_0 x2 + psi_1, 1): a k_psi = 2 model, so
+    the fixed-effects gather has more than one coordinate per group."""
+    base = linear_model()
+
+    def log_likelihood(data, thetas, psis):
+        x = data.covariates
+        mean = (x[:, 0, None, None] * thetas[None, :, 0, None]
+                + x[:, 1, None, None] * psis[..., None, :, 0] + psis[..., None, :, 1])
+        return -0.5 * (data.outcomes[:, None, None] - mean) ** 2
+
+    return dataclasses.replace(base, name="two-intercept",
+                               psi_support=np.array([[-10.0, 10.0], [-10.0, 10.0]]),
+                               log_likelihood=log_likelihood)
+
+
+def _zero_prob_toy():
+    """A 3 x 3 categorical toy where outcome 2 is impossible at theta nodes
+    0 and 1, data holding that outcome, and weights that are zero on those
+    observations while psi rounds below node 2."""
+    rng = np.random.default_rng(SEED)
+    table = rng.dirichlet(np.ones(3), size=(3, 3))
+    table[:2, :, 2] = 0.0
+    table /= table.sum(axis=2, keepdims=True)
+    model = discrete_toy_model(3, 3, 3, table)
+    outcomes = np.array([0, 2, 1, 2, 0, 1])
+    data = SourceData(tuple(Observation(np.empty(0), int(o)) for o in outcomes))
+
+    def weights_fn(d, psi):
+        w = np.linspace(0.1, 1.0, d.n)
+        if psi[0] < 1.5:
+            w[outcomes == 2] = 0.0
+        return w
+
+    return model, data, weights_fn
+
+
+class TestStepEqualsOracle:
+    @pytest.mark.parametrize("data_kind", ["partition", "small"])
+    def test_sigmoid_ratio_kind(self, partition, data_kind):
+        rng = np.random.default_rng(SEED)
+        data, _, proxy = partition
+        if data_kind == "small":
+            data = _small_binomial(rng)
+        new, old = _new_and_old(binomial_logit_model(), data, proxy, "sigmoid-ratio",
+                                smoking._normal_prior)
+        # wide psi moves the null pool from saturated weights to weights below 1
+        states = np.hstack([rng.normal(0.0, 1.5, size=(N_STATES, 4)),
+                            rng.normal(0.0, 4.0, size=(N_STATES, 1))])
+        got = _assert_same_at(states, new, old)
+        assert np.isfinite(got).all()
+
+    def test_sigmoid_ratio_weights_keep_the_formula(self):
+        """The (n, B) weights the relevance module uses, clamped exponent and
+        all, equal the errstate formula bit for bit, saturated columns too."""
+        rng = np.random.default_rng(SEED)
+        null = -rng.gamma(1.0, 1.0, size=(9, 40)) * np.geomspace(1e-3, 1e3, 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # the clamp leaves exp nothing to overflow
+            got = sigmoid_ratio_weights(null)
+        assert got.tobytes() == oracle_weights(null).tobytes()
+        assert (got[:, -1] == 1.0).all() and (got[:, 0] < 1.0).all()
+
+    def test_callable_kind(self, partition):
+        rng = np.random.default_rng(SEED)
+        data, _, proxy = partition
+        draws = rng.random((N_STATES, data.n))
+        draws[draws < 0.2] = 0.0
+        draws[draws > 0.9] = 1.0
+        calls = iter(range(N_STATES))
+
+        def weights_fn(d, psi):
+            return draws[next(calls)]
+
+        new, old = _new_and_old(binomial_logit_model(), data, proxy, weights_fn,
+                                smoking._normal_prior)
+        states = rng.normal(0.0, 1.5, size=(N_STATES, 5))
+        got = np.array([new(v) for v in states])
+        calls = iter(range(N_STATES))
+        want = np.array([old(v) for v in states])
+        assert got.tobytes() == want.tobytes()
+
+    def test_callable_zero_weights_kill_neg_inf_loglik(self):
+        model, data, weights_fn = _zero_prob_toy()
+        rng = np.random.default_rng(SEED)
+        new, old = _new_and_old(model, data, None, weights_fn, _box_prior(2.0))
+        # a margin past the box puts some states outside the prior's support
+        states = rng.uniform(-0.45, 2.45, size=(N_STATES, 2))
+        got = _assert_same_at(states, new, old)
+        theta_idx, psi_idx = np.rint(states[:, 0]), np.rint(states[:, 1])
+        in_box = (states.min(axis=1) >= 0.0) & (states.max(axis=1) <= 2.0)
+        impossible = in_box & (theta_idx < 2)
+        masked, unmasked = impossible & (psi_idx < 2), impossible & (psi_idx == 2)
+        assert min(masked.sum(), unmasked.sum(), (~in_box).sum()) >= 20
+        # zero weights keep the impossible outcome out; positive weights do not
+        assert np.isfinite(got[masked]).all()
+        assert (got[unmasked] == -np.inf).all()
+        assert (got[~in_box] == -np.inf).all()
+
+    @pytest.mark.parametrize("model_kind", ["binomial", "two-intercept"])
+    def test_fixed_effects_with_groups(self, partition, model_kind):
+        rng = np.random.default_rng(SEED)
+        if model_kind == "binomial":
+            data, groups, _ = partition
+            model, prior = binomial_logit_model(), smoking._normal_prior
+        else:
+            model, prior = _two_intercept_model(), _std_normal_prior
+            data = SourceData(tuple(Observation(rng.normal(size=2), rng.normal())
+                                    for _ in range(9)))
+            groups = [[0, 4], [1, 2, 8], [3], [5, 6, 7]]
+        new, old = _new_and_old(model, data, None, None, prior, groups)
+        dim = model.k_theta + model.k_psi * len(groups)
+        _assert_same_at(rng.normal(0.0, 1.5, size=(N_STATES, dim)), new, old)
+
+    @pytest.mark.parametrize("weights_fn", ["sigmoid-ratio", "callable", None])
+    def test_neg_inf_prior_makes_no_model_call(self, partition, monkeypatch, weights_fn):
+        data, groups, proxy = partition
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(inference, "loglik_tensor",
+                            counted("loglik_tensor", inference.loglik_tensor))
+        monkeypatch.setattr(inference, "proxy_loglik_vector",
+                            counted("proxy", inference.proxy_loglik_vector))
+        if weights_fn == "callable":
+            weights_fn = counted("weights", lambda d, psi: np.ones(d.n))
+        obs_group = _obs_group(groups, data.n) if weights_fn is None else None
+        psi_dim = len(groups) if weights_fn is None else 1
+        log_target = _chain_log_target(binomial_logit_model(), data, proxy, weights_fn,
+                                       _box_prior(1.0), obs_group)
+        outside = np.full(4 + psi_dim, 0.5)
+        outside[0] = -0.1
+        assert log_target(outside) == -np.inf
+        assert calls == []
+        inside = np.full(4 + psi_dim, 0.5)
+        assert np.isfinite(log_target(inside))
+        assert "loglik_tensor" in calls
+
+
+def _nan_from_call(model, first):
+    """The model with NaN log-likelihoods from its first-th call on."""
+    calls = [0]
+
+    def log_likelihood(data, thetas, psis):
+        calls[0] += 1
+        out = model.log_likelihood(data, thetas, psis)
+        return out if calls[0] < first else np.full_like(out, np.nan)
+
+    return dataclasses.replace(model, log_likelihood=log_likelihood)
+
+
+class TestStepErrors:
+    """Failures of the step; most first appear mid-chain, after the initial state passed."""
+
+    @pytest.fixture
+    def linear_data(self):
+        rng = np.random.default_rng(SEED)
+        return SourceData(tuple(Observation(rng.normal(size=2), rng.normal())
+                                for _ in range(5)))
+
+    @pytest.mark.parametrize("weights_fn", ["sigmoid-ratio", "callable", None])
+    def test_nan_loglik_raises(self, linear_data, weights_fn):
+        if weights_fn == "callable":
+            weights_fn = lambda d, psi: np.ones(d.n)  # noqa: E731
+        groups = [[0, 1], [2, 3, 4]] if weights_fn is None else None
+        with pytest.raises(FloatingPointError, match="NaN log-likelihood"):
+            metropolis_posterior(_nan_from_call(linear_model(), 50), linear_data, None,
+                                 weights_fn, _std_normal_prior, 1000, 3, groups=groups)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -1e-300], ids=["nan", "above", "below"])
+    def test_bad_callable_weights_raise(self, linear_data, bad):
+        calls = [0]
+
+        def weights_fn(d, psi):
+            calls[0] += 1
+            w = np.full(d.n, 0.5)
+            if calls[0] >= 50:
+                w[-1] = bad
+            return w
+
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            metropolis_posterior(linear_model(), linear_data, None, weights_fn,
+                                 _std_normal_prior, 1000, 3)
+        assert calls[0] == 50
+
+    def test_zero_pooled_null_likelihood_raises(self):
+        """Outcome 2 is impossible at the null theta node once psi reaches
+        node 2, so the pooled null likelihood there is zero."""
+        table = np.full((3, 3, 3), 1.0 / 3.0)
+        table[0, 2] = [0.5, 0.5, 0.0]
+        model = discrete_toy_model(3, 3, 3, table)
+        data = SourceData(tuple(Observation(np.empty(0), o) for o in (0, 2, 1)))
+        with pytest.raises(DegenerateRelevanceError, match="pooled likelihood"):
+            metropolis_posterior(model, data, None, "sigmoid-ratio", _box_prior(2.0),
+                                 1000, 3, init_theta=[1.0], init_psi=[0.0])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_pos_inf_null_loglik_is_rejected_as_the_weight_check_did(self, linear_data):
+        """A +inf null log-likelihood gives nan sigmoid-ratio weights, which
+        the range check rejected; the step rejects the same state."""
+        base = linear_model()
+
+        def log_likelihood(data, thetas, psis):
+            out = base.log_likelihood(data, thetas, psis)
+            out[0, thetas[:, 0] == 0.0] = np.inf
+            return out
+
+        model = dataclasses.replace(base, log_likelihood=log_likelihood)
+        for log_target in _new_and_old(model, linear_data, None, "sigmoid-ratio",
+                                       _std_normal_prior):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                log_target(np.array([0.3, 0.1]))
+
+    @pytest.mark.parametrize("where", ["prior", "weights"])
+    def test_warnings_in_user_callables_reach_the_caller(self, linear_data, where):
+        calls = [0]
+
+        def overflow_after_start():
+            calls[0] += 1
+            if calls[0] == 500:
+                np.float64(1e300) * np.float64(1e300)
+
+        def prior(theta, psi):
+            if where == "prior":
+                overflow_after_start()
+            return _std_normal_prior(theta, psi)
+
+        def weights_fn(d, psi):
+            if where == "weights":
+                overflow_after_start()
+            return np.full(d.n, 0.5)
+
+        kinds = ["sigmoid-ratio", weights_fn] if where == "prior" else [weights_fn]
+        for kind in kinds:
+            calls[0] = 0
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                metropolis_posterior(linear_model(), linear_data, None, kind, prior,
+                                     1000, 3)
+            assert any(issubclass(w.category, RuntimeWarning) and "overflow" in str(w.message)
+                       for w in caught), kind
+
+
+class TestStateShapes:
+    """Wrong-length starting points and scales fail before any sampling."""
+
+    @pytest.fixture
+    def small(self):
+        return _small_binomial(np.random.default_rng(SEED))
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"init_theta": np.zeros(3)}, r"init_theta must have shape \(4,\)"),
+        ({"init_theta": np.zeros(5)}, r"init_theta must have shape \(4,\)"),
+        ({"init_psi": np.zeros(2)}, r"init_psi must have shape \(1,\)"),
+        ({"proposal_scale": np.full(4, 0.5)}, r"proposal_scale must have shape \(5,\)"),
+    ], ids=["theta-3", "theta-5", "psi-2", "scale-4"])
+    def test_weighted_chain(self, small, kwargs, match):
+        prior_calls = []
+
+        def prior(theta, psi):
+            prior_calls.append(1)
+            return _std_normal_prior(theta, psi)
+
+        with pytest.raises(ValueError, match=match):
+            metropolis_posterior(binomial_logit_model(), small, None, "sigmoid-ratio",
+                                 prior, 1000, 0, **kwargs)
+        assert prior_calls == []
+
+    def test_fixed_effects_psi_has_one_intercept_per_group(self, partition):
+        data, groups, _ = partition
+        with pytest.raises(ValueError, match=r"init_psi must have shape \(23,\)"):
+            metropolis_posterior(binomial_logit_model(), data, None, None,
+                                 smoking._normal_prior, 1000, 0, groups=groups,
+                                 init_psi=np.zeros(22))
+
+    @pytest.mark.filterwarnings("ignore:acceptance rate")
+    def test_zero_d_scale_is_a_scalar(self, small):
+        chains = [metropolis_posterior(binomial_logit_model(), small, None, "sigmoid-ratio",
+                                       _std_normal_prior, 1000, 4, proposal_scale=scale)
+                  for scale in (0.4, np.array(0.4), [0.4] * 5)]
+        for chain in chains[1:]:
+            assert chain.theta_samples.tobytes() == chains[0].theta_samples.tobytes()
+            assert chain.psi_samples.tobytes() == chains[0].psi_samples.tobytes()
