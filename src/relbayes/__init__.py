@@ -9,13 +9,13 @@ from .inference import (DegenerateProxyError, GridProblem, McmcChain, McmcInitEr
                         classic_posterior, metropolis_posterior, proxy_posterior,
                         r_weighted_posterior, uninformative_proxy)
 from .relevance import (DegenerateRelevanceError, RefinementResult, RelevanceConfig,
-                        RelevanceConfigError, RelevanceWeights, constant_one_weights,
+                        RelevanceConfigError, constant_one_weights,
                         prior_expected_relevance, refine_relevance,
                         sigmoid_ratio_relevance)
 from .diagnostics import (DeltaRweighted, DiagnosticsReport, Prop55Check, ProxyModel,
                           Theorem24Check, ToyEnumeration, TrueProcess, check_prop55,
                           check_theorem24, cross_entropy, delta_classic,
-                          delta_rweighted, entropy, ess_dis, info_gain_classic,
+                          delta_rweighted, entropy, info_gain_classic,
                           info_gain_rweighted, kl_divergence, rho_fidelity,
                           toy_diagnostics_report)
 from .synthetic import (GpInstance, GpScenario, LinearInstance, LinearScenario,

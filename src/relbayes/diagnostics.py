@@ -280,11 +280,17 @@ def _classic_theta_loglik(record: ToyEnumeration, source_psi_prior) -> np.ndarra
 # information gains
 # ---------------------------------------------------------------------------
 
-def info_gain_classic(record: ToyEnumeration, source_psi_prior) -> float:
+def info_gain_classic(record: ToyEnumeration, source_psi_prior, *, loglik=None) -> float:
     """Expected log posterior-to-prior ratio at theta* for the classic learner,
-    enumerated exactly over every dataset."""
+    enumerated exactly over every dataset.
+
+    loglik is the (A, M) classic log-likelihood of theta per dataset under
+    source_psi_prior, for a caller that has already formed it; by default
+    it is formed here.
+    """
     grid, a_star = record.grid, record.a_star
-    loglik = _classic_theta_loglik(record, source_psi_prior)             # (A, M)
+    if loglik is None:
+        loglik = _classic_theta_loglik(record, source_psi_prior)         # (A, M)
     log_post = loglik + grid.log_theta_prior()[:, None]
     with np.errstate(invalid="ignore"):                                   # only where P*(d) = 0
         ratios = log_post[a_star] - logsumexp(log_post, axis=0) - grid.log_theta_prior()[a_star]
@@ -386,7 +392,7 @@ def delta_rweighted(record: ToyEnumeration, weights_per_psi) -> DeltaRweighted:
 
 
 # ---------------------------------------------------------------------------
-# fidelity, effective sample size, dissimilarity
+# relevance fidelity
 # ---------------------------------------------------------------------------
 
 def rho_fidelity(record: ToyEnumeration, weights_provider) -> float:
@@ -399,20 +405,6 @@ def rho_fidelity(record: ToyEnumeration, weights_provider) -> float:
     if record.true_process.n < 2:
         raise ValueError("fidelity needs n >= 2 source observations")
     return check_prop55(record, weights_provider).rho_fidelity
-
-
-def ess_dis(model: ModelSpec, data: SourceData, true_process: TrueProcess,
-            psi_target, weights) -> tuple[float, float]:
-    """Effective sample size (summed weights) and dissimilarity of the data.
-
-    dis is the negative log-likelihood of the whole dataset under theta*
-    with every task parameter forced to psi_target.
-    """
-    w = _check_weights(weights, (data.n,))
-    theta = param_values(true_process.theta_star)[None, :]
-    psi = param_values(psi_target)[None, :]
-    lls = loglik_tensor(model, data, theta, psi)[:, 0, 0]
-    return float(w.sum()), float(-lls.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +452,8 @@ def check_theorem24(record: ToyEnumeration, source_psi_prior) -> Theorem24Check:
     grid, a_star = record.grid, record.a_star
     p_star = float(grid.theta_prior_mass[a_star])
     a_excl = 1.0 - p_star
-    ig = info_gain_classic(record, source_psi_prior)
+    loglik = _classic_theta_loglik(record, source_psi_prior)             # (A, M)
+    ig = info_gain_classic(record, source_psi_prior, loglik=loglik)
     d_c = delta_classic(record, source_psi_prior)
 
     if a_excl <= 0.0:
@@ -469,7 +462,6 @@ def check_theorem24(record: ToyEnumeration, source_psi_prior) -> Theorem24Check:
                               satisfied=True, degenerate=True)
 
     log_pstar = record.log_pstar
-    loglik = _classic_theta_loglik(record, source_psi_prior)             # (A, M)
     keep = np.arange(grid.n_theta) != a_star
     with np.errstate(divide="ignore"):
         log_w = np.log(grid.theta_prior_mass[keep] / a_excl)

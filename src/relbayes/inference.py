@@ -225,21 +225,11 @@ def _weighted_terms(weights: np.ndarray, lls: np.ndarray) -> np.ndarray:
         return np.where(weights == 0.0, 0.0, weights * lls)
 
 
-def _weights_matrix(weights_per_psi, n_psi: int, n_obs: int) -> np.ndarray:
-    """Coerce per-psi-node relevance weights into a validated (B, n) matrix."""
-    if not hasattr(weights_per_psi, "shape"):
-        rows = sorted(weights_per_psi, key=lambda w: w.psi_node_index)
-        if [w.psi_node_index for w in rows] != list(range(n_psi)):
-            raise ValueError("need exactly one weight vector per psi node")
-        weights_per_psi = np.stack([w.weights for w in rows])
-    return _check_weights(weights_per_psi, (n_psi, n_obs))
-
-
 def _r_weighted_table(problem: GridProblem, weights_per_psi,
                       proxy_vec: np.ndarray) -> PosteriorTable:
     """The r-weighted engine on a grid problem and the (B,) proxy vector."""
     grid, tensor = problem.grid, problem.tensor
-    mat = _weights_matrix(weights_per_psi, grid.n_psi, tensor.shape[0])
+    mat = _check_weights(weights_per_psi, (grid.n_psi, tensor.shape[0]))
     if problem.neginf is not None:
         # a zero weight kills its -inf term outright (0 * -inf would be nan)
         tensor = np.where(problem.neginf & (mat.T[:, None, :] == 0.0), 0.0, tensor)

@@ -399,6 +399,16 @@ class GpNumericalError(RuntimeError):
     """Cholesky failed even at the maximum jitter level."""
 
 
+def _distinct(a: np.ndarray):
+    """The sorted distinct values of a 1-d array and each element's index
+    into them, as np.unique(a, return_inverse=True) gives, at a fraction of
+    its fixed cost per call (the gp simulator factors one 1 x 1 product per
+    trajectory)."""
+    values = np.sort(a)
+    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    return values, np.searchsorted(values, a)
+
+
 def gp_model(x_grid) -> ModelSpec:
     """Zero-mean GP over trajectories on a fixed covariate grid.
 
@@ -410,12 +420,17 @@ def gp_model(x_grid) -> ModelSpec:
     The kernel factors depend only on the parameter nodes, never on the
     data, and one simulation asks for the same node product many times: the
     classic and r-weighted tensors, the expert prompts, and the mode-density
-    normaliser of every refinement round.  So the model keeps the Cholesky
-    factors and log-determinants of the last two node products it factored,
-    keyed on the exact bytes of the node arrays; two slots hold the full
-    grid and the (theta grid, psi*) product the expert proxy is drawn at.
-    The factor serves both the quadratic form, by forward substitution, and
-    the log-determinant (Rasmussen & Williams 2006, Algorithm 2.1).
+    normaliser of every refinement round.  So the model keeps the last two
+    node products it factored, keyed on the exact bytes of the node arrays;
+    two slots hold the full grid and the (theta grid, psi*) product the
+    expert proxy is drawn at.  The kernel is symmetric in the two
+    lengthscales, so a kept entry holds the Cholesky factors and
+    log-determinants of the product's distinct unordered pairs
+    {theta_a, psi_b} only, plus the index of each product cell into them:
+    a grid with the same nodes on both axes factors A(A+1)/2 kernels, not
+    A^2.  The factor serves both the quadratic form, by forward
+    substitution, and the log-determinant (Rasmussen & Williams 2006,
+    Algorithm 2.1).
     """
 
     x = np.asarray(x_grid, dtype=float)
@@ -425,29 +440,51 @@ def gp_model(x_grid) -> ModelSpec:
         raise ValueError("x_grid must be strictly increasing")
     m = x.size
     sq = (x[:, None] - x[None, :]) ** 2
+    diag = np.arange(m)
     support = np.array([[0.05, 12.0]])
-    kept = []       # [(key, factor (m, m, A*B), log-determinants (A*B,))], newest last
+    kept = []       # [(key, factor (m, m, U), log-dets (U,), index (A*B,))], newest last
 
     def _batch_chol(thetas, psis):
-        """Kernel Cholesky factors over the (A, B) parameter product, (A*B, m, m).
+        """Kernel Cholesky factors of the distinct lengthscale pairs of the
+        (A, B) product, (U, m, m), and the (A*B,) index of each product cell
+        into them.
+
+        The kernel is symmetric in theta and psi, so cells whose unordered
+        pairs {theta_a, psi_b} agree share one factor: a grid with the same
+        A nodes on both axes factors A(A+1)/2 matrices, and a product with
+        no repeated pair gets the identity index.  Each pair is ordered
+        (min, max) and coded as one integer over the sorted distinct
+        lengthscales, so a 1-d sort finds the distinct pairs.  IEEE addition
+        commutes, so each distinct kernel is bitwise the one its cells would
+        form alone.
 
         The jitter starts at 1e-8 and rises by powers of ten up to 1e-4
-        until every matrix in the batch factors.
+        until every matrix in the batch factors; the batch is the set of
+        distinct kernels, so it picks the jitter the full product would.
         """
         th = np.asarray(thetas, dtype=float)[:, 0]
         ps = np.asarray(psis, dtype=float)[:, 0]
         if np.any(th <= 0) or np.any(ps <= 0):
             raise ValueError(f"lengthscales must be positive, got theta={th.min()}, "
                              f"psi={ps.min()}")
-        r_th = np.exp(-sq[None, :, :] / (2.0 * th[:, None, None] ** 2))   # (A, m, m)
-        r_ps = np.exp(-sq[None, :, :] / (2.0 * ps[:, None, None] ** 2))   # (B, m, m)
-        kmats = 0.5 * (r_th[:, None] + r_ps[None, :])                     # (A, B, m, m)
-        kmats = kmats.reshape(th.size * ps.size, m, m)
-        eye = np.eye(m)
+        scales, node = _distinct(np.concatenate([th, ps]))
+        lo = np.minimum.outer(node[:th.size], node[th.size:]).ravel()
+        hi = np.maximum.outer(node[:th.size], node[th.size:]).ravel()
+        pairs, index = _distinct(lo * scales.size + hi)
+        lo, hi = np.divmod(pairs, scales.size)
+        r = np.exp(-sq[None, :, :] / (2.0 * scales[:, None, None] ** 2))  # (V, m, m)
+        # one kernel buffer: with the gathered addend, and later with the
+        # factor, at most two (U, m, m) arrays are held
+        kmats = r[lo]
+        np.add(kmats, r[hi], out=kmats)
+        kmats *= 0.5
+        kernel_diag = kmats[:, diag, diag]
         jitter = BASE_JITTER
         while True:
+            # from the saved diagonal, so a retry adds one jitter, not the sum
+            kmats[:, diag, diag] = kernel_diag + jitter
             try:
-                return np.linalg.cholesky(kmats + jitter * eye)
+                return np.linalg.cholesky(kmats), index
             except np.linalg.LinAlgError:
                 if jitter >= MAX_JITTER:
                     raise GpNumericalError(
@@ -455,20 +492,22 @@ def gp_model(x_grid) -> ModelSpec:
                 jitter *= 10.0
 
     def _factor(thetas, psis):
-        """The kept (m, m, A*B) factor and (A*B,) log-determinants, factoring on a miss."""
+        """The kept (m, m, U) factor, (U,) log-determinants and (A*B,) index
+        of the distinct pairs, factoring on a miss."""
         th = np.asarray(thetas, dtype=float)
         ps = np.asarray(psis, dtype=float)
         key = (th.shape, th.tobytes(), ps.shape, ps.tobytes())
         for entry in kept:
             if entry[0] == key:
-                return entry[1], entry[2]
-        chol = _batch_chol(th, ps)
+                return entry[1:]
+        chol, index = _batch_chol(th, ps)
         log_det = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
         factor = np.ascontiguousarray(np.moveaxis(chol, 0, 2))
-        factor.flags.writeable = log_det.flags.writeable = False
-        kept.append((key, factor, log_det))
+        for arr in (factor, log_det, index):
+            arr.flags.writeable = False
+        kept.append((key, factor, log_det, index))
         del kept[:-2]
-        return factor, log_det
+        return factor, log_det, index
 
     def log_likelihood(data: SourceData, thetas, psis) -> np.ndarray:
         if psis.ndim != 2:
@@ -478,25 +517,27 @@ def gp_model(x_grid) -> ModelSpec:
         if data.outcomes.shape != (data.n, m):
             raise ValueError(f"trajectories must have length {m}, got outcomes of "
                              f"shape {data.outcomes.shape}")
-        factor, log_det = _factor(thetas, psis)
-        # forward substitution L z = y for every factor at once, with the
-        # A*B factors innermost: z[i] = (y_i - sum_{j<i} L_ij z_j) / L_ii
+        factor, log_det, index = _factor(thetas, psis)
+        # forward substitution L z = y for every distinct factor at once, with
+        # the U factors innermost: z[i] = (y_i - sum_{j<i} L_ij z_j) / L_ii
         y = data.outcomes.T                                               # (m, n)
         z = np.empty((m, data.n, factor.shape[2]))
         for i in range(m):
             z[i] = (y[i, :, None] - np.einsum("jk,jnk->nk", factor[i, :i], z[:i])) \
                 / factor[i, i]
-        quad = np.einsum("mnk,mnk->nk", z, z)                              # (n, A*B)
+        quad = np.einsum("mnk,mnk->nk", z, z)                              # (n, U)
         ll = -0.5 * quad - log_det - 0.5 * m * LOG_2PI
-        return ll.reshape(data.n, thetas.shape[0], psis.shape[0])         # (n, A, B)
+        # take, not fancy indexing: it returns C order, which the reductions
+        # downstream need to sum in the order of an unshared product
+        return ll.take(index, axis=1).reshape(data.n, thetas.shape[0], psis.shape[0])
 
     def simulate(covariates, theta, psi, rng) -> Observation:
-        chol = _batch_chol(param_values(theta)[None, :], param_values(psi)[None, :])[0]
+        chol = _batch_chol(param_values(theta)[None, :], param_values(psi)[None, :])[0][0]
         return Observation(x, chol @ rng.standard_normal(m))
 
     def log_mode_density(thetas, psis) -> np.ndarray:
-        _, log_det = _factor(thetas, psis)
-        return (-log_det - 0.5 * m * LOG_2PI).reshape(len(thetas), len(psis))
+        _, log_det, index = _factor(thetas, psis)
+        return (-log_det - 0.5 * m * LOG_2PI).take(index).reshape(len(thetas), len(psis))
 
     def log_predictive_mode_density(data, thetas, psis, belief) -> np.ndarray:
         # every component is a zero-mean Gaussian, so the belief mixture

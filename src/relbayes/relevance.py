@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import GridProblem, PosteriorTable, _check_weights, _r_weighted_table, \
-    proxy_loglik_vector
+from .inference import GridProblem, PosteriorTable, _r_weighted_table, proxy_loglik_vector
 from .models import DegenerateRelevanceError, ModelSpec, SourceData, loglik_tensor, \
     param_values, sigmoid_ratio_weights  # noqa: F401  (error re-exported)
 
@@ -48,19 +47,6 @@ NORMALIZERS = ("mode-density", "none")
 
 class RelevanceConfigError(ValueError):
     """The requested relevance computation is not defined for this model."""
-
-
-@dataclass(frozen=True)
-class RelevanceWeights:
-    """Weights for every source observation under one candidate target task."""
-
-    psi_node_index: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = _check_weights(self.weights, (np.size(self.weights),))
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "psi_node_index", int(self.psi_node_index))
 
 
 @dataclass(frozen=True)
@@ -194,10 +180,6 @@ class RefinementResult:
     theta_belief: np.ndarray
     iterations: int
     posterior: PosteriorTable
-
-    def as_weights(self) -> list[RelevanceWeights]:
-        return [RelevanceWeights(psi_node_index=b, weights=row)
-                for b, row in enumerate(self.weights_per_psi)]
 
 
 def refine_relevance(problem: GridProblem, proxy, config: RelevanceConfig) -> RefinementResult:

@@ -20,7 +20,7 @@ from relbayes.diagnostics import (DeltaRweighted, DiagnosticsReport,
                                   ProxyModel, ToyEnumeration, TrueProcess,
                                   check_prop55, check_theorem24,
                                   cross_entropy, delta_classic,
-                                  delta_rweighted, entropy, ess_dis,
+                                  delta_rweighted, entropy,
                                   info_gain_classic, info_gain_rweighted,
                                   kl_divergence, rho_fidelity,
                                   toy_diagnostics_report)
@@ -477,24 +477,6 @@ class TestRhoFidelity:
                          _constant_provider(grid.n_psi, 1.0))
 
 
-class TestEssDis:
-    def test_values_are_sum_and_negative_loglik(self):
-        model, grid, truth, table, rng = _toy_instance(RNG_SEED)
-        data = SourceData((Observation(np.empty(0), 0),
-                           Observation(np.empty(0), 1)))
-        w = np.array([0.3, 0.9])
-        ess, dis = ess_dis(model, data, truth, TaskParam(1.0), w)
-        assert_allclose(ess, 1.2, rtol=0, atol=1e-15)
-        want = -(np.log(table[0, 1, 0]) + np.log(table[0, 1, 1]))
-        assert_allclose(dis, want, rtol=0, atol=1e-13)
-
-    def test_weight_shape_validated(self):
-        model, grid, truth, _, _ = _toy_instance(RNG_SEED)
-        data = SourceData((Observation(np.empty(0), 0),))
-        with pytest.raises(ValueError, match="shape"):
-            ess_dis(model, data, truth, TaskParam(0.0), np.ones(3))
-
-
 class TestCheckProp55:
     def test_residual_vanishes_on_random_instances(self):
         """The decomposition is algebra, so it must hold to accumulation
@@ -605,6 +587,24 @@ class TestCheckTheorem24:
         assert_allclose(check.kl_excluded_mixture, check.delta_classic,
                         rtol=0, atol=1e-12)
         assert check.satisfied
+
+    def test_classic_loglik_formed_once(self, monkeypatch):
+        """The bound and the gain it calls read one (A, M) classic table."""
+        import relbayes.diagnostics as diagnostics
+        model, grid, truth, _, rng = _toy_instance(RNG_SEED + 8, n_out=3, n_obs=2)
+        src = rng.dirichlet(np.full(grid.n_psi, 3.0))
+        record = ToyEnumeration(model, truth, grid)
+        want = check_theorem24(record, src)
+        original = diagnostics._classic_theta_loglik
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(diagnostics, "_classic_theta_loglik", counting)
+        assert check_theorem24(record, src) == want
+        assert len(calls) == 1
 
     def test_bound_components_match_manual_construction(self):
         model, grid, truth, table, rng = _toy_instance(RNG_SEED + 8, n_out=3,

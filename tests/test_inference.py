@@ -22,7 +22,7 @@ from relbayes.inference import (DegenerateProxyError, GridProblem, McmcInitError
 from relbayes.models import (Observation, SharedParam, SourceData, TaskParam,
                              binomial_logit_model, discrete_toy_model, linear_model,
                              logsumexp)
-from relbayes.relevance import RelevanceWeights, sigmoid_ratio_relevance
+from relbayes.relevance import sigmoid_ratio_relevance
 
 mp.mp.dps = 50
 
@@ -304,16 +304,6 @@ class TestRWeightedPosterior:
                                     uninformative_proxy())
         assert np.all(np.isfinite(post.joint_mass))
         assert post.joint_mass[0, 0] > 0
-
-    def test_weight_list_form_equals_matrix_form(self):
-        model, grid, data, _, rng = _toy_setup()
-        mat = rng.uniform(0, 1, size=(grid.n_psi, data.n))
-        rows = [RelevanceWeights(psi_node_index=b, weights=mat[b])
-                for b in range(grid.n_psi)]
-        problem = GridProblem(model, data, grid)
-        p1 = r_weighted_posterior(problem, mat, uninformative_proxy())
-        p2 = r_weighted_posterior(problem, rows, uninformative_proxy())
-        assert_allclose(p1.joint_mass, p2.joint_mass, rtol=0, atol=0)
 
     def test_out_of_range_weights_rejected(self):
         model, grid, data, _, _ = _toy_setup()

@@ -17,8 +17,9 @@ from scipy.special import expit
 import _scalar_reference as scalar
 import relbayes.models
 from relbayes.harness.config import ExperimentConfig
+from relbayes.grids import ParameterGrid, box_nodes, midpoint_nodes, toy_grid
 from relbayes.harness.runner import run_experiment
-from relbayes.inference import metropolis_posterior
+from relbayes.inference import GridProblem, metropolis_posterior
 from relbayes.models import (LOG_2PI, Observation, SharedParam, SourceData,
                              TaskParam, binomial_logit_model, check_support,
                              discrete_toy_model, gp_model, linear_model,
@@ -382,23 +383,25 @@ class TestGpModel:
             gp_model([0.5])
 
 
+@pytest.fixture
+def batches(monkeypatch):
+    """The batch size of every factorisation that succeeds, recorded by
+    wrapping np.linalg.cholesky."""
+    sizes = []
+    original = np.linalg.cholesky
+
+    def counting(a, *args, **kwargs):
+        out = original(a, *args, **kwargs)
+        sizes.append(int(np.prod(np.shape(a)[:-2])))
+        return out
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    return sizes
+
+
 class TestGpFactorCache:
-    """The GP model factors each node product once and keeps the last two:
-    counted by wrapping np.linalg.cholesky, which records the batch size of
-    every factorisation that succeeds."""
-
-    @pytest.fixture
-    def batches(self, monkeypatch):
-        sizes = []
-        original = np.linalg.cholesky
-
-        def counting(a, *args, **kwargs):
-            out = original(a, *args, **kwargs)
-            sizes.append(int(np.prod(np.shape(a)[:-2])))
-            return out
-
-        monkeypatch.setattr(np.linalg, "cholesky", counting)
-        return sizes
+    """The GP model factors each distinct lengthscale pair of a node product
+    once and keeps the last two products, counted by the batches fixture."""
 
     @staticmethod
     def _data(x, rng, n=3):
@@ -408,9 +411,11 @@ class TestGpFactorCache:
         config = ExperimentConfig(experiment="gp", n_simulations=1, master_seed=1,
                                   grid_resolution=10)
         assert run_experiment(config)[0].error is None
-        # the 10 x 10 grid and the (theta grid, psi*) product of the expert
-        # proxy, once each; every other factorisation draws one trajectory
-        assert sorted(b for b in batches if b > 1) == [10, 100]
+        # the 10 x 10 grid, whose axes carry the same nodes, so its 55
+        # unordered lengthscale pairs, and the (theta grid, psi*) product of
+        # the expert proxy, once each; every other factorisation draws one
+        # trajectory
+        assert sorted(b for b in batches if b > 1) == [10, 55]
         assert batches.count(1) == config.gp_scenario().n_trajectories
 
     def test_mode_density_after_tensor_adds_no_factorisation(self, batches):
@@ -457,6 +462,85 @@ class TestGpFactorCache:
         assert_array_equal(loglik_tensor(model, data, *products[0]), tensors[0])
         assert batches == [2, 3, 2, 2]
         assert_array_equal(tensors[0][:, ::-1], tensors[2])
+
+
+def _gp_columns(x, data, thetas, psis) -> np.ndarray:
+    """The gp tensor one (theta nodes, psi_b) column at a time, each on a
+    fresh model: no column repeats a lengthscale pair, so each is factored
+    without sharing."""
+    return np.stack([loglik_tensor(gp_model(x), data, thetas, psis[b:b + 1])[:, :, 0]
+                     for b in range(len(psis))], axis=2)
+
+
+class TestGpDistinctPairs:
+    """The kernel is symmetric in theta and psi, so the gp model factors each
+    unordered lengthscale pair {theta_a, psi_b} of a product once.  Sharing
+    must not change a byte: the product tensor equals its columns evaluated
+    alone."""
+
+    @staticmethod
+    def _data(model, x, rng, n=4):
+        return SourceData(tuple(model.simulate(x, SharedParam(th), TaskParam(ps), rng)
+                                for th, ps in rng.uniform(0.05, 12.0, size=(n, 2))))
+
+    @staticmethod
+    def _products(rng):
+        nodes = midpoint_nodes(0.05, 12.0, 9)[:, None]
+        thetas = rng.uniform(0.05, 12.0, size=(6, 1))
+        psis = np.vstack([thetas[[4, 1]], rng.uniform(0.05, 12.0, size=(3, 1))])
+        # the near-singular setting of test_long_lengthscales_match_scalar_oracle
+        long_thetas = rng.uniform(11.0, 12.0, size=(4, 1))
+        long_psis = np.vstack([long_thetas[[2, 0]], rng.uniform(11.0, 12.0, size=(1, 1))])
+        return {"symmetric": (nodes, nodes, 45),
+                "overlapping": (thetas, rng.permutation(psis), 29),
+                "long": (long_thetas, long_psis, 11)}
+
+    @pytest.mark.parametrize("case", ["symmetric", "overlapping", "long"])
+    def test_product_equals_columns_byte_for_byte(self, case, batches):
+        x = np.linspace(0.0, 1.0, 10)
+        rng = np.random.default_rng(RNG_SEED)
+        thetas, psis, distinct = self._products(rng)[case]
+        data = self._data(gp_model(x), x, rng)
+        batches.clear()
+        model = gp_model(x)
+        tensor = loglik_tensor(model, data, thetas, psis)
+        assert batches == [distinct]
+        assert tensor.tobytes() == _gp_columns(x, data, thetas, psis).tobytes()
+        mode = model.log_mode_density(thetas, psis)
+        columns = np.hstack([gp_model(x).log_mode_density(thetas, psis[b:b + 1])
+                             for b in range(len(psis))])
+        assert mode.tobytes() == columns.tobytes()
+
+    def test_raised_jitter_factors_as_the_full_product(self, monkeypatch):
+        """A batch refused at jitter 1e-8 and 1e-7 is retried with its
+        diagonal reset from the kernel's own, so at 1e-6 each distinct factor
+        is bitwise the one of K + 1e-6 I over the full product."""
+        x = np.linspace(0.0, 1.0, 7)
+        nodes = midpoint_nodes(0.05, 12.0, 5)[:, None]
+        data = self._data(gp_model(x), x, np.random.default_rng(RNG_SEED))
+        original = np.linalg.cholesky
+        tried = []
+
+        def refusing(a):
+            jitter = float(a[0, 0, 0]) - 1.0      # the kernel diagonal is 1 + jitter
+            tried.append(jitter)
+            if jitter < 5e-7:
+                raise np.linalg.LinAlgError("refused below 1e-6")
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", refusing)
+        model = gp_model(x)
+        mode = model.log_mode_density(nodes, nodes)
+        assert_allclose(tried, [1e-8, 1e-7, 1e-6], rtol=1e-6)
+        tensor = loglik_tensor(model, data, nodes, nodes)
+        columns = _gp_columns(x, data, nodes, nodes)
+        monkeypatch.undo()
+        assert tensor.tobytes() == columns.tobytes()
+
+        r = np.exp(-(x[:, None] - x[None, :]) ** 2 / (2.0 * nodes[:, :, None] ** 2))
+        chol = np.linalg.cholesky(0.5 * (r[:, None] + r[None, :]) + 1e-6 * np.eye(7))
+        log_det = np.log(np.diagonal(chol, axis1=2, axis2=3)).sum(axis=2)
+        assert mode.tobytes() == (-log_det - 0.5 * 7 * LOG_2PI).tobytes()
 
 
 class TestLogsumexp:
@@ -709,3 +793,30 @@ class TestLoglikTensor:
         data = SourceData((Observation([0, 0], 0.0), Observation([0, 0], 0.0)))
         with pytest.raises(FloatingPointError, match="1"):
             loglik_tensor(model_bad, data, np.zeros((1, 1)), np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("name", ["linear", "binomial-logit", "gp", "discrete-toy"])
+    def test_tensor_is_c_contiguous(self, name):
+        """Reductions over the tensor sum in memory order, so a strided view
+        would change results in the last bits; every model returns C order."""
+        rng = np.random.default_rng(RNG_SEED)
+        x = np.linspace(0.0, 1.0, 5)
+        model = {"linear": linear_model, "binomial-logit": binomial_logit_model,
+                 "gp": lambda: gp_model(x),
+                 "discrete-toy": lambda: discrete_toy_model(3, 3, 2, _toy_table(rng, 3, 3, 2)),
+                 }[name]()
+        if name == "discrete-toy":
+            grid = toy_grid(3, 2)
+        else:
+            thetas = box_nodes(model.theta_support, 2)
+            grid = ParameterGrid(theta_nodes=thetas, psi_nodes=box_nodes(model.psi_support, 3),
+                                 theta_prior_mass=np.full(len(thetas), 1.0 / len(thetas)),
+                                 psi_prior_mass=np.full(3, 1.0 / 3))
+        theta = grid.theta_nodes[0]
+        data = SourceData(tuple(
+            model.simulate(rng.uniform(size=model.covariate_dim), theta, grid.psi_nodes[1],
+                           rng, **({"trial_count": 5} if name == "binomial-logit" else {}))
+            for _ in range(3)))
+        tensor = loglik_tensor(model, data, grid.theta_nodes, grid.psi_nodes)
+        assert tensor.shape == (3, grid.n_theta, grid.n_psi)
+        assert tensor.flags.c_contiguous
+        assert GridProblem(model, data, grid).tensor.flags.c_contiguous

@@ -17,7 +17,7 @@ from relbayes.inference import (GridProblem, _r_weighted_table, proxy_loglik_vec
 from relbayes.models import (Observation, SourceData, binomial_logit_model,
                              discrete_toy_model, gp_model, linear_model, loglik_tensor)
 from relbayes.relevance import (DegenerateRelevanceError, RelevanceConfig,
-                                RelevanceConfigError, RelevanceWeights,
+                                RelevanceConfigError,
                                 _belief_averager, _predictive_mode_matrix,
                                 constant_one_weights,
                                 prior_expected_relevance, refine_relevance,
@@ -272,18 +272,6 @@ class TestRefineRelevance:
         assert_allclose(r1.weights_per_psi, r2.weights_per_psi, rtol=0, atol=0)
         assert_allclose(r1.theta_belief, r2.theta_belief, rtol=0, atol=0)
 
-    def test_as_weights_round_trips(self):
-        rng = np.random.default_rng(RNG_SEED)
-        model = linear_model()
-        grid = _linear_grid(rng, n_psi=3)
-        data = SourceData((Observation([1.0, 0.0], 0.5),))
-        result = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(),
-                                  RelevanceConfig(refinement_iterations=1))
-        rows = result.as_weights()
-        assert [r.psi_node_index for r in rows] == [0, 1, 2]
-        for b, row in enumerate(rows):
-            assert_allclose(row.weights, result.weights_per_psi[b], rtol=0, atol=0)
-
     def test_missing_mode_density_raises(self):
         table = np.full((2, 2, 2), 0.5)
         model = discrete_toy_model(2, 2, 2, table)
@@ -483,17 +471,23 @@ class TestBeliefAverage:
 
 
 class TestValidation:
+    @staticmethod
+    def _weighted(weights):
+        problem = GridProblem(discrete_toy_model(2, 1, 1, np.array([[[0.5, 0.5]]])),
+                              _toy_obs(0, 1), toy_grid(1, 1))
+        return r_weighted_posterior(problem, np.array(weights), uninformative_proxy())
+
     def test_weights_must_be_unit_interval(self):
-        with pytest.raises(ValueError):
-            RelevanceWeights(0, np.array([0.5, 1.5]))
-        with pytest.raises(ValueError):
-            RelevanceWeights(0, np.array([-0.1]))
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            self._weighted([[0.5, 1.5]])
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            self._weighted([[-0.1, 0.5]])
 
     def test_weights_must_be_finite_vector(self):
-        with pytest.raises(ValueError):
-            RelevanceWeights(0, np.array([np.nan]))
-        with pytest.raises(ValueError):
-            RelevanceWeights(0, np.ones((2, 2)))
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            self._weighted([[np.nan, 0.5]])
+        with pytest.raises(ValueError, match="shape"):
+            self._weighted([0.5, 0.5])
 
     def test_config_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
