@@ -44,17 +44,6 @@ def entropy(p) -> float:
     return float(-(p[mask] * np.log(p[mask])).sum())
 
 
-def cross_entropy(p, q) -> float:
-    """-sum p log q; +inf when q vanishes where p does not."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    mask = p > 0
-    if np.any(q[mask] == 0):
-        warnings.warn("cross_entropy: q has zero mass where p > 0", RuntimeWarning)
-        return float("inf")
-    return float(-(p[mask] * np.log(q[mask])).sum())
-
-
 def kl_divergence(p, q) -> float:
     """KL(p || q) for mass vectors, with the 0 log(0/q) = 0 convention.
 
@@ -103,15 +92,11 @@ class DeltaRweighted:
     renormalized density, making the value a true KL (nonnegative).
     unnormalized plugs the raw weighted likelihood into the expectation,
     which is the form the decomposition identity manipulates; it can go
-    negative.  value aliases the normalized reading.
+    negative.
     """
 
     normalized: float
     unnormalized: float
-
-    @property
-    def value(self) -> float:
-        return self.normalized
 
 
 @dataclass(frozen=True)
@@ -392,22 +377,6 @@ def delta_rweighted(record: ToyEnumeration, weights_per_psi) -> DeltaRweighted:
 
 
 # ---------------------------------------------------------------------------
-# relevance fidelity
-# ---------------------------------------------------------------------------
-
-def rho_fidelity(record: ToyEnumeration, weights_provider) -> float:
-    """Expected covariance between weights and pseudo-intervened log-likelihoods.
-
-    weights_provider(datasets) maps the (M, n) dataset-index array to
-    (M, n_psi, n) weights.  Enumerated exactly over the toy's finite outcome
-    and target-parameter alphabets; this is the rho term of check_prop55.
-    """
-    if record.true_process.n < 2:
-        raise ValueError("fidelity needs n >= 2 source observations")
-    return check_prop55(record, weights_provider).rho_fidelity
-
-
-# ---------------------------------------------------------------------------
 # theorem-level checks
 # ---------------------------------------------------------------------------
 
@@ -504,7 +473,7 @@ def toy_diagnostics_report(model: ModelSpec, true_process: TrueProcess,
         ig_classic=bound.info_gain,
         ig_rweighted=ig_r,
         delta_classic=bound.delta_classic,
-        delta_rweighted=d_r.value,
+        delta_rweighted=d_r.normalized,
         rho_fidelity=prop.rho_fidelity,
         ess_dis_expectation=prop.ess_dis_expectation,
         entropy_true=prop.entropy_true,

@@ -79,24 +79,10 @@ class ExperimentConfig:
             raise ConfigError("mcmc_samples must be >= 1000")
 
     def linear_scenario(self) -> LinearScenario:
-        return LinearScenario(
-            multicollinearity=self.multicollinearity,
-            n_outcome=self.n_outcome,
-            n_proxy_prompts=self.n_proxy_prompts,
-            target_resemblance_pct=self.target_resemblance_pct,
-            contamination_pct=self.contamination_pct,
-        )
+        return _scenario(self, LinearScenario)
 
     def gp_scenario(self) -> GpScenario:
-        return GpScenario(
-            n_trajectories=self.n_trajectories,
-            m_target=self.m_target,
-            m_source=self.m_source,
-            resolution=self.resolution,
-            theta_star=self.theta_star,
-            contamination_pct=self.contamination_pct,
-            refinement_T=self.refinement_T,
-        )
+        return _scenario(self, GpScenario)
 
     def group_label(self) -> str:
         if self.label:
@@ -113,14 +99,17 @@ class ExperimentConfig:
 _COMMON_KEYS = {"experiment", "n_simulations", "master_seed", "grid_resolution",
                 "output_dir", "parallelism", "label"}
 _EXPERIMENT_KEYS = {
-    "linear": {"multicollinearity", "n_outcome", "n_proxy_prompts",
-               "target_resemblance_pct", "contamination_pct"},
-    "gp": {"n_trajectories", "m_target", "m_source", "resolution", "theta_star",
-           "contamination_pct", "refinement_T"},
+    "linear": {f.name for f in fields(LinearScenario)},
+    "gp": {f.name for f in fields(GpScenario)},
     "smoking": {"smoking_csv", "proxy_mode", "mcmc_samples"},
     "toy-verify": set(),
 }
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+
+def _scenario(config: ExperimentConfig, cls):
+    """The cls scenario built from the config's values of its fields."""
+    return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
 
 
 def _coerce(key: str, raw: str):

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ..inference import metropolis_posterior, uninformative_proxy
-from ..models import Observation, SourceData, binomial_logit_model, _binom_logpmf, \
+from ..models import Observation, SourceData, binomial_logit_model, loglik_tensor, \
     logsumexp
 from ..synthetic import gen_imprecise_estimate_proxy, task_rng
 
@@ -160,18 +160,6 @@ def fit_study_intercepts(records, n_samples: int, seed: int) -> dict:
 # predictive densities
 # ---------------------------------------------------------------------------
 
-def _arm_arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    data = SourceData(tuple(_arm_observation(r) for r in records))
-    return data.covariates, data.outcomes, data.trial_counts
-
-
-def _paired_loglik(records, thetas: np.ndarray, psis: np.ndarray) -> np.ndarray:
-    """Dataset log-likelihood at paired (theta_s, psi_s) samples, shape (S,)."""
-    x, y, n = _arm_arrays(records)
-    t = x @ thetas.T + psis[None, :]
-    return _binom_logpmf(y[:, None], n[:, None], t).sum(axis=0)
-
-
 def _log_mean_exp_with_se(lls: np.ndarray) -> tuple[float, float]:
     value = float(logsumexp(lls) - np.log(lls.size))
     blocks = np.array_split(lls, PREDICTIVE_BLOCKS)
@@ -180,13 +168,20 @@ def _log_mean_exp_with_se(lls: np.ndarray) -> tuple[float, float]:
     return value, se
 
 
-def _rweighted_predictive(held_records, chain) -> tuple[float, float]:
-    lls = _paired_loglik(held_records, chain.theta_samples,
-                         chain.psi_samples[:, 0])
+def _rweighted_predictive(model, held: SourceData, chain) -> tuple[float, float]:
+    """E over the paired (theta, psi) draws of the held-out arms' likelihood.
+
+    Every arm's covariates are one-hot, so x . theta + psi = x . (theta + psi):
+    each draw's intercept folds into its treatment effects, and one model
+    evaluation at a zero intercept pairs each theta with its own psi.
+    """
+    lls = loglik_tensor(model, held, chain.theta_samples + chain.psi_samples,
+                        np.zeros((1, 1)))[:, :, 0].sum(axis=0)             # (S,)
     return _log_mean_exp_with_se(lls)
 
 
-def _classic_predictive(held_records, chain, z: float, sigma: float) -> tuple[float, float]:
+def _classic_predictive(model, held: SourceData, chain, z: float,
+                        sigma: float) -> tuple[float, float]:
     """E over the theta chain and the conjugate intercept posterior given z.
 
     The intercept prior N(0, 3) combines with z ~ N(psi, sigma) into a
@@ -199,9 +194,8 @@ def _classic_predictive(held_records, chain, z: float, sigma: float) -> tuple[fl
     psi_nodes = post_mean + post_sd * nodes
     log_w = np.log(weights) - 0.5 * np.log(2.0 * np.pi)
 
-    x, y, n = _arm_arrays(held_records)
-    t = (x @ chain.theta_samples.T)[:, :, None] + psi_nodes[None, None, :]
-    lls = _binom_logpmf(y[:, None, None], n[:, None, None], t).sum(axis=0)  # (S, Q)
+    lls = loglik_tensor(model, held, chain.theta_samples,
+                        psi_nodes[:, None]).sum(axis=0)                     # (S, Q)
     per_sample = logsumexp(lls + log_w[None, :], axis=1)
     return _log_mean_exp_with_se(per_sample)
 
@@ -265,9 +259,9 @@ def run_smoking_comparison(records, proxy_mode: str, seed: int,
             model, data, uninformative_proxy(), None, _normal_prior, n_samples,
             int(rng.integers(2 ** 31)), groups=groups)
 
-        held_records = study_map[held]
-        lp_r, se_r = _rweighted_predictive(held_records, chain_r)
-        lp_c, se_c = _classic_predictive(held_records, chain_c, z, sigma)
+        held_data = SourceData(tuple(_arm_observation(r) for r in study_map[held]))
+        lp_r, se_r = _rweighted_predictive(model, held_data, chain_r)
+        lp_c, se_c = _classic_predictive(model, held_data, chain_c, z, sigma)
         notes = [w for w in (chain_r.warning, chain_c.warning) if w]
         results.append(PartitionResult(
             held_out_study=held, proxy_mode=proxy_mode, z_value=z,

@@ -80,12 +80,6 @@ class PosteriorTable:
         return self.joint_mass.sum(axis=0)
 
 
-@dataclass(frozen=True)
-class ProxyPosterior:
-    mass: np.ndarray
-    log_normalizer: float
-
-
 def proxy_loglik_vector(proxy: ProxyObservation, psi_nodes: np.ndarray) -> np.ndarray:
     """The proxy log-likelihood at every row of psi_nodes (B, k_psi), shape (B,).
 
@@ -105,19 +99,6 @@ def proxy_loglik_vector(proxy: ProxyObservation, psi_nodes: np.ndarray) -> np.nd
         raise FloatingPointError(
             f"NaN proxy log-likelihood at psi node index {int(np.argmax(nan))}")
     return out
-
-
-def proxy_posterior(grid: ParameterGrid, proxy: ProxyObservation) -> ProxyPosterior:
-    """Posterior over the target task parameter given proxy information only.
-
-    mass[j] is proportional to exp(proxy log-likelihood at node j) times the
-    node's prior mass; the log normalizer is returned alongside.
-    """
-    log_unnorm = proxy_loglik_vector(proxy, grid.psi_nodes) + grid.log_psi_prior()
-    log_norm = float(logsumexp(log_unnorm))
-    if not np.isfinite(log_norm):
-        raise DegenerateProxyError("proxy likelihood is zero at every psi node")
-    return ProxyPosterior(mass=np.exp(log_unnorm - log_norm), log_normalizer=log_norm)
 
 
 def _neginf_mask(tensor: np.ndarray) -> Optional[np.ndarray]:
@@ -159,17 +140,13 @@ def _log_source_prior(source_psi_prior, n_psi: int) -> np.ndarray:
         return np.log(source_psi_prior)
 
 
-def classic_posterior(problem: GridProblem, source_psi_prior, groups=None) -> PosteriorTable:
+def classic_posterior(problem: GridProblem, source_psi_prior) -> PosteriorTable:
     """Posterior for the learner who cannot tell which observations share a task.
 
     Each observation's task parameter is marginalized independently against
     source_psi_prior, so the theta likelihood is a product of per-observation
     mixtures.  The target task parameter stays at its prior (the joint
     factorizes), absent any proxy.
-
-    groups, when given, is a partition of observation indices whose members
-    share one task parameter; the mixture is then taken per group instead of
-    per observation (the known-groups variant).
 
     The mixture over psi stays an exact log-sum-exp.  An exp-domain sum
     shifted by a peak shared across theta, as the relevance belief average
@@ -178,19 +155,8 @@ def classic_posterior(problem: GridProblem, source_psi_prior, groups=None) -> Po
     """
     grid, tensor = problem.grid, problem.tensor                        # (n, A, B)
     log_psi = _log_source_prior(source_psi_prior, grid.n_psi)
-    if groups is not None:
-        groups = _check_groups(groups, problem.data.n)
-
-    if groups is None:
-        per_obs = logsumexp(tensor + log_psi[None, None, :], axis=2)       # (n, A)
-        loglik_theta = per_obs.sum(axis=0)
-    else:
-        loglik_theta = np.zeros(grid.n_theta)
-        for g in groups:
-            block = tensor[g].sum(axis=0)                                  # (A, B)
-            loglik_theta += logsumexp(block + log_psi[None, :], axis=1)
-
-    log_joint_theta = loglik_theta + grid.log_theta_prior()
+    per_obs = logsumexp(tensor + log_psi[None, None, :], axis=2)       # (n, A)
+    log_joint_theta = per_obs.sum(axis=0) + grid.log_theta_prior()
     log_evidence = float(logsumexp(log_joint_theta))
     theta_marg = np.exp(log_joint_theta - log_evidence)
     joint = theta_marg[:, None] * grid.psi_prior_mass[None, :]
@@ -208,21 +174,23 @@ def _check_groups(groups, n_obs: int) -> list:
 def _check_weights(weights, shape: tuple) -> np.ndarray:
     """Relevance weights as a float array of the given shape, each in [0, 1].
 
-    One comparison pass also rejects NaN and infinities.
+    Checked by the min and the max, which a NaN fails as well; infinities
+    fall outside the range.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != shape:
         raise ValueError(f"weights shape {w.shape}, expected {shape}")
-    if not ((w >= 0.0) & (w <= 1.0)).all():
+    if not (w.min() >= 0.0 and w.max() <= 1.0):
         raise ValueError("relevance weights must lie in [0, 1]")
     return w
 
 
 def _weighted_terms(weights: np.ndarray, lls: np.ndarray) -> np.ndarray:
-    """weights * lls, broadcast, where a zero weight kills its term outright
-    (0 * -inf would be nan)."""
-    with np.errstate(invalid="ignore"):
-        return np.where(weights == 0.0, 0.0, weights * lls)
+    """weights * lls, broadcast into a new C-order array, where a zero weight
+    kills its term outright (0 * -inf would be nan): the product is formed
+    only where the weight is nonzero, so no warning can arise."""
+    out = np.zeros(np.broadcast_shapes(weights.shape, lls.shape))
+    return np.multiply(weights, lls, out=out, where=weights != 0.0)
 
 
 def _r_weighted_table(problem: GridProblem, weights_per_psi,
@@ -269,10 +237,6 @@ class McmcChain:
     seed: int
     warning: Optional[str] = None
 
-    @property
-    def samples(self):
-        return list(zip(self.theta_samples, self.psi_samples))
-
 
 ACCEPT_TARGET = 0.3
 ACCEPT_BAND = (0.1, 0.6)
@@ -308,15 +272,9 @@ def _chain_log_target(model: ModelSpec, data: SourceData, proxy, weights_fn,
     else:
         if callable(weights_fn):
             def weighted_sum(theta, psi):
-                w = np.asarray(weights_fn(data, psi), dtype=float)
+                w = weights_fn(data, psi)
                 lls = loglik_tensor(model, data, theta[None, :], psi[None, :])[:, 0, 0]
-                if w.shape != (n,):
-                    raise ValueError(f"weights shape {w.shape}, expected {(n,)}")
-                # NaN fails both comparisons
-                if not (w.min() >= 0.0 and w.max() <= 1.0):
-                    raise ValueError("relevance weights must lie in [0, 1]")
-                # a zero weight kills its term outright (0 * -inf would be nan)
-                return float(np.multiply(w, lls, out=np.zeros(n), where=w != 0.0).sum())
+                return float(_weighted_terms(_check_weights(w, (n,)), lls).sum())
         else:
             thetas = np.zeros((2, k_theta))     # row 0 the state's theta, row 1 the null theta
             log_n = np.log(n)
@@ -367,7 +325,8 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
     With weights_fn=None and a groups partition, the target is instead the
     known-groups likelihood where psi holds one intercept per group, stacked
     in group order (the classic fixed-effects baseline); each observation is
-    evaluated at its own group's intercept, one cell per observation.
+    evaluated at its own group's intercept, one cell per observation.  A
+    groups partition with a weights_fn is rejected.
 
     Each step evaluates the model once: one loglik_tensor call per proposed
     state, of n x 2 cells for the "sigmoid-ratio" kind and n cells
@@ -406,6 +365,8 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
         obs_group = np.empty(data.n, dtype=int)
         for gi, g in enumerate(groups):
             obs_group[g] = gi
+    elif groups is not None:
+        raise ValueError("groups applies only to the fixed-effects target, weights_fn=None")
     else:
         psi_dim = model.k_psi
     dim = k_theta + psi_dim
@@ -490,9 +451,12 @@ def chain_grid_tv(chain: McmcChain, table: PosteriorTable, coarsen: int = 2,
     Samples are binned into the grid's own cells, then both histograms are
     aggregated into superbins of `coarsen` consecutive cells per axis so the
     comparison is not dominated by per-cell Monte-Carlo noise.  marginal can
-    be "theta" or "psi" to compare one marginal; default is the joint.
+    be "theta" or "psi" to compare one marginal; default (None) is the joint.
     Scalar theta and psi only.
     """
+    if marginal not in (None, "theta", "psi"):
+        raise ValueError(f"marginal must be 'theta', 'psi' or None (the joint), "
+                         f"got {marginal!r}")
     grid = table.grid
     t_edges = _cell_edges(grid.theta_nodes[:, 0])
     p_edges = _cell_edges(grid.psi_nodes[:, 0])

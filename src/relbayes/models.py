@@ -168,8 +168,8 @@ class ModelSpec:
         For the linear model this is the normal of matching variance
         1 + x1^2 Var(theta); for the trajectory model every component
         peaks at the zero trajectory, so the mixture maximum is exact.
-        None means the mode-density relevance normalizer is unavailable
-        for this model.
+        None for a pmf model, whose relevance scores lie in [0, 1]
+        unnormalized.
     outcome_space : optional integer array
         Full outcome alphabet when the model's outcomes are enumerable with
         a fixed alphabet (the discrete toy model).  Enables exact
@@ -197,14 +197,6 @@ class ModelSpec:
 
 def _support_box(low: float, high: float, dim: int) -> np.ndarray:
     return np.tile(np.array([[low, high]], dtype=float), (dim, 1))
-
-
-def check_support(value: np.ndarray, box: np.ndarray, name: str) -> None:
-    value = np.atleast_1d(value)
-    if value.shape[0] != box.shape[0]:
-        raise ValueError(f"{name} has dimension {value.shape[0]}, expected {box.shape[0]}")
-    if np.any(value < box[:, 0]) or np.any(value > box[:, 1]):
-        raise ValueError(f"{name}={value} outside support box {box.tolist()}")
 
 
 def param_values(p) -> np.ndarray:
@@ -327,15 +319,9 @@ def _binom_log_coef(y, n):
     return gammaln(n + 1) - gammaln(y + 1) - gammaln(n - y + 1)
 
 
-def _binom_logpmf(y, n, t):
-    """log Binomial(y; n, sigmoid(t)) computed from the logit t, stably."""
-    y = np.asarray(y, dtype=float)
-    n = np.asarray(n, dtype=float)
-    return _binom_terms(y, n - y, _binom_log_coef(y, n), t)
-
-
 def _binom_terms(y, failures, log_coef, t):
-    """The binomial log pmf from its data columns: y, n - y and log C(n, y)."""
+    """log Binomial(y; n, sigmoid(t)) from the logit t, stably, given the
+    data columns y, n - y and log C(n, y)."""
     # log sigmoid(t) = -log(1 + exp(-t)); log(1 - sigmoid(t)) = -log(1 + exp(t))
     return log_coef - y * np.logaddexp(0.0, -t) - failures * np.logaddexp(0.0, t)
 

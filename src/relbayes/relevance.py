@@ -3,8 +3,9 @@
 Three weight families are provided.  prior_expected_relevance scores each
 observation by how well the current belief over the shared parameter
 predicts it when the observation is pretended to come from the target task;
-the modal density of that belief-averaged predictive normalizes the score
-into [0, 1].  sigmoid_ratio_relevance is the cheap heuristic used for the
+for a model that defines one, the modal density of that belief-averaged
+predictive normalizes the score into [0, 1], and a pmf model's score lies
+there already.  sigmoid_ratio_relevance is the cheap heuristic used for the
 observational case study.  constant_one_weights recovers unweighted pooling.
 
 refine_relevance alternates weight evaluation with the grid posterior a
@@ -42,25 +43,20 @@ CLIP_WARN_TOL = 0.5
 MAX_REFINEMENTS = 10
 
 KINDS = ("prior-expected", "sigmoid-ratio", "constant-one")
-NORMALIZERS = ("mode-density", "none")
 
 
 class RelevanceConfigError(ValueError):
-    """The requested relevance computation is not defined for this model."""
+    """The model returned a relevance normalizer of the wrong shape."""
 
 
 @dataclass(frozen=True)
 class RelevanceConfig:
     kind: str = "prior-expected"
     refinement_iterations: int = 3
-    normalizer: str = "mode-density"
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown relevance kind {self.kind!r}; choose from {KINDS}")
-        if self.normalizer not in NORMALIZERS:
-            raise ValueError(
-                f"unknown normalizer {self.normalizer!r}; choose from {NORMALIZERS}")
         t = self.refinement_iterations
         if not isinstance(t, (int, np.integer)) or t < 0 or t > MAX_REFINEMENTS:
             raise ValueError(
@@ -90,14 +86,15 @@ def _clip_unit(weights: np.ndarray, context: str) -> np.ndarray:
 
 def _predictive_mode_matrix(model: ModelSpec, data: SourceData,
                             thetas: np.ndarray, psis: np.ndarray,
-                            belief: np.ndarray, normalizer: str) -> np.ndarray:
-    """Log normalizer for every (observation, psi node) pair, shape (n, B)."""
-    if normalizer == "none":
-        return np.zeros((data.n, psis.shape[0]))
+                            belief: np.ndarray) -> np.ndarray:
+    """Log normalizer for every (observation, psi node) pair, shape (n, B).
+
+    The model's log predictive mode density when it defines one (linear,
+    gp).  A model without one (toy, binomial) has a pmf, whose belief
+    average already lies in [0, 1], so its normalizer is 0.
+    """
     if model.log_predictive_mode_density is None:
-        raise RelevanceConfigError(
-            f"model {model.name!r} does not define a predictive mode density; "
-            "prior-expected relevance needs normalizer='none' for it")
+        return np.zeros((data.n, psis.shape[0]))
     out = np.asarray(
         model.log_predictive_mode_density(data, thetas, psis, belief), dtype=float)
     if out.shape != (data.n, psis.shape[0]):
@@ -131,15 +128,15 @@ def _belief_averager(tensor: np.ndarray):
 
 
 def prior_expected_relevance(model: ModelSpec, data: SourceData, theta_nodes,
-                             theta_belief, psi_target,
-                             normalizer: str = "mode-density") -> np.ndarray:
+                             theta_belief, psi_target) -> np.ndarray:
     """Belief-averaged density of each observation under the target task.
 
-    The average is divided by the modal density of the same belief-averaged
-    predictive, so a dead-center observation scores 1 and the weights react
-    to how concentrated the current belief is.  Values pushed past 1, which
-    happens when the mixture peaks above the matching-variance normal, are
-    clipped.
+    For a model with a predictive mode density the average is divided by
+    the modal density of the same belief-averaged predictive, so a
+    dead-center observation scores 1 and the weights react to how
+    concentrated the current belief is.  Values pushed past 1, which happens
+    when the mixture peaks above the matching-variance normal, are clipped.
+    A pmf model's average is used as it is.
     """
     thetas = np.asarray(theta_nodes, dtype=float)
     if thetas.ndim == 1:
@@ -151,7 +148,7 @@ def prior_expected_relevance(model: ModelSpec, data: SourceData, theta_nodes,
         raise ValueError("theta_belief must be a normalized mass vector")
     psi = param_values(psi_target)[None, :]
     log_average = _belief_averager(loglik_tensor(model, data, thetas, psi))
-    log_mode = _predictive_mode_matrix(model, data, thetas, psi, belief, normalizer)
+    log_mode = _predictive_mode_matrix(model, data, thetas, psi, belief)
     return _clip_unit(np.exp(log_average(belief) - log_mode)[:, 0],
                       "prior_expected_relevance")
 
@@ -210,8 +207,7 @@ def refine_relevance(problem: GridProblem, proxy, config: RelevanceConfig) -> Re
 
         def evaluate(belief):
             log_mode = _predictive_mode_matrix(model, data, grid.theta_nodes,
-                                               grid.psi_nodes, belief,
-                                               config.normalizer)
+                                               grid.psi_nodes, belief)
             raw = np.exp(log_average(belief) - log_mode).T
             return _clip_unit(raw, "refine_relevance")
 

@@ -5,7 +5,9 @@ evaluator over a parameter product.  These are the per-observation forms it
 replaced, kept here as oracles so the tensor can be checked cell by cell
 against code that shares none of its broadcasting.  The GP oracle factors
 one kernel at a time and solves with LU, sharing no factor cache and no
-forward substitution with the library.  r_weighted_likelihood is one cell
+forward substitution with the library; the binomial oracle forms its log
+coefficient with math.lgamma and its log-sigmoids in scalar arithmetic,
+sharing no code with the model.  r_weighted_likelihood is one cell
 of the r-weighted engine, the scalar form the grid engine replaced.
 
 prior_expected_matrix is the prior-expected weight formula as a full
@@ -26,15 +28,15 @@ weights provider is called with one dataset at a time.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from relbayes.inference import (GridProblem, _check_weights, _weighted_terms,
-                                classic_posterior, proxy_loglik_vector,
-                                r_weighted_posterior)
+from relbayes.inference import (GridProblem, _check_weights, classic_posterior,
+                                proxy_loglik_vector, r_weighted_posterior)
 from relbayes.models import BASE_JITTER, LOG_2PI, MAX_JITTER, DegenerateRelevanceError, \
-    Observation, SourceData, _binom_logpmf, loglik_tensor, param_values
+    Observation, SourceData, loglik_tensor, param_values
 from relbayes.relevance import _clip_unit, _predictive_mode_matrix, refine_relevance
 
 
@@ -44,10 +46,17 @@ def linear(obs, theta, psi) -> float:
     return -0.5 * LOG_2PI - 0.5 * (float(obs.outcome) - mean) ** 2
 
 
+def _log_sigmoid(t: float) -> float:
+    return -math.log1p(math.exp(-t)) if t >= 0 else t - math.log1p(math.exp(t))
+
+
 def binomial_logit(obs, theta, psi) -> float:
+    """log Binomial(y; n, sigmoid(t)), the log coefficient by math.lgamma."""
     th, ps = param_values(theta), param_values(psi)
     t = float(th @ obs.covariates) + ps[0]
-    return float(_binom_logpmf(int(obs.outcome), obs.trial_count, t))
+    y, n = int(obs.outcome), obs.trial_count
+    log_coef = math.lgamma(n + 1) - math.lgamma(y + 1) - math.lgamma(n - y + 1)
+    return log_coef + y * _log_sigmoid(t) + (n - y) * _log_sigmoid(-t)
 
 
 def gp(obs, theta, psi) -> float:
@@ -76,6 +85,12 @@ def discrete_toy(table, obs, theta, psi) -> float:
         return float(np.log(table[a, b, int(obs.outcome)]))
 
 
+def _weighted(w, lls):
+    """w * lls, where a zero weight gives exactly 0 even against -inf."""
+    with np.errstate(invalid="ignore"):
+        return np.where(w == 0.0, 0.0, w * lls)
+
+
 def r_weighted_likelihood(model, data, theta, psi_target, weights) -> float:
     """Log of the relevance-weighted likelihood at one (theta, psi_target):
     every observation evaluated at psi_target, its log-likelihood scaled by
@@ -83,7 +98,7 @@ def r_weighted_likelihood(model, data, theta, psi_target, weights) -> float:
     w = _check_weights(weights, (data.n,))
     lls = loglik_tensor(model, data, param_values(theta)[None, :],
                         param_values(psi_target)[None, :])[:, 0, 0]
-    return float(_weighted_terms(w, lls).sum())
+    return float(_weighted(w, lls).sum())
 
 
 def sigmoid_ratio_weights(null_lls) -> np.ndarray:
@@ -120,7 +135,7 @@ def metropolis_log_target(model, data, proxy, weights_fn, prior_log_density, gro
             both = loglik_tensor(model, data, thetas, psi[None, :])[:, :, 0]   # (n, 2)
             w = sigmoid_ratio_weights(both[:, 1:])[:, 0]
             lls = both[:, 0]
-        ll = float(_weighted_terms(_check_weights(w, (data.n,)), lls).sum())
+        ll = float(_weighted(_check_weights(w, (data.n,)), lls).sum())
         if proxy is not None:
             ll += float(proxy_loglik_vector(proxy, psi[None, :])[0])
         return lp + ll
@@ -147,7 +162,7 @@ def refine_prior_expected(problem, proxy, config):
 
     def evaluate(belief):
         log_mode = _predictive_mode_matrix(problem.model, problem.data, grid.theta_nodes,
-                                           grid.psi_nodes, belief, config.normalizer)
+                                           grid.psi_nodes, belief)
         return _clip_unit(prior_expected_matrix(problem.tensor, log_mode, belief), "oracle")
 
     belief = grid.theta_prior_mass
@@ -228,8 +243,8 @@ def delta_rweighted(model, true_process, grid, weights_per_psi) -> tuple[float, 
     star_entropy = -sum(p * np.log(p) for row in star for p in row if p > 0)
     norm = unnorm = 0.0
     for b, qb in enumerate(grid.psi_prior_mass):
-        weighted = _weighted_terms(weights_per_psi[b][:, None], logpmf[b][None, :])  # (n, O)
-        cross = _weighted_terms(star, weighted).sum()
+        weighted = _weighted(weights_per_psi[b][:, None], logpmf[b][None, :])  # (n, O)
+        cross = _weighted(star, weighted).sum()
         log_z = logsumexp(weighted, axis=1).sum()
         unnorm += qb * (-star_entropy - cross)
         norm += qb * (-star_entropy - cross + log_z)
@@ -251,7 +266,7 @@ def check_prop55(model, true_process, grid, weights_provider) -> dict:
         for d, _, pd, lpd in datasets:
             w = np.asarray(weights_provider(d[None, :])[0, b], dtype=float)
             lls = logpmf[b][d]
-            d_acc += pd * (lpd - _weighted_terms(w, lls).sum())
+            d_acc += pd * (lpd - _weighted(w, lls).sum())
             e_acc += pd * w.sum() * (-lls.sum())
             r_acc += pd * np.mean((w - w.mean()) * (lls - lls.mean()))
         delta += qb * d_acc

@@ -19,11 +19,9 @@ import _scalar_reference as ref
 from relbayes.diagnostics import (DeltaRweighted, DiagnosticsReport,
                                   ProxyModel, ToyEnumeration, TrueProcess,
                                   check_prop55, check_theorem24,
-                                  cross_entropy, delta_classic,
-                                  delta_rweighted, entropy,
+                                  delta_classic, delta_rweighted, entropy,
                                   info_gain_classic, info_gain_rweighted,
-                                  kl_divergence, rho_fidelity,
-                                  toy_diagnostics_report)
+                                  kl_divergence, toy_diagnostics_report)
 from relbayes.grids import ParameterGrid, toy_grid
 from relbayes.harness.runner import toy_verify_instance
 from relbayes.models import (Observation, SharedParam, SourceData, TaskParam,
@@ -48,10 +46,6 @@ class TestEntropyAndDivergences:
                               for pi in p))
         assert_allclose(entropy(p), want, rtol=0, atol=1e-14)
 
-    def test_cross_entropy_exact_value(self):
-        assert_allclose(cross_entropy([1.0, 0.0], [0.5, 0.5]), np.log(2),
-                        rtol=0, atol=1e-15)
-
     def test_kl_exact_value(self):
         want = 0.5 * np.log(2) + 0.5 * np.log(2 / 3)
         assert_allclose(kl_divergence([0.5, 0.5], [0.25, 0.75]), want,
@@ -73,8 +67,6 @@ class TestEntropyAndDivergences:
         with pytest.warns(RuntimeWarning, match="absolute continuity"):
             v = kl_divergence([0.5, 0.5], [1.0, 0.0])
         assert v == np.inf
-        with pytest.warns(RuntimeWarning):
-            assert cross_entropy([0.5, 0.5], [1.0, 0.0]) == np.inf
 
     def test_zero_p_entries_do_not_probe_q(self):
         # 0 log(0/0) = 0 by convention: q may vanish wherever p does
@@ -401,7 +393,6 @@ class TestDeltaRweighted:
         assert_allclose(got.unnormalized, -h_star, rtol=0, atol=1e-13)
         assert_allclose(got.normalized, 2 * np.log(3) - h_star, rtol=0,
                         atol=1e-13)
-        assert got.value == got.normalized
 
     def test_matches_mpmath_oracle(self):
         model, grid, truth, table, rng = _toy_instance(RNG_SEED + 4, n_out=3,
@@ -446,17 +437,21 @@ class TestDeltaRweighted:
 
 
 class TestRhoFidelity:
+    """The rho term of check_prop55: the expected covariance between the
+    weights and the pseudo-intervened log-likelihoods."""
+
     def test_constant_weights_have_zero_covariance(self):
         model, grid, truth, _, _ = _toy_instance(RNG_SEED)
-        rho = rho_fidelity(ToyEnumeration(model, truth, grid),
-                           _constant_provider(grid.n_psi, 0.7))
-        assert rho == 0.0
+        check = check_prop55(ToyEnumeration(model, truth, grid),
+                             _constant_provider(grid.n_psi, 0.7))
+        assert check.rho_fidelity == 0.0
 
     def test_matches_direct_enumeration(self):
         model, grid, truth, table, rng = _toy_instance(RNG_SEED + 5, n_out=3,
                                                        n_obs=3)
         g = rng.uniform(0, 1, size=(grid.n_psi, 3))
-        rho = rho_fidelity(ToyEnumeration(model, truth, grid), _table_weights_provider(g))
+        rho = check_prop55(ToyEnumeration(model, truth, grid),
+                           _table_weights_provider(g)).rho_fidelity
 
         stars = [int(p.value[0]) for p in truth.psi_star]
         total = 0.0
@@ -468,13 +463,6 @@ class TestRhoFidelity:
                 cov = np.mean((w - w.mean()) * (lls - lls.mean()))
                 total += grid.psi_prior_mass[b] * pd * cov
         assert_allclose(rho, total, rtol=0, atol=1e-14)
-
-    def test_single_observation_rejected(self):
-        model, grid, _, _, _ = _toy_instance(RNG_SEED)
-        truth = TrueProcess(SharedParam(0.0), (TaskParam(0.0),), TaskParam(0.0))
-        with pytest.raises(ValueError, match="n >= 2"):
-            rho_fidelity(ToyEnumeration(model, truth, grid),
-                         _constant_provider(grid.n_psi, 1.0))
 
 
 class TestCheckProp55:
@@ -502,9 +490,6 @@ class TestCheckProp55:
         provider = _table_weights_provider(g)
         record = ToyEnumeration(model, truth, grid)
         check = check_prop55(record, provider)
-
-        rho = rho_fidelity(record, provider)
-        assert_allclose(check.rho_fidelity, rho, rtol=0, atol=1e-14)
 
         stars = [int(p.value[0]) for p in truth.psi_star]
         rows = table[0, stars]                                    # (n, O)

@@ -15,8 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+from scipy.special import logsumexp
 
-from relbayes.harness import runner as runner_module
+import _scalar_reference as scalar
+from relbayes.harness import runner as runner_module, smoking
 from relbayes.harness.cli import RESIDUAL_TOL, build_parser, main as cli_main
 from relbayes.harness.config import (ConfigError, ExperimentConfig,
                                      apply_overrides, config_echo, parse_config,
@@ -31,6 +34,9 @@ from relbayes.harness.smoking import (EXPECTED_STUDIES, SmokingRecord,
                                       packaged_smoking_path, partition_rows,
                                       run_smoking_comparison)
 from relbayes.harness.svgplot import box_stats, emit_boxplot_svg
+from relbayes.inference import McmcChain
+from relbayes.models import SourceData, binomial_logit_model
+from relbayes.synthetic import GpScenario, LinearScenario
 
 RNG_SEED = 20260817
 
@@ -141,6 +147,22 @@ class TestConfigParsing:
         assert "experiment = linear" in lines
         assert "multicollinearity = 2.0" in lines
         assert not any(line.startswith("m_target") for line in lines)
+
+    @pytest.mark.parametrize("scenario", [LinearScenario, GpScenario])
+    def test_scenario_fields_are_config_keys(self, scenario):
+        """The scenario keys and builders are derived from the scenario's
+        fields, so each must be a config field of the same type and default."""
+        config_fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+        for f in dataclasses.fields(scenario):
+            assert (config_fields[f.name].type, config_fields[f.name].default) == \
+                (f.type, f.default), f.name
+
+    def test_scenarios_carry_config_values(self):
+        linear = parse_config_text(LINEAR_CONFIG).linear_scenario()
+        assert linear == LinearScenario(multicollinearity=2.0, target_resemblance_pct=75.0,
+                                        contamination_pct=25.0)
+        gp = parse_config_text("experiment = gp\nm_target = 4\nrefinement_T = 2\n")
+        assert gp.gp_scenario() == GpScenario(m_target=4, refinement_T=2)
 
     def test_group_labels(self):
         linear = parse_config_text(LINEAR_CONFIG)
@@ -591,6 +613,45 @@ class TestSmokingComparison:
             records = ingest_smoking_csv(path)
         with pytest.raises(ValueError, match="at least 2 studies"):
             run_smoking_comparison(records, "weak", seed=0)
+
+
+class TestSmokingPredictives:
+    """Both held-out predictives against a per-sample scalar loop over one
+    study's arms, each arm scored by the scalar binomial oracle."""
+
+    S = 40
+
+    def _held_and_chain(self):
+        records = ingest_smoking_csv(packaged_smoking_path())
+        arms = arms_by_study(records)["01"]
+        held = SourceData(tuple(smoking._arm_observation(r) for r in arms))
+        rng = np.random.default_rng(RNG_SEED)
+        chain = McmcChain(theta_samples=rng.normal(-2.0, 0.5, size=(self.S, 4)),
+                          psi_samples=rng.normal(0.0, 0.5, size=(self.S, 1)),
+                          acceptance_rate=0.3, seed=0)
+        return held, chain
+
+    def test_rweighted_pairs_each_theta_with_its_psi(self):
+        held, chain = self._held_and_chain()
+        got = smoking._rweighted_predictive(binomial_logit_model(), held, chain)
+        lls = np.array([sum(scalar.binomial_logit(obs, th, ps) for obs in held)
+                        for th, ps in zip(chain.theta_samples, chain.psi_samples)])
+        assert_allclose(got[0], logsumexp(lls) - np.log(self.S), rtol=1e-13)
+        assert_allclose(got, smoking._log_mean_exp_with_se(lls), rtol=1e-12)
+
+    def test_classic_integrates_the_intercept_posterior(self):
+        held, chain = self._held_and_chain()
+        z, sigma = 0.4, 0.8
+        got = smoking._classic_predictive(binomial_logit_model(), held, chain, z, sigma)
+        tau2, s2 = smoking.PRIOR_SD ** 2, sigma ** 2
+        mean, sd = z * tau2 / (s2 + tau2), np.sqrt(s2 * tau2 / (s2 + tau2))
+        nodes, weights = np.polynomial.hermite_e.hermegauss(smoking.PREDICTIVE_QUAD_NODES)
+        lls = np.array([
+            logsumexp([sum(scalar.binomial_logit(obs, th, [mean + sd * u]) for obs in held)
+                       for u in nodes], b=weights / np.sqrt(2.0 * np.pi))
+            for th in chain.theta_samples])
+        assert_allclose(got[0], logsumexp(lls) - np.log(self.S), rtol=1e-13)
+        assert_allclose(got, smoking._log_mean_exp_with_se(lls), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

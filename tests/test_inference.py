@@ -17,8 +17,8 @@ from relbayes.grids import ParameterGrid, midpoint_nodes, toy_grid
 from relbayes.inference import (DegenerateProxyError, GridProblem, McmcInitError,
                                 PosteriorTable, ProxyObservation, _r_weighted_table,
                                 chain_grid_tv, classic_posterior, metropolis_posterior,
-                                proxy_loglik_vector, proxy_posterior,
-                                r_weighted_posterior, uninformative_proxy)
+                                proxy_loglik_vector, r_weighted_posterior,
+                                uninformative_proxy)
 from relbayes.models import (Observation, SharedParam, SourceData, TaskParam,
                              binomial_logit_model, discrete_toy_model, linear_model,
                              logsumexp)
@@ -51,6 +51,15 @@ def _normal_proxy(z, sigma=0.8):
     return ProxyObservation(payload=float(z), proxy_log_likelihood=pll)
 
 
+def _proxy_posterior(grid, proxy):
+    """The posterior given the proxy alone: the r-weighted posterior with
+    every weight zero, whose psi marginal is the proxy likelihood times the
+    psi prior, normalized by exp(log_evidence)."""
+    data = SourceData((Observation([0.0, 0.0], 0.0),))
+    return r_weighted_posterior(GridProblem(linear_model(), data, grid),
+                                np.zeros((grid.n_psi, 1)), proxy)
+
+
 class TestProxyPosterior:
     def test_matches_mpmath_enumeration(self):
         """Binomial endorsement counts over a 50-node psi grid."""
@@ -63,7 +72,7 @@ class TestProxyPosterior:
             return stats.binom.logpmf(payload, 7, expit(psi_nodes[:, 0]))
 
         proxy = ProxyObservation(payload=5, proxy_log_likelihood=pll)
-        post = proxy_posterior(grid, proxy)
+        post = _proxy_posterior(grid, proxy)
 
         unnorm = []
         for j in range(50):
@@ -72,14 +81,14 @@ class TestProxyPosterior:
             unnorm.append(lik * mp.mpf(float(prior[j])))
         total = mp.fsum(unnorm)
         want = np.array([float(u / total) for u in unnorm])
-        assert_allclose(post.mass, want, rtol=0, atol=1e-13)
-        assert_allclose(post.log_normalizer, float(mp.log(total)), atol=1e-12)
+        assert_allclose(post.psi_marginal(), want, rtol=0, atol=1e-13)
+        assert_allclose(post.log_evidence, float(mp.log(total)), atol=1e-12)
 
     def test_uninformative_proxy_returns_prior(self):
         _, grid, _, _, _ = _toy_setup()
-        post = proxy_posterior(grid, uninformative_proxy())
-        assert_allclose(post.mass, grid.psi_prior_mass, rtol=0, atol=1e-15)
-        assert_allclose(post.log_normalizer, 0.0, atol=1e-12)
+        post = _proxy_posterior(grid, uninformative_proxy())
+        assert_allclose(post.psi_marginal(), grid.psi_prior_mass, rtol=0, atol=1e-15)
+        assert_allclose(post.log_evidence, 0.0, atol=1e-12)
 
     def test_zero_everywhere_raises(self):
         _, grid, _, _, _ = _toy_setup()
@@ -87,7 +96,7 @@ class TestProxyPosterior:
             payload=None,
             proxy_log_likelihood=lambda z, psi_nodes: np.full(len(psi_nodes), -np.inf))
         with pytest.raises(DegenerateProxyError):
-            proxy_posterior(grid, dead)
+            _proxy_posterior(grid, dead)
 
 
 class TestProxyLoglikVector:
@@ -114,8 +123,8 @@ class TestProxyLoglikVector:
         with pytest.raises(ValueError, match="shape"):
             proxy_loglik_vector(legacy, self.NODES)
         with pytest.raises(ValueError, match="shape"):
-            proxy_posterior(ParameterGrid(np.zeros((1, 1)), self.NODES,
-                                          np.array([1.0]), np.full(5, 0.2)), legacy)
+            _proxy_posterior(ParameterGrid(np.zeros((1, 1)), self.NODES,
+                                           np.array([1.0]), np.full(5, 0.2)), legacy)
 
     def test_wrong_length_rejected(self):
         short = ProxyObservation(
@@ -213,44 +222,6 @@ class TestClassicPosterior:
         post = classic_posterior(GridProblem(model, data, grid), src)
         want = post.theta_marginal()[:, None] * grid.psi_prior_mass[None, :]
         assert_allclose(post.joint_mass, want, rtol=0, atol=1e-15)
-
-    def test_known_groups_matches_manual_enumeration(self):
-        """Observations in a group share one task draw, so the mixture is
-        over the group's joint likelihood rather than per observation."""
-        model, grid, data, table, rng = _toy_setup(n_obs=3)
-        src = rng.dirichlet(np.full(grid.n_psi, 3.0))
-        groups = [[0, 2], [1]]
-        post = classic_posterior(GridProblem(model, data, grid), src, groups=groups)
-
-        outcomes = [int(o.outcome) for o in data]
-        unnorm = []
-        for a in range(grid.n_theta):
-            term = mp.mpf(float(grid.theta_prior_mass[a]))
-            for g in groups:
-                term *= mp.fsum(
-                    mp.mpf(float(src[b]))
-                    * mp.fprod(mp.mpf(float(table[a, b, outcomes[i]])) for i in g)
-                    for b in range(grid.n_psi))
-            unnorm.append(term)
-        total = mp.fsum(unnorm)
-        want = np.array([float(u / total) for u in unnorm])
-        assert_allclose(post.theta_marginal(), want, rtol=0, atol=1e-13)
-
-    def test_singleton_groups_equal_default(self):
-        model, grid, data, _, rng = _toy_setup()
-        src = rng.dirichlet(np.full(grid.n_psi, 3.0))
-        problem = GridProblem(model, data, grid)
-        plain = classic_posterior(problem, src)
-        single = classic_posterior(problem, src,
-                                   groups=[[i] for i in range(data.n)])
-        assert_allclose(single.joint_mass, plain.joint_mass, rtol=0, atol=1e-14)
-
-    def test_groups_must_partition(self):
-        model, grid, data, _, rng = _toy_setup()
-        src = rng.dirichlet(np.full(grid.n_psi, 3.0))
-        with pytest.raises(ValueError, match="partition"):
-            classic_posterior(GridProblem(model, data, grid), src,
-                              groups=[[0, 1], [1, 2, 3]])
 
     def test_source_prior_length_checked(self):
         model, grid, data, _, _ = _toy_setup()
@@ -518,6 +489,26 @@ class TestMetropolis:
             metropolis_posterior(model, data, None, None, self._std_normal_prior,
                                  n_samples=1000, seed=0, groups=[[0], [0, 1]])
 
+    def test_groups_overlap_or_gap_rejected(self):
+        """Four observations: an index in two groups, or in none, is refused."""
+        model = linear_model()
+        data = SourceData(tuple(Observation([1.0, 0.5 * i], 0.1 * i) for i in range(4)))
+        for groups in ([[0, 1], [1, 2, 3]], [[0, 1], [3]]):
+            with pytest.raises(ValueError, match="partition"):
+                metropolis_posterior(model, data, None, None, self._std_normal_prior,
+                                     n_samples=1000, seed=0, groups=groups)
+
+    @pytest.mark.parametrize("weights_fn",[lambda d, psi: np.ones(d.n), "sigmoid-ratio"],
+                             ids=["callable", "sigmoid-ratio"])
+    def test_groups_rejected_with_weights(self, weights_fn):
+        """The weighted target has one task parameter; a groups partition
+        there would be ignored, so it is refused."""
+        model = linear_model()
+        data = SourceData((Observation([1.0, 0.0], 0.0), Observation([0.5, 1.0], 0.2)))
+        with pytest.raises(ValueError, match="groups"):
+            metropolis_posterior(model, data, None, weights_fn, self._std_normal_prior,
+                                 n_samples=1000, seed=0, groups=[[0], [1]])
+
     @pytest.mark.parametrize("weights_fn, match", [
         (lambda d, psi: 1.7, "shape"),
         (lambda d, psi: np.ones(d.n + 1), "shape"),
@@ -634,6 +625,13 @@ class TestChainGridTv:
                               np.zeros((60000, 1)))
         tv = chain_grid_tv(chain, table, coarsen=2, marginal="theta")
         assert tv < 0.02
+
+    def test_unknown_marginal_rejected(self):
+        """A misspelt marginal must not fall through to the joint."""
+        table = self._table()
+        chain = McmcChainStub(np.zeros((10, 1)), np.zeros((10, 1)))
+        with pytest.raises(ValueError, match="'theta', 'psi' or None"):
+            chain_grid_tv(chain, table, marginal="Theta")
 
 
 class McmcChainStub:

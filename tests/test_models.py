@@ -21,9 +21,9 @@ from relbayes.grids import ParameterGrid, box_nodes, midpoint_nodes, toy_grid
 from relbayes.harness.runner import run_experiment
 from relbayes.inference import GridProblem, metropolis_posterior
 from relbayes.models import (LOG_2PI, Observation, SharedParam, SourceData,
-                             TaskParam, binomial_logit_model, check_support,
-                             discrete_toy_model, gp_model, linear_model,
-                             loglik_tensor, logsumexp, param_values)
+                             TaskParam, binomial_logit_model, discrete_toy_model,
+                             gp_model, linear_model, loglik_tensor, logsumexp,
+                             param_values)
 
 RNG_SEED = 20260817
 
@@ -107,12 +107,6 @@ class TestDomainTypes:
             Observation(np.zeros(4), 6, trial_count=5)
         with pytest.raises(ValueError, match="trial_count"):
             Observation(np.zeros(4), -1, trial_count=5)
-
-    def test_check_support(self):
-        box = np.array([[-1.0, 1.0]])
-        check_support(np.array([0.5]), box, "x")
-        with pytest.raises(ValueError):
-            check_support(np.array([1.5]), box, "x")
 
 
 class TestLinearModel:

@@ -91,8 +91,11 @@ def test_traced_smoking_partition_counts_one_evaluation_per_step(monkeypatch):
     assert metrics["inference.metropolis_posterior.iters_per_unit"] == 2000
     # each chain evaluates its initial state, then one proposal per iteration:
     # the weighted chain at (theta, 0) for 47 arms, 94 cells, and the
-    # fixed-effects chain one cell per arm at its own study's intercept, 47
-    assert metrics["models.loglik_tensor.calls_per_unit"] == 2 * 1001
-    assert metrics["models.loglik_tensor.cells_per_unit"] == 1001 * (94 + 47)
+    # fixed-effects chain one cell per arm at its own study's intercept, 47;
+    # then each predictive scores study 01's 3 arms at the 750 kept draws,
+    # the classic one at 40 quadrature intercepts per draw
+    assert metrics["models.loglik_tensor.calls_per_unit"] == 2 * 1001 + 2
+    assert metrics["models.loglik_tensor.cells_per_unit"] == \
+        1001 * (94 + 47) + 3 * 750 * (1 + 40)
     # the weighted chain forms the sigmoid-ratio weights without the public call
     assert metrics["relevance.sigmoid_ratio_relevance.calls_per_unit"] == 0

@@ -148,20 +148,32 @@ class TestPriorExpected:
         assert_allclose(w, [1.0], rtol=0, atol=0)
 
     def test_pmf_model_needs_no_normalizer(self):
+        """A model without a predictive mode density (the toy, the binomial)
+        scores by its belief-averaged pmf, which lies in [0, 1] already."""
         rng = np.random.default_rng(RNG_SEED)
         table = rng.dirichlet(np.full(3, 2.0), size=(2, 2))
         model = discrete_toy_model(3, 2, 2, table)
+        assert model.log_predictive_mode_density is None
         w = prior_expected_relevance(model, _toy_obs(0, 2), [[0.0], [1.0]],
-                                     [0.5, 0.5], 1.0, normalizer="none")
+                                     [0.5, 0.5], 1.0)
         want0 = 0.5 * table[0, 1, 0] + 0.5 * table[1, 1, 0]
         assert_allclose(w[0], want0, rtol=1e-13)
         assert np.all(w <= 1.0)
 
-    def test_mode_density_required_when_requested(self):
+    def test_missing_mode_density_scores_unnormalized(self):
+        """A model without a predictive mode density is no longer an error:
+        each observation scores its pmf, here 0.5, not a ratio to a mode."""
         table = np.full((1, 1, 2), 0.5)
         model = discrete_toy_model(2, 1, 1, table)
-        with pytest.raises(RelevanceConfigError, match="mode density"):
-            prior_expected_relevance(model, _toy_obs(0), [[0.0]], [1.0], 0.0)
+        w = prior_expected_relevance(model, _toy_obs(0, 1), [[0.0]], [1.0], 0.0)
+        assert_allclose(w, [0.5, 0.5], rtol=0, atol=0)
+
+    def test_mode_density_of_wrong_shape_rejected(self):
+        model = dataclasses.replace(
+            linear_model(), log_predictive_mode_density=lambda data, t, p, b: np.zeros(2))
+        data = SourceData((Observation([1.0, 0.0], 0.0),))
+        with pytest.raises(RelevanceConfigError, match="shape"):
+            prior_expected_relevance(model, data, [[0.0]], [1.0], 0.0)
 
     def test_belief_must_be_normalized_mass(self):
         model = linear_model()
@@ -214,11 +226,9 @@ class TestRefineRelevance:
         grid = toy_grid(2, 2, theta_prior=[0.4, 0.6])
         data = _toy_obs(0, 1, 2)
         shallow = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(),
-                                   RelevanceConfig(normalizer="none",
-                                                   refinement_iterations=0))
+                                   RelevanceConfig(refinement_iterations=0))
         deep = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(),
-                                RelevanceConfig(normalizer="none",
-                                                refinement_iterations=5))
+                                RelevanceConfig(refinement_iterations=5))
         assert_allclose(deep.theta_belief, [0.4, 0.6], rtol=0, atol=1e-12)
         assert_allclose(deep.weights_per_psi, shallow.weights_per_psi,
                         rtol=0, atol=1e-12)
@@ -272,13 +282,18 @@ class TestRefineRelevance:
         assert_allclose(r1.weights_per_psi, r2.weights_per_psi, rtol=0, atol=0)
         assert_allclose(r1.theta_belief, r2.theta_belief, rtol=0, atol=0)
 
-    def test_missing_mode_density_raises(self):
-        table = np.full((2, 2, 2), 0.5)
-        model = discrete_toy_model(2, 2, 2, table)
-        grid = toy_grid(2, 2)
-        with pytest.raises(RelevanceConfigError):
-            refine_relevance(GridProblem(model, _toy_obs(0), grid), uninformative_proxy(),
-                             RelevanceConfig())
+    def test_missing_mode_density_scores_unnormalized(self):
+        """Without a predictive mode density each round's weights are the
+        belief-averaged pmf itself: w[b, i] = sum_a belief[a] p(d_i | a, b)."""
+        rng = np.random.default_rng(RNG_SEED)
+        table = rng.dirichlet(np.full(3, 2.0), size=(2, 2))
+        model = discrete_toy_model(3, 2, 2, table)
+        data = _toy_obs(0, 2, 2)
+        result = refine_relevance(GridProblem(model, data, toy_grid(2, 2)),
+                                  uninformative_proxy(), RelevanceConfig())
+        outcomes = [0, 2, 2]
+        want = np.einsum("a,abi->bi", result.theta_belief, table[:, :, outcomes])
+        assert_allclose(result.weights_per_psi, want, rtol=1e-13, atol=0)
 
 
 def _count_calls(monkeypatch, original) -> list:
@@ -392,7 +407,7 @@ class TestBeliefAverage:
                                 for _ in range(7)))
         problem = GridProblem(linear_model(), data, grid)
         return problem.tensor, lambda belief: _predictive_mode_matrix(
-            problem.model, data, grid.theta_nodes, grid.psi_nodes, belief, "mode-density")
+            problem.model, data, grid.theta_nodes, grid.psi_nodes, belief)
 
     def _shifted(self, rng):
         """The linear tensor with every other (i, b) column moved down by
@@ -409,8 +424,7 @@ class TestBeliefAverage:
         problem, _ = _gp_problem()
         grid = problem.grid
         return problem.tensor, lambda belief: _predictive_mode_matrix(
-            problem.model, problem.data, grid.theta_nodes, grid.psi_nodes, belief,
-            "mode-density")
+            problem.model, problem.data, grid.theta_nodes, grid.psi_nodes, belief)
 
     def _binomial(self, rng):
         thetas = rng.normal(scale=1.5, size=(9, 4))
@@ -492,10 +506,6 @@ class TestValidation:
     def test_config_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             RelevanceConfig(kind="inverse-distance")
-
-    def test_config_rejects_unknown_normalizer(self):
-        with pytest.raises(ValueError, match="normalizer"):
-            RelevanceConfig(normalizer="softmax")
 
     def test_config_bounds_refinement_iterations(self):
         with pytest.raises(ValueError):
