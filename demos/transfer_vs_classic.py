@@ -19,9 +19,8 @@ GRID_RESOLUTION = 101
 
 import numpy as np
 
-from relbayes import (GridProblem, LinearScenario, RelevanceConfig,
-                      classic_posterior, gen_linear_instance, linear_model,
-                      refine_relevance, task_rng)
+from relbayes import (GridProblem, LinearScenario, classic_posterior,
+                      gen_linear_instance, linear_model, refine_relevance, task_rng)
 from relbayes.grids import ParameterGrid, midpoint_nodes
 
 rng = task_rng(SEED, 0)
@@ -48,7 +47,7 @@ classic = classic_posterior(problem, grid.psi_prior_mass)
 
 # inst.proxy holds every expert rating; refinement returns the weighted
 # posterior under its final weights
-refined = refine_relevance(problem, inst.proxy, RelevanceConfig())
+refined = refine_relevance(problem, inst.proxy)
 weighted = refined.posterior
 
 # relevance profile under the proxy-informed task belief, a few entries

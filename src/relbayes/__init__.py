@@ -8,8 +8,7 @@ from .inference import (DegenerateProxyError, GridProblem, McmcChain, McmcInitEr
                         PosteriorTable, ProxyObservation, chain_grid_tv,
                         classic_posterior, metropolis_posterior, r_weighted_posterior,
                         uninformative_proxy)
-from .relevance import (DegenerateRelevanceError, RefinementResult, RelevanceConfig,
-                        RelevanceConfigError, constant_one_weights,
+from .relevance import (DegenerateRelevanceError, RefinementResult, RelevanceConfigError,
                         prior_expected_relevance, refine_relevance,
                         sigmoid_ratio_relevance)
 from .diagnostics import (DeltaRweighted, DiagnosticsReport, Prop55Check, ProxyModel,

@@ -30,7 +30,7 @@ from .inference import (DegenerateProxyError, GridProblem, ProxyObservation,
                         proxy_loglik_vector)
 from .models import ModelSpec, Observation, SharedParam, SourceData, TaskParam, \
     loglik_tensor, logsumexp, param_values
-from .relevance import RelevanceConfig, refine_relevance
+from .relevance import refine_relevance
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +282,9 @@ def info_gain_classic(record: ToyEnumeration, source_psi_prior, *, loglik=None) 
     return float(_expect(np.exp(record.log_pstar), ratios))
 
 
-def info_gain_rweighted(record: ToyEnumeration, relevance_config: RelevanceConfig,
-                        proxy_model: ProxyModel, weights_provider=None,
-                        proxy_expectation: str = "subjective") -> float:
+def info_gain_rweighted(record: ToyEnumeration, proxy_model: ProxyModel,
+                        weights_provider=None, proxy_expectation: str = "subjective",
+                        refinement_iterations: int = 3) -> float:
     """Expected log posterior-to-prior ratio at theta* for the weighted learner.
 
     The expectation runs over every payload z and every dataset.  z is
@@ -292,10 +292,10 @@ def info_gain_rweighted(record: ToyEnumeration, relevance_config: RelevanceConfi
     drawn from the grid prior) by default; proxy_expectation="true"
     conditions on the true target task parameter instead, which is the
     variant the experiment sweeps report.  weights_provider, when given,
-    maps the (M, n) dataset-index array to (M, n_psi, n) weights and
-    bypasses the relevance configuration; without one, refine_relevance
-    runs once per (payload, dataset) pair of positive probability, on one
-    grid problem per dataset.
+    maps the (M, n) dataset-index array to (M, n_psi, n) weights; without
+    one, refine_relevance runs refinement_iterations rounds once per
+    (payload, dataset) pair of positive probability, on one grid problem per
+    dataset.
     """
     if proxy_expectation not in ("subjective", "true"):
         raise ValueError(f"unknown proxy_expectation {proxy_expectation!r}")
@@ -322,7 +322,7 @@ def info_gain_rweighted(record: ToyEnumeration, relevance_config: RelevanceConfi
             for zi in np.nonzero(live[:, m])[0]:
                 proxy = proxy_model.observation(proxy_model.payloads[zi])
                 weights[zi, m] = refine_relevance(problem, proxy,
-                                                  relevance_config).weights_per_psi
+                                                  refinement_iterations).weights_per_psi
 
     lls = record.table[datasets]                                            # (M, n, A, B)
     weighted = _weighted_terms(np.swapaxes(weights, 2, 3)[..., None, :], lls).sum(axis=2)
@@ -453,17 +453,16 @@ def toy_diagnostics_report(model: ModelSpec, true_process: TrueProcess,
     """Every diagnostic on one toy instance, enumerated exactly.
 
     One ToyEnumeration record is built and every diagnostic reads it.  The
-    weighted information gain uses constant-one relevance so it stays
-    comparable across instances; the decomposition check runs under the
+    weighted information gain uses unit weights so it stays comparable
+    across instances; the decomposition check runs under the
     supplied weights provider, and the weighted divergence under its
     weights for the first dataset.
     """
     record = ToyEnumeration(model, true_process, grid)
     n = true_process.n
     ig_r = info_gain_rweighted(
-        record, RelevanceConfig(kind="constant-one"), proxy_model,
-        weights_provider=lambda datasets: np.ones((len(datasets), grid.n_psi, n)),
-    )
+        record, proxy_model,
+        weights_provider=lambda datasets: np.ones((len(datasets), grid.n_psi, n)))
     prop = check_prop55(record, weights_provider)
     bound = check_theorem24(record, source_psi_prior)
     first = np.zeros((1, n), dtype=int)                                  # every outcome index 0

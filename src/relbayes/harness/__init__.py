@@ -9,6 +9,5 @@ from .smoking import PartitionResult, SmokingRecord, arms_by_study, \
     fit_study_intercepts, ingest_smoking_csv, packaged_smoking_path, \
     run_smoking_comparison
 from .svgplot import BoxStats, box_stats, emit_boxplot_svg
-from .cli import main
 
 __all__ = [name for name in dir() if not name.startswith("_")]

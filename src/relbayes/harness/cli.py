@@ -148,9 +148,7 @@ def _smoking_body(csv_path, mode, seed, out_dir, jobs, n_samples) -> int:
     rows = [row for results in per_mode for row in partition_rows(results)]
     emit_csv(rows, out / "partitions.csv", columns=PARTITION_COLUMNS)
     emit_csv(summary_rows(rows, value_column="log_ratio", group_column="proxy_mode"),
-             out / "summary.csv",
-             columns=["proxy_mode", "count", "q1", "median", "q3", "whisker_lo",
-                      "whisker_hi", "n_outliers"])
+             out / "summary.csv")
     groups = {m: [r.log_ratio for r in results]
               for m, results in zip(modes, per_mode)}
     emit_boxplot_svg(groups, out / "boxplot.svg",

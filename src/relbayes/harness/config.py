@@ -62,6 +62,9 @@ class ExperimentConfig:
     mcmc_samples: int = 20000
 
     def __post_init__(self):
+        """Check every value, and build the experiment's scenario as
+        self.scenario (None for smoking and toy-verify), so an out-of-range
+        scenario value is a ConfigError before any simulation runs."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, "
                               f"got {self.experiment!r}")
@@ -77,12 +80,13 @@ class ExperimentConfig:
             raise ConfigError(f"proxy_mode must be one of {PROXY_MODES}")
         if self.mcmc_samples < 1000:
             raise ConfigError("mcmc_samples must be >= 1000")
-
-    def linear_scenario(self) -> LinearScenario:
-        return _scenario(self, LinearScenario)
-
-    def gp_scenario(self) -> GpScenario:
-        return _scenario(self, GpScenario)
+        cls = _SCENARIOS.get(self.experiment)
+        try:
+            scenario = None if cls is None else \
+                cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "scenario", scenario)
 
     def group_label(self) -> str:
         if self.label:
@@ -96,6 +100,7 @@ class ExperimentConfig:
         return self.experiment
 
 
+_SCENARIOS = {"linear": LinearScenario, "gp": GpScenario}
 _COMMON_KEYS = {"experiment", "n_simulations", "master_seed", "grid_resolution",
                 "output_dir", "parallelism", "label"}
 _EXPERIMENT_KEYS = {
@@ -105,11 +110,6 @@ _EXPERIMENT_KEYS = {
     "toy-verify": set(),
 }
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-
-
-def _scenario(config: ExperimentConfig, cls):
-    """The cls scenario built from the config's values of its fields."""
-    return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
 
 
 def _coerce(key: str, raw: str):

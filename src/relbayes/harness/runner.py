@@ -23,7 +23,7 @@ from ..diagnostics import DiagnosticsReport, ProxyModel, TrueProcess, \
 from ..grids import ParameterGrid, build_grid, midpoint_nodes
 from ..inference import GridProblem, classic_posterior
 from ..models import SharedParam, TaskParam, discrete_toy_model, gp_model, linear_model
-from ..relevance import RelevanceConfig, refine_relevance
+from ..relevance import refine_relevance
 from ..synthetic import GP_PSI_SCALE, GP_PSI_SHAPE, LINEAR_THETA_STAR, \
     gen_expert_proxy, gen_gp_trajectories, gen_linear_instance, task_rng
 from .config import ConfigError, ExperimentConfig, config_echo
@@ -72,25 +72,29 @@ def _log_ratio_at(grid: ParameterGrid, theta_marginal: np.ndarray, a_star: int) 
         return float(np.log(theta_marginal[a_star]) - np.log(grid.theta_prior_mass[a_star]))
 
 
+def _grid_gains(model, source, grid: ParameterGrid, proxy, theta_star: float,
+                refinement_iterations: int = 3):
+    """(ig_classic, ig_rweighted, None) of one simulation: the classic and
+    the refined r-weighted posterior on one GridProblem, each scored by its
+    log posterior-to-prior ratio at the grid node nearest theta_star."""
+    a_star, _ = grid.nearest_theta(np.array([theta_star]))
+    problem = GridProblem(model, source, grid)
+    classic = classic_posterior(problem, grid.psi_prior_mass)
+    refined = refine_relevance(problem, proxy, refinement_iterations)
+    return (_log_ratio_at(grid, classic.theta_marginal(), a_star),
+            _log_ratio_at(grid, refined.posterior.theta_marginal(), a_star), None)
+
+
 def _linear_sim(config: ExperimentConfig, index: int):
     rng = task_rng(config.master_seed, index)
-    inst = gen_linear_instance(config.linear_scenario(), rng)
-    model = linear_model()
-    grid = _normal_prior_grid(config.grid_resolution)
-    a_star, _ = grid.nearest_theta(np.array([LINEAR_THETA_STAR]))
-
-    problem = GridProblem(model, inst.source, grid)
-    classic = classic_posterior(problem, grid.psi_prior_mass)
-    ig_c = _log_ratio_at(grid, classic.theta_marginal(), a_star)
-
-    refined = refine_relevance(problem, inst.proxy, RelevanceConfig())
-    ig_r = _log_ratio_at(grid, refined.posterior.theta_marginal(), a_star)
-    return ig_c, ig_r, None
+    inst = gen_linear_instance(config.scenario, rng)
+    return _grid_gains(linear_model(), inst.source, _normal_prior_grid(config.grid_resolution),
+                       inst.proxy, LINEAR_THETA_STAR)
 
 
 def _gp_sim(config: ExperimentConfig, index: int):
     rng = task_rng(config.master_seed, index)
-    scenario = config.gp_scenario()
+    scenario = config.scenario
     inst = gen_gp_trajectories(scenario, rng)
     model = gp_model(inst.x_grid)
 
@@ -103,20 +107,14 @@ def _gp_sim(config: ExperimentConfig, index: int):
     grid = build_grid(model, log_theta_prior, log_psi_prior,
                       theta_resolution=config.grid_resolution,
                       psi_resolution=config.grid_resolution)
-    a_star, _ = grid.nearest_theta(np.array([scenario.theta_star]))
-
+    # drawn before the grid problem is built: building its tensor first
+    # raised peak memory
     proxy = gen_expert_proxy(model, inst.prompts, inst.psi_target_star,
                              scenario.contamination_pct, rng,
                              theta_nodes=grid.theta_nodes,
                              theta_prior=grid.theta_prior_mass)
-    problem = GridProblem(model, inst.source, grid)
-    classic = classic_posterior(problem, grid.psi_prior_mass)
-    ig_c = _log_ratio_at(grid, classic.theta_marginal(), a_star)
-
-    rel_config = RelevanceConfig(refinement_iterations=scenario.refinement_T)
-    refined = refine_relevance(problem, proxy, rel_config)
-    ig_r = _log_ratio_at(grid, refined.posterior.theta_marginal(), a_star)
-    return ig_c, ig_r, None
+    return _grid_gains(model, inst.source, grid, proxy, scenario.theta_star,
+                       scenario.refinement_T)
 
 
 def toy_verify_instance(rng: np.random.Generator):
@@ -265,9 +263,7 @@ def write_run_outputs(config: ExperimentConfig, results: list[SimulationResult],
     rows = results_rows(results, label)
     columns = _CORE_COLUMNS + (_DIAG_COLUMNS if config.experiment == "toy-verify" else [])
     emit_csv(rows, out / "results.csv", columns=columns)
-    emit_csv(summary_rows(rows), out / "summary.csv",
-             columns=["label", "count", "q1", "median", "q3", "whisker_lo",
-                      "whisker_hi", "n_outliers"])
+    emit_csv(summary_rows(rows), out / "summary.csv")
     plot_groups = {label: [r.advantage for r in results
                            if r.error is None and np.isfinite(r.advantage)]}
     if plot_groups[label]:

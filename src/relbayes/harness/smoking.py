@@ -16,7 +16,7 @@ baseline of the original analysis is approximated rather than reproduced.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -206,8 +206,11 @@ def _classic_predictive(model, held: SourceData, chain, z: float,
 
 @dataclass(frozen=True)
 class PartitionResult:
-    held_out_study: str
+    """One held-out study's scores; the fields are partitions.csv's columns,
+    in order."""
+
     proxy_mode: str
+    held_out_study: str
     z_value: float
     psi_star_estimate: float
     log_pred_rweighted: float
@@ -275,20 +278,10 @@ def run_smoking_comparison(records, proxy_mode: str, seed: int,
 
 
 def partition_rows(results: list[PartitionResult]) -> list[dict]:
-    return [{
-        "proxy_mode": r.proxy_mode, "held_out_study": r.held_out_study,
-        "z_value": r.z_value, "psi_star_estimate": r.psi_star_estimate,
-        "log_pred_rweighted": r.log_pred_rweighted,
-        "log_pred_classic": r.log_pred_classic, "log_ratio": r.log_ratio,
-        "se_rweighted": r.se_rweighted, "se_classic": r.se_classic,
-        "accept_rweighted": r.accept_rweighted, "accept_classic": r.accept_classic,
-        "warning": r.warning,
-    } for r in results]
+    return [asdict(r) for r in results]
 
-PARTITION_COLUMNS = ["proxy_mode", "held_out_study", "z_value", "psi_star_estimate",
-                     "log_pred_rweighted", "log_pred_classic", "log_ratio",
-                     "se_rweighted", "se_classic", "accept_rweighted",
-                     "accept_classic", "warning"]
+
+PARTITION_COLUMNS = [f.name for f in fields(PartitionResult)]
 
 BASELINE_NOTE = ("classic baseline: per-study fixed-effects model sampled with "
                  "the same random-walk kernel as the weighted learner, standing "

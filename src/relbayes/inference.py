@@ -22,8 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grids import ParameterGrid, _check_mass
-from .models import (NULL_POOL_ZERO, DegenerateRelevanceError, ModelSpec, SourceData,
-                     _sigmoid_of_ratio, loglik_tensor, logsumexp)
+from .models import ModelSpec, SourceData, loglik_tensor, logsumexp, sigmoid_ratio_weights
 
 JOINT_TOL = 1e-10
 
@@ -282,16 +281,10 @@ def _chain_log_target(model: ModelSpec, data: SourceData, proxy, weights_fn,
             def weighted_sum(theta, psi):
                 thetas[0] = theta
                 both = loglik_tensor(model, data, thetas, psi[None, :])          # (n, 2, 1)
-                null = both[:, 1, 0]
-                denom = null.sum()
-                if not math.isfinite(denom):
-                    if denom == -math.inf:
-                        raise DegenerateRelevanceError(NULL_POOL_ZERO)
-                    # a +inf log-likelihood: some weight would be nan
-                    raise ValueError("relevance weights must lie in [0, 1]")
-                # with every null log-likelihood finite, each weight lies in
-                # [0.5, 1]: there is no range to check and no zero to mask
-                return float((_sigmoid_of_ratio(null, log_n, denom) * both[:, 0, 0]).sum())
+                # the weights lie in [0.5, 1] or raise: there is no range to
+                # check and no zero to mask
+                w = sigmoid_ratio_weights(both[:, 1, 0], log_n)
+                return float((w * both[:, 0, 0]).sum())
 
         def log_lik(theta, psi):
             ll = weighted_sum(theta, psi)
@@ -318,10 +311,10 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
     The target is the relevance-weighted joint density when weights_fn is a
     callable (data, psi) -> weights, with the proxy log-likelihood added; its
     output must be an (n,) vector in [0, 1] at every evaluated state.
-    weights_fn="sigmoid-ratio" (the RelevanceConfig kind name) gives the
-    weights of relevance.sigmoid_ratio_relevance without calling it: the
-    model is evaluated at the two theta rows (theta, 0) and the state's psi,
-    and the null column feeds the sigmoid ratio.
+    weights_fn="sigmoid-ratio" gives the weights of
+    relevance.sigmoid_ratio_relevance without calling it: the model is
+    evaluated at the two theta rows (theta, 0) and the state's psi, and the
+    null column feeds models.sigmoid_ratio_weights, as in that function.
     With weights_fn=None and a groups partition, the target is instead the
     known-groups likelihood where psi holds one intercept per group, stacked
     in group order (the classic fixed-effects baseline); each observation is
@@ -337,8 +330,9 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
     effects, one index that gathers every observation's group intercept
     from psi.  The per-step checks are scalar tests or a min and a max: a
     callable's weights are range-checked by their min and max (NaN fails
-    both), and the sigmoid-ratio weights, which lie in [0.5, 1] once the
-    pooled null log-likelihood is finite, are neither checked nor masked.
+    both).  The sigmoid-ratio weights are neither range-checked nor
+    masked: models.sigmoid_ratio_weights raises unless the pooled null
+    log-likelihood is finite, and then every weight lies in [0.5, 1].
 
     init_theta must have shape (k_theta,), init_psi (k_psi,), or
     (k_psi * len(groups),) for fixed effects, and an array proposal_scale

@@ -8,8 +8,9 @@ SourceData stacks at construction; loglik_tensor is its checked entry point.
 Everything downstream (grid posteriors, relevance weighting, diagnostics)
 talks to models only through ModelSpec, so adding a model means writing one
 factory function here.  The two formulas every layer above shares live here
-too: the log-sum-exp and the sigmoid-ratio weights, which both the relevance
-module and the Metropolis sampler form from null-parameter log-likelihoods.
+too: the log-sum-exp, and sigmoid_ratio_weights, the one function that forms
+sigmoid-ratio weights from null-parameter log-likelihoods, for the relevance
+module and the Metropolis sampler alike.
 """
 
 from __future__ import annotations
@@ -217,28 +218,23 @@ NULL_POOL_ZERO = ("pooled likelihood at the null shared parameter is zero; the s
                   "ratio is undefined for this dataset and target task")
 
 
-def sigmoid_ratio_weights(null_lls: np.ndarray) -> np.ndarray:
-    """sigmoid(n * p_i / prod_j p_j) for every column of null_lls, shape (n, B).
+def sigmoid_ratio_weights(null_lls: np.ndarray, log_n) -> np.ndarray:
+    """sigmoid(n * p_i / prod_j p_j) for the (n,) null_lls, given log n.
 
     null_lls holds each observation's log-likelihood at the null shared
-    parameter theta = 0, one column per task-parameter row.
-    """
-    denom = null_lls.sum(axis=0)
-    if (denom == -np.inf).any():
-        raise DegenerateRelevanceError(NULL_POOL_ZERO)
-    return _sigmoid_of_ratio(null_lls, np.log(null_lls.shape[0]), denom)
-
-
-def _sigmoid_of_ratio(null_lls: np.ndarray, log_n, denom) -> np.ndarray:
-    """The sigmoid-ratio weights of null_lls, (n,) or (n, B), given log n and
-    the pooled null log-likelihoods denom, which the caller has checked are
-    not -inf.
-
-    The ratio is formed in log space, its exponent clamped at log(DBL_MAX)
-    so the exp stays finite; the sigmoid of anything that large is exactly
-    1, as it is of +inf.  Where denom is finite, every weight lies in
+    parameter theta = 0 and one task parameter.  The pooled null
+    log-likelihood is summed once: -inf (a zero pooled likelihood) raises
+    DegenerateRelevanceError, and +inf or NaN, which would make some weight
+    NaN, raises ValueError.  The ratio is formed in log space, its exponent
+    clamped at log(DBL_MAX) so the exp stays finite; the sigmoid of anything
+    that large is exactly 1.  With the pool finite, every weight lies in
     [0.5, 1].
     """
+    denom = null_lls.sum()
+    if not math.isfinite(denom):
+        if denom == -math.inf:
+            raise DegenerateRelevanceError(NULL_POOL_ZERO)
+        raise ValueError("relevance weights must lie in [0, 1]")
     w = log_n + null_lls
     w -= denom
     np.minimum(w, LOG_DBL_MAX, out=w)
@@ -406,14 +402,16 @@ def gp_model(x_grid) -> ModelSpec:
     The kernel factors depend only on the parameter nodes, never on the
     data, and one simulation asks for the same node product many times: the
     classic and r-weighted tensors, the expert prompts, and the mode-density
-    normaliser of every refinement round.  So the model keeps the last two
-    node products it factored, keyed on the exact bytes of the node arrays;
-    two slots hold the full grid and the (theta grid, psi*) product the
-    expert proxy is drawn at.  The kernel is symmetric in the two
-    lengthscales, so a kept entry holds the Cholesky factors and
+    normaliser of every refinement round; the model that draws the
+    trajectories asks for (theta*, psi*) once per target-task trajectory.
+    So the model keeps the last two node products it factored, keyed on the
+    exact bytes of the node arrays, and simulate draws from the same kept
+    factors; two slots hold the full grid and the (theta grid, psi*)
+    product the expert proxy is drawn at.  The kernel is symmetric in the
+    two lengthscales, so a kept entry holds the Cholesky factors and
     log-determinants of the product's distinct unordered pairs
-    {theta_a, psi_b} only, plus the index of each product cell into them:
-    a grid with the same nodes on both axes factors A(A+1)/2 kernels, not
+    {theta_a, psi_b} only, plus the index of each product cell into them: a
+    grid with the same nodes on both axes factors A(A+1)/2 kernels, not
     A^2.  The factor serves both the quadratic form, by forward
     substitution, and the log-determinant (Rasmussen & Williams 2006,
     Algorithm 2.1).
@@ -518,8 +516,8 @@ def gp_model(x_grid) -> ModelSpec:
         return ll.take(index, axis=1).reshape(data.n, thetas.shape[0], psis.shape[0])
 
     def simulate(covariates, theta, psi, rng) -> Observation:
-        chol = _batch_chol(param_values(theta)[None, :], param_values(psi)[None, :])[0][0]
-        return Observation(x, chol @ rng.standard_normal(m))
+        factor, _, index = _factor(param_values(theta)[None, :], param_values(psi)[None, :])
+        return Observation(x, factor[:, :, index[0]] @ rng.standard_normal(m))
 
     def log_mode_density(thetas, psis) -> np.ndarray:
         _, log_det, index = _factor(thetas, psis)

@@ -1,18 +1,19 @@
 """Relevance weighting of source observations.
 
-Three weight families are provided.  prior_expected_relevance scores each
+Two weight families are provided.  prior_expected_relevance scores each
 observation by how well the current belief over the shared parameter
 predicts it when the observation is pretended to come from the target task;
 for a model that defines one, the modal density of that belief-averaged
 predictive normalizes the score into [0, 1], and a pmf model's score lies
 there already.  sigmoid_ratio_relevance is the cheap heuristic used for the
-observational case study.  constant_one_weights recovers unweighted pooling.
+observational case study; models.sigmoid_ratio_weights forms it, for the
+Metropolis sampler too.
 
-refine_relevance alternates weight evaluation with the grid posterior a
-fixed number of times, feeding the exact theta marginal back in as the next
-belief.  The normalizer is belief-dependent, so it is re-evaluated along
-with the weights at every round; the log-likelihood tensor and the proxy
-vector are not.  The tensor comes built once per simulation, in the
+refine_relevance, which the grid learners run, alternates prior-expected
+weight evaluation with the grid posterior a fixed number of times, feeding
+the exact theta marginal back in as the next belief.  The normalizer is
+belief-dependent, so it is re-evaluated along with the weights at every
+round; the log-likelihood tensor and the proxy vector are not.  The tensor comes built once per simulation, in the
 GridProblem both grid engines share, and refine_relevance builds the proxy
 vector once per call.
 
@@ -42,30 +43,9 @@ from .models import DegenerateRelevanceError, ModelSpec, SourceData, loglik_tens
 CLIP_WARN_TOL = 0.5
 MAX_REFINEMENTS = 10
 
-KINDS = ("prior-expected", "sigmoid-ratio", "constant-one")
-
 
 class RelevanceConfigError(ValueError):
     """The model returned a relevance normalizer of the wrong shape."""
-
-
-@dataclass(frozen=True)
-class RelevanceConfig:
-    kind: str = "prior-expected"
-    refinement_iterations: int = 3
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown relevance kind {self.kind!r}; choose from {KINDS}")
-        t = self.refinement_iterations
-        if not isinstance(t, (int, np.integer)) or t < 0 or t > MAX_REFINEMENTS:
-            raise ValueError(
-                f"refinement_iterations must be an integer in [0, {MAX_REFINEMENTS}]")
-
-
-def constant_one_weights(n_psi: int, n_obs: int) -> np.ndarray:
-    """Unit weight for every observation under every candidate target task."""
-    return np.ones((int(n_psi), int(n_obs)))
 
 
 def _clip_unit(weights: np.ndarray, context: str) -> np.ndarray:
@@ -153,19 +133,15 @@ def prior_expected_relevance(model: ModelSpec, data: SourceData, theta_nodes,
                       "prior_expected_relevance")
 
 
-def _sigmoid_ratio(model: ModelSpec, data: SourceData, psis: np.ndarray) -> np.ndarray:
-    """sigmoid(n * p_i / prod_j p_j) at theta = 0 for every psi row, shape (n, B)."""
-    lls = loglik_tensor(model, data, np.zeros((1, model.k_theta)), psis)[:, 0, :]  # (n, B)
-    return sigmoid_ratio_weights(lls)
-
-
 def sigmoid_ratio_relevance(model: ModelSpec, data: SourceData, psi_target) -> np.ndarray:
     """Sigmoid of each observation's share of the pooled null likelihood.
 
     With the shared parameter pinned to zero and every task parameter set to
     the target's, observation i gets sigmoid(n * p_i / prod_j p_j).
     """
-    return _sigmoid_ratio(model, data, param_values(psi_target)[None, :])[:, 0]
+    null = loglik_tensor(model, data, np.zeros((1, model.k_theta)),
+                         param_values(psi_target)[None, :])[:, 0, 0]
+    return sigmoid_ratio_weights(null, np.log(data.n))
 
 
 @dataclass(frozen=True)
@@ -179,43 +155,35 @@ class RefinementResult:
     posterior: PosteriorTable
 
 
-def refine_relevance(problem: GridProblem, proxy, config: RelevanceConfig) -> RefinementResult:
-    """Alternate weight evaluation and posterior updating on the grid.
+def refine_relevance(problem: GridProblem, proxy,
+                     refinement_iterations: int = 3) -> RefinementResult:
+    """Alternate prior-expected weight evaluation and posterior updating on
+    the grid.
 
     Starting from the prior belief over theta, each round evaluates the
-    configured weights, forms the r-weighted posterior, and adopts its exact
-    theta marginal as the next belief.  The returned weights are evaluated
-    once more under the final belief, so refinement_iterations=0 gives the
-    plain prior-expected weights, and the returned posterior is the
-    r-weighted posterior under those final weights.  Every round reads the
-    problem's one tensor; the proxy vector, and for prior-expected weights
-    the exponentiated tensor, are built once per call.
+    weights, forms the r-weighted posterior, and adopts its exact theta
+    marginal as the next belief.  The returned weights are evaluated once
+    more under the final belief, so refinement_iterations=0 gives the plain
+    prior-expected weights, and the returned posterior is the r-weighted
+    posterior under those final weights.  Every round reads the problem's
+    one tensor; the proxy vector and the exponentiated tensor are built once
+    per call.
     """
+    t = refinement_iterations
+    if not isinstance(t, (int, np.integer)) or t < 0 or t > MAX_REFINEMENTS:
+        raise ValueError(f"refinement_iterations must be an integer in [0, {MAX_REFINEMENTS}]")
     model, data, grid = problem.model, problem.data, problem.grid
     proxy_vec = proxy_loglik_vector(proxy, grid.psi_nodes)
+    log_average = _belief_averager(problem.tensor)
 
-    if config.kind == "constant-one":
-        def evaluate(belief):
-            return constant_one_weights(grid.n_psi, data.n)
-    elif config.kind == "sigmoid-ratio":
-        fixed = _sigmoid_ratio(model, data, grid.psi_nodes).T              # (B, n)
-
-        def evaluate(belief):
-            return fixed
-    else:
-        log_average = _belief_averager(problem.tensor)
-
-        def evaluate(belief):
-            log_mode = _predictive_mode_matrix(model, data, grid.theta_nodes,
-                                               grid.psi_nodes, belief)
-            raw = np.exp(log_average(belief) - log_mode).T
-            return _clip_unit(raw, "refine_relevance")
+    def evaluate(belief):
+        log_mode = _predictive_mode_matrix(model, data, grid.theta_nodes,
+                                           grid.psi_nodes, belief)
+        return _clip_unit(np.exp(log_average(belief) - log_mode).T, "refine_relevance")
 
     belief = grid.theta_prior_mass
-    for _ in range(config.refinement_iterations):
-        posterior = _r_weighted_table(problem, evaluate(belief), proxy_vec)
-        belief = posterior.theta_marginal()
+    for _ in range(t):
+        belief = _r_weighted_table(problem, evaluate(belief), proxy_vec).theta_marginal()
     weights = evaluate(belief)
-    return RefinementResult(weights_per_psi=weights, theta_belief=belief,
-                            iterations=config.refinement_iterations,
+    return RefinementResult(weights_per_psi=weights, theta_belief=belief, iterations=t,
                             posterior=_r_weighted_table(problem, weights, proxy_vec))

@@ -23,6 +23,7 @@ import numpy as np
 from .inference import ProxyObservation
 from .models import LOG_2PI, ModelSpec, SharedParam, SourceData, TaskParam, \
     loglik_tensor, logsumexp, param_values
+from .relevance import MAX_REFINEMENTS
 
 PROXY_TRIALS = 7
 PROB_FLOOR = 1e-9
@@ -86,6 +87,10 @@ class GpScenario:
         if self.theta_star <= 0:
             raise ValueError("theta_star is a lengthscale and must be positive")
         _check_pct(self.contamination_pct, "contamination_pct")
+        t = self.refinement_T
+        if not isinstance(t, (int, np.integer)) or not 0 <= t <= MAX_REFINEMENTS:
+            raise ValueError(f"refinement_T must be an integer in [0, {MAX_REFINEMENTS}], "
+                             f"got {t!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ def prior_expected_matrix(tensor, log_pred_mode, theta_belief) -> np.ndarray:
     return np.exp(log_w).T
 
 
-def refine_prior_expected(problem, proxy, config):
+def refine_prior_expected(problem, proxy, refinement_iterations):
     """(weights, belief, posterior) of refine_relevance with prior-expected
     weights, each round's belief average taken by prior_expected_matrix."""
     grid = problem.grid
@@ -166,7 +166,7 @@ def refine_prior_expected(problem, proxy, config):
         return _clip_unit(prior_expected_matrix(problem.tensor, log_mode, belief), "oracle")
 
     belief = grid.theta_prior_mass
-    for _ in range(config.refinement_iterations):
+    for _ in range(refinement_iterations):
         belief = r_weighted_posterior(problem, evaluate(belief), proxy).theta_marginal()
     weights = evaluate(belief)
     return weights, belief, r_weighted_posterior(problem, weights, proxy)
@@ -207,8 +207,8 @@ def info_gain_classic(model, true_process, grid, source_psi_prior) -> float:
                for _, data, pd, _ in _datasets(model, true_process))
 
 
-def info_gain_rweighted(model, true_process, grid, relevance_config, proxy_model,
-                        weights_provider=None, proxy_expectation="subjective") -> float:
+def info_gain_rweighted(model, true_process, grid, proxy_model, weights_provider=None,
+                        proxy_expectation="subjective") -> float:
     """Sum over payloads and datasets of the r-weighted posterior's log ratio at theta*."""
     a_star, _ = grid.nearest_theta(param_values(true_process.theta_star))
     target = param_values(true_process.psi_target_star)[None, :]
@@ -225,7 +225,7 @@ def info_gain_rweighted(model, true_process, grid, relevance_config, proxy_model
         for d, data, pd, _ in _datasets(model, true_process):
             problem = GridProblem(model, data, grid)
             if weights_provider is None:
-                w = refine_relevance(problem, proxy, relevance_config).weights_per_psi
+                w = refine_relevance(problem, proxy).weights_per_psi
             else:
                 w = weights_provider(d[None, :])[0]
             post = r_weighted_posterior(problem, w, proxy)

@@ -26,7 +26,6 @@ from relbayes.grids import ParameterGrid, toy_grid
 from relbayes.harness.runner import toy_verify_instance
 from relbayes.models import (Observation, SharedParam, SourceData, TaskParam,
                              discrete_toy_model, linear_model, loglik_tensor)
-from relbayes.relevance import RelevanceConfig
 
 mp.mp.dps = 50
 
@@ -211,7 +210,7 @@ class TestInfoGainRweighted:
         flat = ProxyModel(log_likelihood=lambda z, psi_nodes: np.zeros(len(psi_nodes)),
                           payloads=(0,))
         got = info_gain_rweighted(
-            ToyEnumeration(model, truth, grid), RelevanceConfig(kind="constant-one"), flat,
+            ToyEnumeration(model, truth, grid), flat,
             weights_provider=_constant_provider(grid.n_psi, 0.0))
         assert_allclose(got, 0.0, rtol=0, atol=1e-14)
 
@@ -227,8 +226,7 @@ class TestInfoGainRweighted:
         flat = ProxyModel(log_likelihood=lambda z, psi_nodes: np.zeros(len(psi_nodes)),
                           payloads=(0,))
         record = ToyEnumeration(model, truth, grid)
-        ig_r = info_gain_rweighted(record, RelevanceConfig(kind="constant-one"), flat,
-                                   weights_provider=_constant_provider(1, 1.0))
+        ig_r = info_gain_rweighted(record, flat, weights_provider=_constant_provider(1, 1.0))
         ig_c = info_gain_classic(record, np.array([1.0]))
         assert_allclose(ig_r, ig_c, rtol=0, atol=1e-13)
 
@@ -236,9 +234,8 @@ class TestInfoGainRweighted:
         model, grid, truth, table, rng = _toy_instance(RNG_SEED + 1)
         proxy_model, probs = _endorse_proxy(rng, grid.n_psi)
         g = rng.uniform(0.1, 0.9, size=(grid.n_psi, 2))
-        got = info_gain_rweighted(ToyEnumeration(model, truth, grid),
-                                  RelevanceConfig(kind="constant-one"),
-                                  proxy_model, weights_provider=_table_weights_provider(g))
+        got = info_gain_rweighted(ToyEnumeration(model, truth, grid), proxy_model,
+                                  weights_provider=_table_weights_provider(g))
 
         a_star = 0
         stars = [int(p.value[0]) for p in truth.psi_star]
@@ -268,11 +265,8 @@ class TestInfoGainRweighted:
         proxy_model, probs = _endorse_proxy(rng, grid.n_psi)
         record = ToyEnumeration(model, truth, grid)
         kwargs = dict(weights_provider=_constant_provider(grid.n_psi, 1.0))
-        subj = info_gain_rweighted(record, RelevanceConfig(kind="constant-one"),
-                                   proxy_model, **kwargs)
-        true = info_gain_rweighted(record, RelevanceConfig(kind="constant-one"),
-                                   proxy_model, proxy_expectation="true",
-                                   **kwargs)
+        subj = info_gain_rweighted(record, proxy_model, **kwargs)
+        true = info_gain_rweighted(record, proxy_model, proxy_expectation="true", **kwargs)
         # endorsement rates differ across nodes, so the two z-averages differ
         assert abs(subj - true) > 1e-12
 
@@ -280,30 +274,14 @@ class TestInfoGainRweighted:
         model, grid, truth, _, rng = _toy_instance(RNG_SEED)
         proxy_model, _ = _endorse_proxy(rng, grid.n_psi)
         with pytest.raises(ValueError, match="proxy_expectation"):
-            info_gain_rweighted(ToyEnumeration(model, truth, grid), RelevanceConfig(),
-                                proxy_model, proxy_expectation="both")
-
-    @pytest.mark.parametrize("mode", ["subjective", "true"])
-    def test_refined_constant_one_equals_constant_one_provider(self, mode):
-        """Without a provider, refine_relevance runs per (payload, dataset);
-        constant-one refinement must give the provider's unit weights."""
-        model, grid, truth, _, rng = _toy_instance(RNG_SEED + 11, n_theta=3, n_psi=3,
-                                                   n_out=3, n_obs=3)
-        proxy_model, _ = _endorse_proxy(rng, grid.n_psi)
-        config = RelevanceConfig(kind="constant-one")
-        record = ToyEnumeration(model, truth, grid)
-        refined = info_gain_rweighted(record, config, proxy_model, proxy_expectation=mode)
-        provided = info_gain_rweighted(record, config, proxy_model,
-                                       weights_provider=_constant_provider(grid.n_psi, 1.0),
-                                       proxy_expectation=mode)
-        assert_allclose(refined, provided, rtol=0, atol=1e-15)
+            info_gain_rweighted(ToyEnumeration(model, truth, grid), proxy_model,
+                                proxy_expectation="both")
 
     def test_refinement_builds_one_grid_problem_per_dataset(self, monkeypatch):
         """Both payloads refine on the same dataset's grid problem: 16
         datasets of n = 4 binary outcomes make 16 model evaluations, not 32."""
         model, grid, truth, _, rng = _toy_instance(RNG_SEED + 13, n_out=2, n_obs=4)
         proxy_model, _ = _endorse_proxy(rng, grid.n_psi)
-        config = RelevanceConfig(kind="constant-one")
         record = ToyEnumeration(model, truth, grid)
         calls = []
 
@@ -313,22 +291,24 @@ class TestInfoGainRweighted:
 
         for module in ("inference", "relevance", "diagnostics"):
             monkeypatch.setattr(f"relbayes.{module}.loglik_tensor", counting)
-        got = info_gain_rweighted(record, config, proxy_model)
+        got = info_gain_rweighted(record, proxy_model)
         monkeypatch.undo()
         assert len(proxy_model.payloads) == 2 and record.datasets.shape == (16, 4)
         assert len(calls) == 16
-        want = ref.info_gain_rweighted(model, truth, grid, config, proxy_model)
+        want = ref.info_gain_rweighted(model, truth, grid, proxy_model)
         assert_allclose(got, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("mode", ["subjective", "true"])
     def test_refined_sigmoid_ratio_matches_loop_oracle(self, mode):
+        """Without a provider each (payload, dataset) pair runs the
+        prior-expected refinement, the one the grid learners run; the loop
+        oracle runs refine_relevance on one SourceData per dataset."""
         model, grid, truth, _, rng = _toy_instance(RNG_SEED + 12, n_theta=3, n_psi=3,
                                                    n_out=3, n_obs=3)
         proxy_model, _ = _endorse_proxy(rng, grid.n_psi)
-        config = RelevanceConfig(kind="sigmoid-ratio")
-        got = info_gain_rweighted(ToyEnumeration(model, truth, grid), config, proxy_model,
+        got = info_gain_rweighted(ToyEnumeration(model, truth, grid), proxy_model,
                                   proxy_expectation=mode)
-        want = ref.info_gain_rweighted(model, truth, grid, config, proxy_model,
+        want = ref.info_gain_rweighted(model, truth, grid, proxy_model,
                                        proxy_expectation=mode)
         assert_allclose(got, want, rtol=0, atol=1e-13)
 
@@ -336,8 +316,7 @@ class TestInfoGainRweighted:
         model, grid, truth, _, rng = _toy_instance(RNG_SEED)
         proxy_model, _ = _endorse_proxy(rng, grid.n_psi)
         with pytest.raises(ValueError, match="shape"):
-            info_gain_rweighted(ToyEnumeration(model, truth, grid),
-                                RelevanceConfig(kind="constant-one"), proxy_model,
+            info_gain_rweighted(ToyEnumeration(model, truth, grid), proxy_model,
                                 weights_provider=lambda d: np.ones((grid.n_psi, truth.n)))
 
 
@@ -704,15 +683,14 @@ class TestImpossibleOutcome:
             check = check_prop55(record, provider)
             bound = check_theorem24(record, src)
             report = toy_diagnostics_report(model, truth, grid, src, proxy_model, provider)
-            ig_r = info_gain_rweighted(record, RelevanceConfig(kind="constant-one"),
-                                       proxy_model, weights_provider=provider)
+            ig_r = info_gain_rweighted(record, proxy_model, weights_provider=provider)
         for field, value in ref.check_prop55(model, truth, grid, provider).items():
             assert_allclose(getattr(check, field), value, rtol=0, atol=1e-13)
         assert abs(check.residual) < 1e-9
         assert np.isfinite(bound.info_gain) and np.isfinite(bound.kl_excluded_mixture)
         assert bound.satisfied
         assert_allclose(ig_r, ref.info_gain_rweighted(
-            model, truth, grid, None, proxy_model, weights_provider=provider),
+            model, truth, grid, proxy_model, weights_provider=provider),
             rtol=0, atol=1e-13)
         assert all(np.isfinite(getattr(report, f)) for f in (
             "ig_classic", "ig_rweighted", "delta_classic", "delta_rweighted",
@@ -732,11 +710,10 @@ def test_enumeration_matches_per_dataset_loops_on_toy_verify_instances():
         for field, value in ref.check_prop55(model, truth, grid, provider).items():
             assert_allclose(getattr(check, field), value, rtol=0, atol=1e-13,
                             err_msg=f"instance {i}, {field}")
-        config = RelevanceConfig(kind="constant-one")
         for mode in ("subjective", "true"):
-            got = info_gain_rweighted(record, config, proxy_model,
+            got = info_gain_rweighted(record, proxy_model,
                                       weights_provider=provider, proxy_expectation=mode)
-            want = ref.info_gain_rweighted(model, truth, grid, config, proxy_model,
+            want = ref.info_gain_rweighted(model, truth, grid, proxy_model,
                                            weights_provider=provider, proxy_expectation=mode)
             assert_allclose(got, want, rtol=0, atol=1e-13,
                             err_msg=f"instance {i}, {mode}")

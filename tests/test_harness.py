@@ -8,8 +8,12 @@ arm tables; statistical quality of those fits is covered elsewhere.
 
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import xml.dom.minidom
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
 import _scalar_reference as scalar
+import relbayes
 from relbayes.harness import runner as runner_module, smoking
 from relbayes.harness.cli import RESIDUAL_TOL, build_parser, main as cli_main
 from relbayes.harness.config import (ConfigError, ExperimentConfig,
@@ -158,11 +163,12 @@ class TestConfigParsing:
                 (f.type, f.default), f.name
 
     def test_scenarios_carry_config_values(self):
-        linear = parse_config_text(LINEAR_CONFIG).linear_scenario()
+        linear = parse_config_text(LINEAR_CONFIG).scenario
         assert linear == LinearScenario(multicollinearity=2.0, target_resemblance_pct=75.0,
                                         contamination_pct=25.0)
         gp = parse_config_text("experiment = gp\nm_target = 4\nrefinement_T = 2\n")
-        assert gp.gp_scenario() == GpScenario(m_target=4, refinement_T=2)
+        assert gp.scenario == GpScenario(m_target=4, refinement_T=2)
+        assert parse_config_text("experiment = toy-verify\n").scenario is None
 
     def test_group_labels(self):
         linear = parse_config_text(LINEAR_CONFIG)
@@ -699,6 +705,22 @@ class TestCli:
         assert rc == 1
         assert "not applicable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment, key, value", [
+        ("linear", "contamination_pct", "150"),
+        ("gp", "refinement_T", "11"),
+        ("gp", "refinement_T", "-1"),
+    ])
+    def test_out_of_range_scenario_value_is_input_error(self, tmp_path, capsys,
+                                                        experiment, key, value):
+        """The scenario is built with the config, so a bad scenario value
+        exits 1 before any simulation runs, and nothing is written."""
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"experiment = {experiment}\nn_simulations = 3\n{key} = {value}\n")
+        rc = cli_main(["run", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     def test_excess_failures_exit_2(self, tmp_path, capsys, monkeypatch):
         def broken(config, index):
             raise RuntimeError("synthetic failure")
@@ -733,6 +755,17 @@ class TestCli:
         rc = cli_main(["plot", str(path)])
         assert rc == 1
         assert "nothing to plot" in capsys.readouterr().err
+
+    def test_module_entry_point_imports_cli_once(self):
+        """`python -m relbayes.harness.cli` runs with RuntimeWarnings as
+        errors: importing the package does not import the module first."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(relbayes.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "relbayes.harness.cli", "--version"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == relbayes.__version__
 
     def test_version_and_usage_exits(self, capsys):
         assert cli_main(["--version"]) == 0

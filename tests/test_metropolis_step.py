@@ -134,15 +134,29 @@ class TestStepEqualsOracle:
         assert np.isfinite(got).all()
 
     def test_sigmoid_ratio_weights_keep_the_formula(self):
-        """The (n, B) weights the relevance module uses, clamped exponent and
-        all, equal the errstate formula bit for bit, saturated columns too."""
+        """The weights the relevance module and the sampler share, clamped
+        exponent and all, equal the errstate formula on each (n, 1) column
+        bit for bit, saturated columns too."""
         rng = np.random.default_rng(SEED)
         null = -rng.gamma(1.0, 1.0, size=(9, 40)) * np.geomspace(1e-3, 1e3, 40)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")      # the clamp leaves exp nothing to overflow
-            got = sigmoid_ratio_weights(null)
-        assert got.tobytes() == oracle_weights(null).tobytes()
-        assert (got[:, -1] == 1.0).all() and (got[:, 0] < 1.0).all()
+        for b in range(null.shape[1]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the clamp leaves exp nothing to overflow
+                got = sigmoid_ratio_weights(null[:, b], np.log(9))
+            assert got.tobytes() == oracle_weights(null[:, b:b + 1])[:, 0].tobytes(), b
+        assert (got == 1.0).all()
+        assert (sigmoid_ratio_weights(null[:, 0], np.log(9)) < 1.0).all()
+
+    def test_sigmoid_ratio_weights_reject_a_non_finite_pool(self):
+        """A -inf null log-likelihood makes the pooled likelihood zero; a
+        +inf one would make some weight nan, which the range check rejects."""
+        null = np.array([-1.0, -2.0, -3.0])
+        for value, error, match in [(-np.inf, DegenerateRelevanceError, "pooled likelihood"),
+                                    (np.inf, ValueError, r"\[0, 1\]")]:
+            null[1] = value
+            with pytest.raises(error, match=match) as info:
+                sigmoid_ratio_weights(null, np.log(3))
+            assert info.type is error
 
     def test_callable_kind(self, partition):
         rng = np.random.default_rng(SEED)

@@ -407,10 +407,11 @@ class TestGpFactorCache:
         assert run_experiment(config)[0].error is None
         # the 10 x 10 grid, whose axes carry the same nodes, so its 55
         # unordered lengthscale pairs, and the (theta grid, psi*) product of
-        # the expert proxy, once each; every other factorisation draws one
-        # trajectory
+        # the expert proxy, once each; every other factorisation draws
+        # trajectories, and the m_target target-task ones share (theta*, psi*)
         assert sorted(b for b in batches if b > 1) == [10, 55]
-        assert batches.count(1) == config.gp_scenario().n_trajectories
+        scenario = config.scenario
+        assert batches.count(1) == 1 + scenario.n_trajectories - scenario.m_target
 
     def test_mode_density_after_tensor_adds_no_factorisation(self, batches):
         x = np.linspace(0.0, 1.0, 7)

@@ -16,10 +16,8 @@ from relbayes.inference import (GridProblem, _r_weighted_table, proxy_loglik_vec
                                 r_weighted_posterior, uninformative_proxy)
 from relbayes.models import (Observation, SourceData, binomial_logit_model,
                              discrete_toy_model, gp_model, linear_model, loglik_tensor)
-from relbayes.relevance import (DegenerateRelevanceError, RelevanceConfig,
-                                RelevanceConfigError,
+from relbayes.relevance import (DegenerateRelevanceError, RelevanceConfigError,
                                 _belief_averager, _predictive_mode_matrix,
-                                constant_one_weights,
                                 prior_expected_relevance, refine_relevance,
                                 sigmoid_ratio_relevance)
 from relbayes.synthetic import GpScenario, LinearScenario, gen_expert_proxy, \
@@ -184,13 +182,6 @@ class TestPriorExpected:
             prior_expected_relevance(model, data, [[0.0], [1.0]], [1.0], 0.0)
 
 
-class TestConstantOne:
-    def test_shape_and_value(self):
-        w = constant_one_weights(3, 5)
-        assert w.shape == (3, 5)
-        assert np.all(w == 1.0)
-
-
 def _linear_grid(rng, n_theta=21, n_psi=7):
     tn = np.linspace(-3, 3, n_theta)[:, None]
     pn = np.linspace(-3, 3, n_psi)[:, None]
@@ -206,8 +197,7 @@ class TestRefineRelevance:
         grid = _linear_grid(rng)
         data = SourceData(tuple(
             Observation(rng.normal(size=2), rng.normal()) for _ in range(5)))
-        result = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(),
-                                  RelevanceConfig(refinement_iterations=0))
+        result = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(), 0)
         assert result.iterations == 0
         assert_allclose(result.theta_belief, grid.theta_prior_mass, rtol=0, atol=0)
         for b in range(grid.n_psi):
@@ -225,10 +215,8 @@ class TestRefineRelevance:
         model = discrete_toy_model(3, 2, 2, table)
         grid = toy_grid(2, 2, theta_prior=[0.4, 0.6])
         data = _toy_obs(0, 1, 2)
-        shallow = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(),
-                                   RelevanceConfig(refinement_iterations=0))
-        deep = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(),
-                                RelevanceConfig(refinement_iterations=5))
+        shallow = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(), 0)
+        deep = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(), 5)
         assert_allclose(deep.theta_belief, [0.4, 0.6], rtol=0, atol=1e-12)
         assert_allclose(deep.weights_per_psi, shallow.weights_per_psi,
                         rtol=0, atol=1e-12)
@@ -239,8 +227,7 @@ class TestRefineRelevance:
         grid = _linear_grid(rng)
         data = SourceData(tuple(
             Observation([1.0, 0.1], -1.0 + 0.05 * i) for i in range(6)))
-        result = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(),
-                                  RelevanceConfig(refinement_iterations=3))
+        result = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(), 3)
         assert result.iterations == 3
         moved = np.abs(result.theta_belief - grid.theta_prior_mass).sum()
         assert moved > 0.1
@@ -248,37 +235,14 @@ class TestRefineRelevance:
         prior_mean = grid.theta_prior_mass @ grid.theta_nodes[:, 0]
         assert post_mean < prior_mean - 0.2
 
-    def test_sigmoid_kind_weights_do_not_depend_on_belief(self):
-        rng = np.random.default_rng(RNG_SEED)
-        model = linear_model()
-        grid = _linear_grid(rng)
-        data = SourceData(tuple(
-            Observation(rng.normal(size=2), rng.normal()) for _ in range(4)))
-        config = RelevanceConfig(kind="sigmoid-ratio", refinement_iterations=2)
-        result = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(),
-                                  config)
-        for b in range(grid.n_psi):
-            want = sigmoid_ratio_relevance(model, data, grid.psi_nodes[b])
-            assert_allclose(result.weights_per_psi[b], want, rtol=0, atol=1e-14)
-
-    def test_constant_kind_returns_all_ones(self):
-        rng = np.random.default_rng(RNG_SEED)
-        model = linear_model()
-        grid = _linear_grid(rng)
-        data = SourceData((Observation([1.0, 0.0], 0.5),))
-        result = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(),
-                                  RelevanceConfig(kind="constant-one"))
-        assert np.all(result.weights_per_psi == 1.0)
-
     def test_refinement_is_deterministic(self):
         rng = np.random.default_rng(RNG_SEED)
         model = linear_model()
         grid = _linear_grid(rng)
         data = SourceData(tuple(
             Observation(rng.normal(size=2), rng.normal()) for _ in range(5)))
-        config = RelevanceConfig(refinement_iterations=3)
-        r1 = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(), config)
-        r2 = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(), config)
+        r1 = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(), 3)
+        r2 = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(), 3)
         assert_allclose(r1.weights_per_psi, r2.weights_per_psi, rtol=0, atol=0)
         assert_allclose(r1.theta_belief, r2.theta_belief, rtol=0, atol=0)
 
@@ -290,7 +254,7 @@ class TestRefineRelevance:
         model = discrete_toy_model(3, 2, 2, table)
         data = _toy_obs(0, 2, 2)
         result = refine_relevance(GridProblem(model, data, toy_grid(2, 2)),
-                                  uninformative_proxy(), RelevanceConfig())
+                                  uninformative_proxy())
         outcomes = [0, 2, 2]
         want = np.einsum("a,abi->bi", result.theta_belief, table[:, :, outcomes])
         assert_allclose(result.weights_per_psi, want, rtol=1e-13, atol=0)
@@ -329,8 +293,7 @@ class TestComputeOnce:
         model, data, grid, proxy = self._instance()
         tensors = _count_calls(monkeypatch, models.loglik_tensor)
         vectors = _count_calls(monkeypatch, inference.proxy_loglik_vector)
-        result = refine_relevance(GridProblem(model, data, grid), proxy,
-                                  RelevanceConfig(refinement_iterations=3))
+        result = refine_relevance(GridProblem(model, data, grid), proxy, 3)
         assert result.iterations == 3
         assert len(tensors) == 1
         assert len(vectors) == 1
@@ -367,8 +330,7 @@ class TestComputeOnce:
     def test_posterior_is_the_weighted_posterior_of_the_final_weights(self, iterations):
         model, data, grid, proxy = self._instance()
         problem = GridProblem(model, data, grid)
-        result = refine_relevance(problem, proxy,
-                                  RelevanceConfig(refinement_iterations=iterations))
+        result = refine_relevance(problem, proxy, iterations)
         want = r_weighted_posterior(problem, result.weights_per_psi, proxy)
         assert_allclose(result.posterior.joint_mass, want.joint_mass, rtol=0, atol=1e-12)
         assert_allclose(result.posterior.log_evidence, want.log_evidence,
@@ -473,9 +435,8 @@ class TestBeliefAverage:
             problem = GridProblem(model, data, grid)
         else:
             problem, proxy = _gp_problem()
-        config = RelevanceConfig(refinement_iterations=3)
-        result = refine_relevance(problem, proxy, config)
-        weights, belief, posterior = refine_prior_expected(problem, proxy, config)
+        result = refine_relevance(problem, proxy, 3)
+        weights, belief, posterior = refine_prior_expected(problem, proxy, 3)
         assert_allclose(result.weights_per_psi, weights, rtol=1e-12, atol=0)
         assert_allclose(result.theta_belief, belief, rtol=1e-12, atol=0)
         assert_allclose(result.posterior.joint_mass, posterior.joint_mass,
@@ -503,14 +464,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="shape"):
             self._weighted([0.5, 0.5])
 
-    def test_config_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            RelevanceConfig(kind="inverse-distance")
-
     def test_config_bounds_refinement_iterations(self):
-        with pytest.raises(ValueError):
-            RelevanceConfig(refinement_iterations=11)
-        with pytest.raises(ValueError):
-            RelevanceConfig(refinement_iterations=-1)
-        with pytest.raises(ValueError):
-            RelevanceConfig(refinement_iterations=1.5)
+        problem = GridProblem(linear_model(), SourceData((Observation([1.0, 0.0], 0.5),)),
+                              _linear_grid(np.random.default_rng(RNG_SEED)))
+        for bad in (11, -1, 1.5):
+            with pytest.raises(ValueError, match=r"integer in \[0, 10\]"):
+                refine_relevance(problem, uninformative_proxy(), bad)
