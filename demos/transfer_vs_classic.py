@@ -20,7 +20,8 @@ GRID_RESOLUTION = 101
 import numpy as np
 
 from relbayes import (GridProblem, LinearScenario, classic_posterior,
-                      gen_linear_instance, linear_model, refine_relevance, task_rng)
+                      gen_linear_instance, linear_model, proxy_loglik_vector,
+                      refine_relevance, task_rng)
 from relbayes.grids import ParameterGrid, midpoint_nodes
 
 rng = task_rng(SEED, 0)
@@ -45,9 +46,10 @@ print(f"{inst.source.n} source observations, "
 problem = GridProblem(model, inst.source, grid)
 classic = classic_posterior(problem, grid.psi_prior_mass)
 
-# inst.proxy holds every expert rating; refinement returns the weighted
-# posterior under its final weights
-refined = refine_relevance(problem, inst.proxy)
+# inst.proxy holds every expert rating; it enters as one log-likelihood
+# vector over the psi nodes, and refinement returns the weighted posterior
+# under its final weights
+refined = refine_relevance(problem, proxy_loglik_vector(inst.proxy, grid.psi_nodes))
 weighted = refined.posterior
 
 # relevance profile under the proxy-informed task belief, a few entries

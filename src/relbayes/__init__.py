@@ -6,8 +6,8 @@ from .models import (LOG_2PI, ModelSpec, Observation, SharedParam, SourceData,
 from .grids import ParameterGrid, box_nodes, build_grid, midpoint_nodes, toy_grid
 from .inference import (DegenerateProxyError, GridProblem, McmcChain, McmcInitError,
                         PosteriorTable, ProxyObservation, chain_grid_tv,
-                        classic_posterior, metropolis_posterior, r_weighted_posterior,
-                        uninformative_proxy)
+                        classic_posterior, metropolis_posterior, proxy_loglik_vector,
+                        r_weighted_posterior)
 from .relevance import (DegenerateRelevanceError, RefinementResult, RelevanceConfigError,
                         prior_expected_relevance, refine_relevance,
                         sigmoid_ratio_relevance)

@@ -295,7 +295,8 @@ def info_gain_rweighted(record: ToyEnumeration, proxy_model: ProxyModel,
     maps the (M, n) dataset-index array to (M, n_psi, n) weights; without
     one, refine_relevance runs refinement_iterations rounds once per
     (payload, dataset) pair of positive probability, on one grid problem per
-    dataset.
+    dataset and the payload's row of the one (Z, B) proxy table: the proxy
+    is evaluated once per payload.
     """
     if proxy_expectation not in ("subjective", "true"):
         raise ValueError(f"unknown proxy_expectation {proxy_expectation!r}")
@@ -320,8 +321,7 @@ def info_gain_rweighted(record: ToyEnumeration, proxy_model: ProxyModel,
                                     for o in datasets[m]))
             problem = GridProblem(model, data, grid)
             for zi in np.nonzero(live[:, m])[0]:
-                proxy = proxy_model.observation(proxy_model.payloads[zi])
-                weights[zi, m] = refine_relevance(problem, proxy,
+                weights[zi, m] = refine_relevance(problem, z_ll[zi],
                                                   refinement_iterations).weights_per_psi
 
     lls = record.table[datasets]                                            # (M, n, A, B)

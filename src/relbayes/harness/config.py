@@ -158,10 +158,8 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         values["grid_resolution"] = 10
     try:
         return ExperimentConfig(**values)
-    except ConfigError:
-        raise
     except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def parse_config(path) -> ExperimentConfig:

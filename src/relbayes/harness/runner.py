@@ -21,7 +21,7 @@ from .. import __version__
 from ..diagnostics import DiagnosticsReport, ProxyModel, TrueProcess, \
     toy_diagnostics_report
 from ..grids import ParameterGrid, build_grid, midpoint_nodes
-from ..inference import GridProblem, classic_posterior
+from ..inference import GridProblem, classic_posterior, proxy_loglik_vector
 from ..models import SharedParam, TaskParam, discrete_toy_model, gp_model, linear_model
 from ..relevance import refine_relevance
 from ..synthetic import GP_PSI_SCALE, GP_PSI_SHAPE, LINEAR_THETA_STAR, \
@@ -76,11 +76,13 @@ def _grid_gains(model, source, grid: ParameterGrid, proxy, theta_star: float,
                 refinement_iterations: int = 3):
     """(ig_classic, ig_rweighted, None) of one simulation: the classic and
     the refined r-weighted posterior on one GridProblem, each scored by its
-    log posterior-to-prior ratio at the grid node nearest theta_star."""
+    log posterior-to-prior ratio at the grid node nearest theta_star.  The
+    proxy is evaluated once, at the grid's psi nodes."""
     a_star, _ = grid.nearest_theta(np.array([theta_star]))
     problem = GridProblem(model, source, grid)
     classic = classic_posterior(problem, grid.psi_prior_mass)
-    refined = refine_relevance(problem, proxy, refinement_iterations)
+    refined = refine_relevance(problem, proxy_loglik_vector(proxy, grid.psi_nodes),
+                               refinement_iterations)
     return (_log_ratio_at(grid, classic.theta_marginal(), a_star),
             _log_ratio_at(grid, refined.posterior.theta_marginal(), a_star), None)
 
@@ -214,6 +216,13 @@ _DIAG_COLUMNS = ["decomposition_residual", "bound_satisfied", "delta_classic",
                  "entropy_true"]
 
 
+def _diag_value(report: DiagnosticsReport, column: str):
+    """The report's value for one of _DIAG_COLUMNS."""
+    if column == "bound_satisfied":
+        return report.bound_classic.satisfied
+    return getattr(report, column)
+
+
 def results_rows(results: list[SimulationResult], label: str) -> list[dict]:
     """CSV rows for a sweep.  wall_time_ms is deliberately not persisted,
     keeping output bytes identical across reruns."""
@@ -225,15 +234,7 @@ def results_rows(results: list[SimulationResult], label: str) -> list[dict]:
                "label": label, "error": r.error}
         if with_diag:
             d = r.diagnostics
-            row.update({
-                "decomposition_residual": None if d is None else d.decomposition_residual,
-                "bound_satisfied": None if d is None else d.bound_classic.satisfied,
-                "delta_classic": None if d is None else d.delta_classic,
-                "delta_rweighted": None if d is None else d.delta_rweighted,
-                "rho_fidelity": None if d is None else d.rho_fidelity,
-                "ess_dis_expectation": None if d is None else d.ess_dis_expectation,
-                "entropy_true": None if d is None else d.entropy_true,
-            })
+            row.update({c: None if d is None else _diag_value(d, c) for c in _DIAG_COLUMNS})
         rows.append(row)
     return rows
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..inference import metropolis_posterior, uninformative_proxy
+from ..inference import metropolis_posterior
 from ..models import Observation, SourceData, binomial_logit_model, loglik_tensor, \
     logsumexp
 from ..synthetic import gen_imprecise_estimate_proxy, task_rng
@@ -150,7 +150,7 @@ def fit_study_intercepts(records, n_samples: int, seed: int) -> dict:
     study_map = arms_by_study(records)
     data, groups = _stacked_data(study_map)
     chain = metropolis_posterior(
-        binomial_logit_model(), data, uninformative_proxy(), None,
+        binomial_logit_model(), data, None, None,
         _normal_prior, n_samples, seed, groups=groups)
     means = chain.psi_samples.mean(axis=0)
     return dict(zip(study_map.keys(), means))
@@ -259,7 +259,7 @@ def run_smoking_comparison(records, proxy_mode: str, seed: int,
             model, data, proxy, "sigmoid-ratio", _normal_prior, n_samples,
             int(rng.integers(2 ** 31)), init_psi=np.array([z]))
         chain_c = metropolis_posterior(
-            model, data, uninformative_proxy(), None, _normal_prior, n_samples,
+            model, data, None, None, _normal_prior, n_samples,
             int(rng.integers(2 ** 31)), groups=groups)
 
         held_data = SourceData(tuple(_arm_observation(r) for r in study_map[held]))

@@ -9,7 +9,10 @@ observation's log-likelihoods by their peak over theta, exponentiates them
 once, and averages them in the exp domain.
 
 Both grid engines read one GridProblem, which builds the (n, A, B)
-log-likelihood tensor of its (model, data, grid) once.
+log-likelihood tensor of its (model, data, grid) once.  A proxy enters a
+grid posterior only through its (B,) log-likelihood at the psi nodes,
+which the caller forms once with proxy_loglik_vector and passes as an
+array, as the source prior enters classic_posterior.
 """
 
 from __future__ import annotations
@@ -48,11 +51,6 @@ class ProxyObservation:
     proxy_log_likelihood: Callable
 
 
-def uninformative_proxy() -> ProxyObservation:
-    return ProxyObservation(payload=None,
-                            proxy_log_likelihood=lambda z, psi_nodes: np.zeros(len(psi_nodes)))
-
-
 @dataclass(frozen=True)
 class PosteriorTable:
     """Normalized joint posterior mass over a grid, plus its log-evidence."""
@@ -79,25 +77,35 @@ class PosteriorTable:
         return self.joint_mass.sum(axis=0)
 
 
-def proxy_loglik_vector(proxy: ProxyObservation, psi_nodes: np.ndarray) -> np.ndarray:
-    """The proxy log-likelihood at every row of psi_nodes (B, k_psi), shape (B,).
+def _check_proxy_ll(values, n_psi: int) -> np.ndarray:
+    """values as a float proxy log-likelihood vector of shape (n_psi,).
 
-    The one checked entry point to a proxy's likelihood: a result of any
-    other shape (a scalar callback would otherwise broadcast) is rejected,
-    and so is a NaN, which would poison every log-sum-exp downstream.
+    A vector of any other shape (a scalar would otherwise broadcast) is
+    rejected, and so is a NaN, which would poison every log-sum-exp
+    downstream.
     """
-    psi_nodes = np.asarray(psi_nodes, dtype=float)
-    if psi_nodes.ndim != 2:
-        raise ValueError(f"psi_nodes must be a (B, k_psi) array, got shape {psi_nodes.shape}")
-    out = np.asarray(proxy.proxy_log_likelihood(proxy.payload, psi_nodes), dtype=float)
-    if out.shape != (psi_nodes.shape[0],):
+    out = np.asarray(values, dtype=float)
+    if out.shape != (n_psi,):
         raise ValueError(f"proxy log-likelihood has shape {out.shape}, "
-                         f"expected ({psi_nodes.shape[0]},), one value per psi node")
+                         f"expected ({n_psi},), one value per psi node")
     nan = np.isnan(out)
     if nan.any():
         raise FloatingPointError(
             f"NaN proxy log-likelihood at psi node index {int(np.argmax(nan))}")
     return out
+
+
+def proxy_loglik_vector(proxy: ProxyObservation, psi_nodes: np.ndarray) -> np.ndarray:
+    """The proxy log-likelihood at every row of psi_nodes (B, k_psi), shape (B,).
+
+    The one entry point to a proxy's likelihood.  Its result goes through
+    _check_proxy_ll, the check every proxy vector a grid engine takes gets.
+    """
+    psi_nodes = np.asarray(psi_nodes, dtype=float)
+    if psi_nodes.ndim != 2:
+        raise ValueError(f"psi_nodes must be a (B, k_psi) array, got shape {psi_nodes.shape}")
+    return _check_proxy_ll(proxy.proxy_log_likelihood(proxy.payload, psi_nodes),
+                           psi_nodes.shape[0])
 
 
 def _neginf_mask(tensor: np.ndarray) -> Optional[np.ndarray]:
@@ -192,34 +200,30 @@ def _weighted_terms(weights: np.ndarray, lls: np.ndarray) -> np.ndarray:
     return np.multiply(weights, lls, out=out, where=weights != 0.0)
 
 
-def _r_weighted_table(problem: GridProblem, weights_per_psi,
-                      proxy_vec: np.ndarray) -> PosteriorTable:
-    """The r-weighted engine on a grid problem and the (B,) proxy vector."""
+def r_weighted_posterior(problem: GridProblem, weights_per_psi,
+                         proxy_ll) -> PosteriorTable:
+    """Joint posterior over (theta, psi_target) from the weighted likelihood.
+
+    proxy_ll is the proxy's (B,) log-likelihood at grid.psi_nodes, as
+    proxy_loglik_vector forms it (zeros for no proxy), checked for shape
+    and NaN.  joint[a, b] is proportional to
+    exp(sum_i w[b, i] loglik(d_i | theta_a, psi_b) + proxy_ll[b])
+    times the prior masses, normalized over the whole grid.
+    """
     grid, tensor = problem.grid, problem.tensor
     mat = _check_weights(weights_per_psi, (grid.n_psi, tensor.shape[0]))
+    proxy_ll = _check_proxy_ll(proxy_ll, grid.n_psi)
     if problem.neginf is not None:
         # a zero weight kills its -inf term outright (0 * -inf would be nan)
         tensor = np.where(problem.neginf & (mat.T[:, None, :] == 0.0), 0.0, tensor)
     weighted = np.einsum("bi,iab->ab", mat, tensor)
-    log_joint = (weighted + proxy_vec[None, :]
+    log_joint = (weighted + proxy_ll[None, :]
                  + grid.log_theta_prior()[:, None] + grid.log_psi_prior()[None, :])
     log_evidence = float(logsumexp(log_joint))
     if not np.isfinite(log_evidence):
         raise DegenerateProxyError("posterior mass is identically zero on the grid")
     joint = np.exp(log_joint - log_evidence)
     return PosteriorTable(grid=grid, joint_mass=joint / joint.sum(), log_evidence=log_evidence)
-
-
-def r_weighted_posterior(problem: GridProblem, weights_per_psi,
-                         proxy: ProxyObservation) -> PosteriorTable:
-    """Joint posterior over (theta, psi_target) from the weighted likelihood.
-
-    joint[a, b] is proportional to
-    exp(sum_i w[b, i] loglik(d_i | theta_a, psi_b) + proxy loglik at psi_b)
-    times the prior masses, normalized over the whole grid.
-    """
-    return _r_weighted_table(problem, weights_per_psi,
-                             proxy_loglik_vector(proxy, problem.grid.psi_nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +323,8 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
     known-groups likelihood where psi holds one intercept per group, stacked
     in group order (the classic fixed-effects baseline); each observation is
     evaluated at its own group's intercept, one cell per observation.  A
-    groups partition with a weights_fn is rejected.
+    groups partition with a weights_fn is rejected, and so is a proxy
+    without one: the fixed-effects target reads no proxy.
 
     Each step evaluates the model once: one loglik_tensor call per proposed
     state, of n x 2 cells for the "sigmoid-ratio" kind and n cells
@@ -354,6 +359,9 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
     if weights_fn is None:
         if groups is None:
             raise ValueError("weights_fn=None needs a groups partition")
+        if proxy is not None:
+            raise ValueError("the fixed-effects target, weights_fn=None, reads no proxy; "
+                             "pass proxy=None")
         groups = _check_groups(groups, data.n)
         psi_dim = model.k_psi * len(groups)
         obs_group = np.empty(data.n, dtype=int)

@@ -143,8 +143,6 @@ class ModelSpec:
     Fields
     ------
     name : str
-    covariate_dim : int
-        Expected length of Observation.covariates.
     theta_support, psi_support : (k, 2) arrays
         Interval box per parameter coordinate.
     log_likelihood : callable
@@ -158,19 +156,16 @@ class ModelSpec:
         coerces the parameter arrays and rejects NaN.  A single value is its
         1 x 1 x 1 cell.
     simulate : callable (covariates, SharedParam, TaskParam, rng, ...) -> Observation
-    log_mode_density : optional callable (theta_values, psi_values) -> array
-        Log of the outcome density at its mode, broadcast over parameter
-        rows.  Defined only for models with a density mode that does not
-        depend on the data (Gaussian families).
     log_predictive_mode_density : optional callable
         (SourceData, thetas (A, k_theta), psis (B, k_psi), belief (A,))
         -> (n, B) array.  Log modal density of the belief-averaged outcome
-        predictive, the normalizer that puts relevance scores on [0, 1].
-        For the linear model this is the normal of matching variance
-        1 + x1^2 Var(theta); for the trajectory model every component
-        peaks at the zero trajectory, so the mixture maximum is exact.
-        None for a pmf model, whose relevance scores lie in [0, 1]
-        unnormalized.
+        predictive, the one normalizer hook: it puts relevance scores on
+        [0, 1], and, at the theta prior, the expert-prompt agreement of
+        synthetic.prompt_agreement.  For the linear model this is the normal
+        of matching variance 1 + x1^2 Var(theta); for the trajectory model
+        every component peaks at the zero trajectory, so the mixture maximum
+        is exact.  None for a pmf model, whose relevance scores lie in
+        [0, 1] unnormalized.
     outcome_space : optional integer array
         Full outcome alphabet when the model's outcomes are enumerable with
         a fixed alphabet (the discrete toy model).  Enables exact
@@ -178,12 +173,10 @@ class ModelSpec:
     """
 
     name: str
-    covariate_dim: int
     theta_support: np.ndarray
     psi_support: np.ndarray
     log_likelihood: Callable
     simulate: Callable
-    log_mode_density: Optional[Callable] = None
     log_predictive_mode_density: Optional[Callable] = None
     outcome_space: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -264,7 +257,7 @@ def logsumexp(a, axis=None):
 def linear_model() -> ModelSpec:
     """Gaussian outcome y ~ Normal(theta * x1 + psi * x2, 1).
 
-    covariate_dim = 2, k_theta = k_psi = 1, unit outcome variance.
+    Covariates (x1, x2), k_theta = k_psi = 1, unit outcome variance.
     """
 
     support = _support_box(-10.0, 10.0, 1)
@@ -281,11 +274,6 @@ def linear_model() -> ModelSpec:
         mean = th[0] * covariates[0] + ps[0] * covariates[1]
         return Observation(covariates, mean + rng.standard_normal())
 
-    def log_mode_density(thetas, psis) -> np.ndarray:
-        a = np.asarray(thetas).shape[0]
-        b = np.asarray(psis).shape[0]
-        return np.full((a, b), -0.5 * LOG_2PI)
-
     def log_predictive_mode_density(data, thetas, psis, belief) -> np.ndarray:
         th = np.asarray(thetas, dtype=float)[:, 0]
         b = np.asarray(belief, dtype=float)
@@ -296,12 +284,10 @@ def linear_model() -> ModelSpec:
 
     return ModelSpec(
         name="linear",
-        covariate_dim=2,
         theta_support=support,
         psi_support=support.copy(),
         log_likelihood=log_likelihood,
         simulate=simulate,
-        log_mode_density=log_mode_density,
         log_predictive_mode_density=log_predictive_mode_density,
     )
 
@@ -361,7 +347,6 @@ def binomial_logit_model() -> ModelSpec:
 
     return ModelSpec(
         name="binomial-logit",
-        covariate_dim=4,
         theta_support=_support_box(-10.0, 10.0, 4),
         psi_support=_support_box(-10.0, 10.0, 1),
         log_likelihood=log_likelihood,
@@ -520,6 +505,8 @@ def gp_model(x_grid) -> ModelSpec:
         return Observation(x, factor[:, :, index[0]] @ rng.standard_normal(m))
 
     def log_mode_density(thetas, psis) -> np.ndarray:
+        """Log density of each (theta_a, psi_b) component at its mode, the
+        zero trajectory, shape (A, B)."""
         _, log_det, index = _factor(thetas, psis)
         return (-log_det - 0.5 * m * LOG_2PI).take(index).reshape(len(thetas), len(psis))
 
@@ -534,12 +521,10 @@ def gp_model(x_grid) -> ModelSpec:
 
     return ModelSpec(
         name="gp",
-        covariate_dim=m,
         theta_support=support,
         psi_support=support.copy(),
         log_likelihood=log_likelihood,
         simulate=simulate,
-        log_mode_density=log_mode_density,
         log_predictive_mode_density=log_predictive_mode_density,
     )
 
@@ -591,7 +576,6 @@ def discrete_toy_model(outcome_count: int, theta_count: int, psi_count: int, tab
 
     return ModelSpec(
         name="discrete-toy",
-        covariate_dim=0,
         theta_support=np.array([[0.0, float(theta_count - 1)]]),
         psi_support=np.array([[0.0, float(psi_count - 1)]]),
         log_likelihood=log_likelihood,

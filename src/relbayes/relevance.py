@@ -10,12 +10,13 @@ observational case study; models.sigmoid_ratio_weights forms it, for the
 Metropolis sampler too.
 
 refine_relevance, which the grid learners run, alternates prior-expected
-weight evaluation with the grid posterior a fixed number of times, feeding
-the exact theta marginal back in as the next belief.  The normalizer is
-belief-dependent, so it is re-evaluated along with the weights at every
-round; the log-likelihood tensor and the proxy vector are not.  The tensor comes built once per simulation, in the
-GridProblem both grid engines share, and refine_relevance builds the proxy
-vector once per call.
+weight evaluation with the r-weighted grid posterior a fixed number of
+times, feeding the exact theta marginal back in as the next belief.  The
+normalizer is belief-dependent, so it is re-evaluated along with the
+weights at every round; the log-likelihood tensor and the proxy vector are
+not.  The tensor comes built once per simulation, in the GridProblem both
+grid engines share, and the caller passes the proxy as its (B,)
+log-likelihood vector, so refinement evaluates no proxy itself.
 
 The belief average behind the prior-expected weights is the one sum here
 taken in the exp domain instead of by log-sum-exp.  Each observation's
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import GridProblem, PosteriorTable, _r_weighted_table, proxy_loglik_vector
+from .inference import GridProblem, PosteriorTable, r_weighted_posterior
 from .models import DegenerateRelevanceError, ModelSpec, SourceData, loglik_tensor, \
     param_values, sigmoid_ratio_weights  # noqa: F401  (error re-exported)
 
@@ -155,25 +156,25 @@ class RefinementResult:
     posterior: PosteriorTable
 
 
-def refine_relevance(problem: GridProblem, proxy,
+def refine_relevance(problem: GridProblem, proxy_ll,
                      refinement_iterations: int = 3) -> RefinementResult:
     """Alternate prior-expected weight evaluation and posterior updating on
     the grid.
 
-    Starting from the prior belief over theta, each round evaluates the
-    weights, forms the r-weighted posterior, and adopts its exact theta
-    marginal as the next belief.  The returned weights are evaluated once
-    more under the final belief, so refinement_iterations=0 gives the plain
-    prior-expected weights, and the returned posterior is the r-weighted
-    posterior under those final weights.  Every round reads the problem's
-    one tensor; the proxy vector and the exponentiated tensor are built once
-    per call.
+    proxy_ll is the proxy's (B,) log-likelihood at grid.psi_nodes, as
+    inference.proxy_loglik_vector forms it.  Starting from the prior belief
+    over theta, each round evaluates the weights, forms the r-weighted
+    posterior, and adopts its exact theta marginal as the next belief.  The
+    returned weights are evaluated once more under the final belief, so
+    refinement_iterations=0 gives the plain prior-expected weights, and the
+    returned posterior is the r-weighted posterior under those final
+    weights.  Every round reads the problem's one tensor; the exponentiated
+    tensor is built once per call.
     """
     t = refinement_iterations
     if not isinstance(t, (int, np.integer)) or t < 0 or t > MAX_REFINEMENTS:
         raise ValueError(f"refinement_iterations must be an integer in [0, {MAX_REFINEMENTS}]")
     model, data, grid = problem.model, problem.data, problem.grid
-    proxy_vec = proxy_loglik_vector(proxy, grid.psi_nodes)
     log_average = _belief_averager(problem.tensor)
 
     def evaluate(belief):
@@ -183,7 +184,7 @@ def refine_relevance(problem: GridProblem, proxy,
 
     belief = grid.theta_prior_mass
     for _ in range(t):
-        belief = _r_weighted_table(problem, evaluate(belief), proxy_vec).theta_marginal()
+        belief = r_weighted_posterior(problem, evaluate(belief), proxy_ll).theta_marginal()
     weights = evaluate(belief)
     return RefinementResult(weights_per_psi=weights, theta_belief=belief, iterations=t,
-                            posterior=_r_weighted_table(problem, weights, proxy_vec))
+                            posterior=r_weighted_posterior(problem, weights, proxy_ll))

@@ -59,8 +59,10 @@ class LinearScenario:
     contamination_pct: float = 0.0
 
     def __post_init__(self):
-        if self.n_outcome < 1 or self.n_proxy_prompts < 1:
-            raise ValueError("counts must be positive")
+        if self.n_outcome < 1:
+            raise ValueError(f"n_outcome must be positive, got {self.n_outcome}")
+        if self.n_proxy_prompts < 1:
+            raise ValueError(f"n_proxy_prompts must be positive, got {self.n_proxy_prompts}")
         _check_pct(self.target_resemblance_pct, "target_resemblance_pct")
         _check_pct(self.contamination_pct, "contamination_pct")
 
@@ -136,8 +138,9 @@ def prompt_agreement(model: ModelSpec, prompts, psi_nodes, theta_nodes=None,
     theta integrates out to a Gaussian in the outcome with variance
     1 + x1^2, whose own mode is the normalizer, leaving
     exp(-resid^2 / (2 var)).  Other models marginalize over the supplied
-    theta grid and normalize by the prior-mixed component modes, exact for
-    the trajectory model where every component peaks at the zero trajectory.
+    theta grid and normalize by the model's log_predictive_mode_density at
+    the theta prior, exact for the trajectory model where every component
+    peaks at the zero trajectory.
     """
     prompts = SourceData(tuple(prompts))
     psi = np.asarray(psi_nodes, dtype=float)
@@ -151,17 +154,16 @@ def prompt_agreement(model: ModelSpec, prompts, psi_nodes, theta_nodes=None,
     if theta_nodes is None or theta_prior is None:
         raise ValueError(f"model {model.name!r} needs theta_nodes and theta_prior "
                          "to marginalize the prompt likelihood")
-    if model.log_mode_density is None:
+    if model.log_predictive_mode_density is None:
         raise ValueError(f"model {model.name!r} has no mode density to normalize with")
     thetas = np.asarray(theta_nodes, dtype=float)
     if thetas.ndim == 1:
         thetas = thetas[:, None]
     lls = loglik_tensor(model, prompts, thetas, psi)                        # (J, A, B)
-    log_mode = np.asarray(model.log_mode_density(thetas, psi), dtype=float)  # (A, B)
     with np.errstate(divide="ignore"):
         log_prior = np.log(np.asarray(theta_prior, dtype=float))
     log_p = (logsumexp(lls + log_prior[None, :, None], axis=1)
-             - logsumexp(log_mode + log_prior[:, None], axis=0)[None, :])
+             - model.log_predictive_mode_density(prompts, thetas, psi, theta_prior))
     return np.minimum(1.0, np.exp(log_p))
 
 

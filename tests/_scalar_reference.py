@@ -167,9 +167,11 @@ def refine_prior_expected(problem, proxy, refinement_iterations):
 
     belief = grid.theta_prior_mass
     for _ in range(refinement_iterations):
-        belief = r_weighted_posterior(problem, evaluate(belief), proxy).theta_marginal()
+        belief = r_weighted_posterior(problem, evaluate(belief),
+                                      proxy_loglik_vector(proxy, grid.psi_nodes)).theta_marginal()
     weights = evaluate(belief)
-    return weights, belief, r_weighted_posterior(problem, weights, proxy)
+    return weights, belief, r_weighted_posterior(problem, weights,
+                                                 proxy_loglik_vector(proxy, grid.psi_nodes))
 
 
 def _alphabet(model) -> SourceData:
@@ -225,10 +227,11 @@ def info_gain_rweighted(model, true_process, grid, proxy_model, weights_provider
         for d, data, pd, _ in _datasets(model, true_process):
             problem = GridProblem(model, data, grid)
             if weights_provider is None:
-                w = refine_relevance(problem, proxy).weights_per_psi
+                w = refine_relevance(problem, proxy_loglik_vector(proxy, grid.psi_nodes)
+                                     ).weights_per_psi
             else:
                 w = weights_provider(d[None, :])[0]
-            post = r_weighted_posterior(problem, w, proxy)
+            post = r_weighted_posterior(problem, w, proxy_loglik_vector(proxy, grid.psi_nodes))
             value += z_mass * pd * _log_ratio(grid, post, a_star)
     return float(value)
 

@@ -34,7 +34,7 @@ from relbayes.harness.config import parse_config_text
 from relbayes.harness.runner import run_experiment, toy_verify_instance
 from relbayes.inference import (GridProblem, ProxyObservation, chain_grid_tv,
                                 classic_posterior, metropolis_posterior,
-                                r_weighted_posterior)
+                                proxy_loglik_vector, r_weighted_posterior)
 from relbayes.models import (Observation, SourceData, binomial_logit_model,
                              gp_model, linear_model)
 from relbayes.relevance import prior_expected_relevance
@@ -52,11 +52,13 @@ def _verdict(tag: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def _onehot_proxy(pinned_value: float) -> ProxyObservation:
+def _onehot_proxy_ll(grid: ParameterGrid, pinned_value: float) -> np.ndarray:
+    """The (B,) log-likelihood at the psi nodes of a proxy that pins psi."""
     def pll(payload, psi_nodes):
         return np.where(np.abs(psi_nodes[:, 0] - pinned_value) < 1e-12, 0.0, -np.inf)
 
-    return ProxyObservation(payload=None, proxy_log_likelihood=pll)
+    return proxy_loglik_vector(ProxyObservation(payload=None, proxy_log_likelihood=pll),
+                               grid.psi_nodes)
 
 
 def _normal_mass(nodes: np.ndarray) -> np.ndarray:
@@ -121,7 +123,7 @@ class TestCriterion3EngineCrossValidation:
         problem = GridProblem(model, data, grid)
         weighted = r_weighted_posterior(problem,
                                         np.ones((grid.n_psi, data.n)),
-                                        _onehot_proxy(float(target)))
+                                        _onehot_proxy_ll(grid, float(target)))
         classic = classic_posterior(problem, psi_prior)
         gap = float(np.abs(weighted.theta_marginal()
                            - classic.theta_marginal()).max())
@@ -144,7 +146,7 @@ class TestCriterion3EngineCrossValidation:
         problem = GridProblem(model, data, grid)
         weighted = r_weighted_posterior(problem,
                                         np.ones((grid.n_psi, data.n)),
-                                        _onehot_proxy(float(nodes[b_star, 0])))
+                                        _onehot_proxy_ll(grid, float(nodes[b_star, 0])))
         classic = classic_posterior(problem, psi_prior)
         gap = float(np.abs(weighted.theta_marginal()
                            - classic.theta_marginal()).max())
@@ -169,7 +171,7 @@ class TestCriterion3EngineCrossValidation:
         problem = GridProblem(model, data, grid)
         weighted = r_weighted_posterior(problem,
                                         np.ones((grid.n_psi, data.n)),
-                                        _onehot_proxy(float(psi_nodes[b_star, 0])))
+                                        _onehot_proxy_ll(grid, float(psi_nodes[b_star, 0])))
         classic = classic_posterior(problem, psi_prior)
         gap = float(np.abs(weighted.theta_marginal()
                            - classic.theta_marginal()).max())
@@ -193,7 +195,7 @@ class TestCriterion3EngineCrossValidation:
         problem = GridProblem(model, data, grid)
         weighted = r_weighted_posterior(problem,
                                         np.ones((grid.n_psi, data.n)),
-                                        _onehot_proxy(float(psi_nodes[b_star, 0])))
+                                        _onehot_proxy_ll(grid, float(psi_nodes[b_star, 0])))
         classic = classic_posterior(problem, psi_prior)
         gap = float(np.abs(weighted.theta_marginal()
                            - classic.theta_marginal()).max())
@@ -259,7 +261,8 @@ def test_criterion_4_sampler_matches_grid_table():
 
     w_matrix = np.vstack([weights_fn(data, grid.psi_nodes[b])
                           for b in range(grid.n_psi)])
-    table = r_weighted_posterior(GridProblem(model, data, grid), w_matrix, proxy)
+    table = r_weighted_posterior(GridProblem(model, data, grid), w_matrix,
+                                 proxy_loglik_vector(proxy, grid.psi_nodes))
 
     def prior_ld(theta, psi):
         return float(-0.5 * (theta[0] ** 2 + psi[0] ** 2))

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from relbayes.harness import smoking
-from relbayes.inference import metropolis_posterior, uninformative_proxy
+from relbayes.inference import metropolis_posterior
 from relbayes.models import binomial_logit_model
 from relbayes.relevance import sigmoid_ratio_relevance
 from relbayes.synthetic import gen_imprecise_estimate_proxy
@@ -77,14 +77,14 @@ def test_weighted_chain_is_pinned(partition, form):
 
 def test_fixed_effects_chain_is_pinned(partition):
     data, groups, _ = partition
-    chain = metropolis_posterior(binomial_logit_model(), data, uninformative_proxy(), None,
+    chain = metropolis_posterior(binomial_logit_model(), data, None, None,
                                  smoking._normal_prior, N_SAMPLES, 102, groups=groups)
     assert _pin(chain) == FIXED_EFFECTS
 
 
 def test_all_data_intercept_fit_is_pinned(study_map):
     data, groups = smoking._stacked_data(study_map)
-    chain = metropolis_posterior(binomial_logit_model(), data, uninformative_proxy(), None,
+    chain = metropolis_posterior(binomial_logit_model(), data, None, None,
                                  smoking._normal_prior, N_SAMPLES, 103, groups=groups)
     assert _pin(chain) == ALL_DATA
     records = [r for recs in study_map.values() for r in recs]

@@ -8,6 +8,7 @@ _scalar_reference and are checked against it field by field.
 """
 
 import itertools
+import sys
 import warnings
 
 import mpmath as mp
@@ -16,6 +17,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import _scalar_reference as ref
+from relbayes import inference
 from relbayes.diagnostics import (DeltaRweighted, DiagnosticsReport,
                                   ProxyModel, ToyEnumeration, TrueProcess,
                                   check_prop55, check_theorem24,
@@ -295,6 +297,30 @@ class TestInfoGainRweighted:
         monkeypatch.undo()
         assert len(proxy_model.payloads) == 2 and record.datasets.shape == (16, 4)
         assert len(calls) == 16
+        want = ref.info_gain_rweighted(model, truth, grid, proxy_model)
+        assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    def test_refinement_evaluates_the_proxy_once_per_payload(self, monkeypatch):
+        """Every (payload, dataset) refinement reads its payload's row of the
+        one (Z, B) proxy table, so the subjective expectation evaluates the
+        proxy once per payload, not once more per live pair."""
+        model, grid, truth, _, rng = _toy_instance(RNG_SEED + 13, n_out=2, n_obs=4)
+        proxy_model, _ = _endorse_proxy(rng, grid.n_psi)
+        record = ToyEnumeration(model, truth, grid)
+        original = inference.proxy_loglik_vector
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "relbayes" and \
+                    getattr(module, "proxy_loglik_vector", None) is original:
+                monkeypatch.setattr(module, "proxy_loglik_vector", counting)
+        got = info_gain_rweighted(record, proxy_model)
+        monkeypatch.undo()
+        assert len(calls) == len(proxy_model.payloads) == 2
         want = ref.info_gain_rweighted(model, truth, grid, proxy_model)
         assert_allclose(got, want, rtol=0, atol=1e-13)
 

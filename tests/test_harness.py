@@ -709,16 +709,23 @@ class TestCli:
         ("linear", "contamination_pct", "150"),
         ("gp", "refinement_T", "11"),
         ("gp", "refinement_T", "-1"),
+        ("linear", "n_outcome", "0"),
+        ("linear", "n_proxy_prompts", "0"),
+        ("linear", "n_simulations", "0"),
     ])
     def test_out_of_range_scenario_value_is_input_error(self, tmp_path, capsys,
                                                         experiment, key, value):
         """The scenario is built with the config, so a bad scenario value
-        exits 1 before any simulation runs, and nothing is written."""
+        exits 1 before any simulation runs, and nothing is written.  The
+        message names the file and the key."""
         config = tmp_path / "bad.cfg"
-        config.write_text(f"experiment = {experiment}\nn_simulations = 3\n{key} = {value}\n")
+        pairs = {"experiment": experiment, "n_simulations": "3", key: value}
+        config.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
         rc = cli_main(["run", str(config), "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(config) in err
+        assert key in err
         assert not (tmp_path / "out" / "results.csv").exists()
 
     def test_excess_failures_exit_2(self, tmp_path, capsys, monkeypatch):

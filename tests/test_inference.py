@@ -15,10 +15,9 @@ from scipy.special import expit
 from _scalar_reference import r_weighted_likelihood
 from relbayes.grids import ParameterGrid, midpoint_nodes, toy_grid
 from relbayes.inference import (DegenerateProxyError, GridProblem, McmcInitError,
-                                PosteriorTable, ProxyObservation, _r_weighted_table,
-                                chain_grid_tv, classic_posterior, metropolis_posterior,
-                                proxy_loglik_vector, r_weighted_posterior,
-                                uninformative_proxy)
+                                PosteriorTable, ProxyObservation, chain_grid_tv,
+                                classic_posterior, metropolis_posterior,
+                                proxy_loglik_vector, r_weighted_posterior)
 from relbayes.models import (Observation, SharedParam, SourceData, TaskParam,
                              binomial_logit_model, discrete_toy_model, linear_model,
                              logsumexp)
@@ -51,13 +50,13 @@ def _normal_proxy(z, sigma=0.8):
     return ProxyObservation(payload=float(z), proxy_log_likelihood=pll)
 
 
-def _proxy_posterior(grid, proxy):
+def _proxy_posterior(grid, proxy_ll):
     """The posterior given the proxy alone: the r-weighted posterior with
     every weight zero, whose psi marginal is the proxy likelihood times the
     psi prior, normalized by exp(log_evidence)."""
     data = SourceData((Observation([0.0, 0.0], 0.0),))
     return r_weighted_posterior(GridProblem(linear_model(), data, grid),
-                                np.zeros((grid.n_psi, 1)), proxy)
+                                np.zeros((grid.n_psi, 1)), proxy_ll)
 
 
 class TestProxyPosterior:
@@ -72,7 +71,7 @@ class TestProxyPosterior:
             return stats.binom.logpmf(payload, 7, expit(psi_nodes[:, 0]))
 
         proxy = ProxyObservation(payload=5, proxy_log_likelihood=pll)
-        post = _proxy_posterior(grid, proxy)
+        post = _proxy_posterior(grid, proxy_loglik_vector(proxy, grid.psi_nodes))
 
         unnorm = []
         for j in range(50):
@@ -86,7 +85,7 @@ class TestProxyPosterior:
 
     def test_uninformative_proxy_returns_prior(self):
         _, grid, _, _, _ = _toy_setup()
-        post = _proxy_posterior(grid, uninformative_proxy())
+        post = _proxy_posterior(grid, np.zeros(grid.n_psi))
         assert_allclose(post.psi_marginal(), grid.psi_prior_mass, rtol=0, atol=1e-15)
         assert_allclose(post.log_evidence, 0.0, atol=1e-12)
 
@@ -96,13 +95,15 @@ class TestProxyPosterior:
             payload=None,
             proxy_log_likelihood=lambda z, psi_nodes: np.full(len(psi_nodes), -np.inf))
         with pytest.raises(DegenerateProxyError):
-            _proxy_posterior(grid, dead)
+            _proxy_posterior(grid, proxy_loglik_vector(dead, grid.psi_nodes))
 
 
 class TestProxyLoglikVector:
-    """proxy_loglik_vector is the one checked entry point to a proxy."""
+    """proxy_loglik_vector is the one entry point to a proxy, and its check
+    holds as strictly for a vector a caller passes to r_weighted_posterior."""
 
     NODES = np.linspace(-2, 2, 5)[:, None]
+    GRID = ParameterGrid(np.zeros((1, 1)), NODES, np.array([1.0]), np.full(5, 0.2))
 
     def test_returns_one_value_per_node(self):
         got = proxy_loglik_vector(_normal_proxy(0.3), self.NODES)
@@ -112,7 +113,11 @@ class TestProxyLoglikVector:
         assert_allclose(got, want, rtol=1e-15)
 
     def test_uninformative_proxy_is_zeros(self):
-        got = proxy_loglik_vector(uninformative_proxy(), self.NODES)
+        """A flat proxy gives the zero vector, which grid callers pass for
+        no proxy."""
+        flat = ProxyObservation(payload=None,
+                                proxy_log_likelihood=lambda z, psi_nodes: np.zeros(len(psi_nodes)))
+        got = proxy_loglik_vector(flat, self.NODES)
         assert_allclose(got, np.zeros(5), rtol=0, atol=0)
 
     def test_scalar_callback_rejected(self):
@@ -123,18 +128,21 @@ class TestProxyLoglikVector:
         with pytest.raises(ValueError, match="shape"):
             proxy_loglik_vector(legacy, self.NODES)
         with pytest.raises(ValueError, match="shape"):
-            _proxy_posterior(ParameterGrid(np.zeros((1, 1)), self.NODES,
-                                           np.array([1.0]), np.full(5, 0.2)), legacy)
+            _proxy_posterior(self.GRID, -0.5)
 
     def test_wrong_length_rejected(self):
         short = ProxyObservation(
             payload=None, proxy_log_likelihood=lambda z, psi_nodes: np.zeros(len(psi_nodes) - 1))
         with pytest.raises(ValueError, match="expected \\(5,\\)"):
             proxy_loglik_vector(short, self.NODES)
+        with pytest.raises(ValueError, match="expected \\(5,\\)"):
+            _proxy_posterior(self.GRID, np.zeros(4))
         column = ProxyObservation(
             payload=None, proxy_log_likelihood=lambda z, psi_nodes: np.zeros((len(psi_nodes), 1)))
         with pytest.raises(ValueError, match="shape"):
             proxy_loglik_vector(column, self.NODES)
+        with pytest.raises(ValueError, match="shape"):
+            _proxy_posterior(self.GRID, np.zeros((5, 1)))
 
     def test_nan_rejected(self):
         def pll(payload, psi_nodes):
@@ -144,6 +152,8 @@ class TestProxyLoglikVector:
 
         with pytest.raises(FloatingPointError, match="index 3"):
             proxy_loglik_vector(ProxyObservation(None, pll), self.NODES)
+        with pytest.raises(FloatingPointError, match="index 3"):
+            _proxy_posterior(self.GRID, pll(None, self.NODES))
 
     def test_neg_inf_allowed(self):
         dead = ProxyObservation(
@@ -241,7 +251,8 @@ class TestRWeightedPosterior:
             return np.log(p) if payload == 1 else np.log1p(-p)
 
         proxy = ProxyObservation(payload=1, proxy_log_likelihood=pll)
-        post = r_weighted_posterior(GridProblem(model, data, grid), weights, proxy)
+        post = r_weighted_posterior(GridProblem(model, data, grid), weights,
+                                    proxy_loglik_vector(proxy, grid.psi_nodes))
 
         outcomes = [int(o.outcome) for o in data]
         unnorm = mp.zeros(grid.n_theta, grid.n_psi)
@@ -272,7 +283,7 @@ class TestRWeightedPosterior:
                            Observation(np.empty(0), 0)))
         weights = np.array([[0.0, 1.0], [0.5, 0.5]])
         post = r_weighted_posterior(GridProblem(model, data, grid), weights,
-                                    uninformative_proxy())
+                                    np.zeros(grid.n_psi))
         assert np.all(np.isfinite(post.joint_mass))
         assert post.joint_mass[0, 0] > 0
 
@@ -282,17 +293,17 @@ class TestRWeightedPosterior:
         bad = np.full((grid.n_psi, data.n), 0.5)
         bad[0, 0] = 1.0 + 1e-6
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            r_weighted_posterior(problem, bad, uninformative_proxy())
+            r_weighted_posterior(problem, bad, np.zeros(grid.n_psi))
         bad[0, 0] = -1e-6
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            r_weighted_posterior(problem, bad, uninformative_proxy())
+            r_weighted_posterior(problem, bad, np.zeros(grid.n_psi))
 
     def test_weight_shape_checked(self):
         model, grid, data, _, _ = _toy_setup()
         with pytest.raises(ValueError, match="shape"):
             r_weighted_posterior(GridProblem(model, data, grid),
                                  np.ones((grid.n_psi, data.n + 1)),
-                                 uninformative_proxy())
+                                 np.zeros(grid.n_psi))
 
     def test_all_zero_weights_give_proxy_times_prior(self):
         model, grid, data, _, rng = _toy_setup()
@@ -303,7 +314,8 @@ class TestRWeightedPosterior:
 
         proxy = ProxyObservation(payload=1, proxy_log_likelihood=pll)
         post = r_weighted_posterior(GridProblem(model, data, grid),
-                                    np.zeros((grid.n_psi, data.n)), proxy)
+                                    np.zeros((grid.n_psi, data.n)),
+                                    proxy_loglik_vector(proxy, grid.psi_nodes))
         psi_want = endorse * grid.psi_prior_mass
         psi_want /= psi_want.sum()
         assert_allclose(post.psi_marginal(), psi_want, rtol=1e-12)
@@ -336,7 +348,7 @@ class TestRWeightedPosterior:
         proxy_vec = np.log(rng.uniform(0.2, 0.8, size=grid.n_psi))
         weights = np.array([[0.0, 0.0, 0.7, 0.0], [0.3, 0.0, 1.0, 0.5]])
         for round_weights in (weights, weights[::-1], np.zeros_like(weights)):
-            post = _r_weighted_table(problem, round_weights, proxy_vec)
+            post = r_weighted_posterior(problem, round_weights, proxy_vec)
             joint, log_evidence = self._every_call_table(problem.tensor, grid,
                                                          round_weights, proxy_vec)
             assert_array_equal(post.joint_mass, joint)
@@ -353,7 +365,7 @@ class TestRWeightedPosterior:
         assert problem.neginf is None
         weights = rng.uniform(0, 1, size=(9, 6))
         weights[:, 2] = 0.0
-        post = _r_weighted_table(problem, weights, np.zeros(9))
+        post = r_weighted_posterior(problem, weights, np.zeros(9))
         joint, log_evidence = self._every_call_table(problem.tensor, grid, weights,
                                                      np.zeros(9))
         assert_array_equal(post.joint_mass, joint)
@@ -377,7 +389,8 @@ class TestEngineEquivalence:
 
         proxy = ProxyObservation(payload=None, proxy_log_likelihood=pll)
         problem = GridProblem(model, data, grid)
-        weighted = r_weighted_posterior(problem, np.ones((grid.n_psi, data.n)), proxy)
+        weighted = r_weighted_posterior(problem, np.ones((grid.n_psi, data.n)),
+                                        proxy_loglik_vector(proxy, grid.psi_nodes))
         classic = classic_posterior(problem, psi_prior)
         assert_allclose(weighted.theta_marginal(), classic.theta_marginal(),
                         rtol=0, atol=1e-14)
@@ -413,7 +426,7 @@ class TestRWeightedLikelihood:
         model, grid, data, _, rng = _toy_setup()
         weights = rng.uniform(0, 1, size=(grid.n_psi, data.n))
         table = r_weighted_posterior(GridProblem(model, data, grid), weights,
-                                     uninformative_proxy())
+                                     np.zeros(grid.n_psi))
         log_joint = np.array([[r_weighted_likelihood(model, data, th, ps, weights[b])
                                for b, ps in enumerate(grid.psi_nodes)]
                               for th in grid.theta_nodes])
@@ -481,6 +494,16 @@ class TestMetropolis:
         with pytest.raises(ValueError, match="groups"):
             metropolis_posterior(model, data, None, None,
                                  self._std_normal_prior, n_samples=2000, seed=0)
+
+    def test_proxy_rejected_without_weights(self):
+        """The fixed-effects target reads no proxy, so one passed to it is
+        refused rather than ignored."""
+        model = linear_model()
+        data = SourceData((Observation([1.0, 0.0], 0.0), Observation([0.5, 1.0], 0.2)))
+        with pytest.raises(ValueError, match="proxy"):
+            metropolis_posterior(model, data, _normal_proxy(0.3), None,
+                                 self._std_normal_prior, n_samples=1000, seed=0,
+                                 groups=[[0], [1]])
 
     def test_groups_must_partition(self):
         model = linear_model()

@@ -141,11 +141,6 @@ class TestLinearModel:
                         scalar.linear(obs, thetas[a], psis[b]),
                         rtol=0, atol=1e-12)
 
-    def test_mode_density_is_standard_normal_mode(self):
-        lm = self.model.log_mode_density(np.zeros((2, 1)), np.zeros((3, 1)))
-        assert lm.shape == (2, 3)
-        assert_allclose(lm, -0.5 * LOG_2PI, rtol=0, atol=1e-15)
-
     def test_simulate_moments(self):
         rng = np.random.default_rng(RNG_SEED)
         x = np.array([1.5, -2.0])
@@ -350,7 +345,7 @@ class TestGpModel:
             with pytest.raises(ValueError, match="positive"):
                 loglik_tensor(self.model, data, [[1.0], [theta]], [[psi], [2.0]])
             with pytest.raises(ValueError, match="positive"):
-                self.model.log_mode_density(np.array([[theta]]), np.array([[psi]]))
+                _gp_mode_density(self.model, data, np.array([[theta]]), np.array([[psi]]))
             with pytest.raises(ValueError, match="positive"):
                 self.model.simulate(self.x, SharedParam(theta), TaskParam(psi),
                                     np.random.default_rng(0))
@@ -375,6 +370,14 @@ class TestGpModel:
             gp_model([0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             gp_model([0.5])
+
+
+def _gp_mode_density(model, data, thetas, psis) -> np.ndarray:
+    """The gp model's (A, B) component mode densities, read through its
+    log_predictive_mode_density with one-hot beliefs: a log-sum-exp over a
+    single finite term returns that term exactly."""
+    return np.stack([model.log_predictive_mode_density(data, thetas, psis, belief)[0]
+                     for belief in np.eye(len(thetas))])
 
 
 @pytest.fixture
@@ -418,11 +421,12 @@ class TestGpFactorCache:
         model = gp_model(x)
         thetas = np.array([[0.3], [1.0], [4.0]])
         psis = np.array([[0.5], [2.0]])
-        loglik_tensor(model, self._data(x, np.random.default_rng(RNG_SEED)), thetas, psis)
+        data = self._data(x, np.random.default_rng(RNG_SEED))
+        loglik_tensor(model, data, thetas, psis)
         assert batches == [6]
-        got = model.log_mode_density(thetas, psis)
+        got = _gp_mode_density(model, data, thetas, psis)
         assert batches == [6]
-        fresh = gp_model(x).log_mode_density(thetas, psis)
+        fresh = _gp_mode_density(gp_model(x), data, thetas, psis)
         assert_array_equal(got, fresh)
 
     def test_kept_factor_does_not_depend_on_data(self, batches):
@@ -501,8 +505,8 @@ class TestGpDistinctPairs:
         tensor = loglik_tensor(model, data, thetas, psis)
         assert batches == [distinct]
         assert tensor.tobytes() == _gp_columns(x, data, thetas, psis).tobytes()
-        mode = model.log_mode_density(thetas, psis)
-        columns = np.hstack([gp_model(x).log_mode_density(thetas, psis[b:b + 1])
+        mode = _gp_mode_density(model, data, thetas, psis)
+        columns = np.hstack([_gp_mode_density(gp_model(x), data, thetas, psis[b:b + 1])
                              for b in range(len(psis))])
         assert mode.tobytes() == columns.tobytes()
 
@@ -525,7 +529,7 @@ class TestGpDistinctPairs:
 
         monkeypatch.setattr(np.linalg, "cholesky", refusing)
         model = gp_model(x)
-        mode = model.log_mode_density(nodes, nodes)
+        mode = _gp_mode_density(model, data, nodes, nodes)
         assert_allclose(tried, [1e-8, 1e-7, 1e-6], rtol=1e-6)
         tensor = loglik_tensor(model, data, nodes, nodes)
         columns = _gp_columns(x, data, nodes, nodes)
@@ -799,6 +803,7 @@ class TestLoglikTensor:
                  "gp": lambda: gp_model(x),
                  "discrete-toy": lambda: discrete_toy_model(3, 3, 2, _toy_table(rng, 3, 3, 2)),
                  }[name]()
+        covariate_dim = {"linear": 2, "binomial-logit": 4, "gp": x.size, "discrete-toy": 0}[name]
         if name == "discrete-toy":
             grid = toy_grid(3, 2)
         else:
@@ -808,7 +813,7 @@ class TestLoglikTensor:
                                  psi_prior_mass=np.full(3, 1.0 / 3))
         theta = grid.theta_nodes[0]
         data = SourceData(tuple(
-            model.simulate(rng.uniform(size=model.covariate_dim), theta, grid.psi_nodes[1],
+            model.simulate(rng.uniform(size=covariate_dim), theta, grid.psi_nodes[1],
                            rng, **({"trial_count": 5} if name == "binomial-logit" else {}))
             for _ in range(3)))
         tensor = loglik_tensor(model, data, grid.theta_nodes, grid.psi_nodes)

@@ -48,6 +48,9 @@ def test_tracer_binds_every_target_and_uninstalls(monkeypatch):
         monkeypatch.delitem(sys.modules, "tracer", raising=False)
 
     assert set(tracer.bindings) == set(tracer_module.TARGETS) | {"models.cholesky"}
+    # the refinement rounds the grid learners run call the traced engine
+    assert "relbayes.relevance.r_weighted_posterior" in \
+        tracer.bindings["inference.r_weighted_posterior"]
     for (mod, name), original in originals.items():
         assert getattr(sys.modules[mod], name) is original, f"{mod}.{name} still wrapped"
     assert np.linalg.cholesky is cholesky

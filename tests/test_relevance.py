@@ -12,8 +12,7 @@ from relbayes import inference, models
 from relbayes.grids import ParameterGrid, build_grid, toy_grid
 from relbayes.harness import runner
 from relbayes.harness.config import ExperimentConfig
-from relbayes.inference import (GridProblem, _r_weighted_table, proxy_loglik_vector,
-                                r_weighted_posterior, uninformative_proxy)
+from relbayes.inference import GridProblem, proxy_loglik_vector, r_weighted_posterior
 from relbayes.models import (Observation, SourceData, binomial_logit_model,
                              discrete_toy_model, gp_model, linear_model, loglik_tensor)
 from relbayes.relevance import (DegenerateRelevanceError, RelevanceConfigError,
@@ -197,7 +196,7 @@ class TestRefineRelevance:
         grid = _linear_grid(rng)
         data = SourceData(tuple(
             Observation(rng.normal(size=2), rng.normal()) for _ in range(5)))
-        result = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(), 0)
+        result = refine_relevance(GridProblem(model, data, grid), np.zeros(grid.n_psi), 0)
         assert result.iterations == 0
         assert_allclose(result.theta_belief, grid.theta_prior_mass, rtol=0, atol=0)
         for b in range(grid.n_psi):
@@ -215,8 +214,8 @@ class TestRefineRelevance:
         model = discrete_toy_model(3, 2, 2, table)
         grid = toy_grid(2, 2, theta_prior=[0.4, 0.6])
         data = _toy_obs(0, 1, 2)
-        shallow = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(), 0)
-        deep = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(), 5)
+        shallow = refine_relevance(GridProblem(model, data, grid), np.zeros(grid.n_psi), 0)
+        deep = refine_relevance(GridProblem(model, data, grid), np.zeros(grid.n_psi), 5)
         assert_allclose(deep.theta_belief, [0.4, 0.6], rtol=0, atol=1e-12)
         assert_allclose(deep.weights_per_psi, shallow.weights_per_psi,
                         rtol=0, atol=1e-12)
@@ -227,7 +226,7 @@ class TestRefineRelevance:
         grid = _linear_grid(rng)
         data = SourceData(tuple(
             Observation([1.0, 0.1], -1.0 + 0.05 * i) for i in range(6)))
-        result = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(), 3)
+        result = refine_relevance(GridProblem(model, data, grid), np.zeros(grid.n_psi), 3)
         assert result.iterations == 3
         moved = np.abs(result.theta_belief - grid.theta_prior_mass).sum()
         assert moved > 0.1
@@ -241,8 +240,8 @@ class TestRefineRelevance:
         grid = _linear_grid(rng)
         data = SourceData(tuple(
             Observation(rng.normal(size=2), rng.normal()) for _ in range(5)))
-        r1 = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(), 3)
-        r2 = refine_relevance(GridProblem(model, data, grid), uninformative_proxy(), 3)
+        r1 = refine_relevance(GridProblem(model, data, grid), np.zeros(grid.n_psi), 3)
+        r2 = refine_relevance(GridProblem(model, data, grid), np.zeros(grid.n_psi), 3)
         assert_allclose(r1.weights_per_psi, r2.weights_per_psi, rtol=0, atol=0)
         assert_allclose(r1.theta_belief, r2.theta_belief, rtol=0, atol=0)
 
@@ -253,8 +252,7 @@ class TestRefineRelevance:
         table = rng.dirichlet(np.full(3, 2.0), size=(2, 2))
         model = discrete_toy_model(3, 2, 2, table)
         data = _toy_obs(0, 2, 2)
-        result = refine_relevance(GridProblem(model, data, toy_grid(2, 2)),
-                                  uninformative_proxy())
+        result = refine_relevance(GridProblem(model, data, toy_grid(2, 2)), np.zeros(2))
         outcomes = [0, 2, 2]
         want = np.einsum("a,abi->bi", result.theta_belief, table[:, :, outcomes])
         assert_allclose(result.weights_per_psi, want, rtol=1e-13, atol=0)
@@ -279,7 +277,8 @@ def _count_calls(monkeypatch, original) -> list:
 
 class TestComputeOnce:
     """A simulation builds its log-likelihood tensor once, in one GridProblem
-    that both engines read; refine_relevance builds the proxy vector once,
+    that both engines read, and evaluates its proxy once, at the psi nodes;
+    refine_relevance takes that vector and evaluates no proxy itself,
     whatever the number of rounds."""
 
     def _instance(self):
@@ -291,23 +290,30 @@ class TestComputeOnce:
 
     def test_one_tensor_and_one_proxy_vector_per_call(self, monkeypatch):
         model, data, grid, proxy = self._instance()
+        proxy_ll = proxy_loglik_vector(proxy, grid.psi_nodes)
         tensors = _count_calls(monkeypatch, models.loglik_tensor)
         vectors = _count_calls(monkeypatch, inference.proxy_loglik_vector)
-        result = refine_relevance(GridProblem(model, data, grid), proxy, 3)
+        engines = _count_calls(monkeypatch, inference.r_weighted_posterior)
+        result = refine_relevance(GridProblem(model, data, grid), proxy_ll, 3)
         assert result.iterations == 3
         assert len(tensors) == 1
-        assert len(vectors) == 1
+        assert len(vectors) == 0
+        # three rounds and the final posterior, each through the public engine
+        assert len(engines) == 4
 
     @pytest.mark.parametrize("experiment, calls", [("linear", 1), ("gp", 3)])
     def test_tensor_calls_per_simulation(self, monkeypatch, experiment, calls):
         """linear: the shared grid tensor only.  gp: the shared grid tensor,
         and the expert prompts' tensor twice, at the true target task when
-        the ratings are drawn and over the psi grid in the proxy likelihood."""
+        the ratings are drawn and over the psi grid in the proxy likelihood.
+        Either way the proxy is evaluated once."""
         tensors = _count_calls(monkeypatch, models.loglik_tensor)
+        vectors = _count_calls(monkeypatch, inference.proxy_loglik_vector)
         config = ExperimentConfig(experiment=experiment, n_simulations=1,
                                   grid_resolution=21 if experiment == "linear" else 10)
         runner._SIM_BODIES[experiment](config, 0)
         assert len(tensors) == calls
+        assert len(vectors) == 1
 
     def test_tensor_is_read_only(self):
         model, data, grid, _ = self._instance()
@@ -317,21 +323,13 @@ class TestComputeOnce:
         assert_array_equal(problem.tensor,
                            loglik_tensor(model, data, grid.theta_nodes, grid.psi_nodes))
 
-    def test_r_weighted_posterior_is_the_table_on_the_record(self):
-        model, data, grid, proxy = self._instance()
-        problem = GridProblem(model, data, grid)
-        weights = np.random.default_rng(RNG_SEED).uniform(0, 1, size=(grid.n_psi, data.n))
-        got = r_weighted_posterior(problem, weights, proxy)
-        want = _r_weighted_table(problem, weights, proxy_loglik_vector(proxy, grid.psi_nodes))
-        assert_array_equal(got.joint_mass, want.joint_mass)
-        assert got.log_evidence == want.log_evidence
-
     @pytest.mark.parametrize("iterations", [0, 3])
     def test_posterior_is_the_weighted_posterior_of_the_final_weights(self, iterations):
         model, data, grid, proxy = self._instance()
         problem = GridProblem(model, data, grid)
-        result = refine_relevance(problem, proxy, iterations)
-        want = r_weighted_posterior(problem, result.weights_per_psi, proxy)
+        proxy_ll = proxy_loglik_vector(proxy, grid.psi_nodes)
+        result = refine_relevance(problem, proxy_ll, iterations)
+        want = r_weighted_posterior(problem, result.weights_per_psi, proxy_ll)
         assert_allclose(result.posterior.joint_mass, want.joint_mass, rtol=0, atol=1e-12)
         assert_allclose(result.posterior.log_evidence, want.log_evidence,
                         rtol=0, atol=1e-12)
@@ -435,7 +433,7 @@ class TestBeliefAverage:
             problem = GridProblem(model, data, grid)
         else:
             problem, proxy = _gp_problem()
-        result = refine_relevance(problem, proxy, 3)
+        result = refine_relevance(problem, proxy_loglik_vector(proxy, problem.grid.psi_nodes), 3)
         weights, belief, posterior = refine_prior_expected(problem, proxy, 3)
         assert_allclose(result.weights_per_psi, weights, rtol=1e-12, atol=0)
         assert_allclose(result.theta_belief, belief, rtol=1e-12, atol=0)
@@ -450,7 +448,7 @@ class TestValidation:
     def _weighted(weights):
         problem = GridProblem(discrete_toy_model(2, 1, 1, np.array([[[0.5, 0.5]]])),
                               _toy_obs(0, 1), toy_grid(1, 1))
-        return r_weighted_posterior(problem, np.array(weights), uninformative_proxy())
+        return r_weighted_posterior(problem, np.array(weights), np.zeros(1))
 
     def test_weights_must_be_unit_interval(self):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
@@ -469,4 +467,4 @@ class TestValidation:
                               _linear_grid(np.random.default_rng(RNG_SEED)))
         for bad in (11, -1, 1.5):
             with pytest.raises(ValueError, match=r"integer in \[0, 10\]"):
-                refine_relevance(problem, uninformative_proxy(), bad)
+                refine_relevance(problem, np.zeros(problem.grid.n_psi), bad)

@@ -13,7 +13,7 @@ from scipy import stats
 from scipy.special import logsumexp
 
 import _scalar_reference as scalar
-from relbayes.models import LOG_2PI, Observation, gp_model, linear_model
+from relbayes.models import LOG_2PI, Observation, binomial_logit_model, gp_model, linear_model
 from relbayes.synthetic import (GpScenario, LinearScenario, gen_expert_proxy,
                                 gen_gp_trajectories, gen_imprecise_estimate_proxy,
                                 gen_linear_covariates, gen_linear_instance,
@@ -93,14 +93,16 @@ class TestLinearCovariates:
 def _scalar_agreement(model, prompt, psi, theta_nodes=None, theta_prior=None):
     """Reference agreement of one prompt at one psi value: the linear closed
     form, otherwise (the GP model) a per-theta-node loop over the scalar
-    reference likelihood divided by the prior-mixed mode heights."""
+    reference likelihood divided by the prior-mixed mode heights, each the
+    scalar reference density of the zero trajectory."""
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
     if model.name == "linear":
         x1, x2 = prompt.covariates
         resid = float(prompt.outcome) - psi[0] * x2
         return float(np.exp(-0.5 * resid ** 2 / (1.0 + x1 ** 2)))
     lls = np.array([scalar.gp(prompt, th, psi) for th in theta_nodes])
-    log_mode = model.log_mode_density(theta_nodes, psi[None, :])[:, 0]
+    zero = Observation(prompt.covariates, np.zeros(len(prompt.covariates)))
+    log_mode = np.array([scalar.gp(zero, th, psi) for th in theta_nodes])
     with np.errstate(divide="ignore"):
         log_prior = np.log(theta_prior)
     log_p = logsumexp(lls + log_prior) - logsumexp(log_mode + log_prior)
@@ -150,7 +152,9 @@ class TestPromptAgreement:
         got = prompt_agreement(model, [prompt], np.array([[1.5]]), theta_nodes=nodes,
                                theta_prior=prior)[0, 0]
         lls = np.array([scalar.gp(prompt, th, np.array([1.5])) for th in nodes])
-        mode = model.log_mode_density(nodes, np.array([[1.5]]))[:, 0]
+        # every component peaks at the zero trajectory
+        mode = np.array([scalar.gp(Observation(x, np.zeros(5)), th, np.array([1.5]))
+                         for th in nodes])
         # prior-mixed density over the prior-mixed mode heights
         want = float(prior @ np.exp(lls)) / float(prior @ np.exp(mode))
         assert_allclose(got, want, rtol=1e-12)
@@ -161,6 +165,15 @@ class TestPromptAgreement:
         model = gp_model(x)
         with pytest.raises(ValueError, match="theta_nodes"):
             prompt_agreement(model, [Observation(x, np.zeros(4))], np.array([[1.0]]))
+
+    def test_model_without_normalizer_hook_rejected(self):
+        """A pmf model has no log_predictive_mode_density to normalize the
+        prompt likelihood with."""
+        model = binomial_logit_model()
+        prompt = Observation([1.0, 0.0, 0.0, 0.0], 3, trial_count=5)
+        with pytest.raises(ValueError, match="mode density"):
+            prompt_agreement(model, [prompt], np.array([[0.0]]),
+                             theta_nodes=np.zeros((1, 4)), theta_prior=np.array([1.0]))
 
     def test_psi_nodes_must_be_a_matrix(self):
         with pytest.raises(ValueError, match="psi_nodes"):
