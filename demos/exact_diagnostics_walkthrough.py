@@ -17,14 +17,16 @@ from relbayes.harness.runner import toy_verify_instance
 from relbayes import toy_diagnostics_report
 
 rng = np.random.default_rng(SEED)
-model, truth, grid, weight_table, weights_provider, proxy_model = \
+# proxy_table is the proxy's (Z, B) log-likelihood table: row z holds
+# log p(z | psi_b) at every task node, for payloads z = 0 (reject) and 1 (endorse)
+model, truth, grid, weight_table, weights_provider, proxy_table = \
     toy_verify_instance(rng)
 
 print(f"instance: {grid.n_theta} shared nodes, {grid.n_psi} task nodes, "
-      f"{truth.n} source observations")
+      f"{truth.n} source observations, {len(proxy_table)} proxy payloads")
 
 report = toy_diagnostics_report(model, truth, grid, grid.psi_prior_mass,
-                                proxy_model, weights_provider)
+                                proxy_table, weights_provider)
 
 print(f"""
 information gain, classic learner      {report.ig_classic:+.6f}

@@ -11,11 +11,10 @@ from .inference import (DegenerateProxyError, GridProblem, McmcChain, McmcInitEr
 from .relevance import (DegenerateRelevanceError, RefinementResult, RelevanceConfigError,
                         prior_expected_relevance, refine_relevance,
                         sigmoid_ratio_relevance)
-from .diagnostics import (DeltaRweighted, DiagnosticsReport, Prop55Check, ProxyModel,
-                          Theorem24Check, ToyEnumeration, TrueProcess, check_prop55,
-                          check_theorem24, delta_classic, delta_rweighted,
-                          entropy, info_gain_classic, info_gain_rweighted,
-                          kl_divergence, toy_diagnostics_report)
+from .diagnostics import (DeltaRweighted, DiagnosticsReport, Prop55Check, Theorem24Check,
+                          ToyEnumeration, TrueProcess, check_prop55, check_theorem24,
+                          delta_classic, delta_rweighted, entropy, info_gain_classic,
+                          info_gain_rweighted, kl_divergence, toy_diagnostics_report)
 from .synthetic import (GpInstance, GpScenario, LinearInstance, LinearScenario,
                         gen_expert_proxy, gen_gp_trajectories, gen_imprecise_estimate_proxy,
                         gen_linear_covariates, gen_linear_instance, prompt_agreement,

@@ -14,20 +14,21 @@ Every diagnostic reads that record: the dataset array gathers a table, and
 each expectation is one reduction weighted by P*(d).  A dataset with
 P*(d) = 0 adds exactly 0, the 0 log 0 = 0 rule.  Models without an
 enumerable alphabet are rejected when the record is built.
+A proxy is its (Z, B) log-likelihood table over a finite payload alphabet,
+and both learners' posteriors are formed with the grid engines' own code.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .grids import ParameterGrid
-from .inference import (DegenerateProxyError, GridProblem, ProxyObservation,
-                        _check_weights, _log_source_prior, _weighted_terms,
-                        proxy_loglik_vector)
+from .inference import (DegenerateProxyError, GridProblem, _check_proxy_ll,
+                        _check_weights, _neginf_mask, _r_weighted_log_joint,
+                        _source_mixture, _weighted_terms)
 from .models import ModelSpec, Observation, SharedParam, SourceData, TaskParam, \
     loglik_tensor, logsumexp, param_values
 from .relevance import refine_relevance
@@ -160,22 +161,6 @@ class DiagnosticsReport:
                 object.__setattr__(self, name, 0.0)
 
 
-@dataclass(frozen=True)
-class ProxyModel:
-    """A proxy generator the diagnostics integrate over exactly.
-
-    log_likelihood(payload, psi_nodes) is the learner's model, returning a
-    (B,) array for psi_nodes of shape (B, k_psi); payloads lists the finite
-    alphabet of z that the expectation sums over.
-    """
-
-    log_likelihood: Callable
-    payloads: tuple
-
-    def observation(self, payload) -> ProxyObservation:
-        return ProxyObservation(payload=payload, proxy_log_likelihood=self.log_likelihood)
-
-
 # ---------------------------------------------------------------------------
 # the enumeration record of one toy instance
 # ---------------------------------------------------------------------------
@@ -256,8 +241,7 @@ def _provider_weights(weights_provider, datasets: np.ndarray, n_psi: int) -> np.
 
 def _classic_theta_loglik(record: ToyEnumeration, source_psi_prior) -> np.ndarray:
     """Classic marginalized log-likelihood of theta per dataset, shape (A, M)."""
-    log_prior = _log_source_prior(source_psi_prior, record.grid.n_psi)
-    mix = logsumexp(record.table + log_prior[None, None, :], axis=2)    # (O, A)
+    mix = _source_mixture(record.table, source_psi_prior)               # (O, A)
     return mix[record.datasets, :].sum(axis=1).T                        # (A, M)
 
 
@@ -282,34 +266,41 @@ def info_gain_classic(record: ToyEnumeration, source_psi_prior, *, loglik=None) 
     return float(_expect(np.exp(record.log_pstar), ratios))
 
 
-def info_gain_rweighted(record: ToyEnumeration, proxy_model: ProxyModel,
+def info_gain_rweighted(record: ToyEnumeration, proxy_table,
                         weights_provider=None, proxy_expectation: str = "subjective",
                         refinement_iterations: int = 3) -> float:
     """Expected log posterior-to-prior ratio at theta* for the weighted learner.
 
-    The expectation runs over every payload z and every dataset.  z is
+    proxy_table is the proxy's (Z, B) log-likelihood table over a finite
+    alphabet of payloads: row z holds log p(z | psi_b) at grid.psi_nodes,
+    and each row is checked as a grid engine checks its proxy vector.  The
+    expectation runs over every payload z and every dataset.  z is
     integrated over the learner's own predictive distribution of z (psi
     drawn from the grid prior) by default; proxy_expectation="true"
     conditions on the true target task parameter instead, which is the
-    variant the experiment sweeps report.  weights_provider, when given,
-    maps the (M, n) dataset-index array to (M, n_psi, n) weights; without
-    one, refine_relevance runs refinement_iterations rounds once per
-    (payload, dataset) pair of positive probability, on one grid problem per
-    dataset and the payload's row of the one (Z, B) proxy table: the proxy
-    is evaluated once per payload.
+    variant the experiment sweeps report, and reads the table's column at
+    the psi node equal to psi_target_star (a target off the nodes raises
+    ValueError).  weights_provider, when given, maps the (M, n)
+    dataset-index array to (M, n_psi, n) weights; without one,
+    refine_relevance runs refinement_iterations rounds once per (payload,
+    dataset) pair of positive probability, on one grid problem per dataset
+    and the payload's row of the table.
     """
     if proxy_expectation not in ("subjective", "true"):
         raise ValueError(f"unknown proxy_expectation {proxy_expectation!r}")
     model, grid, datasets = record.model, record.grid, record.datasets
     pstar = np.exp(record.log_pstar)
-    z_ll = np.stack([proxy_loglik_vector(proxy_model.observation(z), grid.psi_nodes)
-                     for z in proxy_model.payloads])                        # (Z, B)
+    z_ll = np.stack([_check_proxy_ll(row, grid.n_psi)
+                     for row in np.atleast_1d(proxy_table)])                # (Z, B)
     if proxy_expectation == "subjective":
         z_mass = np.exp(logsumexp(z_ll + grid.log_psi_prior()[None, :], axis=1))
     else:
-        target = param_values(record.true_process.psi_target_star)[None, :]
-        z_mass = np.exp([proxy_loglik_vector(proxy_model.observation(z), target)[0]
-                         for z in proxy_model.payloads])
+        target = param_values(record.true_process.psi_target_star)
+        node = np.flatnonzero((grid.psi_nodes == target).all(axis=1))
+        if node.size == 0:
+            raise ValueError(f"psi_target_star={target} is not a psi node of the grid, "
+                             "so the proxy table has no column for it")
+        z_mass = np.exp(z_ll[:, node[0]])
     live = (z_mass[:, None] > 0.0) & (pstar[None, :] > 0.0)                # (Z, M)
 
     if weights_provider is not None:
@@ -325,9 +316,8 @@ def info_gain_rweighted(record: ToyEnumeration, proxy_model: ProxyModel,
                                                   refinement_iterations).weights_per_psi
 
     lls = record.table[datasets]                                            # (M, n, A, B)
-    weighted = _weighted_terms(np.swapaxes(weights, 2, 3)[..., None, :], lls).sum(axis=2)
-    log_joint = (weighted + z_ll[:, None, None, :] + grid.log_theta_prior()[:, None]
-                 + grid.log_psi_prior()[None, :])                           # (Z, M, A, B)
+    log_joint = _r_weighted_log_joint(lls, _neginf_mask(lls), weights,
+                                      z_ll[:, None, :], grid)               # (Z, M, A, B)
     log_theta = logsumexp(log_joint, axis=3)                                # (Z, M, A)
     log_evidence = logsumexp(log_theta, axis=2)                             # (Z, M)
     if not np.isfinite(log_evidence[live]).all():
@@ -349,8 +339,7 @@ def delta_classic(record: ToyEnumeration, source_psi_prior) -> float:
     each observation's task parameter independently), so the divergence is a
     sum of per-observation KLs.
     """
-    log_prior = _log_source_prior(source_psi_prior, record.grid.n_psi)
-    mix = np.exp(logsumexp(record.at_theta_star + log_prior[None, :], axis=1))  # (O,)
+    mix = np.exp(_source_mixture(record.at_theta_star, source_psi_prior))   # (O,)
     star = np.exp(record.star)                                           # (n, O)
     return float(sum(kl_divergence(row, mix) for row in star))
 
@@ -449,11 +438,12 @@ def check_theorem24(record: ToyEnumeration, source_psi_prior) -> Theorem24Check:
 
 def toy_diagnostics_report(model: ModelSpec, true_process: TrueProcess,
                            grid: ParameterGrid, source_psi_prior,
-                           proxy_model: ProxyModel, weights_provider) -> DiagnosticsReport:
+                           proxy_table, weights_provider) -> DiagnosticsReport:
     """Every diagnostic on one toy instance, enumerated exactly.
 
     One ToyEnumeration record is built and every diagnostic reads it.  The
-    weighted information gain uses unit weights so it stays comparable
+    weighted information gain reads proxy_table, the (Z, B) table of
+    info_gain_rweighted, and uses unit weights so it stays comparable
     across instances; the decomposition check runs under the
     supplied weights provider, and the weighted divergence under its
     weights for the first dataset.
@@ -461,7 +451,7 @@ def toy_diagnostics_report(model: ModelSpec, true_process: TrueProcess,
     record = ToyEnumeration(model, true_process, grid)
     n = true_process.n
     ig_r = info_gain_rweighted(
-        record, proxy_model,
+        record, proxy_table,
         weights_provider=lambda datasets: np.ones((len(datasets), grid.n_psi, n)))
     prop = check_prop55(record, weights_provider)
     bound = check_theorem24(record, source_psi_prior)

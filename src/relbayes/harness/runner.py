@@ -18,8 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .. import __version__
-from ..diagnostics import DiagnosticsReport, ProxyModel, TrueProcess, \
-    toy_diagnostics_report
+from ..diagnostics import DiagnosticsReport, TrueProcess, toy_diagnostics_report
 from ..grids import ParameterGrid, build_grid, midpoint_nodes
 from ..inference import GridProblem, classic_posterior, proxy_loglik_vector
 from ..models import SharedParam, TaskParam, discrete_toy_model, gp_model, linear_model
@@ -42,15 +41,13 @@ class SimulationResult:
     seed: int
     ig_classic: float
     ig_rweighted: float
-    advantage: float
     diagnostics: Optional[DiagnosticsReport]
     wall_time_ms: int
     error: Optional[str] = None
 
-    def __post_init__(self):
-        if np.isfinite(self.ig_classic) and np.isfinite(self.ig_rweighted):
-            if self.advantage != self.ig_rweighted - self.ig_classic:
-                raise ValueError("advantage must equal ig_rweighted - ig_classic")
+    @property
+    def advantage(self) -> float:
+        return self.ig_rweighted - self.ig_classic
 
 
 # ---------------------------------------------------------------------------
@@ -143,20 +140,16 @@ def toy_verify_instance(rng: np.random.Generator):
         return weight_table[:, np.arange(n_obs), datasets].transpose(1, 0, 2)
 
     endorse = rng.uniform(0.2, 0.8, size=n_psi)
-
-    def proxy_ll(payload, psi_nodes):
-        p = endorse[np.rint(psi_nodes[:, 0]).astype(int)]
-        return np.log(p if payload == 1 else 1.0 - p)
-
-    proxy_model = ProxyModel(log_likelihood=proxy_ll, payloads=(0, 1))
-    return model, truth, grid, weight_table, weights_provider, proxy_model
+    # the proxy's (Z, B) log-likelihood table: payload 0 rejects, 1 endorses
+    proxy_table = np.log(np.stack([1.0 - endorse, endorse]))
+    return model, truth, grid, weight_table, weights_provider, proxy_table
 
 
 def _toy_verify_sim(config: ExperimentConfig, index: int):
     rng = task_rng(config.master_seed, index)
-    model, truth, grid, _, provider, proxy_model = toy_verify_instance(rng)
+    model, truth, grid, _, provider, proxy_table = toy_verify_instance(rng)
     report = toy_diagnostics_report(model, truth, grid, grid.psi_prior_mass,
-                                    proxy_model, provider)
+                                    proxy_table, provider)
     return report.ig_classic, report.ig_rweighted, report
 
 
@@ -178,13 +171,12 @@ def _run_single(config: ExperimentConfig, index: int) -> SimulationResult:
     try:
         ig_c, ig_r, diagnostics = body(config, index)
         return SimulationResult(
-            seed=index, ig_classic=ig_c, ig_rweighted=ig_r,
-            advantage=ig_r - ig_c, diagnostics=diagnostics,
+            seed=index, ig_classic=ig_c, ig_rweighted=ig_r, diagnostics=diagnostics,
             wall_time_ms=int(1000 * (time.perf_counter() - start)))
     except Exception as exc:
         return SimulationResult(
             seed=index, ig_classic=float("nan"), ig_rweighted=float("nan"),
-            advantage=float("nan"), diagnostics=None,
+            diagnostics=None,
             wall_time_ms=int(1000 * (time.perf_counter() - start)),
             error=f"{type(exc).__name__}: {exc}")
 

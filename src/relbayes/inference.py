@@ -12,7 +12,8 @@ Both grid engines read one GridProblem, which builds the (n, A, B)
 log-likelihood tensor of its (model, data, grid) once.  A proxy enters a
 grid posterior only through its (B,) log-likelihood at the psi nodes,
 which the caller forms once with proxy_loglik_vector and passes as an
-array, as the source prior enters classic_posterior.
+array, as the source prior enters classic_posterior.  _source_mixture and
+_r_weighted_log_joint, each learner's formula, serve the diagnostics too.
 """
 
 from __future__ import annotations
@@ -138,13 +139,15 @@ class GridProblem:
         object.__setattr__(self, "neginf", _neginf_mask(tensor))
 
 
-def _log_source_prior(source_psi_prior, n_psi: int) -> np.ndarray:
-    """log source_psi_prior, checked to be a mass vector over the n_psi psi nodes."""
+def _source_mixture(lls: np.ndarray, source_psi_prior) -> np.ndarray:
+    """The classic learner's source mixture logsumexp(lls + log prior) over
+    the last axis of lls (..., B), where source_psi_prior is checked to be a
+    mass vector over the B psi nodes."""
     source_psi_prior = _check_mass(source_psi_prior, "source_psi_prior")
-    if source_psi_prior.size != n_psi:
+    if source_psi_prior.size != lls.shape[-1]:
         raise ValueError("source_psi_prior length does not match the psi grid")
     with np.errstate(divide="ignore"):
-        return np.log(source_psi_prior)
+        return logsumexp(lls + np.log(source_psi_prior), axis=-1)
 
 
 def classic_posterior(problem: GridProblem, source_psi_prior) -> PosteriorTable:
@@ -160,9 +163,8 @@ def classic_posterior(problem: GridProblem, source_psi_prior) -> PosteriorTable:
     uses, could underflow a whole theta row to -inf here and turn an
     information gain into -inf.
     """
-    grid, tensor = problem.grid, problem.tensor                        # (n, A, B)
-    log_psi = _log_source_prior(source_psi_prior, grid.n_psi)
-    per_obs = logsumexp(tensor + log_psi[None, None, :], axis=2)       # (n, A)
+    grid = problem.grid
+    per_obs = _source_mixture(problem.tensor, source_psi_prior)         # (n, A)
     log_joint_theta = per_obs.sum(axis=0) + grid.log_theta_prior()
     log_evidence = float(logsumexp(log_joint_theta))
     theta_marg = np.exp(log_joint_theta - log_evidence)
@@ -200,25 +202,36 @@ def _weighted_terms(weights: np.ndarray, lls: np.ndarray) -> np.ndarray:
     return np.multiply(weights, lls, out=out, where=weights != 0.0)
 
 
+def _r_weighted_log_joint(tensor: np.ndarray, neginf: Optional[np.ndarray],
+                          weights: np.ndarray, proxy_ll: np.ndarray,
+                          grid: ParameterGrid) -> np.ndarray:
+    """The unnormalized r-weighted log joint, shape (..., A, B): for
+    log-likelihoods tensor (..., n, A, B) with -inf mask neginf, checked
+    weights (..., B, n) and proxy_ll (..., B), leading axes broadcast,
+    sum_i weights[..., b, i] tensor[..., i, a, b] + proxy_ll[..., b] plus
+    the log prior masses of theta_a and psi_b."""
+    if neginf is not None:
+        # a zero weight kills its -inf term outright (0 * -inf would be nan)
+        zero = np.swapaxes(weights, -1, -2)[..., None, :] == 0.0
+        tensor = np.where(neginf & zero, 0.0, tensor)
+    weighted = np.einsum("...bi,...iab->...ab", weights, tensor)
+    return (weighted + proxy_ll[..., None, :]
+            + grid.log_theta_prior()[:, None] + grid.log_psi_prior()[None, :])
+
+
 def r_weighted_posterior(problem: GridProblem, weights_per_psi,
                          proxy_ll) -> PosteriorTable:
     """Joint posterior over (theta, psi_target) from the weighted likelihood.
 
     proxy_ll is the proxy's (B,) log-likelihood at grid.psi_nodes, as
     proxy_loglik_vector forms it (zeros for no proxy), checked for shape
-    and NaN.  joint[a, b] is proportional to
-    exp(sum_i w[b, i] loglik(d_i | theta_a, psi_b) + proxy_ll[b])
-    times the prior masses, normalized over the whole grid.
+    and NaN.  The joint is _r_weighted_log_joint's, normalized over the
+    whole grid.
     """
-    grid, tensor = problem.grid, problem.tensor
-    mat = _check_weights(weights_per_psi, (grid.n_psi, tensor.shape[0]))
-    proxy_ll = _check_proxy_ll(proxy_ll, grid.n_psi)
-    if problem.neginf is not None:
-        # a zero weight kills its -inf term outright (0 * -inf would be nan)
-        tensor = np.where(problem.neginf & (mat.T[:, None, :] == 0.0), 0.0, tensor)
-    weighted = np.einsum("bi,iab->ab", mat, tensor)
-    log_joint = (weighted + proxy_ll[None, :]
-                 + grid.log_theta_prior()[:, None] + grid.log_psi_prior()[None, :])
+    grid = problem.grid
+    mat = _check_weights(weights_per_psi, (grid.n_psi, problem.tensor.shape[0]))
+    log_joint = _r_weighted_log_joint(problem.tensor, problem.neginf, mat,
+                                      _check_proxy_ll(proxy_ll, grid.n_psi), grid)
     log_evidence = float(logsumexp(log_joint))
     if not np.isfinite(log_evidence):
         raise DegenerateProxyError("posterior mass is identically zero on the grid")
@@ -454,7 +467,9 @@ def chain_grid_tv(chain: McmcChain, table: PosteriorTable, coarsen: int = 2,
     aggregated into superbins of `coarsen` consecutive cells per axis so the
     comparison is not dominated by per-cell Monte-Carlo noise.  marginal can
     be "theta" or "psi" to compare one marginal; default (None) is the joint.
-    Scalar theta and psi only.
+    Each bin holds its share of all the samples, and the share that falls
+    outside the grid's span, where the table has no mass, adds to the
+    distance in full.  Scalar theta and psi only.
     """
     if marginal not in (None, "theta", "psi"):
         raise ValueError(f"marginal must be 'theta', 'psi' or None (the joint), "
@@ -476,5 +491,6 @@ def chain_grid_tv(chain: McmcChain, table: PosteriorTable, coarsen: int = 2,
                                     bins=(t_edges, p_edges))
         ref = _coarsen(_coarsen(table.joint_mass, coarsen, 0), coarsen, 1)
         emp = _coarsen(_coarsen(hist, coarsen, 0), coarsen, 1)
-    emp = emp / emp.sum()
-    return float(0.5 * np.abs(emp - ref).sum())
+    n_samples = chain.theta_samples.shape[0]
+    off_span = (n_samples - hist.sum()) / n_samples
+    return float(0.5 * (np.abs(emp / n_samples - ref).sum() + off_span))

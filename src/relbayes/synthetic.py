@@ -7,8 +7,9 @@ contamination, and a GP trajectory setup where tasks differ through kernel
 lengthscales.  A small imprecise-estimate proxy covers the observational
 case study.
 
-Every generator is a pure function of its arguments and a seed, using the
-counter-based Philox generator so parallel sweeps stay reproducible.
+Every generator is a pure function of its arguments and the
+np.random.Generator it draws from; task_rng gives one counter-based Philox
+stream per (master_seed, index), so parallel sweeps stay reproducible.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class GpScenario:
 # linear-regression covariates
 # ---------------------------------------------------------------------------
 
-def gen_linear_covariates(rho_c: float, count: int, seed) -> np.ndarray:
+def gen_linear_covariates(rho_c: float, count: int, rng: np.random.Generator) -> np.ndarray:
     """Covariate rows (x1, x2) with tunable collinearity, shape (count, 2).
 
     A latent x' ~ N(rho_c, 0.25) drives both columns: x1 ~ N(x', 0.25) and
@@ -110,7 +111,6 @@ def gen_linear_covariates(rho_c: float, count: int, seed) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("count must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else task_rng(int(seed), 0)
     sd = np.sqrt(0.25)
     latent = rng.normal(rho_c, sd, size=count)
     for _ in range(100):
@@ -172,7 +172,7 @@ _LOG_BINOM_COEF = np.array([math.log(math.comb(PROXY_TRIALS, z))
 
 
 def gen_expert_proxy(model: ModelSpec, prompts, psi_target_star,
-                     contamination_pct: float, seed, theta_nodes=None,
+                     contamination_pct: float, rng: np.random.Generator, theta_nodes=None,
                      theta_prior=None) -> ProxyObservation:
     """Simulated expert ratings z_j ~ Binomial(7, p~_j), one per prompt.
 
@@ -187,7 +187,6 @@ def gen_expert_proxy(model: ModelSpec, prompts, psi_target_star,
     if len(prompts) == 0:
         raise ValueError("prompts must be nonempty")
     _check_pct(contamination_pct, "contamination_pct")
-    rng = seed if isinstance(seed, np.random.Generator) else task_rng(int(seed), 0)
     psi_star = param_values(psi_target_star)
 
     n = len(prompts)
@@ -229,7 +228,7 @@ class LinearInstance:
     psi_target_star: TaskParam
 
 
-def gen_linear_instance(scenario: LinearScenario, seed) -> LinearInstance:
+def gen_linear_instance(scenario: LinearScenario, rng: np.random.Generator) -> LinearInstance:
     """One full draw of the linear experiment.
 
     The true shared effect is fixed at -1.  The target task parameter is
@@ -241,7 +240,6 @@ def gen_linear_instance(scenario: LinearScenario, seed) -> LinearInstance:
     """
     from .models import linear_model
 
-    rng = seed if isinstance(seed, np.random.Generator) else task_rng(int(seed), 0)
     model = linear_model()
     theta_star = SharedParam(LINEAR_THETA_STAR)
     psi_target = TaskParam(rng.normal(0.0, 1.0))
@@ -283,7 +281,7 @@ class GpInstance:
     x_grid: np.ndarray = field(repr=False)
 
 
-def gen_gp_trajectories(scenario: GpScenario, seed) -> GpInstance:
+def gen_gp_trajectories(scenario: GpScenario, rng: np.random.Generator) -> GpInstance:
     """Trajectory draws for the GP experiment.
 
     Trajectories 1..m_target come from the target task (all sharing the
@@ -294,7 +292,6 @@ def gen_gp_trajectories(scenario: GpScenario, seed) -> GpInstance:
     """
     from .models import gp_model
 
-    rng = seed if isinstance(seed, np.random.Generator) else task_rng(int(seed), 0)
     x = np.linspace(0.0, 1.0, scenario.resolution)
     model = gp_model(x)
     theta_star = SharedParam(scenario.theta_star)
@@ -325,7 +322,7 @@ def gen_gp_trajectories(scenario: GpScenario, seed) -> GpInstance:
 # ---------------------------------------------------------------------------
 
 def gen_imprecise_estimate_proxy(psi_target_star, sigma: float, bias_flag: bool,
-                                 seed) -> ProxyObservation:
+                                 rng: np.random.Generator) -> ProxyObservation:
     """A noisy scalar estimate of the target task parameter.
 
     z is drawn from N(psi*, sigma) with, when bias_flag is set, an extra
@@ -335,7 +332,6 @@ def gen_imprecise_estimate_proxy(psi_target_star, sigma: float, bias_flag: bool,
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    rng = seed if isinstance(seed, np.random.Generator) else task_rng(int(seed), 0)
     psi_star = param_values(psi_target_star)
     z = float(rng.normal(psi_star[0], sigma))
     if bias_flag:

@@ -209,29 +209,31 @@ def info_gain_classic(model, true_process, grid, source_psi_prior) -> float:
                for _, data, pd, _ in _datasets(model, true_process))
 
 
-def info_gain_rweighted(model, true_process, grid, proxy_model, weights_provider=None,
+def info_gain_rweighted(model, true_process, grid, proxy_table, weights_provider=None,
                         proxy_expectation="subjective") -> float:
-    """Sum over payloads and datasets of the r-weighted posterior's log ratio at theta*."""
+    """Sum over payloads and datasets of the r-weighted posterior's log ratio at theta*.
+
+    Row z of proxy_table is log p(z | psi_b); the "true" expectation reads
+    its column at the psi node equal to psi_target_star."""
     a_star, _ = grid.nearest_theta(param_values(true_process.theta_star))
-    target = param_values(true_process.psi_target_star)[None, :]
+    target = param_values(true_process.psi_target_star)
     value = 0.0
-    for z in proxy_model.payloads:
-        proxy = proxy_model.observation(z)
+    for z_ll in np.asarray(proxy_table, dtype=float):
         if proxy_expectation == "subjective":
-            z_mass = np.exp(logsumexp(proxy_loglik_vector(proxy, grid.psi_nodes)
-                                      + grid.log_psi_prior()))
+            z_mass = np.exp(logsumexp(z_ll + grid.log_psi_prior()))
         else:
-            z_mass = np.exp(proxy_loglik_vector(proxy, target)[0])
+            (b_target,) = [b for b, node in enumerate(grid.psi_nodes)
+                           if np.array_equal(node, target)]
+            z_mass = np.exp(z_ll[b_target])
         if z_mass == 0.0:
             continue
         for d, data, pd, _ in _datasets(model, true_process):
             problem = GridProblem(model, data, grid)
             if weights_provider is None:
-                w = refine_relevance(problem, proxy_loglik_vector(proxy, grid.psi_nodes)
-                                     ).weights_per_psi
+                w = refine_relevance(problem, z_ll).weights_per_psi
             else:
                 w = weights_provider(d[None, :])[0]
-            post = r_weighted_posterior(problem, w, proxy_loglik_vector(proxy, grid.psi_nodes))
+            post = r_weighted_posterior(problem, w, z_ll)
             value += z_mass * pd * _log_ratio(grid, post, a_star)
     return float(value)
 

@@ -19,7 +19,7 @@ from numpy.testing import assert_allclose
 import _scalar_reference as ref
 from relbayes import inference
 from relbayes.diagnostics import (DeltaRweighted, DiagnosticsReport,
-                                  ProxyModel, ToyEnumeration, TrueProcess,
+                                  ToyEnumeration, TrueProcess,
                                   check_prop55, check_theorem24,
                                   delta_classic, delta_rweighted, entropy,
                                   info_gain_classic, info_gain_rweighted,
@@ -95,14 +95,10 @@ def _toy_instance(seed, n_theta=2, n_psi=2, n_out=2, n_obs=2, a_star=0):
 
 
 def _endorse_proxy(rng, n_psi):
-    """Two-payload proxy whose endorsement rate depends on the psi node."""
+    """(Z, B) table of a two-payload proxy whose endorsement rate depends on
+    the psi node: payload 0 rejects, payload 1 endorses."""
     probs = rng.uniform(0.2, 0.8, size=n_psi)
-
-    def ll(payload, psi_nodes):
-        p = probs[psi_nodes[:, 0].astype(int)]
-        return np.log(p) if payload == 1 else np.log1p(-p)
-
-    return ProxyModel(log_likelihood=ll, payloads=(0, 1)), probs
+    return np.stack([np.log1p(-probs), np.log(probs)]), probs
 
 
 def _table_weights_provider(g):
@@ -209,8 +205,7 @@ class TestInfoGainRweighted:
         """No data and no proxy information leaves the posterior at the
         prior, so the expected log-ratio is exactly zero."""
         model, grid, truth, _, rng = _toy_instance(RNG_SEED)
-        flat = ProxyModel(log_likelihood=lambda z, psi_nodes: np.zeros(len(psi_nodes)),
-                          payloads=(0,))
+        flat = np.zeros((1, grid.n_psi))
         got = info_gain_rweighted(
             ToyEnumeration(model, truth, grid), flat,
             weights_provider=_constant_provider(grid.n_psi, 0.0))
@@ -225,8 +220,7 @@ class TestInfoGainRweighted:
         grid = toy_grid(2, 1, theta_prior=rng.dirichlet(np.full(2, 5.0)))
         truth = TrueProcess(SharedParam(1.0), (TaskParam(0.0), TaskParam(0.0)),
                             TaskParam(0.0))
-        flat = ProxyModel(log_likelihood=lambda z, psi_nodes: np.zeros(len(psi_nodes)),
-                          payloads=(0,))
+        flat = np.zeros((1, grid.n_psi))
         record = ToyEnumeration(model, truth, grid)
         ig_r = info_gain_rweighted(record, flat, weights_provider=_constant_provider(1, 1.0))
         ig_c = info_gain_classic(record, np.array([1.0]))
@@ -234,9 +228,9 @@ class TestInfoGainRweighted:
 
     def test_matches_direct_enumeration_with_proxy(self):
         model, grid, truth, table, rng = _toy_instance(RNG_SEED + 1)
-        proxy_model, probs = _endorse_proxy(rng, grid.n_psi)
+        proxy_table, probs = _endorse_proxy(rng, grid.n_psi)
         g = rng.uniform(0.1, 0.9, size=(grid.n_psi, 2))
-        got = info_gain_rweighted(ToyEnumeration(model, truth, grid), proxy_model,
+        got = info_gain_rweighted(ToyEnumeration(model, truth, grid), proxy_table,
                                   weights_provider=_table_weights_provider(g))
 
         a_star = 0
@@ -264,26 +258,26 @@ class TestInfoGainRweighted:
 
     def test_true_expectation_reweights_proxy(self):
         model, grid, truth, _, rng = _toy_instance(RNG_SEED + 2)
-        proxy_model, probs = _endorse_proxy(rng, grid.n_psi)
+        proxy_table, probs = _endorse_proxy(rng, grid.n_psi)
         record = ToyEnumeration(model, truth, grid)
         kwargs = dict(weights_provider=_constant_provider(grid.n_psi, 1.0))
-        subj = info_gain_rweighted(record, proxy_model, **kwargs)
-        true = info_gain_rweighted(record, proxy_model, proxy_expectation="true", **kwargs)
+        subj = info_gain_rweighted(record, proxy_table, **kwargs)
+        true = info_gain_rweighted(record, proxy_table, proxy_expectation="true", **kwargs)
         # endorsement rates differ across nodes, so the two z-averages differ
         assert abs(subj - true) > 1e-12
 
     def test_unknown_expectation_mode_raises(self):
         model, grid, truth, _, rng = _toy_instance(RNG_SEED)
-        proxy_model, _ = _endorse_proxy(rng, grid.n_psi)
+        proxy_table, _ = _endorse_proxy(rng, grid.n_psi)
         with pytest.raises(ValueError, match="proxy_expectation"):
-            info_gain_rweighted(ToyEnumeration(model, truth, grid), proxy_model,
+            info_gain_rweighted(ToyEnumeration(model, truth, grid), proxy_table,
                                 proxy_expectation="both")
 
     def test_refinement_builds_one_grid_problem_per_dataset(self, monkeypatch):
         """Both payloads refine on the same dataset's grid problem: 16
         datasets of n = 4 binary outcomes make 16 model evaluations, not 32."""
         model, grid, truth, _, rng = _toy_instance(RNG_SEED + 13, n_out=2, n_obs=4)
-        proxy_model, _ = _endorse_proxy(rng, grid.n_psi)
+        proxy_table, _ = _endorse_proxy(rng, grid.n_psi)
         record = ToyEnumeration(model, truth, grid)
         calls = []
 
@@ -293,19 +287,18 @@ class TestInfoGainRweighted:
 
         for module in ("inference", "relevance", "diagnostics"):
             monkeypatch.setattr(f"relbayes.{module}.loglik_tensor", counting)
-        got = info_gain_rweighted(record, proxy_model)
+        got = info_gain_rweighted(record, proxy_table)
         monkeypatch.undo()
-        assert len(proxy_model.payloads) == 2 and record.datasets.shape == (16, 4)
+        assert len(proxy_table) == 2 and record.datasets.shape == (16, 4)
         assert len(calls) == 16
-        want = ref.info_gain_rweighted(model, truth, grid, proxy_model)
+        want = ref.info_gain_rweighted(model, truth, grid, proxy_table)
         assert_allclose(got, want, rtol=0, atol=1e-13)
 
-    def test_refinement_evaluates_the_proxy_once_per_payload(self, monkeypatch):
+    def test_refinement_reads_the_table_and_evaluates_no_proxy(self, monkeypatch):
         """Every (payload, dataset) refinement reads its payload's row of the
-        one (Z, B) proxy table, so the subjective expectation evaluates the
-        proxy once per payload, not once more per live pair."""
+        (Z, B) proxy table the caller passes, so no proxy is evaluated."""
         model, grid, truth, _, rng = _toy_instance(RNG_SEED + 13, n_out=2, n_obs=4)
-        proxy_model, _ = _endorse_proxy(rng, grid.n_psi)
+        proxy_table, _ = _endorse_proxy(rng, grid.n_psi)
         record = ToyEnumeration(model, truth, grid)
         original = inference.proxy_loglik_vector
         calls = []
@@ -318,10 +311,10 @@ class TestInfoGainRweighted:
             if name.split(".")[0] == "relbayes" and \
                     getattr(module, "proxy_loglik_vector", None) is original:
                 monkeypatch.setattr(module, "proxy_loglik_vector", counting)
-        got = info_gain_rweighted(record, proxy_model)
+        got = info_gain_rweighted(record, proxy_table)
         monkeypatch.undo()
-        assert len(calls) == len(proxy_model.payloads) == 2
-        want = ref.info_gain_rweighted(model, truth, grid, proxy_model)
+        assert calls == []
+        want = ref.info_gain_rweighted(model, truth, grid, proxy_table)
         assert_allclose(got, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("mode", ["subjective", "true"])
@@ -331,19 +324,47 @@ class TestInfoGainRweighted:
         oracle runs refine_relevance on one SourceData per dataset."""
         model, grid, truth, _, rng = _toy_instance(RNG_SEED + 12, n_theta=3, n_psi=3,
                                                    n_out=3, n_obs=3)
-        proxy_model, _ = _endorse_proxy(rng, grid.n_psi)
-        got = info_gain_rweighted(ToyEnumeration(model, truth, grid), proxy_model,
+        proxy_table, _ = _endorse_proxy(rng, grid.n_psi)
+        got = info_gain_rweighted(ToyEnumeration(model, truth, grid), proxy_table,
                                   proxy_expectation=mode)
-        want = ref.info_gain_rweighted(model, truth, grid, proxy_model,
+        want = ref.info_gain_rweighted(model, truth, grid, proxy_table,
                                        proxy_expectation=mode)
         assert_allclose(got, want, rtol=0, atol=1e-13)
 
     def test_provider_weights_shape_validated(self):
         model, grid, truth, _, rng = _toy_instance(RNG_SEED)
-        proxy_model, _ = _endorse_proxy(rng, grid.n_psi)
+        proxy_table, _ = _endorse_proxy(rng, grid.n_psi)
         with pytest.raises(ValueError, match="shape"):
-            info_gain_rweighted(ToyEnumeration(model, truth, grid), proxy_model,
+            info_gain_rweighted(ToyEnumeration(model, truth, grid), proxy_table,
                                 weights_provider=lambda d: np.ones((grid.n_psi, truth.n)))
+
+    def test_proxy_table_rows_checked(self):
+        """Each row is checked as a grid engine checks its proxy vector."""
+        model, grid, truth, _, rng = _toy_instance(RNG_SEED, n_psi=3)
+        record = ToyEnumeration(model, truth, grid)
+        table, _ = _endorse_proxy(rng, grid.n_psi)
+        nan = table.copy()
+        nan[1, 2] = np.nan
+        for bad, error, match in [
+                (0.0, ValueError, r"shape \(\), expected \(3,\)"),
+                (table[0], ValueError, r"shape \(\), expected \(3,\)"),
+                (table[:, :-1], ValueError, r"shape \(2,\), expected \(3,\)"),
+                (nan, FloatingPointError, "NaN proxy log-likelihood at psi node index 2")]:
+            with pytest.raises(error, match=match):
+                info_gain_rweighted(record, bad,
+                                    weights_provider=_constant_provider(grid.n_psi, 1.0))
+
+    def test_true_expectation_needs_target_on_a_psi_node(self):
+        model, grid, truth, _, rng = _toy_instance(RNG_SEED)
+        off_node = TrueProcess(truth.theta_star, truth.psi_star, TaskParam(0.5))
+        table, _ = _endorse_proxy(rng, grid.n_psi)
+        record = ToyEnumeration(model, off_node, grid)
+        with pytest.raises(ValueError, match="not a psi node"):
+            info_gain_rweighted(record, table, proxy_expectation="true",
+                                weights_provider=_constant_provider(grid.n_psi, 1.0))
+        # the subjective expectation never reads the target
+        info_gain_rweighted(record, table,
+                            weights_provider=_constant_provider(grid.n_psi, 1.0))
 
 
 class TestDeltaClassic:
@@ -631,9 +652,9 @@ class TestToyDiagnosticsReport:
     def _report(self, seed):
         model, grid, truth, _, rng = _toy_instance(seed, n_out=3, n_obs=2)
         src = rng.dirichlet(np.full(grid.n_psi, 3.0))
-        proxy_model, _ = _endorse_proxy(rng, grid.n_psi)
+        proxy_table, _ = _endorse_proxy(rng, grid.n_psi)
         g = rng.uniform(0, 1, size=(grid.n_psi, 3))
-        return toy_diagnostics_report(model, truth, grid, src, proxy_model,
+        return toy_diagnostics_report(model, truth, grid, src, proxy_table,
                                       _table_weights_provider(g))
 
     def test_report_is_internally_consistent(self):
@@ -701,22 +722,22 @@ class TestImpossibleOutcome:
         model, grid, truth = self._instance()
         rng = np.random.default_rng(RNG_SEED)
         provider = _table_weights_provider(rng.uniform(0.1, 0.9, size=(2, 3)))
-        proxy_model, _ = _endorse_proxy(rng, 2)
+        proxy_table, _ = _endorse_proxy(rng, 2)
         src = grid.psi_prior_mass
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             record = ToyEnumeration(model, truth, grid)
             check = check_prop55(record, provider)
             bound = check_theorem24(record, src)
-            report = toy_diagnostics_report(model, truth, grid, src, proxy_model, provider)
-            ig_r = info_gain_rweighted(record, proxy_model, weights_provider=provider)
+            report = toy_diagnostics_report(model, truth, grid, src, proxy_table, provider)
+            ig_r = info_gain_rweighted(record, proxy_table, weights_provider=provider)
         for field, value in ref.check_prop55(model, truth, grid, provider).items():
             assert_allclose(getattr(check, field), value, rtol=0, atol=1e-13)
         assert abs(check.residual) < 1e-9
         assert np.isfinite(bound.info_gain) and np.isfinite(bound.kl_excluded_mixture)
         assert bound.satisfied
         assert_allclose(ig_r, ref.info_gain_rweighted(
-            model, truth, grid, proxy_model, weights_provider=provider),
+            model, truth, grid, proxy_table, weights_provider=provider),
             rtol=0, atol=1e-13)
         assert all(np.isfinite(getattr(report, f)) for f in (
             "ig_classic", "ig_rweighted", "delta_classic", "delta_rweighted",
@@ -728,7 +749,7 @@ def test_enumeration_matches_per_dataset_loops_on_toy_verify_instances():
     """Every field of the gather-and-reduce diagnostics against the loops it
     replaced, on the 100 criterion-1 instances of toy_verify_instance."""
     for i in range(100):
-        model, truth, grid, _, provider, proxy_model = \
+        model, truth, grid, _, provider, proxy_table = \
             toy_verify_instance(np.random.default_rng(1000 + i))
         src = grid.psi_prior_mass
         record = ToyEnumeration(model, truth, grid)
@@ -737,9 +758,9 @@ def test_enumeration_matches_per_dataset_loops_on_toy_verify_instances():
             assert_allclose(getattr(check, field), value, rtol=0, atol=1e-13,
                             err_msg=f"instance {i}, {field}")
         for mode in ("subjective", "true"):
-            got = info_gain_rweighted(record, proxy_model,
+            got = info_gain_rweighted(record, proxy_table,
                                       weights_provider=provider, proxy_expectation=mode)
-            want = ref.info_gain_rweighted(model, truth, grid, proxy_model,
+            want = ref.info_gain_rweighted(model, truth, grid, proxy_table,
                                            weights_provider=provider, proxy_expectation=mode)
             assert_allclose(got, want, rtol=0, atol=1e-13,
                             err_msg=f"instance {i}, {mode}")

@@ -31,9 +31,8 @@ from relbayes.harness.config import (ConfigError, ExperimentConfig,
                                      parse_config_text)
 from relbayes.harness.csvio import (emit_csv, format_value, parse_value,
                                     read_csv)
-from relbayes.harness.runner import (RunFailureError, SimulationResult,
-                                     results_rows, run_experiment, summary_rows,
-                                     write_run_outputs)
+from relbayes.harness.runner import (RunFailureError, results_rows, run_experiment,
+                                     summary_rows, write_run_outputs)
 from relbayes.harness.smoking import (EXPECTED_STUDIES, SmokingRecord,
                                       arms_by_study, ingest_smoking_csv,
                                       packaged_smoking_path, partition_rows,
@@ -462,11 +461,6 @@ class TestRunExperiment:
         assert summary["count"] == 5
         metadata = (tmp_path / "run_metadata.txt").read_text()
         assert "failed simulations: 1 of 6" in metadata
-
-    def test_advantage_consistency_enforced(self):
-        with pytest.raises(ValueError, match="advantage"):
-            SimulationResult(seed=0, ig_classic=1.0, ig_rweighted=2.0,
-                             advantage=0.5, diagnostics=None, wall_time_ms=1)
 
     def test_smoking_rejected_by_run_experiment(self):
         config = ExperimentConfig(experiment="smoking")

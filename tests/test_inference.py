@@ -649,6 +649,20 @@ class TestChainGridTv:
         tv = chain_grid_tv(chain, table, coarsen=2, marginal="theta")
         assert tv < 0.02
 
+    @pytest.mark.parametrize("marginal", [None, "theta", "psi"])
+    def test_samples_off_the_grid_count_in_full(self, marginal):
+        """90% of the chain sits far outside the grid, where the table has
+        no mass, so the distance is at least 0.9."""
+        grid = ParameterGrid(np.linspace(-2, 2, 8)[:, None], np.linspace(-2, 2, 8)[:, None],
+                             np.full(8, 1 / 8), np.full(8, 1 / 8))
+        table = PosteriorTable(grid=grid, joint_mass=np.full((8, 8), 1 / 64), log_evidence=0.0)
+        a, b = np.divmod(np.random.default_rng(RNG_SEED).integers(64, size=20000), 8)
+        chain = McmcChainStub(
+            np.concatenate([grid.theta_nodes[a], np.full((180000, 1), 50.0)]),
+            np.concatenate([grid.psi_nodes[b], np.full((180000, 1), 50.0)]))
+        # 0.9 exactly when no bin holds more than its table mass; allow rounding
+        assert chain_grid_tv(chain, table, coarsen=2, marginal=marginal) >= 0.9 - 1e-12
+
     def test_unknown_marginal_rejected(self):
         """A misspelt marginal must not fall through to the joint."""
         table = self._table()

@@ -39,10 +39,10 @@ def test_tracer_binds_every_target_and_uninstalls(monkeypatch):
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        model, truth, grid, _, provider, proxy_model = \
+        model, truth, grid, _, provider, proxy_table = \
             relbayes.harness.runner.toy_verify_instance(np.random.default_rng(1000))
         relbayes.diagnostics.toy_diagnostics_report(model, truth, grid, grid.psi_prior_mass,
-                                                    proxy_model, provider)
+                                                    proxy_table, provider)
     finally:
         tracer.uninstall()
         monkeypatch.delitem(sys.modules, "tracer", raising=False)
@@ -64,6 +64,8 @@ def test_tracer_binds_every_target_and_uninstalls(monkeypatch):
     # one enumeration record per report: the full-grid table, the theta* row
     # and the theta*, psi*_i table, one model evaluation each
     assert stats["models.loglik_tensor"].calls == 3
+    # the report reads the proxy as the (Z, B) table it is passed
+    assert stats["inference.proxy_loglik_vector"].calls == 0
 
 
 @pytest.mark.filterwarnings("ignore:acceptance rate")

@@ -20,7 +20,7 @@ from relbayes.relevance import (DegenerateRelevanceError, RelevanceConfigError,
                                 prior_expected_relevance, refine_relevance,
                                 sigmoid_ratio_relevance)
 from relbayes.synthetic import GpScenario, LinearScenario, gen_expert_proxy, \
-    gen_gp_trajectories, gen_linear_instance
+    gen_gp_trajectories, gen_linear_instance, task_rng
 
 RNG_SEED = 20260817
 
@@ -284,7 +284,7 @@ class TestComputeOnce:
     def _instance(self):
         inst = gen_linear_instance(
             LinearScenario(multicollinearity=2.0, n_outcome=20, n_proxy_prompts=10,
-                           contamination_pct=20.0), 5)
+                           contamination_pct=20.0), task_rng(5, 0))
         return linear_model(), inst.source, _linear_grid(np.random.default_rng(RNG_SEED)), \
             inst.proxy
 

@@ -47,9 +47,9 @@ class TestTaskRng:
 
 class TestLinearCovariates:
     def test_shape_and_determinism(self):
-        x = gen_linear_covariates(1.0, 50, 7)
+        x = gen_linear_covariates(1.0, 50, task_rng(7, 0))
         assert x.shape == (50, 2)
-        again = gen_linear_covariates(1.0, 50, 7)
+        again = gen_linear_covariates(1.0, 50, task_rng(7, 0))
         assert_allclose(x, again, rtol=0, atol=0)
 
     def test_independent_columns_at_zero_collinearity(self):
@@ -87,7 +87,7 @@ class TestLinearCovariates:
 
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
-            gen_linear_covariates(1.0, 0, 0)
+            gen_linear_covariates(1.0, 0, task_rng(0, 0))
 
 
 def _scalar_agreement(model, prompt, psi, theta_nodes=None, theta_prior=None):
@@ -331,7 +331,7 @@ class TestExpertProxy:
         """The draw order (contamination positions first, then one binomial
         per prompt in order) fixes every rating for a given stream."""
         inst = gen_linear_instance(
-            LinearScenario(multicollinearity=2.0, contamination_pct=25.0), 11)
+            LinearScenario(multicollinearity=2.0, contamination_pct=25.0), task_rng(11, 0))
         assert inst.proxy.payload == (5, 2, 7, 5, 7, 4, 6, 4, 7, 7, 5, 1, 2, 0, 3,
                                       7, 1, 2, 3, 0, 6, 4, 6, 3, 2)
         model, prompts, nodes, _ = _gp_prompt_setup()
@@ -341,12 +341,12 @@ class TestExpertProxy:
 
     def test_empty_prompt_list_rejected(self):
         with pytest.raises(ValueError):
-            gen_expert_proxy(linear_model(), [], 0.0, 0.0, 0)
+            gen_expert_proxy(linear_model(), [], 0.0, 0.0, task_rng(0, 0))
 
 
 class TestLinearInstance:
     def test_default_scenario_layout(self):
-        inst = gen_linear_instance(LinearScenario(), 42)
+        inst = gen_linear_instance(LinearScenario(), task_rng(42, 0))
         assert inst.source.n == 75
         assert len(inst.prompts) == 25
         assert len(inst.proxy.payload) == 25
@@ -354,31 +354,31 @@ class TestLinearInstance:
         assert inst.theta_star.value[0] == -1.0
 
     def test_full_resemblance_copies_target_everywhere(self):
-        inst = gen_linear_instance(LinearScenario(target_resemblance_pct=100.0), 7)
+        inst = gen_linear_instance(LinearScenario(target_resemblance_pct=100.0), task_rng(7, 0))
         target = inst.psi_target_star.value[0]
         assert all(p.value[0] == target for p in inst.psi_star)
 
     def test_zero_resemblance_keeps_sources_at_prior_mean(self):
-        inst = gen_linear_instance(LinearScenario(target_resemblance_pct=0.0), 7)
+        inst = gen_linear_instance(LinearScenario(target_resemblance_pct=0.0), task_rng(7, 0))
         assert all(p.value[0] == 0.0 for p in inst.psi_star)
 
     def test_partial_resemblance_count_is_exact(self):
-        inst = gen_linear_instance(LinearScenario(target_resemblance_pct=40.0), 9)
+        inst = gen_linear_instance(LinearScenario(target_resemblance_pct=40.0), task_rng(9, 0))
         target = inst.psi_target_star.value[0]
         n_like = sum(1 for p in inst.psi_star if p.value[0] == target)
         assert n_like == 30                       # round(0.4 * 75)
 
     def test_instances_are_deterministic(self):
-        a = gen_linear_instance(LinearScenario(multicollinearity=2.0), 11)
-        b = gen_linear_instance(LinearScenario(multicollinearity=2.0), 11)
+        a = gen_linear_instance(LinearScenario(multicollinearity=2.0), task_rng(11, 0))
+        b = gen_linear_instance(LinearScenario(multicollinearity=2.0), task_rng(11, 0))
         ya = [o.outcome for o in a.source]
         yb = [o.outcome for o in b.source]
         assert_allclose(ya, yb, rtol=0, atol=0)
         assert a.proxy.payload == b.proxy.payload
 
     def test_different_seeds_differ(self):
-        a = gen_linear_instance(LinearScenario(), 1)
-        b = gen_linear_instance(LinearScenario(), 2)
+        a = gen_linear_instance(LinearScenario(), task_rng(1, 0))
+        b = gen_linear_instance(LinearScenario(), task_rng(2, 0))
         assert a.psi_target_star.value[0] != b.psi_target_star.value[0]
 
     def test_scenario_validation(self):
@@ -392,7 +392,7 @@ class TestLinearInstance:
 
 class TestGpTrajectories:
     def test_default_layout(self):
-        inst = gen_gp_trajectories(GpScenario(), 3)
+        inst = gen_gp_trajectories(GpScenario(), task_rng(3, 0))
         assert len(inst.prompts) == 8
         assert inst.source.n == 8
         assert len(inst.psi_star) == 8
@@ -404,20 +404,20 @@ class TestGpTrajectories:
         """m_target = 12 covers the first 8 trajectories, which become the
         prompts, while the last 8 (indices 16..23) are source tasks with
         their own task draws."""
-        inst = gen_gp_trajectories(GpScenario(), 3)
+        inst = gen_gp_trajectories(GpScenario(), task_rng(3, 0))
         target = inst.psi_target_star.value[0]
         assert all(p.value[0] != target for p in inst.psi_star)
 
     def test_all_target_scenario_floods_the_source(self):
         inst = gen_gp_trajectories(GpScenario(n_trajectories=10, m_target=10,
-                                              m_source=4, resolution=5), 3)
+                                              m_source=4, resolution=5), task_rng(3, 0))
         target = inst.psi_target_star.value[0]
         assert all(p.value[0] == target for p in inst.psi_star)
         assert inst.source.n == 4
 
     def test_zero_source_keeps_everything(self):
         inst = gen_gp_trajectories(GpScenario(n_trajectories=6, m_target=3,
-                                              m_source=0, resolution=5), 3)
+                                              m_source=0, resolution=5), task_rng(3, 0))
         assert len(inst.prompts) == 0
         assert inst.source.n == 6
 
@@ -425,13 +425,13 @@ class TestGpTrajectories:
         scenario = GpScenario(n_trajectories=1, m_target=1, m_source=0,
                               resolution=5)
         draws = np.stack([
-            gen_gp_trajectories(scenario, s).source[0].outcome
+            gen_gp_trajectories(scenario, task_rng(s, 0)).source[0].outcome
             for s in range(400)])
         assert_allclose(draws.var(axis=0), 1.0, atol=0.15)
 
     def test_deterministic(self):
-        a = gen_gp_trajectories(GpScenario(), 17)
-        b = gen_gp_trajectories(GpScenario(), 17)
+        a = gen_gp_trajectories(GpScenario(), task_rng(17, 0))
+        b = gen_gp_trajectories(GpScenario(), task_rng(17, 0))
         assert_allclose(a.source[0].outcome, b.source[0].outcome, rtol=0, atol=0)
         assert a.psi_target_star.value[0] == b.psi_target_star.value[0]
 
@@ -449,20 +449,20 @@ class TestGpTrajectories:
 class TestImpreciseEstimateProxy:
     def test_unbiased_estimates_track_the_target(self):
         draws = np.array([
-            gen_imprecise_estimate_proxy(1.3, 0.1, False, s).payload
+            gen_imprecise_estimate_proxy(1.3, 0.1, False, task_rng(s, 0)).payload
             for s in range(10_000)])
         assert_allclose(draws.mean(), 1.3, atol=0.005)
         assert_allclose(draws.std(), 0.1, atol=0.01)
 
     def test_bias_inflates_variance(self):
         draws = np.array([
-            gen_imprecise_estimate_proxy(0.0, 0.5, True, s).payload
+            gen_imprecise_estimate_proxy(0.0, 0.5, True, task_rng(s, 0)).payload
             for s in range(4000)])
         # variance sigma^2 + 3^2 once the bias draw is included
         assert_allclose(draws.var(), 9.25, atol=1.0)
 
     def test_likelihood_is_exact_normal_density(self):
-        proxy = gen_imprecise_estimate_proxy(0.7, 3.0, False, 0)
+        proxy = gen_imprecise_estimate_proxy(0.7, 3.0, False, task_rng(0, 0))
         z = proxy.payload
         at_center = proxy.proxy_log_likelihood(z, np.array([[z]]))[0]
         assert_allclose(at_center, -0.5 * LOG_2PI - np.log(3.0), rtol=0,
@@ -472,8 +472,8 @@ class TestImpreciseEstimateProxy:
 
     def test_learner_model_ignores_the_bias(self):
         """The bias corrupts the draw, never the learner's likelihood."""
-        clean = gen_imprecise_estimate_proxy(0.0, 1.0, False, 5)
-        biased = gen_imprecise_estimate_proxy(0.0, 1.0, True, 5)
+        clean = gen_imprecise_estimate_proxy(0.0, 1.0, False, task_rng(5, 0))
+        biased = gen_imprecise_estimate_proxy(0.0, 1.0, True, task_rng(5, 0))
         psi = np.array([[0.4]])
         want = -0.5 * LOG_2PI - 0.5 * (clean.payload - 0.4) ** 2
         assert_allclose(clean.proxy_log_likelihood(clean.payload, psi), want,
@@ -484,11 +484,11 @@ class TestImpreciseEstimateProxy:
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
-            gen_imprecise_estimate_proxy(0.0, 0.0, False, 0)
+            gen_imprecise_estimate_proxy(0.0, 0.0, False, task_rng(0, 0))
         with pytest.raises(ValueError):
-            gen_imprecise_estimate_proxy(0.0, -1.0, False, 0)
+            gen_imprecise_estimate_proxy(0.0, -1.0, False, task_rng(0, 0))
 
     def test_deterministic(self):
-        a = gen_imprecise_estimate_proxy(0.2, 0.5, True, 9)
-        b = gen_imprecise_estimate_proxy(0.2, 0.5, True, 9)
+        a = gen_imprecise_estimate_proxy(0.2, 0.5, True, task_rng(9, 0))
+        b = gen_imprecise_estimate_proxy(0.2, 0.5, True, task_rng(9, 0))
         assert a.payload == b.payload
