@@ -9,8 +9,10 @@ Subcommands:
                    all three proxy modes)
   plot CSV [CSV..] boxplot SVG from previously emitted results
 
-Flags --seed, --out, --jobs, --grid override the corresponding config
-values.  Exit codes: 0 success, 1 invalid input, 2 runtime failure.
+Flags --seed, --out, --jobs override the corresponding config values;
+run also takes --grid, which only the experiments with a parameter grid
+(linear, gp) accept.  Exit codes: 0 success, 1 invalid input, 2 runtime
+failure.
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="master seed override")
     common.add_argument("--out", type=str, default=None, help="output directory")
     common.add_argument("--jobs", type=int, default=None, help="parallel workers")
-    common.add_argument("--grid", type=int, default=None, help="grid resolution")
 
     p_run = sub.add_parser("run", parents=[common], help="run a configured experiment")
+    p_run.add_argument("--grid", type=int, default=None,
+                       help="grid resolution (linear and gp only)")
     p_run.add_argument("config", type=str, help="path to a key = value config file")
 
     sub.add_parser("verify", parents=[common],
@@ -98,7 +101,7 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     config = apply_overrides(
         ExperimentConfig(experiment="toy-verify", n_simulations=20),
-        seed=args.seed, out=args.out, jobs=args.jobs, grid=args.grid)
+        seed=args.seed, out=args.out, jobs=args.jobs)
     results = run_experiment(config)
     write_run_outputs(config, results)
     failures = 0

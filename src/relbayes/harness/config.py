@@ -8,16 +8,20 @@ ignored.
 Schema (defaults in parentheses):
 
   common       experiment {linear|gp|smoking|toy-verify}; n_simulations (50);
-               master_seed (0); grid_resolution (101); output_dir (results);
-               parallelism (1); label (auto)
-  linear       multicollinearity (0); n_outcome (75); n_proxy_prompts (25);
-               target_resemblance_pct (100); contamination_pct (0)
-  gp           n_trajectories (24); m_target (12); m_source (8);
-               resolution (10); theta_star (1.0); contamination_pct (0);
-               refinement_T (3); grid_resolution defaults to 10 here
+               master_seed (0); output_dir (results); parallelism (1);
+               label (auto)
+  linear       grid_resolution (101); multicollinearity (0); n_outcome (75);
+               n_proxy_prompts (25); target_resemblance_pct (100);
+               contamination_pct (0)
+  gp           grid_resolution (10); n_trajectories (24); m_target (12);
+               m_source (8); resolution (10); theta_star (1.0);
+               contamination_pct (0); refinement_T (3)
   smoking      smoking_csv (packaged dataset); proxy_mode {weak|strong|
                misleading|all} (all); mcmc_samples (20000)
   toy-verify   no extra keys
+
+smoking and toy-verify have no parameter grid, so grid_resolution, in a
+file or as the --grid override, is an error for them.
 """
 
 from __future__ import annotations
@@ -101,11 +105,11 @@ class ExperimentConfig:
 
 
 _SCENARIOS = {"linear": LinearScenario, "gp": GpScenario}
-_COMMON_KEYS = {"experiment", "n_simulations", "master_seed", "grid_resolution",
-                "output_dir", "parallelism", "label"}
+_COMMON_KEYS = {"experiment", "n_simulations", "master_seed", "output_dir",
+                "parallelism", "label"}
 _EXPERIMENT_KEYS = {
-    "linear": {f.name for f in fields(LinearScenario)},
-    "gp": {f.name for f in fields(GpScenario)},
+    "linear": {"grid_resolution", *(f.name for f in fields(LinearScenario))},
+    "gp": {"grid_resolution", *(f.name for f in fields(GpScenario))},
     "smoking": {"smoking_csv", "proxy_mode", "mcmc_samples"},
     "toy-verify": set(),
 }
@@ -177,6 +181,9 @@ def apply_overrides(config: ExperimentConfig, seed=None, out=None, jobs=None,
     if jobs is not None:
         updates["parallelism"] = int(jobs)
     if grid is not None:
+        if "grid_resolution" not in _EXPERIMENT_KEYS[config.experiment]:
+            raise ConfigError(f"--grid does not apply to experiment "
+                              f"{config.experiment!r}, which has no parameter grid")
         updates["grid_resolution"] = int(grid)
     return replace(config, **updates) if updates else config
 

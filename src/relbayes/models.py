@@ -389,11 +389,13 @@ def gp_model(x_grid) -> ModelSpec:
     classic and r-weighted tensors, the expert prompts, and the mode-density
     normaliser of every refinement round; the model that draws the
     trajectories asks for (theta*, psi*) once per target-task trajectory.
-    So the model keeps the last two node products it factored, keyed on the
-    exact bytes of the node arrays, and simulate draws from the same kept
-    factors; two slots hold the full grid and the (theta grid, psi*)
-    product the expert proxy is drawn at.  The kernel is symmetric in the
-    two lengthscales, so a kept entry holds the Cholesky factors and
+    So the model keeps the two most recently used node products, keyed on
+    the exact bytes of the node arrays, and simulate draws from the same
+    kept factors; two slots hold the full grid and the (theta grid, psi*)
+    product the expert proxy is drawn at, and a learner model kept across
+    simulations keeps the grid while each simulation's psi* product
+    replaces the last one.  The kernel is symmetric in the two
+    lengthscales, so a kept entry holds the Cholesky factors and
     log-determinants of the product's distinct unordered pairs
     {theta_a, psi_b} only, plus the index of each product cell into them: a
     grid with the same nodes on both axes factors A(A+1)/2 kernels, not
@@ -411,7 +413,7 @@ def gp_model(x_grid) -> ModelSpec:
     sq = (x[:, None] - x[None, :]) ** 2
     diag = np.arange(m)
     support = np.array([[0.05, 12.0]])
-    kept = []       # [(key, factor (m, m, U), log-dets (U,), index (A*B,))], newest last
+    kept = []       # [(key, factor (m, m, U), log-dets (U,), index (A*B,))], most recent last
 
     def _batch_chol(thetas, psis):
         """Kernel Cholesky factors of the distinct lengthscale pairs of the
@@ -466,8 +468,11 @@ def gp_model(x_grid) -> ModelSpec:
         th = np.asarray(thetas, dtype=float)
         ps = np.asarray(psis, dtype=float)
         key = (th.shape, th.tobytes(), ps.shape, ps.tobytes())
-        for entry in kept:
+        for i, entry in enumerate(kept):
             if entry[0] == key:
+                # a hit becomes the most recently used, so a simulation's new
+                # (theta grid, psi*) product evicts the older one, not the grid
+                kept.append(kept.pop(i))
                 return entry[1:]
         chol, index = _batch_chol(th, ps)
         log_det = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)

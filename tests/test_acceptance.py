@@ -361,6 +361,16 @@ class TestCriterion8Determinism:
         _verdict("criterion 8, linear determinism", ok,
                  f"results.csv {len(ra)} bytes, jobs 1 vs 2")
 
+    def test_gp_rows_identical_across_jobs(self, tmp_path):
+        ra, rb, sa, sb = self._run_cli_pair(
+            tmp_path,
+            "experiment = gp\nn_simulations = 4\ngrid_resolution = 10\n"
+            "master_seed = 11\n",
+            1, 2)
+        ok = ra == rb and sa == sb
+        _verdict("criterion 8, gp determinism", ok,
+                 f"results.csv {len(ra)} bytes, jobs 1 vs 2")
+
 
 @pytest.mark.slow
 def test_criterion_9_fast_suite_within_budget():

@@ -377,6 +377,22 @@ def test_gp_results_pinned(master_seed):
     assert math.isclose(result.ig_rweighted, ig_r, rel_tol=1e-8)
 
 
+def test_gp_results_do_not_depend_on_earlier_simulations():
+    """The gp learner's kernel factors are kept across simulations in one
+    process; each simulation still gives the bytes it gives run alone."""
+    config = ExperimentConfig(experiment="gp", n_simulations=4, master_seed=1,
+                              grid_resolution=10)
+    warm = run_experiment(config)
+
+    def gains(result):
+        assert result.error is None
+        return np.array([result.ig_classic, result.ig_rweighted]).tobytes()
+
+    for index, result in enumerate(warm):
+        runner_module._gp_learner.cache_clear()
+        assert gains(runner_module._run_single(config, index)) == gains(result), index
+
+
 class TestRunExperiment:
     def test_toy_verify_sweep_is_clean(self):
         results = run_experiment(_toy_config())
@@ -789,6 +805,29 @@ class TestCli:
         assert summary["proxy_mode"] == "weak" and summary["count"] == 3
         assert (out_dir / "boxplot.svg").exists()
         assert "classic baseline" in (out_dir / "run_metadata.txt").read_text()
+
+    @pytest.mark.parametrize("command, experiment", [
+        ("verify", None), ("smoking", None), ("run", "toy-verify"), ("run", "smoking")])
+    def test_grid_flag_rejected_without_parameter_grid(self, tmp_path, capsys,
+                                                       command, experiment):
+        """Toy instances and the smoking study have no parameter grid, so
+        --grid exits 1 with a message naming it, before anything runs."""
+        argv = [command]
+        if experiment is not None:
+            config = tmp_path / "experiment.cfg"
+            config.write_text(f"experiment = {experiment}\n")
+            argv.append(str(config))
+        argv += ["--grid", "7", "--out", str(tmp_path / "out")]
+        assert cli_main(argv) == 1
+        assert "--grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment", ["toy-verify", "smoking"])
+    def test_grid_resolution_key_rejected_without_parameter_grid(self, experiment):
+        with pytest.raises(ConfigError,
+                           match=f"not applicable to experiment '{experiment}': "
+                                 "'grid_resolution'"):
+            parse_config_text(f"experiment = {experiment}\ngrid_resolution = 7\n")
 
     def test_parser_rejects_bad_smoking_mode(self):
         parser = build_parser()

@@ -398,7 +398,8 @@ def batches(monkeypatch):
 
 class TestGpFactorCache:
     """The GP model factors each distinct lengthscale pair of a node product
-    once and keeps the last two products, counted by the batches fixture."""
+    once and keeps the two most recently used products, counted by the
+    batches fixture."""
 
     @staticmethod
     def _data(x, rng, n=3):
@@ -415,6 +416,18 @@ class TestGpFactorCache:
         assert sorted(b for b in batches if b > 1) == [10, 55]
         scenario = config.scenario
         assert batches.count(1) == 1 + scenario.n_trajectories - scenario.m_target
+
+    def test_grid_is_factored_once_per_process(self, batches):
+        """The learner's model is kept across simulations: each simulation
+        factors its own (theta grid, psi*) product, and only the first
+        factors the grid; a second run in the same process factors no grid."""
+        config = ExperimentConfig(experiment="gp", n_simulations=3, master_seed=1,
+                                  grid_resolution=10)
+        assert all(r.error is None for r in run_experiment(config))
+        assert sorted(b for b in batches if b > 1) == [10, 10, 10, 55]
+        before = len(batches)
+        assert all(r.error is None for r in run_experiment(config))
+        assert 55 not in batches[before:]
 
     def test_mode_density_after_tensor_adds_no_factorisation(self, batches):
         x = np.linspace(0.0, 1.0, 7)
@@ -454,13 +467,29 @@ class TestGpFactorCache:
                     (np.array([[1.0], [0.5]]), np.array([[2.0]]))]
         tensors = [loglik_tensor(model, data, th, ps) for th, ps in products]
         assert batches == [2, 3, 2]
-        # the newest two are kept, the first was evicted and is factored anew
+        # the two most recently used are kept, the first was evicted and is
+        # factored anew
         for (th, ps), want in zip(products[1:], tensors[1:]):
             assert_array_equal(loglik_tensor(model, data, th, ps), want)
         assert batches == [2, 3, 2]
         assert_array_equal(loglik_tensor(model, data, *products[0]), tensors[0])
         assert batches == [2, 3, 2, 2]
         assert_array_equal(tensors[0][:, ::-1], tensors[2])
+
+    def test_hit_keeps_the_product_most_recently_used(self, batches):
+        """grid, small product, grid, another small product, grid: each hit
+        on the grid makes it the most recently used, so the second small
+        product evicts the first, and the grid is factored once (evicting
+        the oldest factored product would factor it twice)."""
+        x = np.linspace(0.0, 1.0, 7)
+        model = gp_model(x)
+        data = self._data(x, np.random.default_rng(RNG_SEED))
+        nodes = np.array([[0.5], [1.0], [2.0]])
+        grid = loglik_tensor(model, data, nodes, nodes)
+        for psi in (0.7, 3.0):
+            loglik_tensor(model, data, nodes, np.array([[psi]]))
+            assert_array_equal(loglik_tensor(model, data, nodes, nodes), grid)
+        assert batches == [6, 3, 3]
 
 
 def _gp_columns(x, data, thetas, psis) -> np.ndarray:
