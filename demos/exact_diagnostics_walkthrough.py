@@ -18,15 +18,16 @@ from relbayes import toy_diagnostics_report
 
 rng = np.random.default_rng(SEED)
 # proxy_table is the proxy's (Z, B) log-likelihood table: row z holds
-# log p(z | psi_b) at every task node, for payloads z = 0 (reject) and 1 (endorse)
-model, truth, grid, weight_table, weights_provider, proxy_table = \
-    toy_verify_instance(rng)
+# log p(z | psi_b) at every task node, for payloads z = 0 (reject) and 1 (endorse);
+# weight_table[b, i, o] is observation i's relevance weight at task node b
+# when its outcome is o
+model, truth, grid, weight_table, proxy_table = toy_verify_instance(rng)
 
 print(f"instance: {grid.n_theta} shared nodes, {grid.n_psi} task nodes, "
       f"{truth.n} source observations, {len(proxy_table)} proxy payloads")
 
 report = toy_diagnostics_report(model, truth, grid, grid.psi_prior_mass,
-                                proxy_table, weights_provider)
+                                proxy_table, weight_table)
 
 print(f"""
 information gain, classic learner      {report.ig_classic:+.6f}

@@ -233,10 +233,12 @@ def _expect(mass: np.ndarray, values: np.ndarray) -> np.ndarray:
     return mass[live] @ values[live]
 
 
-def _provider_weights(weights_provider, datasets: np.ndarray, n_psi: int) -> np.ndarray:
-    """The provider's weights for every dataset, checked to shape (M, n_psi, n)."""
-    m, n = datasets.shape
-    return _check_weights(weights_provider(datasets), (m, n_psi, n))
+def _table_weights(record: ToyEnumeration, weight_table) -> np.ndarray:
+    """Every dataset's (M, B, n) weights, gathered from the (B, n, |O|) weight
+    table of check_prop55 after one check of the table."""
+    n = record.datasets.shape[1]
+    table = _check_weights(weight_table, (record.grid.n_psi, n, record.table.shape[0]))
+    return table[:, np.arange(n), record.datasets].transpose(1, 0, 2)
 
 
 def _classic_theta_loglik(record: ToyEnumeration, source_psi_prior) -> np.ndarray:
@@ -267,7 +269,7 @@ def info_gain_classic(record: ToyEnumeration, source_psi_prior, *, loglik=None) 
 
 
 def info_gain_rweighted(record: ToyEnumeration, proxy_table,
-                        weights_provider=None, proxy_expectation: str = "subjective",
+                        weight_table=None, proxy_expectation: str = "subjective",
                         refinement_iterations: int = 3) -> float:
     """Expected log posterior-to-prior ratio at theta* for the weighted learner.
 
@@ -280,11 +282,11 @@ def info_gain_rweighted(record: ToyEnumeration, proxy_table,
     conditions on the true target task parameter instead, which is the
     variant the experiment sweeps report, and reads the table's column at
     the psi node equal to psi_target_star (a target off the nodes raises
-    ValueError).  weights_provider, when given, maps the (M, n)
-    dataset-index array to (M, n_psi, n) weights; without one,
-    refine_relevance runs refinement_iterations rounds once per (payload,
-    dataset) pair of positive probability, on one grid problem per dataset
-    and the payload's row of the table.
+    ValueError).  weight_table, when given, is the (B, n, |O|) table of
+    check_prop55, so each observation's weight depends on its own outcome;
+    without one, refine_relevance runs refinement_iterations rounds once per
+    (payload, dataset) pair of positive probability, on one grid problem per
+    dataset and the payload's row of the table.
     """
     if proxy_expectation not in ("subjective", "true"):
         raise ValueError(f"unknown proxy_expectation {proxy_expectation!r}")
@@ -303,8 +305,8 @@ def info_gain_rweighted(record: ToyEnumeration, proxy_table,
         z_mass = np.exp(z_ll[:, node[0]])
     live = (z_mass[:, None] > 0.0) & (pstar[None, :] > 0.0)                # (Z, M)
 
-    if weights_provider is not None:
-        weights = _provider_weights(weights_provider, datasets, grid.n_psi)[None]
+    if weight_table is not None:
+        weights = _table_weights(record, weight_table)[None]             # (1, M, B, n)
     else:
         weights = np.zeros(live.shape + (grid.n_psi, datasets.shape[1]))   # (Z, M, B, n)
         for m in np.nonzero(live.any(axis=0))[0]:
@@ -369,20 +371,20 @@ def delta_rweighted(record: ToyEnumeration, weights_per_psi) -> DeltaRweighted:
 # theorem-level checks
 # ---------------------------------------------------------------------------
 
-def check_prop55(record: ToyEnumeration, weights_provider) -> Prop55Check:
+def check_prop55(record: ToyEnumeration, weight_table) -> Prop55Check:
     """Verify the effective-sample-size decomposition by exact enumeration.
 
     See Prop55Check for the identity and for why the E[ESS * DIS] term
-    carries a 1/n.  weights_provider(datasets) maps the (M, n) dataset-index
-    array to (M, n_psi, n) weights, so the weights may depend on the
-    realized data; the identity holds regardless.
+    carries a 1/n.  weight_table[b, i, o] in [0, 1] is observation i's
+    weight at psi node b when its outcome is o, so each weight depends on
+    that observation's own outcome; the identity holds regardless.
     """
     grid, datasets, log_pstar = record.grid, record.datasets, record.log_pstar
     n = record.true_process.n
     pstar = np.exp(log_pstar)
     h_true = -float(_expect(pstar, log_pstar))
     lls = np.swapaxes(record.at_theta_star[datasets], 1, 2)              # (M, B, n)
-    w = _provider_weights(weights_provider, datasets, grid.n_psi)        # (M, B, n)
+    w = _table_weights(record, weight_table)                              # (M, B, n)
 
     def expect(terms):                                                   # (M, B) -> float
         return float(_expect(grid.psi_prior_mass, _expect(pstar, terms)))
@@ -438,25 +440,21 @@ def check_theorem24(record: ToyEnumeration, source_psi_prior) -> Theorem24Check:
 
 def toy_diagnostics_report(model: ModelSpec, true_process: TrueProcess,
                            grid: ParameterGrid, source_psi_prior,
-                           proxy_table, weights_provider) -> DiagnosticsReport:
+                           proxy_table, weight_table) -> DiagnosticsReport:
     """Every diagnostic on one toy instance, enumerated exactly.
 
     One ToyEnumeration record is built and every diagnostic reads it.  The
     weighted information gain reads proxy_table, the (Z, B) table of
     info_gain_rweighted, and uses unit weights so it stays comparable
-    across instances; the decomposition check runs under the
-    supplied weights provider, and the weighted divergence under its
-    weights for the first dataset.
+    across instances; the decomposition check runs under weight_table,
+    check_prop55's (B, n, |O|) table keyed by each observation's own
+    outcome, and the weighted divergence under its weights at outcome 0.
     """
     record = ToyEnumeration(model, true_process, grid)
-    n = true_process.n
-    ig_r = info_gain_rweighted(
-        record, proxy_table,
-        weights_provider=lambda datasets: np.ones((len(datasets), grid.n_psi, n)))
-    prop = check_prop55(record, weights_provider)
+    ig_r = info_gain_rweighted(record, proxy_table, weight_table=np.ones(np.shape(weight_table)))
+    prop = check_prop55(record, weight_table)
     bound = check_theorem24(record, source_psi_prior)
-    first = np.zeros((1, n), dtype=int)                                  # every outcome index 0
-    d_r = delta_rweighted(record, _provider_weights(weights_provider, first, grid.n_psi)[0])
+    d_r = delta_rweighted(record, np.asarray(weight_table)[:, :, 0])
 
     return DiagnosticsReport(
         ig_classic=bound.info_gain,

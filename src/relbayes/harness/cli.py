@@ -11,8 +11,8 @@ Subcommands:
 
 Flags --seed, --out, --jobs override the corresponding config values;
 run also takes --grid, which only the experiments with a parameter grid
-(linear, gp) accept.  Exit codes: 0 success, 1 invalid input, 2 runtime
-failure.
+(linear, gp) accept.  smoking's arguments are checked as config values
+are.  Exit codes: 0 success, 1 invalid input, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_smk = sub.add_parser("smoking", parents=[common],
                            help="leave-one-study-out predictive comparison")
-    p_smk.add_argument("csv", nargs="?", default=None,
+    p_smk.add_argument("csv", nargs="?", default="",
                        help="arm table (default: packaged dataset)")
     p_smk.add_argument("mode", nargs="?", default="all",
                        choices=[*sorted(PROXY_SETTINGS), "all"],
@@ -83,9 +83,7 @@ def _cmd_run(args) -> int:
     config = apply_overrides(parse_config(args.config), seed=args.seed,
                              out=args.out, jobs=args.jobs, grid=args.grid)
     if config.experiment == "smoking":
-        return _smoking_body(config.smoking_csv or None, config.proxy_mode,
-                             config.master_seed, config.output_dir,
-                             config.parallelism, config.mcmc_samples)
+        return _smoking_body(config)
     results = run_experiment(config)
     out = write_run_outputs(config, results)
     for row in summary_rows(results_rows(results, config.group_label())):
@@ -132,21 +130,22 @@ def _mode_task(packed):
                                   intercepts=intercepts)
 
 
-def _smoking_body(csv_path, mode, seed, out_dir, jobs, n_samples) -> int:
-    path = Path(csv_path) if csv_path else packaged_smoking_path()
+def _smoking_body(config: ExperimentConfig) -> int:
+    seed, n_samples = config.master_seed, config.mcmc_samples
+    path = Path(config.smoking_csv) if config.smoking_csv else packaged_smoking_path()
     records = ingest_smoking_csv(path)
-    modes = sorted(PROXY_SETTINGS) if mode == "all" else [mode]
+    modes = sorted(PROXY_SETTINGS) if config.proxy_mode == "all" else [config.proxy_mode]
     intercepts = fit_study_intercepts(
         records, n_samples, int(task_rng(seed, 0).integers(2 ** 31)))
     tasks = [(records, m, seed + k + 1, n_samples, intercepts)
              for k, m in enumerate(modes)]
-    if jobs and jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+    if config.parallelism > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(config.parallelism, len(tasks))) as pool:
             per_mode = list(pool.map(_mode_task, tasks))
     else:
         per_mode = [_mode_task(t) for t in tasks]
 
-    out = Path(out_dir or "results")
+    out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = [row for results in per_mode for row in partition_rows(results)]
     emit_csv(rows, out / "partitions.csv", columns=PARTITION_COLUMNS)
@@ -209,8 +208,10 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "smoking":
-            return _smoking_body(args.csv, args.mode, args.seed or 0, args.out,
-                                 args.jobs or 1, args.samples)
+            return _smoking_body(apply_overrides(
+                ExperimentConfig(experiment="smoking", smoking_csv=args.csv,
+                                 proxy_mode=args.mode, mcmc_samples=args.samples),
+                seed=args.seed, out=args.out, jobs=args.jobs))
         return _cmd_plot(args)
     except RunFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)

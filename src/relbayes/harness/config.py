@@ -7,9 +7,9 @@ ignored.
 
 Schema (defaults in parentheses):
 
-  common       experiment {linear|gp|smoking|toy-verify}; n_simulations (50);
-               master_seed (0); output_dir (results); parallelism (1);
-               label (auto)
+  common       experiment {linear|gp|smoking|toy-verify}; master_seed (0);
+               output_dir (results); parallelism (1)
+  sweeps       linear, gp and toy-verify: n_simulations (50); label (auto)
   linear       grid_resolution (101); multicollinearity (0); n_outcome (75);
                n_proxy_prompts (25); target_resemblance_pct (100);
                contamination_pct (0)
@@ -18,7 +18,7 @@ Schema (defaults in parentheses):
                contamination_pct (0); refinement_T (3)
   smoking      smoking_csv (packaged dataset); proxy_mode {weak|strong|
                misleading|all} (all); mcmc_samples (20000)
-  toy-verify   no extra keys
+  toy-verify   no keys beyond the sweep keys
 
 smoking and toy-verify have no parameter grid, so grid_resolution, in a
 file or as the --grid override, is an error for them.
@@ -105,13 +105,13 @@ class ExperimentConfig:
 
 
 _SCENARIOS = {"linear": LinearScenario, "gp": GpScenario}
-_COMMON_KEYS = {"experiment", "n_simulations", "master_seed", "output_dir",
-                "parallelism", "label"}
+_COMMON_KEYS = {"experiment", "master_seed", "output_dir", "parallelism"}
+_SWEEP_KEYS = {"n_simulations", "label"}
 _EXPERIMENT_KEYS = {
-    "linear": {"grid_resolution", *(f.name for f in fields(LinearScenario))},
-    "gp": {"grid_resolution", *(f.name for f in fields(GpScenario))},
+    "linear": {*_SWEEP_KEYS, "grid_resolution", *(f.name for f in fields(LinearScenario))},
+    "gp": {*_SWEEP_KEYS, "grid_resolution", *(f.name for f in fields(GpScenario))},
     "smoking": {"smoking_csv", "proxy_mode", "mcmc_samples"},
-    "toy-verify": set(),
+    "toy-verify": _SWEEP_KEYS,
 }
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 

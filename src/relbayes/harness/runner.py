@@ -135,7 +135,9 @@ def _gp_sim(config: ExperimentConfig, index: int):
 
 
 def toy_verify_instance(rng: np.random.Generator):
-    """A random small discrete instance with everything the report needs."""
+    """A random small discrete instance with everything the report needs:
+    (model, truth, grid, weight_table, proxy_table), with the (B, n, |O|)
+    relevance weight table and the (Z, B) proxy log-likelihood table."""
     n_theta = int(rng.integers(2, 4))
     n_psi = int(rng.integers(2, 4))
     n_out = int(rng.integers(2, 5))
@@ -153,21 +155,17 @@ def toy_verify_instance(rng: np.random.Generator):
         psi_target_star=TaskParam(float(rng.integers(n_psi))),
     )
     weight_table = rng.uniform(0.0, 1.0, size=(n_psi, n_obs, n_out))
-
-    def weights_provider(datasets):
-        return weight_table[:, np.arange(n_obs), datasets].transpose(1, 0, 2)
-
     endorse = rng.uniform(0.2, 0.8, size=n_psi)
     # the proxy's (Z, B) log-likelihood table: payload 0 rejects, 1 endorses
     proxy_table = np.log(np.stack([1.0 - endorse, endorse]))
-    return model, truth, grid, weight_table, weights_provider, proxy_table
+    return model, truth, grid, weight_table, proxy_table
 
 
 def _toy_verify_sim(config: ExperimentConfig, index: int):
     rng = task_rng(config.master_seed, index)
-    model, truth, grid, _, provider, proxy_table = toy_verify_instance(rng)
+    model, truth, grid, weight_table, proxy_table = toy_verify_instance(rng)
     report = toy_diagnostics_report(model, truth, grid, grid.psi_prior_mass,
-                                    proxy_table, provider)
+                                    proxy_table, weight_table)
     return report.ig_classic, report.ig_rweighted, report
 
 

@@ -24,7 +24,7 @@ formula, the range check and the zero-weight mask.
 The diagnostics oracles at the end are the per-dataset loops the exact
 enumeration replaced: each dataset of positive probability becomes its own
 SourceData and, for the information gains, its own grid posterior.  A
-weights provider is called with one dataset at a time.
+weight table is read one entry w[b, i, d_i] at a time.
 """
 
 import itertools
@@ -209,7 +209,7 @@ def info_gain_classic(model, true_process, grid, source_psi_prior) -> float:
                for _, data, pd, _ in _datasets(model, true_process))
 
 
-def info_gain_rweighted(model, true_process, grid, proxy_table, weights_provider=None,
+def info_gain_rweighted(model, true_process, grid, proxy_table, weight_table=None,
                         proxy_expectation="subjective") -> float:
     """Sum over payloads and datasets of the r-weighted posterior's log ratio at theta*.
 
@@ -229,10 +229,11 @@ def info_gain_rweighted(model, true_process, grid, proxy_table, weights_provider
             continue
         for d, data, pd, _ in _datasets(model, true_process):
             problem = GridProblem(model, data, grid)
-            if weights_provider is None:
+            if weight_table is None:
                 w = refine_relevance(problem, z_ll).weights_per_psi
             else:
-                w = weights_provider(d[None, :])[0]
+                w = np.array([[weight_table[b][i][o] for i, o in enumerate(d)]
+                              for b in range(grid.n_psi)])
             post = r_weighted_posterior(problem, w, z_ll)
             value += z_mass * pd * _log_ratio(grid, post, a_star)
     return float(value)
@@ -256,7 +257,7 @@ def delta_rweighted(model, true_process, grid, weights_per_psi) -> tuple[float, 
     return float(norm), float(unnorm)
 
 
-def check_prop55(model, true_process, grid, weights_provider) -> dict:
+def check_prop55(model, true_process, grid, weight_table) -> dict:
     """Every Prop55Check field, one psi node and one dataset at a time."""
     n = true_process.n
     theta = param_values(true_process.theta_star)[None, :]
@@ -269,7 +270,7 @@ def check_prop55(model, true_process, grid, weights_provider) -> dict:
             continue
         d_acc = e_acc = r_acc = 0.0
         for d, _, pd, lpd in datasets:
-            w = np.asarray(weights_provider(d[None, :])[0, b], dtype=float)
+            w = np.array([weight_table[b][i][o] for i, o in enumerate(d)], dtype=float)
             lls = logpmf[b][d]
             d_acc += pd * (lpd - _weighted(w, lls).sum())
             e_acc += pd * w.sum() * (-lls.sum())

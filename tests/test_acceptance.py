@@ -80,8 +80,8 @@ def test_criterion_1_decomposition_identity_on_random_toys():
     worst = 0.0
     for i in range(100):
         rng = np.random.default_rng(1000 + i)
-        model, truth, grid, _, provider, _ = toy_verify_instance(rng)
-        result = check_prop55(ToyEnumeration(model, truth, grid), provider)
+        model, truth, grid, weight_table, _ = toy_verify_instance(rng)
+        result = check_prop55(ToyEnumeration(model, truth, grid), weight_table)
         worst = max(worst, abs(result.residual))
     elapsed = time.perf_counter() - start
     _verdict("criterion 1, decomposition identity",
@@ -96,7 +96,7 @@ def test_criterion_2_negative_transfer_bound_on_random_toys():
     holds = 0
     for i in range(100):
         rng = np.random.default_rng(2000 + i)
-        model, truth, grid, _, _, _ = toy_verify_instance(rng)
+        model, truth, grid, _, _ = toy_verify_instance(rng)
         result = check_theorem24(ToyEnumeration(model, truth, grid), grid.psi_prior_mass)
         holds += bool(result.satisfied)
     elapsed = time.perf_counter() - start
@@ -111,7 +111,7 @@ class TestCriterion3EngineCrossValidation:
 
     def test_toy_marginals_agree(self):
         rng = np.random.default_rng(3000)
-        model, truth, grid0, _, _, _ = toy_verify_instance(rng)
+        model, truth, grid0, _, _ = toy_verify_instance(rng)
         target = grid0.n_psi - 1
         psi_prior = np.zeros(grid0.n_psi)
         psi_prior[target] = 1.0

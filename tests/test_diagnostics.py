@@ -101,17 +101,15 @@ def _endorse_proxy(rng, n_psi):
     return np.stack([np.log1p(-probs), np.log(probs)]), probs
 
 
-def _table_weights_provider(g):
-    """Deterministic data-dependent weights: w[m, b, i] = g[b, d_m[i]]."""
-
-    def provider(datasets):
-        return g[:, datasets].transpose(1, 0, 2)
-
-    return provider
+def _outcome_weights(g, n_obs):
+    """(B, n, |O|) weight table keyed by outcome alone: w[b, i, o] = g[b, o],
+    so dataset d weighs observation i by g[b, d_i]."""
+    return np.repeat(g[:, None, :], n_obs, axis=1)
 
 
-def _constant_provider(n_psi, value):
-    return lambda datasets: np.full((len(datasets), n_psi, datasets.shape[1]), value)
+def _constant_weights(model, grid, truth, value):
+    """(B, n, |O|) weight table holding one value."""
+    return np.full((grid.n_psi, truth.n, len(model.outcome_space)), value)
 
 
 class TestToyEnumeration:
@@ -208,7 +206,7 @@ class TestInfoGainRweighted:
         flat = np.zeros((1, grid.n_psi))
         got = info_gain_rweighted(
             ToyEnumeration(model, truth, grid), flat,
-            weights_provider=_constant_provider(grid.n_psi, 0.0))
+            weight_table=_constant_weights(model, grid, truth, 0.0))
         assert_allclose(got, 0.0, rtol=0, atol=1e-14)
 
     def test_single_psi_node_reduces_to_classic(self):
@@ -222,7 +220,8 @@ class TestInfoGainRweighted:
                             TaskParam(0.0))
         flat = np.zeros((1, grid.n_psi))
         record = ToyEnumeration(model, truth, grid)
-        ig_r = info_gain_rweighted(record, flat, weights_provider=_constant_provider(1, 1.0))
+        ig_r = info_gain_rweighted(record, flat,
+                                   weight_table=_constant_weights(model, grid, truth, 1.0))
         ig_c = info_gain_classic(record, np.array([1.0]))
         assert_allclose(ig_r, ig_c, rtol=0, atol=1e-13)
 
@@ -231,7 +230,7 @@ class TestInfoGainRweighted:
         proxy_table, probs = _endorse_proxy(rng, grid.n_psi)
         g = rng.uniform(0.1, 0.9, size=(grid.n_psi, 2))
         got = info_gain_rweighted(ToyEnumeration(model, truth, grid), proxy_table,
-                                  weights_provider=_table_weights_provider(g))
+                                  weight_table=_outcome_weights(g, 2))
 
         a_star = 0
         stars = [int(p.value[0]) for p in truth.psi_star]
@@ -260,7 +259,7 @@ class TestInfoGainRweighted:
         model, grid, truth, _, rng = _toy_instance(RNG_SEED + 2)
         proxy_table, probs = _endorse_proxy(rng, grid.n_psi)
         record = ToyEnumeration(model, truth, grid)
-        kwargs = dict(weights_provider=_constant_provider(grid.n_psi, 1.0))
+        kwargs = dict(weight_table=_constant_weights(model, grid, truth, 1.0))
         subj = info_gain_rweighted(record, proxy_table, **kwargs)
         true = info_gain_rweighted(record, proxy_table, proxy_expectation="true", **kwargs)
         # endorsement rates differ across nodes, so the two z-averages differ
@@ -319,7 +318,7 @@ class TestInfoGainRweighted:
 
     @pytest.mark.parametrize("mode", ["subjective", "true"])
     def test_refined_sigmoid_ratio_matches_loop_oracle(self, mode):
-        """Without a provider each (payload, dataset) pair runs the
+        """Without a weight table each (payload, dataset) pair runs the
         prior-expected refinement, the one the grid learners run; the loop
         oracle runs refine_relevance on one SourceData per dataset."""
         model, grid, truth, _, rng = _toy_instance(RNG_SEED + 12, n_theta=3, n_psi=3,
@@ -331,12 +330,30 @@ class TestInfoGainRweighted:
                                        proxy_expectation=mode)
         assert_allclose(got, want, rtol=0, atol=1e-13)
 
-    def test_provider_weights_shape_validated(self):
-        model, grid, truth, _, rng = _toy_instance(RNG_SEED)
+    def test_weight_table_checked(self):
+        """The (B, n, |O|) table is checked before it is gathered, by
+        info_gain_rweighted and check_prop55 alike; a callable is no table."""
+        model, grid, truth, _, rng = _toy_instance(RNG_SEED, n_out=3)
         proxy_table, _ = _endorse_proxy(rng, grid.n_psi)
-        with pytest.raises(ValueError, match="shape"):
-            info_gain_rweighted(ToyEnumeration(model, truth, grid), proxy_table,
-                                weights_provider=lambda d: np.ones((grid.n_psi, truth.n)))
+        record = ToyEnumeration(model, truth, grid)
+        good = _constant_weights(model, grid, truth, 0.5)
+        high, nan = good.copy(), good.copy()
+        high[1, 0, 2] = 1.5
+        nan[0, 1, 1] = np.nan
+        bad_tables = [
+            (good[:, :, 0], r"weights shape \(2, 2\), expected \(2, 2, 3\)"),
+            (np.full((9, 2, 2), 0.5), r"weights shape \(9, 2, 2\), expected \(2, 2, 3\)"),
+            (good[:, :, :-1], r"weights shape \(2, 2, 2\), expected \(2, 2, 3\)"),
+            (high, r"must lie in \[0, 1\]"),
+            (nan, r"must lie in \[0, 1\]"),
+        ]
+        for bad, match in bad_tables:
+            with pytest.raises(ValueError, match=match):
+                info_gain_rweighted(record, proxy_table, weight_table=bad)
+            with pytest.raises(ValueError, match=match):
+                check_prop55(record, bad)
+        with pytest.raises(TypeError):
+            check_prop55(record, lambda datasets: good)
 
     def test_proxy_table_rows_checked(self):
         """Each row is checked as a grid engine checks its proxy vector."""
@@ -352,7 +369,7 @@ class TestInfoGainRweighted:
                 (nan, FloatingPointError, "NaN proxy log-likelihood at psi node index 2")]:
             with pytest.raises(error, match=match):
                 info_gain_rweighted(record, bad,
-                                    weights_provider=_constant_provider(grid.n_psi, 1.0))
+                                    weight_table=_constant_weights(model, grid, truth, 1.0))
 
     def test_true_expectation_needs_target_on_a_psi_node(self):
         model, grid, truth, _, rng = _toy_instance(RNG_SEED)
@@ -361,10 +378,10 @@ class TestInfoGainRweighted:
         record = ToyEnumeration(model, off_node, grid)
         with pytest.raises(ValueError, match="not a psi node"):
             info_gain_rweighted(record, table, proxy_expectation="true",
-                                weights_provider=_constant_provider(grid.n_psi, 1.0))
+                                weight_table=_constant_weights(model, grid, truth, 1.0))
         # the subjective expectation never reads the target
         info_gain_rweighted(record, table,
-                            weights_provider=_constant_provider(grid.n_psi, 1.0))
+                            weight_table=_constant_weights(model, grid, truth, 1.0))
 
 
 class TestDeltaClassic:
@@ -469,7 +486,7 @@ class TestRhoFidelity:
     def test_constant_weights_have_zero_covariance(self):
         model, grid, truth, _, _ = _toy_instance(RNG_SEED)
         check = check_prop55(ToyEnumeration(model, truth, grid),
-                             _constant_provider(grid.n_psi, 0.7))
+                             _constant_weights(model, grid, truth, 0.7))
         assert check.rho_fidelity == 0.0
 
     def test_matches_direct_enumeration(self):
@@ -477,7 +494,7 @@ class TestRhoFidelity:
                                                        n_obs=3)
         g = rng.uniform(0, 1, size=(grid.n_psi, 3))
         rho = check_prop55(ToyEnumeration(model, truth, grid),
-                           _table_weights_provider(g)).rho_fidelity
+                           _outcome_weights(g, 3)).rho_fidelity
 
         stars = [int(p.value[0]) for p in truth.psi_star]
         total = 0.0
@@ -494,7 +511,7 @@ class TestRhoFidelity:
 class TestCheckProp55:
     def test_residual_vanishes_on_random_instances(self):
         """The decomposition is algebra, so it must hold to accumulation
-        error even when the weights depend on the realized dataset."""
+        error even when each weight depends on its observation's outcome."""
         rng_sizes = np.random.default_rng(RNG_SEED)
         for k in range(30):
             n_theta = int(rng_sizes.integers(2, 4))
@@ -506,16 +523,15 @@ class TestCheckProp55:
                 n_out=n_out, n_obs=n_obs)
             g = rng.uniform(0, 1, size=(n_psi, n_out))
             check = check_prop55(ToyEnumeration(model, truth, grid),
-                                 _table_weights_provider(g))
+                                 _outcome_weights(g, n_obs))
             assert abs(check.residual) < 1e-10
 
     def test_components_match_standalone_operations(self):
         model, grid, truth, table, rng = _toy_instance(RNG_SEED + 6, n_out=3,
                                                        n_obs=3)
         g = rng.uniform(0, 1, size=(grid.n_psi, 3))
-        provider = _table_weights_provider(g)
         record = ToyEnumeration(model, truth, grid)
-        check = check_prop55(record, provider)
+        check = check_prop55(record, _outcome_weights(g, 3))
 
         stars = [int(p.value[0]) for p in truth.psi_star]
         rows = table[0, stars]                                    # (n, O)
@@ -535,7 +551,7 @@ class TestCheckProp55:
     def test_constant_weights_still_decompose(self):
         model, grid, truth, _, _ = _toy_instance(RNG_SEED + 7)
         check = check_prop55(ToyEnumeration(model, truth, grid),
-                             _constant_provider(grid.n_psi, 0.5))
+                             _constant_weights(model, grid, truth, 0.5))
         assert abs(check.residual) < 1e-12
         assert check.rho_fidelity == 0.0
 
@@ -545,7 +561,7 @@ class TestCheckProp55:
         model, grid, truth, _, rng = _toy_instance(RNG_SEED + 300 + n_obs, n_theta=3,
                                                    n_psi=3, n_out=4, n_obs=n_obs)
         g = rng.uniform(0, 1, size=(grid.n_psi, 4))
-        check = check_prop55(ToyEnumeration(model, truth, grid), _table_weights_provider(g))
+        check = check_prop55(ToyEnumeration(model, truth, grid), _outcome_weights(g, n_obs))
         assert abs(check.residual) < 1e-9
 
 
@@ -655,7 +671,7 @@ class TestToyDiagnosticsReport:
         proxy_table, _ = _endorse_proxy(rng, grid.n_psi)
         g = rng.uniform(0, 1, size=(grid.n_psi, 3))
         return toy_diagnostics_report(model, truth, grid, src, proxy_table,
-                                      _table_weights_provider(g))
+                                      _outcome_weights(g, truth.n))
 
     def test_report_is_internally_consistent(self):
         report = self._report(RNG_SEED + 9)
@@ -721,23 +737,23 @@ class TestImpossibleOutcome:
     def test_every_diagnostic_stays_finite_and_matches_loops(self):
         model, grid, truth = self._instance()
         rng = np.random.default_rng(RNG_SEED)
-        provider = _table_weights_provider(rng.uniform(0.1, 0.9, size=(2, 3)))
+        weights = _outcome_weights(rng.uniform(0.1, 0.9, size=(2, 3)), truth.n)
         proxy_table, _ = _endorse_proxy(rng, 2)
         src = grid.psi_prior_mass
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             record = ToyEnumeration(model, truth, grid)
-            check = check_prop55(record, provider)
+            check = check_prop55(record, weights)
             bound = check_theorem24(record, src)
-            report = toy_diagnostics_report(model, truth, grid, src, proxy_table, provider)
-            ig_r = info_gain_rweighted(record, proxy_table, weights_provider=provider)
-        for field, value in ref.check_prop55(model, truth, grid, provider).items():
+            report = toy_diagnostics_report(model, truth, grid, src, proxy_table, weights)
+            ig_r = info_gain_rweighted(record, proxy_table, weight_table=weights)
+        for field, value in ref.check_prop55(model, truth, grid, weights).items():
             assert_allclose(getattr(check, field), value, rtol=0, atol=1e-13)
         assert abs(check.residual) < 1e-9
         assert np.isfinite(bound.info_gain) and np.isfinite(bound.kl_excluded_mixture)
         assert bound.satisfied
         assert_allclose(ig_r, ref.info_gain_rweighted(
-            model, truth, grid, proxy_table, weights_provider=provider),
+            model, truth, grid, proxy_table, weight_table=weights),
             rtol=0, atol=1e-13)
         assert all(np.isfinite(getattr(report, f)) for f in (
             "ig_classic", "ig_rweighted", "delta_classic", "delta_rweighted",
@@ -749,22 +765,22 @@ def test_enumeration_matches_per_dataset_loops_on_toy_verify_instances():
     """Every field of the gather-and-reduce diagnostics against the loops it
     replaced, on the 100 criterion-1 instances of toy_verify_instance."""
     for i in range(100):
-        model, truth, grid, _, provider, proxy_table = \
+        model, truth, grid, weights, proxy_table = \
             toy_verify_instance(np.random.default_rng(1000 + i))
         src = grid.psi_prior_mass
         record = ToyEnumeration(model, truth, grid)
-        check = check_prop55(record, provider)
-        for field, value in ref.check_prop55(model, truth, grid, provider).items():
+        check = check_prop55(record, weights)
+        for field, value in ref.check_prop55(model, truth, grid, weights).items():
             assert_allclose(getattr(check, field), value, rtol=0, atol=1e-13,
                             err_msg=f"instance {i}, {field}")
         for mode in ("subjective", "true"):
             got = info_gain_rweighted(record, proxy_table,
-                                      weights_provider=provider, proxy_expectation=mode)
+                                      weight_table=weights, proxy_expectation=mode)
             want = ref.info_gain_rweighted(model, truth, grid, proxy_table,
-                                           weights_provider=provider, proxy_expectation=mode)
+                                           weight_table=weights, proxy_expectation=mode)
             assert_allclose(got, want, rtol=0, atol=1e-13,
                             err_msg=f"instance {i}, {mode}")
-        w_first = provider(np.zeros((1, truth.n), dtype=int))[0]
+        w_first = weights[:, :, 0]
         got = delta_rweighted(record, w_first)
         want = ref.delta_rweighted(model, truth, grid, w_first)
         assert_allclose([got.normalized, got.unnormalized], want, rtol=0, atol=1e-13,

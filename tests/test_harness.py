@@ -123,6 +123,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("experiment = smoking\nmcmc_samples = 10\n")
 
+    @pytest.mark.parametrize("key, value", [("n_simulations", "3"), ("label", "mine")])
+    def test_sweep_keys_rejected_for_smoking(self, key, value):
+        """The smoking study is one leave-one-study-out pass, so the sweep
+        keys are errors for it rather than silently ignored; the sweeps
+        still take and echo them."""
+        with pytest.raises(ConfigError,
+                           match=f"not applicable to experiment 'smoking': '{key}'"):
+            parse_config_text(f"experiment = smoking\n{key} = {value}\n")
+        for experiment in ("linear", "gp", "toy-verify"):
+            config = parse_config_text(f"experiment = {experiment}\n{key} = {value}\n")
+            assert f"{key} = {getattr(config, key)}" in config_echo(config)
+
     def test_parse_config_uses_path_as_source(self, tmp_path):
         path = tmp_path / "sweep.cfg"
         path.write_text("experiment = linear\nexperiment = gp\n")
@@ -391,6 +403,41 @@ def test_gp_results_do_not_depend_on_earlier_simulations():
     for index, result in enumerate(warm):
         runner_module._gp_learner.cache_clear()
         assert gains(runner_module._run_single(config, index)) == gains(result), index
+
+
+# every value results.csv holds for toy-verify simulations 0-2 at
+# master_seed 0; decomposition_residual is rounding-level, so its pin also
+# holds the enumeration's summation order
+TOY_PINNED = {
+    0: {"ig_classic": 0.03723753472203745, "ig_rweighted": 0.07364446271236243,
+        "decomposition_residual": -1.1102230246251565e-16, "bound_satisfied": True,
+        "delta_classic": 0.02177900643670177, "delta_rweighted": 0.12190917629566679,
+        "rho_fidelity": 0.025082807142678302, "ess_dis_expectation": 2.0740759634971773,
+        "entropy_true": 1.8263416913695265},
+    1: {"ig_classic": 0.41014401788572646, "ig_rweighted": 0.2820271191475135,
+        "decomposition_residual": -1.942890293094024e-16, "bound_satisfied": True,
+        "delta_classic": 0.5725856548724827, "delta_rweighted": 0.9062289554687221,
+        "rho_fidelity": -0.00650607928303001, "ess_dis_expectation": 6.515668271973148,
+        "entropy_true": 1.8529798425838},
+    2: {"ig_classic": 0.21219331054367607, "ig_rweighted": 0.2308323417087311,
+        "decomposition_residual": -2.220446049250313e-16, "bound_satisfied": True,
+        "delta_classic": 0.29352714002193486, "delta_rweighted": 0.5439450833986932,
+        "rho_fidelity": -0.011404297294209375, "ess_dis_expectation": 4.909283972262928,
+        "entropy_true": 3.3049299041376217},
+}
+
+
+@pytest.mark.parametrize("index", sorted(TOY_PINNED))
+def test_toy_verify_results_pinned(index):
+    config = ExperimentConfig(experiment="toy-verify", master_seed=0)
+    ig_c, ig_r, report = runner_module._toy_verify_sim(config, index)
+    got = {"ig_classic": ig_c, "ig_rweighted": ig_r,
+           **{c: runner_module._diag_value(report, c) for c in runner_module._DIAG_COLUMNS}}
+    want = TOY_PINNED[index]
+    assert got.keys() == want.keys()
+    assert got.pop("bound_satisfied") is want["bound_satisfied"]
+    for name, value in got.items():
+        assert math.isclose(value, want[name], rel_tol=1e-12), name
 
 
 class TestRunExperiment:
@@ -805,6 +852,28 @@ class TestCli:
         assert summary["proxy_mode"] == "weak" and summary["count"] == 3
         assert (out_dir / "boxplot.svg").exists()
         assert "classic baseline" in (out_dir / "run_metadata.txt").read_text()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--jobs", "0"], "parallelism must be >= 1"),
+        (["--jobs=-2"], "parallelism must be >= 1"),
+        (["--samples", "999"], "mcmc_samples must be >= 1000")],
+        ids=["jobs-0", "jobs-minus-2", "samples-999"])
+    def test_smoking_subcommand_validates_like_run(self, tmp_path, capsys, flags, message):
+        """The subcommand builds its config as run does, so a bad worker
+        count or chain length exits 1 before anything runs."""
+        path = _write_arms(tmp_path, TINY_ARMS)
+        out_dir = tmp_path / "smk"
+        assert cli_main(["smoking", str(path), "weak", *flags, "--out", str(out_dir)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("key, value", [("n_simulations", "3"), ("label", "mine")])
+    def test_run_rejects_sweep_keys_on_smoking_config(self, tmp_path, capsys, key, value):
+        config = tmp_path / "smoking.cfg"
+        config.write_text(f"experiment = smoking\nmcmc_samples = 1200\n{key} = {value}\n")
+        assert cli_main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert f"not applicable to experiment 'smoking': '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, experiment", [
         ("verify", None), ("smoking", None), ("run", "toy-verify"), ("run", "smoking")])

@@ -39,10 +39,10 @@ def test_tracer_binds_every_target_and_uninstalls(monkeypatch):
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        model, truth, grid, _, provider, proxy_table = \
+        model, truth, grid, weight_table, proxy_table = \
             relbayes.harness.runner.toy_verify_instance(np.random.default_rng(1000))
         relbayes.diagnostics.toy_diagnostics_report(model, truth, grid, grid.psi_prior_mass,
-                                                    proxy_table, provider)
+                                                    proxy_table, weight_table)
     finally:
         tracer.uninstall()
         monkeypatch.delitem(sys.modules, "tracer", raising=False)
