@@ -35,7 +35,7 @@ mass = np.exp(logs - logs.max())
 mass /= mass.sum()
 grid = ParameterGrid(nodes, nodes, mass, mass)
 
-theta_true = inst.theta_star.value
+theta_true = inst.theta_star
 a_star, dist = grid.nearest_theta(theta_true)
 print(f"true theta {float(theta_true[0]):+.3f}, "
       f"nearest grid node {float(nodes[a_star, 0]):+.3f} (off by {dist:.3f})")

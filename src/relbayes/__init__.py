@@ -1,8 +1,7 @@
 """Relevance-weighted Bayesian transfer learning with exact desk-scale diagnostics."""
 
-from .models import (LOG_2PI, ModelSpec, Observation, SharedParam, SourceData,
-                     TaskParam, binomial_logit_model, discrete_toy_model, gp_model,
-                     linear_model, loglik_tensor)
+from .models import (LOG_2PI, ModelSpec, Observation, SourceData, binomial_logit_model,
+                     discrete_toy_model, gp_model, linear_model, loglik_tensor)
 from .grids import ParameterGrid, box_nodes, build_grid, midpoint_nodes, toy_grid
 from .inference import (DegenerateProxyError, GridProblem, McmcChain, McmcInitError,
                         PosteriorTable, ProxyObservation, chain_grid_tv,

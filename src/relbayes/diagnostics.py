@@ -29,8 +29,8 @@ from .grids import ParameterGrid
 from .inference import (DegenerateProxyError, GridProblem, _check_proxy_ll,
                         _check_weights, _neginf_mask, _r_weighted_log_joint,
                         _source_mixture, _weighted_terms)
-from .models import ModelSpec, Observation, SharedParam, SourceData, TaskParam, \
-    loglik_tensor, logsumexp, param_values
+from .models import ModelSpec, Observation, SourceData, loglik_tensor, logsumexp, \
+    param_values
 from .relevance import refine_relevance
 
 
@@ -68,21 +68,33 @@ def kl_divergence(p, q) -> float:
 
 @dataclass(frozen=True)
 class TrueProcess:
-    """The data-generating truth: theta*, per-source psi*_i, and the target's psi*."""
+    """The data-generating truth as float arrays: theta* (k_theta,), one
+    psi*_i row per source observation (n, k_psi), and the target's psi*
+    (k_psi,).  A scalar stands for a vector of length one, and a list of
+    scalars for the (n, 1) psi_star."""
 
-    theta_star: SharedParam
-    psi_star: tuple
-    psi_target_star: TaskParam
+    theta_star: np.ndarray
+    psi_star: np.ndarray
+    psi_target_star: np.ndarray
 
     def __post_init__(self):
-        ps = tuple(self.psi_star)
-        if len(ps) == 0:
+        psis = np.asarray(self.psi_star, dtype=float)
+        if psis.ndim == 1:
+            psis = psis[:, None]
+        if psis.ndim != 2 or psis.shape[0] == 0:
             raise ValueError("psi_star must list one task parameter per source observation")
-        object.__setattr__(self, "psi_star", ps)
+        theta, target = param_values(self.theta_star), param_values(self.psi_target_star)
+        if theta.ndim != 1 or target.ndim != 1:
+            raise ValueError("theta_star and psi_target_star must be scalars or 1-d vectors")
+        for name, value in (("theta_star", theta), ("psi_star", psis),
+                            ("psi_target_star", target)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return len(self.psi_star)
+        return self.psi_star.shape[0]
 
 
 @dataclass(frozen=True)
@@ -197,7 +209,7 @@ class ToyEnumeration:
                 f"model {model.name!r} has no enumerable outcome alphabet; "
                 "exact enumeration needs the discrete toy model"
             )
-        theta = param_values(truth.theta_star)
+        theta = truth.theta_star
         lo = grid.theta_nodes.min(axis=0)
         hi = grid.theta_nodes.max(axis=0)
         half_cell = 0.5 * np.where(hi > lo, hi - lo, 1.0) / max(grid.n_theta - 1, 1)
@@ -207,9 +219,8 @@ class ToyEnumeration:
 
         outcomes = SourceData(tuple(Observation(np.empty(0), int(o))
                                     for o in model.outcome_space))
-        psis = np.stack([param_values(p) for p in truth.psi_star])
         n = truth.n
-        star = loglik_tensor(model, outcomes, theta[None, :], psis)[:, 0, :].T
+        star = loglik_tensor(model, outcomes, theta[None, :], truth.psi_star)[:, 0, :].T
         datasets = np.indices((outcomes.n,) * n).reshape(n, -1).T
         arrays = {
             "datasets": datasets,
@@ -279,12 +290,14 @@ def info_gain_rweighted(record: ToyEnumeration, proxy_table,
     expectation runs over every payload z and every dataset.  z is
     integrated over the learner's own predictive distribution of z (psi
     drawn from the grid prior) by default; proxy_expectation="true"
-    conditions on the true target task parameter instead, which is the
-    variant the experiment sweeps report, and reads the table's column at
-    the psi node equal to psi_target_star (a target off the nodes raises
-    ValueError).  weight_table, when given, is the (B, n, |O|) table of
-    check_prop55, so each observation's weight depends on its own outcome;
-    without one, refine_relevance runs refinement_iterations rounds once per
+    conditions on the true target task parameter instead, and reads the
+    table's column at the psi node equal to psi_target_star (a target off
+    the nodes raises ValueError).  No sweep uses that variant: toy-verify
+    takes the default, and the linear and gp sweeps score one proxy drawn
+    at the true target on a grid, not through this function.  weight_table,
+    when given, is the (B, n, |O|) table of check_prop55, so each
+    observation's weight depends on its own outcome; without one,
+    refine_relevance runs refinement_iterations rounds once per
     (payload, dataset) pair of positive probability, on one grid problem per
     dataset and the payload's row of the table.
     """
@@ -297,7 +310,7 @@ def info_gain_rweighted(record: ToyEnumeration, proxy_table,
     if proxy_expectation == "subjective":
         z_mass = np.exp(logsumexp(z_ll + grid.log_psi_prior()[None, :], axis=1))
     else:
-        target = param_values(record.true_process.psi_target_star)
+        target = record.true_process.psi_target_star
         node = np.flatnonzero((grid.psi_nodes == target).all(axis=1))
         if node.size == 0:
             raise ValueError(f"psi_target_star={target} is not a psi node of the grid, "

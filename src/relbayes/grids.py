@@ -95,8 +95,13 @@ def box_nodes(box: np.ndarray, resolution: int) -> np.ndarray:
     return np.array(list(itertools.product(*axes)))
 
 
-def _quadrature_mass(nodes: np.ndarray, log_pdf) -> np.ndarray:
-    logs = np.array([log_pdf(node) for node in nodes], dtype=float)
+def _quadrature_mass(nodes: np.ndarray, log_pdf, name: str) -> np.ndarray:
+    """Prior mass of each node: log_pdf maps the (N, k) node array to its (N,)
+    log-densities, normalised here to sum to one."""
+    logs = np.asarray(log_pdf(nodes), dtype=float)
+    if logs.shape != (nodes.shape[0],):
+        raise ValueError(f"{name} must map the ({nodes.shape[0]}, {nodes.shape[1]}) node "
+                         f"array to {nodes.shape[0]} log-densities, got shape {logs.shape}")
     peak = logs.max()
     if not np.isfinite(peak):
         raise ValueError("prior density vanished on every grid node")
@@ -104,20 +109,21 @@ def _quadrature_mass(nodes: np.ndarray, log_pdf) -> np.ndarray:
     return mass / mass.sum()
 
 
-def build_grid(model, theta_log_pdf, psi_log_pdf, theta_resolution: int = 201,
-               psi_resolution: int = 201) -> ParameterGrid:
-    """Midpoint-quadrature grid over the model's support boxes.
+def build_grid(model, theta_log_pdf, psi_log_pdf, resolution: int = 201) -> ParameterGrid:
+    """Midpoint-quadrature grid over the model's support boxes, resolution
+    nodes per coordinate.
 
-    theta_log_pdf / psi_log_pdf take one node vector and return the prior
-    log-density there (normalization constants are irrelevant).
+    theta_log_pdf / psi_log_pdf take the whole (N, k) node array and return
+    the (N,) prior log-densities there (normalization constants are
+    irrelevant); any other result shape raises ValueError naming the prior.
     """
-    theta_nodes = box_nodes(model.theta_support, theta_resolution)
-    psi_nodes = box_nodes(model.psi_support, psi_resolution)
+    theta_nodes = box_nodes(model.theta_support, resolution)
+    psi_nodes = box_nodes(model.psi_support, resolution)
     return ParameterGrid(
         theta_nodes=theta_nodes,
         psi_nodes=psi_nodes,
-        theta_prior_mass=_quadrature_mass(theta_nodes, theta_log_pdf),
-        psi_prior_mass=_quadrature_mass(psi_nodes, psi_log_pdf),
+        theta_prior_mass=_quadrature_mass(theta_nodes, theta_log_pdf, "theta_log_pdf"),
+        psi_prior_mass=_quadrature_mass(psi_nodes, psi_log_pdf, "psi_log_pdf"),
     )
 
 

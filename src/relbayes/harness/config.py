@@ -27,6 +27,7 @@ file or as the --grid override, is an error for them.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from typing import Optional
 
 from ..synthetic import GpScenario, LinearScenario
 
@@ -43,7 +44,7 @@ class ExperimentConfig:
     experiment: str
     n_simulations: int = 50
     master_seed: int = 0
-    grid_resolution: int = 101
+    grid_resolution: Optional[int] = None
     output_dir: str = "results"
     parallelism: int = 1
     label: str = ""
@@ -66,7 +67,8 @@ class ExperimentConfig:
     mcmc_samples: int = 20000
 
     def __post_init__(self):
-        """Check every value, and build the experiment's scenario as
+        """Resolve the grid_resolution default (10 for gp, 101 otherwise),
+        check every value, and build the experiment's scenario as
         self.scenario (None for smoking and toy-verify), so an out-of-range
         scenario value is a ConfigError before any simulation runs."""
         if self.experiment not in EXPERIMENTS:
@@ -76,6 +78,8 @@ class ExperimentConfig:
             raise ConfigError("n_simulations must be >= 1")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be nonnegative")
+        if self.grid_resolution is None:
+            object.__setattr__(self, "grid_resolution", 10 if self.experiment == "gp" else 101)
         if self.grid_resolution < 2:
             raise ConfigError("grid_resolution must be >= 2")
         if self.parallelism < 1:
@@ -117,7 +121,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _coerce(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
+    kind = _FIELD_TYPES[key].removeprefix("Optional[").removesuffix("]")
     try:
         if kind == "int":
             return int(raw)
@@ -158,8 +162,6 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
                     else f"not applicable to experiment {experiment!r}")
             raise ConfigError(f"{source}:{lineno}: {hint}: {key!r}")
         values[key] = _coerce(key, raw)
-    if experiment == "gp" and "grid_resolution" not in values:
-        values["grid_resolution"] = 10
     try:
         return ExperimentConfig(**values)
     except ValueError as exc:

@@ -28,10 +28,9 @@ import numpy as np
 
 from .. import __version__
 from ..diagnostics import DiagnosticsReport, TrueProcess, toy_diagnostics_report
-from ..grids import ParameterGrid, build_grid, midpoint_nodes
+from ..grids import ParameterGrid, _quadrature_mass, build_grid, midpoint_nodes
 from ..inference import GridProblem, classic_posterior, proxy_loglik_vector
-from ..models import ModelSpec, SharedParam, TaskParam, discrete_toy_model, gp_model, \
-    linear_model
+from ..models import ModelSpec, discrete_toy_model, gp_model, linear_model
 from ..relevance import refine_relevance
 from ..synthetic import GP_PSI_SCALE, GP_PSI_SHAPE, LINEAR_THETA_STAR, \
     gen_expert_proxy, gen_gp_trajectories, gen_linear_instance, task_rng
@@ -67,9 +66,7 @@ class SimulationResult:
 def _normal_prior_grid(resolution: int) -> ParameterGrid:
     """Midpoint grid over [-4, 4] with standard normal quadrature mass."""
     nodes = midpoint_nodes(-4.0, 4.0, resolution)[:, None]
-    logs = -0.5 * nodes[:, 0] ** 2
-    mass = np.exp(logs - logs.max())
-    mass /= mass.sum()
+    mass = _quadrature_mass(nodes, lambda t: -0.5 * t[:, 0] ** 2, "normal log-density")
     return ParameterGrid(theta_nodes=nodes, psi_nodes=nodes,
                          theta_prior_mass=mass, psi_prior_mass=mass)
 
@@ -116,14 +113,12 @@ def _gp_sim(config: ExperimentConfig, index: int):
     model = _gp_learner(inst.x_grid.tobytes())
 
     def log_theta_prior(t):
-        return -np.log(t[0]) - 0.5 * (np.log(t[0]) - 1.0) ** 2
+        return -np.log(t[:, 0]) - 0.5 * (np.log(t[:, 0]) - 1.0) ** 2
 
     def log_psi_prior(p):
-        return (GP_PSI_SHAPE - 1.0) * np.log(p[0]) - p[0] / GP_PSI_SCALE
+        return (GP_PSI_SHAPE - 1.0) * np.log(p[:, 0]) - p[:, 0] / GP_PSI_SCALE
 
-    grid = build_grid(model, log_theta_prior, log_psi_prior,
-                      theta_resolution=config.grid_resolution,
-                      psi_resolution=config.grid_resolution)
+    grid = build_grid(model, log_theta_prior, log_psi_prior, config.grid_resolution)
     # drawn before the grid problem is built: building its tensor first
     # raised peak memory
     proxy = gen_expert_proxy(model, inst.prompts, inst.psi_target_star,
@@ -150,9 +145,9 @@ def toy_verify_instance(rng: np.random.Generator):
                     theta_prior=rng.dirichlet(np.full(n_theta, 5.0)),
                     psi_prior=rng.dirichlet(np.full(n_psi, 5.0)))
     truth = TrueProcess(
-        theta_star=SharedParam(float(rng.integers(n_theta))),
-        psi_star=tuple(TaskParam(float(rng.integers(n_psi))) for _ in range(n_obs)),
-        psi_target_star=TaskParam(float(rng.integers(n_psi))),
+        theta_star=float(rng.integers(n_theta)),
+        psi_star=[float(rng.integers(n_psi)) for _ in range(n_obs)],
+        psi_target_star=float(rng.integers(n_psi)),
     )
     weight_table = rng.uniform(0.0, 1.0, size=(n_psi, n_obs, n_out))
     endorse = rng.uniform(0.2, 0.8, size=n_psi)

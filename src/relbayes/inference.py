@@ -469,12 +469,18 @@ def chain_grid_tv(chain: McmcChain, table: PosteriorTable, coarsen: int = 2,
     be "theta" or "psi" to compare one marginal; default (None) is the joint.
     Each bin holds its share of all the samples, and the share that falls
     outside the grid's span, where the table has no mass, adds to the
-    distance in full.  Scalar theta and psi only.
+    distance in full.  Scalar theta and psi only: a grid or a chain with more
+    than one coordinate for either raises ValueError.
     """
     if marginal not in (None, "theta", "psi"):
         raise ValueError(f"marginal must be 'theta', 'psi' or None (the joint), "
                          f"got {marginal!r}")
     grid = table.grid
+    for name, nodes, samples in (("theta", grid.theta_nodes, chain.theta_samples),
+                                 ("psi", grid.psi_nodes, chain.psi_samples)):
+        if nodes.shape[1] != 1 or samples.shape[1] != 1:
+            raise ValueError(f"chain_grid_tv needs scalar {name}, got {nodes.shape[1]} grid "
+                             f"and {samples.shape[1]} chain coordinates")
     t_edges = _cell_edges(grid.theta_nodes[:, 0])
     p_edges = _cell_edges(grid.psi_nodes[:, 0])
 

@@ -26,35 +26,6 @@ LOG_2PI = math.log(2.0 * math.pi)
 LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
-def _as_vector(value, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a scalar or 1-d vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {arr}")
-    return arr
-
-
-@dataclass(frozen=True)
-class SharedParam:
-    """Shared parameter theta, a finite real vector of dimension k_theta >= 1."""
-
-    value: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _as_vector(self.value, "SharedParam"))
-
-
-@dataclass(frozen=True)
-class TaskParam:
-    """Task parameter psi, a finite real vector of dimension k_psi >= 1."""
-
-    value: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _as_vector(self.value, "TaskParam"))
-
-
 @dataclass(frozen=True)
 class Observation:
     """One observation d_i.
@@ -155,7 +126,9 @@ class ModelSpec:
         likelihood a model supplies; call it through loglik_tensor, which
         coerces the parameter arrays and rejects NaN.  A single value is its
         1 x 1 x 1 cell.
-    simulate : callable (covariates, SharedParam, TaskParam, rng, ...) -> Observation
+    simulate : callable (covariates, theta, psi, rng, ...) -> Observation
+        Draws one observation at theta (k_theta,) and psi (k_psi,); a scalar
+        stands for a vector of length one.
     log_predictive_mode_density : optional callable
         (SourceData, thetas (A, k_theta), psis (B, k_psi), belief (A,))
         -> (n, B) array.  Log modal density of the belief-averaged outcome
@@ -194,7 +167,8 @@ def _support_box(low: float, high: float, dim: int) -> np.ndarray:
 
 
 def param_values(p) -> np.ndarray:
-    return p.value if isinstance(p, (SharedParam, TaskParam)) else np.atleast_1d(np.asarray(p, dtype=float))
+    """A parameter value as a float vector: a scalar becomes shape (1,)."""
+    return np.atleast_1d(np.asarray(p, dtype=float))
 
 
 def _task_column(psis: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ import math
 import numpy as np
 
 from .inference import ProxyObservation
-from .models import LOG_2PI, ModelSpec, SharedParam, SourceData, TaskParam, \
-    loglik_tensor, logsumexp, param_values
+from .models import LOG_2PI, ModelSpec, SourceData, loglik_tensor, logsumexp, \
+    param_values
 from .relevance import MAX_REFINEMENTS
 
 PROXY_TRIALS = 7
@@ -220,12 +220,15 @@ def gen_expert_proxy(model: ModelSpec, prompts, psi_target_star,
 
 @dataclass(frozen=True)
 class LinearInstance:
+    """One linear draw; the truth is theta* (1,), psi* (n, 1), one row per
+    source observation, and the target's psi* (1,)."""
+
     source: SourceData
     prompts: tuple
     proxy: ProxyObservation
-    theta_star: SharedParam
-    psi_star: tuple
-    psi_target_star: TaskParam
+    theta_star: np.ndarray
+    psi_star: np.ndarray
+    psi_target_star: np.ndarray
 
 
 def gen_linear_instance(scenario: LinearScenario, rng: np.random.Generator) -> LinearInstance:
@@ -241,20 +244,18 @@ def gen_linear_instance(scenario: LinearScenario, rng: np.random.Generator) -> L
     from .models import linear_model
 
     model = linear_model()
-    theta_star = SharedParam(LINEAR_THETA_STAR)
-    psi_target = TaskParam(rng.normal(0.0, 1.0))
+    theta_star = param_values(LINEAR_THETA_STAR)
+    psi_target = param_values(rng.normal(0.0, 1.0))
 
     n = scenario.n_outcome
     n_like = int(round(scenario.target_resemblance_pct * n / 100.0))
     psi_vals = np.zeros(n)
     if n_like > 0:
-        psi_vals[rng.choice(n, size=n_like, replace=False)] = psi_target.value[0]
+        psi_vals[rng.choice(n, size=n_like, replace=False)] = psi_target[0]
 
     x_source = gen_linear_covariates(scenario.multicollinearity, n, rng)
-    obs = []
-    for i in range(n):
-        obs.append(model.simulate(x_source[i], theta_star, TaskParam(psi_vals[i]), rng))
-    source = SourceData(tuple(obs))
+    source = SourceData(tuple(model.simulate(x_source[i], theta_star, psi_vals[i], rng)
+                              for i in range(n)))
 
     x_prompt = gen_linear_covariates(scenario.multicollinearity,
                                      scenario.n_proxy_prompts, rng)
@@ -262,8 +263,7 @@ def gen_linear_instance(scenario: LinearScenario, rng: np.random.Generator) -> L
                     for j in range(scenario.n_proxy_prompts))
     proxy = gen_expert_proxy(model, prompts, psi_target, scenario.contamination_pct, rng)
     return LinearInstance(source=source, prompts=prompts, proxy=proxy,
-                          theta_star=theta_star,
-                          psi_star=tuple(TaskParam(v) for v in psi_vals),
+                          theta_star=theta_star, psi_star=psi_vals[:, None],
                           psi_target_star=psi_target)
 
 
@@ -273,11 +273,14 @@ def gen_linear_instance(scenario: LinearScenario, rng: np.random.Generator) -> L
 
 @dataclass(frozen=True)
 class GpInstance:
+    """One gp draw; the truth is theta* (1,), psi* (n, 1), one row per
+    source trajectory, and the target's psi* (1,)."""
+
     source: SourceData
     prompts: tuple
-    theta_star: SharedParam
-    psi_star: tuple
-    psi_target_star: TaskParam
+    theta_star: np.ndarray
+    psi_star: np.ndarray
+    psi_target_star: np.ndarray
     x_grid: np.ndarray = field(repr=False)
 
 
@@ -294,27 +297,22 @@ def gen_gp_trajectories(scenario: GpScenario, rng: np.random.Generator) -> GpIns
 
     x = np.linspace(0.0, 1.0, scenario.resolution)
     model = gp_model(x)
-    theta_star = SharedParam(scenario.theta_star)
-    psi_target = TaskParam(rng.gamma(GP_PSI_SHAPE, GP_PSI_SCALE))
+    theta_star = param_values(scenario.theta_star)
+    psi_target = param_values(rng.gamma(GP_PSI_SHAPE, GP_PSI_SCALE))
 
     n = scenario.n_trajectories
-    psis = []
+    psis = np.empty(n)
     trajectories = []
     for i in range(n):
-        if i < scenario.m_target:
-            psi = psi_target
-        else:
-            psi = TaskParam(rng.gamma(GP_PSI_SHAPE, GP_PSI_SCALE))
-        psis.append(psi)
-        trajectories.append(model.simulate(x, theta_star, psi, rng))
+        psis[i] = (psi_target[0] if i < scenario.m_target
+                   else rng.gamma(GP_PSI_SHAPE, GP_PSI_SCALE))
+        trajectories.append(model.simulate(x, theta_star, psis[i], rng))
 
     m_s = scenario.m_source
-    prompts = tuple(trajectories[:m_s])
-    source_obs = tuple(trajectories[n - m_s:]) if m_s > 0 else tuple(trajectories)
-    source_psis = tuple(psis[n - m_s:]) if m_s > 0 else tuple(psis)
-    return GpInstance(source=SourceData(source_obs), prompts=prompts,
-                      theta_star=theta_star, psi_star=source_psis,
-                      psi_target_star=psi_target, x_grid=x)
+    source = slice(n - m_s, None) if m_s > 0 else slice(None)
+    return GpInstance(source=SourceData(tuple(trajectories[source])),
+                      prompts=tuple(trajectories[:m_s]), theta_star=theta_star,
+                      psi_star=psis[source, None], psi_target_star=psi_target, x_grid=x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The scripts under demos/ run to the end and write no file.
+"""The scripts under demos/ and the README's quick start run to the end
+and write no file.
 
 Each runs in a fresh namespace, as `python demos/<name>.py` would, from an
 empty working directory; afterwards the working directory must still be
@@ -7,6 +8,7 @@ modified (interpreter byte-code caches aside).
 """
 
 import os
+import re
 import runpy
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
+README = ROOT / "README.md"
 
 
 def _tree(root: Path) -> dict:
@@ -30,14 +33,32 @@ def _tree(root: Path) -> dict:
     return out
 
 
-def _run_demo(name, tmp_path, monkeypatch, capsys) -> str:
+def _run_clean(run, tmp_path, monkeypatch, capsys) -> str:
+    """Call run() from the empty tmp_path, check that it wrote no file, and
+    return what it printed."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr("sys.argv", [str(DEMOS / name)])
     before = _tree(ROOT)
-    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    run()
     assert _tree(ROOT) == before
     assert list(tmp_path.iterdir()) == []
     return capsys.readouterr().out
+
+
+def _run_demo(name, tmp_path, monkeypatch, capsys) -> str:
+    monkeypatch.setattr("sys.argv", [str(DEMOS / name)])
+    return _run_clean(lambda: runpy.run_path(str(DEMOS / name), run_name="__main__"),
+                      tmp_path, monkeypatch, capsys)
+
+
+def test_readme_quick_start(tmp_path, monkeypatch, capsys):
+    """The README's one python block runs as written and prints the classic
+    and the weighted theta marginal, one array each."""
+    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                          flags=re.M | re.S)
+    code = compile(block, str(README), "exec")
+    out = _run_clean(lambda: exec(code, {"__name__": "__main__"}),
+                     tmp_path, monkeypatch, capsys)
+    assert out.count("[") == 2 and out.count("]") == 2
 
 
 def test_transfer_vs_classic(tmp_path, monkeypatch, capsys):

@@ -26,8 +26,8 @@ from relbayes.diagnostics import (DeltaRweighted, DiagnosticsReport,
                                   kl_divergence, toy_diagnostics_report)
 from relbayes.grids import ParameterGrid, toy_grid
 from relbayes.harness.runner import toy_verify_instance
-from relbayes.models import (Observation, SharedParam, SourceData, TaskParam,
-                             discrete_toy_model, linear_model, loglik_tensor)
+from relbayes.models import (Observation, SourceData, discrete_toy_model, linear_model,
+                             loglik_tensor)
 
 mp.mp.dps = 50
 
@@ -86,11 +86,10 @@ def _toy_instance(seed, n_theta=2, n_psi=2, n_out=2, n_obs=2, a_star=0):
     grid = toy_grid(n_theta, n_psi,
                     theta_prior=rng.dirichlet(np.full(n_theta, 5.0)),
                     psi_prior=rng.dirichlet(np.full(n_psi, 5.0)))
-    psi_star = tuple(TaskParam(float(rng.integers(0, n_psi)))
-                     for _ in range(n_obs))
-    truth = TrueProcess(theta_star=SharedParam(float(a_star)),
+    psi_star = [float(rng.integers(0, n_psi)) for _ in range(n_obs)]
+    truth = TrueProcess(theta_star=float(a_star),
                         psi_star=psi_star,
-                        psi_target_star=TaskParam(float(rng.integers(0, n_psi))))
+                        psi_target_star=float(rng.integers(0, n_psi)))
     return model, grid, truth, table, rng
 
 
@@ -116,7 +115,7 @@ class TestToyEnumeration:
     def test_tables_are_the_outcome_log_pmfs(self):
         model, grid, truth, table, _ = _toy_instance(RNG_SEED, n_out=3, n_obs=3)
         record = ToyEnumeration(model, truth, grid)
-        stars = [int(p.value[0]) for p in truth.psi_star]
+        stars = truth.psi_star[:, 0].astype(int)
         assert_allclose(record.table, np.log(table).transpose(2, 0, 1), rtol=0, atol=1e-15)
         assert_allclose(record.at_theta_star, np.log(table[0]).T, rtol=0, atol=1e-15)
         assert_allclose(record.star, np.log(table[0, stars]), rtol=0, atol=1e-15)
@@ -131,11 +130,11 @@ class TestToyEnumeration:
     def test_theta_star_snaps_to_nearest_node(self):
         model, grid, _, _, rng = _toy_instance(RNG_SEED)
         src = rng.dirichlet(np.full(grid.n_psi, 3.0))
-        truth = TrueProcess(SharedParam(0.4), (TaskParam(0.0),), TaskParam(0.0))
+        truth = TrueProcess(0.4, [0.0], 0.0)
         record = ToyEnumeration(model, truth, grid)
         assert record.a_star == 0
         assert_allclose(record.theta_snap_distance, 0.4, rtol=0, atol=1e-12)
-        snapped = TrueProcess(SharedParam(0.0), (TaskParam(0.0),), TaskParam(0.0))
+        snapped = TrueProcess(0.0, [0.0], 0.0)
         on_node = ToyEnumeration(model, snapped, grid)
         assert on_node.theta_snap_distance == 0.0
         assert_allclose(info_gain_classic(record, src), info_gain_classic(on_node, src),
@@ -143,7 +142,7 @@ class TestToyEnumeration:
 
     def test_theta_star_outside_span_raises(self):
         model, grid, _, _, _ = _toy_instance(RNG_SEED)
-        truth = TrueProcess(SharedParam(5.0), (TaskParam(0.0),), TaskParam(0.0))
+        truth = TrueProcess(5.0, [0.0], 0.0)
         with pytest.raises(ValueError, match="span"):
             ToyEnumeration(model, truth, grid)
 
@@ -151,7 +150,7 @@ class TestToyEnumeration:
         model = linear_model()
         grid = ParameterGrid(np.linspace(-2, 2, 5)[:, None],
                              np.zeros((1, 1)), np.full(5, 0.2), np.array([1.0]))
-        truth = TrueProcess(SharedParam(0.0), (TaskParam(0.0),), TaskParam(0.0))
+        truth = TrueProcess(0.0, [0.0], 0.0)
         with pytest.raises(ValueError, match="enumerable"):
             ToyEnumeration(model, truth, grid)
 
@@ -180,7 +179,7 @@ class TestInfoGainClassic:
         got = info_gain_classic(ToyEnumeration(model, truth, grid), src)
 
         a_star = 0
-        stars = [int(p.value[0]) for p in truth.psi_star]
+        stars = truth.psi_star[:, 0].astype(int)
         value = mp.mpf(0)
         for d in itertools.product(range(2), repeat=2):
             pd = mp.fprod(mp.mpf(float(table[a_star, stars[i], d[i]]))
@@ -216,8 +215,7 @@ class TestInfoGainRweighted:
         table = rng.dirichlet(np.full(3, 2.0), size=(2, 1))
         model = discrete_toy_model(3, 2, 1, table)
         grid = toy_grid(2, 1, theta_prior=rng.dirichlet(np.full(2, 5.0)))
-        truth = TrueProcess(SharedParam(1.0), (TaskParam(0.0), TaskParam(0.0)),
-                            TaskParam(0.0))
+        truth = TrueProcess(1.0, [0.0, 0.0], 0.0)
         flat = np.zeros((1, grid.n_psi))
         record = ToyEnumeration(model, truth, grid)
         ig_r = info_gain_rweighted(record, flat,
@@ -233,7 +231,7 @@ class TestInfoGainRweighted:
                                   weight_table=_outcome_weights(g, 2))
 
         a_star = 0
-        stars = [int(p.value[0]) for p in truth.psi_star]
+        stars = truth.psi_star[:, 0].astype(int)
         value = 0.0
         for z in (0, 1):
             z_lik = np.where(z == 1, probs, 1 - probs)           # (B,)
@@ -373,7 +371,7 @@ class TestInfoGainRweighted:
 
     def test_true_expectation_needs_target_on_a_psi_node(self):
         model, grid, truth, _, rng = _toy_instance(RNG_SEED)
-        off_node = TrueProcess(truth.theta_star, truth.psi_star, TaskParam(0.5))
+        off_node = TrueProcess(truth.theta_star, truth.psi_star, 0.5)
         table, _ = _endorse_proxy(rng, grid.n_psi)
         record = ToyEnumeration(model, off_node, grid)
         with pytest.raises(ValueError, match="not a psi node"):
@@ -394,7 +392,7 @@ class TestDeltaClassic:
         got = delta_classic(ToyEnumeration(model, truth, grid), src)
 
         a_star = 0
-        stars = [int(p.value[0]) for p in truth.psi_star]
+        stars = truth.psi_star[:, 0].astype(int)
         value = mp.mpf(0)
         for d in itertools.product(range(3), repeat=2):
             pd = mp.fprod(mp.mpf(float(table[a_star, stars[i], d[i]]))
@@ -409,8 +407,7 @@ class TestDeltaClassic:
 
     def test_zero_when_source_prior_matches_truth(self):
         model, grid, _, table, rng = _toy_instance(RNG_SEED)
-        truth = TrueProcess(SharedParam(0.0), (TaskParam(1.0), TaskParam(1.0)),
-                            TaskParam(0.0))
+        truth = TrueProcess(0.0, [1.0, 1.0], 0.0)
         src = np.array([0.0, 1.0])
         assert_allclose(delta_classic(ToyEnumeration(model, truth, grid), src), 0.0,
                         rtol=0, atol=1e-15)
@@ -429,7 +426,7 @@ class TestDeltaRweighted:
         reading is n log|O| - H(P*), the unnormalized reading -H(P*)."""
         model, grid, truth, table, _ = _toy_instance(RNG_SEED, n_out=3,
                                                      n_obs=2)
-        stars = [int(p.value[0]) for p in truth.psi_star]
+        stars = truth.psi_star[:, 0].astype(int)
         h_star = sum(entropy(table[0, s]) for s in stars)
         got = delta_rweighted(ToyEnumeration(model, truth, grid),
                               np.zeros((grid.n_psi, truth.n)))
@@ -443,7 +440,7 @@ class TestDeltaRweighted:
         w = rng.uniform(0, 1, size=(grid.n_psi, truth.n))
         got = delta_rweighted(ToyEnumeration(model, truth, grid), w)
 
-        stars = [int(p.value[0]) for p in truth.psi_star]
+        stars = truth.psi_star[:, 0].astype(int)
         unnorm = mp.mpf(0)
         norm = mp.mpf(0)
         for b in range(grid.n_psi):
@@ -496,7 +493,7 @@ class TestRhoFidelity:
         rho = check_prop55(ToyEnumeration(model, truth, grid),
                            _outcome_weights(g, 3)).rho_fidelity
 
-        stars = [int(p.value[0]) for p in truth.psi_star]
+        stars = truth.psi_star[:, 0].astype(int)
         total = 0.0
         for b in range(grid.n_psi):
             for d in itertools.product(range(3), repeat=3):
@@ -533,7 +530,7 @@ class TestCheckProp55:
         record = ToyEnumeration(model, truth, grid)
         check = check_prop55(record, _outcome_weights(g, 3))
 
-        stars = [int(p.value[0]) for p in truth.psi_star]
+        stars = truth.psi_star[:, 0].astype(int)
         rows = table[0, stars]                                    # (n, O)
         h_true = sum(entropy(row) for row in rows)
         assert_allclose(check.entropy_true, h_true, rtol=0, atol=1e-12)
@@ -606,8 +603,7 @@ class TestCheckTheorem24:
         table = np.stack([row, row, row])
         model = discrete_toy_model(3, 3, 2, table)
         grid = toy_grid(3, 2, theta_prior=[0.5, 0.3, 0.2])
-        truth = TrueProcess(SharedParam(0.0), (TaskParam(0.0), TaskParam(1.0)),
-                            TaskParam(0.0))
+        truth = TrueProcess(0.0, [0.0, 1.0], 0.0)
         src = np.array([0.4, 0.6])
         check = check_theorem24(ToyEnumeration(model, truth, grid), src)
         assert_allclose(check.info_gain, 0.0, rtol=0, atol=1e-12)
@@ -645,7 +641,7 @@ class TestCheckTheorem24:
         assert_allclose(check.delta_classic, delta_classic(record, src), rtol=0, atol=0)
         assert_allclose(check.info_gain, info_gain_classic(record, src), rtol=0, atol=0)
 
-        stars = [int(p.value[0]) for p in truth.psi_star]
+        stars = truth.psi_star[:, 0].astype(int)
         excl_w = grid.theta_prior_mass[1:] / grid.theta_prior_mass[1:].sum()
         b_want = mp.mpf(0)
         for d in itertools.product(range(3), repeat=2):
@@ -713,8 +709,7 @@ class TestImpossibleOutcome:
     def _instance(self):
         model = discrete_toy_model(3, 2, 2, self.TABLE)
         grid = toy_grid(2, 2)
-        truth = TrueProcess(SharedParam(0.0), (TaskParam(0.0), TaskParam(1.0)),
-                            TaskParam(0.0))
+        truth = TrueProcess(0.0, [0.0, 1.0], 0.0)
         return model, grid, truth
 
     def test_classic_gain_matches_direct_sum(self):

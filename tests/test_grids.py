@@ -91,11 +91,10 @@ class TestBuildGrid:
         """Renormalized midpoint quadrature preserves density ratios
         exactly, so node masses must match pdf ratios to float precision."""
         model = linear_model()
-        grid = build_grid(model, lambda t: float(stats.norm.logpdf(t[0])),
-                          lambda p: float(stats.norm.logpdf(p[0])),
-                          theta_resolution=41, psi_resolution=11)
+        grid = build_grid(model, lambda t: stats.norm.logpdf(t[:, 0]),
+                          lambda p: stats.norm.logpdf(p[:, 0]), resolution=41)
         assert grid.n_theta == 41
-        assert grid.n_psi == 11
+        assert grid.n_psi == 41
         assert_allclose(grid.theta_prior_mass.sum(), 1.0, rtol=0, atol=1e-12)
         pdf = stats.norm.pdf(grid.theta_nodes[:, 0])
         assert_allclose(grid.theta_prior_mass / grid.theta_prior_mass[20],
@@ -103,9 +102,8 @@ class TestBuildGrid:
 
     def test_symmetric_prior_gives_symmetric_mass(self):
         model = linear_model()
-        grid = build_grid(model, lambda t: -0.5 * t[0] ** 2,
-                          lambda p: -abs(p[0]), theta_resolution=21,
-                          psi_resolution=21)
+        grid = build_grid(model, lambda t: -0.5 * t[:, 0] ** 2,
+                          lambda p: -abs(p[:, 0]), resolution=21)
         assert_allclose(grid.theta_prior_mass, grid.theta_prior_mass[::-1],
                         rtol=0, atol=1e-15)
         assert_allclose(grid.psi_prior_mass, grid.psi_prior_mass[::-1],
@@ -114,8 +112,24 @@ class TestBuildGrid:
     def test_vanishing_prior_raises(self):
         model = linear_model()
         with pytest.raises(ValueError, match="vanished"):
-            build_grid(model, lambda t: -np.inf, lambda p: 0.0,
-                       theta_resolution=5, psi_resolution=5)
+            build_grid(model, lambda t: np.full(len(t), -np.inf),
+                       lambda p: np.zeros(len(p)), resolution=5)
+
+    @pytest.mark.parametrize("per_node", [
+        lambda t: stats.norm.logpdf(t[0, 0]),
+        lambda t: -0.5 * t[0] ** 2,
+        lambda t: -0.5 * t ** 2,
+    ], ids=["scalar", "row-0", "column"])
+    def test_per_node_prior_rejected(self, per_node):
+        """A log-pdf maps the whole node array to one value per node; a
+        callable written for one node gets the array and returns the wrong
+        shape, which names the prior rather than building a wrong grid."""
+        model = linear_model()
+        flat = lambda nodes: np.zeros(len(nodes))  # noqa: E731
+        with pytest.raises(ValueError, match="theta_log_pdf must map the"):
+            build_grid(model, per_node, flat, resolution=5)
+        with pytest.raises(ValueError, match="psi_log_pdf must map the"):
+            build_grid(model, flat, per_node, resolution=5)
 
 
 class TestToyGrid:

@@ -78,6 +78,21 @@ class TestConfigParsing:
         config = parse_config_text("experiment = gp\n")
         assert config.grid_resolution == 10
 
+    @pytest.mark.parametrize("experiment, default", [
+        ("linear", 101), ("gp", 10), ("smoking", 101), ("toy-verify", 101)])
+    def test_grid_default_agrees_across_entry_points(self, experiment, default):
+        """A file without grid_resolution and a config built in code resolve
+        the same default."""
+        assert ExperimentConfig(experiment=experiment).grid_resolution == default
+        assert parse_config_text(f"experiment = {experiment}\n").grid_resolution == default
+
+    @pytest.mark.parametrize("experiment, value", [("gp", 1), ("linear", 0)])
+    def test_grid_below_two_rejected(self, experiment, value):
+        with pytest.raises(ConfigError, match="grid_resolution must be >= 2"):
+            parse_config_text(f"experiment = {experiment}\ngrid_resolution = {value}\n")
+        with pytest.raises(ConfigError, match="grid_resolution must be >= 2"):
+            ExperimentConfig(experiment=experiment, grid_resolution=value)
+
     def test_gp_explicit_grid_resolution_kept(self):
         config = parse_config_text("experiment = gp\ngrid_resolution = 25\n")
         assert config.grid_resolution == 25
@@ -403,6 +418,27 @@ def test_gp_results_do_not_depend_on_earlier_simulations():
     for index, result in enumerate(warm):
         runner_module._gp_learner.cache_clear()
         assert gains(runner_module._run_single(config, index)) == gains(result), index
+
+
+# linear gains of simulation 0 at master seeds 1-3, grid 31,
+# multicollinearity 2 and contamination 25%
+LINEAR_PINNED = {
+    1: (-9.09572186427495, 2.762462514471308),
+    2: (-11.315357652801968, 2.790693762887732),
+    3: (-15.212270751355756, 2.317771317246425),
+}
+
+
+@pytest.mark.parametrize("master_seed", sorted(LINEAR_PINNED))
+def test_linear_results_pinned(master_seed):
+    config = ExperimentConfig(experiment="linear", n_simulations=1, master_seed=master_seed,
+                              grid_resolution=31, multicollinearity=2.0,
+                              contamination_pct=25.0)
+    result = run_experiment(config)[0]
+    assert result.error is None
+    ig_c, ig_r = LINEAR_PINNED[master_seed]
+    assert math.isclose(result.ig_classic, ig_c, rel_tol=1e-12)
+    assert math.isclose(result.ig_rweighted, ig_r, rel_tol=1e-12)
 
 
 # every value results.csv holds for toy-verify simulations 0-2 at

@@ -13,14 +13,13 @@ from scipy import stats
 from scipy.special import expit
 
 from _scalar_reference import r_weighted_likelihood
-from relbayes.grids import ParameterGrid, midpoint_nodes, toy_grid
+from relbayes.grids import ParameterGrid, box_nodes, midpoint_nodes, toy_grid
 from relbayes.inference import (DegenerateProxyError, GridProblem, McmcInitError,
                                 PosteriorTable, ProxyObservation, chain_grid_tv,
                                 classic_posterior, metropolis_posterior,
                                 proxy_loglik_vector, r_weighted_posterior)
-from relbayes.models import (Observation, SharedParam, SourceData, TaskParam,
-                             binomial_logit_model, discrete_toy_model, linear_model,
-                             logsumexp)
+from relbayes.models import (Observation, SourceData, binomial_logit_model,
+                             discrete_toy_model, linear_model, logsumexp)
 from relbayes.relevance import sigmoid_ratio_relevance
 
 mp.mp.dps = 50
@@ -401,8 +400,7 @@ class TestRWeightedLikelihood:
     def test_sum_of_scaled_loglikelihoods(self):
         model, _, data, table, rng = _toy_setup()
         w = rng.uniform(0, 1, size=data.n)
-        got = r_weighted_likelihood(model, data, SharedParam(1.0),
-                                    TaskParam(0.0), w)
+        got = r_weighted_likelihood(model, data, 1.0, 0.0, w)
         want = sum(wi * np.log(table[1, 0, int(o.outcome)])
                    for wi, o in zip(w, data))
         assert_allclose(got, want, rtol=1e-13)
@@ -412,14 +410,13 @@ class TestRWeightedLikelihood:
         w = np.full(data.n, 0.5)
         w[-1] = 1.2
         with pytest.raises(ValueError):
-            r_weighted_likelihood(model, data, SharedParam(0.0), TaskParam(0.0), w)
+            r_weighted_likelihood(model, data, 0.0, 0.0, w)
 
     def test_zero_weight_suppresses_neg_inf(self):
         table = np.array([[[1.0, 0.0]]])
         model = discrete_toy_model(2, 1, 1, table)
         data = SourceData((Observation(np.empty(0), 1),))
-        got = r_weighted_likelihood(model, data, SharedParam(0.0),
-                                    TaskParam(0.0), np.array([0.0]))
+        got = r_weighted_likelihood(model, data, 0.0, 0.0, np.array([0.0]))
         assert got == 0.0
 
     def test_engine_cells_match_oracle(self):
@@ -662,6 +659,25 @@ class TestChainGridTv:
             np.concatenate([grid.psi_nodes[b], np.full((180000, 1), 50.0)]))
         # 0.9 exactly when no bin holds more than its table mass; allow rounding
         assert chain_grid_tv(chain, table, coarsen=2, marginal=marginal) >= 0.9 - 1e-12
+
+    @pytest.mark.parametrize("marginal", [None, "theta", "psi"])
+    def test_vector_parameters_rejected(self, marginal):
+        """The histograms bin one coordinate per parameter.  Binned on its
+        first coordinate alone, a chain drawn uniformly on [-1, 1]^2 reads a
+        joint and theta TV of 0.556 against a uniform 3 x 3 theta grid, not
+        about 0, so two coordinates on either side raise."""
+        theta_nodes = box_nodes([[-1.0, 1.0], [-1.0, 1.0]], 3)
+        grid = ParameterGrid(theta_nodes, np.zeros((1, 1)), np.full(9, 1 / 9), [1.0])
+        table = PosteriorTable(grid=grid, joint_mass=np.full((9, 1), 1 / 9),
+                               log_evidence=0.0)
+        rng = np.random.default_rng(RNG_SEED)
+        chain = McmcChainStub(rng.uniform(-1.0, 1.0, size=(20000, 2)), np.zeros((20000, 1)))
+        with pytest.raises(ValueError, match="scalar theta"):
+            chain_grid_tv(chain, table, marginal=marginal)
+        scalar = self._table()
+        chain = McmcChainStub(np.zeros((10, 1)), np.zeros((10, 2)))
+        with pytest.raises(ValueError, match="scalar psi"):
+            chain_grid_tv(chain, scalar, marginal=marginal)
 
     def test_unknown_marginal_rejected(self):
         """A misspelt marginal must not fall through to the joint."""

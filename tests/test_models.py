@@ -20,10 +20,10 @@ from relbayes.harness.config import ExperimentConfig
 from relbayes.grids import ParameterGrid, box_nodes, midpoint_nodes, toy_grid
 from relbayes.harness.runner import run_experiment
 from relbayes.inference import GridProblem, metropolis_posterior
-from relbayes.models import (LOG_2PI, Observation, SharedParam, SourceData,
-                             TaskParam, binomial_logit_model, discrete_toy_model,
-                             gp_model, linear_model, loglik_tensor, logsumexp,
-                             param_values)
+from relbayes.diagnostics import TrueProcess
+from relbayes.models import (LOG_2PI, Observation, SourceData, binomial_logit_model,
+                             discrete_toy_model, gp_model, linear_model, loglik_tensor,
+                             logsumexp, param_values)
 
 RNG_SEED = 20260817
 
@@ -40,19 +40,33 @@ def _toy_table(rng, n_out=3, n_theta=2, n_psi=2):
 
 class TestDomainTypes:
     def test_shared_param_coerces_to_vector(self):
-        p = SharedParam(1.5)
-        assert p.value.shape == (1,)
-        assert p.value[0] == 1.5
+        """A parameter value is a float vector: TrueProcess takes a scalar as
+        shape (1,) and a list of scalars as the (n, 1) psi_star."""
+        truth = TrueProcess(1.5, [0.0, 2.0, 1.0], -0.5)
+        assert truth.theta_star.shape == (1,) and truth.theta_star[0] == 1.5
+        assert truth.psi_target_star.shape == (1,) and truth.psi_target_star[0] == -0.5
+        assert truth.psi_star.shape == (3, 1) and truth.n == 3
+        assert_array_equal(truth.psi_star[:, 0], [0.0, 2.0, 1.0])
+        assert TrueProcess([1.0, 2.0], np.zeros((2, 3)), np.zeros(3)).psi_star.shape == (2, 3)
 
     def test_param_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            TaskParam(float("nan"))
-        with pytest.raises(ValueError):
-            SharedParam([1.0, float("inf")])
+        """A NaN or an infinity in any field of TrueProcess raises."""
+        for field in ("theta_star", "psi_star", "psi_target_star"):
+            for bad in (float("nan"), float("inf"), -float("inf")):
+                values = {"theta_star": [1.0, 0.0], "psi_star": [0.0, 1.0],
+                          "psi_target_star": 0.0}
+                values[field] = bad if field == "psi_target_star" else [1.0, bad]
+                with pytest.raises(ValueError, match=f"{field} must be finite"):
+                    TrueProcess(**values)
+
+    def test_true_process_needs_a_source_parameter(self):
+        with pytest.raises(ValueError, match="psi_star must list one task parameter"):
+            TrueProcess(0.0, [], 0.0)
 
     def test_param_values_accepts_raw_arrays(self):
-        assert_allclose(param_values(np.array([2.0, 3.0])), [2.0, 3.0])
-        assert_allclose(param_values(SharedParam([2.0])), [2.0])
+        assert_array_equal(param_values(np.array([2.0, 3.0])), [2.0, 3.0])
+        assert param_values(2.0).shape == (1,)
+        assert param_values(np.int64(2)).dtype == float
 
     def test_observation_trial_count_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -117,13 +131,13 @@ class TestLinearModel:
 
     def test_loglik_at_mean_is_normal_mode(self):
         obs = Observation([2.0, -1.0], 2.0 * 0.7 - 1.0 * 0.3)
-        ll = _cell(self.model, obs, SharedParam(0.7), TaskParam(0.3))
+        ll = _cell(self.model, obs, 0.7, 0.3)
         assert_allclose(ll, -0.9189385332046727, rtol=0, atol=1e-15)
 
     def test_unit_residual_costs_half(self):
         obs = Observation([1.0, 0.0], 1.0)
-        ll0 = _cell(self.model, obs, SharedParam(1.0), TaskParam(5.0))
-        ll1 = _cell(self.model, obs, SharedParam(2.0), TaskParam(5.0))
+        ll0 = _cell(self.model, obs, 1.0, 5.0)
+        ll1 = _cell(self.model, obs, 2.0, 5.0)
         assert_allclose(ll0 - ll1, 0.5, rtol=0, atol=1e-12)
 
     def test_batch_matches_scalar_loop(self):
@@ -145,7 +159,7 @@ class TestLinearModel:
         rng = np.random.default_rng(RNG_SEED)
         x = np.array([1.5, -2.0])
         draws = np.array([
-            self.model.simulate(x, SharedParam(-1.0), TaskParam(0.5), rng).outcome
+            self.model.simulate(x, -1.0, 0.5, rng).outcome
             for _ in range(20000)])
         assert_allclose(draws.mean(), -1.0 * 1.5 + 0.5 * -2.0, atol=0.03)
         assert_allclose(draws.var(), 1.0, atol=0.04)
@@ -157,7 +171,7 @@ class TestBinomialLogitModel:
 
     def test_single_trial_even_odds(self):
         obs = Observation(np.zeros(4), 1, trial_count=1)
-        ll = _cell(self.model, obs, SharedParam(np.zeros(4)), TaskParam(0.0))
+        ll = _cell(self.model, obs, np.zeros(4), 0.0)
         assert_allclose(ll, np.log(0.5), rtol=0, atol=1e-15)
 
     def test_matches_high_precision_oracle(self):
@@ -176,7 +190,7 @@ class TestBinomialLogitModel:
             theta = np.zeros(4)
             psi = t - float(theta @ x)
             obs = Observation(x, y, trial_count=n)
-            got = _cell(self.model, obs, SharedParam(theta), TaskParam(psi))
+            got = _cell(self.model, obs, theta, psi)
             p = 1 / (1 + mp.e ** (-mp.mpf(t)))
             want = float(mp.log(mp.binomial(n, y)) + y * mp.log(p)
                          + (n - y) * mp.log(1 - p))
@@ -185,7 +199,7 @@ class TestBinomialLogitModel:
     def test_requires_trial_count(self):
         obs = Observation(np.zeros(4), 1)
         with pytest.raises(ValueError, match="trial_count"):
-            _cell(self.model, obs, SharedParam(np.zeros(4)), TaskParam(0.0))
+            _cell(self.model, obs, np.zeros(4), 0.0)
 
     def test_rejects_outcome_above_trials(self):
         # the count is checked once, when the observation is built
@@ -212,7 +226,7 @@ class TestBinomialLogitModel:
     def test_simulate_mean(self):
         rng = np.random.default_rng(RNG_SEED)
         x = np.array([1.0, 0.0, 0.0, 0.0])
-        theta, psi = SharedParam([0.8, 0, 0, 0]), TaskParam(-0.3)
+        theta, psi = [0.8, 0, 0, 0], -0.3
         draws = np.array([
             self.model.simulate(x, theta, psi, rng, trial_count=20).outcome
             for _ in range(4000)])
@@ -221,8 +235,7 @@ class TestBinomialLogitModel:
     def test_simulate_needs_trial_count(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="trial_count"):
-            self.model.simulate(np.zeros(4), SharedParam(np.zeros(4)),
-                                TaskParam(0.0), rng)
+            self.model.simulate(np.zeros(4), np.zeros(4), 0.0, rng)
 
 
 class TestGpModel:
@@ -246,7 +259,7 @@ class TestGpModel:
             k = self._kernel(theta, psi)
             _, logdet = np.linalg.slogdet(k)
             want = -0.5 * (logdet + 7 * LOG_2PI)
-            got = _cell(self.model, obs, SharedParam(theta), TaskParam(psi))
+            got = _cell(self.model, obs, theta, psi)
             # long lengthscales leave K barely above the jitter floor, so
             # LU and Cholesky determinants drift apart in the last digits
             assert_allclose(got, want, rtol=1e-8)
@@ -258,7 +271,7 @@ class TestGpModel:
         obs = Observation(self.x, y)
         _, logdet = np.linalg.slogdet(k)
         want = -0.5 * (y @ np.linalg.solve(k, y) + logdet + 7 * LOG_2PI)
-        got = _cell(self.model, obs, SharedParam(0.7), TaskParam(2.5))
+        got = _cell(self.model, obs, 0.7, 2.5)
         assert_allclose(got, want, rtol=1e-9)
 
     def test_equal_lengthscales_collapse_to_single_rbf(self):
@@ -268,7 +281,7 @@ class TestGpModel:
         _, logdet = np.linalg.slogdet(k)
         y = obs.outcome
         want = -0.5 * (y @ np.linalg.solve(k, y) + logdet + 7 * LOG_2PI)
-        got = _cell(self.model, obs, SharedParam(0.8), TaskParam(0.8))
+        got = _cell(self.model, obs, 0.8, 0.8)
         assert_allclose(got, want, rtol=1e-9)
 
     def test_kernel_diagonal_is_one_plus_jitter(self):
@@ -281,7 +294,7 @@ class TestGpModel:
         for _ in range(100):
             theta = rng.uniform(0.05, 12.0)
             psi = rng.uniform(0.05, 12.0)
-            ll = _cell(self.model, obs, SharedParam(theta), TaskParam(psi))
+            ll = _cell(self.model, obs, theta, psi)
             assert np.isfinite(ll)
 
     def test_batch_matches_scalar_loop(self):
@@ -309,7 +322,7 @@ class TestGpModel:
         thetas = rng.uniform(11.0, 12.0, size=(4, 1))
         psis = rng.uniform(11.0, 12.0, size=(3, 1))
         data = SourceData(tuple(
-            model.simulate(x, SharedParam(th), TaskParam(ps), rng)
+            model.simulate(x, th, ps, rng)
             for th, ps in [(11.5, 11.8), (0.3, 2.0), (12.0, 0.05)]))
         sq = (x[:, None] - x[None, :]) ** 2
         kernel = 0.5 * (np.exp(-0.5 * sq / thetas[0, 0] ** 2)
@@ -329,7 +342,7 @@ class TestGpModel:
 
     def test_simulate_pointwise_variance(self):
         rng = np.random.default_rng(RNG_SEED)
-        theta, psi = SharedParam(1.0), TaskParam(3.0)
+        theta, psi = 1.0, 3.0
         draws = np.stack([
             self.model.simulate(self.x, theta, psi, rng).outcome
             for _ in range(3000)])
@@ -341,21 +354,21 @@ class TestGpModel:
         data = SourceData((obs,))
         for theta, psi in [(-1.0, 1.0), (1.0, 0.0)]:
             with pytest.raises(ValueError, match="positive"):
-                _cell(self.model, obs, SharedParam(theta), TaskParam(psi))
+                _cell(self.model, obs, theta, psi)
             with pytest.raises(ValueError, match="positive"):
                 loglik_tensor(self.model, data, [[1.0], [theta]], [[psi], [2.0]])
             with pytest.raises(ValueError, match="positive"):
                 _gp_mode_density(self.model, data, np.array([[theta]]), np.array([[psi]]))
             with pytest.raises(ValueError, match="positive"):
-                self.model.simulate(self.x, SharedParam(theta), TaskParam(psi),
+                self.model.simulate(self.x, theta, psi,
                                     np.random.default_rng(0))
 
     def test_simulate_stream_pinned(self):
         """Two draws recorded on the code that factored one kernel at a
         time; the batched factor at A = B = 1 must reproduce them exactly."""
         rng = np.random.default_rng(RNG_SEED)
-        first = self.model.simulate(self.x, SharedParam(1.0), TaskParam(3.0), rng)
-        second = self.model.simulate(self.x, SharedParam(0.05), TaskParam(12.0), rng)
+        first = self.model.simulate(self.x, 1.0, 3.0, rng)
+        second = self.model.simulate(self.x, 0.05, 12.0, rng)
         assert first.outcome.tolist() == [
             -0.9787531550557662, -0.7861107587411116, -0.5849983500129359,
             -0.3926286316000853, -0.22125182078713523, -0.07636784434769331,
@@ -508,7 +521,7 @@ class TestGpDistinctPairs:
 
     @staticmethod
     def _data(model, x, rng, n=4):
-        return SourceData(tuple(model.simulate(x, SharedParam(th), TaskParam(ps), rng)
+        return SourceData(tuple(model.simulate(x, th, ps, rng)
                                 for th, ps in rng.uniform(0.05, 12.0, size=(n, 2))))
 
     @staticmethod
@@ -617,15 +630,14 @@ class TestDiscreteToyModel:
             for b in range(2):
                 for o in range(3):
                     obs = Observation(np.empty(0), o)
-                    got = _cell(model, obs, SharedParam(float(a)),
-                                TaskParam(float(b)))
+                    got = _cell(model, obs, float(a), float(b))
                     assert_allclose(got, np.log(table[a, b, o]), rtol=0, atol=1e-14)
 
     def test_uniform_table(self):
         table = np.full((2, 2, 4), 0.25)
         model = discrete_toy_model(4, 2, 2, table)
         obs = Observation(np.empty(0), 2)
-        ll = _cell(model, obs, SharedParam(0.0), TaskParam(1.0))
+        ll = _cell(model, obs, 0.0, 1.0)
         assert_allclose(ll, np.log(0.25), rtol=0, atol=1e-15)
 
     def test_rows_must_sum_to_one(self):
@@ -638,7 +650,7 @@ class TestDiscreteToyModel:
                           [[0.3, 0.7], [0.9, 0.1]]])
         model = discrete_toy_model(2, 2, 2, table)
         obs = Observation(np.empty(0), 1)
-        ll = _cell(model, obs, SharedParam(0.0), TaskParam(0.0))
+        ll = _cell(model, obs, 0.0, 0.0)
         assert ll == -np.inf
 
     def test_batch_lookup_matches_loop(self):
@@ -672,8 +684,8 @@ class TestDiscreteToyModel:
         rng = np.random.default_rng(RNG_SEED)
         table = np.array([[[0.5, 0.3, 0.2]]])
         model = discrete_toy_model(3, 1, 1, table)
-        draws = np.array([model.simulate(np.empty(0), SharedParam(0.0),
-                                         TaskParam(0.0), rng).outcome
+        draws = np.array([model.simulate(np.empty(0), 0.0,
+                                         0.0, rng).outcome
                           for _ in range(2000)])
         counts = np.bincount(draws.astype(int), minlength=3)
         result = stats.chisquare(counts, 2000 * table[0, 0])

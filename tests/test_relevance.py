@@ -341,9 +341,8 @@ def _gp_problem(seed=RNG_SEED, resolution=8):
     rng = np.random.default_rng(seed)
     inst = gen_gp_trajectories(scenario, rng)
     model = gp_model(inst.x_grid)
-    grid = build_grid(model, lambda t: -0.5 * (np.log(t[0]) - 0.5) ** 2,
-                      lambda p: -0.5 * (np.log(p[0]) - 0.5) ** 2,
-                      theta_resolution=resolution, psi_resolution=resolution)
+    grid = build_grid(model, lambda t: -0.5 * (np.log(t[:, 0]) - 0.5) ** 2,
+                      lambda p: -0.5 * (np.log(p[:, 0]) - 0.5) ** 2, resolution)
     proxy = gen_expert_proxy(model, inst.prompts, inst.psi_target_star, 0.0, rng,
                              theta_nodes=grid.theta_nodes,
                              theta_prior=grid.theta_prior_mass)

@@ -350,22 +350,20 @@ class TestLinearInstance:
         assert inst.source.n == 75
         assert len(inst.prompts) == 25
         assert len(inst.proxy.payload) == 25
-        assert len(inst.psi_star) == 75
-        assert inst.theta_star.value[0] == -1.0
+        assert inst.psi_star.shape == (75, 1)
+        assert inst.theta_star.shape == (1,) and inst.theta_star[0] == -1.0
 
     def test_full_resemblance_copies_target_everywhere(self):
         inst = gen_linear_instance(LinearScenario(target_resemblance_pct=100.0), task_rng(7, 0))
-        target = inst.psi_target_star.value[0]
-        assert all(p.value[0] == target for p in inst.psi_star)
+        assert np.all(inst.psi_star[:, 0] == inst.psi_target_star[0])
 
     def test_zero_resemblance_keeps_sources_at_prior_mean(self):
         inst = gen_linear_instance(LinearScenario(target_resemblance_pct=0.0), task_rng(7, 0))
-        assert all(p.value[0] == 0.0 for p in inst.psi_star)
+        assert np.all(inst.psi_star[:, 0] == 0.0)
 
     def test_partial_resemblance_count_is_exact(self):
         inst = gen_linear_instance(LinearScenario(target_resemblance_pct=40.0), task_rng(9, 0))
-        target = inst.psi_target_star.value[0]
-        n_like = sum(1 for p in inst.psi_star if p.value[0] == target)
+        n_like = np.count_nonzero(inst.psi_star[:, 0] == inst.psi_target_star[0])
         assert n_like == 30                       # round(0.4 * 75)
 
     def test_instances_are_deterministic(self):
@@ -379,7 +377,7 @@ class TestLinearInstance:
     def test_different_seeds_differ(self):
         a = gen_linear_instance(LinearScenario(), task_rng(1, 0))
         b = gen_linear_instance(LinearScenario(), task_rng(2, 0))
-        assert a.psi_target_star.value[0] != b.psi_target_star.value[0]
+        assert a.psi_target_star[0] != b.psi_target_star[0]
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
@@ -395,24 +393,22 @@ class TestGpTrajectories:
         inst = gen_gp_trajectories(GpScenario(), task_rng(3, 0))
         assert len(inst.prompts) == 8
         assert inst.source.n == 8
-        assert len(inst.psi_star) == 8
+        assert inst.psi_star.shape == (8, 1)
         assert inst.x_grid.shape == (10,)
         assert_allclose(inst.x_grid, np.linspace(0, 1, 10), rtol=0, atol=0)
-        assert inst.theta_star.value[0] == 1.0
+        assert inst.theta_star.shape == (1,) and inst.theta_star[0] == 1.0
 
     def test_prompts_come_from_target_task(self):
         """m_target = 12 covers the first 8 trajectories, which become the
         prompts, while the last 8 (indices 16..23) are source tasks with
         their own task draws."""
         inst = gen_gp_trajectories(GpScenario(), task_rng(3, 0))
-        target = inst.psi_target_star.value[0]
-        assert all(p.value[0] != target for p in inst.psi_star)
+        assert np.all(inst.psi_star[:, 0] != inst.psi_target_star[0])
 
     def test_all_target_scenario_floods_the_source(self):
         inst = gen_gp_trajectories(GpScenario(n_trajectories=10, m_target=10,
                                               m_source=4, resolution=5), task_rng(3, 0))
-        target = inst.psi_target_star.value[0]
-        assert all(p.value[0] == target for p in inst.psi_star)
+        assert np.all(inst.psi_star[:, 0] == inst.psi_target_star[0])
         assert inst.source.n == 4
 
     def test_zero_source_keeps_everything(self):
@@ -420,6 +416,7 @@ class TestGpTrajectories:
                                               m_source=0, resolution=5), task_rng(3, 0))
         assert len(inst.prompts) == 0
         assert inst.source.n == 6
+        assert inst.psi_star.shape == (6, 1)
 
     def test_trajectory_marginal_variance_is_unit(self):
         scenario = GpScenario(n_trajectories=1, m_target=1, m_source=0,
@@ -433,7 +430,7 @@ class TestGpTrajectories:
         a = gen_gp_trajectories(GpScenario(), task_rng(17, 0))
         b = gen_gp_trajectories(GpScenario(), task_rng(17, 0))
         assert_allclose(a.source[0].outcome, b.source[0].outcome, rtol=0, atol=0)
-        assert a.psi_target_star.value[0] == b.psi_target_star.value[0]
+        assert a.psi_target_star[0] == b.psi_target_star[0]
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
