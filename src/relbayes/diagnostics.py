@@ -29,8 +29,7 @@ from .grids import ParameterGrid
 from .inference import (DegenerateProxyError, GridProblem, _check_proxy_ll,
                         _check_weights, _neginf_mask, _r_weighted_log_joint,
                         _source_mixture, _weighted_terms)
-from .models import ModelSpec, Observation, SourceData, loglik_tensor, logsumexp, \
-    param_values
+from .models import ModelSpec, SourceData, loglik_tensor, logsumexp, param_values
 from .relevance import refine_relevance
 
 
@@ -217,8 +216,8 @@ class ToyEnumeration:
             raise ValueError(f"theta*={theta} lies outside the grid span [{lo}, {hi}]")
         a_star, snap = grid.nearest_theta(theta)
 
-        outcomes = SourceData(tuple(Observation(np.empty(0), int(o))
-                                    for o in model.outcome_space))
+        alphabet = model.outcome_space
+        outcomes = SourceData(np.empty((alphabet.size, 0)), alphabet)
         n = truth.n
         star = loglik_tensor(model, outcomes, theta[None, :], truth.psi_star)[:, 0, :].T
         datasets = np.indices((outcomes.n,) * n).reshape(n, -1).T
@@ -323,8 +322,8 @@ def info_gain_rweighted(record: ToyEnumeration, proxy_table,
     else:
         weights = np.zeros(live.shape + (grid.n_psi, datasets.shape[1]))   # (Z, M, B, n)
         for m in np.nonzero(live.any(axis=0))[0]:
-            data = SourceData(tuple(Observation(np.empty(0), int(model.outcome_space[o]))
-                                    for o in datasets[m]))
+            data = SourceData(np.empty((datasets.shape[1], 0)),
+                              model.outcome_space[datasets[m]])
             problem = GridProblem(model, data, grid)
             for zi in np.nonzero(live[:, m])[0]:
                 weights[zi, m] = refine_relevance(problem, z_ll[zi],

@@ -22,7 +22,7 @@ def _check_mass(mass: np.ndarray, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a nonempty 1-d vector")
     if np.any(mass < 0):
         raise ValueError(f"{name} has negative entries")
-    if abs(mass.sum() - 1.0) > MASS_TOL:
+    if not abs(mass.sum() - 1.0) <= MASS_TOL:      # a NaN sum fails this too
         raise ValueError(f"{name} sums to {mass.sum()!r}, expected 1 within {MASS_TOL}")
     return mass
 

@@ -24,8 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ..inference import metropolis_posterior
-from ..models import Observation, SourceData, binomial_logit_model, loglik_tensor, \
-    logsumexp
+from ..models import SourceData, binomial_logit_model, loglik_tensor, logsumexp
 from ..synthetic import gen_imprecise_estimate_proxy, task_rng
 
 TREATMENTS = ("A", "B", "C", "D")
@@ -110,15 +109,11 @@ def ingest_smoking_csv(path) -> list[SmokingRecord]:
 # model assembly
 # ---------------------------------------------------------------------------
 
-def _one_hot(treatment: str) -> np.ndarray:
-    x = np.zeros(len(TREATMENTS))
-    x[TREATMENTS.index(treatment)] = 1.0
-    return x
-
-
-def _arm_observation(record: SmokingRecord) -> Observation:
-    return Observation(covariates=_one_hot(record.treatment),
-                       outcome=record.events, trial_count=record.total)
+def _arm_data(records) -> SourceData:
+    """One binomial row per arm: the one-hot treatment, events of total."""
+    treatments = [TREATMENTS.index(r.treatment) for r in records]
+    return SourceData(np.eye(len(TREATMENTS))[treatments], [r.events for r in records],
+                      [r.total for r in records])
 
 
 def arms_by_study(records) -> dict:
@@ -130,15 +125,12 @@ def arms_by_study(records) -> dict:
 
 
 def _stacked_data(study_map: dict) -> tuple[SourceData, list[list[int]]]:
-    obs, groups, k = [], [], 0
+    """Every study's arms in one SourceData, and each study's row indices."""
+    records, groups = [], []
     for study in study_map:
-        idx = []
-        for record in study_map[study]:
-            obs.append(_arm_observation(record))
-            idx.append(k)
-            k += 1
-        groups.append(idx)
-    return SourceData(tuple(obs)), groups
+        groups.append(list(range(len(records), len(records) + len(study_map[study]))))
+        records.extend(study_map[study])
+    return _arm_data(records), groups
 
 
 def _normal_prior(theta: np.ndarray, psi: np.ndarray) -> float:
@@ -262,7 +254,7 @@ def run_smoking_comparison(records, proxy_mode: str, seed: int,
             model, data, None, None, _normal_prior, n_samples,
             int(rng.integers(2 ** 31)), groups=groups)
 
-        held_data = SourceData(tuple(_arm_observation(r) for r in study_map[held]))
+        held_data = _arm_data(study_map[held])
         lp_r, se_r = _rweighted_predictive(model, held_data, chain_r)
         lp_c, se_c = _classic_predictive(model, held_data, chain_c, z, sigma)
         notes = [w for w in (chain_r.warning, chain_c.warning) if w]

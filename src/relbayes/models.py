@@ -1,10 +1,12 @@
 """Domain types and the four concrete probabilistic models.
 
-A model couples a per-observation log-likelihood log p(d_i | theta, psi_i)
-with a simulator for the same distribution.  theta is shared across tasks,
-psi_i is task-specific.  Each model supplies its log-likelihood once, as a
-vectorised evaluator over a parameter product that reads the columns
-SourceData stacks at construction; loglik_tensor is its checked entry point.
+A data set is SourceData, three read-only float columns: covariates,
+outcomes and, for a binomial model, trial counts.  A model couples a
+per-observation log-likelihood log p(d_i | theta, psi_i) with a simulator
+that draws one outcome from the same distribution.  theta is shared across
+tasks, psi_i is task-specific.  Each model supplies its log-likelihood
+once, as a vectorised evaluator over a parameter product that reads those
+columns; loglik_tensor is its checked entry point.
 Everything downstream (grid posteriors, relevance weighting, diagnostics)
 talks to models only through ModelSpec, so adding a model means writing one
 factory function here.  The two formulas every layer above shares live here
@@ -26,85 +28,59 @@ LOG_2PI = math.log(2.0 * math.pi)
 LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One observation d_i.
-
-    covariates has the layout the owning model declares.  outcome is a real
-    scalar, a count, or a whole trajectory vector (GP model).  trial_count is
-    present exactly for binomial models, and then the outcome is a count in
-    [0, trial_count].
-    """
-
-    covariates: np.ndarray
-    outcome: object
-    trial_count: Optional[int] = None
-
-    def __post_init__(self):
-        cov = np.atleast_1d(np.asarray(self.covariates, dtype=float))
-        object.__setattr__(self, "covariates", cov)
-        if self.trial_count is not None:
-            tc = int(self.trial_count)
-            if tc <= 0:
-                raise ValueError(f"trial_count must be positive, got {tc}")
-            y = int(self.outcome)
-            if not 0 <= y <= tc:
-                raise ValueError(f"outcome {y} outside [0, trial_count={tc}]")
-            object.__setattr__(self, "trial_count", tc)
-            object.__setattr__(self, "outcome", y)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourceData:
-    """Ordered source observations d = (d_1, ..., d_n), n >= 1, plus columns.
+    """Source observations d = (d_1, ..., d_n), n >= 1, as three columns.
 
-    The columns are stacked once, here: covariates (n, c); outcomes (n,), or
-    (n, m) for trajectory outcomes; trial_counts (n,), or None when no
-    observation has one.  All three are read-only float arrays, so a model
+    covariates is (n, c) in the layout the model declares, c = 0 for a
+    model that reads none; outcomes is (n,), or (n, m) for trajectory
+    outcomes; trial_counts is (n,) exactly for binomial models, each a whole
+    number >= 1 whose outcome is a whole count in [0, trial_count], and None
+    otherwise.  Each column is copied to a read-only float array, so a model
     may key constants it derives from them on the SourceData's identity.
     """
 
-    observations: tuple
-    covariates: np.ndarray = field(init=False, repr=False, compare=False)
-    outcomes: np.ndarray = field(init=False, repr=False, compare=False)
-    trial_counts: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    covariates: np.ndarray
+    outcomes: np.ndarray
+    trial_counts: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        obs = tuple(self.observations)
-        if len(obs) == 0:
+        for name in ("covariates", "outcomes", "trial_counts"):
+            value = getattr(self, name)
+            if value is None and name == "trial_counts":
+                continue
+            try:
+                column = np.array(value, dtype=float)
+            except ValueError as exc:
+                raise ValueError(f"{name} is ragged or not numeric: {exc}") from None
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        y, counts = self.outcomes, self.trial_counts
+        if y.ndim not in (1, 2):
+            raise ValueError(f"outcomes must be (n,) or (n, m), got shape {y.shape}")
+        if self.n == 0:
             raise ValueError("SourceData needs at least one observation")
-        # np.array raises on ragged rows, which is the shape check
-        try:
-            covariates = np.array([o.covariates for o in obs])
-        except ValueError:
-            dims = sorted({o.covariates.shape for o in obs})
-            raise ValueError(f"observations have mixed covariate shapes: {dims}") from None
-        try:
-            outcomes = np.array([o.outcome for o in obs], dtype=float)
-        except ValueError:
-            shapes = sorted({np.shape(o.outcome) for o in obs})
-            raise ValueError(f"observations have ragged outcome shapes: {shapes}") from None
-        counts = [o.trial_count for o in obs]
-        if None in counts and counts.count(None) < len(counts):
-            raise ValueError("observations mix present and absent trial_count")
-        trial_counts = None if None in counts else np.array(counts, dtype=float)
-        for column in (covariates, outcomes, trial_counts):
-            if column is not None:
-                column.flags.writeable = False
-        object.__setattr__(self, "observations", obs)
-        object.__setattr__(self, "covariates", covariates)
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "trial_counts", trial_counts)
+        if self.covariates.ndim != 2 or self.covariates.shape[0] != self.n:
+            raise ValueError(f"covariates must be ({self.n}, c), got shape "
+                             f"{self.covariates.shape}")
+        if counts is None:
+            return
+        if counts.shape != y.shape or y.ndim != 1:
+            raise ValueError(f"trial_counts {counts.shape} needs (n,) outcomes of the "
+                             f"same length, got {y.shape}")
+        whole = np.isfinite(counts) & (counts >= 1) & (counts == np.floor(counts))
+        if not whole.all():
+            i = int(np.argmin(whole))
+            raise ValueError(f"trial_count {counts[i]} at row {i} is not a whole number >= 1")
+        whole = (y >= 0) & (y <= counts) & (y == np.floor(y))
+        if not whole.all():
+            i = int(np.argmin(whole))
+            raise ValueError(f"outcome {y[i]} at row {i} is not a whole count in "
+                             f"[0, trial_count={counts[i]}]")
 
     @property
     def n(self) -> int:
-        return len(self.observations)
-
-    def __iter__(self):
-        return iter(self.observations)
-
-    def __getitem__(self, index):
-        return self.observations[index]
+        return self.outcomes.shape[0]
 
 
 @dataclass(frozen=True)
@@ -126,9 +102,11 @@ class ModelSpec:
         likelihood a model supplies; call it through loglik_tensor, which
         coerces the parameter arrays and rejects NaN.  A single value is its
         1 x 1 x 1 cell.
-    simulate : callable (covariates, theta, psi, rng, ...) -> Observation
-        Draws one observation at theta (k_theta,) and psi (k_psi,); a scalar
-        stands for a vector of length one.
+    simulate : callable (covariates, theta, psi, rng, ...) -> outcome
+        Draws one outcome at covariates (c,), theta (k_theta,) and psi
+        (k_psi,): a float, an int count, or an (m,) trajectory, one row of
+        SourceData.outcomes.  A scalar parameter stands for a vector of
+        length one.
     log_predictive_mode_density : optional callable
         (SourceData, thetas (A, k_theta), psis (B, k_psi), belief (A,))
         -> (n, B) array.  Log modal density of the belief-averaged outcome
@@ -242,11 +220,11 @@ def linear_model() -> ModelSpec:
                 + x[:, 1, None, None] * _task_column(psis))      # (n, A, B)
         return -0.5 * LOG_2PI - 0.5 * (data.outcomes[:, None, None] - mean) ** 2
 
-    def simulate(covariates, theta, psi, rng) -> Observation:
+    def simulate(covariates, theta, psi, rng) -> float:
         covariates = np.asarray(covariates, dtype=float)
         th, ps = param_values(theta), param_values(psi)
         mean = th[0] * covariates[0] + ps[0] * covariates[1]
-        return Observation(covariates, mean + rng.standard_normal())
+        return float(mean + rng.standard_normal())
 
     def log_predictive_mode_density(data, thetas, psis, belief) -> np.ndarray:
         th = np.asarray(thetas, dtype=float)[:, 0]
@@ -285,8 +263,8 @@ def _binom_terms(y, failures, log_coef, t):
 def binomial_logit_model() -> ModelSpec:
     """Count outcome y ~ Binomial(sigmoid(theta . x + psi), trial_count).
 
-    Four treatment indicators in theta, a scalar intercept psi.  Observation
-    already holds each count inside [0, trial_count].
+    Four treatment indicators in theta, a scalar intercept psi.  SourceData
+    has already checked each count is a whole number in [0, trial_count].
 
     The failure counts and the log binomial coefficient depend only on the
     data, and a Metropolis chain evaluates one SourceData thousands of
@@ -310,14 +288,13 @@ def binomial_logit_model() -> ModelSpec:
         t = (data.covariates @ thetas.T)[:, :, None] + _task_column(psis)   # (n, A, B)
         return _binom_terms(*_columns(data), t)
 
-    def simulate(covariates, theta, psi, rng, trial_count=None) -> Observation:
+    def simulate(covariates, theta, psi, rng, trial_count=None) -> int:
         if trial_count is None:
             raise ValueError("binomial simulate needs trial_count")
         covariates = np.asarray(covariates, dtype=float)
         th, ps = param_values(theta), param_values(psi)
         p = expit(float(th @ covariates) + ps[0])
-        y = int(rng.binomial(int(trial_count), p))
-        return Observation(covariates, y, trial_count=int(trial_count))
+        return int(rng.binomial(int(trial_count), p))
 
     return ModelSpec(
         name="binomial-logit",
@@ -353,7 +330,7 @@ def _distinct(a: np.ndarray):
 def gp_model(x_grid) -> ModelSpec:
     """Zero-mean GP over trajectories on a fixed covariate grid.
 
-    One Observation is a whole trajectory y in R^m.  The covariance is an
+    One outcome is a whole trajectory y in R^m.  The covariance is an
     equal-weight sum of two unit-amplitude RBF kernels, one with the shared
     lengthscale theta and one with the task lengthscale psi, scaled by 1/2
     so the diagonal is 1 (plus jitter).
@@ -479,9 +456,9 @@ def gp_model(x_grid) -> ModelSpec:
         # downstream need to sum in the order of an unshared product
         return ll.take(index, axis=1).reshape(data.n, thetas.shape[0], psis.shape[0])
 
-    def simulate(covariates, theta, psi, rng) -> Observation:
+    def simulate(covariates, theta, psi, rng) -> np.ndarray:
         factor, _, index = _factor(param_values(theta)[None, :], param_values(psi)[None, :])
-        return Observation(x, factor[:, :, index[0]] @ rng.standard_normal(m))
+        return factor[:, :, index[0]] @ rng.standard_normal(m)
 
     def log_mode_density(thetas, psis) -> np.ndarray:
         """Log density of each (theta_a, psi_b) component at its mode, the
@@ -545,13 +522,12 @@ def discrete_toy_model(outcome_count: int, theta_count: int, psi_count: int, tab
         y = data.outcomes.astype(int)
         return log_table[a[None, :, None], b, y[:, None, None]]
 
-    def simulate(covariates, theta, psi, rng) -> Observation:
+    def simulate(covariates, theta, psi, rng) -> int:
         a = int(round(param_values(theta)[0]))
         b = int(round(param_values(psi)[0]))
         if not (0 <= a < theta_count and 0 <= b < psi_count):
             raise ValueError(f"toy indices ({a}, {b}) out of range")
-        y = int(rng.choice(outcome_count, p=table[a, b]))
-        return Observation(np.empty(0), y)
+        return int(rng.choice(outcome_count, p=table[a, b]))
 
     return ModelSpec(
         name="discrete-toy",

@@ -125,7 +125,7 @@ def prior_expected_relevance(model: ModelSpec, data: SourceData, theta_nodes,
     belief = np.asarray(theta_belief, dtype=float)
     if belief.shape != (thetas.shape[0],):
         raise ValueError("theta_belief must have one mass per theta node")
-    if np.any(belief < 0) or abs(belief.sum() - 1.0) > 1e-9:
+    if np.any(belief < 0) or not abs(belief.sum() - 1.0) <= 1e-9:     # NaN fails too
         raise ValueError("theta_belief must be a normalized mass vector")
     psi = param_values(psi_target)[None, :]
     log_average = _belief_averager(loglik_tensor(model, data, thetas, psi))

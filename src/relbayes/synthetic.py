@@ -8,8 +8,9 @@ lengthscales.  A small imprecise-estimate proxy covers the observational
 case study.
 
 Every generator is a pure function of its arguments and the
-np.random.Generator it draws from; task_rng gives one counter-based Philox
-stream per (master_seed, index), so parallel sweeps stay reproducible.
+np.random.Generator it draws from, and returns its data sets as
+SourceData columns; task_rng gives one counter-based Philox stream per
+(master_seed, index), so parallel sweeps stay reproducible.
 """
 
 from __future__ import annotations
@@ -81,8 +82,10 @@ class GpScenario:
     def __post_init__(self):
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be positive")
-        if not 0 <= self.m_source <= self.n_trajectories:
-            raise ValueError("m_source must lie in [0, n_trajectories]")
+        # the expert proxy is drawn from the m_source prompts, so it needs one
+        if not 1 <= self.m_source <= self.n_trajectories:
+            raise ValueError(f"m_source must lie in [1, n_trajectories={self.n_trajectories}], "
+                             f"got {self.m_source}")
         if not 0 <= self.m_target <= self.n_trajectories:
             raise ValueError("m_target must lie in [0, n_trajectories]")
         if self.resolution < 2:
@@ -127,14 +130,15 @@ def gen_linear_covariates(rho_c: float, count: int, rng: np.random.Generator) ->
 # expert-prompt proxy (0-7 agreement scale)
 # ---------------------------------------------------------------------------
 
-def prompt_agreement(model: ModelSpec, prompts, psi_nodes, theta_nodes=None,
-                     theta_prior=None) -> np.ndarray:
+def prompt_agreement(model: ModelSpec, prompts: SourceData, psi_nodes,
+                     theta_nodes=None, theta_prior=None) -> np.ndarray:
     """Probability that an expert endorses each prompt as target-like.
 
-    Returns a (J, B) array for J prompts and the B rows of psi_nodes
-    (B, k_psi).  Each prompt's likelihood is marginalized over the theta
-    prior and divided by the modal density of that marginal predictive, so
-    the result lives in [0, 1].  The linear model admits a closed form:
+    Returns a (J, B) array for the J prompts, the rows of the SourceData
+    prompts, and the B rows of psi_nodes (B, k_psi).  Each prompt's
+    likelihood is marginalized over the theta prior and divided by the
+    modal density of that marginal predictive, so the result lives in
+    [0, 1].  The linear model admits a closed form:
     theta integrates out to a Gaussian in the outcome with variance
     1 + x1^2, whose own mode is the normalizer, leaving
     exp(-resid^2 / (2 var)).  Other models marginalize over the supplied
@@ -142,7 +146,6 @@ def prompt_agreement(model: ModelSpec, prompts, psi_nodes, theta_nodes=None,
     the theta prior, exact for the trajectory model where every component
     peaks at the zero trajectory.
     """
-    prompts = SourceData(tuple(prompts))
     psi = np.asarray(psi_nodes, dtype=float)
     if psi.ndim != 2:
         raise ValueError(f"psi_nodes must be a (B, k_psi) array, got shape {psi.shape}")
@@ -171,10 +174,11 @@ _LOG_BINOM_COEF = np.array([math.log(math.comb(PROXY_TRIALS, z))
                             for z in range(PROXY_TRIALS + 1)])
 
 
-def gen_expert_proxy(model: ModelSpec, prompts, psi_target_star,
+def gen_expert_proxy(model: ModelSpec, prompts: SourceData, psi_target_star,
                      contamination_pct: float, rng: np.random.Generator, theta_nodes=None,
                      theta_prior=None) -> ProxyObservation:
-    """Simulated expert ratings z_j ~ Binomial(7, p~_j), one per prompt.
+    """Simulated expert ratings z_j ~ Binomial(7, p~_j), one per row of the
+    SourceData prompts.
 
     p~_j is the prompt's agreement probability at the true target task
     parameter.  A contaminated_pct share of prompts (exact count, rounded,
@@ -183,13 +187,10 @@ def gen_expert_proxy(model: ModelSpec, prompts, psi_target_star,
     of ratings, and its likelihood, which always models the clean process,
     is the sum over prompts of the binomial log-pmfs.
     """
-    prompts = tuple(prompts)
-    if len(prompts) == 0:
-        raise ValueError("prompts must be nonempty")
     _check_pct(contamination_pct, "contamination_pct")
     psi_star = param_values(psi_target_star)
 
-    n = len(prompts)
+    n = prompts.n
     n_bad = int(round(contamination_pct * n / 100.0))
     bad = np.zeros(n, dtype=bool)
     if n_bad > 0:
@@ -204,9 +205,9 @@ def gen_expert_proxy(model: ModelSpec, prompts, psi_target_star,
         p = np.clip(prompt_agreement(model, prompts, psi_nodes, theta_nodes, theta_prior),
                     PROB_FLOOR, 1.0 - PROB_FLOOR)                       # (J, B)
         z = np.asarray(payload, dtype=int)
-        if z.shape != (len(prompts),) or np.any((z < 0) | (z > PROXY_TRIALS)):
+        if z.shape != (n,) or np.any((z < 0) | (z > PROXY_TRIALS)):
             raise ValueError(f"payload must hold one rating in [0, {PROXY_TRIALS}] "
-                             f"per prompt ({len(prompts)}), got {payload!r}")
+                             f"per prompt ({n}), got {payload!r}")
         z = z[:, None]
         return (_LOG_BINOM_COEF[z] + z * np.log(p)
                 + (PROXY_TRIALS - z) * np.log1p(-p)).sum(axis=0)
@@ -224,7 +225,7 @@ class LinearInstance:
     source observation, and the target's psi* (1,)."""
 
     source: SourceData
-    prompts: tuple
+    prompts: SourceData
     proxy: ProxyObservation
     theta_star: np.ndarray
     psi_star: np.ndarray
@@ -254,13 +255,13 @@ def gen_linear_instance(scenario: LinearScenario, rng: np.random.Generator) -> L
         psi_vals[rng.choice(n, size=n_like, replace=False)] = psi_target[0]
 
     x_source = gen_linear_covariates(scenario.multicollinearity, n, rng)
-    source = SourceData(tuple(model.simulate(x_source[i], theta_star, psi_vals[i], rng)
-                              for i in range(n)))
+    source = SourceData(x_source, [model.simulate(x_source[i], theta_star, psi_vals[i], rng)
+                                   for i in range(n)])
 
     x_prompt = gen_linear_covariates(scenario.multicollinearity,
                                      scenario.n_proxy_prompts, rng)
-    prompts = tuple(model.simulate(x_prompt[j], theta_star, psi_target, rng)
-                    for j in range(scenario.n_proxy_prompts))
+    prompts = SourceData(x_prompt, [model.simulate(x_prompt[j], theta_star, psi_target, rng)
+                                    for j in range(scenario.n_proxy_prompts)])
     proxy = gen_expert_proxy(model, prompts, psi_target, scenario.contamination_pct, rng)
     return LinearInstance(source=source, prompts=prompts, proxy=proxy,
                           theta_star=theta_star, psi_star=psi_vals[:, None],
@@ -277,7 +278,7 @@ class GpInstance:
     source trajectory, and the target's psi* (1,)."""
 
     source: SourceData
-    prompts: tuple
+    prompts: SourceData
     theta_star: np.ndarray
     psi_star: np.ndarray
     psi_target_star: np.ndarray
@@ -302,17 +303,17 @@ def gen_gp_trajectories(scenario: GpScenario, rng: np.random.Generator) -> GpIns
 
     n = scenario.n_trajectories
     psis = np.empty(n)
-    trajectories = []
+    y = np.empty((n, x.size))
     for i in range(n):
         psis[i] = (psi_target[0] if i < scenario.m_target
                    else rng.gamma(GP_PSI_SHAPE, GP_PSI_SCALE))
-        trajectories.append(model.simulate(x, theta_star, psis[i], rng))
+        y[i] = model.simulate(x, theta_star, psis[i], rng)
 
     m_s = scenario.m_source
-    source = slice(n - m_s, None) if m_s > 0 else slice(None)
-    return GpInstance(source=SourceData(tuple(trajectories[source])),
-                      prompts=tuple(trajectories[:m_s]), theta_star=theta_star,
-                      psi_star=psis[source, None], psi_target_star=psi_target, x_grid=x)
+    covariates = np.tile(x, (m_s, 1))
+    return GpInstance(source=SourceData(covariates, y[n - m_s:]),
+                      prompts=SourceData(covariates, y[:m_s]), theta_star=theta_star,
+                      psi_star=psis[n - m_s:, None], psi_target_star=psi_target, x_grid=x)
 
 
 # ---------------------------------------------------------------------------

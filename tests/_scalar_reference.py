@@ -1,5 +1,8 @@
 """Scalar reference log-likelihoods, one observation at one (theta, psi).
 
+Each oracle reads a one-row SourceData; rows(data) cuts a larger one into
+them.
+
 The library supplies each model's likelihood once, as a vectorised
 evaluator over a parameter product.  These are the per-observation forms it
 replaced, kept here as oracles so the tensor can be checked cell by cell
@@ -36,14 +39,23 @@ from scipy.special import expit, logsumexp
 from relbayes.inference import (GridProblem, _check_weights, classic_posterior,
                                 proxy_loglik_vector, r_weighted_posterior)
 from relbayes.models import BASE_JITTER, LOG_2PI, MAX_JITTER, DegenerateRelevanceError, \
-    Observation, SourceData, loglik_tensor, param_values
+    SourceData, loglik_tensor, param_values
 from relbayes.relevance import _clip_unit, _predictive_mode_matrix, refine_relevance
+
+
+def rows(data) -> list:
+    """Each observation of data as a one-row SourceData."""
+    counts = data.trial_counts
+    return [SourceData(data.covariates[i:i + 1], data.outcomes[i:i + 1],
+                       None if counts is None else counts[i:i + 1])
+            for i in range(data.n)]
 
 
 def linear(obs, theta, psi) -> float:
     th, ps = param_values(theta), param_values(psi)
-    mean = th[0] * obs.covariates[0] + ps[0] * obs.covariates[1]
-    return -0.5 * LOG_2PI - 0.5 * (float(obs.outcome) - mean) ** 2
+    x = obs.covariates[0]
+    mean = th[0] * x[0] + ps[0] * x[1]
+    return -0.5 * LOG_2PI - 0.5 * (float(obs.outcomes[0]) - mean) ** 2
 
 
 def _log_sigmoid(t: float) -> float:
@@ -53,16 +65,17 @@ def _log_sigmoid(t: float) -> float:
 def binomial_logit(obs, theta, psi) -> float:
     """log Binomial(y; n, sigmoid(t)), the log coefficient by math.lgamma."""
     th, ps = param_values(theta), param_values(psi)
-    t = float(th @ obs.covariates) + ps[0]
-    y, n = int(obs.outcome), obs.trial_count
+    t = float(th @ obs.covariates[0]) + ps[0]
+    y, n = int(obs.outcomes[0]), int(obs.trial_counts[0])
     log_coef = math.lgamma(n + 1) - math.lgamma(y + 1) - math.lgamma(n - y + 1)
     return log_coef + y * _log_sigmoid(t) + (n - y) * _log_sigmoid(-t)
 
 
 def gp(obs, theta, psi) -> float:
-    """Composite-kernel GP on the grid held in obs.covariates."""
+    """Composite-kernel GP on the grid held in the covariate row."""
     t, p = param_values(theta)[0], param_values(psi)[0]
-    sq = (obs.covariates[:, None] - obs.covariates[None, :]) ** 2
+    x = obs.covariates[0]
+    sq = (x[:, None] - x[None, :]) ** 2
     m = sq.shape[0]
     kernel = 0.5 * (np.exp(-sq / (2.0 * t ** 2)) + np.exp(-sq / (2.0 * p ** 2)))
     jitter = BASE_JITTER
@@ -74,7 +87,7 @@ def gp(obs, theta, psi) -> float:
             if jitter >= MAX_JITTER:
                 raise
             jitter *= 10.0
-    z = np.linalg.solve(chol, np.asarray(obs.outcome, dtype=float))
+    z = np.linalg.solve(chol, np.asarray(obs.outcomes[0], dtype=float))
     return float(-0.5 * (z @ z) - np.log(np.diag(chol)).sum() - 0.5 * m * LOG_2PI)
 
 
@@ -82,7 +95,7 @@ def discrete_toy(table, obs, theta, psi) -> float:
     a = int(round(param_values(theta)[0]))
     b = int(round(param_values(psi)[0]))
     with np.errstate(divide="ignore"):
-        return float(np.log(table[a, b, int(obs.outcome)]))
+        return float(np.log(table[a, b, int(obs.outcomes[0])]))
 
 
 def _weighted(w, lls):
@@ -175,7 +188,7 @@ def refine_prior_expected(problem, proxy, refinement_iterations):
 
 
 def _alphabet(model) -> SourceData:
-    return SourceData(tuple(Observation(np.empty(0), int(o)) for o in model.outcome_space))
+    return SourceData(np.empty((len(model.outcome_space), 0)), model.outcome_space)
 
 
 def _datasets(model, true_process):
@@ -190,8 +203,7 @@ def _datasets(model, true_process):
         pd = float(np.exp(lpd))
         if pd == 0.0:
             continue
-        data = SourceData(tuple(Observation(np.empty(0), int(model.outcome_space[o]))
-                                for o in d))
+        data = SourceData(np.empty((len(d), 0)), [model.outcome_space[o] for o in d])
         out.append((np.array(d), data, pd, float(lpd)))
     return out
 

@@ -35,7 +35,7 @@ from relbayes.harness.runner import run_experiment, toy_verify_instance
 from relbayes.inference import (GridProblem, ProxyObservation, chain_grid_tv,
                                 classic_posterior, metropolis_posterior,
                                 proxy_loglik_vector, r_weighted_posterior)
-from relbayes.models import (Observation, SourceData, binomial_logit_model,
+from relbayes.models import (SourceData, binomial_logit_model,
                              gp_model, linear_model)
 from relbayes.relevance import prior_expected_relevance
 from relbayes.synthetic import gen_imprecise_estimate_proxy, task_rng
@@ -117,9 +117,9 @@ class TestCriterion3EngineCrossValidation:
         psi_prior[target] = 1.0
         grid = ParameterGrid(grid0.theta_nodes, grid0.psi_nodes,
                              grid0.theta_prior_mass, psi_prior)
-        data = SourceData(tuple(
+        data = SourceData(np.empty((4, 0)), [
             model.simulate(np.empty(0), truth.theta_star, truth.psi_star[0], rng)
-            for _ in range(4)))
+            for _ in range(4)])
         problem = GridProblem(model, data, grid)
         weighted = r_weighted_posterior(problem,
                                         np.ones((grid.n_psi, data.n)),
@@ -134,9 +134,7 @@ class TestCriterion3EngineCrossValidation:
         model = linear_model()
         rng = task_rng(77, 0)
         x = rng.normal(size=(8, 2))
-        data = SourceData(tuple(
-            Observation(xi, -xi[0] + 0.8 * xi[1] + rng.standard_normal())
-            for xi in x))
+        data = SourceData(x, [-xi[0] + 0.8 * xi[1] + rng.standard_normal() for xi in x])
         nodes = midpoint_nodes(-4.0, 4.0, 41)[:, None]
         mass = _normal_mass(nodes)
         b_star = 24
@@ -164,10 +162,10 @@ class TestCriterion3EngineCrossValidation:
         psi_prior[b_star] = 1.0
         grid = ParameterGrid(theta_nodes, psi_nodes, theta_mass, psi_prior)
         designs = np.eye(4)
-        data = SourceData(tuple(
+        data = SourceData(designs[np.arange(6) % 4], [
             model.simulate(designs[i % 4], theta_nodes[0], psi_nodes[b_star],
                            rng, trial_count=20)
-            for i in range(6)))
+            for i in range(6)], np.full(6, 20))
         problem = GridProblem(model, data, grid)
         weighted = r_weighted_posterior(problem,
                                         np.ones((grid.n_psi, data.n)),
@@ -189,9 +187,9 @@ class TestCriterion3EngineCrossValidation:
         psi_prior = np.zeros(3)
         psi_prior[b_star] = 1.0
         grid = ParameterGrid(theta_nodes, psi_nodes, theta_mass, psi_prior)
-        data = SourceData(tuple(
+        data = SourceData(np.tile(x, (2, 1)), [
             model.simulate(x, np.array([1.0]), np.array([1.5]), rng)
-            for _ in range(2)))
+            for _ in range(2)])
         problem = GridProblem(model, data, grid)
         weighted = r_weighted_posterior(problem,
                                         np.ones((grid.n_psi, data.n)),
@@ -208,9 +206,7 @@ class TestCriterion3EngineCrossValidation:
         model = linear_model()
         rng = task_rng(77, 0)
         x = rng.normal(size=(8, 2))
-        data = SourceData(tuple(
-            Observation(xi, -xi[0] + 0.8 * xi[1] + rng.standard_normal())
-            for xi in x))
+        data = SourceData(x, [-xi[0] + 0.8 * xi[1] + rng.standard_normal() for xi in x])
         nodes = midpoint_nodes(-4.0, 4.0, 41)[:, None]
         mass = _normal_mass(nodes)
         b_star = 24
@@ -247,9 +243,7 @@ def test_criterion_4_sampler_matches_grid_table():
     model = linear_model()
     rng = task_rng(77, 0)
     x = rng.normal(size=(8, 2))
-    data = SourceData(tuple(
-        Observation(xi, -xi[0] + 0.8 * xi[1] + rng.standard_normal())
-        for xi in x))
+    data = SourceData(x, [-xi[0] + 0.8 * xi[1] + rng.standard_normal() for xi in x])
     proxy = gen_imprecise_estimate_proxy(0.8, 1.0, False, rng)
     nodes = midpoint_nodes(-4.0, 4.0, 41)[:, None]
     mass = _normal_mass(nodes)

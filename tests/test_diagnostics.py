@@ -26,8 +26,7 @@ from relbayes.diagnostics import (DeltaRweighted, DiagnosticsReport,
                                   kl_divergence, toy_diagnostics_report)
 from relbayes.grids import ParameterGrid, toy_grid
 from relbayes.harness.runner import toy_verify_instance
-from relbayes.models import (Observation, SourceData, discrete_toy_model, linear_model,
-                             loglik_tensor)
+from relbayes.models import discrete_toy_model, linear_model, loglik_tensor
 
 mp.mp.dps = 50
 

@@ -63,6 +63,16 @@ class TestParameterGrid:
             ParameterGrid(np.zeros((2, 1)), np.zeros((1, 1)),
                           np.array([1.5, -0.5]), np.array([1.0]))
 
+    def test_nan_mass_rejected(self):
+        """A NaN fails both the sign test and the sum test when they are
+        written as plain comparisons; the sum check rejects it."""
+        for mass in ([float("nan"), 1.0], [float("nan"), 0.5, 0.5]):
+            with pytest.raises(ValueError, match="theta_prior_mass sums to"):
+                ParameterGrid(np.zeros((len(mass), 1)), np.zeros((1, 1)),
+                              np.array(mass), np.array([1.0]))
+        with pytest.raises(ValueError, match="theta_prior_mass sums to"):
+            toy_grid(2, 2, theta_prior=[float("nan"), 1.0])
+
     def test_node_and_mass_counts_must_agree(self):
         with pytest.raises(ValueError, match="nodes but"):
             ParameterGrid(np.zeros((3, 1)), np.zeros((1, 1)),

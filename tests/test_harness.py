@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import logsumexp
 
 import _scalar_reference as scalar
@@ -39,7 +39,7 @@ from relbayes.harness.smoking import (EXPECTED_STUDIES, SmokingRecord,
                                       run_smoking_comparison)
 from relbayes.harness.svgplot import box_stats, emit_boxplot_svg
 from relbayes.inference import McmcChain
-from relbayes.models import SourceData, binomial_logit_model
+from relbayes.models import binomial_logit_model
 from relbayes.synthetic import GpScenario, LinearScenario
 
 RNG_SEED = 20260817
@@ -714,6 +714,28 @@ class TestSmokingComparison:
             run_smoking_comparison(records, "weak", seed=0)
 
 
+class TestStackedData:
+    def test_packaged_table_columns_and_groups_are_pinned(self):
+        """The packaged arm table as one SourceData: one-hot treatments,
+        events of totals, and each study's consecutive row indices, with the
+        values the per-arm record build gave."""
+        records = ingest_smoking_csv(packaged_smoking_path())
+        data, groups = smoking._stacked_data(arms_by_study(records))
+        treatments = "ACDBCDABABABACACACACACACACACACACACACACACADBDBDCDCD"
+        assert_array_equal(data.covariates, np.eye(4)[["ABCD".index(t) for t in treatments]])
+        assert_array_equal(data.outcomes, [
+            9, 23, 10, 11, 12, 29, 79, 77, 18, 21, 8, 19, 75, 363, 2, 9, 58, 237, 0, 9,
+            3, 31, 1, 26, 6, 17, 95, 134, 15, 35, 78, 73, 69, 54, 64, 107, 5, 8, 20, 34,
+            0, 9, 20, 16, 7, 32, 12, 20, 9, 3])
+        assert_array_equal(data.trial_counts, [
+            140, 140, 138, 78, 85, 170, 702, 694, 671, 535, 116, 146, 731, 714, 106, 205,
+            549, 1561, 33, 48, 100, 98, 31, 95, 39, 77, 1107, 1031, 187, 504, 584, 675,
+            1177, 888, 642, 761, 62, 90, 234, 237, 20, 20, 49, 43, 66, 127, 76, 74, 55, 26])
+        sizes = [3, 3] + [2] * 22
+        starts = np.cumsum([0] + sizes[:-1])
+        assert groups == [list(range(a, a + k)) for a, k in zip(starts, sizes)]
+
+
 class TestSmokingPredictives:
     """Both held-out predictives against a per-sample scalar loop over one
     study's arms, each arm scored by the scalar binomial oracle."""
@@ -723,7 +745,7 @@ class TestSmokingPredictives:
     def _held_and_chain(self):
         records = ingest_smoking_csv(packaged_smoking_path())
         arms = arms_by_study(records)["01"]
-        held = SourceData(tuple(smoking._arm_observation(r) for r in arms))
+        held = smoking._arm_data(arms)
         rng = np.random.default_rng(RNG_SEED)
         chain = McmcChain(theta_samples=rng.normal(-2.0, 0.5, size=(self.S, 4)),
                           psi_samples=rng.normal(0.0, 0.5, size=(self.S, 1)),
@@ -733,7 +755,7 @@ class TestSmokingPredictives:
     def test_rweighted_pairs_each_theta_with_its_psi(self):
         held, chain = self._held_and_chain()
         got = smoking._rweighted_predictive(binomial_logit_model(), held, chain)
-        lls = np.array([sum(scalar.binomial_logit(obs, th, ps) for obs in held)
+        lls = np.array([sum(scalar.binomial_logit(obs, th, ps) for obs in scalar.rows(held))
                         for th, ps in zip(chain.theta_samples, chain.psi_samples)])
         assert_allclose(got[0], logsumexp(lls) - np.log(self.S), rtol=1e-13)
         assert_allclose(got, smoking._log_mean_exp_with_se(lls), rtol=1e-12)
@@ -746,7 +768,8 @@ class TestSmokingPredictives:
         mean, sd = z * tau2 / (s2 + tau2), np.sqrt(s2 * tau2 / (s2 + tau2))
         nodes, weights = np.polynomial.hermite_e.hermegauss(smoking.PREDICTIVE_QUAD_NODES)
         lls = np.array([
-            logsumexp([sum(scalar.binomial_logit(obs, th, [mean + sd * u]) for obs in held)
+            logsumexp([sum(scalar.binomial_logit(obs, th, [mean + sd * u])
+                           for obs in scalar.rows(held))
                        for u in nodes], b=weights / np.sqrt(2.0 * np.pi))
             for th in chain.theta_samples])
         assert_allclose(got[0], logsumexp(lls) - np.log(self.S), rtol=1e-13)
@@ -820,6 +843,18 @@ class TestCli:
         assert str(config) in err
         assert key in err
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_gp_without_source_prompts_is_input_error(self, tmp_path, capsys):
+        """The expert proxy is drawn from the m_source prompts: m_source = 0
+        exits 1 at parsing, naming the value, instead of failing every
+        simulation, and writes nothing."""
+        config = tmp_path / "gp.cfg"
+        config.write_text("experiment = gp\nn_simulations = 3\ngrid_resolution = 4\n"
+                          "m_source = 0\n")
+        rc = cli_main(["run", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "m_source must lie in [1, n_trajectories=24], got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_excess_failures_exit_2(self, tmp_path, capsys, monkeypatch):
         def broken(config, index):

@@ -18,7 +18,7 @@ from relbayes.inference import (DegenerateProxyError, GridProblem, McmcInitError
                                 PosteriorTable, ProxyObservation, chain_grid_tv,
                                 classic_posterior, metropolis_posterior,
                                 proxy_loglik_vector, r_weighted_posterior)
-from relbayes.models import (Observation, SourceData, binomial_logit_model,
+from relbayes.models import (SourceData, binomial_logit_model,
                              discrete_toy_model, linear_model, logsumexp)
 from relbayes.relevance import sigmoid_ratio_relevance
 
@@ -34,8 +34,7 @@ def _toy_setup(seed=RNG_SEED, n_theta=3, n_psi=2, n_out=3, n_obs=4):
     theta_prior = rng.dirichlet(np.full(n_theta, 5.0))
     psi_prior = rng.dirichlet(np.full(n_psi, 5.0))
     grid = toy_grid(n_theta, n_psi, theta_prior=theta_prior, psi_prior=psi_prior)
-    data = SourceData(tuple(Observation(np.empty(0), int(o))
-                            for o in rng.integers(0, n_out, size=n_obs)))
+    data = SourceData(np.empty((n_obs, 0)), rng.integers(0, n_out, size=n_obs))
     return model, grid, data, table, rng
 
 
@@ -53,7 +52,7 @@ def _proxy_posterior(grid, proxy_ll):
     """The posterior given the proxy alone: the r-weighted posterior with
     every weight zero, whose psi marginal is the proxy likelihood times the
     psi prior, normalized by exp(log_evidence)."""
-    data = SourceData((Observation([0.0, 0.0], 0.0),))
+    data = SourceData([[0.0, 0.0]], [0.0])
     return r_weighted_posterior(GridProblem(linear_model(), data, grid),
                                 np.zeros((grid.n_psi, 1)), proxy_ll)
 
@@ -166,7 +165,7 @@ class TestProxyLoglikVector:
 
     def test_metropolis_goes_through_the_check(self):
         model = linear_model()
-        data = SourceData((Observation([1.0, 0.0], 0.0),))
+        data = SourceData([[1.0, 0.0]], [0.0])
         legacy = ProxyObservation(payload=0.3,
                                   proxy_log_likelihood=lambda z, psi: -0.5)
         with pytest.raises(ValueError, match="shape"):
@@ -180,7 +179,7 @@ class TestClassicPosterior:
         src = rng.dirichlet(np.full(grid.n_psi, 3.0))
         post = classic_posterior(GridProblem(model, data, grid), src)
 
-        outcomes = [int(o.outcome) for o in data]
+        outcomes = [int(y) for y in data.outcomes]
         unnorm = []
         for a in range(grid.n_theta):
             term = mp.mpf(float(grid.theta_prior_mass[a]))
@@ -201,23 +200,21 @@ class TestClassicPosterior:
         tmass = rng.dirichlet(np.full(5, 4.0))
         pmass = rng.dirichlet(np.full(4, 4.0))
         grid = ParameterGrid(theta_nodes, psi_nodes, tmass, pmass)
-        data = SourceData(tuple(
-            Observation(rng.normal(size=2), rng.normal()) for _ in range(3)))
+        data = SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(3)]))
 
         post = classic_posterior(GridProblem(model, data, grid), pmass)
 
-        def dens(obs, th, ps):
-            resid = mp.mpf(float(obs.outcome)) - th * mp.mpf(float(obs.covariates[0])) \
-                - ps * mp.mpf(float(obs.covariates[1]))
+        def dens(x, y, th, ps):
+            resid = mp.mpf(float(y)) - th * mp.mpf(float(x[0])) - ps * mp.mpf(float(x[1]))
             return mp.e ** (-resid ** 2 / 2) / mp.sqrt(2 * mp.pi)
 
         unnorm = []
         for a in range(5):
             th = mp.mpf(float(theta_nodes[a, 0]))
             term = mp.mpf(float(tmass[a]))
-            for obs in data:
+            for x, y in zip(data.covariates, data.outcomes):
                 term *= mp.fsum(mp.mpf(float(pmass[b]))
-                                * dens(obs, th, mp.mpf(float(psi_nodes[b, 0])))
+                                * dens(x, y, th, mp.mpf(float(psi_nodes[b, 0])))
                                 for b in range(4))
             unnorm.append(term)
         total = mp.fsum(unnorm)
@@ -239,6 +236,12 @@ class TestClassicPosterior:
                               np.array([0.2, 0.3, 0.5]))
 
 
+    def test_nan_source_prior_rejected(self):
+        model, grid, data, _, _ = _toy_setup()
+        with pytest.raises(ValueError, match="source_psi_prior sums to"):
+            classic_posterior(GridProblem(model, data, grid), np.array([np.nan, 1.0]))
+
+
 class TestRWeightedPosterior:
     def test_matches_mpmath_triple_loop(self):
         model, grid, data, table, rng = _toy_setup()
@@ -253,7 +256,7 @@ class TestRWeightedPosterior:
         post = r_weighted_posterior(GridProblem(model, data, grid), weights,
                                     proxy_loglik_vector(proxy, grid.psi_nodes))
 
-        outcomes = [int(o.outcome) for o in data]
+        outcomes = [int(y) for y in data.outcomes]
         unnorm = mp.zeros(grid.n_theta, grid.n_psi)
         for a in range(grid.n_theta):
             for b in range(grid.n_psi):
@@ -278,8 +281,7 @@ class TestRWeightedPosterior:
                           [[0.5, 0.5], [0.2, 0.8]]])
         model = discrete_toy_model(2, 2, 2, table)
         grid = toy_grid(2, 2)
-        data = SourceData((Observation(np.empty(0), 1),
-                           Observation(np.empty(0), 0)))
+        data = SourceData(np.empty((2, 0)), [1, 0])
         weights = np.array([[0.0, 1.0], [0.5, 0.5]])
         post = r_weighted_posterior(GridProblem(model, data, grid), weights,
                                     np.zeros(grid.n_psi))
@@ -339,7 +341,7 @@ class TestRWeightedPosterior:
                           [[0.1, 0.1, 0.8], [0.3, 0.3, 0.4]]])
         model = discrete_toy_model(3, 3, 2, table)
         grid = toy_grid(3, 2)
-        data = SourceData(tuple(Observation(np.empty(0), o) for o in (1, 2, 0, 1)))
+        data = SourceData(np.empty((4, 0)), [1, 2, 0, 1])
         problem = GridProblem(model, data, grid)
         assert problem.neginf is not None and problem.neginf.any()
         assert_array_equal(problem.neginf, np.isneginf(problem.tensor))
@@ -358,8 +360,7 @@ class TestRWeightedPosterior:
         model = linear_model()
         nodes = midpoint_nodes(-3.0, 3.0, 9)[:, None]
         grid = ParameterGrid(nodes, nodes, np.full(9, 1 / 9), np.full(9, 1 / 9))
-        data = SourceData(tuple(Observation(rng.normal(size=2), rng.normal())
-                                for _ in range(6)))
+        data = SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(6)]))
         problem = GridProblem(model, data, grid)
         assert problem.neginf is None
         weights = rng.uniform(0, 1, size=(9, 6))
@@ -401,8 +402,8 @@ class TestRWeightedLikelihood:
         model, _, data, table, rng = _toy_setup()
         w = rng.uniform(0, 1, size=data.n)
         got = r_weighted_likelihood(model, data, 1.0, 0.0, w)
-        want = sum(wi * np.log(table[1, 0, int(o.outcome)])
-                   for wi, o in zip(w, data))
+        want = sum(wi * np.log(table[1, 0, int(y)])
+                   for wi, y in zip(w, data.outcomes))
         assert_allclose(got, want, rtol=1e-13)
 
     def test_rejects_out_of_range(self):
@@ -415,7 +416,7 @@ class TestRWeightedLikelihood:
     def test_zero_weight_suppresses_neg_inf(self):
         table = np.array([[[1.0, 0.0]]])
         model = discrete_toy_model(2, 1, 1, table)
-        data = SourceData((Observation(np.empty(0), 1),))
+        data = SourceData(np.empty((1, 0)), [1])
         got = r_weighted_likelihood(model, data, 0.0, 0.0, np.array([0.0]))
         assert got == 0.0
 
@@ -441,7 +442,7 @@ class TestMetropolis:
         """Zero weights silence the data, so the chain must sample the
         prior; mean and variance are checked loosely against N(0, 1)."""
         model = linear_model()
-        data = SourceData((Observation([1.0, 1.0], 0.3),))
+        data = SourceData([[1.0, 1.0]], [0.3])
         chain = metropolis_posterior(
             model, data, None, lambda d, psi: np.zeros(d.n),
             self._std_normal_prior, n_samples=40000, seed=5)
@@ -453,8 +454,7 @@ class TestMetropolis:
         """Unit weights with covariates [1, 0] make theta | y conjugate:
         two observations and a standard normal prior give N(ybar*2/3, 1/3)."""
         model = linear_model()
-        data = SourceData((Observation([1.0, 0.0], 1.0),
-                           Observation([1.0, 0.0], 0.0)))
+        data = SourceData([[1.0, 0.0], [1.0, 0.0]], [1.0, 0.0])
         chain = metropolis_posterior(
             model, data, None, lambda d, psi: np.ones(d.n),
             self._std_normal_prior, n_samples=60000, seed=11)
@@ -466,7 +466,7 @@ class TestMetropolis:
 
     def test_proxy_shifts_target_parameter(self):
         model = linear_model()
-        data = SourceData((Observation([1.0, 0.0], 0.0),))
+        data = SourceData([[1.0, 0.0]], [0.0])
         proxy = _normal_proxy(2.0, sigma=0.5)
         chain = metropolis_posterior(
             model, data, proxy, lambda d, psi: np.zeros(d.n),
@@ -477,8 +477,7 @@ class TestMetropolis:
     def test_known_groups_state_has_one_psi_per_group(self):
         model = linear_model()
         rng = np.random.default_rng(RNG_SEED)
-        data = SourceData(tuple(
-            Observation(rng.normal(size=2), rng.normal()) for _ in range(4)))
+        data = SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(4)]))
         chain = metropolis_posterior(
             model, data, None, None, self._std_normal_prior,
             n_samples=2000, seed=3, groups=[[0, 1], [2], [3]])
@@ -487,7 +486,7 @@ class TestMetropolis:
 
     def test_groups_required_without_weights(self):
         model = linear_model()
-        data = SourceData((Observation([1.0, 0.0], 0.0),))
+        data = SourceData([[1.0, 0.0]], [0.0])
         with pytest.raises(ValueError, match="groups"):
             metropolis_posterior(model, data, None, None,
                                  self._std_normal_prior, n_samples=2000, seed=0)
@@ -496,7 +495,7 @@ class TestMetropolis:
         """The fixed-effects target reads no proxy, so one passed to it is
         refused rather than ignored."""
         model = linear_model()
-        data = SourceData((Observation([1.0, 0.0], 0.0), Observation([0.5, 1.0], 0.2)))
+        data = SourceData([[1.0, 0.0], [0.5, 1.0]], [0.0, 0.2])
         with pytest.raises(ValueError, match="proxy"):
             metropolis_posterior(model, data, _normal_proxy(0.3), None,
                                  self._std_normal_prior, n_samples=1000, seed=0,
@@ -504,7 +503,7 @@ class TestMetropolis:
 
     def test_groups_must_partition(self):
         model = linear_model()
-        data = SourceData((Observation([1.0, 0.0], 0.0), Observation([0.5, 1.0], 0.2)))
+        data = SourceData([[1.0, 0.0], [0.5, 1.0]], [0.0, 0.2])
         with pytest.raises(ValueError, match="partition"):
             metropolis_posterior(model, data, None, None, self._std_normal_prior,
                                  n_samples=1000, seed=0, groups=[[0], [0, 1]])
@@ -512,7 +511,7 @@ class TestMetropolis:
     def test_groups_overlap_or_gap_rejected(self):
         """Four observations: an index in two groups, or in none, is refused."""
         model = linear_model()
-        data = SourceData(tuple(Observation([1.0, 0.5 * i], 0.1 * i) for i in range(4)))
+        data = SourceData([[1.0, 0.5 * i] for i in range(4)], [0.1 * i for i in range(4)])
         for groups in ([[0, 1], [1, 2, 3]], [[0, 1], [3]]):
             with pytest.raises(ValueError, match="partition"):
                 metropolis_posterior(model, data, None, None, self._std_normal_prior,
@@ -524,7 +523,7 @@ class TestMetropolis:
         """The weighted target has one task parameter; a groups partition
         there would be ignored, so it is refused."""
         model = linear_model()
-        data = SourceData((Observation([1.0, 0.0], 0.0), Observation([0.5, 1.0], 0.2)))
+        data = SourceData([[1.0, 0.0], [0.5, 1.0]], [0.0, 0.2])
         with pytest.raises(ValueError, match="groups"):
             metropolis_posterior(model, data, None, weights_fn, self._std_normal_prior,
                                  n_samples=1000, seed=0, groups=[[0], [1]])
@@ -539,14 +538,14 @@ class TestMetropolis:
         """The weighted target holds weights_fn to the contract every other
         weighted engine enforces: an (n,) vector in [0, 1]."""
         model = linear_model()
-        data = SourceData((Observation([1.0, 0.0], 0.0), Observation([0.5, 1.0], 0.2)))
+        data = SourceData([[1.0, 0.0], [0.5, 1.0]], [0.0, 0.2])
         with pytest.raises(ValueError, match=match):
             metropolis_posterior(model, data, None, weights_fn, self._std_normal_prior,
                                  n_samples=1000, seed=0)
 
     def test_init_must_be_finite(self):
         model = linear_model()
-        data = SourceData((Observation([1.0, 0.0], 0.0),))
+        data = SourceData([[1.0, 0.0]], [0.0])
         with pytest.raises(McmcInitError):
             metropolis_posterior(model, data, None,
                                  lambda d, psi: np.ones(d.n),
@@ -554,7 +553,7 @@ class TestMetropolis:
 
     def test_minimum_iterations_enforced(self):
         model = linear_model()
-        data = SourceData((Observation([1.0, 0.0], 0.0),))
+        data = SourceData([[1.0, 0.0]], [0.0])
         with pytest.raises(ValueError, match="1000"):
             metropolis_posterior(model, data, None,
                                  lambda d, psi: np.ones(d.n),
@@ -562,7 +561,7 @@ class TestMetropolis:
 
     def test_warns_on_pathological_acceptance(self):
         model = linear_model()
-        data = SourceData((Observation([1.0, 0.0], 0.0),))
+        data = SourceData([[1.0, 0.0]], [0.0])
         with pytest.warns(RuntimeWarning, match="acceptance"):
             chain = metropolis_posterior(
                 model, data, None, lambda d, psi: np.ones(d.n),
@@ -575,9 +574,8 @@ class TestMetropolis:
         itself; the chain is the one the callable weights give."""
         rng = np.random.default_rng(RNG_SEED)
         model = binomial_logit_model()
-        data = SourceData(tuple(
-            Observation(rng.normal(size=4), int(rng.integers(0, 9)), trial_count=8)
-            for _ in range(7)))
+        data = SourceData(*zip(*[(rng.normal(size=4), int(rng.integers(0, 9)), 8)
+                                 for _ in range(7)]))
         proxy = _normal_proxy(0.4, sigma=0.6)
 
         def sigmoid_weights(d, psi):
@@ -591,14 +589,14 @@ class TestMetropolis:
         assert chains[0].acceptance_rate == chains[1].acceptance_rate
 
     def test_unknown_weights_kind_rejected(self):
-        data = SourceData((Observation([1.0, 0.0], 0.0),))
+        data = SourceData([[1.0, 0.0]], [0.0])
         with pytest.raises(ValueError, match="sigmoid-ratio"):
             metropolis_posterior(linear_model(), data, None, "prior-expected",
                                  self._std_normal_prior, n_samples=1000, seed=0)
 
     def test_same_seed_reproduces_chain(self):
         model = linear_model()
-        data = SourceData((Observation([1.0, 0.5], 0.2),))
+        data = SourceData([[1.0, 0.5]], [0.2])
         kwargs = dict(n_samples=2000, seed=42)
         c1 = metropolis_posterior(model, data, None,
                                   lambda d, psi: np.ones(d.n),

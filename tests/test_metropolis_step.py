@@ -20,7 +20,7 @@ from _scalar_reference import metropolis_log_target, sigmoid_ratio_weights as or
 from relbayes import inference
 from relbayes.harness import smoking
 from relbayes.inference import _chain_log_target, metropolis_posterior
-from relbayes.models import (DegenerateRelevanceError, ModelSpec, Observation, SourceData,
+from relbayes.models import (DegenerateRelevanceError, ModelSpec, SourceData,
                              binomial_logit_model, discrete_toy_model, linear_model,
                              sigmoid_ratio_weights)
 from relbayes.synthetic import gen_imprecise_estimate_proxy
@@ -76,9 +76,8 @@ def partition():
 
 
 def _small_binomial(rng, n=7, trials=8):
-    return SourceData(tuple(
-        Observation(rng.normal(size=4), int(rng.integers(0, trials + 1)), trial_count=trials)
-        for _ in range(n)))
+    return SourceData(*zip(*[(rng.normal(size=4), int(rng.integers(0, trials + 1)), trials)
+                             for _ in range(n)]))
 
 
 def _two_intercept_model() -> ModelSpec:
@@ -107,7 +106,7 @@ def _zero_prob_toy():
     table /= table.sum(axis=2, keepdims=True)
     model = discrete_toy_model(3, 3, 3, table)
     outcomes = np.array([0, 2, 1, 2, 0, 1])
-    data = SourceData(tuple(Observation(np.empty(0), int(o)) for o in outcomes))
+    data = SourceData(np.empty((len(outcomes), 0)), outcomes)
 
     def weights_fn(d, psi):
         w = np.linspace(0.1, 1.0, d.n)
@@ -202,8 +201,7 @@ class TestStepEqualsOracle:
             model, prior = binomial_logit_model(), smoking._normal_prior
         else:
             model, prior = _two_intercept_model(), _std_normal_prior
-            data = SourceData(tuple(Observation(rng.normal(size=2), rng.normal())
-                                    for _ in range(9)))
+            data = SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(9)]))
             groups = [[0, 4], [1, 2, 8], [3], [5, 6, 7]]
         new, old = _new_and_old(model, data, None, None, prior, groups)
         dim = model.k_theta + model.k_psi * len(groups)
@@ -257,8 +255,7 @@ class TestStepErrors:
     @pytest.fixture
     def linear_data(self):
         rng = np.random.default_rng(SEED)
-        return SourceData(tuple(Observation(rng.normal(size=2), rng.normal())
-                                for _ in range(5)))
+        return SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(5)]))
 
     @pytest.mark.parametrize("weights_fn", ["sigmoid-ratio", "callable", None])
     def test_nan_loglik_raises(self, linear_data, weights_fn):
@@ -291,7 +288,7 @@ class TestStepErrors:
         table = np.full((3, 3, 3), 1.0 / 3.0)
         table[0, 2] = [0.5, 0.5, 0.0]
         model = discrete_toy_model(3, 3, 3, table)
-        data = SourceData(tuple(Observation(np.empty(0), o) for o in (0, 2, 1)))
+        data = SourceData(np.empty((3, 0)), [0, 2, 1])
         with pytest.raises(DegenerateRelevanceError, match="pooled likelihood"):
             metropolis_posterior(model, data, None, "sigmoid-ratio", _box_prior(2.0),
                                  1000, 3, init_theta=[1.0], init_psi=[0.0])

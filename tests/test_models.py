@@ -1,7 +1,7 @@
 """Model-layer tests: exact log-likelihood values against independent
 oracles (read from the tensor's 1 x 1 x 1 cells), tensor-versus-scalar
 consistency against the reference evaluators in _scalar_reference, the
-columns SourceData stacks, the GP factor cache, the library's log-sum-exp
+checks SourceData makes on its columns, the GP factor cache, the library's log-sum-exp
 against scipy's, and simulator goodness of fit."""
 
 import ast
@@ -21,16 +21,23 @@ from relbayes.grids import ParameterGrid, box_nodes, midpoint_nodes, toy_grid
 from relbayes.harness.runner import run_experiment
 from relbayes.inference import GridProblem, metropolis_posterior
 from relbayes.diagnostics import TrueProcess
-from relbayes.models import (LOG_2PI, Observation, SourceData, binomial_logit_model,
+from relbayes.models import (LOG_2PI, SourceData, binomial_logit_model,
                              discrete_toy_model, gp_model, linear_model, loglik_tensor,
                              logsumexp, param_values)
 
 RNG_SEED = 20260817
 
 
+def _one(covariates, outcome, trial_count=None) -> SourceData:
+    """A one-observation SourceData."""
+    return SourceData([covariates], [outcome],
+                      None if trial_count is None else [trial_count])
+
+
 def _cell(model, obs, theta, psi) -> float:
-    """log p(obs | theta, psi), the 1 x 1 x 1 cell of the tensor."""
-    return float(loglik_tensor(model, SourceData((obs,)), [param_values(theta)],
+    """log p(obs | theta, psi) for a one-observation SourceData, the
+    1 x 1 x 1 cell of the tensor."""
+    return float(loglik_tensor(model, obs, [param_values(theta)],
                                [param_values(psi)])[0, 0, 0])
 
 
@@ -69,58 +76,90 @@ class TestDomainTypes:
         assert param_values(np.int64(2)).dtype == float
 
     def test_observation_trial_count_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Observation(np.zeros(2), 1.0, trial_count=0)
+        with pytest.raises(ValueError, match="trial_count 0.0 at row 0"):
+            SourceData(np.zeros((1, 2)), [1.0], [0])
 
     def test_source_data_requires_homogeneous_covariates(self):
-        obs = (Observation(np.zeros(2), 0.0), Observation(np.zeros(3), 0.0))
         with pytest.raises(ValueError):
-            SourceData(obs)
+            SourceData([np.zeros(2), np.zeros(3)], [0.0, 0.0])
 
     def test_source_data_forbids_empty(self):
-        with pytest.raises(ValueError):
-            SourceData(())
+        with pytest.raises(ValueError, match="at least one observation"):
+            SourceData(np.empty((0, 2)), np.empty(0))
 
     def test_source_data_columns_match_observations(self):
         rng = np.random.default_rng(RNG_SEED)
-        obs = tuple(Observation(rng.normal(size=4), int(rng.integers(0, 6)),
-                                trial_count=int(rng.integers(6, 12)))
-                    for _ in range(5))
-        data = SourceData(obs)
+        rows = [(rng.normal(size=4), int(rng.integers(0, 6)), int(rng.integers(6, 12)))
+                for _ in range(5)]
+        data = SourceData(*zip(*rows))
         assert data.covariates.shape == (5, 4)
         assert data.outcomes.shape == (5,)
         assert data.trial_counts.shape == (5,)
-        for i, o in enumerate(obs):
-            assert np.array_equal(data.covariates[i], o.covariates)
-            assert data.outcomes[i] == o.outcome
-            assert data.trial_counts[i] == o.trial_count
+        for i, (x, y, count) in enumerate(rows):
+            assert np.array_equal(data.covariates[i], x)
+            assert data.outcomes[i] == y
+            assert data.trial_counts[i] == count
 
     def test_source_data_trajectory_columns(self):
         rng = np.random.default_rng(RNG_SEED)
         x = np.linspace(0.0, 1.0, 6)
-        obs = tuple(Observation(x, rng.normal(size=6)) for _ in range(3))
-        data = SourceData(obs)
+        ys = [rng.normal(size=6) for _ in range(3)]
+        data = SourceData(np.tile(x, (3, 1)), ys)
         assert data.outcomes.shape == (3, 6)
         assert data.trial_counts is None
-        for i, o in enumerate(obs):
-            assert np.array_equal(data.outcomes[i], o.outcome)
+        for i, y in enumerate(ys):
+            assert np.array_equal(data.outcomes[i], y)
 
     def test_source_data_rejects_ragged_outcomes(self):
         x = np.linspace(0.0, 1.0, 3)
-        obs = (Observation(x, np.zeros(3)), Observation(x, np.zeros(4)))
         with pytest.raises(ValueError, match="ragged"):
-            SourceData(obs)
+            SourceData(np.tile(x, (2, 1)), [np.zeros(3), np.zeros(4)])
 
     def test_source_data_rejects_mixed_trial_counts(self):
-        obs = (Observation(np.zeros(4), 1, trial_count=5), Observation(np.zeros(4), 1))
         with pytest.raises(ValueError, match="trial_count"):
-            SourceData(obs)
+            SourceData(np.zeros((2, 4)), [1, 1], [5, None])
 
     def test_observation_rejects_outcome_outside_trials(self):
         with pytest.raises(ValueError, match="trial_count"):
-            Observation(np.zeros(4), 6, trial_count=5)
+            SourceData(np.zeros((1, 4)), [6], [5])
         with pytest.raises(ValueError, match="trial_count"):
-            Observation(np.zeros(4), -1, trial_count=5)
+            SourceData(np.zeros((1, 4)), [-1], [5])
+
+    def test_source_data_rejects_covariates_of_wrong_row_count(self):
+        with pytest.raises(ValueError, match=r"covariates must be \(3, c\)"):
+            SourceData(np.zeros((2, 4)), np.zeros(3))
+        with pytest.raises(ValueError, match=r"covariates must be \(3, c\)"):
+            SourceData(np.zeros(3), np.zeros(3))
+
+    def test_source_data_rejects_trial_counts_beside_trajectories(self):
+        with pytest.raises(ValueError, match="trial_counts"):
+            SourceData(np.zeros((2, 3)), np.ones((2, 3)), [5, 5])
+
+    def test_source_data_rejects_fractional_trial_count(self):
+        # 2.7 of 5.9 was once truncated to 2 of 5 without a word
+        with pytest.raises(ValueError, match="trial_count 5.9 at row 1"):
+            SourceData(np.ones((2, 4)), [1, 2.7], [5, 5.9])
+
+    def test_source_data_rejects_fractional_outcome(self):
+        with pytest.raises(ValueError, match="outcome 2.7 at row 1"):
+            SourceData(np.ones((2, 4)), [1, 2.7], [5, 5])
+
+    def test_source_data_rejects_outcome_above_its_count(self):
+        with pytest.raises(ValueError, match=r"outcome 6.0 at row 1 .*trial_count=5.0"):
+            SourceData(np.ones((3, 4)), [6, 6, 2], [7, 5, 5])
+
+    def test_source_data_copies_to_read_only_columns(self):
+        """Each column is a read-only float copy: the caller's arrays stay
+        writeable, and writing to them leaves the data as it was."""
+        given = {"covariates": np.zeros((2, 4)), "outcomes": np.array([1, 2]),
+                 "trial_counts": np.array([3, 4])}
+        data = SourceData(**given)
+        for name, array in given.items():
+            column = getattr(data, name)
+            assert column.dtype == float and not column.flags.writeable
+            assert array.flags.writeable
+            array += 1
+            assert_array_equal(column, array - 1)
 
 
 class TestLinearModel:
@@ -130,24 +169,23 @@ class TestLinearModel:
         self.model = linear_model()
 
     def test_loglik_at_mean_is_normal_mode(self):
-        obs = Observation([2.0, -1.0], 2.0 * 0.7 - 1.0 * 0.3)
+        obs = _one([2.0, -1.0], 2.0 * 0.7 - 1.0 * 0.3)
         ll = _cell(self.model, obs, 0.7, 0.3)
         assert_allclose(ll, -0.9189385332046727, rtol=0, atol=1e-15)
 
     def test_unit_residual_costs_half(self):
-        obs = Observation([1.0, 0.0], 1.0)
+        obs = _one([1.0, 0.0], 1.0)
         ll0 = _cell(self.model, obs, 1.0, 5.0)
         ll1 = _cell(self.model, obs, 2.0, 5.0)
         assert_allclose(ll0 - ll1, 0.5, rtol=0, atol=1e-12)
 
     def test_batch_matches_scalar_loop(self):
         rng = np.random.default_rng(RNG_SEED)
-        data = SourceData(tuple(
-            Observation(rng.normal(size=2), rng.normal()) for _ in range(6)))
+        data = SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(6)]))
         thetas = rng.normal(size=(4, 1))
         psis = rng.normal(size=(3, 1))
         tensor = loglik_tensor(self.model, data, thetas, psis)
-        for i, obs in enumerate(data):
+        for i, obs in enumerate(scalar.rows(data)):
             for a in range(4):
                 for b in range(3):
                     assert_allclose(
@@ -159,7 +197,7 @@ class TestLinearModel:
         rng = np.random.default_rng(RNG_SEED)
         x = np.array([1.5, -2.0])
         draws = np.array([
-            self.model.simulate(x, -1.0, 0.5, rng).outcome
+            self.model.simulate(x, -1.0, 0.5, rng)
             for _ in range(20000)])
         assert_allclose(draws.mean(), -1.0 * 1.5 + 0.5 * -2.0, atol=0.03)
         assert_allclose(draws.var(), 1.0, atol=0.04)
@@ -170,7 +208,7 @@ class TestBinomialLogitModel:
         self.model = binomial_logit_model()
 
     def test_single_trial_even_odds(self):
-        obs = Observation(np.zeros(4), 1, trial_count=1)
+        obs = _one(np.zeros(4), 1, 1)
         ll = _cell(self.model, obs, np.zeros(4), 0.0)
         assert_allclose(ll, np.log(0.5), rtol=0, atol=1e-15)
 
@@ -189,7 +227,7 @@ class TestBinomialLogitModel:
             x = rng.normal(size=4)
             theta = np.zeros(4)
             psi = t - float(theta @ x)
-            obs = Observation(x, y, trial_count=n)
+            obs = _one(x, y, n)
             got = _cell(self.model, obs, theta, psi)
             p = 1 / (1 + mp.e ** (-mp.mpf(t)))
             want = float(mp.log(mp.binomial(n, y)) + y * mp.log(p)
@@ -197,25 +235,24 @@ class TestBinomialLogitModel:
             assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
     def test_requires_trial_count(self):
-        obs = Observation(np.zeros(4), 1)
+        obs = _one(np.zeros(4), 1)
         with pytest.raises(ValueError, match="trial_count"):
             _cell(self.model, obs, np.zeros(4), 0.0)
 
     def test_rejects_outcome_above_trials(self):
         # the count is checked once, when the observation is built
         with pytest.raises(ValueError):
-            Observation(np.zeros(4), 9, trial_count=5)
+            _one(np.zeros(4), 9, 5)
 
     def test_batch_matches_scalar_loop(self):
         rng = np.random.default_rng(RNG_SEED)
-        data = SourceData(tuple(
-            Observation(rng.normal(size=4), int(rng.integers(0, 11)), trial_count=10)
-            for _ in range(5)))
+        data = SourceData(*zip(*[(rng.normal(size=4), int(rng.integers(0, 11)), 10)
+                                 for _ in range(5)]))
         thetas = rng.normal(size=(3, 4))
         psis = rng.normal(size=(4, 1))
         tensor = loglik_tensor(self.model, data, thetas, psis)
         assert tensor.shape == (5, 3, 4)
-        for i, obs in enumerate(data):
+        for i, obs in enumerate(scalar.rows(data)):
             for a in range(3):
                 for b in range(4):
                     assert_allclose(
@@ -228,7 +265,7 @@ class TestBinomialLogitModel:
         x = np.array([1.0, 0.0, 0.0, 0.0])
         theta, psi = [0.8, 0, 0, 0], -0.3
         draws = np.array([
-            self.model.simulate(x, theta, psi, rng, trial_count=20).outcome
+            self.model.simulate(x, theta, psi, rng, trial_count=20)
             for _ in range(4000)])
         assert_allclose(draws.mean(), 20 * expit(0.5), atol=0.15)
 
@@ -254,7 +291,7 @@ class TestGpModel:
     def test_zero_trajectory_is_half_logdet(self):
         """With y = 0 the log-likelihood reduces to -0.5 log det(2 pi K);
         the oracle uses slogdet (LU), the implementation Cholesky."""
-        obs = Observation(self.x, np.zeros(7))
+        obs = _one(self.x, np.zeros(7))
         for theta, psi in [(0.3, 1.2), (2.0, 0.1), (5.0, 5.0)]:
             k = self._kernel(theta, psi)
             _, logdet = np.linalg.slogdet(k)
@@ -268,18 +305,18 @@ class TestGpModel:
         rng = np.random.default_rng(RNG_SEED)
         k = self._kernel(0.7, 2.5)
         y = np.linalg.cholesky(k) @ rng.normal(size=7)
-        obs = Observation(self.x, y)
+        obs = _one(self.x, y)
         _, logdet = np.linalg.slogdet(k)
         want = -0.5 * (y @ np.linalg.solve(k, y) + logdet + 7 * LOG_2PI)
         got = _cell(self.model, obs, 0.7, 2.5)
         assert_allclose(got, want, rtol=1e-9)
 
     def test_equal_lengthscales_collapse_to_single_rbf(self):
-        obs = Observation(self.x, np.sin(3 * self.x))
+        obs = _one(self.x, np.sin(3 * self.x))
         sq = (self.x[:, None] - self.x[None, :]) ** 2
         k = np.exp(-0.5 * sq / 0.8 ** 2) + 1e-8 * np.eye(7)
         _, logdet = np.linalg.slogdet(k)
-        y = obs.outcome
+        y = obs.outcomes[0]
         want = -0.5 * (y @ np.linalg.solve(k, y) + logdet + 7 * LOG_2PI)
         got = _cell(self.model, obs, 0.8, 0.8)
         assert_allclose(got, want, rtol=1e-9)
@@ -290,7 +327,7 @@ class TestGpModel:
 
     def test_positive_definite_across_support(self):
         rng = np.random.default_rng(RNG_SEED)
-        obs = Observation(self.x, np.zeros(7))
+        obs = _one(self.x, np.zeros(7))
         for _ in range(100):
             theta = rng.uniform(0.05, 12.0)
             psi = rng.uniform(0.05, 12.0)
@@ -299,12 +336,11 @@ class TestGpModel:
 
     def test_batch_matches_scalar_loop(self):
         rng = np.random.default_rng(RNG_SEED)
-        data = SourceData(tuple(
-            Observation(self.x, rng.normal(size=7)) for _ in range(3)))
+        data = SourceData(np.tile(self.x, (3, 1)), [rng.normal(size=7) for _ in range(3)])
         thetas = rng.uniform(0.2, 6.0, size=(4, 1))
         psis = rng.uniform(0.2, 6.0, size=(2, 1))
         tensor = loglik_tensor(self.model, data, thetas, psis)
-        for i, obs in enumerate(data):
+        for i, obs in enumerate(scalar.rows(data)):
             for a in range(4):
                 for b in range(2):
                     assert_allclose(
@@ -321,22 +357,22 @@ class TestGpModel:
         rng = np.random.default_rng(RNG_SEED)
         thetas = rng.uniform(11.0, 12.0, size=(4, 1))
         psis = rng.uniform(11.0, 12.0, size=(3, 1))
-        data = SourceData(tuple(
+        data = SourceData(np.tile(x, (3, 1)), [
             model.simulate(x, th, ps, rng)
-            for th, ps in [(11.5, 11.8), (0.3, 2.0), (12.0, 0.05)]))
+            for th, ps in [(11.5, 11.8), (0.3, 2.0), (12.0, 0.05)]])
         sq = (x[:, None] - x[None, :]) ** 2
         kernel = 0.5 * (np.exp(-0.5 * sq / thetas[0, 0] ** 2)
                         + np.exp(-0.5 * sq / psis[0, 0] ** 2)) + 1e-8 * np.eye(10)
         assert np.linalg.cond(kernel) > 1e7
         tensor = loglik_tensor(model, data, thetas, psis)
-        for i, obs in enumerate(data):
+        for i, obs in enumerate(scalar.rows(data)):
             for a in range(4):
                 for b in range(3):
                     assert_allclose(tensor[i, a, b],
                                     scalar.gp(obs, thetas[a], psis[b]), rtol=1e-9)
 
     def test_rejects_trajectory_of_wrong_length(self):
-        data = SourceData((Observation(self.x[:5], np.zeros(5)),))
+        data = _one(self.x[:5], np.zeros(5))
         with pytest.raises(ValueError, match="length 7"):
             loglik_tensor(self.model, data, [[1.0]], [[1.0]])
 
@@ -344,14 +380,13 @@ class TestGpModel:
         rng = np.random.default_rng(RNG_SEED)
         theta, psi = 1.0, 3.0
         draws = np.stack([
-            self.model.simulate(self.x, theta, psi, rng).outcome
+            self.model.simulate(self.x, theta, psi, rng)
             for _ in range(3000)])
         assert_allclose(draws.var(axis=0), 1.0, atol=0.12)
         assert_allclose(draws.mean(axis=0), 0.0, atol=0.08)
 
     def test_rejects_nonpositive_lengthscale(self):
-        obs = Observation(self.x, np.zeros(7))
-        data = SourceData((obs,))
+        obs = data = _one(self.x, np.zeros(7))
         for theta, psi in [(-1.0, 1.0), (1.0, 0.0)]:
             with pytest.raises(ValueError, match="positive"):
                 _cell(self.model, obs, theta, psi)
@@ -369,11 +404,11 @@ class TestGpModel:
         rng = np.random.default_rng(RNG_SEED)
         first = self.model.simulate(self.x, 1.0, 3.0, rng)
         second = self.model.simulate(self.x, 0.05, 12.0, rng)
-        assert first.outcome.tolist() == [
+        assert first.tolist() == [
             -0.9787531550557662, -0.7861107587411116, -0.5849983500129359,
             -0.3926286316000853, -0.22125182078713523, -0.07636784434769331,
             0.03948493310800927]
-        assert second.outcome.tolist() == [
+        assert second.tolist() == [
             -0.13397888754672144, 1.4871920834236168, 0.7026165097819768,
             2.1804326759142434, -1.2157452747397643, 0.9183078061091721,
             -0.21572800242287127]
@@ -416,7 +451,7 @@ class TestGpFactorCache:
 
     @staticmethod
     def _data(x, rng, n=3):
-        return SourceData(tuple(Observation(x, rng.normal(size=x.size)) for _ in range(n)))
+        return SourceData(np.tile(x, (n, 1)), [rng.normal(size=x.size) for _ in range(n)])
 
     def test_one_simulation_factors_each_node_product_once(self, batches):
         config = ExperimentConfig(experiment="gp", n_simulations=1, master_seed=1,
@@ -465,7 +500,7 @@ class TestGpFactorCache:
         second = self._data(x, rng, n=4)
         tensor = loglik_tensor(model, second, thetas, psis)
         assert batches == [6]
-        for i, obs in enumerate(second):
+        for i, obs in enumerate(scalar.rows(second)):
             for a in range(3):
                 for b in range(2):
                     assert_allclose(tensor[i, a, b],
@@ -521,8 +556,8 @@ class TestGpDistinctPairs:
 
     @staticmethod
     def _data(model, x, rng, n=4):
-        return SourceData(tuple(model.simulate(x, th, ps, rng)
-                                for th, ps in rng.uniform(0.05, 12.0, size=(n, 2))))
+        return SourceData(np.tile(x, (n, 1)), [
+            model.simulate(x, th, ps, rng) for th, ps in rng.uniform(0.05, 12.0, size=(n, 2))])
 
     @staticmethod
     def _products(rng):
@@ -629,14 +664,14 @@ class TestDiscreteToyModel:
         for a in range(2):
             for b in range(2):
                 for o in range(3):
-                    obs = Observation(np.empty(0), o)
+                    obs = _one(np.empty(0), o)
                     got = _cell(model, obs, float(a), float(b))
                     assert_allclose(got, np.log(table[a, b, o]), rtol=0, atol=1e-14)
 
     def test_uniform_table(self):
         table = np.full((2, 2, 4), 0.25)
         model = discrete_toy_model(4, 2, 2, table)
-        obs = Observation(np.empty(0), 2)
+        obs = _one(np.empty(0), 2)
         ll = _cell(model, obs, 0.0, 1.0)
         assert_allclose(ll, np.log(0.25), rtol=0, atol=1e-15)
 
@@ -649,7 +684,7 @@ class TestDiscreteToyModel:
         table = np.array([[[1.0, 0.0], [0.5, 0.5]],
                           [[0.3, 0.7], [0.9, 0.1]]])
         model = discrete_toy_model(2, 2, 2, table)
-        obs = Observation(np.empty(0), 1)
+        obs = _one(np.empty(0), 1)
         ll = _cell(model, obs, 0.0, 0.0)
         assert ll == -np.inf
 
@@ -657,12 +692,11 @@ class TestDiscreteToyModel:
         rng = np.random.default_rng(RNG_SEED)
         table = _toy_table(rng, n_out=4, n_theta=3, n_psi=2)
         model = discrete_toy_model(4, 3, 2, table)
-        data = SourceData(tuple(Observation(np.empty(0), int(o))
-                                for o in rng.integers(0, 4, size=5)))
+        data = SourceData(np.empty((5, 0)), rng.integers(0, 4, size=5))
         thetas = np.arange(3, dtype=float)[:, None]
         psis = np.arange(2, dtype=float)[:, None]
         tensor = loglik_tensor(model, data, thetas, psis)
-        for i, obs in enumerate(data):
+        for i, obs in enumerate(scalar.rows(data)):
             for a in range(3):
                 for b in range(2):
                     assert_allclose(tensor[i, a, b],
@@ -672,7 +706,7 @@ class TestDiscreteToyModel:
     def test_negative_index_raises(self):
         """A negative node would wrap round to the end of the table."""
         model = discrete_toy_model(3, 2, 2, _toy_table(np.random.default_rng(RNG_SEED)))
-        data = SourceData((Observation(np.empty(0), 1),))
+        data = _one(np.empty(0), 1)
         with pytest.raises(ValueError, match="non-negative"):
             loglik_tensor(model, data, [[-1.0], [1.0]], [[0.0]])
         with pytest.raises(ValueError, match="non-negative"):
@@ -685,7 +719,7 @@ class TestDiscreteToyModel:
         table = np.array([[[0.5, 0.3, 0.2]]])
         model = discrete_toy_model(3, 1, 1, table)
         draws = np.array([model.simulate(np.empty(0), 0.0,
-                                         0.0, rng).outcome
+                                         0.0, rng)
                           for _ in range(2000)])
         counts = np.bincount(draws.astype(int), minlength=3)
         result = stats.chisquare(counts, 2000 * table[0, 0])
@@ -698,9 +732,8 @@ class TestDiscreteToyModel:
 
 
 def _binomial_data(rng, n, trials) -> SourceData:
-    return SourceData(tuple(
-        Observation(rng.normal(size=4), int(rng.integers(0, trials + 1)), trial_count=trials)
-        for _ in range(n)))
+    return SourceData(*zip(*[(rng.normal(size=4), int(rng.integers(0, trials + 1)), trials)
+                             for _ in range(n)]))
 
 
 class TestBinomialKeptConstants:
@@ -728,7 +761,7 @@ class TestBinomialKeptConstants:
         psis = rng.normal(size=(3, 1))
         for data in (first, second, first, second):
             tensor = loglik_tensor(model, data, thetas, psis)
-            for i, obs in enumerate(data):
+            for i, obs in enumerate(scalar.rows(data)):
                 for a in range(2):
                     for b in range(3):
                         assert_allclose(tensor[i, a, b],
@@ -774,8 +807,7 @@ class TestPerObservationPsi:
 
     def test_linear(self):
         rng = np.random.default_rng(RNG_SEED)
-        data = SourceData(tuple(Observation(rng.normal(size=2), rng.normal())
-                                for _ in range(9)))
+        data = SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(9)]))
         self._check_gather(linear_model(), data, rng.normal(size=(3, 1)),
                            rng.normal(size=(4, 1)), rng)
 
@@ -790,31 +822,29 @@ class TestPerObservationPsi:
         table = _toy_table(rng, n_out=4, n_theta=3, n_psi=3)
         table[1, 2] = [0.0, 0.5, 0.5, 0.0]     # -inf cells gather like any other
         model = discrete_toy_model(4, 3, 3, table)
-        data = SourceData(tuple(Observation(np.empty(0), int(o))
-                                for o in rng.integers(0, 4, size=9)))
+        data = SourceData(np.empty((9, 0)), rng.integers(0, 4, size=9))
         self._check_gather(model, data, np.arange(3, dtype=float)[:, None],
                            np.arange(3, dtype=float)[:, None], rng)
 
     def test_several_rows_per_observation(self):
         rng = np.random.default_rng(RNG_SEED)
-        data = SourceData(tuple(Observation(rng.normal(size=2), rng.normal())
-                                for _ in range(4)))
+        data = SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(4)]))
         thetas = rng.normal(size=(2, 1))
         rows = rng.normal(size=(4, 3, 1))
         tensor = loglik_tensor(linear_model(), data, thetas, rows)
         for i in range(4):
-            single = SourceData((data[i],))
+            single = scalar.rows(data)[i]
             assert_array_equal(tensor[i], loglik_tensor(linear_model(), single,
                                                         thetas, rows[i])[0])
 
     def test_gp_rejects_per_observation_rows(self):
         x = np.linspace(0.0, 1.0, 5)
-        data = SourceData((Observation(x, np.zeros(5)), Observation(x, np.ones(5))))
+        data = SourceData(np.tile(x, (2, 1)), [np.zeros(5), np.ones(5)])
         with pytest.raises(ValueError, match="per-observation"):
             loglik_tensor(gp_model(x), data, [[1.0]], np.ones((2, 1, 1)))
 
     def test_row_count_must_match_data(self):
-        data = SourceData((Observation([1.0, 0.0], 0.0),))
+        data = _one([1.0, 0.0], 0.0)
         with pytest.raises(ValueError, match="rows"):
             loglik_tensor(linear_model(), data, [[1.0]], np.ones((2, 1, 1)))
 
@@ -830,7 +860,7 @@ class TestLoglikTensor:
 
         import dataclasses
         model_bad = dataclasses.replace(model, log_likelihood=nan_batch)
-        data = SourceData((Observation([0, 0], 0.0), Observation([0, 0], 0.0)))
+        data = SourceData(np.zeros((2, 2)), [0.0, 0.0])
         with pytest.raises(FloatingPointError, match="1"):
             loglik_tensor(model_bad, data, np.zeros((1, 1)), np.zeros((1, 1)))
 
@@ -853,10 +883,13 @@ class TestLoglikTensor:
                                  theta_prior_mass=np.full(len(thetas), 1.0 / len(thetas)),
                                  psi_prior_mass=np.full(3, 1.0 / 3))
         theta = grid.theta_nodes[0]
-        data = SourceData(tuple(
-            model.simulate(rng.uniform(size=covariate_dim), theta, grid.psi_nodes[1],
-                           rng, **({"trial_count": 5} if name == "binomial-logit" else {}))
-            for _ in range(3)))
+        kwargs = {"trial_count": 5} if name == "binomial-logit" else {}
+        covariates, outcomes = [], []
+        for _ in range(3):
+            covariates.append(rng.uniform(size=covariate_dim))
+            outcomes.append(model.simulate(covariates[-1], theta, grid.psi_nodes[1], rng,
+                                           **kwargs))
+        data = SourceData(covariates, outcomes, [5] * 3 if kwargs else None)
         tensor = loglik_tensor(model, data, grid.theta_nodes, grid.psi_nodes)
         assert tensor.shape == (3, grid.n_theta, grid.n_psi)
         assert tensor.flags.c_contiguous

@@ -13,7 +13,7 @@ from relbayes.grids import ParameterGrid, build_grid, toy_grid
 from relbayes.harness import runner
 from relbayes.harness.config import ExperimentConfig
 from relbayes.inference import GridProblem, proxy_loglik_vector, r_weighted_posterior
-from relbayes.models import (Observation, SourceData, binomial_logit_model,
+from relbayes.models import (SourceData, binomial_logit_model,
                              discrete_toy_model, gp_model, linear_model, loglik_tensor)
 from relbayes.relevance import (DegenerateRelevanceError, RelevanceConfigError,
                                 _belief_averager, _predictive_mode_matrix,
@@ -29,7 +29,7 @@ SIGMOID_4 = 0.9820137900379085
 
 
 def _toy_obs(*outcomes):
-    return SourceData(tuple(Observation(np.empty(0), int(o)) for o in outcomes))
+    return SourceData(np.empty((len(outcomes), 0)), outcomes)
 
 
 class TestSigmoidRatio:
@@ -50,8 +50,7 @@ class TestSigmoidRatio:
 
     def test_overflowing_ratio_saturates_to_one(self):
         model = linear_model()
-        data = SourceData((Observation([0.0, 1.0], 0.0),
-                           Observation([0.0, 1.0], 60.0)))
+        data = SourceData([[0.0, 1.0], [0.0, 1.0]], [0.0, 60.0])
         w = sigmoid_ratio_relevance(model, data, psi_target=0.0)
         # the good observation's ratio overflows exp; it must clamp to
         # exactly 1 rather than warn or go nan
@@ -60,12 +59,11 @@ class TestSigmoidRatio:
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(RNG_SEED)
         model = linear_model()
-        data = SourceData(tuple(
-            Observation(rng.normal(size=2), rng.normal()) for _ in range(5)))
+        data = SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(5)]))
         w = sigmoid_ratio_relevance(model, data, psi_target=0.3)
         lls = np.array([
             -0.5 * np.log(2 * np.pi)
-            - 0.5 * (o.outcome - 0.3 * o.covariates[1]) ** 2 for o in data])
+            - 0.5 * (y - 0.3 * x[1]) ** 2 for x, y in zip(data.covariates, data.outcomes)])
         from scipy.special import expit
         want = expit(np.exp(np.log(5.0) + lls - lls.sum()))
         assert_allclose(w, want, rtol=0, atol=1e-14)
@@ -79,8 +77,7 @@ class TestSigmoidRatio:
     def test_weights_lie_in_unit_interval(self):
         rng = np.random.default_rng(RNG_SEED)
         model = linear_model()
-        data = SourceData(tuple(
-            Observation(rng.normal(size=2), rng.normal()) for _ in range(12)))
+        data = SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(12)]))
         w = sigmoid_ratio_relevance(model, data, psi_target=0.3)
         assert np.all(w >= 0.0) and np.all(w <= 1.0)
 
@@ -92,14 +89,14 @@ class TestPriorExpected:
         model = linear_model()
         theta0, psi = -0.7, 0.4
         x = np.array([1.3, -2.0])
-        data = SourceData((Observation(x, theta0 * x[0] + psi * x[1]),))
+        data = SourceData([x], [theta0 * x[0] + psi * x[1]])
         w = prior_expected_relevance(model, data, [[theta0]], [1.0], psi)
         assert_allclose(w, [1.0], rtol=0, atol=1e-14)
 
     def test_weights_decay_with_residual(self):
         model = linear_model()
         x = np.array([1.0, 0.0])
-        data = SourceData(tuple(Observation(x, r) for r in (0.0, 0.5, 1.0, 3.0)))
+        data = SourceData(np.tile(x, (4, 1)), [0.0, 0.5, 1.0, 3.0])
         w = prior_expected_relevance(model, data, [[0.0]], [1.0], 0.0)
         assert np.all(np.diff(w) < 0)
         assert_allclose(w[0], 1.0, atol=1e-14)
@@ -110,7 +107,7 @@ class TestPriorExpected:
         the mixture's variance 1 + x1^2 Var(theta)."""
         model = linear_model()
         x = np.array([1.0, 0.0])
-        data = SourceData((Observation(x, 1.0),))
+        data = SourceData([x], [1.0])
         belief = np.array([0.25, 0.75])
         w = prior_expected_relevance(model, data, [[1.0], [0.0]], belief, 0.0)
         density = (0.25 * np.exp(0.0) + 0.75 * np.exp(-0.5)) / np.sqrt(2 * np.pi)
@@ -125,7 +122,7 @@ class TestPriorExpected:
         noise, because that overshoot is inherent to the normalizer."""
         model = linear_model()
         x = np.array([2.0, 0.0])
-        data = SourceData((Observation(x, 2.0),))
+        data = SourceData([x], [2.0])
         import warnings as warnings_module
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
@@ -139,7 +136,7 @@ class TestPriorExpected:
             model, log_predictive_mode_density=lambda data, t, p, b: np.full(
                 (data.n, p.shape[0]), -2.0))
         x = np.array([1.0, 0.0])
-        data = SourceData((Observation(x, 0.0),))
+        data = SourceData([x], [0.0])
         with pytest.warns(RuntimeWarning, match="clipping"):
             w = prior_expected_relevance(model, data, [[0.0]], [1.0], 0.0)
         assert_allclose(w, [1.0], rtol=0, atol=0)
@@ -168,17 +165,25 @@ class TestPriorExpected:
     def test_mode_density_of_wrong_shape_rejected(self):
         model = dataclasses.replace(
             linear_model(), log_predictive_mode_density=lambda data, t, p, b: np.zeros(2))
-        data = SourceData((Observation([1.0, 0.0], 0.0),))
+        data = SourceData([[1.0, 0.0]], [0.0])
         with pytest.raises(RelevanceConfigError, match="shape"):
             prior_expected_relevance(model, data, [[0.0]], [1.0], 0.0)
 
     def test_belief_must_be_normalized_mass(self):
         model = linear_model()
-        data = SourceData((Observation([1.0, 0.0], 0.0),))
+        data = SourceData([[1.0, 0.0]], [0.0])
         with pytest.raises(ValueError, match="normalized"):
             prior_expected_relevance(model, data, [[0.0], [1.0]], [0.7, 0.7], 0.0)
         with pytest.raises(ValueError, match="one mass per"):
             prior_expected_relevance(model, data, [[0.0], [1.0]], [1.0], 0.0)
+
+    def test_nan_belief_rejected(self):
+        """A NaN mass once passed both comparisons and came back as a NaN
+        weight."""
+        data = SourceData([[1.0, 0.0]], [0.0])
+        with pytest.raises(ValueError, match="normalized"):
+            prior_expected_relevance(linear_model(), data, [[0.0], [1.0]],
+                                     [float("nan"), 1.0], 0.0)
 
 
 def _linear_grid(rng, n_theta=21, n_psi=7):
@@ -194,8 +199,7 @@ class TestRefineRelevance:
         rng = np.random.default_rng(RNG_SEED)
         model = linear_model()
         grid = _linear_grid(rng)
-        data = SourceData(tuple(
-            Observation(rng.normal(size=2), rng.normal()) for _ in range(5)))
+        data = SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(5)]))
         result = refine_relevance(GridProblem(model, data, grid), np.zeros(grid.n_psi), 0)
         assert result.iterations == 0
         assert_allclose(result.theta_belief, grid.theta_prior_mass, rtol=0, atol=0)
@@ -224,8 +228,7 @@ class TestRefineRelevance:
         rng = np.random.default_rng(RNG_SEED)
         model = linear_model()
         grid = _linear_grid(rng)
-        data = SourceData(tuple(
-            Observation([1.0, 0.1], -1.0 + 0.05 * i) for i in range(6)))
+        data = SourceData(np.tile([1.0, 0.1], (6, 1)), [-1.0 + 0.05 * i for i in range(6)])
         result = refine_relevance(GridProblem(model, data, grid), np.zeros(grid.n_psi), 3)
         assert result.iterations == 3
         moved = np.abs(result.theta_belief - grid.theta_prior_mass).sum()
@@ -238,8 +241,7 @@ class TestRefineRelevance:
         rng = np.random.default_rng(RNG_SEED)
         model = linear_model()
         grid = _linear_grid(rng)
-        data = SourceData(tuple(
-            Observation(rng.normal(size=2), rng.normal()) for _ in range(5)))
+        data = SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(5)]))
         r1 = refine_relevance(GridProblem(model, data, grid), np.zeros(grid.n_psi), 3)
         r2 = refine_relevance(GridProblem(model, data, grid), np.zeros(grid.n_psi), 3)
         assert_allclose(r1.weights_per_psi, r2.weights_per_psi, rtol=0, atol=0)
@@ -362,8 +364,7 @@ class TestBeliefAverage:
 
     def _linear(self, rng):
         grid = _linear_grid(rng)
-        data = SourceData(tuple(Observation(rng.normal(size=2), 3.0 * rng.normal())
-                                for _ in range(7)))
+        data = SourceData(*zip(*[(rng.normal(size=2), 3.0 * rng.normal()) for _ in range(7)]))
         problem = GridProblem(linear_model(), data, grid)
         return problem.tensor, lambda belief: _predictive_mode_matrix(
             problem.model, data, grid.theta_nodes, grid.psi_nodes, belief)
@@ -388,9 +389,8 @@ class TestBeliefAverage:
     def _binomial(self, rng):
         thetas = rng.normal(scale=1.5, size=(9, 4))
         psis = np.linspace(-3.0, 3.0, 6)[:, None]
-        data = SourceData(tuple(Observation(rng.integers(0, 2, size=4).astype(float),
-                                            int(rng.integers(0, 31)), trial_count=30)
-                                for _ in range(5)))
+        data = SourceData(*zip(*[(rng.integers(0, 2, size=4).astype(float),
+                                  int(rng.integers(0, 31)), 30) for _ in range(5)]))
         tensor = loglik_tensor(binomial_logit_model(), data, thetas, psis)
         return tensor, lambda belief: np.zeros((data.n, psis.shape[0]))
 
@@ -462,7 +462,7 @@ class TestValidation:
             self._weighted([0.5, 0.5])
 
     def test_config_bounds_refinement_iterations(self):
-        problem = GridProblem(linear_model(), SourceData((Observation([1.0, 0.0], 0.5),)),
+        problem = GridProblem(linear_model(), SourceData([[1.0, 0.0]], [0.5]),
                               _linear_grid(np.random.default_rng(RNG_SEED)))
         for bad in (11, -1, 1.5):
             with pytest.raises(ValueError, match=r"integer in \[0, 10\]"):

@@ -13,7 +13,7 @@ from scipy import stats
 from scipy.special import logsumexp
 
 import _scalar_reference as scalar
-from relbayes.models import LOG_2PI, Observation, binomial_logit_model, gp_model, linear_model
+from relbayes.models import LOG_2PI, SourceData, binomial_logit_model, gp_model, linear_model
 from relbayes.synthetic import (GpScenario, LinearScenario, gen_expert_proxy,
                                 gen_gp_trajectories, gen_imprecise_estimate_proxy,
                                 gen_linear_covariates, gen_linear_instance,
@@ -91,17 +91,18 @@ class TestLinearCovariates:
 
 
 def _scalar_agreement(model, prompt, psi, theta_nodes=None, theta_prior=None):
-    """Reference agreement of one prompt at one psi value: the linear closed
+    """Reference agreement of one prompt, a one-row SourceData, at one psi
+    value: the linear closed
     form, otherwise (the GP model) a per-theta-node loop over the scalar
     reference likelihood divided by the prior-mixed mode heights, each the
     scalar reference density of the zero trajectory."""
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
     if model.name == "linear":
-        x1, x2 = prompt.covariates
-        resid = float(prompt.outcome) - psi[0] * x2
+        x1, x2 = prompt.covariates[0]
+        resid = float(prompt.outcomes[0]) - psi[0] * x2
         return float(np.exp(-0.5 * resid ** 2 / (1.0 + x1 ** 2)))
     lls = np.array([scalar.gp(prompt, th, psi) for th in theta_nodes])
-    zero = Observation(prompt.covariates, np.zeros(len(prompt.covariates)))
+    zero = SourceData(prompt.covariates, np.zeros_like(prompt.outcomes))
     log_mode = np.array([scalar.gp(zero, th, psi) for th in theta_nodes])
     with np.errstate(divide="ignore"):
         log_prior = np.log(theta_prior)
@@ -121,9 +122,9 @@ class TestPromptAgreement:
         """Marginalizing theta ~ N(0,1) gives y ~ N(psi x2, 1 + x1^2); the
         agreement is that density over its own mode, a pure exponential."""
         model = linear_model()
-        prompt = Observation([1.5, -2.0], 0.7)
+        prompt = SourceData([[1.5, -2.0]], [0.7])
         psi = 0.4
-        got = prompt_agreement(model, [prompt], np.array([[psi]]))
+        got = prompt_agreement(model, prompt, np.array([[psi]]))
         assert got.shape == (1, 1)
         var = 1.0 + 1.5 ** 2
         resid = 0.7 - psi * -2.0
@@ -133,12 +134,12 @@ class TestPromptAgreement:
     def test_perfect_prompt_scores_one(self):
         # x1 = 0 removes the theta variance, and a zero residual hits the mode
         model = linear_model()
-        prompt = Observation([0.0, 2.0], 1.0)
-        assert prompt_agreement(model, [prompt], np.array([[0.5]]))[0, 0] == 1.0
+        prompt = SourceData([[0.0, 2.0]], [1.0])
+        assert prompt_agreement(model, prompt, np.array([[0.5]]))[0, 0] == 1.0
 
     def test_agreement_decreases_with_residual(self):
         model = linear_model()
-        prompts = [Observation([1.0, 1.0], y) for y in (0.0, 1.0, 2.0, 4.0)]
+        prompts = SourceData(np.ones((4, 2)), [0.0, 1.0, 2.0, 4.0])
         vals = prompt_agreement(model, prompts, np.array([[0.0]]))[:, 0]
         assert np.all(np.diff(vals) < 0)
 
@@ -146,14 +147,14 @@ class TestPromptAgreement:
         x = np.linspace(0, 1, 5)
         model = gp_model(x)
         rng = np.random.default_rng(RNG_SEED)
-        prompt = Observation(x, rng.normal(size=5) * 0.5)
+        prompt = SourceData([x], [rng.normal(size=5) * 0.5])
         nodes = np.array([[0.5], [1.0], [2.0]])
         prior = np.array([0.2, 0.5, 0.3])
-        got = prompt_agreement(model, [prompt], np.array([[1.5]]), theta_nodes=nodes,
+        got = prompt_agreement(model, prompt, np.array([[1.5]]), theta_nodes=nodes,
                                theta_prior=prior)[0, 0]
         lls = np.array([scalar.gp(prompt, th, np.array([1.5])) for th in nodes])
         # every component peaks at the zero trajectory
-        mode = np.array([scalar.gp(Observation(x, np.zeros(5)), th, np.array([1.5]))
+        mode = np.array([scalar.gp(SourceData([x], [np.zeros(5)]), th, np.array([1.5]))
                          for th in nodes])
         # prior-mixed density over the prior-mixed mode heights
         want = float(prior @ np.exp(lls)) / float(prior @ np.exp(mode))
@@ -164,20 +165,20 @@ class TestPromptAgreement:
         x = np.linspace(0, 1, 4)
         model = gp_model(x)
         with pytest.raises(ValueError, match="theta_nodes"):
-            prompt_agreement(model, [Observation(x, np.zeros(4))], np.array([[1.0]]))
+            prompt_agreement(model, SourceData([x], [np.zeros(4)]), np.array([[1.0]]))
 
     def test_model_without_normalizer_hook_rejected(self):
         """A pmf model has no log_predictive_mode_density to normalize the
         prompt likelihood with."""
         model = binomial_logit_model()
-        prompt = Observation([1.0, 0.0, 0.0, 0.0], 3, trial_count=5)
+        prompt = SourceData([[1.0, 0.0, 0.0, 0.0]], [3], [5])
         with pytest.raises(ValueError, match="mode density"):
-            prompt_agreement(model, [prompt], np.array([[0.0]]),
+            prompt_agreement(model, prompt, np.array([[0.0]]),
                              theta_nodes=np.zeros((1, 4)), theta_prior=np.array([1.0]))
 
     def test_psi_nodes_must_be_a_matrix(self):
         with pytest.raises(ValueError, match="psi_nodes"):
-            prompt_agreement(linear_model(), [Observation([1.0, 1.0], 0.0)], 0.5)
+            prompt_agreement(linear_model(), SourceData([[1.0, 1.0]], [0.0]), 0.5)
 
 
 class TestVectorisedAgreementEquivalence:
@@ -186,11 +187,11 @@ class TestVectorisedAgreementEquivalence:
     def test_linear_matches_scalar_reference(self):
         model = linear_model()
         rng = np.random.default_rng(RNG_SEED)
-        prompts = [Observation(rng.normal(size=2), rng.normal()) for _ in range(6)]
+        prompts = SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(6)]))
         psi_nodes = np.linspace(-3.0, 3.0, 7)[:, None]
         got = prompt_agreement(model, prompts, psi_nodes)
         want = np.array([[_scalar_agreement(model, p, psi) for psi in psi_nodes]
-                         for p in prompts])
+                         for p in scalar.rows(prompts)])
         assert got.shape == (6, 7)
         assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -204,8 +205,8 @@ class TestVectorisedAgreementEquivalence:
         psi_nodes = np.array([[0.1], [0.3], [0.6], [0.9], [1.7], [4.0], [11.0]])
         got = prompt_agreement(model, prompts, psi_nodes, nodes, prior)
         want = np.array([[_scalar_agreement(model, p, psi, nodes, prior)
-                          for psi in psi_nodes] for p in prompts])
-        assert got.shape == (len(prompts), 7)
+                          for psi in psi_nodes] for p in scalar.rows(prompts)])
+        assert got.shape == (prompts.n, 7)
         assert_allclose(got, want, rtol=1e-10, atol=0)
 
     def test_gp_zero_prior_mass_nodes_drop_out(self):
@@ -224,7 +225,8 @@ class TestVectorisedAgreementEquivalence:
         if which == "linear":
             model = linear_model()
             rng = np.random.default_rng(RNG_SEED + 1)
-            prompts = [Observation(rng.normal(size=2), rng.normal()) for _ in range(9)]
+            prompts = SourceData(*zip(*[(rng.normal(size=2), rng.normal())
+                                        for _ in range(9)]))
             grid_kw = {}
             psi_nodes = np.linspace(-2.0, 2.0, 6)[:, None]
         else:
@@ -235,7 +237,7 @@ class TestVectorisedAgreementEquivalence:
         got = proxy.proxy_log_likelihood(proxy.payload, psi_nodes)
         assert got.shape == (psi_nodes.shape[0],)
         want = np.zeros(psi_nodes.shape[0])
-        for prompt, z in zip(prompts, proxy.payload):
+        for prompt, z in zip(scalar.rows(prompts), proxy.payload):
             for b, psi in enumerate(psi_nodes):
                 p = _scalar_agreement(model, prompt, psi, grid_kw.get("theta_nodes"),
                                       grid_kw.get("theta_prior"))
@@ -245,32 +247,32 @@ class TestVectorisedAgreementEquivalence:
 
 
 class TestExpertProxy:
-    def _perfect_prompt(self, psi):
+    def _perfect_prompts(self, psi, count):
         # agreement probability exactly 1 at this psi
-        return Observation([0.0, 1.0], float(psi))
+        return SourceData(np.tile([0.0, 1.0], (count, 1)), np.full(count, float(psi)))
 
     def test_one_observation_with_one_rating_per_prompt(self):
         model = linear_model()
-        prompts = [Observation([1.0, 0.5], 0.2), Observation([0.5, 1.0], -0.4)]
+        prompts = SourceData([[1.0, 0.5], [0.5, 1.0]], [0.2, -0.4])
         proxy = gen_expert_proxy(model, prompts, 0.1, 0.0, task_rng(6, 0))
         assert isinstance(proxy.payload, tuple) and len(proxy.payload) == 2
         assert all(isinstance(z, int) and 0 <= z <= 7 for z in proxy.payload)
 
     def test_clean_ratings_of_perfect_prompts_max_out(self):
         model = linear_model()
-        prompts = [self._perfect_prompt(0.5) for _ in range(40)]
+        prompts = self._perfect_prompts(0.5, 40)
         proxy = gen_expert_proxy(model, prompts, 0.5, 0.0, task_rng(1, 0))
         assert proxy.payload == (7,) * 40
 
     def test_full_contamination_flips_perfect_prompts_to_zero(self):
         model = linear_model()
-        prompts = [self._perfect_prompt(0.5) for _ in range(40)]
+        prompts = self._perfect_prompts(0.5, 40)
         proxy = gen_expert_proxy(model, prompts, 0.5, 100.0, task_rng(1, 0))
         assert proxy.payload == (0,) * 40
 
     def test_contaminated_count_is_exact(self):
         model = linear_model()
-        prompts = [self._perfect_prompt(0.0) for _ in range(10)]
+        prompts = self._perfect_prompts(0.0, 10)
         for pct, expect in ((40.0, 4), (25.0, 2), (75.0, 8), (0.0, 0)):
             proxy = gen_expert_proxy(model, prompts, 0.0, pct, task_rng(2, 0))
             zeros = sum(1 for z in proxy.payload if z == 0)
@@ -282,18 +284,18 @@ class TestExpertProxy:
         exactly one half, so ratings average 3.5."""
         model = linear_model()
         r = np.sqrt(2 * np.log(2))
-        prompts = [Observation([0.0, 1.0], r) for _ in range(10_000)]
+        prompts = SourceData(np.tile([0.0, 1.0], (10_000, 1)), np.full(10_000, r))
         proxy = gen_expert_proxy(model, prompts, 0.0, 0.0, task_rng(3, 0))
         z = np.array(proxy.payload, dtype=float)
         assert_allclose(z.mean(), 3.5, atol=0.06)
 
     def test_learner_likelihood_matches_binomial_pmf(self):
         model = linear_model()
-        prompt = Observation([1.0, -0.5], 0.3)
-        proxy = gen_expert_proxy(model, [prompt], 0.2, 0.0, task_rng(4, 0))
+        prompt = SourceData([[1.0, -0.5]], [0.3])
+        proxy = gen_expert_proxy(model, prompt, 0.2, 0.0, task_rng(4, 0))
         pll = proxy.proxy_log_likelihood
         psi = np.array([[0.8]])
-        p = prompt_agreement(model, [prompt], psi)[0, 0]
+        p = prompt_agreement(model, prompt, psi)[0, 0]
         p = min(max(p, 1e-9), 1 - 1e-9)
         for z in range(8):
             assert_allclose(pll((z,), psi)[0], stats.binom.logpmf(z, 7, p),
@@ -301,9 +303,8 @@ class TestExpertProxy:
 
     def test_likelihood_finite_at_extreme_agreement(self):
         model = linear_model()
-        perfect = self._perfect_prompt(0.0)
-        hopeless = Observation([0.0, 1.0], 500.0)
-        proxy = gen_expert_proxy(model, [perfect, hopeless], 0.0, 0.0,
+        perfect_and_hopeless = SourceData([[0.0, 1.0], [0.0, 1.0]], [0.0, 500.0])
+        proxy = gen_expert_proxy(model, perfect_and_hopeless, 0.0, 0.0,
                                  task_rng(5, 0))
         for z_perfect in (0, 7):
             for z_hopeless in (0, 7):
@@ -313,7 +314,7 @@ class TestExpertProxy:
 
     def test_payload_must_rate_every_prompt(self):
         model = linear_model()
-        prompts = [Observation([1.0, 0.5], 0.2), Observation([0.5, 1.0], -0.4)]
+        prompts = SourceData([[1.0, 0.5], [0.5, 1.0]], [0.2, -0.4])
         pll = gen_expert_proxy(model, prompts, 0.1, 0.0, task_rng(6, 0)).proxy_log_likelihood
         psi = np.array([[0.0], [1.0]])
         for payload in ((3,), (3, 4, 5), (3, 8), (-1, 2)):
@@ -322,7 +323,7 @@ class TestExpertProxy:
 
     def test_deterministic_given_seed(self):
         model = linear_model()
-        prompts = [Observation([1.0, 0.5], 0.2), Observation([0.5, 1.0], -0.4)]
+        prompts = SourceData([[1.0, 0.5], [0.5, 1.0]], [0.2, -0.4])
         a = gen_expert_proxy(model, prompts, 0.1, 50.0, task_rng(6, 0))
         b = gen_expert_proxy(model, prompts, 0.1, 50.0, task_rng(6, 0))
         assert a.payload == b.payload
@@ -340,15 +341,16 @@ class TestExpertProxy:
         assert proxy.payload == (0, 7, 6, 0, 7, 7, 1, 0)
 
     def test_empty_prompt_list_rejected(self):
-        with pytest.raises(ValueError):
-            gen_expert_proxy(linear_model(), [], 0.0, 0.0, task_rng(0, 0))
+        with pytest.raises(ValueError, match="at least one observation"):
+            gen_expert_proxy(linear_model(), SourceData(np.empty((0, 2)), np.empty(0)),
+                             0.0, 0.0, task_rng(0, 0))
 
 
 class TestLinearInstance:
     def test_default_scenario_layout(self):
         inst = gen_linear_instance(LinearScenario(), task_rng(42, 0))
         assert inst.source.n == 75
-        assert len(inst.prompts) == 25
+        assert inst.prompts.n == 25
         assert len(inst.proxy.payload) == 25
         assert inst.psi_star.shape == (75, 1)
         assert inst.theta_star.shape == (1,) and inst.theta_star[0] == -1.0
@@ -369,9 +371,7 @@ class TestLinearInstance:
     def test_instances_are_deterministic(self):
         a = gen_linear_instance(LinearScenario(multicollinearity=2.0), task_rng(11, 0))
         b = gen_linear_instance(LinearScenario(multicollinearity=2.0), task_rng(11, 0))
-        ya = [o.outcome for o in a.source]
-        yb = [o.outcome for o in b.source]
-        assert_allclose(ya, yb, rtol=0, atol=0)
+        assert_allclose(a.source.outcomes, b.source.outcomes, rtol=0, atol=0)
         assert a.proxy.payload == b.proxy.payload
 
     def test_different_seeds_differ(self):
@@ -391,7 +391,7 @@ class TestLinearInstance:
 class TestGpTrajectories:
     def test_default_layout(self):
         inst = gen_gp_trajectories(GpScenario(), task_rng(3, 0))
-        assert len(inst.prompts) == 8
+        assert inst.prompts.n == 8
         assert inst.source.n == 8
         assert inst.psi_star.shape == (8, 1)
         assert inst.x_grid.shape == (10,)
@@ -411,25 +411,25 @@ class TestGpTrajectories:
         assert np.all(inst.psi_star[:, 0] == inst.psi_target_star[0])
         assert inst.source.n == 4
 
-    def test_zero_source_keeps_everything(self):
-        inst = gen_gp_trajectories(GpScenario(n_trajectories=6, m_target=3,
-                                              m_source=0, resolution=5), task_rng(3, 0))
-        assert len(inst.prompts) == 0
-        assert inst.source.n == 6
-        assert inst.psi_star.shape == (6, 1)
+    def test_zero_source_rejected(self):
+        """The expert proxy is drawn from the m_source prompts, so a scenario
+        without one is refused before anything is drawn."""
+        with pytest.raises(ValueError, match=r"m_source must lie in \[1, n_trajectories=6\], "
+                                             "got 0"):
+            GpScenario(n_trajectories=6, m_target=3, m_source=0, resolution=5)
 
     def test_trajectory_marginal_variance_is_unit(self):
-        scenario = GpScenario(n_trajectories=1, m_target=1, m_source=0,
+        scenario = GpScenario(n_trajectories=1, m_target=1, m_source=1,
                               resolution=5)
         draws = np.stack([
-            gen_gp_trajectories(scenario, task_rng(s, 0)).source[0].outcome
+            gen_gp_trajectories(scenario, task_rng(s, 0)).source.outcomes[0]
             for s in range(400)])
         assert_allclose(draws.var(axis=0), 1.0, atol=0.15)
 
     def test_deterministic(self):
         a = gen_gp_trajectories(GpScenario(), task_rng(17, 0))
         b = gen_gp_trajectories(GpScenario(), task_rng(17, 0))
-        assert_allclose(a.source[0].outcome, b.source[0].outcome, rtol=0, atol=0)
+        assert_allclose(a.source.outcomes[0], b.source.outcomes[0], rtol=0, atol=0)
         assert a.psi_target_star[0] == b.psi_target_star[0]
 
     def test_scenario_validation(self):
