@@ -16,14 +16,29 @@ import numpy as np
 MASS_TOL = 1e-12
 
 
+def _check_normalized(mass: np.ndarray, name: str, tol: float, axis=None) -> None:
+    """Raise ValueError unless the nonempty float array mass is nonnegative
+    and each of its sums over axis, or its whole sum when axis is None, is 1
+    within tol.
+
+    One min and one sum.  A NaN passes the sign test and fails the sum test,
+    which is written so that a NaN sum lies outside every tolerance.
+    """
+    if mass.min() < 0:
+        raise ValueError(f"{name} has negative entries")
+    sums = mass.sum(axis=axis)
+    off = ~(np.abs(sums - 1.0) <= tol)
+    if off.any():
+        row = () if axis is None else tuple(int(i) for i in np.argwhere(off)[0])
+        where = f" row {row}" if row else ""
+        raise ValueError(f"{name}{where} sums to {sums[row]!r}, expected 1 within {tol}")
+
+
 def _check_mass(mass: np.ndarray, name: str) -> np.ndarray:
     mass = np.asarray(mass, dtype=float)
     if mass.ndim != 1 or mass.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d vector")
-    if np.any(mass < 0):
-        raise ValueError(f"{name} has negative entries")
-    if not abs(mass.sum() - 1.0) <= MASS_TOL:      # a NaN sum fails this too
-        raise ValueError(f"{name} sums to {mass.sum()!r}, expected 1 within {MASS_TOL}")
+    _check_normalized(mass, name, MASS_TOL)
     return mass
 
 

@@ -9,9 +9,15 @@ drawn as an outlier point.  A dashed reference line marks zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
+
+
+def _escape(text: str) -> str:
+    """text with &, > and < as XML entities, & first, as
+    xml.sax.saxutils.escape does; that module's import pulls in urllib and
+    ssl."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 @dataclass(frozen=True)
@@ -82,11 +88,11 @@ def emit_boxplot_svg(groups: dict, path, title: str = "", y_label: str = ""):
     ]
     if title:
         parts.append(f'<text x="{width / 2:.0f}" y="22" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="14">{escape(title)}</text>')
+                     f'font-family="sans-serif" font-size="14">{_escape(title)}</text>')
     if y_label:
         parts.append(f'<text x="16" y="{top + plot_h / 2:.0f}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="12" '
-                     f'transform="rotate(-90 16 {top + plot_h / 2:.0f})">{escape(y_label)}</text>')
+                     f'transform="rotate(-90 16 {top + plot_h / 2:.0f})">{_escape(y_label)}</text>')
 
     for tick in _ticks(lo, hi):
         ty = y(float(tick))
@@ -122,7 +128,7 @@ def emit_boxplot_svg(groups: dict, path, title: str = "", y_label: str = ""):
             parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(y(o))}" r="2.5" '
                          f'fill="none" stroke="black" stroke-width="1"/>')
         parts.append(f'<text x="{_fmt(cx)}" y="{height - 34}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="11">{escape(str(label))}</text>')
+                     f'font-family="sans-serif" font-size="11">{_escape(str(label))}</text>')
         parts.append(f'<text x="{_fmt(cx)}" y="{height - 18}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="9" fill="#666666">'
                      f'n={s.count}</text>')

@@ -25,8 +25,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grids import ParameterGrid, _check_mass
-from .models import ModelSpec, SourceData, loglik_tensor, logsumexp, sigmoid_ratio_weights
+from .grids import ParameterGrid, _check_mass, _check_normalized
+from .models import ModelSpec, SourceData, _logsumexp_inplace, loglik_tensor, logsumexp, \
+    sigmoid_ratio_weights
 
 JOINT_TOL = 1e-10
 
@@ -65,10 +66,7 @@ class PosteriorTable:
         expect = (self.grid.n_theta, self.grid.n_psi)
         if jm.shape != expect:
             raise ValueError(f"joint_mass shape {jm.shape}, grid wants {expect}")
-        if np.any(jm < 0):
-            raise ValueError("joint_mass has negative entries")
-        if abs(jm.sum() - 1.0) > JOINT_TOL:
-            raise ValueError(f"joint_mass sums to {jm.sum()!r}, expected 1 within {JOINT_TOL}")
+        _check_normalized(jm, "joint_mass", JOINT_TOL)
         object.__setattr__(self, "joint_mass", jm)
 
     def theta_marginal(self) -> np.ndarray:
@@ -111,9 +109,11 @@ def proxy_loglik_vector(proxy: ProxyObservation, psi_nodes: np.ndarray) -> np.nd
 
 def _neginf_mask(tensor: np.ndarray) -> Optional[np.ndarray]:
     """Where the tensor is -inf, or None when it holds no -inf (always so for
-    the linear and gp models)."""
-    mask = np.isneginf(tensor)
-    return mask if mask.any() else None
+    the linear and gp models): one min decides, and only a tensor that holds
+    a -inf pays for the mask."""
+    if tensor.min(initial=np.inf) > -np.inf:
+        return None
+    return np.isneginf(tensor)
 
 
 @dataclass(frozen=True)
@@ -142,12 +142,14 @@ class GridProblem:
 def _source_mixture(lls: np.ndarray, source_psi_prior) -> np.ndarray:
     """The classic learner's source mixture logsumexp(lls + log prior) over
     the last axis of lls (..., B), where source_psi_prior is checked to be a
-    mass vector over the B psi nodes."""
+    mass vector over the B psi nodes.  The sum is the one array of lls's
+    size formed here; the log-sum-exp consumes it in place."""
     source_psi_prior = _check_mass(source_psi_prior, "source_psi_prior")
     if source_psi_prior.size != lls.shape[-1]:
         raise ValueError("source_psi_prior length does not match the psi grid")
     with np.errstate(divide="ignore"):
-        return logsumexp(lls + np.log(source_psi_prior), axis=-1)
+        work = lls + np.log(source_psi_prior)
+    return _logsumexp_inplace(work, axis=-1)
 
 
 def classic_posterior(problem: GridProblem, source_psi_prior) -> PosteriorTable:

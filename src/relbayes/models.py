@@ -24,6 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import expit, gammaln
 
+from .grids import _check_normalized
+
 LOG_2PI = math.log(2.0 * math.pi)
 LOG_DBL_MAX = math.log(np.finfo(float).max)
 
@@ -193,13 +195,19 @@ def logsumexp(a, axis=None):
     Shifted by the slice maximum, treated as 0 where it is not finite, so an
     all -inf slice gives -inf and a slice holding +inf gives +inf.
     """
-    a = np.asarray(a, dtype=float)
-    peak = np.max(a, axis=axis, keepdims=True, initial=-np.inf)
+    return _logsumexp_inplace(np.array(a, dtype=float), axis)
+
+
+def _logsumexp_inplace(work: np.ndarray, axis=None):
+    """logsumexp(work, axis) for a float array the caller owns and gives up:
+    work is shifted and exponentiated in place, so a caller that has just
+    formed it allocates no second array of its size."""
+    peak = np.max(work, axis=axis, keepdims=True, initial=-np.inf)
     peak = np.where(np.isfinite(peak), peak, 0.0)
-    shifted = np.atleast_1d(a - peak)
-    np.exp(shifted, out=shifted)
+    work -= peak
+    np.exp(work, out=work)
     with np.errstate(divide="ignore"):
-        return np.log(np.sum(shifted, axis=axis)) + np.squeeze(peak, axis=axis)
+        return np.log(np.sum(work, axis=axis)) + np.squeeze(peak, axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +224,16 @@ def linear_model() -> ModelSpec:
 
     def log_likelihood(data: SourceData, thetas, psis) -> np.ndarray:
         x = data.covariates                                 # (n, 2)
-        mean = (x[:, 0, None, None] * thetas[None, :, 0, None]
-                + x[:, 1, None, None] * _task_column(psis))      # (n, A, B)
-        return -0.5 * LOG_2PI - 0.5 * (data.outcomes[:, None, None] - mean) ** 2
+        # one (n, A, B) array: the mean minus y, squared and scaled in place;
+        # the mean is summed before y is subtracted, so every cell has the
+        # bits of the textbook form -0.5 log 2pi - 0.5 (y - mean)^2
+        out = (x[:, 0, None, None] * thetas[None, :, 0, None]
+               + x[:, 1, None, None] * _task_column(psis))
+        out -= data.outcomes[:, None, None]
+        np.square(out, out=out)
+        out *= -0.5
+        out -= 0.5 * LOG_2PI
+        return out
 
     def simulate(covariates, theta, psi, rng) -> float:
         covariates = np.asarray(covariates, dtype=float)
@@ -503,12 +518,7 @@ def discrete_toy_model(outcome_count: int, theta_count: int, psi_count: int, tab
             f"table shape {table.shape} does not match "
             f"({theta_count}, {psi_count}, {outcome_count})"
         )
-    if np.any(table < 0):
-        raise ValueError("table has negative entries")
-    sums = table.sum(axis=2)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
-        bad = np.argwhere(np.abs(sums - 1.0) > 1e-9)[0]
-        raise ValueError(f"table row {tuple(bad)} sums to {sums[tuple(bad)]}, expected 1")
+    _check_normalized(table, "table", 1e-9, axis=2)
 
     with np.errstate(divide="ignore"):
         log_table = np.log(table)
@@ -554,7 +564,8 @@ def loglik_tensor(model: ModelSpec, data: SourceData, thetas, psis) -> np.ndarra
     if psis.ndim == 3 and psis.shape[0] != data.n:
         raise ValueError(f"per-observation psis has {psis.shape[0]} rows, data has {data.n}")
     out = model.log_likelihood(data, np.asarray(thetas, dtype=float), psis)
-    if np.isnan(out).any():
+    # the min propagates NaN: one reduction, and the index only on failure
+    if math.isnan(out.min(initial=0.0)):
         i = int(np.argwhere(np.isnan(out))[0][0])
         raise FloatingPointError(f"NaN log-likelihood at observation index {i}")
     return out

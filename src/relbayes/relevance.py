@@ -21,8 +21,9 @@ log-likelihood vector, so refinement evaluates no proxy itself.
 The belief average behind the prior-expected weights is the one sum here
 taken in the exp domain instead of by log-sum-exp.  Each observation's
 log-likelihoods are shifted by their peak over theta and exponentiated
-once per refine_relevance call, so a round is one matrix-vector product
-with the belief and an (n, B) logarithm.  The sum underflows only where
+once per refine_relevance call, into one array in the tensor's own
+(n, A, B) order, so a round is the belief times that array, an (n, B)
+product, and an (n, B) logarithm.  The sum underflows only where
 every belief-weighted term lies below the smallest double, relative to the
 peak, so the weight it zeroes is at most A x 5e-324 times the peak density
 over the predictive mode.  That is below 1e-300 for the linear, binomial and
@@ -90,20 +91,18 @@ def _belief_averager(tensor: np.ndarray):
 
     tensor is an (n, A, B) log-likelihood block.  It is shifted by its peak
     over theta (a non-finite peak counts as 0, as in models.logsumexp) and
-    exponentiated once, into an (A, n*B) array; each belief then costs one
-    matrix-vector product and an (n, B) logarithm.
+    exponentiated once, in its own (n, A, B) order, into one array; each
+    belief then costs one vector-matrix product per observation, giving
+    (n, B), and an (n, B) logarithm.
     """
-    n, n_theta, n_psi = tensor.shape
     peak = tensor.max(axis=1)                                          # (n, B)
     peak[~np.isfinite(peak)] = 0.0
-    scaled = np.empty((n_theta, n, n_psi))
-    np.subtract(tensor.transpose(1, 0, 2), peak, out=scaled)
+    scaled = tensor - peak[:, None, :]
     np.exp(scaled, out=scaled)
-    scaled = scaled.reshape(n_theta, n * n_psi)
 
     def log_average(belief: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            return np.log(belief @ scaled).reshape(n, n_psi) + peak
+            return np.log(belief @ scaled) + peak
 
     return log_average
 

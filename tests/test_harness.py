@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import xml.dom.minidom
 from pathlib import Path
 
@@ -39,8 +40,9 @@ from relbayes.harness.smoking import (EXPECTED_STUDIES, SmokingRecord,
                                       run_smoking_comparison)
 from relbayes.harness.svgplot import box_stats, emit_boxplot_svg
 from relbayes.inference import McmcChain
-from relbayes.models import binomial_logit_model
-from relbayes.synthetic import GpScenario, LinearScenario
+from relbayes.models import binomial_logit_model, linear_model
+from relbayes.synthetic import LINEAR_THETA_STAR, GpScenario, LinearScenario, \
+    gen_linear_instance, task_rng
 
 RNG_SEED = 20260817
 
@@ -439,6 +441,25 @@ def test_linear_results_pinned(master_seed):
     ig_c, ig_r = LINEAR_PINNED[master_seed]
     assert math.isclose(result.ig_classic, ig_c, rel_tol=1e-12)
     assert math.isclose(result.ig_rweighted, ig_r, rel_tol=1e-12)
+
+
+def test_linear_grid_101_simulation_holds_about_two_tensors():
+    """One linear grid-101 simulation holds the problem's (n, A, B) tensor
+    plus one working array of its size at a time: the classic mixture's
+    shifted sum, then the belief average's exponentiated copy.  tracemalloc
+    counts numpy's buffers, so unlike a timing this catches a returned
+    full-size temporary on any machine."""
+    inst = gen_linear_instance(LinearScenario(), task_rng(RNG_SEED, 0))
+    grid = runner_module._normal_prior_grid(101)
+    tensor_bytes = inst.source.n * grid.n_theta * grid.n_psi * 8
+    tracemalloc.start()
+    try:
+        runner_module._grid_gains(linear_model(), inst.source, grid, inst.proxy,
+                                  LINEAR_THETA_STAR)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * tensor_bytes, peak / tensor_bytes
 
 
 # every value results.csv holds for toy-verify simulations 0-2 at
@@ -901,6 +922,18 @@ class TestCli:
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == relbayes.__version__
+
+    def test_harness_import_loads_no_network_modules(self):
+        """The SVG labels are escaped without xml.sax.saxutils, whose import
+        pulls in urllib.request, http.client and ssl."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(relbayes.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+        code = ("import sys, relbayes.harness; "
+                "print(sorted({'ssl', 'urllib.request'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_version_and_usage_exits(self, capsys):
         assert cli_main(["--version"]) == 0

@@ -8,6 +8,7 @@ tolerances can sit at 1e-12 without slack for float error in the oracle.
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 from scipy.special import expit
@@ -15,8 +16,8 @@ from scipy.special import expit
 from _scalar_reference import r_weighted_likelihood
 from relbayes.grids import ParameterGrid, box_nodes, midpoint_nodes, toy_grid
 from relbayes.inference import (DegenerateProxyError, GridProblem, McmcInitError,
-                                PosteriorTable, ProxyObservation, chain_grid_tv,
-                                classic_posterior, metropolis_posterior,
+                                PosteriorTable, ProxyObservation, _source_mixture,
+                                chain_grid_tv, classic_posterior, metropolis_posterior,
                                 proxy_loglik_vector, r_weighted_posterior)
 from relbayes.models import (SourceData, binomial_logit_model,
                              discrete_toy_model, linear_model, logsumexp)
@@ -171,6 +172,54 @@ class TestProxyLoglikVector:
         with pytest.raises(ValueError, match="shape"):
             metropolis_posterior(model, data, legacy, lambda d, psi: np.ones(d.n),
                                  lambda t, p: 0.0, n_samples=1000, seed=0)
+
+
+class TestPosteriorTable:
+    def test_nan_joint_mass_rejected(self):
+        """A NaN passes the sign test and fails the sum test."""
+        with pytest.raises(ValueError, match="joint_mass sums to"):
+            PosteriorTable(toy_grid(2, 2), [[np.nan, 0.5], [0.25, 0.25]], 0.0)
+
+    def test_negative_joint_mass_rejected(self):
+        with pytest.raises(ValueError, match="joint_mass has negative entries"):
+            PosteriorTable(toy_grid(2, 2), [[-0.25, 0.5], [0.5, 0.25]], 0.0)
+
+
+class TestSourceMixture:
+    """The classic mixture's in-place log-sum-exp against scipy's."""
+
+    @staticmethod
+    def _compare(lls, prior):
+        before = lls.copy()
+        got = _source_mixture(lls, prior)
+        with np.errstate(divide="ignore"):
+            want = scipy.special.logsumexp(lls + np.log(prior), axis=-1)
+        assert_array_equal(lls, before)
+        assert_array_equal(np.isfinite(got), np.isfinite(want))
+        assert_array_equal(got[~np.isfinite(want)], want[~np.isfinite(want)])
+        assert_allclose(got[np.isfinite(want)], want[np.isfinite(want)], rtol=1e-12)
+        return got
+
+    def test_prior_with_zero_masses(self):
+        rng = np.random.default_rng(RNG_SEED)
+        prior = rng.dirichlet(np.ones(7))
+        prior[[0, 3]] = 0.0
+        prior /= prior.sum()
+        lls = rng.normal(scale=40.0, size=(5, 6, 7))
+        lls[:, :, 0] = 500.0        # the peak sits on a zero mass and drops out
+        self._compare(lls, prior)
+
+    def test_all_neginf_and_posinf_slices(self):
+        rng = np.random.default_rng(RNG_SEED)
+        prior = np.array([0.25, 0.0, 0.5, 0.25])
+        lls = rng.normal(scale=5.0, size=(3, 4, 4))
+        lls[0, 1] = -np.inf
+        lls[1, 2, [0, 2, 3]] = -np.inf      # finite only on the zero mass
+        lls[2, 0, 2] = np.inf
+        lls[2, 3, [0, 3]] = [np.inf, -np.inf]
+        got = self._compare(lls, prior)
+        assert got[0, 1] == got[1, 2] == -np.inf
+        assert got[2, 0] == got[2, 3] == np.inf
 
 
 class TestClassicPosterior:

@@ -193,6 +193,23 @@ class TestLinearModel:
                         scalar.linear(obs, thetas[a], psis[b]),
                         rtol=0, atol=1e-12)
 
+    def test_large_residuals_match_scalar_reference(self):
+        """The tensor is squared and scaled in place; at residuals of about
+        50, where the quadratic term dominates, every cell still matches the
+        scalar formula to rounding."""
+        rng = np.random.default_rng(RNG_SEED)
+        data = SourceData(rng.normal(scale=2.0, size=(5, 2)),
+                          rng.choice([-1.0, 1.0], size=5) * rng.uniform(40.0, 60.0, size=5))
+        nodes = midpoint_nodes(-10.0, 10.0, 21)[:, None]
+        tensor = loglik_tensor(self.model, data, nodes, nodes[::-1])
+        assert np.median(tensor) < -500.0
+        for i, obs in enumerate(scalar.rows(data)):
+            for a in range(21):
+                for b in range(21):
+                    assert_allclose(tensor[i, a, b],
+                                    scalar.linear(obs, nodes[a], nodes[20 - b]),
+                                    rtol=1e-12, atol=0)
+
     def test_simulate_moments(self):
         rng = np.random.default_rng(RNG_SEED)
         x = np.array([1.5, -2.0])
@@ -680,6 +697,13 @@ class TestDiscreteToyModel:
         with pytest.raises(ValueError):
             discrete_toy_model(3, 2, 2, bad)
 
+    def test_nan_table_rejected(self):
+        """A NaN passes a sign test and fails the row-sum test."""
+        with pytest.raises(ValueError, match=r"table row \(0, 0\) sums to"):
+            discrete_toy_model(2, 1, 1, [[[np.nan, 1.0]]])
+        with pytest.raises(ValueError, match=r"table row \(1, 0\) sums to"):
+            discrete_toy_model(2, 2, 1, [[[0.5, 0.5]], [[1.0, np.nan]]])
+
     def test_zero_probability_outcome_gives_neg_inf(self):
         table = np.array([[[1.0, 0.0], [0.5, 0.5]],
                           [[0.3, 0.7], [0.9, 0.1]]])
@@ -863,6 +887,30 @@ class TestLoglikTensor:
         data = SourceData(np.zeros((2, 2)), [0.0, 0.0])
         with pytest.raises(FloatingPointError, match="1"):
             loglik_tensor(model_bad, data, np.zeros((1, 1)), np.zeros((1, 1)))
+
+    @staticmethod
+    def _returning(out):
+        """The linear model with its evaluator replaced by a fixed tensor."""
+        import dataclasses
+        return dataclasses.replace(linear_model(), log_likelihood=lambda *_: out.copy())
+
+    def test_first_nan_observation_is_named(self):
+        """The check is one min; the index is found only once it fails, and
+        it is the first observation holding a NaN."""
+        out = np.zeros((5, 3, 2))
+        out[4, 0, 0] = out[2, 2, 1] = out[3, 1, 0] = np.nan
+        data = SourceData(np.zeros((5, 2)), np.zeros(5))
+        with pytest.raises(FloatingPointError,
+                           match="^NaN log-likelihood at observation index 2$"):
+            loglik_tensor(self._returning(out), data, np.zeros((3, 1)), np.zeros((2, 1)))
+
+    def test_infinities_without_nan_pass(self):
+        out = np.zeros((2, 3, 2))
+        out[0, 1, 1] = np.inf
+        out[1, 2, 0] = -np.inf
+        data = SourceData(np.zeros((2, 2)), np.zeros(2))
+        got = loglik_tensor(self._returning(out), data, np.zeros((3, 1)), np.zeros((2, 1)))
+        assert_array_equal(got, out)
 
     @pytest.mark.parametrize("name", ["linear", "binomial-logit", "gp", "discrete-toy"])
     def test_tensor_is_c_contiguous(self, name):

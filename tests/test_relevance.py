@@ -426,6 +426,31 @@ class TestBeliefAverage:
             assert (want == 0.0).any()
 
     @pytest.mark.parametrize("kind", ["linear", "gp"])
+    def test_grid_101_tensors_match_full_logsumexp(self, kind):
+        """At the sweeps' grid-101 shapes, where the per-observation products
+        run over 101 psi nodes, the (n, A, B) exponentiated array still
+        averages to the per-round log-sum-exp."""
+        rng = task_rng(RNG_SEED, 0)
+        if kind == "linear":
+            inst = gen_linear_instance(LinearScenario(), rng)
+            problem = GridProblem(linear_model(), inst.source, runner._normal_prior_grid(101))
+        else:
+            inst = gen_gp_trajectories(GpScenario(), rng)
+            model = gp_model(inst.x_grid)
+            grid = build_grid(model, lambda t: -0.5 * (np.log(t[:, 0]) - 0.5) ** 2,
+                              lambda p: -0.5 * (np.log(p[:, 0]) - 0.5) ** 2, 101)
+            problem = GridProblem(model, inst.source, grid)
+        grid = problem.grid
+        assert problem.tensor.shape[1:] == (101, 101)
+        log_average = _belief_averager(problem.tensor)
+        for belief in (grid.theta_prior_mass, _with_zeros(rng, 101, range(0, 101, 3))):
+            log_mode = _predictive_mode_matrix(problem.model, problem.data,
+                                               grid.theta_nodes, grid.psi_nodes, belief)
+            want = prior_expected_matrix(problem.tensor, log_mode, belief)
+            got = np.exp(log_average(belief) - log_mode).T
+            assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["linear", "gp"])
     def test_refinement_matches_full_logsumexp_rounds(self, kind):
         if kind == "linear":
             model, data, grid, proxy = TestComputeOnce()._instance()
