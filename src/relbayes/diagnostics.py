@@ -28,7 +28,7 @@ import numpy as np
 from .grids import ParameterGrid
 from .inference import (DegenerateProxyError, GridProblem, _check_proxy_ll,
                         _check_weights, _neginf_mask, _r_weighted_log_joint,
-                        _source_mixture, _weighted_terms)
+                        _source_mixture)
 from .models import ModelSpec, SourceData, loglik_tensor, logsumexp, param_values
 from .relevance import refine_relevance
 
@@ -241,6 +241,14 @@ def _expect(mass: np.ndarray, values: np.ndarray) -> np.ndarray:
     even if its value is infinite or NaN (the 0 log 0 = 0 rule)."""
     live = mass > 0.0
     return mass[live] @ values[live]
+
+
+def _weighted_terms(weights: np.ndarray, lls: np.ndarray) -> np.ndarray:
+    """weights * lls, broadcast into a new C-order array, where a zero weight
+    kills its term outright (0 * -inf would be nan): the product is formed
+    only where the weight is nonzero, so no warning can arise."""
+    out = np.zeros(np.broadcast_shapes(weights.shape, lls.shape))
+    return np.multiply(weights, lls, out=out, where=weights != 0.0)
 
 
 def _table_weights(record: ToyEnumeration, weight_table) -> np.ndarray:

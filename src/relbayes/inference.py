@@ -2,11 +2,12 @@
 
 Two engines cover every model here: exact grid quadrature when the joint
 parameter dimension is small, and random-walk Metropolis when it is not
-(the smoking fixed-effects model).  All mass accumulation happens in log
-space through log-sum-exp, with one exception: the belief average behind
-the prior-expected relevance weights (relevance.py) shifts each
-observation's log-likelihoods by their peak over theta, exponentiates them
-once, and averages them in the exp domain.
+(both legs of the smoking case study: the sigmoid-ratio weighted target and
+the fixed-effects target with one intercept per study).  All mass
+accumulation happens in log space through log-sum-exp, with one exception:
+the belief average behind the prior-expected relevance weights
+(relevance.py) shifts each observation's log-likelihoods by their peak over
+theta, exponentiates them once, and averages them in the exp domain.
 
 Both grid engines read one GridProblem, which builds the (n, A, B)
 log-likelihood tensor of its (model, data, grid) once.  A proxy enters a
@@ -196,14 +197,6 @@ def _check_weights(weights, shape: tuple) -> np.ndarray:
     return w
 
 
-def _weighted_terms(weights: np.ndarray, lls: np.ndarray) -> np.ndarray:
-    """weights * lls, broadcast into a new C-order array, where a zero weight
-    kills its term outright (0 * -inf would be nan): the product is formed
-    only where the weight is nonzero, so no warning can arise."""
-    out = np.zeros(np.broadcast_shapes(weights.shape, lls.shape))
-    return np.multiply(weights, lls, out=out, where=weights != 0.0)
-
-
 def _r_weighted_log_joint(tensor: np.ndarray, neginf: Optional[np.ndarray],
                           weights: np.ndarray, proxy_ll: np.ndarray,
                           grid: ParameterGrid) -> np.ndarray:
@@ -288,25 +281,16 @@ def _chain_log_target(model: ModelSpec, data: SourceData, proxy, weights_fn,
         def log_lik(theta, psi):
             return float(loglik_tensor(model, data, theta[None, :], psi[gather]).sum())
     else:
-        if callable(weights_fn):
-            def weighted_sum(theta, psi):
-                w = weights_fn(data, psi)
-                lls = loglik_tensor(model, data, theta[None, :], psi[None, :])[:, 0, 0]
-                return float(_weighted_terms(_check_weights(w, (n,)), lls).sum())
-        else:
-            thetas = np.zeros((2, k_theta))     # row 0 the state's theta, row 1 the null theta
-            log_n = np.log(n)
-
-            def weighted_sum(theta, psi):
-                thetas[0] = theta
-                both = loglik_tensor(model, data, thetas, psi[None, :])          # (n, 2, 1)
-                # the weights lie in [0.5, 1] or raise: there is no range to
-                # check and no zero to mask
-                w = sigmoid_ratio_weights(both[:, 1, 0], log_n)
-                return float((w * both[:, 0, 0]).sum())
+        thetas = np.zeros((2, k_theta))     # row 0 the state's theta, row 1 the null theta
+        log_n = np.log(n)
 
         def log_lik(theta, psi):
-            ll = weighted_sum(theta, psi)
+            thetas[0] = theta
+            both = loglik_tensor(model, data, thetas, psi[None, :])          # (n, 2, 1)
+            # the weights lie in [0.5, 1] or raise: there is no range to
+            # check and no zero to mask
+            w = sigmoid_ratio_weights(both[:, 1, 0], log_n)
+            ll = float((w * both[:, 0, 0]).sum())
             if proxy is not None:
                 ll += float(proxy_loglik_vector(proxy, psi[None, :])[0])
             return ll
@@ -327,47 +311,47 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
                          proposal_scale=0.5) -> McmcChain:
     """Gaussian random-walk Metropolis over the stacked (theta, psi) state.
 
-    The target is the relevance-weighted joint density when weights_fn is a
-    callable (data, psi) -> weights, with the proxy log-likelihood added; its
-    output must be an (n,) vector in [0, 1] at every evaluated state.
-    weights_fn="sigmoid-ratio" gives the weights of
-    relevance.sigmoid_ratio_relevance without calling it: the model is
-    evaluated at the two theta rows (theta, 0) and the state's psi, and the
-    null column feeds models.sigmoid_ratio_weights, as in that function.
+    weights_fn selects one of two targets.  With weights_fn="sigmoid-ratio"
+    the target is the relevance-weighted joint density, with the proxy
+    log-likelihood added, under the weights of
+    relevance.sigmoid_ratio_relevance, formed without calling it: the model
+    is evaluated at the two theta rows (theta, 0) and the state's psi, and
+    the null column feeds models.sigmoid_ratio_weights, as in that function.
     With weights_fn=None and a groups partition, the target is instead the
     known-groups likelihood where psi holds one intercept per group, stacked
     in group order (the classic fixed-effects baseline); each observation is
-    evaluated at its own group's intercept, one cell per observation.  A
-    groups partition with a weights_fn is rejected, and so is a proxy
-    without one: the fixed-effects target reads no proxy.
+    evaluated at its own group's intercept, one cell per observation.  Any
+    other weights_fn is rejected before the prior or the model is called.
+    A groups partition with "sigmoid-ratio" is rejected, and so is a proxy
+    without it: the fixed-effects target reads no proxy.
 
     Each step evaluates the model once: one loglik_tensor call per proposed
-    state, of n x 2 cells for the "sigmoid-ratio" kind and n cells
-    otherwise (a callable weights_fn does its own work besides).  A
-    proposal of non-finite prior density is rejected without a model call.
-    The log-target is built once per chain, with its per-chain constants:
-    the null theta row and log n of the sigmoid ratio and, for fixed
-    effects, one index that gathers every observation's group intercept
-    from psi.  The per-step checks are scalar tests or a min and a max: a
-    callable's weights are range-checked by their min and max (NaN fails
-    both).  The sigmoid-ratio weights are neither range-checked nor
-    masked: models.sigmoid_ratio_weights raises unless the pooled null
+    state, of n x 2 cells for the "sigmoid-ratio" kind and n cells for
+    fixed effects.  A proposal of non-finite prior density is rejected
+    without a model call.  The log-target is built once per chain, with its
+    per-chain constants: the null theta row and log n of the sigmoid ratio
+    and, for fixed effects, one index that gathers every observation's group
+    intercept from psi.  The sigmoid-ratio weights are neither range-checked
+    nor masked: models.sigmoid_ratio_weights raises unless the pooled null
     log-likelihood is finite, and then every weight lies in [0.5, 1].
 
     init_theta must have shape (k_theta,), init_psi (k_psi,), or
     (k_psi * len(groups),) for fixed effects, and an array proposal_scale
     one entry per state coordinate; each defaults to the middle of the
-    support box, or 0.5.
+    support box, or 0.5.  Every proposal scale must be positive and finite.
 
-    n_samples counts total iterations; the first quarter is burn-in, during
-    which per-coordinate proposal scales adapt toward 0.3 acceptance, and is
-    discarded.  acceptance_rate is measured after adaptation; outside
-    [0.1, 0.6] a warning is attached to the chain and emitted.
+    n_samples, an integer, counts total iterations; the first quarter is
+    burn-in, during which per-coordinate proposal scales adapt toward 0.3
+    acceptance, and is discarded.  acceptance_rate is measured after
+    adaptation; outside [0.1, 0.6] a warning is attached to the chain and
+    emitted.
     """
+    if not isinstance(n_samples, (int, np.integer)):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
-    if isinstance(weights_fn, str) and weights_fn != "sigmoid-ratio":
-        raise ValueError(f"weights_fn must be a callable, None or 'sigmoid-ratio', "
+    if weights_fn not in (None, "sigmoid-ratio"):
+        raise ValueError(f"weights_fn must be None (fixed effects) or 'sigmoid-ratio', "
                          f"got {weights_fn!r}")
     k_theta = model.k_theta
     obs_group = None
@@ -394,6 +378,8 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
             if init_psi is None else _state_part(init_psi, psi_dim, "init_psi"))
     scales = (np.full(dim, float(proposal_scale)) if np.ndim(proposal_scale) == 0
               else _state_part(proposal_scale, dim, "proposal_scale").copy())
+    if not (np.isfinite(scales).all() and scales.min() > 0.0):
+        raise ValueError(f"proposal_scale entries must be positive and finite, got {scales}")
     state = np.concatenate([theta0, psi0])
 
     log_target = _chain_log_target(model, data, proxy, weights_fn, prior_log_density,
@@ -443,8 +429,13 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
 # chain-versus-grid comparison
 # ---------------------------------------------------------------------------
 
-def _cell_edges(nodes_1d: np.ndarray) -> np.ndarray:
+def _cell_edges(nodes_1d: np.ndarray, name: str) -> np.ndarray:
+    """Edges of the cells centred on nodes_1d, which must increase in equal
+    steps (to a relative 1e-9): every cell is one step wide, so uneven or
+    unsorted nodes would put samples in the wrong cells."""
     h = nodes_1d[1] - nodes_1d[0] if nodes_1d.size > 1 else 1.0
+    if not (h > 0.0 and np.all(np.abs(np.diff(nodes_1d) - h) <= 1e-9 * h)):
+        raise ValueError(f"chain_grid_tv needs increasing, evenly spaced {name} nodes")
     return np.concatenate([nodes_1d - 0.5 * h, [nodes_1d[-1] + 0.5 * h]])
 
 
@@ -467,36 +458,33 @@ def chain_grid_tv(chain: McmcChain, table: PosteriorTable, coarsen: int = 2,
 
     Samples are binned into the grid's own cells, then both histograms are
     aggregated into superbins of `coarsen` consecutive cells per axis so the
-    comparison is not dominated by per-cell Monte-Carlo noise.  marginal can
-    be "theta" or "psi" to compare one marginal; default (None) is the joint.
+    comparison is not dominated by per-cell Monte-Carlo noise.  marginal
+    "theta" compares the theta marginal; the default, None, the joint.
     Each bin holds its share of all the samples, and the share that falls
     outside the grid's span, where the table has no mass, adds to the
-    distance in full.  Scalar theta and psi only: a grid or a chain with more
-    than one coordinate for either raises ValueError.
+    distance in full.  Scalar theta and psi only, each binned axis on
+    increasing, evenly spaced nodes, and coarsen a positive integer:
+    anything else raises ValueError.
     """
-    if marginal not in (None, "theta", "psi"):
-        raise ValueError(f"marginal must be 'theta', 'psi' or None (the joint), "
-                         f"got {marginal!r}")
+    if marginal not in (None, "theta"):
+        raise ValueError(f"marginal must be 'theta' or None (the joint), got {marginal!r}")
+    if not (isinstance(coarsen, (int, np.integer)) and coarsen >= 1):
+        raise ValueError(f"coarsen must be a positive integer, got {coarsen!r}")
     grid = table.grid
     for name, nodes, samples in (("theta", grid.theta_nodes, chain.theta_samples),
                                  ("psi", grid.psi_nodes, chain.psi_samples)):
         if nodes.shape[1] != 1 or samples.shape[1] != 1:
             raise ValueError(f"chain_grid_tv needs scalar {name}, got {nodes.shape[1]} grid "
                              f"and {samples.shape[1]} chain coordinates")
-    t_edges = _cell_edges(grid.theta_nodes[:, 0])
-    p_edges = _cell_edges(grid.psi_nodes[:, 0])
+    t_edges = _cell_edges(grid.theta_nodes[:, 0], "theta")
 
     if marginal == "theta":
         hist, _ = np.histogram(chain.theta_samples[:, 0], bins=t_edges)
         ref = _coarsen(table.theta_marginal(), coarsen, 0)
         emp = _coarsen(hist.astype(float), coarsen, 0)
-    elif marginal == "psi":
-        hist, _ = np.histogram(chain.psi_samples[:, 0], bins=p_edges)
-        ref = _coarsen(table.psi_marginal(), coarsen, 0)
-        emp = _coarsen(hist.astype(float), coarsen, 0)
     else:
         hist, _, _ = np.histogram2d(chain.theta_samples[:, 0], chain.psi_samples[:, 0],
-                                    bins=(t_edges, p_edges))
+                                    bins=(t_edges, _cell_edges(grid.psi_nodes[:, 0], "psi")))
         ref = _coarsen(_coarsen(table.joint_mass, coarsen, 0), coarsen, 1)
         emp = _coarsen(_coarsen(hist, coarsen, 0), coarsen, 1)
     n_samples = chain.theta_samples.shape[0]

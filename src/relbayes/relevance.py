@@ -107,6 +107,16 @@ def _belief_averager(tensor: np.ndarray):
     return log_average
 
 
+def _relevance_weights(log_average, model: ModelSpec, data: SourceData,
+                       thetas: np.ndarray, psis: np.ndarray, belief: np.ndarray,
+                       context: str) -> np.ndarray:
+    """Prior-expected weights, (n, B): the belief average log_average(belief)
+    minus the _predictive_mode_matrix normalizer, exponentiated and clipped
+    into [0, 1]."""
+    log_mode = _predictive_mode_matrix(model, data, thetas, psis, belief)
+    return _clip_unit(np.exp(log_average(belief) - log_mode), context)
+
+
 def prior_expected_relevance(model: ModelSpec, data: SourceData, theta_nodes,
                              theta_belief, psi_target) -> np.ndarray:
     """Belief-averaged density of each observation under the target task.
@@ -128,9 +138,8 @@ def prior_expected_relevance(model: ModelSpec, data: SourceData, theta_nodes,
         raise ValueError("theta_belief must be a normalized mass vector")
     psi = param_values(psi_target)[None, :]
     log_average = _belief_averager(loglik_tensor(model, data, thetas, psi))
-    log_mode = _predictive_mode_matrix(model, data, thetas, psi, belief)
-    return _clip_unit(np.exp(log_average(belief) - log_mode)[:, 0],
-                      "prior_expected_relevance")
+    return _relevance_weights(log_average, model, data, thetas, psi, belief,
+                              "prior_expected_relevance")[:, 0]
 
 
 def sigmoid_ratio_relevance(model: ModelSpec, data: SourceData, psi_target) -> np.ndarray:
@@ -177,9 +186,8 @@ def refine_relevance(problem: GridProblem, proxy_ll,
     log_average = _belief_averager(problem.tensor)
 
     def evaluate(belief):
-        log_mode = _predictive_mode_matrix(model, data, grid.theta_nodes,
-                                           grid.psi_nodes, belief)
-        return _clip_unit(np.exp(log_average(belief) - log_mode).T, "refine_relevance")
+        return _relevance_weights(log_average, model, data, grid.theta_nodes,
+                                  grid.psi_nodes, belief, "refine_relevance").T
 
     belief = grid.theta_prior_mass
     for _ in range(t):

@@ -140,14 +140,10 @@ def metropolis_log_target(model, data, proxy, weights_fn, prior_log_density, gro
         if weights_fn is None:
             rows = psi.reshape(len(groups), model.k_psi)[obs_group][:, None, :]
             return lp + float(loglik_tensor(model, data, theta[None, :], rows).sum())
-        if callable(weights_fn):
-            w = weights_fn(data, psi)
-            lls = loglik_tensor(model, data, theta[None, :], psi[None, :])[:, 0, 0]
-        else:
-            thetas[0] = theta
-            both = loglik_tensor(model, data, thetas, psi[None, :])[:, :, 0]   # (n, 2)
-            w = sigmoid_ratio_weights(both[:, 1:])[:, 0]
-            lls = both[:, 0]
+        thetas[0] = theta
+        both = loglik_tensor(model, data, thetas, psi[None, :])[:, :, 0]   # (n, 2)
+        w = sigmoid_ratio_weights(both[:, 1:])[:, 0]
+        lls = both[:, 0]
         ll = float(_weighted(_check_weights(w, (data.n,)), lls).sum())
         if proxy is not None:
             ll += float(proxy_loglik_vector(proxy, psi[None, :])[0])

@@ -37,7 +37,7 @@ from relbayes.inference import (GridProblem, ProxyObservation, chain_grid_tv,
                                 proxy_loglik_vector, r_weighted_posterior)
 from relbayes.models import (SourceData, binomial_logit_model,
                              gp_model, linear_model)
-from relbayes.relevance import prior_expected_relevance
+from relbayes.relevance import sigmoid_ratio_relevance
 from relbayes.synthetic import gen_imprecise_estimate_proxy, task_rng
 
 IDENTITY_TOL = 1e-9
@@ -202,7 +202,10 @@ class TestCriterion3EngineCrossValidation:
 
     def test_metropolis_leg_matches_classic_marginal(self):
         """The sampler cannot hold a point mass, so the pin becomes a tight
-        normal (sd 1e-4, well under the grid cell width) around the node."""
+        normal (sd 1e-4, well under the grid cell width) around the node.
+        The chain runs the production "sigmoid-ratio" kind, whose weights
+        are all 1.0 at the pinned node, so its target is the unit-weight
+        likelihood the classic posterior collapses to."""
         model = linear_model()
         rng = task_rng(77, 0)
         x = rng.normal(size=(8, 2))
@@ -216,6 +219,7 @@ class TestCriterion3EngineCrossValidation:
         grid = ParameterGrid(nodes, nodes, mass, psi_prior)
         classic = classic_posterior(GridProblem(model, data, grid), psi_prior)
 
+        assert (sigmoid_ratio_relevance(model, data, [node]) == 1.0).all()
         pin_sd = 1e-4
 
         def pll(payload, psi_nodes):
@@ -227,7 +231,7 @@ class TestCriterion3EngineCrossValidation:
 
         chain = metropolis_posterior(
             model, data, ProxyObservation(payload=None, proxy_log_likelihood=pll),
-            lambda d, p: np.ones(d.n), prior_ld, n_samples=40_000, seed=5,
+            "sigmoid-ratio", prior_ld, n_samples=40_000, seed=5,
             init_theta=[0.0], init_psi=[node],
             proposal_scale=np.array([0.4, pin_sd]))
         tv = chain_grid_tv(chain, classic, coarsen=2, marginal="theta")
@@ -238,7 +242,16 @@ class TestCriterion3EngineCrossValidation:
 @pytest.mark.slow
 def test_criterion_4_sampler_matches_grid_table():
     """Full joint comparison on a 2-dim grid-computable weighted posterior
-    at 200000 iterations."""
+    at 200000 iterations.
+
+    The chain runs the production "sigmoid-ratio" kind.  Its weights read
+    only psi, so with scalar theta the exact answer is the r-weighted grid
+    posterior whose (41, 8) weights are sigmoid_ratio_relevance at each psi
+    node.  On these 8 linear observations those weights are all 1.0, where
+    the prior-expected weights this criterion once sampled spanned 7e-15 to
+    1; the weighting formula itself is pinned bit for bit, at states whose
+    weights lie below 1, by the step-versus-oracle test of the sigmoid-ratio
+    kind in test_metropolis_step.py."""
     start = time.perf_counter()
     model = linear_model()
     rng = task_rng(77, 0)
@@ -249,11 +262,7 @@ def test_criterion_4_sampler_matches_grid_table():
     mass = _normal_mass(nodes)
     grid = ParameterGrid(nodes, nodes, mass, mass)
 
-    def weights_fn(d, psi):
-        return prior_expected_relevance(model, d, grid.theta_nodes,
-                                        grid.theta_prior_mass, psi)
-
-    w_matrix = np.vstack([weights_fn(data, grid.psi_nodes[b])
+    w_matrix = np.vstack([sigmoid_ratio_relevance(model, data, grid.psi_nodes[b])
                           for b in range(grid.n_psi)])
     table = r_weighted_posterior(GridProblem(model, data, grid), w_matrix,
                                  proxy_loglik_vector(proxy, grid.psi_nodes))
@@ -261,7 +270,7 @@ def test_criterion_4_sampler_matches_grid_table():
     def prior_ld(theta, psi):
         return float(-0.5 * (theta[0] ** 2 + psi[0] ** 2))
 
-    chain = metropolis_posterior(model, data, proxy, weights_fn, prior_ld,
+    chain = metropolis_posterior(model, data, proxy, "sigmoid-ratio", prior_ld,
                                  n_samples=200_000, seed=99,
                                  init_theta=[0.0], init_psi=[0.0])
     tv = chain_grid_tv(chain, table, coarsen=2)

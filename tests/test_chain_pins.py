@@ -22,7 +22,6 @@ import pytest
 from relbayes.harness import smoking
 from relbayes.inference import metropolis_posterior
 from relbayes.models import binomial_logit_model
-from relbayes.relevance import sigmoid_ratio_relevance
 from relbayes.synthetic import gen_imprecise_estimate_proxy
 
 N_SAMPLES = 2000
@@ -61,17 +60,11 @@ def partition(study_map):
     return data, groups, proxy
 
 
-@pytest.mark.parametrize("form", ["kind", "callable"])
-def test_weighted_chain_is_pinned(partition, form):
+def test_weighted_chain_is_pinned(partition):
     data, _, proxy = partition
-    model = binomial_logit_model()
-
-    def sigmoid_weights(d, psi):
-        return sigmoid_ratio_relevance(model, d, psi)
-
-    weights_fn = "sigmoid-ratio" if form == "kind" else sigmoid_weights
-    chain = metropolis_posterior(model, data, proxy, weights_fn, smoking._normal_prior,
-                                 N_SAMPLES, 101, init_psi=np.array([proxy.payload]))
+    chain = metropolis_posterior(binomial_logit_model(), data, proxy, "sigmoid-ratio",
+                                 smoking._normal_prior, N_SAMPLES, 101,
+                                 init_psi=np.array([proxy.payload]))
     assert _pin(chain) == WEIGHTED
 
 

@@ -19,9 +19,7 @@ from relbayes.inference import (DegenerateProxyError, GridProblem, McmcInitError
                                 PosteriorTable, ProxyObservation, _source_mixture,
                                 chain_grid_tv, classic_posterior, metropolis_posterior,
                                 proxy_loglik_vector, r_weighted_posterior)
-from relbayes.models import (SourceData, binomial_logit_model,
-                             discrete_toy_model, linear_model, logsumexp)
-from relbayes.relevance import sigmoid_ratio_relevance
+from relbayes.models import SourceData, discrete_toy_model, linear_model, logsumexp
 
 mp.mp.dps = 50
 
@@ -170,7 +168,7 @@ class TestProxyLoglikVector:
         legacy = ProxyObservation(payload=0.3,
                                   proxy_log_likelihood=lambda z, psi: -0.5)
         with pytest.raises(ValueError, match="shape"):
-            metropolis_posterior(model, data, legacy, lambda d, psi: np.ones(d.n),
+            metropolis_posterior(model, data, legacy, "sigmoid-ratio",
                                  lambda t, p: 0.0, n_samples=1000, seed=0)
 
 
@@ -488,25 +486,27 @@ class TestMetropolis:
         return float(-0.5 * (theta @ theta + psi @ psi))
 
     def test_recovers_prior_when_likelihood_is_flat(self):
-        """Zero weights silence the data, so the chain must sample the
-        prior; mean and variance are checked loosely against N(0, 1)."""
+        """Covariates [0, 0] make the likelihood, and so the sigmoid-ratio
+        weighted likelihood, flat in theta and psi, so the chain must sample
+        the prior; mean and variance are checked loosely against N(0, 1)."""
         model = linear_model()
-        data = SourceData([[1.0, 1.0]], [0.3])
+        data = SourceData([[0.0, 0.0]], [0.3])
         chain = metropolis_posterior(
-            model, data, None, lambda d, psi: np.zeros(d.n),
+            model, data, None, "sigmoid-ratio",
             self._std_normal_prior, n_samples=40000, seed=5)
         assert_allclose(chain.theta_samples.mean(), 0.0, atol=0.08)
         assert_allclose(chain.theta_samples.var(), 1.0, atol=0.12)
         assert_allclose(chain.psi_samples.var(), 1.0, atol=0.12)
 
     def test_conjugate_normal_posterior(self):
-        """Unit weights with covariates [1, 0] make theta | y conjugate:
-        two observations and a standard normal prior give N(ybar*2/3, 1/3)."""
+        """The fixed-effects target with one group and covariates [1, 0]
+        makes theta | y conjugate: two observations and a standard normal
+        prior give N(ybar*2/3, 1/3)."""
         model = linear_model()
         data = SourceData([[1.0, 0.0], [1.0, 0.0]], [1.0, 0.0])
         chain = metropolis_posterior(
-            model, data, None, lambda d, psi: np.ones(d.n),
-            self._std_normal_prior, n_samples=60000, seed=11)
+            model, data, None, None,
+            self._std_normal_prior, n_samples=60000, seed=11, groups=[[0, 1]])
         assert_allclose(chain.theta_samples.mean(), 1.0 / 3.0, atol=0.04)
         assert_allclose(chain.theta_samples.var(), 1.0 / 3.0, atol=0.05)
         # psi never touches the likelihood here, so it keeps its prior
@@ -514,11 +514,13 @@ class TestMetropolis:
         assert 0.1 <= chain.acceptance_rate <= 0.6
 
     def test_proxy_shifts_target_parameter(self):
+        """Covariates [1, 0] keep psi out of the likelihood and of the
+        sigmoid-ratio weights, so psi sees only its prior and the proxy."""
         model = linear_model()
         data = SourceData([[1.0, 0.0]], [0.0])
         proxy = _normal_proxy(2.0, sigma=0.5)
         chain = metropolis_posterior(
-            model, data, proxy, lambda d, psi: np.zeros(d.n),
+            model, data, proxy, "sigmoid-ratio",
             self._std_normal_prior, n_samples=40000, seed=7)
         # N(0,1) prior times N(2, 0.25) likelihood: mean 2/(1 + 0.25)
         assert_allclose(chain.psi_samples.mean(), 1.6, atol=0.06)
@@ -566,46 +568,28 @@ class TestMetropolis:
                 metropolis_posterior(model, data, None, None, self._std_normal_prior,
                                      n_samples=1000, seed=0, groups=groups)
 
-    @pytest.mark.parametrize("weights_fn",[lambda d, psi: np.ones(d.n), "sigmoid-ratio"],
-                             ids=["callable", "sigmoid-ratio"])
-    def test_groups_rejected_with_weights(self, weights_fn):
+    def test_groups_rejected_with_weights(self):
         """The weighted target has one task parameter; a groups partition
         there would be ignored, so it is refused."""
         model = linear_model()
         data = SourceData([[1.0, 0.0], [0.5, 1.0]], [0.0, 0.2])
         with pytest.raises(ValueError, match="groups"):
-            metropolis_posterior(model, data, None, weights_fn, self._std_normal_prior,
+            metropolis_posterior(model, data, None, "sigmoid-ratio", self._std_normal_prior,
                                  n_samples=1000, seed=0, groups=[[0], [1]])
-
-    @pytest.mark.parametrize("weights_fn, match", [
-        (lambda d, psi: 1.7, "shape"),
-        (lambda d, psi: np.ones(d.n + 1), "shape"),
-        (lambda d, psi: np.full(d.n, 1.7), r"\[0, 1\]"),
-        (lambda d, psi: np.full(d.n, np.nan), r"\[0, 1\]"),
-    ], ids=["scalar", "wrong-length", "out-of-range", "nan"])
-    def test_weights_fn_output_is_validated(self, weights_fn, match):
-        """The weighted target holds weights_fn to the contract every other
-        weighted engine enforces: an (n,) vector in [0, 1]."""
-        model = linear_model()
-        data = SourceData([[1.0, 0.0], [0.5, 1.0]], [0.0, 0.2])
-        with pytest.raises(ValueError, match=match):
-            metropolis_posterior(model, data, None, weights_fn, self._std_normal_prior,
-                                 n_samples=1000, seed=0)
 
     def test_init_must_be_finite(self):
         model = linear_model()
         data = SourceData([[1.0, 0.0]], [0.0])
         with pytest.raises(McmcInitError):
             metropolis_posterior(model, data, None,
-                                 lambda d, psi: np.ones(d.n),
+                                 "sigmoid-ratio",
                                  lambda t, p: -np.inf, n_samples=2000, seed=0)
 
     def test_minimum_iterations_enforced(self):
         model = linear_model()
         data = SourceData([[1.0, 0.0]], [0.0])
         with pytest.raises(ValueError, match="1000"):
-            metropolis_posterior(model, data, None,
-                                 lambda d, psi: np.ones(d.n),
+            metropolis_posterior(model, data, None, "sigmoid-ratio",
                                  self._std_normal_prior, n_samples=500, seed=0)
 
     def test_warns_on_pathological_acceptance(self):
@@ -613,45 +597,34 @@ class TestMetropolis:
         data = SourceData([[1.0, 0.0]], [0.0])
         with pytest.warns(RuntimeWarning, match="acceptance"):
             chain = metropolis_posterior(
-                model, data, None, lambda d, psi: np.ones(d.n),
+                model, data, None, "sigmoid-ratio",
                 self._std_normal_prior, n_samples=1000, seed=0,
                 proposal_scale=1e7)
         assert chain.warning is not None
 
-    def test_sigmoid_ratio_kind_matches_callable(self):
-        """The kind evaluates the model once per step and forms the weights
-        itself; the chain is the one the callable weights give."""
-        rng = np.random.default_rng(RNG_SEED)
-        model = binomial_logit_model()
-        data = SourceData(*zip(*[(rng.normal(size=4), int(rng.integers(0, 9)), 8)
-                                 for _ in range(7)]))
-        proxy = _normal_proxy(0.4, sigma=0.6)
-
-        def sigmoid_weights(d, psi):
-            return sigmoid_ratio_relevance(model, d, psi)
-
-        chains = [metropolis_posterior(model, data, proxy, weights_fn,
-                                       self._std_normal_prior, 2000, 17)
-                  for weights_fn in ("sigmoid-ratio", sigmoid_weights)]
-        assert_array_equal(chains[0].theta_samples, chains[1].theta_samples)
-        assert_array_equal(chains[0].psi_samples, chains[1].psi_samples)
-        assert chains[0].acceptance_rate == chains[1].acceptance_rate
-
     def test_unknown_weights_kind_rejected(self):
+        """Only the two kinds are sampled; anything else, a weights callable
+        included, is refused before the prior is called."""
         data = SourceData([[1.0, 0.0]], [0.0])
-        with pytest.raises(ValueError, match="sigmoid-ratio"):
-            metropolis_posterior(linear_model(), data, None, "prior-expected",
-                                 self._std_normal_prior, n_samples=1000, seed=0)
+        prior_calls = []
+
+        def prior(theta, psi):
+            prior_calls.append(1)
+            return self._std_normal_prior(theta, psi)
+
+        for weights_fn in ("prior-expected", lambda d, psi: np.ones(d.n)):
+            with pytest.raises(ValueError, match=r"None \(fixed effects\) or 'sigmoid-ratio'"):
+                metropolis_posterior(linear_model(), data, None, weights_fn, prior,
+                                     n_samples=1000, seed=0)
+        assert prior_calls == []
 
     def test_same_seed_reproduces_chain(self):
         model = linear_model()
         data = SourceData([[1.0, 0.5]], [0.2])
         kwargs = dict(n_samples=2000, seed=42)
-        c1 = metropolis_posterior(model, data, None,
-                                  lambda d, psi: np.ones(d.n),
+        c1 = metropolis_posterior(model, data, None, "sigmoid-ratio",
                                   self._std_normal_prior, **kwargs)
-        c2 = metropolis_posterior(model, data, None,
-                                  lambda d, psi: np.ones(d.n),
+        c2 = metropolis_posterior(model, data, None, "sigmoid-ratio",
                                   self._std_normal_prior, **kwargs)
         assert_allclose(c1.theta_samples, c2.theta_samples, rtol=0, atol=0)
         assert_allclose(c1.psi_samples, c2.psi_samples, rtol=0, atol=0)
@@ -693,7 +666,7 @@ class TestChainGridTv:
         tv = chain_grid_tv(chain, table, coarsen=2, marginal="theta")
         assert tv < 0.02
 
-    @pytest.mark.parametrize("marginal", [None, "theta", "psi"])
+    @pytest.mark.parametrize("marginal", [None, "theta"])
     def test_samples_off_the_grid_count_in_full(self, marginal):
         """90% of the chain sits far outside the grid, where the table has
         no mass, so the distance is at least 0.9."""
@@ -707,7 +680,7 @@ class TestChainGridTv:
         # 0.9 exactly when no bin holds more than its table mass; allow rounding
         assert chain_grid_tv(chain, table, coarsen=2, marginal=marginal) >= 0.9 - 1e-12
 
-    @pytest.mark.parametrize("marginal", [None, "theta", "psi"])
+    @pytest.mark.parametrize("marginal", [None, "theta"])
     def test_vector_parameters_rejected(self, marginal):
         """The histograms bin one coordinate per parameter.  Binned on its
         first coordinate alone, a chain drawn uniformly on [-1, 1]^2 reads a
@@ -727,11 +700,43 @@ class TestChainGridTv:
             chain_grid_tv(chain, scalar, marginal=marginal)
 
     def test_unknown_marginal_rejected(self):
-        """A misspelt marginal must not fall through to the joint."""
+        """A misspelt marginal must not fall through to the joint, and the
+        psi marginal, which no criterion compares, is not offered."""
         table = self._table()
         chain = McmcChainStub(np.zeros((10, 1)), np.zeros((10, 1)))
-        with pytest.raises(ValueError, match="'theta', 'psi' or None"):
-            chain_grid_tv(chain, table, marginal="Theta")
+        for marginal in ("Theta", "psi"):
+            with pytest.raises(ValueError, match="'theta' or None"):
+                chain_grid_tv(chain, table, marginal=marginal)
+
+    @pytest.mark.parametrize("coarsen", [0, -1, 1.5, 2.0])
+    def test_coarsen_must_be_a_positive_integer(self, coarsen):
+        """0 used to fail as an integer modulo by zero, -1 inside a reshape."""
+        chain = McmcChainStub(np.zeros((10, 1)), np.zeros((10, 1)))
+        with pytest.raises(ValueError, match="coarsen must be a positive integer"):
+            chain_grid_tv(chain, self._table(), coarsen=coarsen)
+
+    def test_nodes_must_increase_evenly(self):
+        """Cells are one node step wide, so nodes [0, 1, 3, 7] would be binned
+        with the first gap's width and unsorted nodes would fail inside
+        np.histogram: both raise, on either axis.  Midpoint nodes, uneven
+        only by rounding, are accepted."""
+        even = np.linspace(0.0, 3.0, 4)
+        chain = McmcChainStub(np.ones((10, 1)), np.ones((10, 1)))
+        for name, bad in (("theta", [0.0, 1.0, 3.0, 7.0]), ("psi", [0.0, 2.0, 1.0, 3.0]),
+                          ("theta", [3.0, 2.0, 1.0, 0.0])):
+            nodes = {"theta": even, "psi": even, name: np.array(bad)}
+            grid = ParameterGrid(nodes["theta"][:, None], nodes["psi"][:, None],
+                                 np.full(4, 0.25), np.full(4, 0.25))
+            table = PosteriorTable(grid=grid, joint_mass=np.full((4, 4), 1 / 16),
+                                   log_evidence=0.0)
+            with pytest.raises(ValueError, match=f"evenly spaced {name} nodes"):
+                chain_grid_tv(chain, table)
+        nodes = midpoint_nodes(-4.0, 4.0, 41)[:, None]
+        grid = ParameterGrid(nodes, nodes, np.full(41, 1 / 41), np.full(41, 1 / 41))
+        table = PosteriorTable(grid=grid, joint_mass=np.full((41, 41), 1 / 41 ** 2),
+                               log_evidence=0.0)
+        assert 0.0 <= chain_grid_tv(McmcChainStub(np.zeros((10, 1)), np.zeros((10, 1))),
+                                    table) <= 1.0
 
 
 class McmcChainStub:

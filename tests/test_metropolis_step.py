@@ -1,12 +1,12 @@
 """The Metropolis step against the log-target it replaced, and its error paths.
 
 The sampler builds its log-target once per chain (inference._chain_log_target)
-and keeps what does not change within the chain.  Every kind is compared,
-bit for bit, with the per-step oracle in _scalar_reference at a few hundred
-random states, including states outside the prior's support and zero weights
-against -inf log-likelihoods.  The error tests hold each failure that could
-occur mid-chain to the exception the oracle raises, and check that warnings
-raised inside user callables still reach the caller.
+and keeps what does not change within the chain.  Both kinds, sigmoid-ratio
+and fixed effects, are compared, bit for bit, with the per-step oracle in
+_scalar_reference at a few hundred random states, including states outside
+the prior's support.  The error tests hold each failure that could occur
+mid-chain to the exception the oracle raises, and check that warnings raised
+inside user callables (the prior and the proxy) still reach the caller.
 """
 
 import dataclasses
@@ -19,7 +19,7 @@ from numpy.testing import assert_array_equal
 from _scalar_reference import metropolis_log_target, sigmoid_ratio_weights as oracle_weights
 from relbayes import inference
 from relbayes.harness import smoking
-from relbayes.inference import _chain_log_target, metropolis_posterior
+from relbayes.inference import ProxyObservation, _chain_log_target, metropolis_posterior
 from relbayes.models import (DegenerateRelevanceError, ModelSpec, SourceData,
                              binomial_logit_model, discrete_toy_model, linear_model,
                              sigmoid_ratio_weights)
@@ -96,27 +96,6 @@ def _two_intercept_model() -> ModelSpec:
                                log_likelihood=log_likelihood)
 
 
-def _zero_prob_toy():
-    """A 3 x 3 categorical toy where outcome 2 is impossible at theta nodes
-    0 and 1, data holding that outcome, and weights that are zero on those
-    observations while psi rounds below node 2."""
-    rng = np.random.default_rng(SEED)
-    table = rng.dirichlet(np.ones(3), size=(3, 3))
-    table[:2, :, 2] = 0.0
-    table /= table.sum(axis=2, keepdims=True)
-    model = discrete_toy_model(3, 3, 3, table)
-    outcomes = np.array([0, 2, 1, 2, 0, 1])
-    data = SourceData(np.empty((len(outcomes), 0)), outcomes)
-
-    def weights_fn(d, psi):
-        w = np.linspace(0.1, 1.0, d.n)
-        if psi[0] < 1.5:
-            w[outcomes == 2] = 0.0
-        return w
-
-    return model, data, weights_fn
-
-
 class TestStepEqualsOracle:
     @pytest.mark.parametrize("data_kind", ["partition", "small"])
     def test_sigmoid_ratio_kind(self, partition, data_kind):
@@ -157,42 +136,6 @@ class TestStepEqualsOracle:
                 sigmoid_ratio_weights(null, np.log(3))
             assert info.type is error
 
-    def test_callable_kind(self, partition):
-        rng = np.random.default_rng(SEED)
-        data, _, proxy = partition
-        draws = rng.random((N_STATES, data.n))
-        draws[draws < 0.2] = 0.0
-        draws[draws > 0.9] = 1.0
-        calls = iter(range(N_STATES))
-
-        def weights_fn(d, psi):
-            return draws[next(calls)]
-
-        new, old = _new_and_old(binomial_logit_model(), data, proxy, weights_fn,
-                                smoking._normal_prior)
-        states = rng.normal(0.0, 1.5, size=(N_STATES, 5))
-        got = np.array([new(v) for v in states])
-        calls = iter(range(N_STATES))
-        want = np.array([old(v) for v in states])
-        assert got.tobytes() == want.tobytes()
-
-    def test_callable_zero_weights_kill_neg_inf_loglik(self):
-        model, data, weights_fn = _zero_prob_toy()
-        rng = np.random.default_rng(SEED)
-        new, old = _new_and_old(model, data, None, weights_fn, _box_prior(2.0))
-        # a margin past the box puts some states outside the prior's support
-        states = rng.uniform(-0.45, 2.45, size=(N_STATES, 2))
-        got = _assert_same_at(states, new, old)
-        theta_idx, psi_idx = np.rint(states[:, 0]), np.rint(states[:, 1])
-        in_box = (states.min(axis=1) >= 0.0) & (states.max(axis=1) <= 2.0)
-        impossible = in_box & (theta_idx < 2)
-        masked, unmasked = impossible & (psi_idx < 2), impossible & (psi_idx == 2)
-        assert min(masked.sum(), unmasked.sum(), (~in_box).sum()) >= 20
-        # zero weights keep the impossible outcome out; positive weights do not
-        assert np.isfinite(got[masked]).all()
-        assert (got[unmasked] == -np.inf).all()
-        assert (got[~in_box] == -np.inf).all()
-
     @pytest.mark.parametrize("model_kind", ["binomial", "two-intercept"])
     def test_fixed_effects_with_groups(self, partition, model_kind):
         rng = np.random.default_rng(SEED)
@@ -207,7 +150,7 @@ class TestStepEqualsOracle:
         dim = model.k_theta + model.k_psi * len(groups)
         _assert_same_at(rng.normal(0.0, 1.5, size=(N_STATES, dim)), new, old)
 
-    @pytest.mark.parametrize("weights_fn", ["sigmoid-ratio", "callable", None])
+    @pytest.mark.parametrize("weights_fn", ["sigmoid-ratio", None])
     def test_neg_inf_prior_makes_no_model_call(self, partition, monkeypatch, weights_fn):
         data, groups, proxy = partition
         calls = []
@@ -222,8 +165,6 @@ class TestStepEqualsOracle:
                             counted("loglik_tensor", inference.loglik_tensor))
         monkeypatch.setattr(inference, "proxy_loglik_vector",
                             counted("proxy", inference.proxy_loglik_vector))
-        if weights_fn == "callable":
-            weights_fn = counted("weights", lambda d, psi: np.ones(d.n))
         obs_group = _obs_group(groups, data.n) if weights_fn is None else None
         psi_dim = len(groups) if weights_fn is None else 1
         log_target = _chain_log_target(binomial_logit_model(), data, proxy, weights_fn,
@@ -257,30 +198,12 @@ class TestStepErrors:
         rng = np.random.default_rng(SEED)
         return SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(5)]))
 
-    @pytest.mark.parametrize("weights_fn", ["sigmoid-ratio", "callable", None])
+    @pytest.mark.parametrize("weights_fn", ["sigmoid-ratio", None])
     def test_nan_loglik_raises(self, linear_data, weights_fn):
-        if weights_fn == "callable":
-            weights_fn = lambda d, psi: np.ones(d.n)  # noqa: E731
         groups = [[0, 1], [2, 3, 4]] if weights_fn is None else None
         with pytest.raises(FloatingPointError, match="NaN log-likelihood"):
             metropolis_posterior(_nan_from_call(linear_model(), 50), linear_data, None,
                                  weights_fn, _std_normal_prior, 1000, 3, groups=groups)
-
-    @pytest.mark.parametrize("bad", [np.nan, 1.5, -1e-300], ids=["nan", "above", "below"])
-    def test_bad_callable_weights_raise(self, linear_data, bad):
-        calls = [0]
-
-        def weights_fn(d, psi):
-            calls[0] += 1
-            w = np.full(d.n, 0.5)
-            if calls[0] >= 50:
-                w[-1] = bad
-            return w
-
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            metropolis_posterior(linear_model(), linear_data, None, weights_fn,
-                                 _std_normal_prior, 1000, 3)
-        assert calls[0] == 50
 
     def test_zero_pooled_null_likelihood_raises(self):
         """Outcome 2 is impossible at the null theta node once psi reaches
@@ -310,7 +233,7 @@ class TestStepErrors:
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 log_target(np.array([0.3, 0.1]))
 
-    @pytest.mark.parametrize("where", ["prior", "weights"])
+    @pytest.mark.parametrize("where", ["prior", "proxy"])
     def test_warnings_in_user_callables_reach_the_caller(self, linear_data, where):
         calls = [0]
 
@@ -324,24 +247,24 @@ class TestStepErrors:
                 overflow_after_start()
             return _std_normal_prior(theta, psi)
 
-        def weights_fn(d, psi):
-            if where == "weights":
+        def proxy_log_likelihood(payload, psi_nodes):
+            if where == "proxy":
                 overflow_after_start()
-            return np.full(d.n, 0.5)
+            return -0.5 * (payload - psi_nodes[:, 0]) ** 2
 
-        kinds = ["sigmoid-ratio", weights_fn] if where == "prior" else [weights_fn]
-        for kind in kinds:
-            calls[0] = 0
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                metropolis_posterior(linear_model(), linear_data, None, kind, prior,
-                                     1000, 3)
-            assert any(issubclass(w.category, RuntimeWarning) and "overflow" in str(w.message)
-                       for w in caught), kind
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            metropolis_posterior(linear_model(), linear_data,
+                                 ProxyObservation(0.2, proxy_log_likelihood),
+                                 "sigmoid-ratio", prior, 1000, 3)
+        assert any(issubclass(w.category, RuntimeWarning) and "overflow" in str(w.message)
+                   for w in caught)
 
 
 class TestStateShapes:
-    """Wrong-length starting points and scales fail before any sampling."""
+    """Wrong-length starting points and scales, proposal scales that are not
+    positive and finite, and a sample count that is not an integer fail
+    before any sampling."""
 
     @pytest.fixture
     def small(self):
@@ -352,7 +275,14 @@ class TestStateShapes:
         ({"init_theta": np.zeros(5)}, r"init_theta must have shape \(4,\)"),
         ({"init_psi": np.zeros(2)}, r"init_psi must have shape \(1,\)"),
         ({"proposal_scale": np.full(4, 0.5)}, r"proposal_scale must have shape \(5,\)"),
-    ], ids=["theta-3", "theta-5", "psi-2", "scale-4"])
+        ({"proposal_scale": 0.0}, "proposal_scale entries must be positive and finite"),
+        ({"proposal_scale": -0.5}, "proposal_scale entries must be positive and finite"),
+        ({"proposal_scale": np.nan}, "proposal_scale entries must be positive and finite"),
+        ({"proposal_scale": [0.5, 0.5, np.inf, 0.5, 0.5]},
+         "proposal_scale entries must be positive and finite"),
+        ({"n_samples": 1500.0}, "n_samples must be an integer"),
+    ], ids=["theta-3", "theta-5", "psi-2", "scale-4", "scale-zero", "scale-negative",
+            "scale-nan", "scale-inf-entry", "samples-float"])
     def test_weighted_chain(self, small, kwargs, match):
         prior_calls = []
 
@@ -362,7 +292,7 @@ class TestStateShapes:
 
         with pytest.raises(ValueError, match=match):
             metropolis_posterior(binomial_logit_model(), small, None, "sigmoid-ratio",
-                                 prior, 1000, 0, **kwargs)
+                                 prior, **{"n_samples": 1000, "seed": 0, **kwargs})
         assert prior_calls == []
 
     def test_fixed_effects_psi_has_one_intercept_per_group(self, partition):
