@@ -27,21 +27,24 @@ def format_value(v) -> str:
 
 
 def parse_value(text: str):
-    """Best-effort typed parse used when re-ingesting emitted CSVs."""
+    """The value format_value wrote as text, read back when re-ingesting
+    emitted CSVs.  Text becomes an int or a float only when format_value
+    writes that number as exactly that text, so "007", "1_000" or "1e3"
+    (which it never writes) stay strings."""
     if text == "":
         return None
     if text == "true":
         return True
     if text == "false":
         return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    for kind, written in ((int, str), (float, repr)):
+        try:
+            value = kind(text)
+        except ValueError:
+            continue
+        if written(value) == text:
+            return value
+    return text
 
 
 def emit_csv(rows: list[dict], path, columns: Optional[list[str]] = None):

@@ -138,7 +138,7 @@ def toy_verify_instance(rng: np.random.Generator):
     n_out = int(rng.integers(2, 5))
     n_obs = int(rng.integers(2, 5))
     table = rng.dirichlet(np.ones(n_out), size=(n_theta, n_psi))
-    model = discrete_toy_model(n_out, n_theta, n_psi, table)
+    model = discrete_toy_model(table)
 
     from ..grids import toy_grid
     grid = toy_grid(n_theta, n_psi,
@@ -259,8 +259,7 @@ def summary_rows(rows: list[dict], value_column: str = "advantage",
     return out
 
 
-def write_run_outputs(config: ExperimentConfig, results: list[SimulationResult],
-                      extra_notes: Optional[list[str]] = None) -> Path:
+def write_run_outputs(config: ExperimentConfig, results: list[SimulationResult]) -> Path:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     label = config.group_label()
@@ -288,7 +287,5 @@ def write_run_outputs(config: ExperimentConfig, results: list[SimulationResult],
         f"failed simulations: {sum(1 for r in results if r.error is not None)} "
         f"of {len(results)}",
     ]
-    if extra_notes:
-        notes.extend(["", *extra_notes])
     emit_metadata(out / "run_metadata.txt", notes)
     return out

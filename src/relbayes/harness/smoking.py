@@ -141,9 +141,8 @@ def fit_study_intercepts(records, n_samples: int, seed: int) -> dict:
     """Posterior-mean intercept per study from the all-data fixed-effects fit."""
     study_map = arms_by_study(records)
     data, groups = _stacked_data(study_map)
-    chain = metropolis_posterior(
-        binomial_logit_model(), data, None, None,
-        _normal_prior, n_samples, seed, groups=groups)
+    chain = metropolis_posterior(binomial_logit_model(), data, _normal_prior,
+                                 n_samples=n_samples, seed=seed, groups=groups)
     means = chain.psi_samples.mean(axis=0)
     return dict(zip(study_map.keys(), means))
 
@@ -215,15 +214,14 @@ class PartitionResult:
     warning: Optional[str] = None
 
 
-def run_smoking_comparison(records, proxy_mode: str, seed: int,
-                           n_samples: int = 20000,
-                           intercepts: Optional[dict] = None) -> list[PartitionResult]:
+def run_smoking_comparison(records, proxy_mode: str, seed: int, n_samples: int = 20000, *,
+                           intercepts: dict) -> list[PartitionResult]:
     """Leave-one-study-out predictive comparison under one proxy setting.
 
     Each partition holds out one study, fits both learners on the rest, and
     scores the held-out arms.  The proxy is an imprecise estimate of the
-    held-out study's intercept, whose reference value comes from the
-    all-data fit (pass `intercepts` to reuse one across modes).
+    held-out study's intercept, whose reference value is intercepts[study],
+    the fit_study_intercepts result the CLI shares across proxy modes.
     """
     if proxy_mode not in PROXY_SETTINGS:
         raise ValueError(f"proxy_mode must be one of {sorted(PROXY_SETTINGS)}, "
@@ -233,9 +231,6 @@ def run_smoking_comparison(records, proxy_mode: str, seed: int,
         raise ValueError("need at least 2 studies to hold one out")
     sigma, biased = PROXY_SETTINGS[proxy_mode]
     model = binomial_logit_model()
-    if intercepts is None:
-        intercepts = fit_study_intercepts(records, n_samples,
-                                          int(task_rng(seed, 0).integers(2 ** 31)))
 
     results = []
     for k, held in enumerate(study_map):
@@ -248,11 +243,11 @@ def run_smoking_comparison(records, proxy_mode: str, seed: int,
         data, groups = _stacked_data(rest)
 
         chain_r = metropolis_posterior(
-            model, data, proxy, "sigmoid-ratio", _normal_prior, n_samples,
-            int(rng.integers(2 ** 31)), init_psi=np.array([z]))
+            model, data, _normal_prior, n_samples=n_samples,
+            seed=int(rng.integers(2 ** 31)), proxy=proxy, init_psi=np.array([z]))
         chain_c = metropolis_posterior(
-            model, data, None, None, _normal_prior, n_samples,
-            int(rng.integers(2 ** 31)), groups=groups)
+            model, data, _normal_prior, n_samples=n_samples,
+            seed=int(rng.integers(2 ** 31)), groups=groups)
 
         held_data = _arm_data(study_map[held])
         lp_r, se_r = _rweighted_predictive(model, held_data, chain_r)

@@ -2,8 +2,9 @@
 
 Two engines cover every model here: exact grid quadrature when the joint
 parameter dimension is small, and random-walk Metropolis when it is not
-(both legs of the smoking case study: the sigmoid-ratio weighted target and
-the fixed-effects target with one intercept per study).  All mass
+(both legs of the smoking case study: the sigmoid-ratio weighted target,
+and, given a groups partition, the fixed-effects target with one intercept
+per study).  All mass
 accumulation happens in log space through log-sum-exp, with one exception:
 the belief average behind the prior-expected relevance weights
 (relevance.py) shifts each observation's log-likelihoods by their peak over
@@ -261,20 +262,20 @@ def _state_part(value, size: int, name: str) -> np.ndarray:
     return arr
 
 
-def _chain_log_target(model: ModelSpec, data: SourceData, proxy, weights_fn,
-                      prior_log_density, obs_group: Optional[np.ndarray]):
+def _chain_log_target(model: ModelSpec, data: SourceData, proxy, prior_log_density,
+                      obs_group: Optional[np.ndarray]):
     """The sampler's log-target as a function of the stacked (theta, psi) state.
 
     What does not change within a chain is formed here, once: for the
-    "sigmoid-ratio" kind, the (2, k_theta) theta rows, whose null row stays
-    zero, and log n; for the fixed-effects target (obs_group given, one
-    group index per observation), the flat index that gathers each
-    observation's intercept rows out of psi in one step.  A state of
-    non-finite prior density is rejected before any model call.
+    fixed-effects target (obs_group given, one group index per observation),
+    the flat index that gathers each observation's intercept rows out of psi
+    in one step; for the sigmoid-ratio target (obs_group None), the
+    (2, k_theta) theta rows, whose null row stays zero, and log n.  A state
+    of non-finite prior density is rejected before any model call.
     """
     k_theta, n = model.k_theta, data.n
 
-    if weights_fn is None:
+    if obs_group is not None:
         k_psi = model.k_psi
         gather = (obs_group[:, None] * k_psi + np.arange(k_psi))[:, None, :]  # (n, 1, k_psi)
 
@@ -305,28 +306,24 @@ def _chain_log_target(model: ModelSpec, data: SourceData, proxy, weights_fn,
     return log_target
 
 
-def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
-                         prior_log_density, n_samples: int, seed: int, *,
-                         groups=None, init_theta=None, init_psi=None,
-                         proposal_scale=0.5) -> McmcChain:
+def metropolis_posterior(model: ModelSpec, data: SourceData, prior_log_density, *,
+                         n_samples: int, seed: int, proxy=None, groups=None,
+                         init_psi=None, proposal_scale=0.5) -> McmcChain:
     """Gaussian random-walk Metropolis over the stacked (theta, psi) state.
 
-    weights_fn selects one of two targets.  With weights_fn="sigmoid-ratio"
-    the target is the relevance-weighted joint density, with the proxy
-    log-likelihood added, under the weights of
-    relevance.sigmoid_ratio_relevance, formed without calling it: the model
-    is evaluated at the two theta rows (theta, 0) and the state's psi, and
-    the null column feeds models.sigmoid_ratio_weights, as in that function.
-    With weights_fn=None and a groups partition, the target is instead the
+    groups selects one of two targets.  Without it the target is the
+    relevance-weighted joint density, with the proxy log-likelihood added,
+    under the weights of relevance.sigmoid_ratio_relevance, formed without
+    calling it: the model is evaluated at the two theta rows (theta, 0) and
+    the state's psi, and the null column feeds models.sigmoid_ratio_weights,
+    as in that function.  With a groups partition the target is instead the
     known-groups likelihood where psi holds one intercept per group, stacked
     in group order (the classic fixed-effects baseline); each observation is
-    evaluated at its own group's intercept, one cell per observation.  Any
-    other weights_fn is rejected before the prior or the model is called.
-    A groups partition with "sigmoid-ratio" is rejected, and so is a proxy
-    without it: the fixed-effects target reads no proxy.
+    evaluated at its own group's intercept, one cell per observation.  That
+    target reads no proxy, so a proxy beside groups is rejected.
 
     Each step evaluates the model once: one loglik_tensor call per proposed
-    state, of n x 2 cells for the "sigmoid-ratio" kind and n cells for
+    state, of n x 2 cells for the sigmoid-ratio target and n cells for
     fixed effects.  A proposal of non-finite prior density is rejected
     without a model call.  The log-target is built once per chain, with its
     per-chain constants: the null theta row and log n of the sigmoid ratio
@@ -335,10 +332,11 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
     nor masked: models.sigmoid_ratio_weights raises unless the pooled null
     log-likelihood is finite, and then every weight lies in [0.5, 1].
 
-    init_theta must have shape (k_theta,), init_psi (k_psi,), or
-    (k_psi * len(groups),) for fixed effects, and an array proposal_scale
-    one entry per state coordinate; each defaults to the middle of the
-    support box, or 0.5.  Every proposal scale must be positive and finite.
+    theta starts at the middle of its support box, and psi at init_psi,
+    which defaults to the middle of its own.  init_psi must have shape
+    (k_psi,), or (k_psi * len(groups),) for fixed effects, and an array
+    proposal_scale (default 0.5) one entry per state coordinate.  Every
+    proposal scale must be positive and finite.
 
     n_samples, an integer, counts total iterations; the first quarter is
     burn-in, during which per-coordinate proposal scales adapt toward 0.3
@@ -350,40 +348,30 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, proxy, weights_fn,
         raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
-    if weights_fn not in (None, "sigmoid-ratio"):
-        raise ValueError(f"weights_fn must be None (fixed effects) or 'sigmoid-ratio', "
-                         f"got {weights_fn!r}")
     k_theta = model.k_theta
     obs_group = None
-    if weights_fn is None:
-        if groups is None:
-            raise ValueError("weights_fn=None needs a groups partition")
+    if groups is None:
+        psi_dim = model.k_psi
+    else:
         if proxy is not None:
-            raise ValueError("the fixed-effects target, weights_fn=None, reads no proxy; "
+            raise ValueError("the fixed-effects target, given groups, reads no proxy; "
                              "pass proxy=None")
         groups = _check_groups(groups, data.n)
         psi_dim = model.k_psi * len(groups)
         obs_group = np.empty(data.n, dtype=int)
         for gi, g in enumerate(groups):
             obs_group[g] = gi
-    elif groups is not None:
-        raise ValueError("groups applies only to the fixed-effects target, weights_fn=None")
-    else:
-        psi_dim = model.k_psi
     dim = k_theta + psi_dim
 
-    theta0 = (model.theta_support.mean(axis=1) if init_theta is None
-              else _state_part(init_theta, k_theta, "init_theta"))
     psi0 = (np.tile(model.psi_support.mean(axis=1), psi_dim // model.k_psi)
             if init_psi is None else _state_part(init_psi, psi_dim, "init_psi"))
     scales = (np.full(dim, float(proposal_scale)) if np.ndim(proposal_scale) == 0
               else _state_part(proposal_scale, dim, "proposal_scale").copy())
     if not (np.isfinite(scales).all() and scales.min() > 0.0):
         raise ValueError(f"proposal_scale entries must be positive and finite, got {scales}")
-    state = np.concatenate([theta0, psi0])
+    state = np.concatenate([model.theta_support.mean(axis=1), psi0])
 
-    log_target = _chain_log_target(model, data, proxy, weights_fn, prior_log_density,
-                                   obs_group)
+    log_target = _chain_log_target(model, data, proxy, prior_log_density, obs_group)
     current = log_target(state)
     if not np.isfinite(current):
         raise McmcInitError(f"log-target is {current} at the initial state")
@@ -439,37 +427,37 @@ def _cell_edges(nodes_1d: np.ndarray, name: str) -> np.ndarray:
     return np.concatenate([nodes_1d - 0.5 * h, [nodes_1d[-1] + 0.5 * h]])
 
 
-def _coarsen(mass: np.ndarray, factor: int, axis: int) -> np.ndarray:
+COARSEN = 2
+
+
+def _coarsen(mass: np.ndarray, axis: int) -> np.ndarray:
     n = mass.shape[axis]
-    pad = (-n) % factor
+    pad = (-n) % COARSEN
     if pad:
         width = [(0, 0)] * mass.ndim
         width[axis] = (0, pad)
         mass = np.pad(mass, width)
     shape = list(mass.shape)
-    shape[axis] = shape[axis] // factor
-    shape.insert(axis + 1, factor)
+    shape[axis] = shape[axis] // COARSEN
+    shape.insert(axis + 1, COARSEN)
     return mass.reshape(shape).sum(axis=axis + 1)
 
 
-def chain_grid_tv(chain: McmcChain, table: PosteriorTable, coarsen: int = 2,
+def chain_grid_tv(chain: McmcChain, table: PosteriorTable,
                   marginal: Optional[str] = None) -> float:
     """Total-variation distance between a chain histogram and a grid posterior.
 
     Samples are binned into the grid's own cells, then both histograms are
-    aggregated into superbins of `coarsen` consecutive cells per axis so the
+    aggregated into superbins of COARSEN consecutive cells per axis so the
     comparison is not dominated by per-cell Monte-Carlo noise.  marginal
     "theta" compares the theta marginal; the default, None, the joint.
     Each bin holds its share of all the samples, and the share that falls
     outside the grid's span, where the table has no mass, adds to the
     distance in full.  Scalar theta and psi only, each binned axis on
-    increasing, evenly spaced nodes, and coarsen a positive integer:
-    anything else raises ValueError.
+    increasing, evenly spaced nodes: anything else raises ValueError.
     """
     if marginal not in (None, "theta"):
         raise ValueError(f"marginal must be 'theta' or None (the joint), got {marginal!r}")
-    if not (isinstance(coarsen, (int, np.integer)) and coarsen >= 1):
-        raise ValueError(f"coarsen must be a positive integer, got {coarsen!r}")
     grid = table.grid
     for name, nodes, samples in (("theta", grid.theta_nodes, chain.theta_samples),
                                  ("psi", grid.psi_nodes, chain.psi_samples)):
@@ -480,13 +468,13 @@ def chain_grid_tv(chain: McmcChain, table: PosteriorTable, coarsen: int = 2,
 
     if marginal == "theta":
         hist, _ = np.histogram(chain.theta_samples[:, 0], bins=t_edges)
-        ref = _coarsen(table.theta_marginal(), coarsen, 0)
-        emp = _coarsen(hist.astype(float), coarsen, 0)
+        ref = _coarsen(table.theta_marginal(), 0)
+        emp = _coarsen(hist.astype(float), 0)
     else:
         hist, _, _ = np.histogram2d(chain.theta_samples[:, 0], chain.psi_samples[:, 0],
                                     bins=(t_edges, _cell_edges(grid.psi_nodes[:, 0], "psi")))
-        ref = _coarsen(_coarsen(table.joint_mass, coarsen, 0), coarsen, 1)
-        emp = _coarsen(_coarsen(hist, coarsen, 0), coarsen, 1)
+        ref = _coarsen(_coarsen(table.joint_mass, 0), 1)
+        emp = _coarsen(_coarsen(hist, 0), 1)
     n_samples = chain.theta_samples.shape[0]
     off_span = (n_samples - hist.sum()) / n_samples
     return float(0.5 * (np.abs(emp / n_samples - ref).sum() + off_span))

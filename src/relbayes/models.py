@@ -504,20 +504,20 @@ def gp_model(x_grid) -> ModelSpec:
 # discrete toy model
 # ---------------------------------------------------------------------------
 
-def discrete_toy_model(outcome_count: int, theta_count: int, psi_count: int, table) -> ModelSpec:
+def discrete_toy_model(table) -> ModelSpec:
     """Categorical model indexed by (theta index, psi index).
 
-    table[a][b] is the outcome distribution at theta node a, psi node b.
-    Parameters are the node indices themselves.  Deliberately tiny so every
-    expectation downstream can be enumerated exactly.
+    table[a][b] is the outcome distribution at theta node a, psi node b, so
+    table is a nonempty (theta count, psi count, outcome count) array whose
+    rows each sum to one.  Parameters are the node indices themselves.
+    Deliberately tiny so every expectation downstream can be enumerated
+    exactly.
     """
 
     table = np.asarray(table, dtype=float)
-    if table.shape != (theta_count, psi_count, outcome_count):
-        raise ValueError(
-            f"table shape {table.shape} does not match "
-            f"({theta_count}, {psi_count}, {outcome_count})"
-        )
+    if table.ndim != 3 or table.size == 0:
+        raise ValueError(f"table must be a nonempty 3-d array, got shape {table.shape}")
+    theta_count, psi_count, outcome_count = table.shape
     _check_normalized(table, "table", 1e-9, axis=2)
 
     with np.errstate(divide="ignore"):

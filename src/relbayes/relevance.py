@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import _check_normalized
 from .inference import GridProblem, PosteriorTable, r_weighted_posterior
 from .models import DegenerateRelevanceError, ModelSpec, SourceData, loglik_tensor, \
     param_values, sigmoid_ratio_weights  # noqa: F401  (error re-exported)
@@ -134,8 +135,7 @@ def prior_expected_relevance(model: ModelSpec, data: SourceData, theta_nodes,
     belief = np.asarray(theta_belief, dtype=float)
     if belief.shape != (thetas.shape[0],):
         raise ValueError("theta_belief must have one mass per theta node")
-    if np.any(belief < 0) or not abs(belief.sum() - 1.0) <= 1e-9:     # NaN fails too
-        raise ValueError("theta_belief must be a normalized mass vector")
+    _check_normalized(belief, "theta_belief", 1e-9)
     psi = param_values(psi_target)[None, :]
     log_average = _belief_averager(loglik_tensor(model, data, thetas, psi))
     return _relevance_weights(log_average, model, data, thetas, psi, belief,

@@ -123,10 +123,11 @@ def sigmoid_ratio_weights(null_lls) -> np.ndarray:
         return expit(np.exp(np.log(null_lls.shape[0]) + null_lls - denom[None, :]))
 
 
-def metropolis_log_target(model, data, proxy, weights_fn, prior_log_density, groups=None):
-    """The Metropolis log-target at one stacked (theta, psi) state, as a function."""
+def metropolis_log_target(model, data, proxy, prior_log_density, groups=None):
+    """The Metropolis log-target at one stacked (theta, psi) state, as a
+    function: fixed effects given groups, else sigmoid-ratio weighted."""
     k_theta = model.k_theta
-    if weights_fn is None:
+    if groups is not None:
         obs_group = np.empty(data.n, dtype=int)
         for gi, g in enumerate(groups):
             obs_group[g] = gi
@@ -137,7 +138,7 @@ def metropolis_log_target(model, data, proxy, weights_fn, prior_log_density, gro
         lp = prior_log_density(theta, psi)
         if not np.isfinite(lp):
             return -np.inf
-        if weights_fn is None:
+        if groups is not None:
             rows = psi.reshape(len(groups), model.k_psi)[obs_group][:, None, :]
             return lp + float(loglik_tensor(model, data, theta[None, :], rows).sum())
         thetas[0] = theta

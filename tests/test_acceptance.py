@@ -230,11 +230,10 @@ class TestCriterion3EngineCrossValidation:
                          - 0.5 * ((psi[0] - node) / pin_sd) ** 2)
 
         chain = metropolis_posterior(
-            model, data, ProxyObservation(payload=None, proxy_log_likelihood=pll),
-            "sigmoid-ratio", prior_ld, n_samples=40_000, seed=5,
-            init_theta=[0.0], init_psi=[node],
-            proposal_scale=np.array([0.4, pin_sd]))
-        tv = chain_grid_tv(chain, classic, coarsen=2, marginal="theta")
+            model, data, prior_ld, n_samples=40_000, seed=5,
+            proxy=ProxyObservation(payload=None, proxy_log_likelihood=pll),
+            init_psi=[node], proposal_scale=np.array([0.4, pin_sd]))
+        tv = chain_grid_tv(chain, classic, marginal="theta")
         _verdict("criterion 3, sampler leg", tv < TV_BUDGET,
                  f"theta-marginal TV {tv:.4f}")
 
@@ -270,10 +269,9 @@ def test_criterion_4_sampler_matches_grid_table():
     def prior_ld(theta, psi):
         return float(-0.5 * (theta[0] ** 2 + psi[0] ** 2))
 
-    chain = metropolis_posterior(model, data, proxy, "sigmoid-ratio", prior_ld,
-                                 n_samples=200_000, seed=99,
-                                 init_theta=[0.0], init_psi=[0.0])
-    tv = chain_grid_tv(chain, table, coarsen=2)
+    chain = metropolis_posterior(model, data, prior_ld, n_samples=200_000, seed=99,
+                                 proxy=proxy, init_psi=[0.0])
+    tv = chain_grid_tv(chain, table)
     elapsed = time.perf_counter() - start
     _verdict("criterion 4, sampler against grid table",
              tv < TV_BUDGET and elapsed < 300.0,

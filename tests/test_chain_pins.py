@@ -62,23 +62,23 @@ def partition(study_map):
 
 def test_weighted_chain_is_pinned(partition):
     data, _, proxy = partition
-    chain = metropolis_posterior(binomial_logit_model(), data, proxy, "sigmoid-ratio",
-                                 smoking._normal_prior, N_SAMPLES, 101,
+    chain = metropolis_posterior(binomial_logit_model(), data, smoking._normal_prior,
+                                 n_samples=N_SAMPLES, seed=101, proxy=proxy,
                                  init_psi=np.array([proxy.payload]))
     assert _pin(chain) == WEIGHTED
 
 
 def test_fixed_effects_chain_is_pinned(partition):
     data, groups, _ = partition
-    chain = metropolis_posterior(binomial_logit_model(), data, None, None,
-                                 smoking._normal_prior, N_SAMPLES, 102, groups=groups)
+    chain = metropolis_posterior(binomial_logit_model(), data, smoking._normal_prior,
+                                 n_samples=N_SAMPLES, seed=102, groups=groups)
     assert _pin(chain) == FIXED_EFFECTS
 
 
 def test_all_data_intercept_fit_is_pinned(study_map):
     data, groups = smoking._stacked_data(study_map)
-    chain = metropolis_posterior(binomial_logit_model(), data, None, None,
-                                 smoking._normal_prior, N_SAMPLES, 103, groups=groups)
+    chain = metropolis_posterior(binomial_logit_model(), data, smoking._normal_prior,
+                                 n_samples=N_SAMPLES, seed=103, groups=groups)
     assert _pin(chain) == ALL_DATA
     records = [r for recs in study_map.values() for r in recs]
     means = smoking.fit_study_intercepts(records, N_SAMPLES, 103)

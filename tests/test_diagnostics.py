@@ -81,7 +81,7 @@ def _toy_instance(seed, n_theta=2, n_psi=2, n_out=2, n_obs=2, a_star=0):
     """Random toy model, grid, and truth whose psi stars sit on grid nodes."""
     rng = np.random.default_rng(seed)
     table = rng.dirichlet(np.full(n_out, 2.0), size=(n_theta, n_psi))
-    model = discrete_toy_model(n_out, n_theta, n_psi, table)
+    model = discrete_toy_model(table)
     grid = toy_grid(n_theta, n_psi,
                     theta_prior=rng.dirichlet(np.full(n_theta, 5.0)),
                     psi_prior=rng.dirichlet(np.full(n_psi, 5.0)))
@@ -212,7 +212,7 @@ class TestInfoGainRweighted:
         the classic engine, so the gains must agree exactly."""
         rng = np.random.default_rng(RNG_SEED + 3)
         table = rng.dirichlet(np.full(3, 2.0), size=(2, 1))
-        model = discrete_toy_model(3, 2, 1, table)
+        model = discrete_toy_model(table)
         grid = toy_grid(2, 1, theta_prior=rng.dirichlet(np.full(2, 5.0)))
         truth = TrueProcess(1.0, [0.0, 0.0], 0.0)
         flat = np.zeros((1, grid.n_psi))
@@ -600,7 +600,7 @@ class TestCheckTheorem24:
         rng = np.random.default_rng(RNG_SEED)
         row = rng.dirichlet(np.full(3, 2.0), size=2)
         table = np.stack([row, row, row])
-        model = discrete_toy_model(3, 3, 2, table)
+        model = discrete_toy_model(table)
         grid = toy_grid(3, 2, theta_prior=[0.5, 0.3, 0.2])
         truth = TrueProcess(0.0, [0.0, 1.0], 0.0)
         src = np.array([0.4, 0.6])
@@ -706,7 +706,7 @@ class TestImpossibleOutcome:
                       [[0.2, 0.3, 0.5], [0.4, 0.4, 0.2]]])
 
     def _instance(self):
-        model = discrete_toy_model(3, 2, 2, self.TABLE)
+        model = discrete_toy_model(self.TABLE)
         grid = toy_grid(2, 2)
         truth = TrueProcess(0.0, [0.0, 1.0], 0.0)
         return model, grid, truth

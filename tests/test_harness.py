@@ -25,7 +25,7 @@ from scipy.special import logsumexp
 
 import _scalar_reference as scalar
 import relbayes
-from relbayes.harness import runner as runner_module, smoking
+from relbayes.harness import cli as cli_module, runner as runner_module, smoking
 from relbayes.harness.cli import RESIDUAL_TOL, build_parser, main as cli_main
 from relbayes.harness.config import (ConfigError, ExperimentConfig,
                                      apply_overrides, config_echo, parse_config,
@@ -35,7 +35,7 @@ from relbayes.harness.csvio import (emit_csv, format_value, parse_value,
 from relbayes.harness.runner import (RunFailureError, results_rows, run_experiment,
                                      summary_rows, write_run_outputs)
 from relbayes.harness.smoking import (EXPECTED_STUDIES, SmokingRecord,
-                                      arms_by_study, ingest_smoking_csv,
+                                      arms_by_study, fit_study_intercepts, ingest_smoking_csv,
                                       packaged_smoking_path, partition_rows,
                                       run_smoking_comparison)
 from relbayes.harness.svgplot import box_stats, emit_boxplot_svg
@@ -244,6 +244,11 @@ class TestCsvValues:
 
     def test_plain_strings_survive(self):
         assert parse_value(format_value("mc=2 res=100%")) == "mc=2 res=100%"
+
+    @pytest.mark.parametrize("text", ["007", "1_000", "1e3", "+5", " 5", "-0", "1.50",
+                                      "Infinity", "-nan"])
+    def test_numbers_format_value_never_writes_stay_text(self, text):
+        assert parse_value(format_value(text)) == text
 
 
 class TestEmitReadCsv:
@@ -696,8 +701,9 @@ class TestSmokingComparison:
         self._path = _write_arms(tmp_path, TINY_ARMS)
 
     def test_leave_one_out_structure(self):
-        results = run_smoking_comparison(self._records(), "weak", seed=11,
-                                         n_samples=1500)
+        records = self._records()
+        results = run_smoking_comparison(records, "weak", seed=11, n_samples=1500,
+                                         intercepts=fit_study_intercepts(records, 1500, 11))
         assert [r.held_out_study for r in results] == ["s1", "s2", "s3"]
         for r in results:
             assert r.proxy_mode == "weak"
@@ -709,8 +715,11 @@ class TestSmokingComparison:
 
     def test_same_seed_reproduces(self):
         records = self._records()
-        a = run_smoking_comparison(records, "strong", seed=4, n_samples=1200)
-        b = run_smoking_comparison(records, "strong", seed=4, n_samples=1200)
+        intercepts = fit_study_intercepts(records, 1200, 4)
+        a = run_smoking_comparison(records, "strong", seed=4, n_samples=1200,
+                                   intercepts=intercepts)
+        b = run_smoking_comparison(records, "strong", seed=4, n_samples=1200,
+                                   intercepts=intercepts)
         assert partition_rows(a) == partition_rows(b)
 
     def test_shared_intercepts_pin_proxy_reference(self):
@@ -725,14 +734,14 @@ class TestSmokingComparison:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="proxy_mode"):
-            run_smoking_comparison(self._records(), "loud", seed=0)
+            run_smoking_comparison(self._records(), "loud", seed=0, intercepts={})
 
     def test_single_study_rejected(self, tmp_path):
         path = _write_arms(tmp_path, "s1,A,1,10\ns1,B,2,10\n")
         with pytest.warns(RuntimeWarning):
             records = ingest_smoking_csv(path)
         with pytest.raises(ValueError, match="at least 2 studies"):
-            run_smoking_comparison(records, "weak", seed=0)
+            run_smoking_comparison(records, "weak", seed=0, intercepts={})
 
 
 class TestStackedData:
@@ -904,6 +913,17 @@ class TestCli:
         rc = cli_main(["plot", str(path)])
         assert rc == 1
         assert "no advantage or log_ratio" in capsys.readouterr().err
+
+    def test_plot_keeps_a_numeric_looking_label(self, tmp_path, monkeypatch):
+        """A label such as "007" names its group as written, not as 7."""
+        path = tmp_path / "labelled.csv"
+        emit_csv([{"advantage": 0.5, "label": "007"}, {"advantage": 1.5, "label": "1e3"}],
+                 path)
+        groups = {}
+        monkeypatch.setattr(cli_module, "emit_boxplot_svg",
+                            lambda g, out, **kw: groups.update(g))
+        assert cli_main(["plot", str(path), "--out", str(tmp_path / "p.svg")]) == 0
+        assert groups == {"007": [0.5], "1e3": [1.5]}
 
     def test_plot_with_only_failed_rows(self, tmp_path, capsys):
         path = tmp_path / "failed.csv"

@@ -29,7 +29,7 @@ RNG_SEED = 20260817
 def _toy_setup(seed=RNG_SEED, n_theta=3, n_psi=2, n_out=3, n_obs=4):
     rng = np.random.default_rng(seed)
     table = rng.dirichlet(np.full(n_out, 2.0), size=(n_theta, n_psi))
-    model = discrete_toy_model(n_out, n_theta, n_psi, table)
+    model = discrete_toy_model(table)
     theta_prior = rng.dirichlet(np.full(n_theta, 5.0))
     psi_prior = rng.dirichlet(np.full(n_psi, 5.0))
     grid = toy_grid(n_theta, n_psi, theta_prior=theta_prior, psi_prior=psi_prior)
@@ -168,8 +168,8 @@ class TestProxyLoglikVector:
         legacy = ProxyObservation(payload=0.3,
                                   proxy_log_likelihood=lambda z, psi: -0.5)
         with pytest.raises(ValueError, match="shape"):
-            metropolis_posterior(model, data, legacy, "sigmoid-ratio",
-                                 lambda t, p: 0.0, n_samples=1000, seed=0)
+            metropolis_posterior(model, data, lambda t, p: 0.0, n_samples=1000, seed=0,
+                                 proxy=legacy)
 
 
 class TestPosteriorTable:
@@ -326,7 +326,7 @@ class TestRWeightedPosterior:
         weight zero it must drop out instead of poisoning the posterior."""
         table = np.array([[[1.0, 0.0], [0.4, 0.6]],
                           [[0.5, 0.5], [0.2, 0.8]]])
-        model = discrete_toy_model(2, 2, 2, table)
+        model = discrete_toy_model(table)
         grid = toy_grid(2, 2)
         data = SourceData(np.empty((2, 0)), [1, 0])
         weights = np.array([[0.0, 1.0], [0.5, 0.5]])
@@ -386,7 +386,7 @@ class TestRWeightedPosterior:
         table = np.array([[[1.0, 0.0, 0.0], [0.4, 0.6, 0.0]],
                           [[0.5, 0.2, 0.3], [0.2, 0.0, 0.8]],
                           [[0.1, 0.1, 0.8], [0.3, 0.3, 0.4]]])
-        model = discrete_toy_model(3, 3, 2, table)
+        model = discrete_toy_model(table)
         grid = toy_grid(3, 2)
         data = SourceData(np.empty((4, 0)), [1, 2, 0, 1])
         problem = GridProblem(model, data, grid)
@@ -462,7 +462,7 @@ class TestRWeightedLikelihood:
 
     def test_zero_weight_suppresses_neg_inf(self):
         table = np.array([[[1.0, 0.0]]])
-        model = discrete_toy_model(2, 1, 1, table)
+        model = discrete_toy_model(table)
         data = SourceData(np.empty((1, 0)), [1])
         got = r_weighted_likelihood(model, data, 0.0, 0.0, np.array([0.0]))
         assert got == 0.0
@@ -491,9 +491,8 @@ class TestMetropolis:
         the prior; mean and variance are checked loosely against N(0, 1)."""
         model = linear_model()
         data = SourceData([[0.0, 0.0]], [0.3])
-        chain = metropolis_posterior(
-            model, data, None, "sigmoid-ratio",
-            self._std_normal_prior, n_samples=40000, seed=5)
+        chain = metropolis_posterior(model, data, self._std_normal_prior,
+                                     n_samples=40000, seed=5)
         assert_allclose(chain.theta_samples.mean(), 0.0, atol=0.08)
         assert_allclose(chain.theta_samples.var(), 1.0, atol=0.12)
         assert_allclose(chain.psi_samples.var(), 1.0, atol=0.12)
@@ -504,9 +503,8 @@ class TestMetropolis:
         prior give N(ybar*2/3, 1/3)."""
         model = linear_model()
         data = SourceData([[1.0, 0.0], [1.0, 0.0]], [1.0, 0.0])
-        chain = metropolis_posterior(
-            model, data, None, None,
-            self._std_normal_prior, n_samples=60000, seed=11, groups=[[0, 1]])
+        chain = metropolis_posterior(model, data, self._std_normal_prior,
+                                     n_samples=60000, seed=11, groups=[[0, 1]])
         assert_allclose(chain.theta_samples.mean(), 1.0 / 3.0, atol=0.04)
         assert_allclose(chain.theta_samples.var(), 1.0 / 3.0, atol=0.05)
         # psi never touches the likelihood here, so it keeps its prior
@@ -519,9 +517,8 @@ class TestMetropolis:
         model = linear_model()
         data = SourceData([[1.0, 0.0]], [0.0])
         proxy = _normal_proxy(2.0, sigma=0.5)
-        chain = metropolis_posterior(
-            model, data, proxy, "sigmoid-ratio",
-            self._std_normal_prior, n_samples=40000, seed=7)
+        chain = metropolis_posterior(model, data, self._std_normal_prior,
+                                     n_samples=40000, seed=7, proxy=proxy)
         # N(0,1) prior times N(2, 0.25) likelihood: mean 2/(1 + 0.25)
         assert_allclose(chain.psi_samples.mean(), 1.6, atol=0.06)
 
@@ -529,18 +526,10 @@ class TestMetropolis:
         model = linear_model()
         rng = np.random.default_rng(RNG_SEED)
         data = SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(4)]))
-        chain = metropolis_posterior(
-            model, data, None, None, self._std_normal_prior,
-            n_samples=2000, seed=3, groups=[[0, 1], [2], [3]])
+        chain = metropolis_posterior(model, data, self._std_normal_prior,
+                                     n_samples=2000, seed=3, groups=[[0, 1], [2], [3]])
         assert chain.psi_samples.shape == (1500, 3)
         assert chain.theta_samples.shape == (1500, 1)
-
-    def test_groups_required_without_weights(self):
-        model = linear_model()
-        data = SourceData([[1.0, 0.0]], [0.0])
-        with pytest.raises(ValueError, match="groups"):
-            metropolis_posterior(model, data, None, None,
-                                 self._std_normal_prior, n_samples=2000, seed=0)
 
     def test_proxy_rejected_without_weights(self):
         """The fixed-effects target reads no proxy, so one passed to it is
@@ -548,15 +537,14 @@ class TestMetropolis:
         model = linear_model()
         data = SourceData([[1.0, 0.0], [0.5, 1.0]], [0.0, 0.2])
         with pytest.raises(ValueError, match="proxy"):
-            metropolis_posterior(model, data, _normal_proxy(0.3), None,
-                                 self._std_normal_prior, n_samples=1000, seed=0,
-                                 groups=[[0], [1]])
+            metropolis_posterior(model, data, self._std_normal_prior, n_samples=1000, seed=0,
+                                 proxy=_normal_proxy(0.3), groups=[[0], [1]])
 
     def test_groups_must_partition(self):
         model = linear_model()
         data = SourceData([[1.0, 0.0], [0.5, 1.0]], [0.0, 0.2])
         with pytest.raises(ValueError, match="partition"):
-            metropolis_posterior(model, data, None, None, self._std_normal_prior,
+            metropolis_posterior(model, data, self._std_normal_prior,
                                  n_samples=1000, seed=0, groups=[[0], [0, 1]])
 
     def test_groups_overlap_or_gap_rejected(self):
@@ -565,67 +553,35 @@ class TestMetropolis:
         data = SourceData([[1.0, 0.5 * i] for i in range(4)], [0.1 * i for i in range(4)])
         for groups in ([[0, 1], [1, 2, 3]], [[0, 1], [3]]):
             with pytest.raises(ValueError, match="partition"):
-                metropolis_posterior(model, data, None, None, self._std_normal_prior,
+                metropolis_posterior(model, data, self._std_normal_prior,
                                      n_samples=1000, seed=0, groups=groups)
-
-    def test_groups_rejected_with_weights(self):
-        """The weighted target has one task parameter; a groups partition
-        there would be ignored, so it is refused."""
-        model = linear_model()
-        data = SourceData([[1.0, 0.0], [0.5, 1.0]], [0.0, 0.2])
-        with pytest.raises(ValueError, match="groups"):
-            metropolis_posterior(model, data, None, "sigmoid-ratio", self._std_normal_prior,
-                                 n_samples=1000, seed=0, groups=[[0], [1]])
 
     def test_init_must_be_finite(self):
         model = linear_model()
         data = SourceData([[1.0, 0.0]], [0.0])
         with pytest.raises(McmcInitError):
-            metropolis_posterior(model, data, None,
-                                 "sigmoid-ratio",
-                                 lambda t, p: -np.inf, n_samples=2000, seed=0)
+            metropolis_posterior(model, data, lambda t, p: -np.inf, n_samples=2000, seed=0)
 
     def test_minimum_iterations_enforced(self):
         model = linear_model()
         data = SourceData([[1.0, 0.0]], [0.0])
         with pytest.raises(ValueError, match="1000"):
-            metropolis_posterior(model, data, None, "sigmoid-ratio",
-                                 self._std_normal_prior, n_samples=500, seed=0)
+            metropolis_posterior(model, data, self._std_normal_prior, n_samples=500, seed=0)
 
     def test_warns_on_pathological_acceptance(self):
         model = linear_model()
         data = SourceData([[1.0, 0.0]], [0.0])
         with pytest.warns(RuntimeWarning, match="acceptance"):
-            chain = metropolis_posterior(
-                model, data, None, "sigmoid-ratio",
-                self._std_normal_prior, n_samples=1000, seed=0,
-                proposal_scale=1e7)
+            chain = metropolis_posterior(model, data, self._std_normal_prior,
+                                         n_samples=1000, seed=0, proposal_scale=1e7)
         assert chain.warning is not None
-
-    def test_unknown_weights_kind_rejected(self):
-        """Only the two kinds are sampled; anything else, a weights callable
-        included, is refused before the prior is called."""
-        data = SourceData([[1.0, 0.0]], [0.0])
-        prior_calls = []
-
-        def prior(theta, psi):
-            prior_calls.append(1)
-            return self._std_normal_prior(theta, psi)
-
-        for weights_fn in ("prior-expected", lambda d, psi: np.ones(d.n)):
-            with pytest.raises(ValueError, match=r"None \(fixed effects\) or 'sigmoid-ratio'"):
-                metropolis_posterior(linear_model(), data, None, weights_fn, prior,
-                                     n_samples=1000, seed=0)
-        assert prior_calls == []
 
     def test_same_seed_reproduces_chain(self):
         model = linear_model()
         data = SourceData([[1.0, 0.5]], [0.2])
         kwargs = dict(n_samples=2000, seed=42)
-        c1 = metropolis_posterior(model, data, None, "sigmoid-ratio",
-                                  self._std_normal_prior, **kwargs)
-        c2 = metropolis_posterior(model, data, None, "sigmoid-ratio",
-                                  self._std_normal_prior, **kwargs)
+        c1 = metropolis_posterior(model, data, self._std_normal_prior, **kwargs)
+        c2 = metropolis_posterior(model, data, self._std_normal_prior, **kwargs)
         assert_allclose(c1.theta_samples, c2.theta_samples, rtol=0, atol=0)
         assert_allclose(c1.psi_samples, c2.psi_samples, rtol=0, atol=0)
 
@@ -647,14 +603,14 @@ class TestChainGridTv:
         a, b = np.divmod(idx, 8)
         chain = McmcChainStub(table.grid.theta_nodes[a],
                               table.grid.psi_nodes[b])
-        tv = chain_grid_tv(chain, table, coarsen=2)
+        tv = chain_grid_tv(chain, table)
         assert tv < 0.02
 
     def test_wrong_distribution_is_detected(self):
         table = self._table()
         rng = np.random.default_rng(RNG_SEED)
         chain = McmcChainStub(np.full((5000, 1), 2.0), np.full((5000, 1), -2.0))
-        tv = chain_grid_tv(chain, table, coarsen=2)
+        tv = chain_grid_tv(chain, table)
         assert tv > 0.5
 
     def test_theta_marginal_mode(self):
@@ -663,7 +619,7 @@ class TestChainGridTv:
         idx = rng.choice(8, size=60000, p=table.theta_marginal())
         chain = McmcChainStub(table.grid.theta_nodes[idx],
                               np.zeros((60000, 1)))
-        tv = chain_grid_tv(chain, table, coarsen=2, marginal="theta")
+        tv = chain_grid_tv(chain, table, marginal="theta")
         assert tv < 0.02
 
     @pytest.mark.parametrize("marginal", [None, "theta"])
@@ -678,7 +634,7 @@ class TestChainGridTv:
             np.concatenate([grid.theta_nodes[a], np.full((180000, 1), 50.0)]),
             np.concatenate([grid.psi_nodes[b], np.full((180000, 1), 50.0)]))
         # 0.9 exactly when no bin holds more than its table mass; allow rounding
-        assert chain_grid_tv(chain, table, coarsen=2, marginal=marginal) >= 0.9 - 1e-12
+        assert chain_grid_tv(chain, table, marginal=marginal) >= 0.9 - 1e-12
 
     @pytest.mark.parametrize("marginal", [None, "theta"])
     def test_vector_parameters_rejected(self, marginal):
@@ -707,13 +663,6 @@ class TestChainGridTv:
         for marginal in ("Theta", "psi"):
             with pytest.raises(ValueError, match="'theta' or None"):
                 chain_grid_tv(chain, table, marginal=marginal)
-
-    @pytest.mark.parametrize("coarsen", [0, -1, 1.5, 2.0])
-    def test_coarsen_must_be_a_positive_integer(self, coarsen):
-        """0 used to fail as an integer modulo by zero, -1 inside a reshape."""
-        chain = McmcChainStub(np.zeros((10, 1)), np.zeros((10, 1)))
-        with pytest.raises(ValueError, match="coarsen must be a positive integer"):
-            chain_grid_tv(chain, self._table(), coarsen=coarsen)
 
     def test_nodes_must_increase_evenly(self):
         """Cells are one node step wide, so nodes [0, 1, 3, 7] would be binned

@@ -50,10 +50,10 @@ def _obs_group(groups, n):
     return obs_group
 
 
-def _new_and_old(model, data, proxy, weights_fn, prior, groups=None):
+def _new_and_old(model, data, proxy, prior, groups=None):
     obs_group = None if groups is None else _obs_group(groups, data.n)
-    return (_chain_log_target(model, data, proxy, weights_fn, prior, obs_group),
-            metropolis_log_target(model, data, proxy, weights_fn, prior, groups))
+    return (_chain_log_target(model, data, proxy, prior, obs_group),
+            metropolis_log_target(model, data, proxy, prior, groups))
 
 
 def _assert_same_at(states, new, old):
@@ -103,8 +103,7 @@ class TestStepEqualsOracle:
         data, _, proxy = partition
         if data_kind == "small":
             data = _small_binomial(rng)
-        new, old = _new_and_old(binomial_logit_model(), data, proxy, "sigmoid-ratio",
-                                smoking._normal_prior)
+        new, old = _new_and_old(binomial_logit_model(), data, proxy, smoking._normal_prior)
         # wide psi moves the null pool from saturated weights to weights below 1
         states = np.hstack([rng.normal(0.0, 1.5, size=(N_STATES, 4)),
                             rng.normal(0.0, 4.0, size=(N_STATES, 1))])
@@ -146,12 +145,13 @@ class TestStepEqualsOracle:
             model, prior = _two_intercept_model(), _std_normal_prior
             data = SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(9)]))
             groups = [[0, 4], [1, 2, 8], [3], [5, 6, 7]]
-        new, old = _new_and_old(model, data, None, None, prior, groups)
+        new, old = _new_and_old(model, data, None, prior, groups)
         dim = model.k_theta + model.k_psi * len(groups)
         _assert_same_at(rng.normal(0.0, 1.5, size=(N_STATES, dim)), new, old)
 
-    @pytest.mark.parametrize("weights_fn", ["sigmoid-ratio", None])
-    def test_neg_inf_prior_makes_no_model_call(self, partition, monkeypatch, weights_fn):
+    # the target's relevance weights: sigmoid-ratio, or None for fixed effects
+    @pytest.mark.parametrize("weights", ["sigmoid-ratio", None])
+    def test_neg_inf_prior_makes_no_model_call(self, partition, monkeypatch, weights):
         data, groups, proxy = partition
         calls = []
 
@@ -165,10 +165,10 @@ class TestStepEqualsOracle:
                             counted("loglik_tensor", inference.loglik_tensor))
         monkeypatch.setattr(inference, "proxy_loglik_vector",
                             counted("proxy", inference.proxy_loglik_vector))
-        obs_group = _obs_group(groups, data.n) if weights_fn is None else None
-        psi_dim = len(groups) if weights_fn is None else 1
-        log_target = _chain_log_target(binomial_logit_model(), data, proxy, weights_fn,
-                                       _box_prior(1.0), obs_group)
+        obs_group = _obs_group(groups, data.n) if weights is None else None
+        psi_dim = len(groups) if weights is None else 1
+        log_target = _chain_log_target(binomial_logit_model(), data,
+                                       proxy if weights else None, _box_prior(1.0), obs_group)
         outside = np.full(4 + psi_dim, 0.5)
         outside[0] = -0.1
         assert log_target(outside) == -np.inf
@@ -198,23 +198,24 @@ class TestStepErrors:
         rng = np.random.default_rng(SEED)
         return SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(5)]))
 
-    @pytest.mark.parametrize("weights_fn", ["sigmoid-ratio", None])
-    def test_nan_loglik_raises(self, linear_data, weights_fn):
-        groups = [[0, 1], [2, 3, 4]] if weights_fn is None else None
+    # the target's relevance weights: sigmoid-ratio, or None for fixed effects
+    @pytest.mark.parametrize("weights", ["sigmoid-ratio", None])
+    def test_nan_loglik_raises(self, linear_data, weights):
+        groups = [[0, 1], [2, 3, 4]] if weights is None else None
         with pytest.raises(FloatingPointError, match="NaN log-likelihood"):
-            metropolis_posterior(_nan_from_call(linear_model(), 50), linear_data, None,
-                                 weights_fn, _std_normal_prior, 1000, 3, groups=groups)
+            metropolis_posterior(_nan_from_call(linear_model(), 50), linear_data,
+                                 _std_normal_prior, n_samples=1000, seed=3, groups=groups)
 
     def test_zero_pooled_null_likelihood_raises(self):
         """Outcome 2 is impossible at the null theta node once psi reaches
         node 2, so the pooled null likelihood there is zero."""
         table = np.full((3, 3, 3), 1.0 / 3.0)
         table[0, 2] = [0.5, 0.5, 0.0]
-        model = discrete_toy_model(3, 3, 3, table)
+        model = discrete_toy_model(table)
         data = SourceData(np.empty((3, 0)), [0, 2, 1])
         with pytest.raises(DegenerateRelevanceError, match="pooled likelihood"):
-            metropolis_posterior(model, data, None, "sigmoid-ratio", _box_prior(2.0),
-                                 1000, 3, init_theta=[1.0], init_psi=[0.0])
+            metropolis_posterior(model, data, _box_prior(2.0), n_samples=1000, seed=3,
+                                 init_psi=[0.0])
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_pos_inf_null_loglik_is_rejected_as_the_weight_check_did(self, linear_data):
@@ -228,8 +229,7 @@ class TestStepErrors:
             return out
 
         model = dataclasses.replace(base, log_likelihood=log_likelihood)
-        for log_target in _new_and_old(model, linear_data, None, "sigmoid-ratio",
-                                       _std_normal_prior):
+        for log_target in _new_and_old(model, linear_data, None, _std_normal_prior):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 log_target(np.array([0.3, 0.1]))
 
@@ -254,15 +254,14 @@ class TestStepErrors:
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            metropolis_posterior(linear_model(), linear_data,
-                                 ProxyObservation(0.2, proxy_log_likelihood),
-                                 "sigmoid-ratio", prior, 1000, 3)
+            metropolis_posterior(linear_model(), linear_data, prior, n_samples=1000, seed=3,
+                                 proxy=ProxyObservation(0.2, proxy_log_likelihood))
         assert any(issubclass(w.category, RuntimeWarning) and "overflow" in str(w.message)
                    for w in caught)
 
 
 class TestStateShapes:
-    """Wrong-length starting points and scales, proposal scales that are not
+    """Wrong-length starting intercepts and scales, proposal scales that are not
     positive and finite, and a sample count that is not an integer fail
     before any sampling."""
 
@@ -271,8 +270,6 @@ class TestStateShapes:
         return _small_binomial(np.random.default_rng(SEED))
 
     @pytest.mark.parametrize("kwargs, match", [
-        ({"init_theta": np.zeros(3)}, r"init_theta must have shape \(4,\)"),
-        ({"init_theta": np.zeros(5)}, r"init_theta must have shape \(4,\)"),
         ({"init_psi": np.zeros(2)}, r"init_psi must have shape \(1,\)"),
         ({"proposal_scale": np.full(4, 0.5)}, r"proposal_scale must have shape \(5,\)"),
         ({"proposal_scale": 0.0}, "proposal_scale entries must be positive and finite"),
@@ -281,7 +278,7 @@ class TestStateShapes:
         ({"proposal_scale": [0.5, 0.5, np.inf, 0.5, 0.5]},
          "proposal_scale entries must be positive and finite"),
         ({"n_samples": 1500.0}, "n_samples must be an integer"),
-    ], ids=["theta-3", "theta-5", "psi-2", "scale-4", "scale-zero", "scale-negative",
+    ], ids=["psi-2", "scale-4", "scale-zero", "scale-negative",
             "scale-nan", "scale-inf-entry", "samples-float"])
     def test_weighted_chain(self, small, kwargs, match):
         prior_calls = []
@@ -291,21 +288,21 @@ class TestStateShapes:
             return _std_normal_prior(theta, psi)
 
         with pytest.raises(ValueError, match=match):
-            metropolis_posterior(binomial_logit_model(), small, None, "sigmoid-ratio",
-                                 prior, **{"n_samples": 1000, "seed": 0, **kwargs})
+            metropolis_posterior(binomial_logit_model(), small, prior,
+                                 **{"n_samples": 1000, "seed": 0, **kwargs})
         assert prior_calls == []
 
     def test_fixed_effects_psi_has_one_intercept_per_group(self, partition):
         data, groups, _ = partition
         with pytest.raises(ValueError, match=r"init_psi must have shape \(23,\)"):
-            metropolis_posterior(binomial_logit_model(), data, None, None,
-                                 smoking._normal_prior, 1000, 0, groups=groups,
+            metropolis_posterior(binomial_logit_model(), data, smoking._normal_prior,
+                                 n_samples=1000, seed=0, groups=groups,
                                  init_psi=np.zeros(22))
 
     @pytest.mark.filterwarnings("ignore:acceptance rate")
     def test_zero_d_scale_is_a_scalar(self, small):
-        chains = [metropolis_posterior(binomial_logit_model(), small, None, "sigmoid-ratio",
-                                       _std_normal_prior, 1000, 4, proposal_scale=scale)
+        chains = [metropolis_posterior(binomial_logit_model(), small, _std_normal_prior,
+                                       n_samples=1000, seed=4, proposal_scale=scale)
                   for scale in (0.4, np.array(0.4), [0.4] * 5)]
         for chain in chains[1:]:
             assert chain.theta_samples.tobytes() == chains[0].theta_samples.tobytes()

@@ -677,7 +677,7 @@ class TestDiscreteToyModel:
     def test_loglik_reads_the_table(self):
         rng = np.random.default_rng(RNG_SEED)
         table = _toy_table(rng)
-        model = discrete_toy_model(3, 2, 2, table)
+        model = discrete_toy_model(table)
         for a in range(2):
             for b in range(2):
                 for o in range(3):
@@ -687,7 +687,7 @@ class TestDiscreteToyModel:
 
     def test_uniform_table(self):
         table = np.full((2, 2, 4), 0.25)
-        model = discrete_toy_model(4, 2, 2, table)
+        model = discrete_toy_model(table)
         obs = _one(np.empty(0), 2)
         ll = _cell(model, obs, 0.0, 1.0)
         assert_allclose(ll, np.log(0.25), rtol=0, atol=1e-15)
@@ -695,19 +695,26 @@ class TestDiscreteToyModel:
     def test_rows_must_sum_to_one(self):
         bad = np.full((2, 2, 3), 0.5)
         with pytest.raises(ValueError):
-            discrete_toy_model(3, 2, 2, bad)
+            discrete_toy_model(bad)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 3, 1), (0, 2, 3), (2, 2, 0)])
+    def test_table_must_be_nonempty_3d(self, shape):
+        """The counts come from the table's shape, so a table of another
+        rank, or with no theta, psi or outcome nodes, is refused."""
+        with pytest.raises(ValueError, match="nonempty 3-d"):
+            discrete_toy_model(np.full(shape, 1.0 / 3.0))
 
     def test_nan_table_rejected(self):
         """A NaN passes a sign test and fails the row-sum test."""
         with pytest.raises(ValueError, match=r"table row \(0, 0\) sums to"):
-            discrete_toy_model(2, 1, 1, [[[np.nan, 1.0]]])
+            discrete_toy_model([[[np.nan, 1.0]]])
         with pytest.raises(ValueError, match=r"table row \(1, 0\) sums to"):
-            discrete_toy_model(2, 2, 1, [[[0.5, 0.5]], [[1.0, np.nan]]])
+            discrete_toy_model([[[0.5, 0.5]], [[1.0, np.nan]]])
 
     def test_zero_probability_outcome_gives_neg_inf(self):
         table = np.array([[[1.0, 0.0], [0.5, 0.5]],
                           [[0.3, 0.7], [0.9, 0.1]]])
-        model = discrete_toy_model(2, 2, 2, table)
+        model = discrete_toy_model(table)
         obs = _one(np.empty(0), 1)
         ll = _cell(model, obs, 0.0, 0.0)
         assert ll == -np.inf
@@ -715,7 +722,7 @@ class TestDiscreteToyModel:
     def test_batch_lookup_matches_loop(self):
         rng = np.random.default_rng(RNG_SEED)
         table = _toy_table(rng, n_out=4, n_theta=3, n_psi=2)
-        model = discrete_toy_model(4, 3, 2, table)
+        model = discrete_toy_model(table)
         data = SourceData(np.empty((5, 0)), rng.integers(0, 4, size=5))
         thetas = np.arange(3, dtype=float)[:, None]
         psis = np.arange(2, dtype=float)[:, None]
@@ -729,7 +736,7 @@ class TestDiscreteToyModel:
 
     def test_negative_index_raises(self):
         """A negative node would wrap round to the end of the table."""
-        model = discrete_toy_model(3, 2, 2, _toy_table(np.random.default_rng(RNG_SEED)))
+        model = discrete_toy_model(_toy_table(np.random.default_rng(RNG_SEED)))
         data = _one(np.empty(0), 1)
         with pytest.raises(ValueError, match="non-negative"):
             loglik_tensor(model, data, [[-1.0], [1.0]], [[0.0]])
@@ -741,7 +748,7 @@ class TestDiscreteToyModel:
     def test_simulate_goodness_of_fit(self):
         rng = np.random.default_rng(RNG_SEED)
         table = np.array([[[0.5, 0.3, 0.2]]])
-        model = discrete_toy_model(3, 1, 1, table)
+        model = discrete_toy_model(table)
         draws = np.array([model.simulate(np.empty(0), 0.0,
                                          0.0, rng)
                           for _ in range(2000)])
@@ -751,7 +758,7 @@ class TestDiscreteToyModel:
 
     def test_outcome_space_enumerates_alphabet(self):
         table = np.full((1, 1, 5), 0.2)
-        model = discrete_toy_model(5, 1, 1, table)
+        model = discrete_toy_model(table)
         assert_allclose(model.outcome_space, np.arange(5))
 
 
@@ -801,10 +808,10 @@ class TestBinomialKeptConstants:
         def prior(theta, psi):
             return float(-0.5 * (theta @ theta + psi @ psi))
 
-        metropolis_posterior(model, data, None, "sigmoid-ratio", prior, 2000, 1)
+        metropolis_posterior(model, data, prior, n_samples=2000, seed=1)
         assert len(gammaln_calls) == 3
         # a second chain, the known-groups target, on the same data set
-        metropolis_posterior(model, data, None, None, prior, 2000, 2,
+        metropolis_posterior(model, data, prior, n_samples=2000, seed=2,
                              groups=[[0, 1, 2], [3, 4, 5]])
         assert len(gammaln_calls) == 3
         loglik_tensor(model, _binomial_data(rng, 2, 5), np.zeros((1, 4)), np.zeros((1, 1)))
@@ -845,7 +852,7 @@ class TestPerObservationPsi:
         rng = np.random.default_rng(RNG_SEED)
         table = _toy_table(rng, n_out=4, n_theta=3, n_psi=3)
         table[1, 2] = [0.0, 0.5, 0.5, 0.0]     # -inf cells gather like any other
-        model = discrete_toy_model(4, 3, 3, table)
+        model = discrete_toy_model(table)
         data = SourceData(np.empty((9, 0)), rng.integers(0, 4, size=9))
         self._check_gather(model, data, np.arange(3, dtype=float)[:, None],
                            np.arange(3, dtype=float)[:, None], rng)
@@ -920,7 +927,7 @@ class TestLoglikTensor:
         x = np.linspace(0.0, 1.0, 5)
         model = {"linear": linear_model, "binomial-logit": binomial_logit_model,
                  "gp": lambda: gp_model(x),
-                 "discrete-toy": lambda: discrete_toy_model(3, 3, 2, _toy_table(rng, 3, 3, 2)),
+                 "discrete-toy": lambda: discrete_toy_model(_toy_table(rng, 3, 3, 2)),
                  }[name]()
         covariate_dim = {"linear": 2, "binomial-logit": 4, "gp": x.size, "discrete-toy": 0}[name]
         if name == "discrete-toy":

@@ -6,8 +6,9 @@ rename in the library would otherwise surface only when
 through sys.path, installed in this process around one toy diagnostics
 report, and uninstalled.  A second test traces one short smoking partition
 the way the benchmark narrows a unit, through perfbench/workloads.py, and
-checks what the tracer reads of the sampler: n_samples as the sixth
-positional argument, and the cells of every model evaluation.
+checks what the tracer reads of the sampler: n_samples, a keyword-only
+argument, and the cells of every model evaluation.  A third traces the
+all-data intercept fit the smoking workload runs as set-up.
 """
 
 import importlib
@@ -104,3 +105,23 @@ def test_traced_smoking_partition_counts_one_evaluation_per_step(monkeypatch):
         1001 * (94 + 47) + 3 * 750 * (1 + 40)
     # the weighted chain forms the sigmoid-ratio weights without the public call
     assert metrics["relevance.sigmoid_ratio_relevance.calls_per_unit"] == 0
+
+
+@pytest.mark.filterwarnings("ignore:acceptance rate")
+def test_traced_intercept_fit_counts_one_chain(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    tracer_module = importlib.import_module("tracer")
+    smoking = relbayes.harness.smoking
+    records = smoking.ingest_smoking_csv(smoking.packaged_smoking_path())
+
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        smoking.fit_study_intercepts(records, 1000, 5)
+    finally:
+        tracer.uninstall()
+        monkeypatch.delitem(sys.modules, "tracer", raising=False)
+
+    assert tracer.counts["mcmc_chains"] == 1
+    assert tracer.counts["mcmc_iters"] == 1000

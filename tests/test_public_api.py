@@ -1,6 +1,14 @@
 """The public surface, pinned: adding or removing an exported name is a
 reviewed edit of these lists.  Each package's __all__ is every public name
-its __init__ binds, the submodules it imports included."""
+its __init__ binds, the submodules it imports included.  The signatures
+of the sampler, the toy model, the chain-to-grid distance, the run writer
+and the smoking sweep are pinned too, by parameter name and kind, and by
+whether each parameter is required, so that a retired option cannot come
+back unnoticed."""
+
+import inspect
+
+import pytest
 
 import relbayes
 import relbayes.harness
@@ -40,3 +48,26 @@ def test_relbayes_public_names():
 
 def test_harness_public_names():
     assert sorted(relbayes.harness.__all__) == HARNESS_ALL
+
+
+P, K = "POSITIONAL_OR_KEYWORD", "KEYWORD_ONLY"
+
+SIGNATURES = {
+    relbayes.metropolis_posterior: [
+        ("model", P, True), ("data", P, True), ("prior_log_density", P, True),
+        ("n_samples", K, True), ("seed", K, True), ("proxy", K, False),
+        ("groups", K, False), ("init_psi", K, False), ("proposal_scale", K, False)],
+    relbayes.discrete_toy_model: [("table", P, True)],
+    relbayes.chain_grid_tv: [("chain", P, True), ("table", P, True), ("marginal", P, False)],
+    relbayes.harness.write_run_outputs: [("config", P, True), ("results", P, True)],
+    relbayes.harness.run_smoking_comparison: [
+        ("records", P, True), ("proxy_mode", P, True), ("seed", P, True),
+        ("n_samples", P, False), ("intercepts", K, True)],
+}
+
+
+@pytest.mark.parametrize("fn", list(SIGNATURES), ids=lambda fn: fn.__name__)
+def test_signature_is_pinned(fn):
+    got = [(p.name, p.kind.name, p.default is inspect.Parameter.empty)
+           for p in inspect.signature(fn).parameters.values()]
+    assert got == SIGNATURES[fn]

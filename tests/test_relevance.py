@@ -37,14 +37,14 @@ class TestSigmoidRatio:
         """One observation always holds the whole pooled likelihood, so its
         ratio is exactly 1 whatever the model says."""
         table = np.array([[[0.37, 0.63]]])
-        model = discrete_toy_model(2, 1, 1, table)
+        model = discrete_toy_model(table)
         w = sigmoid_ratio_relevance(model, _toy_obs(1), psi_target=0.0)
         assert_allclose(w, [SIGMOID_1], rtol=0, atol=1e-15)
 
     def test_two_half_probability_observations_score_sigmoid_of_four(self):
         # ratio_i = 2 * 0.5 / (0.5 * 0.5) = 4 for both observations
         table = np.array([[[0.5, 0.5]]])
-        model = discrete_toy_model(2, 1, 1, table)
+        model = discrete_toy_model(table)
         w = sigmoid_ratio_relevance(model, _toy_obs(0, 1), psi_target=0.0)
         assert_allclose(w, [SIGMOID_4, SIGMOID_4], rtol=0, atol=1e-15)
 
@@ -70,7 +70,7 @@ class TestSigmoidRatio:
 
     def test_zero_pooled_likelihood_raises(self):
         table = np.array([[[1.0, 0.0]]])
-        model = discrete_toy_model(2, 1, 1, table)
+        model = discrete_toy_model(table)
         with pytest.raises(DegenerateRelevanceError):
             sigmoid_ratio_relevance(model, _toy_obs(0, 1), psi_target=0.0)
 
@@ -146,7 +146,7 @@ class TestPriorExpected:
         scores by its belief-averaged pmf, which lies in [0, 1] already."""
         rng = np.random.default_rng(RNG_SEED)
         table = rng.dirichlet(np.full(3, 2.0), size=(2, 2))
-        model = discrete_toy_model(3, 2, 2, table)
+        model = discrete_toy_model(table)
         assert model.log_predictive_mode_density is None
         w = prior_expected_relevance(model, _toy_obs(0, 2), [[0.0], [1.0]],
                                      [0.5, 0.5], 1.0)
@@ -158,7 +158,7 @@ class TestPriorExpected:
         """A model without a predictive mode density is no longer an error:
         each observation scores its pmf, here 0.5, not a ratio to a mode."""
         table = np.full((1, 1, 2), 0.5)
-        model = discrete_toy_model(2, 1, 1, table)
+        model = discrete_toy_model(table)
         w = prior_expected_relevance(model, _toy_obs(0, 1), [[0.0]], [1.0], 0.0)
         assert_allclose(w, [0.5, 0.5], rtol=0, atol=0)
 
@@ -172,8 +172,10 @@ class TestPriorExpected:
     def test_belief_must_be_normalized_mass(self):
         model = linear_model()
         data = SourceData([[1.0, 0.0]], [0.0])
-        with pytest.raises(ValueError, match="normalized"):
+        with pytest.raises(ValueError, match="theta_belief sums to"):
             prior_expected_relevance(model, data, [[0.0], [1.0]], [0.7, 0.7], 0.0)
+        with pytest.raises(ValueError, match="theta_belief has negative entries"):
+            prior_expected_relevance(model, data, [[0.0], [1.0]], [-0.5, 1.5], 0.0)
         with pytest.raises(ValueError, match="one mass per"):
             prior_expected_relevance(model, data, [[0.0], [1.0]], [1.0], 0.0)
 
@@ -181,7 +183,7 @@ class TestPriorExpected:
         """A NaN mass once passed both comparisons and came back as a NaN
         weight."""
         data = SourceData([[1.0, 0.0]], [0.0])
-        with pytest.raises(ValueError, match="normalized"):
+        with pytest.raises(ValueError, match="theta_belief sums to"):
             prior_expected_relevance(linear_model(), data, [[0.0], [1.0]],
                                      [float("nan"), 1.0], 0.0)
 
@@ -215,7 +217,7 @@ class TestRefineRelevance:
         rng = np.random.default_rng(RNG_SEED)
         row = rng.dirichlet(np.full(3, 2.0), size=2)
         table = np.stack([row, row])                      # identical theta slices
-        model = discrete_toy_model(3, 2, 2, table)
+        model = discrete_toy_model(table)
         grid = toy_grid(2, 2, theta_prior=[0.4, 0.6])
         data = _toy_obs(0, 1, 2)
         shallow = refine_relevance(GridProblem(model, data, grid), np.zeros(grid.n_psi), 0)
@@ -252,7 +254,7 @@ class TestRefineRelevance:
         belief-averaged pmf itself: w[b, i] = sum_a belief[a] p(d_i | a, b)."""
         rng = np.random.default_rng(RNG_SEED)
         table = rng.dirichlet(np.full(3, 2.0), size=(2, 2))
-        model = discrete_toy_model(3, 2, 2, table)
+        model = discrete_toy_model(table)
         data = _toy_obs(0, 2, 2)
         result = refine_relevance(GridProblem(model, data, toy_grid(2, 2)), np.zeros(2))
         outcomes = [0, 2, 2]
@@ -400,7 +402,7 @@ class TestBeliefAverage:
         table[1, 2, 0] = table[3, 1, 1] = 0.0
         table /= table.sum(axis=2, keepdims=True)
         data = _toy_obs(2, 0, 1, 2, 0)
-        tensor = loglik_tensor(discrete_toy_model(3, 4, 3, table), data,
+        tensor = loglik_tensor(discrete_toy_model(table), data,
                                toy_grid(4, 3).theta_nodes, toy_grid(4, 3).psi_nodes)
         assert np.isneginf(tensor[0, :, 0]).all()   # one all -inf (i, ., b) column
         return tensor, lambda belief: np.zeros((data.n, 3))
@@ -470,7 +472,7 @@ class TestBeliefAverage:
 class TestValidation:
     @staticmethod
     def _weighted(weights):
-        problem = GridProblem(discrete_toy_model(2, 1, 1, np.array([[[0.5, 0.5]]])),
+        problem = GridProblem(discrete_toy_model(np.array([[[0.5, 0.5]]])),
                               _toy_obs(0, 1), toy_grid(1, 1))
         return r_weighted_posterior(problem, np.array(weights), np.zeros(1))
 
