@@ -31,7 +31,7 @@ def _check_normalized(mass: np.ndarray, name: str, tol: float, axis=None) -> Non
     if off.any():
         row = () if axis is None else tuple(int(i) for i in np.argwhere(off)[0])
         where = f" row {row}" if row else ""
-        raise ValueError(f"{name}{where} sums to {sums[row]!r}, expected 1 within {tol}")
+        raise ValueError(f"{name}{where} sums to {float(sums[row])}, expected 1 within {tol}")
 
 
 def _check_mass(mass: np.ndarray, name: str) -> np.ndarray:

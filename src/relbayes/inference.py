@@ -28,8 +28,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grids import ParameterGrid, _check_mass, _check_normalized
-from .models import ModelSpec, SourceData, _logsumexp_inplace, loglik_tensor, logsumexp, \
-    sigmoid_ratio_weights
+from .models import N_UNIT, ModelSpec, SourceData, _logsumexp_inplace, loglik_tensor, \
+    logsumexp, sigmoid_ratio_weights
 
 JOINT_TOL = 1e-10
 
@@ -89,10 +89,10 @@ def _check_proxy_ll(values, n_psi: int) -> np.ndarray:
     if out.shape != (n_psi,):
         raise ValueError(f"proxy log-likelihood has shape {out.shape}, "
                          f"expected ({n_psi},), one value per psi node")
-    nan = np.isnan(out)
-    if nan.any():
+    # the min propagates NaN: one reduction, and the index only on failure
+    if math.isnan(out.min(initial=0.0)):
         raise FloatingPointError(
-            f"NaN proxy log-likelihood at psi node index {int(np.argmax(nan))}")
+            f"NaN proxy log-likelihood at psi node index {int(np.argmax(np.isnan(out)))}")
     return out
 
 
@@ -269,9 +269,13 @@ def _chain_log_target(model: ModelSpec, data: SourceData, proxy, prior_log_densi
     What does not change within a chain is formed here, once: for the
     fixed-effects target (obs_group given, one group index per observation),
     the flat index that gathers each observation's intercept rows out of psi
-    in one step; for the sigmoid-ratio target (obs_group None), the
-    (2, k_theta) theta rows, whose null row stays zero, and log n.  A state
-    of non-finite prior density is rejected before any model call.
+    in one step; for the sigmoid-ratio target (obs_group None), which of two
+    steps the chain takes.  A pmf model (no log_predictive_mode_density)
+    with at least models.N_UNIT observations has every weight exactly 1.0,
+    so its step sums one column, the state's theta, with no null column and
+    no weights; any other model or size keeps the (2, k_theta) theta rows,
+    whose null row stays zero, and log n.  A state of non-finite prior
+    density is rejected before any model call.
     """
     k_theta, n = model.k_theta, data.n
 
@@ -281,6 +285,10 @@ def _chain_log_target(model: ModelSpec, data: SourceData, proxy, prior_log_densi
 
         def log_lik(theta, psi):
             return float(loglik_tensor(model, data, theta[None, :], psi[gather]).sum())
+    elif model.log_predictive_mode_density is None and n >= N_UNIT:
+        def log_lik(theta, psi):
+            # 1.0 * l == l: the sum of the weighted column, bit for bit
+            return float(loglik_tensor(model, data, theta[None, :], psi[None, :]).sum())
     else:
         thetas = np.zeros((2, k_theta))     # row 0 the state's theta, row 1 the null theta
         log_n = np.log(n)
@@ -291,17 +299,17 @@ def _chain_log_target(model: ModelSpec, data: SourceData, proxy, prior_log_densi
             # the weights lie in [0.5, 1] or raise: there is no range to
             # check and no zero to mask
             w = sigmoid_ratio_weights(both[:, 1, 0], log_n)
-            ll = float((w * both[:, 0, 0]).sum())
-            if proxy is not None:
-                ll += float(proxy_loglik_vector(proxy, psi[None, :])[0])
-            return ll
+            return float((w * both[:, 0, 0]).sum())
 
     def log_target(vec: np.ndarray) -> float:
         theta, psi = vec[:k_theta], vec[k_theta:]
         lp = prior_log_density(theta, psi)
         if not math.isfinite(lp):
             return -math.inf
-        return lp + log_lik(theta, psi)
+        ll = log_lik(theta, psi)
+        if proxy is not None:
+            ll += float(proxy_loglik_vector(proxy, psi[None, :])[0])
+        return lp + ll
 
     return log_target
 
@@ -331,6 +339,18 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, prior_log_density, 
     intercept from psi.  The sigmoid-ratio weights are neither range-checked
     nor masked: models.sigmoid_ratio_weights raises unless the pooled null
     log-likelihood is finite, and then every weight lies in [0.5, 1].
+
+    For a pmf model (no log_predictive_mode_density) each weight is at least
+    sigmoid(n), which is exactly 1.0 in float64 from n = 37 on.  From n =
+    models.N_UNIT (38, one arm of margin) the sigmoid-ratio step evaluates
+    only the state's theta, n cells, and sums them: the same bits as the
+    weighted sum, as long as the weights' log-space exponent rounds by less
+    than log(38 / 37).  Rounding that large needs null log-likelihoods of
+    order -1e14 or below (one arm at -3e15 among 38 near 0 shows it), where
+    the full step's weights below 1 are rounding error and 1.0 is exact.
+    The one-column step never forms the null pool, so a zero pooled null
+    likelihood, which raises DegenerateRelevanceError on the full step,
+    goes unseen; for the binomial model it needs |psi| > 1e305.
 
     theta starts at the middle of its support box, and psi at init_psi,
     which defaults to the middle of its own.  init_psi must have shape

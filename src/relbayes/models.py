@@ -165,6 +165,16 @@ NULL_POOL_ZERO = ("pooled likelihood at the null shared parameter is zero; the s
                   "ratio is undefined for this dataset and target task")
 
 
+# In float64, sigmoid(x) = 1 / (1 + exp(-x)) is exactly 1.0 once exp(-x) is
+# at most half the gap between 1 and the next float, eps / 2: for every
+# x >= -log(eps / 2) = 53 log 2 = 36.74, so from x = 37 on.  A pmf's
+# sigmoid-ratio argument n * p_i / prod_j p_j = n / prod_{j != i} p_j is at
+# least n, so with N_UNIT or more observations every weight is 1.0; the one
+# observation past 37 is a margin for the rounding of the weight's log-space
+# exponent, which could otherwise put n * p_i / prod_j p_j just below 37.
+N_UNIT = math.ceil(-math.log(np.finfo(float).eps / 2)) + 1
+
+
 def sigmoid_ratio_weights(null_lls: np.ndarray, log_n) -> np.ndarray:
     """sigmoid(n * p_i / prod_j p_j) for the (n,) null_lls, given log n.
 
@@ -175,7 +185,9 @@ def sigmoid_ratio_weights(null_lls: np.ndarray, log_n) -> np.ndarray:
     NaN, raises ValueError.  The ratio is formed in log space, its exponent
     clamped at log(DBL_MAX) so the exp stays finite; the sigmoid of anything
     that large is exactly 1.  With the pool finite, every weight lies in
-    [0.5, 1].
+    [0.5, 1].  For a pmf the ratio p_i / prod_j p_j is at least 1, so each
+    weight is at least sigmoid(n), and from n = N_UNIT on every weight is
+    exactly 1.0; the Metropolis sampler then skips this call altogether.
     """
     denom = null_lls.sum()
     if not math.isfinite(denom):

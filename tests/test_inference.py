@@ -152,6 +152,23 @@ class TestProxyLoglikVector:
         with pytest.raises(FloatingPointError, match="index 3"):
             _proxy_posterior(self.GRID, pll(None, self.NODES))
 
+    def test_first_nan_named_after_infinities(self):
+        """The check finds a NaN with one reduction, which +inf and -inf
+        together must not fool, and names the first NaN's index."""
+        values = np.array([np.inf, -np.inf, np.nan, 0.0, np.nan])
+        with pytest.raises(FloatingPointError, match="psi node index 2$"):
+            _proxy_posterior(self.GRID, values)
+
+    def test_infinities_are_not_nan(self):
+        values = np.array([0.0, np.inf, -np.inf, 1.0, -np.inf])
+        mixed = ProxyObservation(None, lambda z, psi_nodes: values.copy())
+        assert proxy_loglik_vector(mixed, self.NODES).tobytes() == values.tobytes()
+        for value in (np.inf, -np.inf):
+            flat = np.full(5, value)
+            assert proxy_loglik_vector(
+                ProxyObservation(None, lambda z, psi_nodes: flat), self.NODES
+            ).tobytes() == flat.tobytes()
+
     def test_neg_inf_allowed(self):
         dead = ProxyObservation(
             payload=None,

@@ -4,7 +4,9 @@ The sampler builds its log-target once per chain (inference._chain_log_target)
 and keeps what does not change within the chain.  Both kinds, sigmoid-ratio
 and fixed effects, are compared, bit for bit, with the per-step oracle in
 _scalar_reference at a few hundred random states, including states outside
-the prior's support.  The error tests hold each failure that could occur
+the prior's support; the sigmoid-ratio kind both where it forms its weights
+from the null column and where, with a pmf and N_UNIT or more arms, every
+weight is 1.0 and it evaluates the state's theta alone.  The error tests hold each failure that could occur
 mid-chain to the exception the oracle raises, and check that warnings raised
 inside user callables (the prior and the proxy) still reach the caller.
 """
@@ -20,7 +22,7 @@ from _scalar_reference import metropolis_log_target, sigmoid_ratio_weights as or
 from relbayes import inference
 from relbayes.harness import smoking
 from relbayes.inference import ProxyObservation, _chain_log_target, metropolis_posterior
-from relbayes.models import (DegenerateRelevanceError, ModelSpec, SourceData,
+from relbayes.models import (N_UNIT, DegenerateRelevanceError, ModelSpec, SourceData,
                              binomial_logit_model, discrete_toy_model, linear_model,
                              sigmoid_ratio_weights)
 from relbayes.synthetic import gen_imprecise_estimate_proxy
@@ -96,19 +98,41 @@ def _two_intercept_model() -> ModelSpec:
                                log_likelihood=log_likelihood)
 
 
+def _first_arms(data: SourceData, n: int) -> SourceData:
+    return SourceData(data.covariates[:n], data.outcomes[:n], data.trial_counts[:n])
+
+
 class TestStepEqualsOracle:
-    @pytest.mark.parametrize("data_kind", ["partition", "small"])
-    def test_sigmoid_ratio_kind(self, partition, data_kind):
+    # data kind -> (psi spread, whether the step skips the null column): the
+    # 47-arm partition and its first N_UNIT arms take the one-column step,
+    # checked far into the tails; one arm fewer, and 7 random arms, whose
+    # wide psi moves the null pool from saturated weights to weights below
+    # 1, keep the weighted step
+    KINDS = {"partition": (15.0, True), "n-unit": (15.0, True),
+             "below-n-unit": (15.0, False), "small": (4.0, False)}
+
+    @pytest.mark.parametrize("data_kind", list(KINDS))
+    def test_sigmoid_ratio_kind(self, partition, monkeypatch, data_kind):
+        psi_sd, one_column = self.KINDS[data_kind]
         rng = np.random.default_rng(SEED)
         data, _, proxy = partition
         if data_kind == "small":
             data = _small_binomial(rng)
+        elif data_kind != "partition":
+            data = _first_arms(data, N_UNIT if data_kind == "n-unit" else N_UNIT - 1)
+        weight_calls = []
+
+        def counted(*args):
+            weight_calls.append(1)
+            return sigmoid_ratio_weights(*args)
+
+        monkeypatch.setattr(inference, "sigmoid_ratio_weights", counted)
         new, old = _new_and_old(binomial_logit_model(), data, proxy, smoking._normal_prior)
-        # wide psi moves the null pool from saturated weights to weights below 1
         states = np.hstack([rng.normal(0.0, 1.5, size=(N_STATES, 4)),
-                            rng.normal(0.0, 4.0, size=(N_STATES, 1))])
+                            rng.normal(0.0, psi_sd, size=(N_STATES, 1))])
         got = _assert_same_at(states, new, old)
         assert np.isfinite(got).all()
+        assert (len(weight_calls) == 0) == one_column
 
     def test_sigmoid_ratio_weights_keep_the_formula(self):
         """The weights the relevance module and the sampler share, clamped
@@ -216,6 +240,18 @@ class TestStepErrors:
         with pytest.raises(DegenerateRelevanceError, match="pooled likelihood"):
             metropolis_posterior(model, data, _box_prior(2.0), n_samples=1000, seed=3,
                                  init_psi=[0.0])
+
+    def test_zero_pooled_null_likelihood_unseen_on_the_one_column_step(self):
+        """With N_UNIT observations the step never forms the null pool, so
+        the state that makes the test above raise has a finite log-target."""
+        table = np.full((3, 3, 3), 1.0 / 3.0)
+        table[0, 2] = [0.5, 0.5, 0.0]
+        data = SourceData(np.empty((N_UNIT, 0)), np.resize([0, 2, 1], N_UNIT))
+        new, old = _new_and_old(discrete_toy_model(table), data, None, _box_prior(2.0))
+        state = np.array([1.0, 2.0])
+        assert new(state) == np.full(N_UNIT, np.log(1.0 / 3.0)).sum()
+        with pytest.raises(DegenerateRelevanceError, match="pooled likelihood"):
+            old(state)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_pos_inf_null_loglik_is_rejected_as_the_weight_check_did(self, linear_data):

@@ -96,13 +96,15 @@ def test_traced_smoking_partition_counts_one_evaluation_per_step(monkeypatch):
     assert tracer.counts["mcmc_chains"] == 2
     assert metrics["inference.metropolis_posterior.iters_per_unit"] == 2000
     # each chain evaluates its initial state, then one proposal per iteration:
-    # the weighted chain at (theta, 0) for 47 arms, 94 cells, and the
-    # fixed-effects chain one cell per arm at its own study's intercept, 47;
+    # the weighted chain at the state's theta only for 47 arms, 47 cells
+    # (with 47 >= N_UNIT arms every sigmoid-ratio weight is 1.0, so the null
+    # column is not evaluated), and the fixed-effects chain one cell per arm
+    # at its own study's intercept, 47;
     # then each predictive scores study 01's 3 arms at the 750 kept draws,
     # the classic one at 40 quadrature intercepts per draw
     assert metrics["models.loglik_tensor.calls_per_unit"] == 2 * 1001 + 2
     assert metrics["models.loglik_tensor.cells_per_unit"] == \
-        1001 * (94 + 47) + 3 * 750 * (1 + 40)
+        1001 * (47 + 47) + 3 * 750 * (1 + 40)
     # the weighted chain forms the sigmoid-ratio weights without the public call
     assert metrics["relevance.sigmoid_ratio_relevance.calls_per_unit"] == 0
 

@@ -6,11 +6,12 @@ import sys
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import expit
 
 from _scalar_reference import prior_expected_matrix, refine_prior_expected
 from relbayes import inference, models
 from relbayes.grids import ParameterGrid, build_grid, toy_grid
-from relbayes.harness import runner
+from relbayes.harness import runner, smoking
 from relbayes.harness.config import ExperimentConfig
 from relbayes.inference import GridProblem, proxy_loglik_vector, r_weighted_posterior
 from relbayes.models import (SourceData, binomial_logit_model,
@@ -64,7 +65,6 @@ class TestSigmoidRatio:
         lls = np.array([
             -0.5 * np.log(2 * np.pi)
             - 0.5 * (y - 0.3 * x[1]) ** 2 for x, y in zip(data.covariates, data.outcomes)])
-        from scipy.special import expit
         want = expit(np.exp(np.log(5.0) + lls - lls.sum()))
         assert_allclose(w, want, rtol=0, atol=1e-14)
 
@@ -80,6 +80,39 @@ class TestSigmoidRatio:
         data = SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(12)]))
         w = sigmoid_ratio_relevance(model, data, psi_target=0.3)
         assert np.all(w >= 0.0) and np.all(w <= 1.0)
+
+
+class TestSigmoidRatioBound:
+    """For a pmf every weight is at least sigmoid(n), exactly 1.0 in float64
+    from n = 37 on; models.N_UNIT adds one arm of margin."""
+
+    def test_n_unit_is_one_past_the_first_saturated_integer(self):
+        assert models.N_UNIT == 38
+        assert expit(float(models.N_UNIT - 1)) == 1.0
+        assert expit(float(models.N_UNIT - 2)) < 1.0
+
+    def test_every_packaged_partition_saturates(self):
+        """Every leave-one-study-out partition of the packaged smoking data
+        has every weight exactly 1.0 for intercepts across [-8, 4]."""
+        study_map = smoking.arms_by_study(smoking.ingest_smoking_csv(
+            smoking.packaged_smoking_path()))
+        model = binomial_logit_model()
+        assert len(study_map) == 24
+        for held in study_map:
+            data, _ = smoking._stacked_data({s: r for s, r in study_map.items() if s != held})
+            assert data.n >= models.N_UNIT, held
+            for psi in np.linspace(-8.0, 4.0, 49):
+                assert (sigmoid_ratio_relevance(model, data, psi) == 1.0).all(), (held, psi)
+
+    @pytest.mark.parametrize("n_arms, saturated", [(36, False), (37, True)])
+    def test_threshold_is_tight(self, n_arms, saturated):
+        """Arms of one trial and no event, at an intercept of -10, each have
+        probability 1 - sigmoid(-10), so the weights sit just above sigmoid(n):
+        below 1 at 36 arms, exactly 1 at 37."""
+        data = SourceData(np.zeros((n_arms, 4)), np.zeros(n_arms), np.ones(n_arms))
+        w = sigmoid_ratio_relevance(binomial_logit_model(), data, -10.0)
+        assert (w >= expit(float(n_arms))).all()
+        assert (w == 1.0).all() == saturated
 
 
 class TestPriorExpected:
@@ -181,9 +214,9 @@ class TestPriorExpected:
 
     def test_nan_belief_rejected(self):
         """A NaN mass once passed both comparisons and came back as a NaN
-        weight."""
+        weight.  The message prints the sum as a plain float."""
         data = SourceData([[1.0, 0.0]], [0.0])
-        with pytest.raises(ValueError, match="theta_belief sums to"):
+        with pytest.raises(ValueError, match="theta_belief sums to nan, expected 1"):
             prior_expected_relevance(linear_model(), data, [[0.0], [1.0]],
                                      [float("nan"), 1.0], 0.0)
 
