@@ -25,11 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from .config import ConfigError, ExperimentConfig, apply_overrides, config_echo, \
-    parse_config
+from .config import ConfigError, ExperimentConfig, apply_overrides, parse_config
 from .csvio import emit_csv, emit_metadata, read_csv
-from .runner import RunFailureError, results_rows, run_experiment, summary_rows, \
-    write_run_outputs
+from .runner import RunFailureError, finite_groups, results_rows, run_experiment, \
+    summary_rows, write_run_outputs
 from ..synthetic import task_rng
 from .smoking import BASELINE_NOTE, PARTITION_COLUMNS, PROXY_SETTINGS, \
     fit_study_intercepts, ingest_smoking_csv, packaged_smoking_path, partition_rows, \
@@ -151,9 +150,7 @@ def _smoking_body(config: ExperimentConfig) -> int:
     emit_csv(rows, out / "partitions.csv", columns=PARTITION_COLUMNS)
     emit_csv(summary_rows(rows, value_column="log_ratio", group_column="proxy_mode"),
              out / "summary.csv")
-    groups = {m: [r.log_ratio for r in results]
-              for m, results in zip(modes, per_mode)}
-    emit_boxplot_svg(groups, out / "boxplot.svg",
+    emit_boxplot_svg(finite_groups(rows, "log_ratio", "proxy_mode"), out / "boxplot.svg",
                      title="held-out predictive comparison",
                      y_label="log predictive ratio (weighted / classic)")
     emit_metadata(out / "run_metadata.txt", [
@@ -183,12 +180,8 @@ def _cmd_plot(args) -> int:
             value_col, group_col = "advantage", "label"
         else:
             raise ValueError(f"{path}: no advantage or log_ratio column to plot")
-        for row in rows:
-            if row.get("error"):
-                continue
-            v = row.get(value_col)
-            if isinstance(v, (int, float)) and np.isfinite(v):
-                groups.setdefault(str(row[group_col]), []).append(float(v))
+        for key, values in finite_groups(rows, value_col, group_col).items():
+            groups.setdefault(str(key), []).extend(values)
     if not groups:
         raise ValueError("nothing to plot after filtering failed rows")
     emit_boxplot_svg(groups, args.out, y_label=value_col)

@@ -242,16 +242,22 @@ def results_rows(results: list[SimulationResult], label: str) -> list[dict]:
     return rows
 
 
-def summary_rows(rows: list[dict], value_column: str = "advantage",
-                 group_column: str = "label") -> list[dict]:
-    from .svgplot import box_stats
+def finite_groups(rows: list[dict], value_column: str, group_column: str) -> dict:
+    """The finite numbers in value_column, as floats, grouped by group_column
+    in order of first appearance; a failed row's NaN value drops out."""
     groups: dict = {}
     for row in rows:
         v = row.get(value_column)
         if isinstance(v, (int, float)) and np.isfinite(v):
             groups.setdefault(row[group_column], []).append(float(v))
+    return groups
+
+
+def summary_rows(rows: list[dict], value_column: str = "advantage",
+                 group_column: str = "label") -> list[dict]:
+    from .svgplot import box_stats
     out = []
-    for label, vals in groups.items():
+    for label, vals in finite_groups(rows, value_column, group_column).items():
         s = box_stats(vals)
         out.append({group_column: label, "count": s.count, "q1": s.q1,
                     "median": s.median, "q3": s.q3, "whisker_lo": s.whisker_lo,
@@ -267,9 +273,8 @@ def write_run_outputs(config: ExperimentConfig, results: list[SimulationResult])
     columns = _CORE_COLUMNS + (_DIAG_COLUMNS if config.experiment == "toy-verify" else [])
     emit_csv(rows, out / "results.csv", columns=columns)
     emit_csv(summary_rows(rows), out / "summary.csv")
-    plot_groups = {label: [r.advantage for r in results
-                           if r.error is None and np.isfinite(r.advantage)]}
-    if plot_groups[label]:
+    plot_groups = finite_groups(rows, "advantage", "label")
+    if plot_groups:
         emit_boxplot_svg(plot_groups, out / "boxplot.svg",
                          title=f"{config.experiment} sweep",
                          y_label="IG advantage (weighted - classic)")

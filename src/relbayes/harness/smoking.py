@@ -6,11 +6,12 @@ binomial counts with a logit link: treatment effects are shared across
 studies, each study gets its own intercept.
 
 For each held-out study, the relevance-weighted learner pools the other
-studies' arms under sigmoid-ratio weights with an imprecise intercept
-estimate as proxy information, while the classic baseline fits per-study
-fixed effects and predicts the new study through the proxy alone.  Both
-posteriors come from the same random-walk sampler, so the external-sampler
-baseline of the original analysis is approximated rather than reproduced.
+studies' arms under sigmoid-ratio weights, its prior carrying an imprecise
+intercept estimate z ~ N(psi, sigma) as proxy information, while the
+classic baseline fits per-study fixed effects and predicts the new study
+through the proxy alone.  Both posteriors come from the same random-walk
+sampler, so the external-sampler baseline of the original analysis is
+approximated rather than reproduced.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from ..inference import metropolis_posterior
-from ..models import SourceData, binomial_logit_model, loglik_tensor, logsumexp
+from ..models import LOG_2PI, SourceData, binomial_logit_model, loglik_tensor, logsumexp
 from ..synthetic import gen_imprecise_estimate_proxy, task_rng
 
 TREATMENTS = ("A", "B", "C", "D")
@@ -137,6 +138,14 @@ def _normal_prior(theta: np.ndarray, psi: np.ndarray) -> float:
     return float(-(theta @ theta + psi @ psi) / (2.0 * PRIOR_SD ** 2))
 
 
+def _prior_with_proxy(z: float, sigma: float):
+    """The weighted chain's log prior: _normal_prior plus log N(z; psi, sigma),
+    the term gen_imprecise_estimate_proxy's likelihood evaluates."""
+    log_norm = -0.5 * LOG_2PI - float(np.log(sigma))
+    return lambda theta, psi: (_normal_prior(theta, psi)
+                               + (log_norm - 0.5 * ((z - float(psi[0])) / sigma) ** 2))
+
+
 def fit_study_intercepts(records, n_samples: int, seed: int) -> dict:
     """Posterior-mean intercept per study from the all-data fixed-effects fit."""
     study_map = arms_by_study(records)
@@ -236,15 +245,14 @@ def run_smoking_comparison(records, proxy_mode: str, seed: int, n_samples: int =
     for k, held in enumerate(study_map):
         rng = task_rng(seed, k + 1)
         psi_star = float(intercepts[held])
-        proxy = gen_imprecise_estimate_proxy(psi_star, sigma, biased, rng)
-        z = float(proxy.payload)
+        z = float(gen_imprecise_estimate_proxy(psi_star, sigma, biased, rng).payload)
 
         rest = {s: recs for s, recs in study_map.items() if s != held}
         data, groups = _stacked_data(rest)
 
         chain_r = metropolis_posterior(
-            model, data, _normal_prior, n_samples=n_samples,
-            seed=int(rng.integers(2 ** 31)), proxy=proxy, init_psi=np.array([z]))
+            model, data, _prior_with_proxy(z, sigma), n_samples=n_samples,
+            seed=int(rng.integers(2 ** 31)), init_psi=np.array([z]))
         chain_c = metropolis_posterior(
             model, data, _normal_prior, n_samples=n_samples,
             seed=int(rng.integers(2 ** 31)), groups=groups)

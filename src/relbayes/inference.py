@@ -4,8 +4,8 @@ Two engines cover every model here: exact grid quadrature when the joint
 parameter dimension is small, and random-walk Metropolis when it is not
 (both legs of the smoking case study: the sigmoid-ratio weighted target,
 and, given a groups partition, the fixed-effects target with one intercept
-per study).  All mass
-accumulation happens in log space through log-sum-exp, with one exception:
+per study; a proxy enters the sampler as a term of its prior density).  All
+mass accumulation happens in log space through log-sum-exp, with one exception:
 the belief average behind the prior-expected relevance weights
 (relevance.py) shifts each observation's log-likelihoods by their peak over
 theta, exponentiates them once, and averages them in the exp domain.
@@ -246,7 +246,6 @@ class McmcChain:
     theta_samples: np.ndarray
     psi_samples: np.ndarray
     acceptance_rate: float
-    seed: int
     warning: Optional[str] = None
 
 
@@ -262,7 +261,7 @@ def _state_part(value, size: int, name: str) -> np.ndarray:
     return arr
 
 
-def _chain_log_target(model: ModelSpec, data: SourceData, proxy, prior_log_density,
+def _chain_log_target(model: ModelSpec, data: SourceData, prior_log_density,
                       obs_group: Optional[np.ndarray]):
     """The sampler's log-target as a function of the stacked (theta, psi) state.
 
@@ -274,8 +273,8 @@ def _chain_log_target(model: ModelSpec, data: SourceData, proxy, prior_log_densi
     with at least models.N_UNIT observations has every weight exactly 1.0,
     so its step sums one column, the state's theta, with no null column and
     no weights; any other model or size keeps the (2, k_theta) theta rows,
-    whose null row stays zero, and log n.  A state of non-finite prior
-    density is rejected before any model call.
+    whose null row stays zero, and log n.  A state of infinite prior
+    density is rejected before any model call, and a NaN one raises.
     """
     k_theta, n = model.k_theta, data.n
 
@@ -305,40 +304,39 @@ def _chain_log_target(model: ModelSpec, data: SourceData, proxy, prior_log_densi
         theta, psi = vec[:k_theta], vec[k_theta:]
         lp = prior_log_density(theta, psi)
         if not math.isfinite(lp):
+            if math.isnan(lp):
+                raise FloatingPointError(f"NaN log prior density at state {vec}")
             return -math.inf
-        ll = log_lik(theta, psi)
-        if proxy is not None:
-            ll += float(proxy_loglik_vector(proxy, psi[None, :])[0])
-        return lp + ll
+        return lp + log_lik(theta, psi)
 
     return log_target
 
 
 def metropolis_posterior(model: ModelSpec, data: SourceData, prior_log_density, *,
-                         n_samples: int, seed: int, proxy=None, groups=None,
-                         init_psi=None, proposal_scale=0.5) -> McmcChain:
+                         n_samples: int, seed: int, groups=None, init_psi=None,
+                         proposal_scale=0.5) -> McmcChain:
     """Gaussian random-walk Metropolis over the stacked (theta, psi) state.
 
-    groups selects one of two targets.  Without it the target is the
-    relevance-weighted joint density, with the proxy log-likelihood added,
-    under the weights of relevance.sigmoid_ratio_relevance, formed without
+    The target is prior_log_density(theta, psi), which carries any proxy
+    term in psi, plus a log-likelihood that groups selects.  Without groups
+    it is weighted by relevance.sigmoid_ratio_relevance, formed without
     calling it: the model is evaluated at the two theta rows (theta, 0) and
-    the state's psi, and the null column feeds models.sigmoid_ratio_weights,
-    as in that function.  With a groups partition the target is instead the
-    known-groups likelihood where psi holds one intercept per group, stacked
-    in group order (the classic fixed-effects baseline); each observation is
-    evaluated at its own group's intercept, one cell per observation.  That
-    target reads no proxy, so a proxy beside groups is rejected.
+    the state's psi, and the null column feeds models.sigmoid_ratio_weights.
+    With a groups partition it is the known-groups likelihood where psi
+    holds one intercept per group, stacked in group order (the classic
+    fixed-effects baseline), one cell per observation at its group's
+    intercept.
 
     Each step evaluates the model once: one loglik_tensor call per proposed
     state, of n x 2 cells for the sigmoid-ratio target and n cells for
-    fixed effects.  A proposal of non-finite prior density is rejected
-    without a model call.  The log-target is built once per chain, with its
-    per-chain constants: the null theta row and log n of the sigmoid ratio
-    and, for fixed effects, one index that gathers every observation's group
-    intercept from psi.  The sigmoid-ratio weights are neither range-checked
-    nor masked: models.sigmoid_ratio_weights raises unless the pooled null
-    log-likelihood is finite, and then every weight lies in [0.5, 1].
+    fixed effects.  A proposal of infinite prior density is rejected
+    without a model call; a NaN one raises.  The log-target is built once
+    per chain, with its per-chain constants: the null theta row and log n of
+    the sigmoid ratio and, for fixed effects, one index that gathers every
+    observation's group intercept from psi.  The sigmoid-ratio weights are
+    neither range-checked nor masked: models.sigmoid_ratio_weights raises
+    unless the pooled null log-likelihood is finite, and then every weight
+    lies in [0.5, 1].
 
     For a pmf model (no log_predictive_mode_density) each weight is at least
     sigmoid(n), which is exactly 1.0 in float64 from n = 37 on.  From n =
@@ -373,9 +371,6 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, prior_log_density, 
     if groups is None:
         psi_dim = model.k_psi
     else:
-        if proxy is not None:
-            raise ValueError("the fixed-effects target, given groups, reads no proxy; "
-                             "pass proxy=None")
         groups = _check_groups(groups, data.n)
         psi_dim = model.k_psi * len(groups)
         obs_group = np.empty(data.n, dtype=int)
@@ -391,7 +386,7 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, prior_log_density, 
         raise ValueError(f"proposal_scale entries must be positive and finite, got {scales}")
     state = np.concatenate([model.theta_support.mean(axis=1), psi0])
 
-    log_target = _chain_log_target(model, data, proxy, prior_log_density, obs_group)
+    log_target = _chain_log_target(model, data, prior_log_density, obs_group)
     current = log_target(state)
     if not np.isfinite(current):
         raise McmcInitError(f"log-target is {current} at the initial state")
@@ -408,21 +403,18 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, prior_log_density, 
     for it in range(n_samples):
         prop = state + scales * rng.standard_normal(dim)
         cand = log_target(prop)
-        if np.log(rng.random()) < cand - current:
+        accept = bool(np.log(rng.random()) < cand - current)
+        if accept:
             state, current = prop, cand
-            window_accepts += 1
-            if it >= burn:
-                accepted_post += 1
-        if it < burn and (it + 1) % window == 0:
-            rate = window_accepts / window
-            scales *= np.exp(rate - ACCEPT_TARGET)
-            window_accepts = 0
-        elif (it + 1) % window == 0:
-            window_accepts = 0
-        if it >= burn:
-            j = it - burn
-            kept_theta[j] = state[:k_theta]
-            kept_psi[j] = state[k_theta:]
+        if it < burn:
+            window_accepts += accept
+            if (it + 1) % window == 0:
+                scales *= np.exp(window_accepts / window - ACCEPT_TARGET)
+                window_accepts = 0
+        else:
+            accepted_post += accept
+            kept_theta[it - burn] = state[:k_theta]
+            kept_psi[it - burn] = state[k_theta:]
 
     rate = accepted_post / keep
     warning = None
@@ -430,7 +422,7 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, prior_log_density, 
         warning = f"acceptance rate {rate:.3f} outside {ACCEPT_BAND} after adaptation"
         warnings.warn(warning, RuntimeWarning)
     return McmcChain(theta_samples=kept_theta, psi_samples=kept_psi,
-                     acceptance_rate=rate, seed=seed, warning=warning)
+                     acceptance_rate=rate, warning=warning)
 
 
 # ---------------------------------------------------------------------------

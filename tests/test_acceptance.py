@@ -222,16 +222,16 @@ class TestCriterion3EngineCrossValidation:
         assert (sigmoid_ratio_relevance(model, data, [node]) == 1.0).all()
         pin_sd = 1e-4
 
-        def pll(payload, psi_nodes):
-            return -0.5 * ((psi_nodes[:, 0] - node) / pin_sd) ** 2
+        def pin_ld(psi):
+            return -0.5 * ((psi[0] - node) / pin_sd) ** 2
 
         def prior_ld(theta, psi):
-            return float(-0.5 * theta[0] ** 2
-                         - 0.5 * ((psi[0] - node) / pin_sd) ** 2)
+            # the pin's term twice: in the prior, and as the proxy term the
+            # prior density carries
+            return float(-0.5 * theta[0] ** 2 + pin_ld(psi)) + pin_ld(psi)
 
         chain = metropolis_posterior(
             model, data, prior_ld, n_samples=40_000, seed=5,
-            proxy=ProxyObservation(payload=None, proxy_log_likelihood=pll),
             init_psi=[node], proposal_scale=np.array([0.4, pin_sd]))
         tv = chain_grid_tv(chain, classic, marginal="theta")
         _verdict("criterion 3, sampler leg", tv < TV_BUDGET,
@@ -267,10 +267,12 @@ def test_criterion_4_sampler_matches_grid_table():
                                  proxy_loglik_vector(proxy, grid.psi_nodes))
 
     def prior_ld(theta, psi):
-        return float(-0.5 * (theta[0] ** 2 + psi[0] ** 2))
+        # the proxy's log-likelihood in psi is one more term of the prior
+        return (float(-0.5 * (theta[0] ** 2 + psi[0] ** 2))
+                + float(proxy_loglik_vector(proxy, psi[None, :])[0]))
 
     chain = metropolis_posterior(model, data, prior_ld, n_samples=200_000, seed=99,
-                                 proxy=proxy, init_psi=[0.0])
+                                 init_psi=[0.0])
     tv = chain_grid_tv(chain, table)
     elapsed = time.perf_counter() - start
     _verdict("criterion 4, sampler against grid table",

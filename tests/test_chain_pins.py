@@ -24,6 +24,8 @@ from relbayes.inference import metropolis_posterior
 from relbayes.models import binomial_logit_model
 from relbayes.synthetic import gen_imprecise_estimate_proxy
 
+PROXY_SD = 1.0
+
 N_SAMPLES = 2000
 WEIGHTED = ("7ae8f3cbe89e70986acdb55746dacf668f621f72d384021c2b9d7b995d6a20d2",
             0.04933333333333333)
@@ -52,19 +54,21 @@ def study_map():
 
 @pytest.fixture(scope="module")
 def partition(study_map):
-    """The source data, groups and proxy of the partition holding out study 01."""
+    """The source data, groups and proxy value z of the partition holding out study 01."""
     rest = {s: records for s, records in study_map.items() if s != "01"}
     data, groups = smoking._stacked_data(rest)
     assert (data.n, len(groups)) == (47, 23)
-    proxy = gen_imprecise_estimate_proxy(0.25, 1.0, False, np.random.default_rng(7))
-    return data, groups, proxy
+    proxy = gen_imprecise_estimate_proxy(0.25, PROXY_SD, False, np.random.default_rng(7))
+    return data, groups, proxy.payload
 
 
 def test_weighted_chain_is_pinned(partition):
-    data, _, proxy = partition
-    chain = metropolis_posterior(binomial_logit_model(), data, smoking._normal_prior,
-                                 n_samples=N_SAMPLES, seed=101, proxy=proxy,
-                                 init_psi=np.array([proxy.payload]))
+    """The proxy's N(z; psi, 1) log-density enters through the chain's prior,
+    as the sweep passes it."""
+    data, _, z = partition
+    chain = metropolis_posterior(binomial_logit_model(), data,
+                                 smoking._prior_with_proxy(z, PROXY_SD),
+                                 n_samples=N_SAMPLES, seed=101, init_psi=np.array([z]))
     assert _pin(chain) == WEIGHTED
 
 

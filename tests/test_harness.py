@@ -779,7 +779,7 @@ class TestSmokingPredictives:
         rng = np.random.default_rng(RNG_SEED)
         chain = McmcChain(theta_samples=rng.normal(-2.0, 0.5, size=(self.S, 4)),
                           psi_samples=rng.normal(0.0, 0.5, size=(self.S, 1)),
-                          acceptance_rate=0.3, seed=0)
+                          acceptance_rate=0.3)
         return held, chain
 
     def test_rweighted_pairs_each_theta_with_its_psi(self):

@@ -179,15 +179,6 @@ class TestProxyLoglikVector:
         with pytest.raises(ValueError, match="psi_nodes"):
             proxy_loglik_vector(_normal_proxy(0.3), self.NODES[:, 0])
 
-    def test_metropolis_goes_through_the_check(self):
-        model = linear_model()
-        data = SourceData([[1.0, 0.0]], [0.0])
-        legacy = ProxyObservation(payload=0.3,
-                                  proxy_log_likelihood=lambda z, psi: -0.5)
-        with pytest.raises(ValueError, match="shape"):
-            metropolis_posterior(model, data, lambda t, p: 0.0, n_samples=1000, seed=0,
-                                 proxy=legacy)
-
 
 class TestPosteriorTable:
     def test_nan_joint_mass_rejected(self):
@@ -530,12 +521,17 @@ class TestMetropolis:
 
     def test_proxy_shifts_target_parameter(self):
         """Covariates [1, 0] keep psi out of the likelihood and of the
-        sigmoid-ratio weights, so psi sees only its prior and the proxy."""
+        sigmoid-ratio weights, so psi sees only its prior and the proxy,
+        whose log-likelihood in psi the prior density carries."""
         model = linear_model()
         data = SourceData([[1.0, 0.0]], [0.0])
         proxy = _normal_proxy(2.0, sigma=0.5)
-        chain = metropolis_posterior(model, data, self._std_normal_prior,
-                                     n_samples=40000, seed=7, proxy=proxy)
+
+        def prior_with_proxy(theta, psi):
+            return (self._std_normal_prior(theta, psi)
+                    + float(proxy_loglik_vector(proxy, psi[None, :])[0]))
+
+        chain = metropolis_posterior(model, data, prior_with_proxy, n_samples=40000, seed=7)
         # N(0,1) prior times N(2, 0.25) likelihood: mean 2/(1 + 0.25)
         assert_allclose(chain.psi_samples.mean(), 1.6, atol=0.06)
 
@@ -547,15 +543,6 @@ class TestMetropolis:
                                      n_samples=2000, seed=3, groups=[[0, 1], [2], [3]])
         assert chain.psi_samples.shape == (1500, 3)
         assert chain.theta_samples.shape == (1500, 1)
-
-    def test_proxy_rejected_without_weights(self):
-        """The fixed-effects target reads no proxy, so one passed to it is
-        refused rather than ignored."""
-        model = linear_model()
-        data = SourceData([[1.0, 0.0], [0.5, 1.0]], [0.0, 0.2])
-        with pytest.raises(ValueError, match="proxy"):
-            metropolis_posterior(model, data, self._std_normal_prior, n_samples=1000, seed=0,
-                                 proxy=_normal_proxy(0.3), groups=[[0], [1]])
 
     def test_groups_must_partition(self):
         model = linear_model()

@@ -6,9 +6,12 @@ and fixed effects, are compared, bit for bit, with the per-step oracle in
 _scalar_reference at a few hundred random states, including states outside
 the prior's support; the sigmoid-ratio kind both where it forms its weights
 from the null column and where, with a pmf and N_UNIT or more arms, every
-weight is 1.0 and it evaluates the state's theta alone.  The error tests hold each failure that could occur
-mid-chain to the exception the oracle raises, and check that warnings raised
-inside user callables (the prior and the proxy) still reach the caller.
+weight is 1.0 and it evaluates the state's theta alone.  The smoking
+weighted chain's prior, which carries the proxy's log-density, is held to
+the oracle's retired proxy argument.  The error tests hold each failure
+that could occur mid-chain to the exception the oracle raises, and check
+that warnings raised inside user callables (the prior and the model) still
+reach the caller.
 """
 
 import dataclasses
@@ -16,12 +19,12 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
 from _scalar_reference import metropolis_log_target, sigmoid_ratio_weights as oracle_weights
 from relbayes import inference
 from relbayes.harness import smoking
-from relbayes.inference import ProxyObservation, _chain_log_target, metropolis_posterior
+from relbayes.inference import _chain_log_target, metropolis_posterior
 from relbayes.models import (N_UNIT, DegenerateRelevanceError, ModelSpec, SourceData,
                              binomial_logit_model, discrete_toy_model, linear_model,
                              sigmoid_ratio_weights)
@@ -29,6 +32,7 @@ from relbayes.synthetic import gen_imprecise_estimate_proxy
 
 N_STATES = 240
 SEED = 20261018
+PROXY_SD = 3.0
 
 
 def _std_normal_prior(theta, psi):
@@ -52,10 +56,10 @@ def _obs_group(groups, n):
     return obs_group
 
 
-def _new_and_old(model, data, proxy, prior, groups=None):
+def _new_and_old(model, data, prior, groups=None):
     obs_group = None if groups is None else _obs_group(groups, data.n)
-    return (_chain_log_target(model, data, proxy, prior, obs_group),
-            metropolis_log_target(model, data, proxy, prior, groups))
+    return (_chain_log_target(model, data, prior, obs_group),
+            metropolis_log_target(model, data, None, prior, groups))
 
 
 def _assert_same_at(states, new, old):
@@ -70,10 +74,11 @@ def _assert_same_at(states, new, old):
 
 @pytest.fixture(scope="module")
 def partition():
-    """The 47 arms, 23 groups and a weak proxy of the partition holding out study 01."""
+    """The 47 arms, 23 groups and a weak proxy (sd PROXY_SD) of the partition
+    holding out study 01."""
     study_map = smoking.arms_by_study(smoking.ingest_smoking_csv(smoking.packaged_smoking_path()))
     data, groups = smoking._stacked_data({s: r for s, r in study_map.items() if s != "01"})
-    proxy = gen_imprecise_estimate_proxy(0.25, 3.0, False, np.random.default_rng(7))
+    proxy = gen_imprecise_estimate_proxy(0.25, PROXY_SD, False, np.random.default_rng(7))
     return data, groups, proxy
 
 
@@ -127,12 +132,33 @@ class TestStepEqualsOracle:
             return sigmoid_ratio_weights(*args)
 
         monkeypatch.setattr(inference, "sigmoid_ratio_weights", counted)
-        new, old = _new_and_old(binomial_logit_model(), data, proxy, smoking._normal_prior)
+        new, old = _new_and_old(binomial_logit_model(), data,
+                                smoking._prior_with_proxy(proxy.payload, PROXY_SD))
         states = np.hstack([rng.normal(0.0, 1.5, size=(N_STATES, 4)),
                             rng.normal(0.0, psi_sd, size=(N_STATES, 1))])
         got = _assert_same_at(states, new, old)
         assert np.isfinite(got).all()
         assert (len(weight_calls) == 0) == one_column
+
+    @pytest.mark.parametrize("mode", sorted(smoking.PROXY_SETTINGS))
+    def test_smoking_prior_carries_the_proxy_term(self, partition, mode):
+        """The weighted chain's prior with the proxy term folded in gives the
+        log-target the oracle forms from the plain prior and the proxy
+        observation, to rounding in the order of the sum, under every proxy
+        setting of the sweep."""
+        rng = np.random.default_rng(SEED)
+        data, _, _ = partition
+        sigma, biased = smoking.PROXY_SETTINGS[mode]
+        proxy = gen_imprecise_estimate_proxy(0.25, sigma, biased, rng)
+        model = binomial_logit_model()
+        new = _chain_log_target(model, data, smoking._prior_with_proxy(proxy.payload, sigma),
+                                None)
+        old = metropolis_log_target(model, data, proxy, smoking._normal_prior)
+        states = np.hstack([rng.normal(0.0, 1.5, size=(200, 4)),
+                            rng.normal(proxy.payload, 4.0, size=(200, 1))])
+        got = np.array([new(v) for v in states])
+        assert np.isfinite(got).all()
+        assert_allclose(got, [old(v) for v in states], rtol=1e-12, atol=0)
 
     def test_sigmoid_ratio_weights_keep_the_formula(self):
         """The weights the relevance module and the sampler share, clamped
@@ -169,14 +195,14 @@ class TestStepEqualsOracle:
             model, prior = _two_intercept_model(), _std_normal_prior
             data = SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(9)]))
             groups = [[0, 4], [1, 2, 8], [3], [5, 6, 7]]
-        new, old = _new_and_old(model, data, None, prior, groups)
+        new, old = _new_and_old(model, data, prior, groups)
         dim = model.k_theta + model.k_psi * len(groups)
         _assert_same_at(rng.normal(0.0, 1.5, size=(N_STATES, dim)), new, old)
 
     # the target's relevance weights: sigmoid-ratio, or None for fixed effects
     @pytest.mark.parametrize("weights", ["sigmoid-ratio", None])
     def test_neg_inf_prior_makes_no_model_call(self, partition, monkeypatch, weights):
-        data, groups, proxy = partition
+        data, groups, _ = partition
         calls = []
 
         def counted(name, fn):
@@ -187,12 +213,9 @@ class TestStepEqualsOracle:
 
         monkeypatch.setattr(inference, "loglik_tensor",
                             counted("loglik_tensor", inference.loglik_tensor))
-        monkeypatch.setattr(inference, "proxy_loglik_vector",
-                            counted("proxy", inference.proxy_loglik_vector))
         obs_group = _obs_group(groups, data.n) if weights is None else None
         psi_dim = len(groups) if weights is None else 1
-        log_target = _chain_log_target(binomial_logit_model(), data,
-                                       proxy if weights else None, _box_prior(1.0), obs_group)
+        log_target = _chain_log_target(binomial_logit_model(), data, _box_prior(1.0), obs_group)
         outside = np.full(4 + psi_dim, 0.5)
         outside[0] = -0.1
         assert log_target(outside) == -np.inf
@@ -230,6 +253,20 @@ class TestStepErrors:
             metropolis_posterior(_nan_from_call(linear_model(), 50), linear_data,
                                  _std_normal_prior, n_samples=1000, seed=3, groups=groups)
 
+    @pytest.mark.parametrize("first_nan", [1, 500], ids=["start", "mid-chain"])
+    def test_nan_prior_raises(self, linear_data, first_nan):
+        """A NaN prior density, a proxy term's NaN included, raises where it
+        appears rather than reading as a rejection."""
+        calls = [0]
+
+        def prior(theta, psi):
+            calls[0] += 1
+            return np.nan if calls[0] >= first_nan else _std_normal_prior(theta, psi)
+
+        with pytest.raises(FloatingPointError, match=r"NaN log prior density at state \["):
+            metropolis_posterior(linear_model(), linear_data, prior, n_samples=1000, seed=3)
+        assert calls[0] == first_nan
+
     def test_zero_pooled_null_likelihood_raises(self):
         """Outcome 2 is impossible at the null theta node once psi reaches
         node 2, so the pooled null likelihood there is zero."""
@@ -247,7 +284,7 @@ class TestStepErrors:
         table = np.full((3, 3, 3), 1.0 / 3.0)
         table[0, 2] = [0.5, 0.5, 0.0]
         data = SourceData(np.empty((N_UNIT, 0)), np.resize([0, 2, 1], N_UNIT))
-        new, old = _new_and_old(discrete_toy_model(table), data, None, _box_prior(2.0))
+        new, old = _new_and_old(discrete_toy_model(table), data, _box_prior(2.0))
         state = np.array([1.0, 2.0])
         assert new(state) == np.full(N_UNIT, np.log(1.0 / 3.0)).sum()
         with pytest.raises(DegenerateRelevanceError, match="pooled likelihood"):
@@ -265,11 +302,11 @@ class TestStepErrors:
             return out
 
         model = dataclasses.replace(base, log_likelihood=log_likelihood)
-        for log_target in _new_and_old(model, linear_data, None, _std_normal_prior):
+        for log_target in _new_and_old(model, linear_data, _std_normal_prior):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 log_target(np.array([0.3, 0.1]))
 
-    @pytest.mark.parametrize("where", ["prior", "proxy"])
+    @pytest.mark.parametrize("where", ["prior", "model"])
     def test_warnings_in_user_callables_reach_the_caller(self, linear_data, where):
         calls = [0]
 
@@ -283,15 +320,17 @@ class TestStepErrors:
                 overflow_after_start()
             return _std_normal_prior(theta, psi)
 
-        def proxy_log_likelihood(payload, psi_nodes):
-            if where == "proxy":
-                overflow_after_start()
-            return -0.5 * (payload - psi_nodes[:, 0]) ** 2
+        base = linear_model()
 
+        def log_likelihood(data, thetas, psis):
+            if where == "model":
+                overflow_after_start()
+            return base.log_likelihood(data, thetas, psis)
+
+        model = dataclasses.replace(base, log_likelihood=log_likelihood)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            metropolis_posterior(linear_model(), linear_data, prior, n_samples=1000, seed=3,
-                                 proxy=ProxyObservation(0.2, proxy_log_likelihood))
+            metropolis_posterior(model, linear_data, prior, n_samples=1000, seed=3)
         assert any(issubclass(w.category, RuntimeWarning) and "overflow" in str(w.message)
                    for w in caught)
 

@@ -107,6 +107,8 @@ def test_traced_smoking_partition_counts_one_evaluation_per_step(monkeypatch):
         1001 * (47 + 47) + 3 * 750 * (1 + 40)
     # the weighted chain forms the sigmoid-ratio weights without the public call
     assert metrics["relevance.sigmoid_ratio_relevance.calls_per_unit"] == 0
+    # and reads its proxy through its prior density, not the proxy entry point
+    assert metrics["inference.proxy_loglik_vector.calls_per_unit"] == 0
 
 
 @pytest.mark.filterwarnings("ignore:acceptance rate")

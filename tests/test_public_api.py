@@ -55,8 +55,8 @@ P, K = "POSITIONAL_OR_KEYWORD", "KEYWORD_ONLY"
 SIGNATURES = {
     relbayes.metropolis_posterior: [
         ("model", P, True), ("data", P, True), ("prior_log_density", P, True),
-        ("n_samples", K, True), ("seed", K, True), ("proxy", K, False),
-        ("groups", K, False), ("init_psi", K, False), ("proposal_scale", K, False)],
+        ("n_samples", K, True), ("seed", K, True), ("groups", K, False),
+        ("init_psi", K, False), ("proposal_scale", K, False)],
     relbayes.discrete_toy_model: [("table", P, True)],
     relbayes.chain_grid_tv: [("chain", P, True), ("table", P, True), ("marginal", P, False)],
     relbayes.harness.write_run_outputs: [("config", P, True), ("results", P, True)],
