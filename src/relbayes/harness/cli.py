@@ -3,32 +3,31 @@
 Subcommands:
 
   run CONFIG       run the experiment described by a config file
-  verify           toy-scale diagnostics suite with exact enumeration checks
+  verify           run's toy-verify sweep on 20 built-in random toy instances
   smoking [CSV] [MODE]
                    leave-one-study-out case study (defaults: packaged data,
                    all three proxy modes)
   plot CSV [CSV..] boxplot SVG from previously emitted results
 
-Flags --seed, --out, --jobs override the corresponding config values;
-run also takes --grid, which only the experiments with a parameter grid
-(linear, gp) accept.  smoking's arguments are checked as config values
-are.  Exit codes: 0 success, 1 invalid input, 2 runtime failure.
-"""
+run, verify and smoking build one config and run it on one path: --seed,
+--out and --jobs override its values, and run's --grid applies to linear
+and gp only.  A toy-verify run, verify's or run's, prints each instance's
+verdict too.  Exit codes: 0 success, 1 invalid input, 2 runtime failure
+(too many failed simulations, or a failed toy-verify instance)."""
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .. import __version__
 from .config import ConfigError, ExperimentConfig, apply_overrides, parse_config
-from .csvio import emit_csv, emit_metadata, read_csv
-from .runner import RunFailureError, finite_groups, results_rows, run_experiment, \
-    summary_rows, write_run_outputs
+from .csvio import read_csv
+from .runner import RunFailureError, finite_groups, map_jobs, run_experiment, \
+    write_outputs, write_run_outputs
 from ..synthetic import task_rng
 from .smoking import BASELINE_NOTE, PARTITION_COLUMNS, PROXY_SETTINGS, \
     fit_study_intercepts, ingest_smoking_csv, packaged_smoking_path, partition_rows, \
@@ -78,49 +77,54 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-def _cmd_run(args) -> int:
-    config = apply_overrides(parse_config(args.config), seed=args.seed,
-                             out=args.out, jobs=args.jobs, grid=args.grid)
+def _config(args) -> ExperimentConfig:
+    """run's config file, verify's 20 toy instances or smoking's arguments."""
+    if args.command == "run":
+        config = parse_config(args.config)
+    elif args.command == "verify":
+        config = ExperimentConfig(experiment="toy-verify", n_simulations=20)
+    else:
+        config = ExperimentConfig(experiment="smoking", smoking_csv=args.csv,
+                                  proxy_mode=args.mode, mcmc_samples=args.samples)
+    return apply_overrides(config, seed=args.seed, out=args.out, jobs=args.jobs,
+                           grid=getattr(args, "grid", None))
+
+
+def _toy_failures(results) -> int:
+    """Print each toy instance's verdict and the overall one; the number failed."""
+    failures = 0
+    for r in results:
+        d = r.diagnostics
+        ok = r.error is None and (abs(d.decomposition_residual) < RESIDUAL_TOL
+                                  and d.bound_classic.satisfied
+                                  and d.delta_classic >= 0.0 and d.delta_rweighted >= 0.0
+                                  and d.entropy_true >= 0.0)
+        if r.error is not None:
+            print(f"instance {r.seed}: FAIL ({r.error})")
+        else:
+            print(f"instance {r.seed}: {'pass' if ok else 'FAIL'} "
+                  f"(residual {d.decomposition_residual:.2e}, "
+                  f"bound {'ok' if d.bound_classic.satisfied else 'VIOLATED'})")
+        failures += not ok
+    print(f"{failures} of {len(results)} instances failed" if failures
+          else f"all {len(results)} instances verified")
+    return failures
+
+
+def _run(config: ExperimentConfig) -> int:
     if config.experiment == "smoking":
         return _smoking_body(config)
     results = run_experiment(config)
-    out = write_run_outputs(config, results)
-    for row in summary_rows(results_rows(results, config.group_label())):
+    summary = write_run_outputs(config, results)
+    failures = _toy_failures(results) if config.experiment == "toy-verify" else 0
+    for row in summary:
         print(f"{row['label']}: median advantage {row['median']:+.4f} "
               f"over {row['count']} simulations")
     times = [r.wall_time_ms for r in results]
     print(f"wall time per simulation: median {np.median(times):g} ms, "
           f"max {max(times)} ms over {len(times)} simulations")
-    print(f"outputs in {out}")
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    config = apply_overrides(
-        ExperimentConfig(experiment="toy-verify", n_simulations=20),
-        seed=args.seed, out=args.out, jobs=args.jobs)
-    results = run_experiment(config)
-    write_run_outputs(config, results)
-    failures = 0
-    for r in results:
-        if r.error is not None:
-            print(f"instance {r.seed}: FAIL ({r.error})")
-            failures += 1
-            continue
-        d = r.diagnostics
-        ok = (abs(d.decomposition_residual) < RESIDUAL_TOL
-              and d.bound_classic.satisfied
-              and d.delta_classic >= 0.0 and d.delta_rweighted >= 0.0
-              and d.entropy_true >= 0.0)
-        print(f"instance {r.seed}: {'pass' if ok else 'FAIL'} "
-              f"(residual {d.decomposition_residual:.2e}, "
-              f"bound {'ok' if d.bound_classic.satisfied else 'VIOLATED'})")
-        failures += 0 if ok else 1
-    if failures:
-        print(f"{failures} of {len(results)} instances failed")
-        return 2
-    print(f"all {len(results)} instances verified")
-    return 0
+    print(f"outputs in {Path(config.output_dir)}")
+    return 2 if failures else 0
 
 
 def _mode_task(packed):
@@ -136,35 +140,19 @@ def _smoking_body(config: ExperimentConfig) -> int:
     modes = sorted(PROXY_SETTINGS) if config.proxy_mode == "all" else [config.proxy_mode]
     intercepts = fit_study_intercepts(
         records, n_samples, int(task_rng(seed, 0).integers(2 ** 31)))
-    tasks = [(records, m, seed + k + 1, n_samples, intercepts)
-             for k, m in enumerate(modes)]
-    if config.parallelism > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(config.parallelism, len(tasks))) as pool:
-            per_mode = list(pool.map(_mode_task, tasks))
-    else:
-        per_mode = [_mode_task(t) for t in tasks]
-
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = [row for results in per_mode for row in partition_rows(results)]
-    emit_csv(rows, out / "partitions.csv", columns=PARTITION_COLUMNS)
-    emit_csv(summary_rows(rows, value_column="log_ratio", group_column="proxy_mode"),
-             out / "summary.csv")
-    emit_boxplot_svg(finite_groups(rows, "log_ratio", "proxy_mode"), out / "boxplot.svg",
-                     title="held-out predictive comparison",
-                     y_label="log predictive ratio (weighted / classic)")
-    emit_metadata(out / "run_metadata.txt", [
-        f"relbayes {__version__}",
-        f"data: {path}",
-        f"seed = {seed}", f"mcmc_samples = {n_samples}",
-        f"modes = {','.join(modes)}",
-        BASELINE_NOTE,
-    ])
-    for m, results in zip(modes, per_mode):
-        med = float(np.median([r.log_ratio for r in results]))
-        print(f"{m}: median log predictive ratio {med:+.4f} "
-              f"over {len(results)} partitions")
-    print(f"outputs in {out}")
+    per_mode = map_jobs(_mode_task, [(records, m, seed + k + 1, n_samples, intercepts)
+                                     for k, m in enumerate(modes)], config.parallelism)
+    summary = write_outputs(
+        config.output_dir, "partitions.csv",
+        [row for results in per_mode for row in partition_rows(results)],
+        PARTITION_COLUMNS, "log_ratio", "proxy_mode", "held-out predictive comparison",
+        "log predictive ratio (weighted / classic)",
+        [f"relbayes {__version__}", f"data: {path}", f"seed = {seed}",
+         f"mcmc_samples = {n_samples}", f"modes = {','.join(modes)}", BASELINE_NOTE])
+    for row in summary:
+        print(f"{row['proxy_mode']}: median log predictive ratio {row['median']:+.4f} "
+              f"over {row['count']} partitions")
+    print(f"outputs in {Path(config.output_dir)}")
     return 0
 
 
@@ -196,16 +184,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "smoking":
-            return _smoking_body(apply_overrides(
-                ExperimentConfig(experiment="smoking", smoking_csv=args.csv,
-                                 proxy_mode=args.mode, mcmc_samples=args.samples),
-                seed=args.seed, out=args.out, jobs=args.jobs))
-        return _cmd_plot(args)
+        if args.command == "plot":
+            return _cmd_plot(args)
+        return _run(_config(args))
     except RunFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

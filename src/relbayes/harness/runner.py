@@ -1,4 +1,4 @@
-"""Parallel seeded simulation sweeps.
+"""Parallel seeded simulation sweeps, and the output files of every run.
 
 Each simulation draws everything it needs from its own counter-based RNG
 stream keyed by (master_seed, index), so results are identical whatever the
@@ -19,8 +19,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import repeat
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Optional
 
@@ -36,7 +35,7 @@ from ..synthetic import GP_PSI_SCALE, GP_PSI_SHAPE, LINEAR_THETA_STAR, \
     gen_expert_proxy, gen_gp_trajectories, gen_linear_instance, task_rng
 from .config import ConfigError, ExperimentConfig, config_echo
 from .csvio import emit_csv, emit_metadata
-from .svgplot import emit_boxplot_svg
+from .svgplot import box_stats, emit_boxplot_svg
 
 FAILURE_THRESHOLD = 0.2
 
@@ -174,13 +173,7 @@ _SIM_BODIES = {
 def _run_single(config: ExperimentConfig, index: int) -> SimulationResult:
     start = time.perf_counter()
     try:
-        body = _SIM_BODIES[config.experiment]
-    except KeyError:
-        raise ConfigError(
-            f"experiment {config.experiment!r} does not run through "
-            "run_experiment; use run_smoking_comparison") from None
-    try:
-        ig_c, ig_r, diagnostics = body(config, index)
+        ig_c, ig_r, diagnostics = _SIM_BODIES[config.experiment](config, index)
         return SimulationResult(
             seed=index, ig_classic=ig_c, ig_rweighted=ig_r, diagnostics=diagnostics,
             wall_time_ms=int(1000 * (time.perf_counter() - start)))
@@ -192,14 +185,22 @@ def _run_single(config: ExperimentConfig, index: int) -> SimulationResult:
             error=f"{type(exc).__name__}: {exc}")
 
 
+def map_jobs(fn, items, jobs: int) -> list:
+    """[fn(item) for item in items], in order, for a sequence of items: in
+    process for one job or one item, else in min(jobs, len(items)) workers."""
+    if jobs == 1 or len(items) == 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
 def run_experiment(config: ExperimentConfig) -> list[SimulationResult]:
     """All simulations of one scenario, order-stable and seed-deterministic."""
-    indices = range(config.n_simulations)
-    if config.parallelism == 1:
-        results = [_run_single(config, i) for i in indices]
-    else:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            results = list(pool.map(_run_single, repeat(config), indices))
+    if config.experiment not in _SIM_BODIES:
+        raise ConfigError(f"experiment {config.experiment!r} does not run through "
+                          "run_experiment; use run_smoking_comparison")
+    results = map_jobs(partial(_run_single, config), range(config.n_simulations),
+                       config.parallelism)
     failures = [r for r in results if r.error is not None]
     if len(failures) > FAILURE_THRESHOLD * len(results):
         first = failures[0]
@@ -255,7 +256,6 @@ def finite_groups(rows: list[dict], value_column: str, group_column: str) -> dic
 
 def summary_rows(rows: list[dict], value_column: str = "advantage",
                  group_column: str = "label") -> list[dict]:
-    from .svgplot import box_stats
     out = []
     for label, vals in finite_groups(rows, value_column, group_column).items():
         s = box_stats(vals)
@@ -265,20 +265,26 @@ def summary_rows(rows: list[dict], value_column: str = "advantage",
     return out
 
 
-def write_run_outputs(config: ExperimentConfig, results: list[SimulationResult]) -> Path:
-    out = Path(config.output_dir)
+def write_outputs(out, table: str, rows: list[dict], columns: list[str],
+                  value_column: str, group_column: str, plot_title: str, y_label: str,
+                  notes: list[str]) -> list[dict]:
+    """Write a run's table, summary.csv, boxplot.svg and run_metadata.txt; return the summary."""
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    label = config.group_label()
-    rows = results_rows(results, label)
-    columns = _CORE_COLUMNS + (_DIAG_COLUMNS if config.experiment == "toy-verify" else [])
-    emit_csv(rows, out / "results.csv", columns=columns)
-    emit_csv(summary_rows(rows), out / "summary.csv")
-    plot_groups = finite_groups(rows, "advantage", "label")
-    if plot_groups:
-        emit_boxplot_svg(plot_groups, out / "boxplot.svg",
-                         title=f"{config.experiment} sweep",
-                         y_label="IG advantage (weighted - classic)")
+    emit_csv(rows, out / table, columns=columns)
+    summary = summary_rows(rows, value_column, group_column)
+    emit_csv(summary, out / "summary.csv")
+    # summary.csv is refused when it is empty, so the plot has a group
+    emit_boxplot_svg(finite_groups(rows, value_column, group_column), out / "boxplot.svg",
+                     title=plot_title, y_label=y_label)
+    emit_metadata(out / "run_metadata.txt", notes)
+    return summary
 
+
+def write_run_outputs(config: ExperimentConfig, results: list[SimulationResult]) -> list[dict]:
+    """A sweep's results.csv, summary.csv, boxplot.svg and run_metadata.txt,
+    written into config.output_dir; returns the summary rows."""
+    columns = _CORE_COLUMNS + (_DIAG_COLUMNS if config.experiment == "toy-verify" else [])
     notes = [
         f"relbayes {__version__}",
         f"numpy {np.__version__}",
@@ -292,5 +298,7 @@ def write_run_outputs(config: ExperimentConfig, results: list[SimulationResult])
         f"failed simulations: {sum(1 for r in results if r.error is not None)} "
         f"of {len(results)}",
     ]
-    emit_metadata(out / "run_metadata.txt", notes)
-    return out
+    return write_outputs(config.output_dir, "results.csv",
+                         results_rows(results, config.group_label()), columns,
+                         "advantage", "label", f"{config.experiment} sweep",
+                         "IG advantage (weighted - classic)", notes)

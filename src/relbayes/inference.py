@@ -342,13 +342,9 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, prior_log_density, 
     sigmoid(n), which is exactly 1.0 in float64 from n = 37 on.  From n =
     models.N_UNIT (38, one arm of margin) the sigmoid-ratio step evaluates
     only the state's theta, n cells, and sums them: the same bits as the
-    weighted sum, as long as the weights' log-space exponent rounds by less
-    than log(38 / 37).  Rounding that large needs null log-likelihoods of
-    order -1e14 or below (one arm at -3e15 among 38 near 0 shows it), where
-    the full step's weights below 1 are rounding error and 1.0 is exact.
-    The one-column step never forms the null pool, so a zero pooled null
-    likelihood, which raises DegenerateRelevanceError on the full step,
-    goes unseen; for the binomial model it needs |psi| > 1e305.
+    weighted sum.  The one-column step never forms the null pool, so a zero
+    pooled null likelihood, which raises DegenerateRelevanceError on the
+    full step, goes unseen; for the binomial model it needs |psi| > 1e305.
 
     theta starts at the middle of its support box, and psi at init_psi,
     which defaults to the middle of its own.  init_psi must have shape

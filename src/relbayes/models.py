@@ -188,14 +188,15 @@ def sigmoid_ratio_weights(null_lls: np.ndarray, log_n) -> np.ndarray:
     [0.5, 1].  For a pmf the ratio p_i / prod_j p_j is at least 1, so each
     weight is at least sigmoid(n), and from n = N_UNIT on every weight is
     exactly 1.0; the Metropolis sampler then skips this call altogether.
+    The pool is subtracted before log n is added, as l_i - pool >= 0 keeps log n.
     """
     denom = null_lls.sum()
     if not math.isfinite(denom):
         if denom == -math.inf:
             raise DegenerateRelevanceError(NULL_POOL_ZERO)
         raise ValueError("relevance weights must lie in [0, 1]")
-    w = log_n + null_lls
-    w -= denom
+    w = null_lls - denom
+    w += log_n
     np.minimum(w, LOG_DBL_MAX, out=w)
     np.exp(w, out=w)
     return expit(w, out=w)

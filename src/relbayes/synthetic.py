@@ -16,7 +16,6 @@ SourceData columns; task_rng gives one counter-based Philox stream per
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import math
 

@@ -120,7 +120,7 @@ def sigmoid_ratio_weights(null_lls) -> np.ndarray:
     if np.any(np.isneginf(denom)):
         raise DegenerateRelevanceError("pooled likelihood at the null shared parameter is zero")
     with np.errstate(over="ignore"):
-        return expit(np.exp(np.log(null_lls.shape[0]) + null_lls - denom[None, :]))
+        return expit(np.exp(null_lls - denom[None, :] + np.log(null_lls.shape[0])))
 
 
 def metropolis_log_target(model, data, proxy, prior_log_density, groups=None):

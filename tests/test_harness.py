@@ -816,7 +816,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "all 20 instances verified" in out
-        assert out.count("pass") == 20
+        assert len(re.findall(r"^instance \d+: pass ", out, re.MULTILINE)) == 20
+        assert "toy-verify: median advantage" in out
+        assert f"outputs in {tmp_path}" in out
         rows = read_csv(tmp_path / "results.csv")
         assert len(rows) == 20
         assert all(abs(row["decomposition_residual"]) < RESIDUAL_TOL
@@ -838,6 +840,30 @@ class TestCli:
         for name in ("results.csv", "summary.csv", "boxplot.svg",
                      "run_metadata.txt"):
             assert (tmp_path / "out" / name).exists(), name
+
+    def test_run_toy_config_applies_the_verify_rule(self, tmp_path, capsys, monkeypatch):
+        """A toy-verify run prints each instance's verdict as verify does,
+        and a failed instance makes it exit 2 with every output written."""
+        real = runner_module._SIM_BODIES["toy-verify"]
+
+        def one_bad_residual(config, index):
+            ig_c, ig_r, report = real(config, index)
+            if index == 1:
+                report = dataclasses.replace(report, decomposition_residual=1.0)
+            return ig_c, ig_r, report
+
+        monkeypatch.setitem(runner_module._SIM_BODIES, "toy-verify", one_bad_residual)
+        config = tmp_path / "toy.cfg"
+        config.write_text("experiment = toy-verify\nn_simulations = 3\n")
+        rc = cli_main(["run", str(config), "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert re.search(r"^instance 1: FAIL \(residual 1\.00e\+00, bound ok\)$", out,
+                         re.MULTILINE), out
+        assert len(re.findall(r"^instance \d+: pass ", out, re.MULTILINE)) == 2
+        assert "1 of 3 instances failed" in out
+        assert "median advantage" in out
+        assert len(read_csv(tmp_path / "out" / "results.csv")) == 3
 
     def test_missing_config_file_is_input_error(self, tmp_path, capsys):
         rc = cli_main(["run", str(tmp_path / "absent.cfg")])
@@ -976,6 +1002,22 @@ class TestCli:
         assert summary["proxy_mode"] == "weak" and summary["count"] == 3
         assert (out_dir / "boxplot.svg").exists()
         assert "classic baseline" in (out_dir / "run_metadata.txt").read_text()
+
+    def test_smoking_outputs_identical_across_jobs(self, tmp_path, capsys):
+        """All three proxy modes, run in process and in two workers, write
+        the same bytes."""
+        path = _write_arms(tmp_path, TINY_ARMS)
+        for jobs in ("1", "2"):
+            with pytest.warns(RuntimeWarning, match="distinct studies"):
+                rc = cli_main(["smoking", str(path), "--samples", "1200", "--seed", "3",
+                               "--jobs", jobs, "--out", str(tmp_path / jobs)])
+            assert rc == 0
+        out = capsys.readouterr().out
+        assert out.count("over 3 partitions") == 6
+        for name in ("partitions.csv", "summary.csv", "boxplot.svg"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        assert [row["proxy_mode"] for row in read_csv(tmp_path / "1" / "summary.csv")] == \
+            sorted(smoking.PROXY_SETTINGS)
 
     @pytest.mark.parametrize("flags, message", [
         (["--jobs", "0"], "parallelism must be >= 1"),

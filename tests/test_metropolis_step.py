@@ -174,6 +174,15 @@ class TestStepEqualsOracle:
         assert (got == 1.0).all()
         assert (sigmoid_ratio_weights(null[:, 0], np.log(9)) < 1.0).all()
 
+    def test_sigmoid_ratio_weights_stay_one_beside_a_huge_null_loss(self):
+        """One arm at -3e15 among 37 at 0: the exact ratio of the first arm
+        is 38, so every weight is 1.  The pool is subtracted before log n is
+        added, so rounding the pool cannot take log n out of the exponent."""
+        null = np.r_[-3e15, np.zeros(37)]
+        got = sigmoid_ratio_weights(null, np.log(38))
+        assert (got == 1.0).all(), got[0]
+        assert got.tobytes() == oracle_weights(null[:, None])[:, 0].tobytes()
+
     def test_sigmoid_ratio_weights_reject_a_non_finite_pool(self):
         """A -inf null log-likelihood makes the pooled likelihood zero; a
         +inf one would make some weight nan, which the range check rejects."""
