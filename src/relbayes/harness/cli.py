@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from .config import ConfigError, ExperimentConfig, apply_overrides, parse_config
+from .config import PROXY_MODES, ConfigError, ExperimentConfig, apply_overrides, \
+    parse_config
 from .csvio import read_csv
 from .runner import RunFailureError, finite_groups, map_jobs, run_experiment, \
     write_outputs, write_run_outputs
@@ -62,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_smk.add_argument("csv", nargs="?", default="",
                        help="arm table (default: packaged dataset)")
     p_smk.add_argument("mode", nargs="?", default="all",
-                       choices=[*sorted(PROXY_SETTINGS), "all"],
+                       choices=PROXY_MODES,
                        help="proxy informativeness setting")
     p_smk.add_argument("--samples", type=int, default=20000,
                        help="Metropolis iterations per fit")
@@ -134,21 +135,25 @@ def _mode_task(packed):
 
 
 def _smoking_body(config: ExperimentConfig) -> int:
+    """Every mode's seed is fixed by (seed, mode), so a one-mode run writes
+    its slice of the all-mode run, and no two (seed, mode) pairs share one."""
     seed, n_samples = config.master_seed, config.mcmc_samples
-    path = Path(config.smoking_csv) if config.smoking_csv else packaged_smoking_path()
-    records = ingest_smoking_csv(path)
-    modes = sorted(PROXY_SETTINGS) if config.proxy_mode == "all" else [config.proxy_mode]
+    all_modes = sorted(PROXY_SETTINGS)
+    records = ingest_smoking_csv(config.smoking_csv or packaged_smoking_path())
+    modes = all_modes if config.proxy_mode == "all" else [config.proxy_mode]
     intercepts = fit_study_intercepts(
         records, n_samples, int(task_rng(seed, 0).integers(2 ** 31)))
-    per_mode = map_jobs(_mode_task, [(records, m, seed + k + 1, n_samples, intercepts)
-                                     for k, m in enumerate(modes)], config.parallelism)
+    per_mode = map_jobs(
+        _mode_task, [(records, m, len(all_modes) * seed + 1 + all_modes.index(m), n_samples,
+                      intercepts) for m in modes], config.parallelism)
     summary = write_outputs(
         config.output_dir, "partitions.csv",
         [row for results in per_mode for row in partition_rows(results)],
         PARTITION_COLUMNS, "log_ratio", "proxy_mode", "held-out predictive comparison",
         "log predictive ratio (weighted / classic)",
-        [f"relbayes {__version__}", f"data: {path}", f"seed = {seed}",
-         f"mcmc_samples = {n_samples}", f"modes = {','.join(modes)}", BASELINE_NOTE])
+        [f"relbayes {__version__}", f"data: {config.smoking_csv or 'packaged dataset'}",
+         f"seed = {seed}", f"mcmc_samples = {n_samples}", f"modes = {','.join(modes)}",
+         BASELINE_NOTE])
     for row in summary:
         print(f"{row['proxy_mode']}: median log predictive ratio {row['median']:+.4f} "
               f"over {row['count']} partitions")

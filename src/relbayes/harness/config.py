@@ -30,9 +30,10 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from ..synthetic import GpScenario, LinearScenario
+from .smoking import PROXY_SETTINGS
 
 EXPERIMENTS = ("linear", "gp", "smoking", "toy-verify")
-PROXY_MODES = ("weak", "strong", "misleading", "all")
+PROXY_MODES = (*sorted(PROXY_SETTINGS), "all")
 
 
 class ConfigError(ValueError):

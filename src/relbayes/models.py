@@ -112,9 +112,10 @@ class ModelSpec:
     log_predictive_mode_density : optional callable
         (SourceData, thetas (A, k_theta), psis (B, k_psi), belief (A,))
         -> (n, B) array.  Log modal density of the belief-averaged outcome
-        predictive, the one normalizer hook: it puts relevance scores on
-        [0, 1], and, at the theta prior, the expert-prompt agreement of
-        synthetic.prompt_agreement.  For the linear model this is the normal
+        predictive, the one normalizer hook.  Only the relevance module
+        calls it, to put prior-expected scores on [0, 1]; the gp
+        expert-prompt agreement of synthetic.prompt_agreement is such a
+        score at the theta prior.  For the linear model this is the normal
         of matching variance 1 + x1^2 Var(theta); for the trajectory model
         every component peaks at the zero trajectory, so the mixture maximum
         is exact.  None for a pmf model, whose relevance scores lie in

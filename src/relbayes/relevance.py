@@ -119,15 +119,17 @@ def _relevance_weights(log_average, model: ModelSpec, data: SourceData,
 
 
 def prior_expected_relevance(model: ModelSpec, data: SourceData, theta_nodes,
-                             theta_belief, psi_target) -> np.ndarray:
-    """Belief-averaged density of each observation under the target task.
+                             theta_belief, psi_nodes) -> np.ndarray:
+    """Belief-averaged density of each observation under each candidate
+    target task, shape (n, B) for the B rows of psi_nodes (B, k_psi).
 
     For a model with a predictive mode density the average is divided by
     the modal density of the same belief-averaged predictive, so a
     dead-center observation scores 1 and the weights react to how
     concentrated the current belief is.  Values pushed past 1, which happens
     when the mixture peaks above the matching-variance normal, are clipped.
-    A pmf model's average is used as it is.
+    A pmf model's average is used as it is.  At the theta prior this is the
+    expert-prompt agreement of synthetic.prompt_agreement.
     """
     thetas = np.asarray(theta_nodes, dtype=float)
     if thetas.ndim == 1:
@@ -136,10 +138,12 @@ def prior_expected_relevance(model: ModelSpec, data: SourceData, theta_nodes,
     if belief.shape != (thetas.shape[0],):
         raise ValueError("theta_belief must have one mass per theta node")
     _check_normalized(belief, "theta_belief", 1e-9)
-    psi = param_values(psi_target)[None, :]
-    log_average = _belief_averager(loglik_tensor(model, data, thetas, psi))
-    return _relevance_weights(log_average, model, data, thetas, psi, belief,
-                              "prior_expected_relevance")[:, 0]
+    psis = np.asarray(psi_nodes, dtype=float)
+    if psis.ndim != 2:
+        raise ValueError(f"psi_nodes must be a (B, k_psi) array, got shape {psis.shape}")
+    log_average = _belief_averager(loglik_tensor(model, data, thetas, psis))
+    return _relevance_weights(log_average, model, data, thetas, psis, belief,
+                              "prior_expected_relevance")
 
 
 def sigmoid_ratio_relevance(model: ModelSpec, data: SourceData, psi_target) -> np.ndarray:

@@ -22,9 +22,8 @@ import math
 import numpy as np
 
 from .inference import ProxyObservation
-from .models import LOG_2PI, ModelSpec, SourceData, loglik_tensor, logsumexp, \
-    param_values
-from .relevance import MAX_REFINEMENTS
+from .models import LOG_2PI, ModelSpec, SourceData, param_values
+from .relevance import MAX_REFINEMENTS, prior_expected_relevance
 
 PROXY_TRIALS = 7
 PROB_FLOOR = 1e-9
@@ -134,16 +133,13 @@ def prompt_agreement(model: ModelSpec, prompts: SourceData, psi_nodes,
     """Probability that an expert endorses each prompt as target-like.
 
     Returns a (J, B) array for the J prompts, the rows of the SourceData
-    prompts, and the B rows of psi_nodes (B, k_psi).  Each prompt's
-    likelihood is marginalized over the theta prior and divided by the
-    modal density of that marginal predictive, so the result lives in
-    [0, 1].  The linear model admits a closed form:
-    theta integrates out to a Gaussian in the outcome with variance
-    1 + x1^2, whose own mode is the normalizer, leaving
-    exp(-resid^2 / (2 var)).  Other models marginalize over the supplied
-    theta grid and normalize by the model's log_predictive_mode_density at
-    the theta prior, exact for the trajectory model where every component
-    peaks at the zero trajectory.
+    prompts, and the B rows of psi_nodes (B, k_psi): each prompt's
+    relevance.prior_expected_relevance at the theta prior, which lies in
+    [0, 1].  The linear model admits a closed form over its continuous
+    N(0, 1) theta prior: theta integrates out to a Gaussian in the outcome
+    with variance 1 + x1^2, whose own mode is the normalizer, leaving
+    exp(-resid^2 / (2 var)).  Other models average over the supplied theta
+    grid and its prior mass.
     """
     psi = np.asarray(psi_nodes, dtype=float)
     if psi.ndim != 2:
@@ -156,17 +152,7 @@ def prompt_agreement(model: ModelSpec, prompts: SourceData, psi_nodes,
     if theta_nodes is None or theta_prior is None:
         raise ValueError(f"model {model.name!r} needs theta_nodes and theta_prior "
                          "to marginalize the prompt likelihood")
-    if model.log_predictive_mode_density is None:
-        raise ValueError(f"model {model.name!r} has no mode density to normalize with")
-    thetas = np.asarray(theta_nodes, dtype=float)
-    if thetas.ndim == 1:
-        thetas = thetas[:, None]
-    lls = loglik_tensor(model, prompts, thetas, psi)                        # (J, A, B)
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(np.asarray(theta_prior, dtype=float))
-    log_p = (logsumexp(lls + log_prior[None, :, None], axis=1)
-             - model.log_predictive_mode_density(prompts, thetas, psi, theta_prior))
-    return np.minimum(1.0, np.exp(log_p))
+    return prior_expected_relevance(model, prompts, theta_nodes, theta_prior, psi)
 
 
 _LOG_BINOM_COEF = np.array([math.log(math.comb(PROXY_TRIALS, z))

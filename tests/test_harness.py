@@ -1019,6 +1019,54 @@ class TestCli:
         assert [row["proxy_mode"] for row in read_csv(tmp_path / "1" / "summary.csv")] == \
             sorted(smoking.PROXY_SETTINGS)
 
+    def _smoking_rows(self, tmp_path, path, mode, seed):
+        """partitions.csv rows of a tiny-table smoking run in tmp_path/mode-seed."""
+        out_dir = tmp_path / f"{mode}-{seed}"
+        with pytest.warns(RuntimeWarning, match="distinct studies"):
+            assert cli_main(["smoking", str(path), mode, "--samples", "1200",
+                             "--seed", str(seed), "--out", str(out_dir)]) == 0
+        return read_csv(out_dir / "partitions.csv")
+
+    def test_one_mode_run_is_its_slice_of_the_all_mode_run(self, tmp_path, capsys):
+        """A mode's seed depends on the run's seed and the mode alone, so a
+        one-mode run writes the rows the all-mode run writes for it."""
+        path = _write_arms(tmp_path, TINY_ARMS)
+        every = self._smoking_rows(tmp_path, path, "all", 3)
+        for mode in sorted(smoking.PROXY_SETTINGS):
+            assert self._smoking_rows(tmp_path, path, mode, 3) == \
+                [row for row in every if row["proxy_mode"] == mode]
+        capsys.readouterr()
+
+    def test_seeds_share_no_proxy_noise(self, tmp_path, capsys):
+        """No standardized proxy draw (z - psi*) / sigma of seed 0 recurs at
+        seed 1, in any pair of modes.  A rule like seed + k + 1 for mode k
+        would give seed 1's strong partitions seed 0's weak draws."""
+        path = _write_arms(tmp_path, TINY_ARMS)
+        noise = {}
+        for seed in (0, 1):
+            for row in self._smoking_rows(tmp_path, path, "all", seed):
+                sigma, _ = smoking.PROXY_SETTINGS[row["proxy_mode"]]
+                noise.setdefault((seed, row["proxy_mode"]), []).append(
+                    (row["z_value"] - row["psi_star_estimate"]) / sigma)
+        capsys.readouterr()
+        for a in smoking.PROXY_SETTINGS:
+            for b in smoking.PROXY_SETTINGS:
+                assert not np.allclose(noise[0, a], noise[1, b], rtol=1e-6), (a, b)
+
+    def test_smoking_metadata_names_the_data_as_given(self, tmp_path, capsys, monkeypatch):
+        """run_metadata.txt names the packaged table without its install
+        path, so two checkouts write the same bytes, and a given table by
+        the path as typed."""
+        path = _write_arms(tmp_path, TINY_ARMS)
+        monkeypatch.setattr(cli_module, "packaged_smoking_path", lambda: path)
+        monkeypatch.chdir(tmp_path)
+        for csv, line in (("", "data: packaged dataset"), ("./arms.csv", "data: ./arms.csv")):
+            with pytest.warns(RuntimeWarning, match="distinct studies"):
+                assert cli_main(["smoking", csv, "weak", "--samples", "1200",
+                                 "--out", "out"]) == 0
+            assert (tmp_path / "out" / "run_metadata.txt").read_text().splitlines()[1] == line
+        capsys.readouterr()
+
     @pytest.mark.parametrize("flags, message", [
         (["--jobs", "0"], "parallelism must be >= 1"),
         (["--jobs=-2"], "parallelism must be >= 1"),

@@ -123,14 +123,14 @@ class TestPriorExpected:
         theta0, psi = -0.7, 0.4
         x = np.array([1.3, -2.0])
         data = SourceData([x], [theta0 * x[0] + psi * x[1]])
-        w = prior_expected_relevance(model, data, [[theta0]], [1.0], psi)
-        assert_allclose(w, [1.0], rtol=0, atol=1e-14)
+        w = prior_expected_relevance(model, data, [[theta0]], [1.0], [[psi]])
+        assert_allclose(w, [[1.0]], rtol=0, atol=1e-14)
 
     def test_weights_decay_with_residual(self):
         model = linear_model()
         x = np.array([1.0, 0.0])
         data = SourceData(np.tile(x, (4, 1)), [0.0, 0.5, 1.0, 3.0])
-        w = prior_expected_relevance(model, data, [[0.0]], [1.0], 0.0)
+        w = prior_expected_relevance(model, data, [[0.0]], [1.0], [[0.0]])[:, 0]
         assert np.all(np.diff(w) < 0)
         assert_allclose(w[0], 1.0, atol=1e-14)
         assert_allclose(w[3], np.exp(-4.5), rtol=1e-12)
@@ -142,7 +142,7 @@ class TestPriorExpected:
         x = np.array([1.0, 0.0])
         data = SourceData([x], [1.0])
         belief = np.array([0.25, 0.75])
-        w = prior_expected_relevance(model, data, [[1.0], [0.0]], belief, 0.0)
+        w = prior_expected_relevance(model, data, [[1.0], [0.0]], belief, [[0.0]])[:, 0]
         density = (0.25 * np.exp(0.0) + 0.75 * np.exp(-0.5)) / np.sqrt(2 * np.pi)
         var_theta = 0.25 * 1.0 - 0.25 ** 2
         mode = 1.0 / np.sqrt(2 * np.pi * (1.0 + var_theta))
@@ -160,7 +160,7 @@ class TestPriorExpected:
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
             w = prior_expected_relevance(model, data, [[1.0], [-1.0]],
-                                         [0.5, 0.5], 0.0)
+                                         [0.5, 0.5], [[0.0]])[:, 0]
         assert_allclose(w, [1.0], rtol=0, atol=0)
 
     def test_grossly_understated_normalizer_warns(self):
@@ -171,7 +171,7 @@ class TestPriorExpected:
         x = np.array([1.0, 0.0])
         data = SourceData([x], [0.0])
         with pytest.warns(RuntimeWarning, match="clipping"):
-            w = prior_expected_relevance(model, data, [[0.0]], [1.0], 0.0)
+            w = prior_expected_relevance(model, data, [[0.0]], [1.0], [[0.0]])[:, 0]
         assert_allclose(w, [1.0], rtol=0, atol=0)
 
     def test_pmf_model_needs_no_normalizer(self):
@@ -182,7 +182,7 @@ class TestPriorExpected:
         model = discrete_toy_model(table)
         assert model.log_predictive_mode_density is None
         w = prior_expected_relevance(model, _toy_obs(0, 2), [[0.0], [1.0]],
-                                     [0.5, 0.5], 1.0)
+                                     [0.5, 0.5], [[1.0]])[:, 0]
         want0 = 0.5 * table[0, 1, 0] + 0.5 * table[1, 1, 0]
         assert_allclose(w[0], want0, rtol=1e-13)
         assert np.all(w <= 1.0)
@@ -192,7 +192,7 @@ class TestPriorExpected:
         each observation scores its pmf, here 0.5, not a ratio to a mode."""
         table = np.full((1, 1, 2), 0.5)
         model = discrete_toy_model(table)
-        w = prior_expected_relevance(model, _toy_obs(0, 1), [[0.0]], [1.0], 0.0)
+        w = prior_expected_relevance(model, _toy_obs(0, 1), [[0.0]], [1.0], [[0.0]])[:, 0]
         assert_allclose(w, [0.5, 0.5], rtol=0, atol=0)
 
     def test_mode_density_of_wrong_shape_rejected(self):
@@ -200,17 +200,22 @@ class TestPriorExpected:
             linear_model(), log_predictive_mode_density=lambda data, t, p, b: np.zeros(2))
         data = SourceData([[1.0, 0.0]], [0.0])
         with pytest.raises(RelevanceConfigError, match="shape"):
-            prior_expected_relevance(model, data, [[0.0]], [1.0], 0.0)
+            prior_expected_relevance(model, data, [[0.0]], [1.0], [[0.0]])
+
+    def test_psi_nodes_must_be_a_matrix(self):
+        data = SourceData([[1.0, 0.0]], [0.0])
+        with pytest.raises(ValueError, match="psi_nodes"):
+            prior_expected_relevance(linear_model(), data, [[0.0]], [1.0], 0.0)
 
     def test_belief_must_be_normalized_mass(self):
         model = linear_model()
         data = SourceData([[1.0, 0.0]], [0.0])
         with pytest.raises(ValueError, match="theta_belief sums to"):
-            prior_expected_relevance(model, data, [[0.0], [1.0]], [0.7, 0.7], 0.0)
+            prior_expected_relevance(model, data, [[0.0], [1.0]], [0.7, 0.7], [[0.0]])
         with pytest.raises(ValueError, match="theta_belief has negative entries"):
-            prior_expected_relevance(model, data, [[0.0], [1.0]], [-0.5, 1.5], 0.0)
+            prior_expected_relevance(model, data, [[0.0], [1.0]], [-0.5, 1.5], [[0.0]])
         with pytest.raises(ValueError, match="one mass per"):
-            prior_expected_relevance(model, data, [[0.0], [1.0]], [1.0], 0.0)
+            prior_expected_relevance(model, data, [[0.0], [1.0]], [1.0], [[0.0]])
 
     def test_nan_belief_rejected(self):
         """A NaN mass once passed both comparisons and came back as a NaN
@@ -218,7 +223,7 @@ class TestPriorExpected:
         data = SourceData([[1.0, 0.0]], [0.0])
         with pytest.raises(ValueError, match="theta_belief sums to nan, expected 1"):
             prior_expected_relevance(linear_model(), data, [[0.0], [1.0]],
-                                     [float("nan"), 1.0], 0.0)
+                                     [float("nan"), 1.0], [[0.0]])
 
 
 def _linear_grid(rng, n_theta=21, n_psi=7):
@@ -238,11 +243,9 @@ class TestRefineRelevance:
         result = refine_relevance(GridProblem(model, data, grid), np.zeros(grid.n_psi), 0)
         assert result.iterations == 0
         assert_allclose(result.theta_belief, grid.theta_prior_mass, rtol=0, atol=0)
-        for b in range(grid.n_psi):
-            want = prior_expected_relevance(model, data, grid.theta_nodes,
-                                            grid.theta_prior_mass,
-                                            grid.psi_nodes[b])
-            assert_allclose(result.weights_per_psi[b], want, rtol=0, atol=1e-14)
+        want = prior_expected_relevance(model, data, grid.theta_nodes,
+                                        grid.theta_prior_mass, grid.psi_nodes)
+        assert_array_equal(result.weights_per_psi, want.T)
 
     def test_theta_blind_model_has_fixed_point_at_prior(self):
         """When the likelihood ignores theta, every posterior theta marginal
