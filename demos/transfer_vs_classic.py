@@ -19,26 +19,29 @@ GRID_RESOLUTION = 101
 
 import numpy as np
 
-from relbayes import (GridProblem, LinearScenario, classic_posterior,
+from relbayes import (GridProblem, LinearScenario, build_grid, classic_posterior,
                       gen_linear_instance, linear_model, proxy_loglik_vector,
                       refine_relevance, task_rng)
-from relbayes.grids import ParameterGrid, midpoint_nodes
 
 rng = task_rng(SEED, 0)
 scenario = LinearScenario(multicollinearity=MULTICOLLINEARITY)
 inst = gen_linear_instance(scenario, rng)
 model = linear_model()
 
-nodes = midpoint_nodes(-4.0, 4.0, GRID_RESOLUTION)[:, None]
-logs = -0.5 * nodes[:, 0] ** 2
-mass = np.exp(logs - logs.max())
-mass /= mass.sum()
-grid = ParameterGrid(nodes, nodes, mass, mass)
+
+def normal(nodes):
+    """N(0, 1) log-density up to a constant, one value per (k,) node row."""
+    return -0.5 * nodes[:, 0] ** 2
+
+
+# the linear sweep's grid: midpoint nodes on [-4, 4] for theta and for psi,
+# standard normal prior mass on each
+grid = build_grid([[-4, 4]], [[-4, 4]], normal, normal, GRID_RESOLUTION)
 
 theta_true = inst.theta_star
 a_star, dist = grid.nearest_theta(theta_true)
 print(f"true theta {float(theta_true[0]):+.3f}, "
-      f"nearest grid node {float(nodes[a_star, 0]):+.3f} (off by {dist:.3f})")
+      f"nearest grid node {float(grid.theta_nodes[a_star, 0]):+.3f} (off by {dist:.3f})")
 print(f"{inst.source.n} source observations, "
       f"{len(inst.proxy.payload)} proxy ratings\n")
 

@@ -1,9 +1,9 @@
 """Parameter grids: discretized joint prior over (theta, psi).
 
-Nodes are midpoints of a uniform partition of the support box, mass is
-midpoint quadrature of the prior density, renormalized to sum to one.
-Cell volume is constant on a uniform partition so it cancels in the
-normalization.
+Nodes are midpoints of a uniform partition of a given box, such as a
+model's support box; mass is midpoint quadrature of the prior density,
+renormalized to sum to one.  Cell volume is constant on a uniform
+partition so it cancels in the normalization.
 """
 
 from __future__ import annotations
@@ -124,22 +124,19 @@ def _quadrature_mass(nodes: np.ndarray, log_pdf, name: str) -> np.ndarray:
     return mass / mass.sum()
 
 
-def build_grid(model, theta_log_pdf, psi_log_pdf, resolution: int = 201) -> ParameterGrid:
-    """Midpoint-quadrature grid over the model's support boxes, resolution
-    nodes per coordinate.
+def build_grid(theta_box, psi_box, theta_log_pdf, psi_log_pdf,
+               resolution: int = 201) -> ParameterGrid:
+    """Midpoint-quadrature grid over the (k, 2) boxes theta_box and psi_box,
+    such as a model's support boxes, resolution nodes per coordinate.
 
     theta_log_pdf / psi_log_pdf take the whole (N, k) node array and return
     the (N,) prior log-densities there (normalization constants are
     irrelevant); any other result shape raises ValueError naming the prior.
     """
-    theta_nodes = box_nodes(model.theta_support, resolution)
-    psi_nodes = box_nodes(model.psi_support, resolution)
-    return ParameterGrid(
-        theta_nodes=theta_nodes,
-        psi_nodes=psi_nodes,
-        theta_prior_mass=_quadrature_mass(theta_nodes, theta_log_pdf, "theta_log_pdf"),
-        psi_prior_mass=_quadrature_mass(psi_nodes, psi_log_pdf, "psi_log_pdf"),
-    )
+    theta_nodes, psi_nodes = box_nodes(theta_box, resolution), box_nodes(psi_box, resolution)
+    return ParameterGrid(theta_nodes, psi_nodes,
+                         _quadrature_mass(theta_nodes, theta_log_pdf, "theta_log_pdf"),
+                         _quadrature_mass(psi_nodes, psi_log_pdf, "psi_log_pdf"))
 
 
 def toy_grid(theta_count: int, psi_count: int, theta_prior=None, psi_prior=None) -> ParameterGrid:

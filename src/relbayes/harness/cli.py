@@ -4,16 +4,15 @@ Subcommands:
 
   run CONFIG       run the experiment described by a config file
   verify           run's toy-verify sweep on 20 built-in random toy instances
-  smoking [CSV] [MODE]
-                   leave-one-study-out case study (defaults: packaged data,
-                   all three proxy modes)
+  smoking [MODE] [--data CSV]
+                   leave-one-study-out case study
   plot CSV [CSV..] boxplot SVG from previously emitted results
 
-run, verify and smoking build one config and run it on one path: --seed,
---out and --jobs override its values, and run's --grid applies to linear
-and gp only.  A toy-verify run, verify's or run's, prints each instance's
-verdict too.  Exit codes: 0 success, 1 invalid input, 2 runtime failure
-(too many failed simulations, or a failed toy-verify instance)."""
+run, verify and smoking build one config and run it on one path.  Each flag
+sets the config key config.FLAG_KEYS names, and the config holds every
+default and check.  A toy-verify run, verify's or run's, prints each
+instance's verdict too.  Exit codes: 0 success, 1 invalid input, 2 runtime
+failure (too many failed simulations, or a failed toy-verify instance)."""
 
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from .config import PROXY_MODES, ConfigError, ExperimentConfig, apply_overrides, \
+from .config import FLAG_KEYS, ConfigError, ExperimentConfig, apply_overrides, \
     parse_config
 from .csvio import read_csv
 from .runner import RunFailureError, finite_groups, map_jobs, run_experiment, \
@@ -46,13 +45,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master seed override")
-    common.add_argument("--out", type=str, default=None, help="output directory")
-    common.add_argument("--jobs", type=int, default=None, help="parallel workers")
+    common.add_argument("--seed", help="master seed (master_seed)")
+    common.add_argument("--out", help="output directory (output_dir)")
+    common.add_argument("--jobs", help="parallel workers (parallelism)")
+    common.add_argument("--grid", help="grid resolution, linear and gp only (grid_resolution)")
 
     p_run = sub.add_parser("run", parents=[common], help="run a configured experiment")
-    p_run.add_argument("--grid", type=int, default=None,
-                       help="grid resolution (linear and gp only)")
     p_run.add_argument("config", type=str, help="path to a key = value config file")
 
     sub.add_parser("verify", parents=[common],
@@ -60,13 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_smk = sub.add_parser("smoking", parents=[common],
                            help="leave-one-study-out predictive comparison")
-    p_smk.add_argument("csv", nargs="?", default="",
-                       help="arm table (default: packaged dataset)")
-    p_smk.add_argument("mode", nargs="?", default="all",
-                       choices=PROXY_MODES,
-                       help="proxy informativeness setting")
-    p_smk.add_argument("--samples", type=int, default=20000,
-                       help="Metropolis iterations per fit")
+    p_smk.add_argument("mode", nargs="?", metavar="MODE",
+                       help="proxy informativeness setting (proxy_mode)")
+    p_smk.add_argument("--samples", help="Metropolis iterations per fit (mcmc_samples)")
+    p_smk.add_argument("--data", metavar="CSV", help="arm table (smoking_csv)")
 
     p_plot = sub.add_parser("plot", help="boxplot SVG from results CSVs")
     p_plot.add_argument("csv", nargs="+", help="results CSV file(s)")
@@ -79,16 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _config(args) -> ExperimentConfig:
-    """run's config file, verify's 20 toy instances or smoking's arguments."""
+    """run's config file, verify's 20 toy instances or the smoking study, flags set."""
     if args.command == "run":
         config = parse_config(args.config)
     elif args.command == "verify":
         config = ExperimentConfig(experiment="toy-verify", n_simulations=20)
     else:
-        config = ExperimentConfig(experiment="smoking", smoking_csv=args.csv,
-                                  proxy_mode=args.mode, mcmc_samples=args.samples)
-    return apply_overrides(config, seed=args.seed, out=args.out, jobs=args.jobs,
-                           grid=getattr(args, "grid", None))
+        config = ExperimentConfig(experiment="smoking")
+    return apply_overrides(config, **{flag: getattr(args, flag, None) for flag in FLAG_KEYS})
 
 
 def _toy_failures(results) -> int:

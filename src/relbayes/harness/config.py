@@ -20,8 +20,9 @@ Schema (defaults in parentheses):
                misleading|all} (all); mcmc_samples (20000)
   toy-verify   no keys beyond the sweep keys
 
-smoking and toy-verify have no parameter grid, so grid_resolution, in a
-file or as the --grid override, is an error for them.
+Each command-line flag sets the key FLAG_KEYS names, typed and checked as
+in a file, so smoking and toy-verify, which have no parameter grid, refuse
+grid_resolution whether a file or --grid sets it.
 """
 
 from __future__ import annotations
@@ -119,9 +120,13 @@ _EXPERIMENT_KEYS = {
     "toy-verify": _SWEEP_KEYS,
 }
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+# each command-line flag and the config key it sets
+FLAG_KEYS = {"seed": "master_seed", "out": "output_dir", "jobs": "parallelism",
+             "grid": "grid_resolution", "mode": "proxy_mode", "samples": "mcmc_samples",
+             "data": "smoking_csv"}
 
 
-def _coerce(key: str, raw: str):
+def _coerce(key: str, raw: str, name: str):
     kind = _FIELD_TYPES[key].removeprefix("Optional[").removesuffix("]")
     try:
         if kind == "int":
@@ -129,7 +134,7 @@ def _coerce(key: str, raw: str):
         if kind == "float":
             return float(raw)
     except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind}") from None
+        raise ConfigError(f"{name}: cannot parse {raw!r} as {kind}") from None
     return raw
 
 
@@ -162,7 +167,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             hint = ("unknown key" if key not in _FIELD_TYPES
                     else f"not applicable to experiment {experiment!r}")
             raise ConfigError(f"{source}:{lineno}: {hint}: {key!r}")
-        values[key] = _coerce(key, raw)
+        values[key] = _coerce(key, raw, f"key {key!r}")
     try:
         return ExperimentConfig(**values)
     except ValueError as exc:
@@ -174,20 +179,20 @@ def parse_config(path) -> ExperimentConfig:
         return parse_config_text(fh.read(), source=str(path))
 
 
-def apply_overrides(config: ExperimentConfig, seed=None, out=None, jobs=None,
-                    grid=None) -> ExperimentConfig:
+def apply_overrides(config: ExperimentConfig, **flags) -> ExperimentConfig:
+    """config with each command-line flag that is not None set on the key
+    FLAG_KEYS maps it to.  The value is typed as that key is in a file, and
+    a key the experiment does not take is a ConfigError naming the flag."""
+    allowed = _COMMON_KEYS | _EXPERIMENT_KEYS[config.experiment]
     updates = {}
-    if seed is not None:
-        updates["master_seed"] = int(seed)
-    if out is not None:
-        updates["output_dir"] = str(out)
-    if jobs is not None:
-        updates["parallelism"] = int(jobs)
-    if grid is not None:
-        if "grid_resolution" not in _EXPERIMENT_KEYS[config.experiment]:
-            raise ConfigError(f"--grid does not apply to experiment "
-                              f"{config.experiment!r}, which has no parameter grid")
-        updates["grid_resolution"] = int(grid)
+    for flag, value in flags.items():
+        if value is None:
+            continue
+        key = FLAG_KEYS[flag]
+        if key not in allowed:
+            raise ConfigError(f"--{flag} sets {key!r}, which does not apply to "
+                              f"experiment {config.experiment!r}")
+        updates[key] = _coerce(key, str(value), f"--{flag}")
     return replace(config, **updates) if updates else config
 
 

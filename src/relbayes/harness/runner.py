@@ -27,7 +27,7 @@ import numpy as np
 
 from .. import __version__
 from ..diagnostics import DiagnosticsReport, TrueProcess, toy_diagnostics_report
-from ..grids import ParameterGrid, _quadrature_mass, build_grid, midpoint_nodes
+from ..grids import ParameterGrid, build_grid, toy_grid
 from ..inference import GridProblem, classic_posterior, proxy_loglik_vector
 from ..models import ModelSpec, discrete_toy_model, gp_model, linear_model
 from ..relevance import refine_relevance
@@ -62,14 +62,6 @@ class SimulationResult:
 # per-experiment simulation bodies
 # ---------------------------------------------------------------------------
 
-def _normal_prior_grid(resolution: int) -> ParameterGrid:
-    """Midpoint grid over [-4, 4] with standard normal quadrature mass."""
-    nodes = midpoint_nodes(-4.0, 4.0, resolution)[:, None]
-    mass = _quadrature_mass(nodes, lambda t: -0.5 * t[:, 0] ** 2, "normal log-density")
-    return ParameterGrid(theta_nodes=nodes, psi_nodes=nodes,
-                         theta_prior_mass=mass, psi_prior_mass=mass)
-
-
 def _log_ratio_at(grid: ParameterGrid, theta_marginal: np.ndarray, a_star: int) -> float:
     with np.errstate(divide="ignore"):
         return float(np.log(theta_marginal[a_star]) - np.log(grid.theta_prior_mass[a_star]))
@@ -90,11 +82,20 @@ def _grid_gains(model, source, grid: ParameterGrid, proxy, theta_star: float,
             _log_ratio_at(grid, refined.posterior.theta_marginal(), a_star), None)
 
 
+# the linear learner's grid span, narrower than the model's support box
+LINEAR_BOX = [[-4.0, 4.0]]
+
+
+def _standard_normal_log_pdf(nodes: np.ndarray) -> np.ndarray:
+    return -0.5 * nodes[:, 0] ** 2
+
+
 def _linear_sim(config: ExperimentConfig, index: int):
     rng = task_rng(config.master_seed, index)
     inst = gen_linear_instance(config.scenario, rng)
-    return _grid_gains(linear_model(), inst.source, _normal_prior_grid(config.grid_resolution),
-                       inst.proxy, LINEAR_THETA_STAR)
+    grid = build_grid(LINEAR_BOX, LINEAR_BOX, _standard_normal_log_pdf,
+                      _standard_normal_log_pdf, config.grid_resolution)
+    return _grid_gains(linear_model(), inst.source, grid, inst.proxy, LINEAR_THETA_STAR)
 
 
 @lru_cache(maxsize=1)
@@ -117,7 +118,8 @@ def _gp_sim(config: ExperimentConfig, index: int):
     def log_psi_prior(p):
         return (GP_PSI_SHAPE - 1.0) * np.log(p[:, 0]) - p[:, 0] / GP_PSI_SCALE
 
-    grid = build_grid(model, log_theta_prior, log_psi_prior, config.grid_resolution)
+    grid = build_grid(model.theta_support, model.psi_support, log_theta_prior, log_psi_prior,
+                      config.grid_resolution)
     # drawn before the grid problem is built: building its tensor first
     # raised peak memory
     proxy = gen_expert_proxy(model, inst.prompts, inst.psi_target_star,
@@ -138,8 +140,6 @@ def toy_verify_instance(rng: np.random.Generator):
     n_obs = int(rng.integers(2, 5))
     table = rng.dirichlet(np.ones(n_out), size=(n_theta, n_psi))
     model = discrete_toy_model(table)
-
-    from ..grids import toy_grid
     grid = toy_grid(n_theta, n_psi,
                     theta_prior=rng.dirichlet(np.full(n_theta, 5.0)),
                     psi_prior=rng.dirichlet(np.full(n_psi, 5.0)))
@@ -228,17 +228,16 @@ def _diag_value(report: DiagnosticsReport, column: str):
 
 
 def results_rows(results: list[SimulationResult], label: str) -> list[dict]:
-    """CSV rows for a sweep.  wall_time_ms is deliberately not persisted,
-    keeping output bytes identical across reruns."""
+    """CSV rows for a sweep, with a result's diagnostics when it has any
+    (write_run_outputs picks a table's columns).  wall_time_ms is not
+    persisted, keeping output bytes identical across reruns."""
     rows = []
-    with_diag = any(r.diagnostics is not None for r in results)
     for r in results:
         row = {"seed": r.seed, "ig_classic": r.ig_classic,
                "ig_rweighted": r.ig_rweighted, "advantage": r.advantage,
                "label": label, "error": r.error}
-        if with_diag:
-            d = r.diagnostics
-            row.update({c: None if d is None else _diag_value(d, c) for c in _DIAG_COLUMNS})
+        if r.diagnostics is not None:
+            row.update({c: _diag_value(r.diagnostics, c) for c in _DIAG_COLUMNS})
         rows.append(row)
     return rows
 

@@ -67,7 +67,7 @@ def ingest_smoking_csv(path) -> list[SmokingRecord]:
     Errors carry line numbers.  A study count other than 24 is legal but
     draws a warning, since the canonical dataset has exactly 24 trials.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")

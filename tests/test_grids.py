@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
 from relbayes.grids import (ParameterGrid, box_nodes, build_grid,
                             midpoint_nodes, toy_grid)
-from relbayes.models import linear_model
+
+# symmetric about 0 and wide enough to hold nearly all of each prior's mass
+BOX = [[-10.0, 10.0]]
 
 
 class TestMidpointNodes:
@@ -97,11 +99,25 @@ class TestParameterGrid:
 
 
 class TestBuildGrid:
+    def test_normal_grid_on_four_sd_span_is_the_hand_built_grid(self):
+        """Over [-4, 4] with the N(0, 1) log-density at 101 nodes, the grid
+        is bit for bit the one the linear sweep built by hand before it
+        called build_grid: midpoint nodes, the same exp-normalised mass on
+        both axes."""
+        nodes = midpoint_nodes(-4.0, 4.0, 101)[:, None]
+        logs = -0.5 * nodes[:, 0] ** 2
+        mass = np.exp(logs - logs.max())
+        mass /= mass.sum()
+        grid = build_grid([[-4, 4]], [[-4, 4]], lambda t: -0.5 * t[:, 0] ** 2,
+                          lambda p: -0.5 * p[:, 0] ** 2, 101)
+        for got, want in ((grid.theta_nodes, nodes), (grid.psi_nodes, nodes),
+                          (grid.theta_prior_mass, mass), (grid.psi_prior_mass, mass)):
+            assert_array_equal(got, want)
+
     def test_quadrature_matches_normal_mass_ratios(self):
         """Renormalized midpoint quadrature preserves density ratios
         exactly, so node masses must match pdf ratios to float precision."""
-        model = linear_model()
-        grid = build_grid(model, lambda t: stats.norm.logpdf(t[:, 0]),
+        grid = build_grid(BOX, BOX, lambda t: stats.norm.logpdf(t[:, 0]),
                           lambda p: stats.norm.logpdf(p[:, 0]), resolution=41)
         assert grid.n_theta == 41
         assert grid.n_psi == 41
@@ -111,8 +127,7 @@ class TestBuildGrid:
                         pdf / pdf[20], rtol=1e-10)
 
     def test_symmetric_prior_gives_symmetric_mass(self):
-        model = linear_model()
-        grid = build_grid(model, lambda t: -0.5 * t[:, 0] ** 2,
+        grid = build_grid(BOX, BOX, lambda t: -0.5 * t[:, 0] ** 2,
                           lambda p: -abs(p[:, 0]), resolution=21)
         assert_allclose(grid.theta_prior_mass, grid.theta_prior_mass[::-1],
                         rtol=0, atol=1e-15)
@@ -120,9 +135,8 @@ class TestBuildGrid:
                         rtol=0, atol=1e-15)
 
     def test_vanishing_prior_raises(self):
-        model = linear_model()
         with pytest.raises(ValueError, match="vanished"):
-            build_grid(model, lambda t: np.full(len(t), -np.inf),
+            build_grid(BOX, BOX, lambda t: np.full(len(t), -np.inf),
                        lambda p: np.zeros(len(p)), resolution=5)
 
     @pytest.mark.parametrize("per_node", [
@@ -134,12 +148,11 @@ class TestBuildGrid:
         """A log-pdf maps the whole node array to one value per node; a
         callable written for one node gets the array and returns the wrong
         shape, which names the prior rather than building a wrong grid."""
-        model = linear_model()
         flat = lambda nodes: np.zeros(len(nodes))  # noqa: E731
         with pytest.raises(ValueError, match="theta_log_pdf must map the"):
-            build_grid(model, per_node, flat, resolution=5)
+            build_grid(BOX, BOX, per_node, flat, resolution=5)
         with pytest.raises(ValueError, match="psi_log_pdf must map the"):
-            build_grid(model, flat, per_node, resolution=5)
+            build_grid(BOX, BOX, flat, per_node, resolution=5)
 
 
 class TestToyGrid:

@@ -6,6 +6,7 @@ guarantee.  Smoking-study fits here use short chains on tiny synthetic
 arm tables; statistical quality of those fits is covered elsewhere.
 """
 
+import argparse
 import dataclasses
 import math
 import os
@@ -25,9 +26,10 @@ from scipy.special import logsumexp
 
 import _scalar_reference as scalar
 import relbayes
+from relbayes.grids import build_grid
 from relbayes.harness import cli as cli_module, runner as runner_module, smoking
 from relbayes.harness.cli import RESIDUAL_TOL, build_parser, main as cli_main
-from relbayes.harness.config import (ConfigError, ExperimentConfig,
+from relbayes.harness.config import (FLAG_KEYS, PROXY_MODES, ConfigError, ExperimentConfig,
                                      apply_overrides, config_echo, parse_config,
                                      parse_config_text)
 from relbayes.harness.csvio import (emit_csv, format_value, parse_value,
@@ -167,6 +169,15 @@ class TestConfigParsing:
         assert out.grid_resolution == 51
         # scenario keys are untouched
         assert out.multicollinearity == base.multicollinearity
+
+    def test_apply_overrides_types_flags_as_file_keys(self):
+        base = parse_config_text(LINEAR_CONFIG)
+        assert apply_overrides(base, seed="5", jobs="2").master_seed == 5
+        with pytest.raises(ConfigError, match="--jobs: cannot parse 'two' as int"):
+            apply_overrides(base, jobs="two")
+        with pytest.raises(ConfigError, match="--samples sets 'mcmc_samples', which does "
+                                              "not apply to experiment 'linear'"):
+            apply_overrides(base, samples=1200)
 
     def test_apply_overrides_noop_returns_same_object(self):
         base = parse_config_text(LINEAR_CONFIG)
@@ -455,7 +466,8 @@ def test_linear_grid_101_simulation_holds_about_two_tensors():
     counts numpy's buffers, so unlike a timing this catches a returned
     full-size temporary on any machine."""
     inst = gen_linear_instance(LinearScenario(), task_rng(RNG_SEED, 0))
-    grid = runner_module._normal_prior_grid(101)
+    normal = runner_module._standard_normal_log_pdf
+    grid = build_grid(runner_module.LINEAR_BOX, runner_module.LINEAR_BOX, normal, normal, 101)
     tensor_bytes = inst.source.n * grid.n_theta * grid.n_psi * 8
     tracemalloc.start()
     try:
@@ -644,6 +656,14 @@ class TestSmokingIngestion:
         path.write_text("study,treatment,events\ns1,A,1\n")
         with pytest.raises(ValueError, match=r":1: missing column\(s\) \['total'\]"):
             ingest_smoking_csv(path)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        """A spreadsheet may save the table as UTF-8 with a byte-order mark;
+        the mark is not part of the first column's name."""
+        path = tmp_path / "arms.csv"
+        path.write_bytes("study,treatment,events,total\ns1,A,1,10\n".encode("utf-8-sig"))
+        with pytest.warns(RuntimeWarning, match="1 distinct studies"):
+            assert ingest_smoking_csv(path) == [SmokingRecord("s1", "A", 1, 10)]
 
     def test_reordered_header_rejected(self, tmp_path):
         path = tmp_path / "arms.csv"
@@ -991,7 +1011,7 @@ class TestCli:
         path = _write_arms(tmp_path, TINY_ARMS)
         out_dir = tmp_path / "smk"
         with pytest.warns(RuntimeWarning, match="distinct studies"):
-            rc = cli_main(["smoking", str(path), "weak", "--samples", "1200",
+            rc = cli_main(["smoking", "weak", "--data", str(path), "--samples", "1200",
                            "--seed", "3", "--out", str(out_dir)])
         out = capsys.readouterr().out
         assert rc == 0
@@ -1009,7 +1029,7 @@ class TestCli:
         path = _write_arms(tmp_path, TINY_ARMS)
         for jobs in ("1", "2"):
             with pytest.warns(RuntimeWarning, match="distinct studies"):
-                rc = cli_main(["smoking", str(path), "--samples", "1200", "--seed", "3",
+                rc = cli_main(["smoking", "--data", str(path), "--samples", "1200", "--seed", "3",
                                "--jobs", jobs, "--out", str(tmp_path / jobs)])
             assert rc == 0
         out = capsys.readouterr().out
@@ -1023,7 +1043,7 @@ class TestCli:
         """partitions.csv rows of a tiny-table smoking run in tmp_path/mode-seed."""
         out_dir = tmp_path / f"{mode}-{seed}"
         with pytest.warns(RuntimeWarning, match="distinct studies"):
-            assert cli_main(["smoking", str(path), mode, "--samples", "1200",
+            assert cli_main(["smoking", mode, "--data", str(path), "--samples", "1200",
                              "--seed", str(seed), "--out", str(out_dir)]) == 0
         return read_csv(out_dir / "partitions.csv")
 
@@ -1060,9 +1080,10 @@ class TestCli:
         path = _write_arms(tmp_path, TINY_ARMS)
         monkeypatch.setattr(cli_module, "packaged_smoking_path", lambda: path)
         monkeypatch.chdir(tmp_path)
-        for csv, line in (("", "data: packaged dataset"), ("./arms.csv", "data: ./arms.csv")):
+        for data, line in (([], "data: packaged dataset"),
+                           (["--data", "./arms.csv"], "data: ./arms.csv")):
             with pytest.warns(RuntimeWarning, match="distinct studies"):
-                assert cli_main(["smoking", csv, "weak", "--samples", "1200",
+                assert cli_main(["smoking", "weak", *data, "--samples", "1200",
                                  "--out", "out"]) == 0
             assert (tmp_path / "out" / "run_metadata.txt").read_text().splitlines()[1] == line
         capsys.readouterr()
@@ -1077,7 +1098,8 @@ class TestCli:
         count or chain length exits 1 before anything runs."""
         path = _write_arms(tmp_path, TINY_ARMS)
         out_dir = tmp_path / "smk"
-        assert cli_main(["smoking", str(path), "weak", *flags, "--out", str(out_dir)]) == 1
+        assert cli_main(["smoking", "weak", "--data", str(path), *flags,
+                         "--out", str(out_dir)]) == 1
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
@@ -1094,7 +1116,9 @@ class TestCli:
     def test_grid_flag_rejected_without_parameter_grid(self, tmp_path, capsys,
                                                        command, experiment):
         """Toy instances and the smoking study have no parameter grid, so
-        --grid exits 1 with a message naming it, before anything runs."""
+        the key table that refuses grid_resolution in their files refuses
+        --grid too: exit 1 with a message naming the flag and the key,
+        before anything runs."""
         argv = [command]
         if experiment is not None:
             config = tmp_path / "experiment.cfg"
@@ -1102,7 +1126,9 @@ class TestCli:
             argv.append(str(config))
         argv += ["--grid", "7", "--out", str(tmp_path / "out")]
         assert cli_main(argv) == 1
-        assert "--grid" in capsys.readouterr().err
+        experiment = experiment or {"verify": "toy-verify", "smoking": "smoking"}[command]
+        assert "--grid sets 'grid_resolution', which does not apply to experiment " \
+            f"'{experiment}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("experiment", ["toy-verify", "smoking"])
@@ -1112,7 +1138,41 @@ class TestCli:
                                  "'grid_resolution'"):
             parse_config_text(f"experiment = {experiment}\ngrid_resolution = 7\n")
 
-    def test_parser_rejects_bad_smoking_mode(self):
+    def test_bad_smoking_mode_is_the_configs_input_error(self, tmp_path, capsys):
+        """The parser holds no mode list: the config's check refuses an
+        unknown mode, and main exits 1 with its message before anything
+        runs."""
+        out_dir = tmp_path / "smk"
+        path = _write_arms(tmp_path, TINY_ARMS)
+        assert cli_main(["smoking", "deafening", "--data", str(path),
+                         "--out", str(out_dir)]) == 1
+        assert f"error: proxy_mode must be one of {PROXY_MODES}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_lone_smoking_argument_is_the_mode(self, tmp_path, capsys, monkeypatch):
+        """`relbayes smoking weak` runs the weak mode on the packaged table."""
+        monkeypatch.setattr(cli_module, "packaged_smoking_path",
+                            lambda: _write_arms(tmp_path, TINY_ARMS))
+        out_dir = tmp_path / "smk"
+        with pytest.warns(RuntimeWarning, match="distinct studies"):
+            assert cli_main(["smoking", "weak", "--samples", "1200", "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        assert [row["proxy_mode"] for row in read_csv(out_dir / "summary.csv")] == ["weak"]
+        assert (out_dir / "run_metadata.txt").read_text().splitlines()[1] == \
+            "data: packaged dataset"
+
+    @pytest.mark.parametrize("command", ["run", "verify", "smoking"])
+    def test_every_option_sets_a_config_key_and_states_no_default(self, command):
+        """Each flag of a run command names the ExperimentConfig field it
+        sets and has no default of its own, so the parser cannot restate a
+        config default, type or choice list."""
         parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["smoking", "arms.csv", "deafening"])
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        options = [a for a in commands.choices[command]._actions
+                   if a.dest not in ("help", "config")]
+        assert len(options) >= 4
+        for action in options:
+            assert FLAG_KEYS[action.dest] in config_fields, action.dest
+            assert (action.default, action.type, action.choices) == (None, None, None), \
+                action.dest

@@ -381,7 +381,8 @@ def _gp_problem(seed=RNG_SEED, resolution=8):
     rng = np.random.default_rng(seed)
     inst = gen_gp_trajectories(scenario, rng)
     model = gp_model(inst.x_grid)
-    grid = build_grid(model, lambda t: -0.5 * (np.log(t[:, 0]) - 0.5) ** 2,
+    grid = build_grid(model.theta_support, model.psi_support,
+                      lambda t: -0.5 * (np.log(t[:, 0]) - 0.5) ** 2,
                       lambda p: -0.5 * (np.log(p[:, 0]) - 0.5) ** 2, resolution)
     proxy = gen_expert_proxy(model, inst.prompts, inst.psi_target_star, 0.0, rng,
                              theta_nodes=grid.theta_nodes,
@@ -471,11 +472,14 @@ class TestBeliefAverage:
         rng = task_rng(RNG_SEED, 0)
         if kind == "linear":
             inst = gen_linear_instance(LinearScenario(), rng)
-            problem = GridProblem(linear_model(), inst.source, runner._normal_prior_grid(101))
+            normal, box = runner._standard_normal_log_pdf, runner.LINEAR_BOX
+            problem = GridProblem(linear_model(), inst.source,
+                                  build_grid(box, box, normal, normal, 101))
         else:
             inst = gen_gp_trajectories(GpScenario(), rng)
             model = gp_model(inst.x_grid)
-            grid = build_grid(model, lambda t: -0.5 * (np.log(t[:, 0]) - 0.5) ** 2,
+            grid = build_grid(model.theta_support, model.psi_support,
+                              lambda t: -0.5 * (np.log(t[:, 0]) - 0.5) ** 2,
                               lambda p: -0.5 * (np.log(p[:, 0]) - 0.5) ** 2, 101)
             problem = GridProblem(model, inst.source, grid)
         grid = problem.grid

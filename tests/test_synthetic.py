@@ -229,7 +229,8 @@ class TestVectorisedAgreementEquivalence:
         inst = gen_gp_trajectories(GpScenario(), task_rng(3, 0))
         model = gp_model(inst.x_grid)
         grid = build_grid(
-            model, lambda t: -np.log(t[:, 0]) - 0.5 * (np.log(t[:, 0]) - 1.0) ** 2,
+            model.theta_support, model.psi_support,
+            lambda t: -np.log(t[:, 0]) - 0.5 * (np.log(t[:, 0]) - 1.0) ** 2,
             lambda p: (GP_PSI_SHAPE - 1.0) * np.log(p[:, 0]) - p[:, 0] / GP_PSI_SCALE, 101)
         thetas, prior = grid.theta_nodes, grid.theta_prior_mass
         psis = np.vstack([grid.psi_nodes, inst.psi_target_star[None, :]])
