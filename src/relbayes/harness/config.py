@@ -167,7 +167,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             hint = ("unknown key" if key not in _FIELD_TYPES
                     else f"not applicable to experiment {experiment!r}")
             raise ConfigError(f"{source}:{lineno}: {hint}: {key!r}")
-        values[key] = _coerce(key, raw, f"key {key!r}")
+        values[key] = _coerce(key, raw, f"{source}:{lineno}: key {key!r}")
     try:
         return ExperimentConfig(**values)
     except ValueError as exc:

@@ -17,6 +17,7 @@ module and the Metropolis sampler alike.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -111,15 +112,17 @@ class ModelSpec:
         length one.
     log_predictive_mode_density : optional callable
         (SourceData, thetas (A, k_theta), psis (B, k_psi), belief (A,))
-        -> (n, B) array.  Log modal density of the belief-averaged outcome
-        predictive, the one normalizer hook.  Only the relevance module
-        calls it, to put prior-expected scores on [0, 1]; the gp
-        expert-prompt agreement of synthetic.prompt_agreement is such a
-        score at the theta prior.  For the linear model this is the normal
-        of matching variance 1 + x1^2 Var(theta); for the trajectory model
-        every component peaks at the zero trajectory, so the mixture maximum
-        is exact.  None for a pmf model, whose relevance scores lie in
-        [0, 1] unnormalized.
+        -> 2-D array broadcastable to (n, B), in the shape its formula has.
+        Log modal density of the belief-averaged outcome predictive, the one
+        normalizer hook.  Only the relevance module calls it, to put
+        prior-expected scores on [0, 1]; the gp expert-prompt agreement of
+        synthetic.prompt_agreement is such a score at the theta prior.  For
+        the linear model this is the normal of matching variance
+        1 + x1^2 Var(theta), which depends on the observation only: (n, 1).
+        For the trajectory model every component peaks at the zero
+        trajectory, so the mixture maximum is exact and depends on the psi
+        node only: (1, B).  None for a pmf model, whose relevance scores lie
+        in [0, 1] unnormalized.
     outcome_space : optional integer array
         Full outcome alphabet when the model's outcomes are enumerable with
         a fixed alphabet (the discrete toy model).  Enables exact
@@ -260,8 +263,7 @@ def linear_model() -> ModelSpec:
         b = np.asarray(belief, dtype=float)
         var_theta = max(float(b @ th ** 2 - (b @ th) ** 2), 0.0)
         v = 1.0 + data.covariates[:, 0] ** 2 * var_theta    # (n,)
-        n_psi = np.asarray(psis).shape[0]
-        return np.tile(-0.5 * np.log(2.0 * np.pi * v)[:, None], (1, n_psi))
+        return -0.5 * np.log(2.0 * np.pi * v)[:, None]      # (n, 1): no psi term
 
     return ModelSpec(
         name="linear",
@@ -297,19 +299,17 @@ def binomial_logit_model() -> ModelSpec:
 
     The failure counts and the log binomial coefficient depend only on the
     data, and a Metropolis chain evaluates one SourceData thousands of
-    times.  So the model keeps the count columns, broadcast as (n, 1, 1),
-    of the last SourceData it saw, compared by identity; the columns are
-    read-only, so a kept constant cannot go stale.
+    times.  So the model caches the count columns, broadcast as (n, 1, 1),
+    of the last SourceData it saw, which hashes by identity; the columns are
+    read-only, so a cached constant cannot go stale.
     """
 
-    kept = [None, None]     # [SourceData, (y, n - y, log_coef) broadcast as (n, 1, 1)]
-
+    @functools.lru_cache(maxsize=1)
     def _columns(data: SourceData):
-        if kept[0] is not data:
-            y = data.outcomes[:, None, None]
-            n = data.trial_counts[:, None, None]
-            kept[:] = [data, (y, n - y, _binom_log_coef(y, n))]
-        return kept[1]
+        """(y, n - y, log C(n, y)), each broadcast as (n, 1, 1)."""
+        y = data.outcomes[:, None, None]
+        n = data.trial_counts[:, None, None]
+        return y, n - y, _binom_log_coef(y, n)
 
     def log_likelihood(data: SourceData, thetas, psis) -> np.ndarray:
         if data.trial_counts is None:
@@ -369,19 +369,19 @@ def gp_model(x_grid) -> ModelSpec:
     classic and r-weighted tensors, the expert prompts, and the mode-density
     normaliser of every refinement round; the model that draws the
     trajectories asks for (theta*, psi*) once per target-task trajectory.
-    So the model keeps the two most recently used node products, keyed on
-    the exact bytes of the node arrays, and simulate draws from the same
-    kept factors; two slots hold the full grid and the (theta grid, psi*)
-    product the expert proxy is drawn at, and a learner model kept across
-    simulations keeps the grid while each simulation's psi* product
-    replaces the last one.  The kernel is symmetric in the two
-    lengthscales, so a kept entry holds the Cholesky factors and
-    log-determinants of the product's distinct unordered pairs
-    {theta_a, psi_b} only, plus the index of each product cell into them: a
-    grid with the same nodes on both axes factors A(A+1)/2 kernels, not
-    A^2.  The factor serves both the quadratic form, by forward
-    substitution, and the log-determinant (Rasmussen & Williams 2006,
-    Algorithm 2.1).
+    So the model caches the two most recently used node products
+    (functools.lru_cache), keyed on the shapes and exact bytes of the node
+    arrays, and simulate draws from the same cached factors; two slots hold
+    the full grid and the (theta grid, psi*) product the expert proxy is
+    drawn at, and a learner model kept across simulations keeps the grid
+    while each simulation's psi* product replaces the last one.  The kernel
+    is symmetric in the two lengthscales, so a cached entry holds the
+    Cholesky factors and log-determinants of the product's distinct
+    unordered pairs {theta_a, psi_b} only, plus the index of each product
+    cell into them: a grid with the same nodes on both axes factors
+    A(A+1)/2 kernels, not A^2.  The factor serves both the quadratic form,
+    by forward substitution, and the log-determinant (Rasmussen & Williams
+    2006, Algorithm 2.1).
     """
 
     x = np.asarray(x_grid, dtype=float)
@@ -393,7 +393,6 @@ def gp_model(x_grid) -> ModelSpec:
     sq = (x[:, None] - x[None, :]) ** 2
     diag = np.arange(m)
     support = np.array([[0.05, 12.0]])
-    kept = []       # [(key, factor (m, m, U), log-dets (U,), index (A*B,))], most recent last
 
     def _batch_chol(thetas, psis):
         """Kernel Cholesky factors of the distinct lengthscale pairs of the
@@ -443,24 +442,22 @@ def gp_model(x_grid) -> ModelSpec:
                 jitter *= 10.0
 
     def _factor(thetas, psis):
-        """The kept (m, m, U) factor, (U,) log-determinants and (A*B,) index
-        of the distinct pairs, factoring on a miss."""
+        """The cached (m, m, U) factor, (U,) log-determinants and (A*B,)
+        index of the distinct pairs, factoring on a miss."""
         th = np.asarray(thetas, dtype=float)
         ps = np.asarray(psis, dtype=float)
-        key = (th.shape, th.tobytes(), ps.shape, ps.tobytes())
-        for i, entry in enumerate(kept):
-            if entry[0] == key:
-                # a hit becomes the most recently used, so a simulation's new
-                # (theta grid, psi*) product evicts the older one, not the grid
-                kept.append(kept.pop(i))
-                return entry[1:]
-        chol, index = _batch_chol(th, ps)
+        return _factor_nodes(th.shape, th.tobytes(), ps.shape, ps.tobytes())
+
+    # a hit becomes the most recently used, so a simulation's new
+    # (theta grid, psi*) product evicts the older one, not the grid
+    @functools.lru_cache(maxsize=2)
+    def _factor_nodes(th_shape, th_bytes, ps_shape, ps_bytes):
+        chol, index = _batch_chol(np.frombuffer(th_bytes).reshape(th_shape),
+                                  np.frombuffer(ps_bytes).reshape(ps_shape))
         log_det = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
         factor = np.ascontiguousarray(np.moveaxis(chol, 0, 2))
         for arr in (factor, log_det, index):
             arr.flags.writeable = False
-        kept.append((key, factor, log_det, index))
-        del kept[:-2]
         return factor, log_det, index
 
     def log_likelihood(data: SourceData, thetas, psis) -> np.ndarray:
@@ -489,20 +486,14 @@ def gp_model(x_grid) -> ModelSpec:
         factor, _, index = _factor(param_values(theta)[None, :], param_values(psi)[None, :])
         return factor[:, :, index[0]] @ rng.standard_normal(m)
 
-    def log_mode_density(thetas, psis) -> np.ndarray:
-        """Log density of each (theta_a, psi_b) component at its mode, the
-        zero trajectory, shape (A, B)."""
-        _, log_det, index = _factor(thetas, psis)
-        return (-log_det - 0.5 * m * LOG_2PI).take(index).reshape(len(thetas), len(psis))
-
     def log_predictive_mode_density(data, thetas, psis, belief) -> np.ndarray:
         # every component is a zero-mean Gaussian, so the belief mixture
-        # attains its maximum at the zero trajectory
-        lm = log_mode_density(thetas, psis)                 # (A, B)
+        # attains its maximum at the zero trajectory, whatever the data
+        _, log_det, index = _factor(thetas, psis)
+        lm = (-log_det - 0.5 * m * LOG_2PI).take(index).reshape(len(thetas), len(psis))
         with np.errstate(divide="ignore"):
             lb = np.log(np.asarray(belief, dtype=float))
-        mixed = logsumexp(lm + lb[:, None], axis=0)         # (B,)
-        return np.tile(mixed[None, :], (data.n, 1))
+        return logsumexp(lm + lb[:, None], axis=0)[None, :]  # (1, B)
 
     return ModelSpec(
         name="gp",

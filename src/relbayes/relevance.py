@@ -5,9 +5,11 @@ observation by how well the current belief over the shared parameter
 predicts it when the observation is pretended to come from the target task;
 for a model that defines one, the modal density of that belief-averaged
 predictive normalizes the score into [0, 1], and a pmf model's score lies
-there already.  sigmoid_ratio_relevance is the cheap heuristic used for the
-observational case study; models.sigmoid_ratio_weights forms it, for the
-Metropolis sampler too.
+there already.  The model hands that density back in the shape its
+formula has, (n, 1) or (1, B), broadcast against the (n, B) scores.
+sigmoid_ratio_relevance is the cheap heuristic used for the observational
+case study; models.sigmoid_ratio_weights forms it, for the Metropolis
+sampler too.
 
 refine_relevance, which the grid learners run, alternates prior-expected
 weight evaluation with the r-weighted grid posterior a fixed number of
@@ -40,8 +42,8 @@ import numpy as np
 
 from .grids import _check_normalized
 from .inference import GridProblem, PosteriorTable, r_weighted_posterior
-from .models import DegenerateRelevanceError, ModelSpec, SourceData, loglik_tensor, \
-    param_values, sigmoid_ratio_weights  # noqa: F401  (error re-exported)
+from .models import ModelSpec, SourceData, loglik_tensor, param_values, \
+    sigmoid_ratio_weights
 
 CLIP_WARN_TOL = 0.5
 MAX_REFINEMENTS = 10
@@ -68,22 +70,24 @@ def _clip_unit(weights: np.ndarray, context: str) -> np.ndarray:
 
 
 def _predictive_mode_matrix(model: ModelSpec, data: SourceData,
-                            thetas: np.ndarray, psis: np.ndarray,
-                            belief: np.ndarray) -> np.ndarray:
-    """Log normalizer for every (observation, psi node) pair, shape (n, B).
+                            thetas: np.ndarray, psis: np.ndarray, belief: np.ndarray):
+    """Log normalizer for every (observation, psi node) pair: a 2-D array
+    that broadcasts to (n, B), or 0.0.
 
-    The model's log predictive mode density when it defines one (linear,
-    gp).  A model without one (toy, binomial) has a pmf, whose belief
-    average already lies in [0, 1], so its normalizer is 0.
+    The model's log predictive mode density when it defines one: (n, 1) for
+    the linear model, (1, B) for the gp.  A model without one (toy,
+    binomial) has a pmf, whose belief average already lies in [0, 1], so
+    its normalizer is 0.
     """
     if model.log_predictive_mode_density is None:
-        return np.zeros((data.n, psis.shape[0]))
+        return 0.0
     out = np.asarray(
         model.log_predictive_mode_density(data, thetas, psis, belief), dtype=float)
-    if out.shape != (data.n, psis.shape[0]):
+    shape = (data.n, psis.shape[0])
+    if out.ndim != 2 or any(k not in (1, want) for k, want in zip(out.shape, shape)):
         raise RelevanceConfigError(
             f"model {model.name!r} returned predictive mode densities of shape "
-            f"{out.shape}, expected {(data.n, psis.shape[0])}")
+            f"{out.shape}, which does not broadcast to {shape}")
     return out
 
 
@@ -164,7 +168,6 @@ class RefinementResult:
 
     weights_per_psi: np.ndarray
     theta_belief: np.ndarray
-    iterations: int
     posterior: PosteriorTable
 
 
@@ -197,5 +200,5 @@ def refine_relevance(problem: GridProblem, proxy_ll,
     for _ in range(t):
         belief = r_weighted_posterior(problem, evaluate(belief), proxy_ll).theta_marginal()
     weights = evaluate(belief)
-    return RefinementResult(weights_per_psi=weights, theta_belief=belief, iterations=t,
+    return RefinementResult(weights_per_psi=weights, theta_belief=belief,
                             posterior=r_weighted_posterior(problem, weights, proxy_ll))

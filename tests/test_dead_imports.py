@@ -2,8 +2,7 @@
 
 No lint tool runs with the suite, so this walks each module under
 src/relbayes with ast.  Package __init__ modules are skipped: everything
-they import is their public surface, pinned in test_public_api.  A
-deliberate re-export from another module goes in REEXPORTS.
+they import is their public surface, pinned in test_public_api.
 """
 
 import ast
@@ -15,9 +14,6 @@ import relbayes
 
 SRC = Path(relbayes.__file__).parent
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
-
-# (module path relative to src/relbayes, name) pairs imported for importers
-REEXPORTS = {("relevance.py", "DegenerateRelevanceError")}
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -41,19 +37,10 @@ def _read_names(tree: ast.Module) -> set[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_every_import_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    rel = path.relative_to(SRC).as_posix()
     read = _read_names(tree)
     unused = [f"line {line}: {name}" for name, line in _imported_names(tree).items()
-              if name not in read and (rel, name) not in REEXPORTS]
-    assert not unused, f"{rel} imports names it never reads: {unused}"
-
-
-def test_reexports_are_imported_and_unread():
-    """An allowlist entry goes once its module reads the name or drops it."""
-    for rel, name in REEXPORTS:
-        tree = ast.parse((SRC / rel).read_text(encoding="utf-8"))
-        assert name in _imported_names(tree), (rel, name)
-        assert name not in _read_names(tree), (rel, name)
+              if name not in read]
+    assert not unused, f"{path.relative_to(SRC)} imports names it never reads: {unused}"
 
 
 def test_the_walk_sees_an_unread_import():

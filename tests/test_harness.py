@@ -897,6 +897,16 @@ class TestCli:
         assert rc == 1
         assert "not applicable" in capsys.readouterr().err
 
+    def test_unparseable_value_names_file_and_line(self, tmp_path, capsys):
+        """A value that does not parse carries path:line like every other
+        config-file error."""
+        config = tmp_path / "bad.cfg"
+        config.write_text("experiment = linear\nn_simulations = many\n")
+        rc = cli_main(["run", str(config)])
+        assert rc == 1
+        assert (f"error: {config}:2: key 'n_simulations': cannot parse 'many' as int"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("experiment, key, value", [
         ("linear", "contamination_pct", "150"),
         ("gp", "refinement_T", "11"),

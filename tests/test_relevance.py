@@ -14,12 +14,11 @@ from relbayes.grids import ParameterGrid, build_grid, toy_grid
 from relbayes.harness import runner, smoking
 from relbayes.harness.config import ExperimentConfig
 from relbayes.inference import GridProblem, proxy_loglik_vector, r_weighted_posterior
-from relbayes.models import (SourceData, binomial_logit_model,
+from relbayes.models import (DegenerateRelevanceError, SourceData, binomial_logit_model,
                              discrete_toy_model, gp_model, linear_model, loglik_tensor)
-from relbayes.relevance import (DegenerateRelevanceError, RelevanceConfigError,
-                                _belief_averager, _predictive_mode_matrix,
-                                prior_expected_relevance, refine_relevance,
-                                sigmoid_ratio_relevance)
+from relbayes.relevance import (RelevanceConfigError, _belief_averager,
+                                _predictive_mode_matrix, prior_expected_relevance,
+                                refine_relevance, sigmoid_ratio_relevance)
 from relbayes.synthetic import GpScenario, LinearScenario, gen_expert_proxy, \
     gen_gp_trajectories, gen_linear_instance, task_rng
 
@@ -196,11 +195,16 @@ class TestPriorExpected:
         assert_allclose(w, [0.5, 0.5], rtol=0, atol=0)
 
     def test_mode_density_of_wrong_shape_rejected(self):
-        model = dataclasses.replace(
-            linear_model(), log_predictive_mode_density=lambda data, t, p, b: np.zeros(2))
-        data = SourceData([[1.0, 0.0]], [0.0])
-        with pytest.raises(RelevanceConfigError, match="shape"):
-            prior_expected_relevance(model, data, [[0.0]], [1.0], [[0.0]])
+        """The hook's result must be 2-D and broadcast to (n, B), here
+        (3, 2): a vector, a column one row too long and an (n, B, 1) block
+        are each refused."""
+        data = SourceData([[1.0, 0.0]] * 3, [0.0, 0.5, 1.0])
+        for shape in [(3,), (4, 1), (3, 2, 1)]:
+            model = dataclasses.replace(
+                linear_model(),
+                log_predictive_mode_density=lambda data, t, p, b: np.zeros(shape))
+            with pytest.raises(RelevanceConfigError, match=r"shape .* does not broadcast"):
+                prior_expected_relevance(model, data, [[0.0]], [1.0], [[0.0], [1.0]])
 
     def test_psi_nodes_must_be_a_matrix(self):
         data = SourceData([[1.0, 0.0]], [0.0])
@@ -241,7 +245,6 @@ class TestRefineRelevance:
         grid = _linear_grid(rng)
         data = SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(5)]))
         result = refine_relevance(GridProblem(model, data, grid), np.zeros(grid.n_psi), 0)
-        assert result.iterations == 0
         assert_allclose(result.theta_belief, grid.theta_prior_mass, rtol=0, atol=0)
         want = prior_expected_relevance(model, data, grid.theta_nodes,
                                         grid.theta_prior_mass, grid.psi_nodes)
@@ -268,7 +271,6 @@ class TestRefineRelevance:
         grid = _linear_grid(rng)
         data = SourceData(np.tile([1.0, 0.1], (6, 1)), [-1.0 + 0.05 * i for i in range(6)])
         result = refine_relevance(GridProblem(model, data, grid), np.zeros(grid.n_psi), 3)
-        assert result.iterations == 3
         moved = np.abs(result.theta_belief - grid.theta_prior_mass).sum()
         assert moved > 0.1
         post_mean = result.theta_belief @ grid.theta_nodes[:, 0]
@@ -335,7 +337,6 @@ class TestComputeOnce:
         vectors = _count_calls(monkeypatch, inference.proxy_loglik_vector)
         engines = _count_calls(monkeypatch, inference.r_weighted_posterior)
         result = refine_relevance(GridProblem(model, data, grid), proxy_ll, 3)
-        assert result.iterations == 3
         assert len(tensors) == 1
         assert len(vectors) == 0
         # three rounds and the final posterior, each through the public engine
@@ -388,6 +389,22 @@ def _gp_problem(seed=RNG_SEED, resolution=8):
                              theta_nodes=grid.theta_nodes,
                              theta_prior=grid.theta_prior_mass)
     return GridProblem(model, inst.source, grid), proxy
+
+
+def _grid_101_problem(kind, rng):
+    """A default-scenario linear or gp instance on a 101 x 101 grid, the
+    sweeps' grid-101 shape."""
+    if kind == "linear":
+        inst = gen_linear_instance(LinearScenario(), rng)
+        normal, box = runner._standard_normal_log_pdf, runner.LINEAR_BOX
+        return GridProblem(linear_model(), inst.source,
+                           build_grid(box, box, normal, normal, 101))
+    inst = gen_gp_trajectories(GpScenario(), rng)
+    model = gp_model(inst.x_grid)
+    grid = build_grid(model.theta_support, model.psi_support,
+                      lambda t: -0.5 * (np.log(t[:, 0]) - 0.5) ** 2,
+                      lambda p: -0.5 * (np.log(p[:, 0]) - 0.5) ** 2, 101)
+    return GridProblem(model, inst.source, grid)
 
 
 def _with_zeros(rng, size, zeros):
@@ -470,18 +487,7 @@ class TestBeliefAverage:
         run over 101 psi nodes, the (n, A, B) exponentiated array still
         averages to the per-round log-sum-exp."""
         rng = task_rng(RNG_SEED, 0)
-        if kind == "linear":
-            inst = gen_linear_instance(LinearScenario(), rng)
-            normal, box = runner._standard_normal_log_pdf, runner.LINEAR_BOX
-            problem = GridProblem(linear_model(), inst.source,
-                                  build_grid(box, box, normal, normal, 101))
-        else:
-            inst = gen_gp_trajectories(GpScenario(), rng)
-            model = gp_model(inst.x_grid)
-            grid = build_grid(model.theta_support, model.psi_support,
-                              lambda t: -0.5 * (np.log(t[:, 0]) - 0.5) ** 2,
-                              lambda p: -0.5 * (np.log(p[:, 0]) - 0.5) ** 2, 101)
-            problem = GridProblem(model, inst.source, grid)
+        problem = _grid_101_problem(kind, rng)
         grid = problem.grid
         assert problem.tensor.shape[1:] == (101, 101)
         log_average = _belief_averager(problem.tensor)
@@ -491,6 +497,28 @@ class TestBeliefAverage:
             want = prior_expected_matrix(problem.tensor, log_mode, belief)
             got = np.exp(log_average(belief) - log_mode).T
             assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["linear", "gp"])
+    def test_natural_shape_hook_refines_as_the_tiled_one(self, kind):
+        """The linear hook returns (n, 1) and the gp hook (1, B); broadcast
+        against the (n, B) belief average, they refine to the same bits as
+        the same values tiled out to (n, B)."""
+        problem = _grid_101_problem(kind, task_rng(RNG_SEED, 0))
+        model, data, grid = problem.model, problem.data, problem.grid
+        natural = _predictive_mode_matrix(model, data, grid.theta_nodes, grid.psi_nodes,
+                                          grid.theta_prior_mass)
+        assert natural.shape == ((data.n, 1) if kind == "linear" else (1, grid.n_psi))
+        hook = model.log_predictive_mode_density
+        tiled = dataclasses.replace(model, log_predictive_mode_density=lambda d, t, p, b:
+                                    np.broadcast_to(hook(d, t, p, b), (d.n, len(p))).copy())
+        psi = grid.psi_nodes[:, 0]
+        proxy_ll = -0.5 * (psi - psi.mean()) ** 2 / psi.var()
+        got = refine_relevance(problem, proxy_ll, 3)
+        want = refine_relevance(GridProblem(tiled, data, grid), proxy_ll, 3)
+        assert got.weights_per_psi.tobytes() == want.weights_per_psi.tobytes()
+        assert got.theta_belief.tobytes() == want.theta_belief.tobytes()
+        assert got.posterior.joint_mass.tobytes() == want.posterior.joint_mass.tobytes()
+        assert got.posterior.log_evidence == want.posterior.log_evidence
 
     @pytest.mark.parametrize("kind", ["linear", "gp"])
     def test_refinement_matches_full_logsumexp_rounds(self, kind):
