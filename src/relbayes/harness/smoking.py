@@ -135,7 +135,8 @@ def _stacked_data(study_map: dict) -> tuple[SourceData, list[list[int]]]:
 
 
 def _normal_prior(theta: np.ndarray, psi: np.ndarray) -> float:
-    return float(-(theta @ theta + psi @ psi) / (2.0 * PRIOR_SD ** 2))
+    # Python floats after the dot products: numpy's IEEE operations, at less cost
+    return -(float(theta.dot(theta)) + float(psi.dot(psi))) / (2.0 * PRIOR_SD ** 2)
 
 
 def _prior_with_proxy(z: float, sigma: float):

@@ -328,15 +328,20 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, prior_log_density, 
     intercept.
 
     Each step evaluates the model once: one loglik_tensor call per proposed
-    state, of n x 2 cells for the sigmoid-ratio target and n cells for
+    state, of n x 2 cells for the sigmoid-ratio target below models.N_UNIT
+    observations, n cells for it from N_UNIT on (see below), and n cells for
     fixed effects.  A proposal of infinite prior density is rejected
-    without a model call; a NaN one raises.  The log-target is built once
-    per chain, with its per-chain constants: the null theta row and log n of
-    the sigmoid ratio and, for fixed effects, one index that gathers every
-    observation's group intercept from psi.  The sigmoid-ratio weights are
-    neither range-checked nor masked: models.sigmoid_ratio_weights raises
-    unless the pooled null log-likelihood is finite, and then every weight
-    lies in [0.5, 1].
+    without a model call; a NaN one raises.  The proposal is drawn into a
+    buffer the chain keeps and scaled and shifted there, an accepted
+    proposal swaps buffers with the state, and each kept state is copied
+    into one (kept, dim) array, split into the theta and psi samples at the
+    end.  The log-target is built once per chain, with its per-chain
+    constants: the null theta row and log n of the sigmoid ratio and, for
+    fixed effects, one index that gathers every observation's group
+    intercept from psi.  The sigmoid-ratio weights are neither
+    range-checked nor masked: models.sigmoid_ratio_weights raises unless
+    the pooled null log-likelihood is finite, and then every weight lies in
+    [0.5, 1].
 
     For a pmf model (no log_predictive_mode_density) each weight is at least
     sigmoid(n), which is exactly 1.0 in float64 from n = 37 on.  From n =
@@ -388,36 +393,42 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, prior_log_density, 
         raise McmcInitError(f"log-target is {current} at the initial state")
 
     rng = np.random.default_rng(seed)
-    burn = n_samples // 4
-    keep = n_samples - burn
-    kept_theta = np.empty((keep, k_theta))
-    kept_psi = np.empty((keep, psi_dim))
-    accepted_post = 0
+    prop = np.empty(dim)
 
+    def step() -> bool:
+        """One Metropolis step; True when its proposal is accepted."""
+        nonlocal state, prop, current
+        rng.standard_normal(out=prop)
+        prop *= scales
+        prop += state
+        cand = log_target(prop)
+        if np.log(rng.random()) < cand - current:
+            state, prop, current = prop, state, cand
+            return True
+        return False
+
+    burn = n_samples // 4
     window = 100
     window_accepts = 0
-    for it in range(n_samples):
-        prop = state + scales * rng.standard_normal(dim)
-        cand = log_target(prop)
-        accept = bool(np.log(rng.random()) < cand - current)
-        if accept:
-            state, current = prop, cand
-        if it < burn:
-            window_accepts += accept
-            if (it + 1) % window == 0:
-                scales *= np.exp(window_accepts / window - ACCEPT_TARGET)
-                window_accepts = 0
-        else:
-            accepted_post += accept
-            kept_theta[it - burn] = state[:k_theta]
-            kept_psi[it - burn] = state[k_theta:]
+    for it in range(1, burn + 1):
+        window_accepts += step()
+        if it % window == 0:
+            scales *= np.exp(window_accepts / window - ACCEPT_TARGET)
+            window_accepts = 0
 
-    rate = accepted_post / keep
+    kept = np.empty((n_samples - burn, dim))
+    accepted_post = 0
+    for row in kept:
+        accepted_post += step()
+        row[:] = state
+
+    rate = accepted_post / kept.shape[0]
     warning = None
     if not (ACCEPT_BAND[0] <= rate <= ACCEPT_BAND[1]):
         warning = f"acceptance rate {rate:.3f} outside {ACCEPT_BAND} after adaptation"
         warnings.warn(warning, RuntimeWarning)
-    return McmcChain(theta_samples=kept_theta, psi_samples=kept_psi,
+    return McmcChain(theta_samples=kept[:, :k_theta].copy(),
+                     psi_samples=kept[:, k_theta:].copy(),
                      acceptance_rate=rate, warning=warning)
 
 

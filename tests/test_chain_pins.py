@@ -3,8 +3,10 @@
 Each chain's samples are hashed (sha256 over the theta then the psi sample
 bytes) and compared, with its acceptance rate, to literals recorded before
 the sampler's per-step work was cut: a weighted chain and a fixed-effects
-chain of the partition that holds out study 01, and the all-data
-fixed-effects fit behind fit_study_intercepts.  One end-to-end pin covers
+chain of the partition that holds out study 01, the all-data
+fixed-effects fit behind fit_study_intercepts, and a weighted chain on that
+partition cut to fewer than models.N_UNIT arms, which takes the two-column
+sigmoid-ratio step.  So all three step kinds are pinned.  One end-to-end pin covers
 the whole weak-proxy partition that holds out study 01 at the benchmark's
 6,000 iterations: the intercept fit, both chains and the predictive scores,
 hashed over the repr of its partition_rows, which round-trips every float
@@ -21,7 +23,7 @@ import pytest
 
 from relbayes.harness import smoking
 from relbayes.inference import metropolis_posterior
-from relbayes.models import binomial_logit_model
+from relbayes.models import N_UNIT, SourceData, binomial_logit_model
 from relbayes.synthetic import gen_imprecise_estimate_proxy
 
 PROXY_SD = 1.0
@@ -33,6 +35,9 @@ FIXED_EFFECTS = ("19aa83f5c6c96f997ec319d2595eaf4eaa59c49ab42c7eb98e5fdff967208a
                  0.024)
 ALL_DATA = ("1c1cd8fba89b67a7679e995935ee1dda327f405716c374ec47bb62e9f8322e16",
             0.018666666666666668)
+SMALL_ARMS = 20
+TWO_COLUMN = ("4fb478b917ffb7b00f0a4a325f3cf4bb4a739daa340e4c9f6296d716c9c9f0b6",
+              0.08666666666666667)
 # sha256 of the 24 posterior-mean intercepts, in study order
 INTERCEPT_MEANS = "52f73faffccb1d46b80fe6e66b5d8efe4d6db723c1189b0cb994fff066284a4c"
 
@@ -70,6 +75,19 @@ def test_weighted_chain_is_pinned(partition):
                                  smoking._prior_with_proxy(z, PROXY_SD),
                                  n_samples=N_SAMPLES, seed=101, init_psi=np.array([z]))
     assert _pin(chain) == WEIGHTED
+
+
+def test_two_column_weighted_chain_is_pinned(partition):
+    """The first SMALL_ARMS arms only: below N_UNIT arms the weighted step
+    evaluates the null column and forms the sigmoid-ratio weights."""
+    data, _, z = partition
+    assert SMALL_ARMS < N_UNIT
+    small = SourceData(data.covariates[:SMALL_ARMS], data.outcomes[:SMALL_ARMS],
+                       data.trial_counts[:SMALL_ARMS])
+    chain = metropolis_posterior(binomial_logit_model(), small,
+                                 smoking._prior_with_proxy(z, PROXY_SD),
+                                 n_samples=N_SAMPLES, seed=104, init_psi=np.array([z]))
+    assert _pin(chain) == TWO_COLUMN
 
 
 def test_fixed_effects_chain_is_pinned(partition):

@@ -344,6 +344,33 @@ class TestStepErrors:
                    for w in caught)
 
 
+class TestChainArrays:
+    @pytest.mark.filterwarnings("ignore:acceptance rate")
+    @pytest.mark.parametrize("kind", ["sigmoid-ratio", "fixed effects"])
+    def test_samples_own_their_memory(self, partition, kind):
+        """The kept states are split into two C-contiguous arrays that share
+        no memory with each other or with a later chain's."""
+        data, groups, _ = partition
+
+        def chain(seed):
+            return metropolis_posterior(binomial_logit_model(), data, smoking._normal_prior,
+                                        n_samples=1000, seed=seed,
+                                        groups=None if kind == "sigmoid-ratio" else groups)
+
+        first = chain(5)
+        theta, psi = first.theta_samples, first.psi_samples
+        assert theta.shape == (750, 4)
+        assert psi.shape == (750, 1 if kind == "sigmoid-ratio" else 23)
+        for arr in (theta, psi):
+            assert arr.flags.c_contiguous and arr.flags.owndata
+        assert not np.shares_memory(theta, psi)
+        kept = theta.copy(), psi.copy()
+        second = chain(6)
+        assert not np.shares_memory(theta, second.theta_samples)
+        assert theta.tobytes() == kept[0].tobytes()
+        assert psi.tobytes() == kept[1].tobytes()
+
+
 class TestStateShapes:
     """Wrong-length starting intercepts and scales, proposal scales that are not
     positive and finite, and a sample count that is not an integer fail

@@ -277,6 +277,50 @@ class TestBinomialLogitModel:
                         scalar.binomial_logit(obs, thetas[a], psis[b]),
                         rtol=0, atol=1e-11)
 
+    LOGITS = (0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0, 1e300, -1e300)
+
+    @pytest.mark.parametrize("form", ["product", "per-observation"])
+    def test_in_place_cells_equal_the_textbook_form(self, form):
+        """The cells, formed in place, carry the bits of log C(n, y)
+        - y logaddexp(0, -t) - (n - y) logaddexp(0, t) at the linear
+        predictor t = x . theta + psi.  A zero theta row puts each psi on t
+        exactly, so the extreme logits LOGITS are covered beside random
+        ones; the caller's arrays and the data columns are left as they
+        were."""
+        rng = np.random.default_rng(RNG_SEED)
+        n = 9
+        counts = rng.integers(1, 41, size=n)
+        outcomes = np.minimum(rng.integers(0, 41, size=n), counts)
+        outcomes[:2] = 0, counts[1]
+        data = SourceData(rng.normal(size=(n, 4)), outcomes, counts)
+        thetas = np.vstack([np.zeros(4), rng.normal(size=(3, 4)) * 4.0])
+        psi_values = np.r_[self.LOGITS, rng.normal(size=7) * 5.0]
+        if form == "product":
+            psis = psi_values[:, None]
+            psi_column = psis[None, None, :, 0]
+        else:
+            psis = np.stack([rng.permutation(psi_values) for _ in range(n)])[:, :, None]
+            psi_column = psis[:, None, :, 0]
+        before = [arr.copy() for arr in (thetas, psis, data.covariates, data.outcomes,
+                                         data.trial_counts)]
+
+        got = loglik_tensor(self.model, data, thetas, psis)
+
+        y = data.outcomes[:, None, None]
+        failures = data.trial_counts[:, None, None] - y
+        log_coef = (scipy.special.gammaln(data.trial_counts + 1)
+                    - scipy.special.gammaln(data.outcomes + 1)
+                    - scipy.special.gammaln(failures[:, 0, 0] + 1))[:, None, None]
+        t = (data.covariates @ thetas.T)[:, :, None] + psi_column
+        assert set(self.LOGITS) <= set(t[:, 0, :].ravel())
+        want = log_coef - y * np.logaddexp(0.0, -t) - failures * np.logaddexp(0.0, t)
+        assert got.shape == want.shape == (n, 4, psi_values.size)
+        assert np.isfinite(want).all()
+        assert got.tobytes() == want.tobytes()
+        for old, new in zip(before, (thetas, psis, data.covariates, data.outcomes,
+                                     data.trial_counts)):
+            assert new.tobytes() == old.tobytes()
+
     def test_simulate_mean(self):
         rng = np.random.default_rng(RNG_SEED)
         x = np.array([1.0, 0.0, 0.0, 0.0])
