@@ -8,12 +8,13 @@ effective-sample-size decomposition, and the negative-transfer bound.
 Every expectation is a finite sum over the datasets of an enumerable
 outcome alphabet (the discrete toy model) and is enumerated exactly.  One
 ToyEnumeration record holds a toy instance's enumeration, built once: the
-(M, n) array of every dataset's outcome indices, the true dataset
-log-probabilities log P*(d), and the per-outcome log-likelihood tables.
-Every diagnostic reads that record: the dataset array gathers a table, and
-each expectation is one reduction weighted by P*(d).  A dataset with
-P*(d) = 0 adds exactly 0, the 0 log 0 = 0 rule.  Models without an
-enumerable alphabet are rejected when the record is built.
+(M, n) array of the outcome indices of every dataset the truth can
+produce, their log-probabilities log P*(d), and the per-outcome
+log-likelihood tables.  Every diagnostic reads that record: the dataset
+array gathers a table, and each expectation is one reduction weighted by
+P*(d).  A dataset with P*(d) = 0 would add exactly 0 (the 0 log 0 = 0
+rule), so none is enumerated.  Models without an enumerable alphabet are
+rejected when the record is built.
 A proxy is its (Z, B) log-likelihood table over a finite payload alphabet,
 and both learners' posteriors are formed with the grid engines' own code.
 """
@@ -183,8 +184,9 @@ class ToyEnumeration:
 
     theta* is snapped to its nearest grid node a_star, theta_snap_distance
     away; a theta* outside the grid span raises.  datasets is every outcome
-    tuple of length n as an (M, n) index array in lexicographic order (the
-    last observation varies fastest), and log_pstar its log P*(d), (M,).
+    tuple of length n with P*(d) > 0 as an (M, n) index array in
+    lexicographic order (the last observation varies fastest), and
+    log_pstar its log P*(d), (M,).
     The three log-pmf tables are log p(o | theta_a, psi_b) over the full
     grid, table (|O|, A, B); log p(o | theta*, psi_b), at_theta_star
     (|O|, B); and log p(o | theta*, psi*_i), star (n, |O|).
@@ -221,9 +223,11 @@ class ToyEnumeration:
         n = truth.n
         star = loglik_tensor(model, outcomes, theta[None, :], truth.psi_star)[:, 0, :].T
         datasets = np.indices((outcomes.n,) * n).reshape(n, -1).T
+        log_pstar = star[np.arange(n)[None, :], datasets].sum(axis=1)
+        possible = np.exp(log_pstar) > 0.0
         arrays = {
-            "datasets": datasets,
-            "log_pstar": star[np.arange(n)[None, :], datasets].sum(axis=1),
+            "datasets": datasets[possible],
+            "log_pstar": log_pstar[possible],
             "table": loglik_tensor(model, outcomes, grid.theta_nodes, grid.psi_nodes),
             "at_theta_star": loglik_tensor(model, outcomes, theta[None, :],
                                            grid.psi_nodes)[:, 0, :],
@@ -281,8 +285,7 @@ def info_gain_classic(record: ToyEnumeration, source_psi_prior, *, loglik=None) 
     if loglik is None:
         loglik = _classic_theta_loglik(record, source_psi_prior)         # (A, M)
     log_post = loglik + grid.log_theta_prior()[:, None]
-    with np.errstate(invalid="ignore"):                                   # only where P*(d) = 0
-        ratios = log_post[a_star] - logsumexp(log_post, axis=0) - grid.log_theta_prior()[a_star]
+    ratios = log_post[a_star] - logsumexp(log_post, axis=0) - grid.log_theta_prior()[a_star]
     return float(_expect(np.exp(record.log_pstar), ratios))
 
 
@@ -305,8 +308,8 @@ def info_gain_rweighted(record: ToyEnumeration, proxy_table,
     when given, is the (B, n, |O|) table of check_prop55, so each
     observation's weight depends on its own outcome; without one,
     refine_relevance runs refinement_iterations rounds once per
-    (payload, dataset) pair of positive probability, on one grid problem per
-    dataset and the payload's row of the table.
+    (payload, dataset) pair, for each payload of positive probability, on
+    one grid problem per dataset and the payload's row of the table.
     """
     if proxy_expectation not in ("subjective", "true"):
         raise ValueError(f"unknown proxy_expectation {proxy_expectation!r}")
@@ -323,17 +326,17 @@ def info_gain_rweighted(record: ToyEnumeration, proxy_table,
             raise ValueError(f"psi_target_star={target} is not a psi node of the grid, "
                              "so the proxy table has no column for it")
         z_mass = np.exp(z_ll[:, node[0]])
-    live = (z_mass[:, None] > 0.0) & (pstar[None, :] > 0.0)                # (Z, M)
+    live = z_mass > 0.0                                                     # (Z,)
 
     if weight_table is not None:
         weights = _table_weights(record, weight_table)[None]             # (1, M, B, n)
     else:
-        weights = np.zeros(live.shape + (grid.n_psi, datasets.shape[1]))   # (Z, M, B, n)
-        for m in np.nonzero(live.any(axis=0))[0]:
-            data = SourceData(np.empty((datasets.shape[1], 0)),
-                              model.outcome_space[datasets[m]])
+        weights = np.zeros((z_mass.size, len(datasets), grid.n_psi,
+                            datasets.shape[1]))                          # (Z, M, B, n)
+        for m, dataset in enumerate(datasets):
+            data = SourceData(np.empty((datasets.shape[1], 0)), model.outcome_space[dataset])
             problem = GridProblem(model, data, grid)
-            for zi in np.nonzero(live[:, m])[0]:
+            for zi in np.nonzero(live)[0]:
                 weights[zi, m] = refine_relevance(problem, z_ll[zi],
                                                   refinement_iterations).weights_per_psi
 
@@ -409,11 +412,10 @@ def check_prop55(record: ToyEnumeration, weight_table) -> Prop55Check:
     def expect(terms):                                                   # (M, B) -> float
         return float(_expect(grid.psi_prior_mass, _expect(pstar, terms)))
 
-    with np.errstate(invalid="ignore"):                                   # only where P*(d) = 0
-        delta_unnorm = expect(log_pstar[:, None] - _weighted_terms(w, lls).sum(axis=2))
-        ess_dis_exp = expect(w.sum(axis=2) * -lls.sum(axis=2))
-        rho = expect(((w - w.mean(axis=2, keepdims=True))
-                      * (lls - lls.mean(axis=2, keepdims=True))).mean(axis=2))
+    delta_unnorm = expect(log_pstar[:, None] - _weighted_terms(w, lls).sum(axis=2))
+    ess_dis_exp = expect(w.sum(axis=2) * -lls.sum(axis=2))
+    rho = expect(((w - w.mean(axis=2, keepdims=True))
+                  * (lls - lls.mean(axis=2, keepdims=True))).mean(axis=2))
 
     residual = delta_unnorm - (ess_dis_exp / n - n * rho - h_true)
     return Prop55Check(residual=float(residual), delta_unnormalized=delta_unnorm,
@@ -446,8 +448,7 @@ def check_theorem24(record: ToyEnumeration, source_psi_prior) -> Theorem24Check:
     with np.errstate(divide="ignore"):
         log_w = np.log(grid.theta_prior_mass[keep] / a_excl)
     log_mix = logsumexp(loglik[keep] + log_w[:, None], axis=0)               # (M,)
-    with np.errstate(invalid="ignore"):                                   # only where P*(d) = 0
-        b_const = float(_expect(np.exp(log_pstar), log_pstar - log_mix))
+    b_const = float(_expect(np.exp(log_pstar), log_pstar - log_mix))
     satisfied = ig <= a_excl * (b_const - d_c) + 1e-12
     return Theorem24Check(info_gain=ig, prior_mass_excluded=a_excl,
                           kl_excluded_mixture=b_const, delta_classic=d_c,

@@ -125,7 +125,7 @@ def _quadrature_mass(nodes: np.ndarray, log_pdf, name: str) -> np.ndarray:
 
 
 def build_grid(theta_box, psi_box, theta_log_pdf, psi_log_pdf,
-               resolution: int = 201) -> ParameterGrid:
+               resolution: int) -> ParameterGrid:
     """Midpoint-quadrature grid over the (k, 2) boxes theta_box and psi_box,
     such as a model's support boxes, resolution nodes per coordinate.
 

@@ -155,7 +155,10 @@ def _smoking_body(config: ExperimentConfig) -> int:
 
 
 def _cmd_plot(args) -> int:
+    """One boxplot of files of one kind, merged by group; files whose value
+    columns differ are refused before anything is written."""
     groups: dict = {}
+    first = None
     for path in args.csv:
         rows = read_csv(path)
         if not rows:
@@ -166,6 +169,11 @@ def _cmd_plot(args) -> int:
             value_col, group_col = "advantage", "label"
         else:
             raise ValueError(f"{path}: no advantage or log_ratio column to plot")
+        if first is None:
+            first = (path, value_col)
+        elif value_col != first[1]:
+            raise ValueError(f"cannot plot {first[0]} ({first[1]}) with {path} "
+                             f"({value_col}) on one axis")
         for key, values in finite_groups(rows, value_col, group_col).items():
             groups.setdefault(str(key), []).extend(values)
     if not groups:

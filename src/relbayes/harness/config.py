@@ -5,17 +5,18 @@ lines ignored.  Values are typed by the schema below; unknown keys and keys
 that do not apply to the chosen experiment are errors rather than silently
 ignored.
 
-Schema (defaults in parentheses):
+Schema (defaults in parentheses; a scenario key's default is the one its
+scenario record declares):
 
   common       experiment {linear|gp|smoking|toy-verify}; master_seed (0);
                output_dir (results); parallelism (1)
   sweeps       linear, gp and toy-verify: n_simulations (50); label (auto)
-  linear       grid_resolution (101); multicollinearity (0); n_outcome (75);
-               n_proxy_prompts (25); target_resemblance_pct (100);
-               contamination_pct (0)
-  gp           grid_resolution (10); n_trajectories (24); m_target (12);
-               m_source (8); resolution (10); theta_star (1.0);
-               contamination_pct (0); refinement_T (3)
+  linear       grid_resolution (101) and the fields of synthetic.LinearScenario:
+               multicollinearity, n_outcome, n_proxy_prompts,
+               target_resemblance_pct, contamination_pct
+  gp           grid_resolution (10) and the fields of synthetic.GpScenario:
+               n_trajectories, m_target, m_source, resolution, theta_star,
+               contamination_pct, refinement_T
   smoking      smoking_csv (packaged dataset); proxy_mode {weak|strong|
                misleading|all} (all); mcmc_samples (20000)
   toy-verify   no keys beyond the sweep keys
@@ -41,8 +42,11 @@ class ConfigError(ValueError):
     """Invalid configuration file or option combination."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(LinearScenario, GpScenario):
+    """Every config key as a keyword field; the linear and gp scenario keys
+    are the scenario records' own fields, inherited with their defaults."""
+
     experiment: str
     n_simulations: int = 50
     master_seed: int = 0
@@ -50,20 +54,6 @@ class ExperimentConfig:
     output_dir: str = "results"
     parallelism: int = 1
     label: str = ""
-
-    multicollinearity: float = 0.0
-    n_outcome: int = 75
-    n_proxy_prompts: int = 25
-    target_resemblance_pct: float = 100.0
-    contamination_pct: float = 0.0
-
-    n_trajectories: int = 24
-    m_target: int = 12
-    m_source: int = 8
-    resolution: int = 10
-    theta_star: float = 1.0
-    refinement_T: int = 3
-
     smoking_csv: str = ""
     proxy_mode: str = "all"
     mcmc_samples: int = 20000

@@ -224,7 +224,7 @@ class PartitionResult:
     warning: Optional[str] = None
 
 
-def run_smoking_comparison(records, proxy_mode: str, seed: int, n_samples: int = 20000, *,
+def run_smoking_comparison(records, proxy_mode: str, seed: int, n_samples: int, *,
                            intercepts: dict) -> list[PartitionResult]:
     """Leave-one-study-out predictive comparison under one proxy setting.
 

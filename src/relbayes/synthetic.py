@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .inference import ProxyObservation
-from .models import LOG_2PI, ModelSpec, SourceData, param_values
+from .models import LOG_2PI, ModelSpec, SourceData, gp_model, linear_model, param_values
 from .relevance import MAX_REFINEMENTS, prior_expected_relevance
 
 PROXY_TRIALS = 7
@@ -227,8 +227,6 @@ def gen_linear_instance(scenario: LinearScenario, rng: np.random.Generator) -> L
     prompts are drawn from the same covariate generator and answered under
     the target task.
     """
-    from .models import linear_model
-
     model = linear_model()
     theta_star = param_values(LINEAR_THETA_STAR)
     psi_target = param_values(rng.normal(0.0, 1.0))
@@ -279,8 +277,6 @@ def gen_gp_trajectories(scenario: GpScenario, rng: np.random.Generator) -> GpIns
     prompts and the last m_source form the source data, so raising m_target
     slides target-task trajectories into the source set.
     """
-    from .models import gp_model
-
     x = np.linspace(0.0, 1.0, scenario.resolution)
     model = gp_model(x)
     theta_star = param_values(scenario.theta_star)

@@ -19,7 +19,7 @@ from numpy.testing import assert_allclose
 import _scalar_reference as ref
 from relbayes import inference
 from relbayes.diagnostics import (DeltaRweighted, DiagnosticsReport,
-                                  ToyEnumeration, TrueProcess,
+                                  Theorem24Check, ToyEnumeration, TrueProcess,
                                   check_prop55, check_theorem24,
                                   delta_classic, delta_rweighted, entropy,
                                   info_gain_classic, info_gain_rweighted,
@@ -753,6 +753,31 @@ class TestImpossibleOutcome:
             "ig_classic", "ig_rweighted", "delta_classic", "delta_rweighted",
             "rho_fidelity", "ess_dis_expectation", "entropy_true",
             "decomposition_residual"))
+
+    def test_only_possible_datasets_are_enumerated(self):
+        """The record holds the four datasets without outcome 2, and every
+        value equals the one recorded when all nine were enumerated."""
+        model, grid, truth = self._instance()
+        rng = np.random.default_rng(RNG_SEED)
+        weights = _outcome_weights(rng.uniform(0.1, 0.9, size=(2, 3)), truth.n)
+        proxy_table, _ = _endorse_proxy(rng, 2)
+        record = ToyEnumeration(model, truth, grid)
+        assert record.datasets.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+        assert np.all(np.exp(record.log_pstar) > 0.0)
+        report = toy_diagnostics_report(model, truth, grid, grid.psi_prior_mass,
+                                        proxy_table, weights)
+        assert report == DiagnosticsReport(
+            ig_classic=0.34224445705588835, ig_rweighted=0.3250909602495262,
+            delta_classic=0.04201185140367393, delta_rweighted=0.06794425695245182,
+            rho_fidelity=-0.002408646580291192, ess_dis_expectation=0.9906572867844613,
+            entropy_true=1.3040114826148386, decomposition_residual=-1.1102230246251565e-16,
+            bound_classic=Theorem24Check(
+                info_gain=0.34224445705588835, prior_mass_excluded=0.5,
+                kl_excluded_mixture=0.9189533102443228, delta_classic=0.04201185140367393,
+                satisfied=True, degenerate=False))
+        assert info_gain_rweighted(record, proxy_table) == 0.1854047609373859
+        assert info_gain_rweighted(record, proxy_table,
+                                   proxy_expectation="true") == 0.18937837359013243
 
 
 def test_enumeration_matches_per_dataset_loops_on_toy_verify_instances():

@@ -7,6 +7,7 @@ arm tables; statistical quality of those fits is covered elsewhere.
 """
 
 import argparse
+import ast
 import dataclasses
 import math
 import os
@@ -27,7 +28,8 @@ from scipy.special import logsumexp
 import _scalar_reference as scalar
 import relbayes
 from relbayes.grids import build_grid
-from relbayes.harness import cli as cli_module, runner as runner_module, smoking
+from relbayes.harness import cli as cli_module, config as config_module, \
+    runner as runner_module, smoking
 from relbayes.harness.cli import RESIDUAL_TOL, build_parser, main as cli_main
 from relbayes.harness.config import (FLAG_KEYS, PROXY_MODES, ConfigError, ExperimentConfig,
                                      apply_overrides, config_echo, parse_config,
@@ -200,6 +202,32 @@ class TestConfigParsing:
         for f in dataclasses.fields(scenario):
             assert (config_fields[f.name].type, config_fields[f.name].default) == \
                 (f.type, f.default), f.name
+
+    def test_config_declares_no_scenario_key(self):
+        """Each scenario key is declared once, in its scenario record, and the
+        config inherits it."""
+        tree = ast.parse(Path(config_module.__file__).read_text(encoding="utf-8"))
+        declared = {node.target.id for node in ast.walk(tree)
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+        scenario_keys = {f.name for s in (LinearScenario, GpScenario)
+                         for f in dataclasses.fields(s)}
+        assert "experiment" in declared
+        assert not declared & scenario_keys
+
+    def test_replace_rebuilds_the_scenario(self):
+        """The flat keyword construction and dataclasses.replace that
+        perfbench relies on build and check the scenario anew."""
+        linear = ExperimentConfig(experiment="linear", n_simulations=1, grid_resolution=21,
+                                  multicollinearity=2.0, contamination_pct=25.0)
+        assert linear.scenario == LinearScenario(multicollinearity=2.0, contamination_pct=25.0)
+        gp = ExperimentConfig(experiment="gp", n_simulations=1, m_target=4)
+        assert dataclasses.replace(gp, master_seed=7).scenario == gp.scenario
+        assert dataclasses.replace(gp, m_target=5).scenario == GpScenario(m_target=5)
+        with pytest.raises(ValueError) as want:
+            GpScenario(m_source=99)
+        with pytest.raises(ConfigError) as got:
+            dataclasses.replace(gp, m_source=99)
+        assert str(got.value) == str(want.value)
 
     def test_scenarios_carry_config_values(self):
         linear = parse_config_text(LINEAR_CONFIG).scenario
@@ -754,14 +782,15 @@ class TestSmokingComparison:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="proxy_mode"):
-            run_smoking_comparison(self._records(), "loud", seed=0, intercepts={})
+            run_smoking_comparison(self._records(), "loud", seed=0, n_samples=1200,
+                                   intercepts={})
 
     def test_single_study_rejected(self, tmp_path):
         path = _write_arms(tmp_path, "s1,A,1,10\ns1,B,2,10\n")
         with pytest.warns(RuntimeWarning):
             records = ingest_smoking_csv(path)
         with pytest.raises(ValueError, match="at least 2 studies"):
-            run_smoking_comparison(records, "weak", seed=0, intercepts={})
+            run_smoking_comparison(records, "weak", seed=0, n_samples=1200, intercepts={})
 
 
 class TestStackedData:
@@ -962,6 +991,28 @@ class TestCli:
         assert rc == 0
         assert svg.exists()
         xml.dom.minidom.parse(str(svg))
+
+    def test_plot_refuses_mixed_value_kinds(self, tmp_path, capsys, monkeypatch):
+        """A sweep's advantage and a smoking log ratio share no axis: the
+        error names both files and both columns, and no SVG is written;
+        files of one kind still merge by group."""
+        results, partitions = tmp_path / "results.csv", tmp_path / "partitions.csv"
+        emit_csv([{"advantage": 0.5, "label": "g"}], results)
+        emit_csv([{"log_ratio": 0.1, "proxy_mode": "weak"}], partitions)
+        svg = tmp_path / "mixed.svg"
+        assert cli_main(["plot", str(results), str(partitions), "--out", str(svg)]) == 1
+        err = capsys.readouterr().err
+        for name in (str(results), "advantage", str(partitions), "log_ratio"):
+            assert name in err
+        assert not svg.exists()
+
+        more = tmp_path / "more.csv"
+        emit_csv([{"advantage": 1.5, "label": "g"}, {"advantage": 2.5, "label": "h"}], more)
+        groups = {}
+        monkeypatch.setattr(cli_module, "emit_boxplot_svg",
+                            lambda g, out, **kw: groups.update(g))
+        assert cli_main(["plot", str(results), str(more), "--out", str(svg)]) == 0
+        assert groups == {"g": [0.5, 1.5], "h": [2.5]}
 
     def test_plot_without_plottable_column(self, tmp_path, capsys):
         path = tmp_path / "odd.csv"

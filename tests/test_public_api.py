@@ -62,7 +62,7 @@ SIGNATURES = {
     relbayes.harness.write_run_outputs: [("config", P, True), ("results", P, True)],
     relbayes.harness.run_smoking_comparison: [
         ("records", P, True), ("proxy_mode", P, True), ("seed", P, True),
-        ("n_samples", P, False), ("intercepts", K, True)],
+        ("n_samples", P, True), ("intercepts", K, True)],
 }
 
 
