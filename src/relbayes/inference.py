@@ -28,8 +28,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grids import ParameterGrid, _check_mass, _check_normalized
-from .models import N_UNIT, ModelSpec, SourceData, _logsumexp_inplace, loglik_tensor, \
-    logsumexp, sigmoid_ratio_weights
+from .models import N_UNIT, ModelSpec, SourceData, _logsumexp_inplace, loglik_sum, \
+    loglik_tensor, logsumexp, sigmoid_ratio_weights
 
 JOINT_TOL = 1e-10
 
@@ -273,8 +273,14 @@ def _chain_log_target(model: ModelSpec, data: SourceData, prior_log_density,
     with at least models.N_UNIT observations has every weight exactly 1.0,
     so its step sums one column, the state's theta, with no null column and
     no weights; any other model or size keeps the (2, k_theta) theta rows,
-    whose null row stays zero, and log n.  A state of infinite prior
-    density is rejected before any model call, and a NaN one raises.
+    whose null row stays zero, and log n.  The one-column and fixed-effects
+    steps need the sum of the model's cells only, so they call
+    models.loglik_sum on arrays already shaped here; the two-column step
+    needs the cells for its weights and calls loglik_tensor.  The views of
+    a state (theta, psi and their (1, k) rows) are formed once per state
+    array and kept while the same array comes back, as the sampler's
+    proposal buffer does at every step.  A state of infinite prior density
+    is rejected before any model call, and a NaN one raises.
     """
     k_theta, n = model.k_theta, data.n
 
@@ -282,32 +288,38 @@ def _chain_log_target(model: ModelSpec, data: SourceData, prior_log_density,
         k_psi = model.k_psi
         gather = (obs_group[:, None] * k_psi + np.arange(k_psi))[:, None, :]  # (n, 1, k_psi)
 
-        def log_lik(theta, psi):
-            return float(loglik_tensor(model, data, theta[None, :], psi[gather]).sum())
+        def log_lik(theta, psi, theta_row, psi_row):
+            return loglik_sum(model, data, theta_row, psi[gather])
     elif model.log_predictive_mode_density is None and n >= N_UNIT:
-        def log_lik(theta, psi):
+        def log_lik(theta, psi, theta_row, psi_row):
             # 1.0 * l == l: the sum of the weighted column, bit for bit
-            return float(loglik_tensor(model, data, theta[None, :], psi[None, :]).sum())
+            return loglik_sum(model, data, theta_row, psi_row)
     else:
         thetas = np.zeros((2, k_theta))     # row 0 the state's theta, row 1 the null theta
         log_n = np.log(n)
 
-        def log_lik(theta, psi):
+        def log_lik(theta, psi, theta_row, psi_row):
             thetas[0] = theta
-            both = loglik_tensor(model, data, thetas, psi[None, :])          # (n, 2, 1)
+            both = loglik_tensor(model, data, thetas, psi_row)               # (n, 2, 1)
             # the weights lie in [0.5, 1] or raise: there is no range to
             # check and no zero to mask
             w = sigmoid_ratio_weights(both[:, 1, 0], log_n)
             return float((w * both[:, 0, 0]).sum())
 
+    last, views = None, None    # the last state array and its four views
+
     def log_target(vec: np.ndarray) -> float:
-        theta, psi = vec[:k_theta], vec[k_theta:]
+        nonlocal last, views
+        if vec is not last:
+            last = vec
+            views = vec[:k_theta], vec[k_theta:], vec[None, :k_theta], vec[None, k_theta:]
+        theta, psi, theta_row, psi_row = views
         lp = prior_log_density(theta, psi)
         if not math.isfinite(lp):
             if math.isnan(lp):
                 raise FloatingPointError(f"NaN log prior density at state {vec}")
             return -math.inf
-        return lp + log_lik(theta, psi)
+        return lp + log_lik(theta, psi, theta_row, psi_row)
 
     return log_target
 
@@ -327,21 +339,23 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, prior_log_density, 
     fixed-effects baseline), one cell per observation at its group's
     intercept.
 
-    Each step evaluates the model once: one loglik_tensor call per proposed
-    state, of n x 2 cells for the sigmoid-ratio target below models.N_UNIT
-    observations, n cells for it from N_UNIT on (see below), and n cells for
-    fixed effects.  A proposal of infinite prior density is rejected
-    without a model call; a NaN one raises.  The proposal is drawn into a
-    buffer the chain keeps and scaled and shifted there, an accepted
-    proposal swaps buffers with the state, and each kept state is copied
-    into one (kept, dim) array, split into the theta and psi samples at the
-    end.  The log-target is built once per chain, with its per-chain
-    constants: the null theta row and log n of the sigmoid ratio and, for
-    fixed effects, one index that gathers every observation's group
-    intercept from psi.  The sigmoid-ratio weights are neither
-    range-checked nor masked: models.sigmoid_ratio_weights raises unless
-    the pooled null log-likelihood is finite, and then every weight lies in
-    [0.5, 1].
+    Each step evaluates the model once per proposed state: one
+    loglik_tensor call of n x 2 cells for the sigmoid-ratio target below
+    models.N_UNIT observations, whose weights need the cells; one
+    models.loglik_sum call of n cells for it from N_UNIT on (see below) and
+    for fixed effects, whose step needs only the sum and checks it for NaN.
+    A proposal of infinite prior density is rejected without a model call;
+    a NaN one raises.  The proposal is drawn into a buffer the chain keeps
+    and scaled and shifted there, an accepted proposal is copied into the
+    state, and each kept state is copied into one (kept, dim) array, split
+    into the theta and psi samples at the end.  The log-target is built
+    once per chain, with its per-chain constants: the null theta row and
+    log n of the sigmoid ratio, for fixed effects one index that gathers
+    every observation's group intercept from psi, and the views of the
+    proposal buffer the model and the prior read.  The sigmoid-ratio
+    weights are neither range-checked nor masked:
+    models.sigmoid_ratio_weights raises unless the pooled null
+    log-likelihood is finite, and then every weight lies in [0.5, 1].
 
     For a pmf model (no log_predictive_mode_density) each weight is at least
     sigmoid(n), which is exactly 1.0 in float64 from n = 37 on.  From n =
@@ -397,13 +411,14 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, prior_log_density, 
 
     def step() -> bool:
         """One Metropolis step; True when its proposal is accepted."""
-        nonlocal state, prop, current
+        nonlocal prop, current
         rng.standard_normal(out=prop)
         prop *= scales
         prop += state
         cand = log_target(prop)
         if np.log(rng.random()) < cand - current:
-            state, prop, current = prop, state, cand
+            state[:] = prop
+            current = cand
             return True
         return False
 

@@ -6,7 +6,8 @@ per-observation log-likelihood log p(d_i | theta, psi_i) with a simulator
 that draws one outcome from the same distribution.  theta is shared across
 tasks, psi_i is task-specific.  Each model supplies its log-likelihood
 once, as a vectorised evaluator over a parameter product that reads those
-columns; loglik_tensor is its checked entry point.
+columns; loglik_tensor, for the cells, and loglik_sum, for their sum, are
+its checked entry points.
 Everything downstream (grid posteriors, relevance weighting, diagnostics)
 talks to models only through ModelSpec, so adding a model means writing one
 factory function here.  The two formulas every layer above shares live here
@@ -103,8 +104,9 @@ class ModelSpec:
         gets its own rows and the cell is log p(d_i | theta_a, psis[i, b]),
         so a known-groups likelihood costs n cells, not n x G.  The one
         likelihood a model supplies; call it through loglik_tensor, which
-        coerces the parameter arrays and rejects NaN.  A single value is its
-        1 x 1 x 1 cell.
+        coerces the parameter arrays and rejects NaN, or loglik_sum, which
+        sums the cells and rejects NaN.  A single value is its 1 x 1 x 1
+        cell.
     simulate : callable (covariates, theta, psi, rng, ...) -> outcome
         Draws one outcome at covariates (c,), theta (k_theta,) and psi
         (k_psi,): a float, an int count, or an (m,) trajectory, one row of
@@ -575,8 +577,35 @@ def loglik_tensor(model: ModelSpec, data: SourceData, thetas, psis) -> np.ndarra
     if psis.ndim == 3 and psis.shape[0] != data.n:
         raise ValueError(f"per-observation psis has {psis.shape[0]} rows, data has {data.n}")
     out = model.log_likelihood(data, np.asarray(thetas, dtype=float), psis)
-    # the min propagates NaN: one reduction, and the index only on failure
+    # the min propagates NaN: one reduction, and the scan only on failure
     if math.isnan(out.min(initial=0.0)):
-        i = int(np.argwhere(np.isnan(out))[0][0])
-        raise FloatingPointError(f"NaN log-likelihood at observation index {i}")
+        _reject_nan_cell(out)
     return out
+
+
+def loglik_sum(model: ModelSpec, data: SourceData, thetas: np.ndarray,
+               psis: np.ndarray) -> float:
+    """The sum of every cell loglik_tensor(model, data, thetas, psis) holds.
+
+    The checked entry point for a caller that needs the sum only, such as a
+    Metropolis step.  thetas and psis must already be float arrays of the
+    shapes loglik_tensor takes, per-observation psis with one block of rows
+    per observation; they reach model.log_likelihood as they are.  A NaN
+    cell survives into the sum, so the sum is the one reduction: only a NaN
+    sum is scanned, and a NaN cell raises loglik_tensor's FloatingPointError.
+    A NaN sum with no NaN cell (a +inf and a -inf cell) is returned as NaN,
+    the value loglik_tensor(...).sum() gives.
+    """
+    out = model.log_likelihood(data, thetas, psis)
+    total = float(out.sum())
+    if math.isnan(total):
+        _reject_nan_cell(out)
+    return total
+
+
+def _reject_nan_cell(out: np.ndarray) -> None:
+    """Raise FloatingPointError naming the first observation of the (n, A, B)
+    cells out that holds a NaN; return if none does."""
+    nan = np.argwhere(np.isnan(out))
+    if nan.size:
+        raise FloatingPointError(f"NaN log-likelihood at observation index {int(nan[0, 0])}")

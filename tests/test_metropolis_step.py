@@ -8,7 +8,9 @@ the prior's support; the sigmoid-ratio kind both where it forms its weights
 from the null column and where, with a pmf and N_UNIT or more arms, every
 weight is 1.0 and it evaluates the state's theta alone.  The smoking
 weighted chain's prior, which carries the proxy's log-density, is held to
-the oracle's retired proxy argument.  The error tests hold each failure
+the oracle's retired proxy argument.  Model evaluations are counted at the
+model's own log_likelihood: none for a state of -inf prior density, and one
+of n cells per step on the 47-arm chains.  The error tests hold each failure
 that could occur mid-chain to the exception the oracle raises, and check
 that warnings raised inside user callables (the prior and the model) still
 reach the caller.
@@ -24,7 +26,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from _scalar_reference import metropolis_log_target, sigmoid_ratio_weights as oracle_weights
 from relbayes import inference
 from relbayes.harness import smoking
-from relbayes.inference import _chain_log_target, metropolis_posterior
+from relbayes.inference import McmcInitError, _chain_log_target, metropolis_posterior
 from relbayes.models import (N_UNIT, DegenerateRelevanceError, ModelSpec, SourceData,
                              binomial_logit_model, discrete_toy_model, linear_model,
                              sigmoid_ratio_weights)
@@ -210,28 +212,49 @@ class TestStepEqualsOracle:
 
     # the target's relevance weights: sigmoid-ratio, or None for fixed effects
     @pytest.mark.parametrize("weights", ["sigmoid-ratio", None])
-    def test_neg_inf_prior_makes_no_model_call(self, partition, monkeypatch, weights):
+    def test_neg_inf_prior_makes_no_model_call(self, partition, weights):
+        """Counted at the model's own log_likelihood, so the test holds
+        whichever checked entry point the step calls."""
         data, groups, _ = partition
-        calls = []
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(inference, "loglik_tensor",
-                            counted("loglik_tensor", inference.loglik_tensor))
+        cells = []
         obs_group = _obs_group(groups, data.n) if weights is None else None
         psi_dim = len(groups) if weights is None else 1
-        log_target = _chain_log_target(binomial_logit_model(), data, _box_prior(1.0), obs_group)
+        log_target = _chain_log_target(_counting(binomial_logit_model(), cells), data,
+                                       _box_prior(1.0), obs_group)
         outside = np.full(4 + psi_dim, 0.5)
         outside[0] = -0.1
         assert log_target(outside) == -np.inf
-        assert calls == []
+        assert cells == []
         inside = np.full(4 + psi_dim, 0.5)
         assert np.isfinite(log_target(inside))
-        assert "loglik_tensor" in calls
+        assert cells == [data.n]
+
+    @pytest.mark.filterwarnings("ignore:acceptance rate")
+    @pytest.mark.parametrize("weights", ["sigmoid-ratio", None])
+    def test_one_model_evaluation_per_step(self, partition, weights):
+        """A chain on the 47 arms evaluates the model at its initial state
+        and once per iteration, one cell per arm: the state's theta alone on
+        the sigmoid-ratio step (47 >= N_UNIT) and each arm's own intercept on
+        the fixed-effects step."""
+        data, groups, _ = partition
+        assert data.n >= N_UNIT
+        cells = []
+        metropolis_posterior(_counting(binomial_logit_model(), cells), data,
+                             smoking._normal_prior, n_samples=1000, seed=5,
+                             groups=groups if weights is None else None)
+        assert len(cells) == 1000 + 1
+        assert set(cells) == {data.n}
+
+
+def _counting(model, cells):
+    """The model with the cell count of each log_likelihood call appended to cells."""
+
+    def log_likelihood(data, thetas, psis):
+        out = model.log_likelihood(data, thetas, psis)
+        cells.append(out.size)
+        return out
+
+    return dataclasses.replace(model, log_likelihood=log_likelihood)
 
 
 def _nan_from_call(model, first):
@@ -261,6 +284,35 @@ class TestStepErrors:
         with pytest.raises(FloatingPointError, match="NaN log-likelihood"):
             metropolis_posterior(_nan_from_call(linear_model(), 50), linear_data,
                                  _std_normal_prior, n_samples=1000, seed=3, groups=groups)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("ignore:acceptance rate")
+    @pytest.mark.parametrize("weights", ["sigmoid-ratio", None])
+    def test_opposite_infinite_cells_are_rejected(self, partition, weights):
+        """A +inf and a -inf cell and no NaN sum to NaN, which no acceptance
+        test passes: mid-chain the state is rejected, and at the initial
+        state the chain raises McmcInitError."""
+        data, groups, _ = partition
+        base = binomial_logit_model()
+        hits = [0]
+
+        def log_likelihood(data, thetas, psis):
+            out = base.log_likelihood(data, thetas, psis)
+            if psis.max() > 0.5:
+                hits[0] += 1
+                out[0], out[1] = np.inf, -np.inf
+            return out
+
+        model = dataclasses.replace(base, log_likelihood=log_likelihood)
+        groups = groups if weights is None else None
+        chain = metropolis_posterior(model, data, smoking._normal_prior, n_samples=1000,
+                                     seed=5, groups=groups)
+        assert hits[0] > 0
+        assert chain.psi_samples.max() <= 0.5
+        psi_dim = chain.psi_samples.shape[1]
+        with pytest.raises(McmcInitError, match="log-target is nan at the initial state"):
+            metropolis_posterior(model, data, smoking._normal_prior, n_samples=1000,
+                                 seed=5, groups=groups, init_psi=np.ones(psi_dim))
 
     @pytest.mark.parametrize("first_nan", [1, 500], ids=["start", "mid-chain"])
     def test_nan_prior_raises(self, linear_data, first_nan):

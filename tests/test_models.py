@@ -5,6 +5,7 @@ checks SourceData makes on its columns, the GP factor cache, the library's log-s
 against scipy's, and simulator goodness of fit."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,8 @@ from relbayes.harness.runner import run_experiment
 from relbayes.inference import GridProblem, metropolis_posterior
 from relbayes.diagnostics import TrueProcess
 from relbayes.models import (LOG_2PI, SourceData, binomial_logit_model,
-                             discrete_toy_model, gp_model, linear_model, loglik_tensor,
-                             logsumexp, param_values)
+                             discrete_toy_model, gp_model, linear_model, loglik_sum,
+                             loglik_tensor, logsumexp, param_values)
 
 RNG_SEED = 20260817
 
@@ -993,3 +994,71 @@ class TestLoglikTensor:
         assert tensor.shape == (3, grid.n_theta, grid.n_psi)
         assert tensor.flags.c_contiguous
         assert GridProblem(model, data, grid).tensor.flags.c_contiguous
+
+
+class TestLoglikSum:
+    """loglik_sum is the sum of loglik_tensor's cells, with its NaN check."""
+
+    @staticmethod
+    def _case(name, form, rng):
+        """(model, data, thetas, psis) as float arrays of the final shapes."""
+        n = 9
+        if name == "linear":
+            model = linear_model()
+            data = SourceData(rng.normal(size=(n, 2)), rng.normal(size=n))
+            thetas, psis = rng.normal(size=(3, 1)), rng.normal(size=(4, 1))
+        elif name == "binomial":
+            model = binomial_logit_model()
+            data = _binomial_data(rng, n, 15)
+            thetas, psis = rng.normal(size=(3, 4)), rng.normal(size=(5, 1))
+        elif name == "toy":
+            model = discrete_toy_model(_toy_table(rng, n_out=4, n_theta=3, n_psi=3))
+            data = SourceData(np.empty((n, 0)), rng.integers(0, 4, size=n))
+            thetas = psis = np.arange(3, dtype=float)[:, None]
+        else:
+            x = np.linspace(0.0, 1.0, 5)
+            model = gp_model(x)
+            data = SourceData(np.tile(x, (n, 1)),
+                              [model.simulate(x, 1.0, 0.5, rng) for _ in range(n)])
+            thetas, psis = rng.uniform(0.1, 2.0, size=(3, 1)), rng.uniform(0.1, 2.0, size=(2, 1))
+        if form == "per-observation":
+            psis = psis[rng.integers(0, len(psis), size=(n, 2))]
+        return model, data, thetas, psis
+
+    @pytest.mark.parametrize("name, form", [
+        ("linear", "product"), ("binomial", "product"), ("toy", "product"), ("gp", "product"),
+        ("linear", "per-observation"), ("binomial", "per-observation")])
+    def test_equals_the_tensor_sum_bit_for_bit(self, name, form):
+        rng = np.random.default_rng(RNG_SEED)
+        for _ in range(5):
+            model, data, thetas, psis = self._case(name, form, rng)
+            got = loglik_sum(model, data, thetas, psis)
+            want = float(loglik_tensor(model, data, thetas, psis).sum())
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_nan_cell_raises_as_the_tensor_does(self):
+        out = np.zeros((5, 3, 2))
+        out[4, 0, 0] = out[2, 2, 1] = out[3, 1, 0] = np.nan
+        model = TestLoglikTensor._returning(out)
+        data = SourceData(np.zeros((5, 2)), np.zeros(5))
+        raised = []
+        for check in (loglik_sum, loglik_tensor):
+            with pytest.raises(FloatingPointError,
+                               match="^NaN log-likelihood at observation index 2$") as info:
+                check(model, data, np.zeros((3, 1)), np.zeros((2, 1)))
+            raised.append(str(info.value))
+        assert raised[0] == raised[1]
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_opposite_infinities_sum_to_nan(self):
+        """A +inf and a -inf cell with no NaN pass the tensor's check and sum
+        to NaN; loglik_sum returns that NaN and does not raise."""
+        out = np.zeros((2, 3, 2))
+        out[0, 1, 1] = np.inf
+        out[1, 2, 0] = -np.inf
+        model = TestLoglikTensor._returning(out)
+        data = SourceData(np.zeros((2, 2)), np.zeros(2))
+        got = loglik_sum(model, data, np.zeros((3, 1)), np.zeros((2, 1)))
+        assert math.isnan(got)
+        assert math.isnan(loglik_tensor(model, data, np.zeros((3, 1)), np.zeros((2, 1))).sum())

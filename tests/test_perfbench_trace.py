@@ -7,7 +7,7 @@ through sys.path, installed in this process around one toy diagnostics
 report, and uninstalled.  A second test traces one short smoking partition
 the way the benchmark narrows a unit, through perfbench/workloads.py, and
 checks what the tracer reads of the sampler: n_samples, a keyword-only
-argument, and the cells of every model evaluation.  A third traces the
+argument, and the cells of every model evaluation through loglik_tensor.  A third traces the
 all-data intercept fit the smoking workload runs as set-up.
 """
 
@@ -95,16 +95,13 @@ def test_traced_smoking_partition_counts_one_evaluation_per_step(monkeypatch):
     metrics = {name: value for name, (value, _) in tracer.metrics(1, 1.0, 0).items()}
     assert tracer.counts["mcmc_chains"] == 2
     assert metrics["inference.metropolis_posterior.iters_per_unit"] == 2000
-    # each chain evaluates its initial state, then one proposal per iteration:
-    # the weighted chain at the state's theta only for 47 arms, 47 cells
-    # (with 47 >= N_UNIT arms every sigmoid-ratio weight is 1.0, so the null
-    # column is not evaluated), and the fixed-effects chain one cell per arm
-    # at its own study's intercept, 47;
-    # then each predictive scores study 01's 3 arms at the 750 kept draws,
-    # the classic one at 40 quadrature intercepts per draw
-    assert metrics["models.loglik_tensor.calls_per_unit"] == 2 * 1001 + 2
-    assert metrics["models.loglik_tensor.cells_per_unit"] == \
-        1001 * (47 + 47) + 3 * 750 * (1 + 40)
+    # both chains need only the sum of their cells, so they call
+    # models.loglik_sum, which the tracer does not wrap (the chains' model
+    # evaluations are counted in tests/test_metropolis_step.py); the tensor
+    # calls are the predictives': each scores study 01's 3 arms at the 750
+    # kept draws, the classic one at 40 quadrature intercepts per draw
+    assert metrics["models.loglik_tensor.calls_per_unit"] == 2
+    assert metrics["models.loglik_tensor.cells_per_unit"] == 3 * 750 * (1 + 40)
     # the weighted chain forms the sigmoid-ratio weights without the public call
     assert metrics["relevance.sigmoid_ratio_relevance.calls_per_unit"] == 0
     # and reads its proxy through its prior density, not the proxy entry point
