@@ -17,6 +17,7 @@ rule), so none is enumerated.  Models without an enumerable alphabet are
 rejected when the record is built.
 A proxy is its (Z, B) log-likelihood table over a finite payload alphabet,
 and both learners' posteriors are formed with the grid engines' own code.
+A zero weight drops its term by the engines' rule, _zero_weight_safe.
 """
 
 from __future__ import annotations
@@ -28,10 +29,12 @@ import numpy as np
 
 from .grids import ParameterGrid
 from .inference import (DegenerateProxyError, GridProblem, _check_proxy_ll,
-                        _check_weights, _neginf_mask, _r_weighted_log_joint,
-                        _source_mixture)
+                        _check_weights, _r_weighted_log_joint, _source_mixture,
+                        _zero_weight_safe)
 from .models import ModelSpec, SourceData, loglik_tensor, logsumexp, param_values
 from .relevance import refine_relevance
+
+RESIDUAL_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +175,14 @@ class DiagnosticsReport:
             if v < 0:
                 object.__setattr__(self, name, 0.0)
 
+    @property
+    def verified(self) -> bool:
+        """The toy-verify pass rule: residual within RESIDUAL_TOL, bound
+        satisfied, both divergences and the true entropy nonnegative."""
+        return (abs(self.decomposition_residual) < RESIDUAL_TOL and self.bound_classic.satisfied
+                and self.delta_classic >= 0.0 and self.delta_rweighted >= 0.0
+                and self.entropy_true >= 0.0)
+
 
 # ---------------------------------------------------------------------------
 # the enumeration record of one toy instance
@@ -211,11 +222,6 @@ class ToyEnumeration:
                 "exact enumeration needs the discrete toy model"
             )
         theta = truth.theta_star
-        lo = grid.theta_nodes.min(axis=0)
-        hi = grid.theta_nodes.max(axis=0)
-        half_cell = 0.5 * np.where(hi > lo, hi - lo, 1.0) / max(grid.n_theta - 1, 1)
-        if np.any(theta < lo - half_cell) or np.any(theta > hi + half_cell):
-            raise ValueError(f"theta*={theta} lies outside the grid span [{lo}, {hi}]")
         a_star, snap = grid.nearest_theta(theta)
 
         alphabet = model.outcome_space
@@ -245,14 +251,6 @@ def _expect(mass: np.ndarray, values: np.ndarray) -> np.ndarray:
     even if its value is infinite or NaN (the 0 log 0 = 0 rule)."""
     live = mass > 0.0
     return mass[live] @ values[live]
-
-
-def _weighted_terms(weights: np.ndarray, lls: np.ndarray) -> np.ndarray:
-    """weights * lls, broadcast into a new C-order array, where a zero weight
-    kills its term outright (0 * -inf would be nan): the product is formed
-    only where the weight is nonzero, so no warning can arise."""
-    out = np.zeros(np.broadcast_shapes(weights.shape, lls.shape))
-    return np.multiply(weights, lls, out=out, where=weights != 0.0)
 
 
 def _table_weights(record: ToyEnumeration, weight_table) -> np.ndarray:
@@ -341,8 +339,7 @@ def info_gain_rweighted(record: ToyEnumeration, proxy_table,
                                                   refinement_iterations).weights_per_psi
 
     lls = record.table[datasets]                                            # (M, n, A, B)
-    log_joint = _r_weighted_log_joint(lls, _neginf_mask(lls), weights,
-                                      z_ll[:, None, :], grid)               # (Z, M, A, B)
+    log_joint = _r_weighted_log_joint(lls, weights, z_ll[:, None, :], grid)  # (Z, M, A, B)
     log_theta = logsumexp(log_joint, axis=3)                                # (Z, M, A)
     log_evidence = logsumexp(log_theta, axis=2)                             # (Z, M)
     if not np.isfinite(log_evidence[live]).all():
@@ -377,13 +374,13 @@ def delta_rweighted(record: ToyEnumeration, weights_per_psi) -> DeltaRweighted:
     (the decomposition's object) are returned; see DeltaRweighted.
     """
     grid = record.grid
-    w = _check_weights(weights_per_psi, (grid.n_psi, record.true_process.n))
+    w = _check_weights(weights_per_psi, (grid.n_psi, record.true_process.n))[:, :, None]
     logpmf = record.at_theta_star.T                                      # (B, O)
     star = np.exp(record.star)                                           # (n, O)
     star_entropy = sum(entropy(row) for row in star)
 
-    weighted = _weighted_terms(w[:, :, None], logpmf[:, None, :])        # (B, n, O)
-    cross = _weighted_terms(star, weighted).sum(axis=(1, 2))             # (B,)
+    weighted = w * _zero_weight_safe(logpmf[:, None, :], w)              # (B, n, O)
+    cross = (star * _zero_weight_safe(weighted, star)).sum(axis=(1, 2))  # (B,)
     log_z = logsumexp(weighted, axis=2).sum(axis=1)                      # per-observation
     unnorm = -star_entropy - cross
     q = grid.psi_prior_mass
@@ -412,7 +409,9 @@ def check_prop55(record: ToyEnumeration, weight_table) -> Prop55Check:
     def expect(terms):                                                   # (M, B) -> float
         return float(_expect(grid.psi_prior_mass, _expect(pstar, terms)))
 
-    delta_unnorm = expect(log_pstar[:, None] - _weighted_terms(w, lls).sum(axis=2))
+    # C order: the sum over n then adds in one order whatever w's and lls's layouts
+    weighted = np.multiply(w, _zero_weight_safe(lls, w), order="C")
+    delta_unnorm = expect(log_pstar[:, None] - weighted.sum(axis=2))
     ess_dis_exp = expect(w.sum(axis=2) * -lls.sum(axis=2))
     rho = expect(((w - w.mean(axis=2, keepdims=True))
                   * (lls - lls.mean(axis=2, keepdims=True))).mean(axis=2))

@@ -86,8 +86,14 @@ class ParameterGrid:
             return np.log(self.psi_prior_mass)
 
     def nearest_theta(self, value) -> tuple[int, float]:
-        """Index of the theta node closest to value, plus the snap distance."""
+        """Index of the theta node closest to value, plus the snap distance;
+        a value over half a cell outside the nodes' span raises ValueError."""
         value = np.atleast_1d(np.asarray(value, dtype=float))
+        lo = self.theta_nodes.min(axis=0)
+        hi = self.theta_nodes.max(axis=0)
+        half_cell = 0.5 * np.where(hi > lo, hi - lo, 1.0) / max(self.n_theta - 1, 1)
+        if np.any(value < lo - half_cell) or np.any(value > hi + half_cell):
+            raise ValueError(f"theta*={value} lies outside the grid span [{lo}, {hi}]")
         d = np.linalg.norm(self.theta_nodes - value[None, :], axis=1)
         idx = int(np.argmin(d))
         return idx, float(d[idx])

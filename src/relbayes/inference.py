@@ -16,6 +16,8 @@ grid posterior only through its (B,) log-likelihood at the psi nodes,
 which the caller forms once with proxy_loglik_vector and passes as an
 array, as the source prior enters classic_posterior.  _source_mixture and
 _r_weighted_log_joint, each learner's formula, serve the diagnostics too.
+A zero weight drops its term even at a -inf log-likelihood: _zero_weight_safe
+states that rule once, for the engines and the diagnostics alike.
 """
 
 from __future__ import annotations
@@ -109,36 +111,25 @@ def proxy_loglik_vector(proxy: ProxyObservation, psi_nodes: np.ndarray) -> np.nd
                            psi_nodes.shape[0])
 
 
-def _neginf_mask(tensor: np.ndarray) -> Optional[np.ndarray]:
-    """Where the tensor is -inf, or None when it holds no -inf (always so for
-    the linear and gp models): one min decides, and only a tensor that holds
-    a -inf pays for the mask."""
-    if tensor.min(initial=np.inf) > -np.inf:
-        return None
-    return np.isneginf(tensor)
-
-
 @dataclass(frozen=True)
 class GridProblem:
     """One (model, data, grid) with its (n, A, B) log-likelihood tensor.
 
     The tensor is built once, at construction, and is read-only; both grid
-    engines and every refinement round read it.  neginf is its -inf mask,
-    None when the tensor holds no -inf (always so for linear and gp).
+    engines and every refinement round read it.  Its -inf cells (toy
+    outcomes of zero probability) are masked per call, by _zero_weight_safe.
     """
 
     model: ModelSpec
     data: SourceData
     grid: ParameterGrid
     tensor: np.ndarray = field(init=False, repr=False)
-    neginf: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         tensor = loglik_tensor(self.model, self.data, self.grid.theta_nodes,
                                self.grid.psi_nodes)
         tensor.flags.writeable = False
         object.__setattr__(self, "tensor", tensor)
-        object.__setattr__(self, "neginf", _neginf_mask(tensor))
 
 
 def _source_mixture(lls: np.ndarray, source_psi_prior) -> np.ndarray:
@@ -198,18 +189,24 @@ def _check_weights(weights, shape: tuple) -> np.ndarray:
     return w
 
 
-def _r_weighted_log_joint(tensor: np.ndarray, neginf: Optional[np.ndarray],
-                          weights: np.ndarray, proxy_ll: np.ndarray,
-                          grid: ParameterGrid) -> np.ndarray:
+def _zero_weight_safe(lls: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """lls with each -inf term under a zero weight (weights broadcast against
+    lls) set to 0, so that weights * lls drops it: 0 * -inf is nan in floats.
+    lls itself is returned unless a weight is 0, which one min over the
+    weights decides, and lls holds a -inf, which a min over lls decides."""
+    if weights.min(initial=1.0) > 0.0 or lls.min(initial=np.inf) > -np.inf:
+        return lls
+    return np.where((weights == 0.0) & np.isneginf(lls), 0.0, lls)
+
+
+def _r_weighted_log_joint(tensor: np.ndarray, weights: np.ndarray,
+                          proxy_ll: np.ndarray, grid: ParameterGrid) -> np.ndarray:
     """The unnormalized r-weighted log joint, shape (..., A, B): for
-    log-likelihoods tensor (..., n, A, B) with -inf mask neginf, checked
-    weights (..., B, n) and proxy_ll (..., B), leading axes broadcast,
-    sum_i weights[..., b, i] tensor[..., i, a, b] + proxy_ll[..., b] plus
-    the log prior masses of theta_a and psi_b."""
-    if neginf is not None:
-        # a zero weight kills its -inf term outright (0 * -inf would be nan)
-        zero = np.swapaxes(weights, -1, -2)[..., None, :] == 0.0
-        tensor = np.where(neginf & zero, 0.0, tensor)
+    log-likelihoods tensor (..., n, A, B), checked weights (..., B, n) and
+    proxy_ll (..., B), leading axes broadcast, sum_i weights[..., b, i]
+    tensor[..., i, a, b] + proxy_ll[..., b] plus the log prior masses of
+    theta_a and psi_b, where a zero weight drops its term even at -inf."""
+    tensor = _zero_weight_safe(tensor, np.swapaxes(weights, -1, -2)[..., None, :])
     weighted = np.einsum("...bi,...iab->...ab", weights, tensor)
     return (weighted + proxy_ll[..., None, :]
             + grid.log_theta_prior()[:, None] + grid.log_psi_prior()[None, :])
@@ -226,7 +223,7 @@ def r_weighted_posterior(problem: GridProblem, weights_per_psi,
     """
     grid = problem.grid
     mat = _check_weights(weights_per_psi, (grid.n_psi, problem.tensor.shape[0]))
-    log_joint = _r_weighted_log_joint(problem.tensor, problem.neginf, mat,
+    log_joint = _r_weighted_log_joint(problem.tensor, mat,
                                       _check_proxy_ll(proxy_ll, grid.n_psi), grid)
     log_evidence = float(logsumexp(log_joint))
     if not np.isfinite(log_evidence):

@@ -7,6 +7,7 @@ loops that the gather-and-reduce enumeration replaced live in
 _scalar_reference and are checked against it field by field.
 """
 
+import dataclasses
 import itertools
 import sys
 import warnings
@@ -18,7 +19,7 @@ from numpy.testing import assert_allclose
 
 import _scalar_reference as ref
 from relbayes import inference
-from relbayes.diagnostics import (DeltaRweighted, DiagnosticsReport,
+from relbayes.diagnostics import (RESIDUAL_TOL, DeltaRweighted, DiagnosticsReport,
                                   Theorem24Check, ToyEnumeration, TrueProcess,
                                   check_prop55, check_theorem24,
                                   delta_classic, delta_rweighted, entropy,
@@ -688,6 +689,21 @@ class TestToyDiagnosticsReport:
             entropy_true=0.0, decomposition_residual=0.0, bound_classic=check)
         assert report.delta_classic == 0.0
 
+    def test_verified_is_the_verify_rule(self):
+        """verified holds on a clean report and fails on each condition."""
+        report = self._report(RNG_SEED + 9)
+        assert report.verified
+        unsatisfied = dataclasses.replace(report.bound_classic, satisfied=False)
+        for change in ({"decomposition_residual": RESIDUAL_TOL},
+                       {"decomposition_residual": -RESIDUAL_TOL},
+                       {"bound_classic": unsatisfied},
+                       {"delta_classic": float("nan")},
+                       {"delta_rweighted": float("nan")},
+                       {"entropy_true": -1e-300}):
+            assert not dataclasses.replace(report, **change).verified, change
+        assert dataclasses.replace(report, decomposition_residual=0.5 * RESIDUAL_TOL,
+                                   entropy_true=0.0).verified
+
     def test_large_negative_divergence_rejected(self):
         check = self._report(RNG_SEED + 9).bound_classic
         with pytest.raises(ValueError, match="nonnegative"):
@@ -778,6 +794,53 @@ class TestImpossibleOutcome:
         assert info_gain_rweighted(record, proxy_table) == 0.1854047609373859
         assert info_gain_rweighted(record, proxy_table,
                                    proxy_expectation="true") == 0.18937837359013243
+
+
+class TestZeroWeightOnImpossibleTerm:
+    """Outcome 2 has probability 0 at (theta_1, psi_0), a node away from
+    theta*, and the truth produces it, so the gathered (M, n, A, B) tensor
+    holds -inf there; the weight table is 0 at outcome 2, so each such term
+    is dropped rather than turned into 0 * -inf = nan."""
+
+    TABLE = np.array([[[0.5, 0.2, 0.3], [0.3, 0.4, 0.3]],
+                      [[0.2, 0.8, 0.0], [0.4, 0.2, 0.4]]])
+
+    def _instance(self):
+        model = discrete_toy_model(self.TABLE)
+        grid = toy_grid(2, 2)
+        truth = TrueProcess(0.0, [0.0, 1.0], 0.0)
+        rng = np.random.default_rng(RNG_SEED)
+        weights = rng.uniform(0.1, 0.9, size=(grid.n_psi, truth.n, 3))
+        weights[:, :, 2] = 0.0
+        return model, grid, truth, weights, rng
+
+    def test_the_gathered_tensor_meets_zero_weights_at_neginf(self):
+        model, grid, truth, weights, _ = self._instance()
+        record = ToyEnumeration(model, truth, grid)
+        lls = record.table[record.datasets]                              # (M, n, A, B)
+        zero = np.take_along_axis(weights[0].T, record.datasets, axis=0) == 0.0  # (M, n)
+        assert (np.isneginf(lls[:, :, 1, 0]) & zero).any()
+        assert np.isfinite(record.at_theta_star).all()
+
+    def test_every_diagnostic_matches_loops(self):
+        model, grid, truth, weights, rng = self._instance()
+        proxy_table, _ = _endorse_proxy(rng, grid.n_psi)
+        per_psi = np.array([[0.0, 0.6], [0.3, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = ToyEnumeration(model, truth, grid)
+            check = check_prop55(record, weights)
+            d_r = delta_rweighted(record, per_psi)
+            ig_r = info_gain_rweighted(record, proxy_table, weight_table=weights)
+            for field, value in ref.check_prop55(model, truth, grid, weights).items():
+                assert_allclose(getattr(check, field), value, rtol=0, atol=1e-13)
+            want = ref.delta_rweighted(model, truth, grid, per_psi)
+            assert_allclose((d_r.normalized, d_r.unnormalized), want, rtol=0, atol=1e-13)
+            assert_allclose(ig_r, ref.info_gain_rweighted(model, truth, grid, proxy_table,
+                                                          weight_table=weights),
+                            rtol=0, atol=1e-13)
+        assert abs(check.residual) < RESIDUAL_TOL
+        assert np.isfinite(ig_r)
 
 
 def test_enumeration_matches_per_dataset_loops_on_toy_verify_instances():

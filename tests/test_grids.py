@@ -97,6 +97,24 @@ class TestParameterGrid:
         assert idx == 0
         assert dist == 0.0
 
+    def test_nearest_theta_rejects_a_value_past_half_a_cell(self):
+        """Nodes 0, 1, 2: half a cell is 0.5, so -0.5 and 2.5 snap to the
+        edge nodes and anything further out raises."""
+        grid = ParameterGrid(np.array([[0.0], [1.0], [2.0]]), np.zeros((1, 1)),
+                             np.full(3, 1 / 3), np.array([1.0]))
+        assert grid.nearest_theta(2.5) == (2, 0.5)
+        assert grid.nearest_theta(-0.5) == (0, 0.5)
+        for value in (np.nextafter(2.5, 3.0), np.nextafter(-0.5, -1.0), 40.0):
+            with pytest.raises(ValueError, match="outside the grid span"):
+                grid.nearest_theta(value)
+
+    def test_nearest_theta_checks_every_coordinate(self):
+        nodes = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        grid = ParameterGrid(nodes, np.zeros((1, 1)), np.full(4, 0.25), np.array([1.0]))
+        assert grid.nearest_theta([0.9, 1.1])[0] == 3
+        with pytest.raises(ValueError, match="outside the grid span"):
+            grid.nearest_theta([0.5, -0.2])
+
 
 class TestBuildGrid:
     def test_normal_grid_on_four_sd_span_is_the_hand_built_grid(self):

@@ -27,10 +27,11 @@ from scipy.special import logsumexp
 
 import _scalar_reference as scalar
 import relbayes
+from relbayes.diagnostics import RESIDUAL_TOL
 from relbayes.grids import build_grid
 from relbayes.harness import cli as cli_module, config as config_module, \
     runner as runner_module, smoking
-from relbayes.harness.cli import RESIDUAL_TOL, build_parser, main as cli_main
+from relbayes.harness.cli import build_parser, main as cli_main
 from relbayes.harness.config import (FLAG_KEYS, PROXY_MODES, ConfigError, ExperimentConfig,
                                      apply_overrides, config_echo, parse_config,
                                      parse_config_text)
@@ -553,6 +554,7 @@ class TestRunExperiment:
             assert r.advantage == r.ig_rweighted - r.ig_classic
             assert abs(r.diagnostics.decomposition_residual) < RESIDUAL_TOL
             assert r.diagnostics.bound_classic.satisfied
+            assert r.diagnostics.verified
 
     def test_results_identical_across_parallelism(self, tmp_path):
         config_serial = _toy_config(output_dir=str(tmp_path / "serial"))
@@ -970,6 +972,18 @@ class TestCli:
         assert rc == 1
         assert "m_source must lie in [1, n_trajectories=24], got 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_theta_star_outside_the_grid_span_exits_2(self, tmp_path, capsys):
+        """theta* = 40 lies far past the gp learner's grid span: each
+        simulation fails with the span message instead of being scored at
+        the edge node, so the run exits 2."""
+        config = tmp_path / "gp.cfg"
+        config.write_text("experiment = gp\nn_simulations = 3\ntheta_star = 40\n")
+        rc = cli_main(["run", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "3 of 3 simulations failed" in err
+        assert "theta*=[40.] lies outside the grid span" in err
 
     def test_excess_failures_exit_2(self, tmp_path, capsys, monkeypatch):
         def broken(config, index):

@@ -17,8 +17,9 @@ from _scalar_reference import r_weighted_likelihood
 from relbayes.grids import ParameterGrid, box_nodes, midpoint_nodes, toy_grid
 from relbayes.inference import (DegenerateProxyError, GridProblem, McmcInitError,
                                 PosteriorTable, ProxyObservation, _source_mixture,
-                                chain_grid_tv, classic_posterior, metropolis_posterior,
-                                proxy_loglik_vector, r_weighted_posterior)
+                                _zero_weight_safe, chain_grid_tv, classic_posterior,
+                                metropolis_posterior, proxy_loglik_vector,
+                                r_weighted_posterior)
 from relbayes.models import SourceData, discrete_toy_model, linear_model, logsumexp
 
 mp.mp.dps = 50
@@ -388,9 +389,9 @@ class TestRWeightedPosterior:
         joint = np.exp(log_joint - log_evidence)
         return joint / joint.sum(), log_evidence
 
-    def test_kept_neginf_mask_equals_every_call_formula(self):
-        """The -inf test is made once per tensor; on a toy tensor holding
-        -inf under zero weights the table is exactly the old one."""
+    def test_zero_weight_rule_equals_every_call_formula(self):
+        """On a toy tensor holding -inf under zero weights the table is
+        exactly the one of the mask formed afresh on every call."""
         table = np.array([[[1.0, 0.0, 0.0], [0.4, 0.6, 0.0]],
                           [[0.5, 0.2, 0.3], [0.2, 0.0, 0.8]],
                           [[0.1, 0.1, 0.8], [0.3, 0.3, 0.4]]])
@@ -398,8 +399,7 @@ class TestRWeightedPosterior:
         grid = toy_grid(3, 2)
         data = SourceData(np.empty((4, 0)), [1, 2, 0, 1])
         problem = GridProblem(model, data, grid)
-        assert problem.neginf is not None and problem.neginf.any()
-        assert_array_equal(problem.neginf, np.isneginf(problem.tensor))
+        assert np.isneginf(problem.tensor).any()
         rng = np.random.default_rng(RNG_SEED)
         proxy_vec = np.log(rng.uniform(0.2, 0.8, size=grid.n_psi))
         weights = np.array([[0.0, 0.0, 0.7, 0.0], [0.3, 0.0, 1.0, 0.5]])
@@ -417,14 +417,47 @@ class TestRWeightedPosterior:
         grid = ParameterGrid(nodes, nodes, np.full(9, 1 / 9), np.full(9, 1 / 9))
         data = SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(6)]))
         problem = GridProblem(model, data, grid)
-        assert problem.neginf is None
         weights = rng.uniform(0, 1, size=(9, 6))
         weights[:, 2] = 0.0
+        assert _zero_weight_safe(problem.tensor, weights.T[:, None, :]) is problem.tensor
         post = r_weighted_posterior(problem, weights, np.zeros(9))
         joint, log_evidence = self._every_call_table(problem.tensor, grid, weights,
                                                      np.zeros(9))
         assert_array_equal(post.joint_mass, joint)
         assert post.log_evidence == log_evidence
+
+
+class TestZeroWeightSafe:
+    """_zero_weight_safe, the one statement of the zero-weight rule."""
+
+    LLS = np.array([[np.log(0.5), -np.inf, np.log(0.2)],
+                    [-np.inf, np.log(0.3), 0.0]])
+
+    def test_no_zero_weight_returns_the_input(self):
+        lls = self.LLS.copy()
+        assert _zero_weight_safe(lls, np.full(lls.shape, 0.4)) is lls
+        assert _zero_weight_safe(lls, np.array([0.1, 1.0, 0.5])) is lls
+
+    def test_no_neginf_term_returns_the_input(self):
+        lls = np.where(np.isneginf(self.LLS), -700.0, self.LLS)
+        weights = np.array([[0.0, 0.0, 0.3], [0.0, 0.9, 0.0]])
+        assert _zero_weight_safe(lls, weights) is lls
+
+    def test_zero_weight_on_neginf_equals_the_every_call_formula(self):
+        lls = self.LLS.copy()
+        for weights in (np.array([[0.2, 0.0, 0.0], [0.0, 0.7, 1.0]]),
+                        np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.5]]),
+                        np.array([0.0, 0.6, 0.0])):
+            want = np.where((weights == 0.0) & np.isneginf(lls), 0.0, lls)
+            got = _zero_weight_safe(lls, weights)
+            assert got is not lls
+            assert_array_equal(got, want)
+            assert_array_equal(lls, self.LLS)                             # not written
+        with np.errstate(all="raise"):
+            # each dropped term adds exactly 0, and no 0 * -inf is formed
+            weights = np.array([[0.2, 0.0, 0.3], [0.0, 0.7, 1.0]])
+            assert_array_equal((weights * _zero_weight_safe(lls, weights)).sum(axis=1),
+                               [0.2 * np.log(0.5) + 0.3 * np.log(0.2), 0.7 * np.log(0.3)])
 
 
 class TestEngineEquivalence:

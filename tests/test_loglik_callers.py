@@ -20,9 +20,9 @@ CALLER = "models.py"
 ENTRY_POINTS = {"loglik_tensor", "loglik_sum"}
 
 
-def _hook_calls(tree: ast.Module) -> list[tuple[str, int]]:
+def _calls(tree: ast.Module, callee: str = HOOK) -> list[tuple[str, int]]:
     """(innermost enclosing function, line) of every call whose callee is
-    named HOOK, bare or as an attribute; the function is None at module level."""
+    named callee, bare or as an attribute; the function is None at module level."""
     found = []
 
     def visit(node, function):
@@ -31,7 +31,7 @@ def _hook_calls(tree: ast.Module) -> list[tuple[str, int]]:
         elif isinstance(node, ast.Lambda):
             function = "<lambda>"
         if isinstance(node, ast.Call) and \
-                HOOK in (getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+                callee in (getattr(node.func, "attr", None), getattr(node.func, "id", None)):
             found.append((function, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
@@ -44,7 +44,7 @@ def _hook_calls(tree: ast.Module) -> list[tuple[str, int]]:
                          ids=lambda p: str(p.relative_to(SRC)))
 def test_only_the_checked_entry_points_call_the_model(path):
     rel = path.relative_to(SRC).as_posix()
-    calls = _hook_calls(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    calls = _calls(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     if rel == CALLER:
         assert {function for function, _ in calls} == ENTRY_POINTS, calls
     else:
@@ -60,4 +60,4 @@ def test_the_walk_sees_a_call():
                      "m.log_likelihood(d, t, p)\n"
                      "m.proxy_log_likelihood(z, p)\n"
                      "x = m.log_likelihood is None\n")
-    assert _hook_calls(tree) == [("g", 3), ("f", 4), ("<lambda>", 5), (None, 6)]
+    assert _calls(tree) == [("g", 3), ("f", 4), ("<lambda>", 5), (None, 6)]
