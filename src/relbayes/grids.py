@@ -87,11 +87,14 @@ class ParameterGrid:
 
     def nearest_theta(self, value) -> tuple[int, float]:
         """Index of the theta node closest to value, plus the snap distance;
-        a value over half a cell outside the nodes' span raises ValueError."""
+        a value over half a cell outside the nodes' span raises ValueError.
+        A cell on each axis is that axis's span over its count of distinct
+        node values less one, so a product grid's cells are its axes' own."""
         value = np.atleast_1d(np.asarray(value, dtype=float))
         lo = self.theta_nodes.min(axis=0)
         hi = self.theta_nodes.max(axis=0)
-        half_cell = 0.5 * np.where(hi > lo, hi - lo, 1.0) / max(self.n_theta - 1, 1)
+        steps = [max(len(set(axis)) - 1, 1) for axis in self.theta_nodes.T.tolist()]
+        half_cell = 0.5 * np.where(hi > lo, hi - lo, 1.0) / steps
         if np.any(value < lo - half_cell) or np.any(value > hi + half_cell):
             raise ValueError(f"theta*={value} lies outside the grid span [{lo}, {hi}]")
         d = np.linalg.norm(self.theta_nodes - value[None, :], axis=1)

@@ -172,12 +172,12 @@ def _log_mean_exp_with_se(lls: np.ndarray) -> tuple[float, float]:
 def _rweighted_predictive(model, held: SourceData, chain) -> tuple[float, float]:
     """E over the paired (theta, psi) draws of the held-out arms' likelihood.
 
-    Every arm's covariates are one-hot, so x . theta + psi = x . (theta + psi):
-    each draw's intercept folds into its treatment effects, and one model
-    evaluation at a zero intercept pairs each theta with its own psi.
+    One model evaluation pairs each theta draw with its own psi, through the
+    aligned per-observation form: every held-out arm reads the (S, 1) psi
+    draws.
     """
-    lls = loglik_tensor(model, held, chain.theta_samples + chain.psi_samples,
-                        np.zeros((1, 1)))[:, :, 0].sum(axis=0)             # (S,)
+    psis = np.broadcast_to(chain.psi_samples, (held.n, *chain.psi_samples.shape))
+    lls = loglik_tensor(model, held, chain.theta_samples, psis)[:, :, 0].sum(axis=0)  # (S,)
     return _log_mean_exp_with_se(lls)
 
 

@@ -258,67 +258,104 @@ def _state_part(value, size: int, name: str) -> np.ndarray:
     return arr
 
 
-def _chain_log_target(model: ModelSpec, data: SourceData, prior_log_density,
-                      obs_group: Optional[np.ndarray]):
-    """The sampler's log-target as a function of the stacked (theta, psi) state.
+# the number of proposals a chain scores in one model call
+PREFETCH = 6
 
-    What does not change within a chain is formed here, once: for the
-    fixed-effects target (obs_group given, one group index per observation),
-    the flat index that gathers each observation's intercept rows out of psi
-    in one step; for the sigmoid-ratio target (obs_group None), which of two
-    steps the chain takes.  A pmf model (no log_predictive_mode_density)
-    with at least models.N_UNIT observations has every weight exactly 1.0,
-    so its step sums one column, the state's theta, with no null column and
-    no weights; any other model or size keeps the (2, k_theta) theta rows,
-    whose null row stays zero, and log n.  The one-column and fixed-effects
-    steps need the sum of the model's cells only, so they call
-    models.loglik_sum on arrays already shaped here; the two-column step
-    needs the cells for its weights and calls loglik_tensor.  The views of
-    a state (theta, psi and their (1, k) rows) are formed once per state
-    array and kept while the same array comes back, as the sampler's
-    proposal buffer does at every step.  A state of infinite prior density
-    is rejected before any model call, and a NaN one raises.
+
+def _chain_scorer(model: ModelSpec, data: SourceData, obs_group: Optional[np.ndarray],
+                  dim: int):
+    """The model term of a chain's log-target, for several states at once.
+
+    Returns (cands, score): cands is a (PREFETCH, dim) buffer of stacked
+    (theta, psi) states of dim coordinates that the chain writes its
+    proposals into, and
+    score(lo, hi) the model term at rows lo to hi - 1 of cands, a list of
+    floats from one checked model call.  What does not change within a
+    chain is formed here, once, as views of cands that a slice narrows to
+    the rows scored.  The fixed-effects target (obs_group given, one group
+    index per observation) gathers each observation's intercept rows out of
+    every row's psi with one flat index, into the aligned (n, rows, k_psi)
+    form.  The sigmoid-ratio target (obs_group None) takes one of two
+    forms.  A pmf model (no log_predictive_mode_density) with at least
+    models.N_UNIT observations has every weight exactly 1.0, so it sums one
+    column per row, the row's theta against its own psi, with no null
+    column and no weights.  Any other model or size pairs each row with the
+    null theta at the same psi, through loglik_tensor, and weights the
+    row's cells by models.sigmoid_ratio_weights of its null column.  Every
+    row's sum has the bits a one-row call would give it wherever the
+    model's cells do not depend on how many rows one call holds.
     """
-    k_theta, n = model.k_theta, data.n
+    k_theta, k_psi, n = model.k_theta, model.k_psi, data.n
+    cands = np.empty((PREFETCH, dim))
+    thetas = cands[:, :k_theta]
 
     if obs_group is not None:
-        k_psi = model.k_psi
-        gather = (obs_group[:, None] * k_psi + np.arange(k_psi))[:, None, :]  # (n, 1, k_psi)
+        cols = k_theta + obs_group[:, None] * k_psi + np.arange(k_psi)      # (n, k_psi)
+        gather = cols[:, None, :] + dim * np.arange(PREFETCH)[:, None]      # (n, PREFETCH, k_psi)
+        flat = cands.reshape(-1)
 
-        def log_lik(theta, psi, theta_row, psi_row):
-            return loglik_sum(model, data, theta_row, psi[gather])
+        def score(lo, hi):
+            return loglik_sum(model, data, thetas[lo:hi], flat[gather[:, lo:hi]])
     elif model.log_predictive_mode_density is None and n >= N_UNIT:
-        def log_lik(theta, psi, theta_row, psi_row):
+        psis = np.broadcast_to(cands[None, :, k_theta:], (n, PREFETCH, k_psi))
+
+        def score(lo, hi):
             # 1.0 * l == l: the sum of the weighted column, bit for bit
-            return loglik_sum(model, data, theta_row, psi_row)
+            return loglik_sum(model, data, thetas[lo:hi], psis[:, lo:hi])
     else:
-        thetas = np.zeros((2, k_theta))     # row 0 the state's theta, row 1 the null theta
+        pairs = np.zeros((PREFETCH, 2, k_theta))    # [j, 0] row j's theta, [j, 1] the null theta
+        pair_psis = np.broadcast_to(cands[None, :, None, k_theta:], (n, PREFETCH, 2, k_psi))
         log_n = np.log(n)
 
-        def log_lik(theta, psi, theta_row, psi_row):
-            thetas[0] = theta
-            both = loglik_tensor(model, data, thetas, psi_row)               # (n, 2, 1)
+        def score(lo, hi):
+            rows = hi - lo
+            pairs[:rows, 0] = thetas[lo:hi]
+            cells = loglik_tensor(model, data, pairs[:rows].reshape(2 * rows, k_theta),
+                                  pair_psis[:, lo:hi].reshape(n, 2 * rows, k_psi))
+            # each (row, column) cell vector contiguous, so that its sums
+            # are pairwise, as a one-row sum is
+            both = np.ascontiguousarray(cells[:, :, 0].T).reshape(rows, 2, n)
             # the weights lie in [0.5, 1] or raise: there is no range to
             # check and no zero to mask
-            w = sigmoid_ratio_weights(both[:, 1, 0], log_n)
-            return float((w * both[:, 0, 0]).sum())
+            w = sigmoid_ratio_weights(both[:, 1], log_n)
+            w *= both[:, 0]
+            return w.sum(axis=1).tolist()
 
-    last, views = None, None    # the last state array and its four views
+    return cands, score
 
-    def log_target(vec: np.ndarray) -> float:
-        nonlocal last, views
-        if vec is not last:
-            last = vec
-            views = vec[:k_theta], vec[k_theta:], vec[None, :k_theta], vec[None, k_theta:]
-        theta, psi, theta_row, psi_row = views
-        lp = prior_log_density(theta, psi)
-        if not math.isfinite(lp):
-            if math.isnan(lp):
-                raise FloatingPointError(f"NaN log prior density at state {vec}")
-            return -math.inf
-        return lp + log_lik(theta, psi, theta_row, psi_row)
 
-    return log_target
+def _reject_nan_prior(lp, theta: np.ndarray, psi: np.ndarray) -> None:
+    """Raise FloatingPointError if the prior density lp at (theta, psi), not
+    finite, is NaN; an infinite one rejects the state."""
+    if math.isnan(lp):
+        raise FloatingPointError(
+            f"NaN log prior density at state {np.concatenate([theta, psi])}")
+
+
+def _log_target(prior_log_density, cands: np.ndarray, score, k_theta: int,
+                vec: np.ndarray) -> float:
+    """The log-target at the one state vec: its prior, and at a finite prior
+    the model term, scored as the first row of cands.  A state of infinite
+    prior density is rejected before any model call, and a NaN one raises."""
+    theta, psi = vec[:k_theta], vec[k_theta:]
+    lp = prior_log_density(theta, psi)
+    if not math.isfinite(lp):
+        _reject_nan_prior(lp, theta, psi)
+        return -math.inf
+    cands[0] = vec
+    return lp + score(0, 1)[0]
+
+
+def _score_from(score, lo: int, hi: int) -> list:
+    """score(lo, hi), or score(lo, lo + 1) if that raises and holds more
+    rows: an error the model, its NaN check or the weights raise counts
+    only at a row the chain reaches with a finite prior, as row lo is."""
+    try:
+        return score(lo, hi)
+    except Exception:
+        if hi - lo == 1:
+            raise
+    return score(lo, lo + 1)
 
 
 def metropolis_posterior(model: ModelSpec, data: SourceData, prior_log_density, *,
@@ -336,20 +373,30 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, prior_log_density, 
     fixed-effects baseline), one cell per observation at its group's
     intercept.
 
-    Each step evaluates the model once per proposed state: one
-    loglik_tensor call of n x 2 cells for the sigmoid-ratio target below
-    models.N_UNIT observations, whose weights need the cells; one
-    models.loglik_sum call of n cells for it from N_UNIT on (see below) and
-    for fixed effects, whose step needs only the sum and checks it for NaN.
-    A proposal of infinite prior density is rejected without a model call;
-    a NaN one raises.  The proposal is drawn into a buffer the chain keeps
-    and scaled and shifted there, an accepted proposal is copied into the
-    state, and each kept state is copied into one (kept, dim) array, split
-    into the theta and psi samples at the end.  The log-target is built
-    once per chain, with its per-chain constants: the null theta row and
-    log n of the sigmoid ratio, for fixed effects one index that gathers
-    every observation's group intercept from psi, and the views of the
-    proposal buffer the model and the prior read.  The sigmoid-ratio
+    The chain prefetches (Brockwell 2006): a random-walk step's draws do
+    not depend on the state, so the proposals of the next PREFETCH steps
+    are all formed from the current state, on the path where each is
+    rejected, and their model terms are scored in one model call
+    (_chain_scorer).  The walk then takes the steps in order until the
+    first acceptance; the draws of the steps after it stay with those
+    steps and are scored again from the new state.  Each step makes its
+    two generator calls in order, standard_normal(out=...) and then
+    random(), and the prior is called only at a proposal the walk reaches,
+    so the draws, the prior calls and the chain are those of a chain that
+    scores one proposal per step, wherever the model's cells do not depend
+    on how many rows one call holds (on one-hot covariates, as the smoking
+    arms have, they do not).  A batch never crosses an adaptation window or
+    the end of burn-in.  A proposal of infinite prior density is rejected
+    whatever the model gives it, and a NaN prior raises.  A model call that
+    raises (a NaN cell included) is retried on its first proposal alone,
+    so an error is raised only at a proposal the walk reaches with a finite
+    prior.
+
+    Per scored proposal the model evaluates n cells: one models.loglik_sum
+    call for fixed effects and for the sigmoid-ratio target from
+    models.N_UNIT observations on (see below), which need only each
+    proposal's sum and check it for NaN; below N_UNIT, 2n cells through
+    loglik_tensor, whose null column forms the weights.  The sigmoid-ratio
     weights are neither range-checked nor masked:
     models.sigmoid_ratio_weights raises unless the pooled null
     log-likelihood is finite, and then every weight lies in [0.5, 1].
@@ -398,41 +445,71 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, prior_log_density, 
         raise ValueError(f"proposal_scale entries must be positive and finite, got {scales}")
     state = np.concatenate([model.theta_support.mean(axis=1), psi0])
 
-    log_target = _chain_log_target(model, data, prior_log_density, obs_group)
-    current = log_target(state)
+    cands, score = _chain_scorer(model, data, obs_group, dim)
+    current = _log_target(prior_log_density, cands, score, k_theta, state)
     if not np.isfinite(current):
         raise McmcInitError(f"log-target is {current} at the initial state")
 
     rng = np.random.default_rng(seed)
-    prop = np.empty(dim)
-
-    def step() -> bool:
-        """One Metropolis step; True when its proposal is accepted."""
-        nonlocal prop, current
-        rng.standard_normal(out=prop)
-        prop *= scales
-        prop += state
-        cand = log_target(prop)
-        if np.log(rng.random()) < cand - current:
-            state[:] = prop
-            current = cand
-            return True
-        return False
-
+    # the standard normal draws and acceptance uniforms of the coming steps;
+    # rows past a short batch hold earlier draws, formed but never read
+    draws = np.zeros((PREFETCH, dim))
+    uniforms = np.ones(PREFETCH)
+    draw_rows = list(draws)
+    views = [(row[:k_theta], row[k_theta:]) for row in cands]
     burn = n_samples // 4
     window = 100
     window_accepts = 0
-    for it in range(1, burn + 1):
-        window_accepts += step()
-        if it % window == 0:
-            scales *= np.exp(window_accepts / window - ACCEPT_TARGET)
-            window_accepts = 0
-
     kept = np.empty((n_samples - burn, dim))
     accepted_post = 0
-    for row in kept:
-        accepted_post += step()
-        row[:] = state
+    done = drawn = 0
+    while done < n_samples:
+        if done < burn:
+            batch = min(PREFETCH, burn - done, window - done % window)
+        else:
+            batch = min(PREFETCH, n_samples - done)
+        for j in range(drawn, batch):
+            rng.standard_normal(out=draw_rows[j])
+            uniforms[j] = rng.random()
+        np.multiply(draws, scales, out=cands)
+        cands += state
+        log_u = np.log(uniforms).tolist()
+
+        # walk the batch to its first acceptance, scoring on first need
+        lls = [None] * batch
+        step, accepted = 0, False
+        while step < batch:
+            lp = prior_log_density(*views[step])
+            if math.isfinite(lp):
+                if lls[step] is None:
+                    scored = _score_from(score, step, batch)
+                    lls[step:step + len(scored)] = scored
+                cand = lp + lls[step]
+                if log_u[step] < cand - current:
+                    current, accepted = cand, True
+                    break
+            else:
+                _reject_nan_prior(lp, *views[step])
+            step += 1
+        taken = step + accepted
+
+        row = done - burn     # the first kept row the batch fills, once burn-in is over
+        if row < 0:
+            window_accepts += accepted
+        else:
+            accepted_post += accepted
+            kept[row:row + taken] = state
+        if accepted:
+            state[:] = cands[step]
+            if row >= 0:
+                kept[row + step] = state
+        done += taken
+        drawn = batch - taken
+        draws[:drawn] = draws[taken:batch]
+        uniforms[:drawn] = uniforms[taken:batch]
+        if done <= burn and done % window == 0:
+            scales *= np.exp(window_accepts / window - ACCEPT_TARGET)
+            window_accepts = 0
 
     rate = accepted_post / kept.shape[0]
     warning = None

@@ -6,8 +6,8 @@ per-observation log-likelihood log p(d_i | theta, psi_i) with a simulator
 that draws one outcome from the same distribution.  theta is shared across
 tasks, psi_i is task-specific.  Each model supplies its log-likelihood
 once, as a vectorised evaluator over a parameter product that reads those
-columns; loglik_tensor, for the cells, and loglik_sum, for their sum, are
-its checked entry points.
+columns; loglik_tensor, for the cells, and loglik_sum, for each theta row's
+sum, are its checked entry points.
 Everything downstream (grid posteriors, relevance weighting, diagnostics)
 talks to models only through ModelSpec, so adding a model means writing one
 factory function here.  The two formulas every layer above shares live here
@@ -100,13 +100,15 @@ class ModelSpec:
         (SourceData, thetas (A, k_theta), psis) -> (n, A, B) array read from
         the data's columns.  With psis of shape (B, k_psi) the cell [i, a, b]
         is log p(d_i | theta_a, psi_b), every observation against the whole
-        parameter product.  With psis of shape (n, B, k_psi) observation i
-        gets its own rows and the cell is log p(d_i | theta_a, psis[i, b]),
-        so a known-groups likelihood costs n cells, not n x G.  The one
-        likelihood a model supplies; call it through loglik_tensor, which
-        coerces the parameter arrays and rejects NaN, or loglik_sum, which
-        sums the cells and rejects NaN.  A single value is its 1 x 1 x 1
-        cell.
+        parameter product.  With psis of shape (n, A, k_psi), aligned with
+        the theta rows, B is 1 and the cell [i, a, 0] is
+        log p(d_i | theta_a, psis[i, a]): observation i gets its own task
+        row for each theta row, so a known-groups likelihood costs n cells,
+        not n x G, and A (theta, psi) pairs cost A cells per observation,
+        not A x A.  The one likelihood a model supplies; call it through
+        loglik_tensor, which coerces the parameter arrays and rejects NaN,
+        or loglik_sum, which sums each theta row's cells and rejects NaN.
+        A single value is its 1 x 1 x 1 cell.
     simulate : callable (covariates, theta, psi, rng, ...) -> outcome
         Draws one outcome at covariates (c,), theta (k_theta,) and psi
         (k_psi,): a float, an int count, or an (m,) trajectory, one row of
@@ -158,9 +160,10 @@ def param_values(p) -> np.ndarray:
 
 
 def _task_column(psis: np.ndarray) -> np.ndarray:
-    """Coordinate 0 of the task parameters, (1, B) or (n, 1, B) for the
-    (B, k_psi) and (n, B, k_psi) forms; either broadcasts against (n, A, 1)."""
-    return psis[..., None, :, 0]
+    """Coordinate 0 of the task parameters, (1, B) for the (B, k_psi)
+    product form and (n, A, 1) for the aligned (n, A, k_psi) form; either
+    broadcasts against the (n, A, 1) theta term."""
+    return psis[None, :, 0] if psis.ndim == 2 else psis[..., :1]
 
 
 class DegenerateRelevanceError(ValueError):
@@ -182,23 +185,24 @@ N_UNIT = math.ceil(-math.log(np.finfo(float).eps / 2)) + 1
 
 
 def sigmoid_ratio_weights(null_lls: np.ndarray, log_n) -> np.ndarray:
-    """sigmoid(n * p_i / prod_j p_j) for the (n,) null_lls, given log n.
+    """sigmoid(n * p_i / prod_j p_j) along the last axis of null_lls, given log n.
 
-    null_lls holds each observation's log-likelihood at the null shared
-    parameter theta = 0 and one task parameter.  The pooled null
-    log-likelihood is summed once: -inf (a zero pooled likelihood) raises
-    DegenerateRelevanceError, and +inf or NaN, which would make some weight
-    NaN, raises ValueError.  The ratio is formed in log space, its exponent
-    clamped at log(DBL_MAX) so the exp stays finite; the sigmoid of anything
-    that large is exactly 1.  With the pool finite, every weight lies in
-    [0.5, 1].  For a pmf the ratio p_i / prod_j p_j is at least 1, so each
-    weight is at least sigmoid(n), and from n = N_UNIT on every weight is
-    exactly 1.0; the Metropolis sampler then skips this call altogether.
-    The pool is subtracted before log n is added, as l_i - pool >= 0 keeps log n.
+    Each (n,) row of null_lls holds every observation's log-likelihood at
+    the null shared parameter theta = 0 and one task parameter.  Each row's
+    pooled null log-likelihood is summed once: -inf (a zero pooled
+    likelihood) in any row raises DegenerateRelevanceError, and +inf or NaN,
+    which would make some weight NaN, raises ValueError.  The ratio is
+    formed in log space, its exponent clamped at log(DBL_MAX) so the exp
+    stays finite; the sigmoid of anything that large is exactly 1.  With
+    the pool finite, every weight lies in [0.5, 1].  For a pmf the ratio
+    p_i / prod_j p_j is at least 1, so each weight is at least sigmoid(n),
+    and from n = N_UNIT on every weight is exactly 1.0; the Metropolis
+    sampler then skips this call altogether.  The pool is subtracted before
+    log n is added, as l_i - pool >= 0 keeps log n.
     """
-    denom = null_lls.sum()
-    if not math.isfinite(denom):
-        if denom == -math.inf:
+    denom = null_lls.sum(axis=-1, keepdims=True)
+    if not np.isfinite(denom).all():
+        if (denom == -math.inf).any():
             raise DegenerateRelevanceError(NULL_POOL_ZERO)
         raise ValueError("relevance weights must lie in [0, 1]")
     w = null_lls - denom
@@ -567,16 +571,18 @@ def loglik_tensor(model: ModelSpec, data: SourceData, thetas, psis) -> np.ndarra
 
     The checked entry point to model.log_likelihood.  thetas is (A, k_theta).
     psis is (B, k_psi), evaluated against every observation (the parameter
-    product), or (n, B, k_psi), one block of rows per observation, so that
-    cell [i, a, b] is log p(d_i | thetas[a], psis[i, b]).  The gp model
-    accepts only the product form.  NaNs are rejected with the offending
+    product), or (n, A, k_psi), aligned with the theta rows, so that cell
+    [i, a, 0] is log p(d_i | thetas[a], psis[i, a]).  The gp model accepts
+    only the product form.  NaNs are rejected with the offending
     observation named, since a NaN in a log-sum-exp would silently poison
     the whole posterior.
     """
     psis = np.asarray(psis, dtype=float)
-    if psis.ndim == 3 and psis.shape[0] != data.n:
-        raise ValueError(f"per-observation psis has {psis.shape[0]} rows, data has {data.n}")
-    out = model.log_likelihood(data, np.asarray(thetas, dtype=float), psis)
+    thetas = np.asarray(thetas, dtype=float)
+    if psis.ndim == 3 and psis.shape[:2] != (data.n, thetas.shape[0]):
+        raise ValueError(f"aligned psis has {psis.shape[0]} x {psis.shape[1]} rows, "
+                         f"data and thetas want {data.n} x {thetas.shape[0]}")
+    out = model.log_likelihood(data, thetas, psis)
     # the min propagates NaN: one reduction, and the scan only on failure
     if math.isnan(out.min(initial=0.0)):
         _reject_nan_cell(out)
@@ -584,23 +590,28 @@ def loglik_tensor(model: ModelSpec, data: SourceData, thetas, psis) -> np.ndarra
 
 
 def loglik_sum(model: ModelSpec, data: SourceData, thetas: np.ndarray,
-               psis: np.ndarray) -> float:
-    """The sum of every cell loglik_tensor(model, data, thetas, psis) holds.
+               psis: np.ndarray) -> list:
+    """One sum per theta row of loglik_tensor(model, data, thetas, psis), a
+    list of A floats: entry a sums the n x B cells [:, a, :].
 
-    The checked entry point for a caller that needs the sum only, such as a
-    Metropolis step.  thetas and psis must already be float arrays of the
-    shapes loglik_tensor takes, per-observation psis with one block of rows
-    per observation; they reach model.log_likelihood as they are.  A NaN
-    cell survives into the sum, so the sum is the one reduction: only a NaN
-    sum is scanned, and a NaN cell raises loglik_tensor's FloatingPointError.
-    A NaN sum with no NaN cell (a +inf and a -inf cell) is returned as NaN,
-    the value loglik_tensor(...).sum() gives.
+    The checked entry point for a caller that needs the sums only, such as
+    a Metropolis chain scoring several proposals at once.  thetas and psis
+    must already be float arrays of the shapes loglik_tensor takes; they
+    reach model.log_likelihood as they are.  Each row's cells are copied to
+    one row of an (A, n B) array in C order and summed along it, so every
+    sum has the bits of a sum over that row's cells as one contiguous
+    vector.  A NaN cell survives into its row's sum, so the sums are the one
+    reduction: the cells are scanned only when the sums add up to NaN, and a
+    NaN cell in any row raises loglik_tensor's FloatingPointError.  A NaN
+    sum with no NaN cell (a +inf and a -inf cell in one row) is returned as
+    NaN.
     """
     out = model.log_likelihood(data, thetas, psis)
-    total = float(out.sum())
-    if math.isnan(total):
+    # the copy is C order: a strided row would be summed in memory order
+    sums = out.transpose(1, 0, 2).reshape(out.shape[1], -1).copy().sum(axis=1).tolist()
+    if math.isnan(sum(sums)):
         _reject_nan_cell(out)
-    return total
+    return sums
 
 
 def _reject_nan_cell(out: np.ndarray) -> None:

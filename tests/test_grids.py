@@ -108,12 +108,26 @@ class TestParameterGrid:
             with pytest.raises(ValueError, match="outside the grid span"):
                 grid.nearest_theta(value)
 
+    def test_nearest_theta_half_cell_is_per_axis_on_a_product_grid(self):
+        """On the 2 x 2 grid {0, 1}^2 each axis has 2 node values, so half a
+        cell is 0.5: [0.9, 1.2] snaps to node (1, 1) and [0.9, 1.6] raises."""
+        nodes = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        grid = ParameterGrid(nodes, np.zeros((1, 1)), np.full(4, 0.25), np.array([1.0]))
+        idx, dist = grid.nearest_theta([0.9, 1.2])
+        assert idx == 3
+        assert_allclose(dist, np.hypot(0.1, 0.2), rtol=1e-12)
+        assert grid.nearest_theta([1.5, -0.5])[0] == 2
+        with pytest.raises(ValueError, match="outside the grid span"):
+            grid.nearest_theta([0.9, 1.6])
+
     def test_nearest_theta_checks_every_coordinate(self):
+        """The first coordinate lies inside the span, the second over half a
+        cell (0.5) below it."""
         nodes = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         grid = ParameterGrid(nodes, np.zeros((1, 1)), np.full(4, 0.25), np.array([1.0]))
         assert grid.nearest_theta([0.9, 1.1])[0] == 3
         with pytest.raises(ValueError, match="outside the grid span"):
-            grid.nearest_theta([0.5, -0.2])
+            grid.nearest_theta([0.5, -0.6])
 
 
 class TestBuildGrid:

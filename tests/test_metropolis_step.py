@@ -1,19 +1,23 @@
 """The Metropolis step against the log-target it replaced, and its error paths.
 
-The sampler builds its log-target once per chain (inference._chain_log_target)
-and keeps what does not change within the chain.  Both kinds, sigmoid-ratio
+The sampler builds its scorer once per chain (inference._chain_scorer) and
+keeps what does not change within the chain.  Both kinds, sigmoid-ratio
 and fixed effects, are compared, bit for bit, with the per-step oracle in
 _scalar_reference at a few hundred random states, including states outside
 the prior's support; the sigmoid-ratio kind both where it forms its weights
 from the null column and where, with a pmf and N_UNIT or more arms, every
 weight is 1.0 and it evaluates the state's theta alone.  The smoking
 weighted chain's prior, which carries the proxy's log-density, is held to
-the oracle's retired proxy argument.  Model evaluations are counted at the
-model's own log_likelihood: none for a state of -inf prior density, and one
-of n cells per step on the 47-arm chains.  The error tests hold each failure
-that could occur mid-chain to the exception the oracle raises, and check
-that warnings raised inside user callables (the prior and the model) still
-reach the caller.
+the oracle's retired proxy argument.  The chain scores up to PREFETCH
+proposals in one model call, and every batch size, at every offset in its
+candidate buffer, is held to the same oracle.  Model evaluations are
+counted at the model's own log_likelihood: none for a lone state of -inf
+prior density, and one of n cells per proposal, at most PREFETCH
+proposals per call, on the 47-arm chains.  The error tests hold each
+failure that could occur mid-chain to the exception the oracle raises,
+raised only at a proposal the chain reaches, and check that warnings
+raised inside user callables (the prior and the model) still reach the
+caller.
 """
 
 import dataclasses
@@ -26,7 +30,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from _scalar_reference import metropolis_log_target, sigmoid_ratio_weights as oracle_weights
 from relbayes import inference
 from relbayes.harness import smoking
-from relbayes.inference import McmcInitError, _chain_log_target, metropolis_posterior
+from relbayes.inference import (PREFETCH, McmcInitError, _chain_scorer, _log_target,
+                                metropolis_posterior)
 from relbayes.models import (N_UNIT, DegenerateRelevanceError, ModelSpec, SourceData,
                              binomial_logit_model, discrete_toy_model, linear_model,
                              sigmoid_ratio_weights)
@@ -56,6 +61,14 @@ def _obs_group(groups, n):
     for gi, g in enumerate(groups):
         obs_group[g] = gi
     return obs_group
+
+
+def _chain_log_target(model, data, prior, obs_group):
+    """The chain's log-target at one stacked (theta, psi) state, as the
+    sampler forms it at its initial state."""
+    groups = 1 if obs_group is None else obs_group.max() + 1
+    cands, score = _chain_scorer(model, data, obs_group, model.k_theta + model.k_psi * groups)
+    return lambda vec: _log_target(prior, cands, score, model.k_theta, vec)
 
 
 def _new_and_old(model, data, prior, groups=None):
@@ -91,13 +104,14 @@ def _small_binomial(rng, n=7, trials=8):
 
 def _two_intercept_model() -> ModelSpec:
     """Gaussian y ~ N(theta x1 + psi_0 x2 + psi_1, 1): a k_psi = 2 model, so
-    the fixed-effects gather has more than one coordinate per group."""
+    the fixed-effects gather has more than one coordinate per group.  It
+    reads the aligned (n, A, 2) psi form only, the one the chain passes."""
     base = linear_model()
 
     def log_likelihood(data, thetas, psis):
         x = data.covariates
         mean = (x[:, 0, None, None] * thetas[None, :, 0, None]
-                + x[:, 1, None, None] * psis[..., None, :, 0] + psis[..., None, :, 1])
+                + x[:, 1, None, None] * psis[..., :1] + psis[..., 1:])
         return -0.5 * (data.outcomes[:, None, None] - mean) ** 2
 
     return dataclasses.replace(base, name="two-intercept",
@@ -211,10 +225,16 @@ class TestStepEqualsOracle:
         _assert_same_at(rng.normal(0.0, 1.5, size=(N_STATES, dim)), new, old)
 
     # the target's relevance weights: sigmoid-ratio, or None for fixed effects
+    @pytest.mark.filterwarnings("ignore:acceptance rate")
     @pytest.mark.parametrize("weights", ["sigmoid-ratio", None])
     def test_neg_inf_prior_makes_no_model_call(self, partition, weights):
-        """Counted at the model's own log_likelihood, so the test holds
-        whichever checked entry point the step calls."""
+        """A lone state of -inf prior density is rejected before any model
+        call, counted at the model's own log_likelihood, so the test holds
+        whichever checked entry point the step calls.  A chain scores the
+        proposals of a batch before their priors are read, so there a state
+        of -inf prior is rejected whatever the model returns for it: a model
+        that puts +inf on every state outside the prior's box, which any
+        acceptance test would take, leaves the chain inside the box."""
         data, groups, _ = partition
         cells = []
         obs_group = _obs_group(groups, data.n) if weights is None else None
@@ -229,21 +249,132 @@ class TestStepEqualsOracle:
         assert np.isfinite(log_target(inside))
         assert cells == [data.n]
 
+        base = binomial_logit_model()
+        scored_outside = []
+
+        def log_likelihood(data, thetas, psis):
+            out = base.log_likelihood(data, thetas, psis)
+            # the chain passes aligned (n, A, 1) psis: every arm's intercept
+            far = ((thetas < 0.0) | (thetas > 1.0)).any(axis=1) \
+                | ((psis < 0.0) | (psis > 1.0)).any(axis=(0, 2))
+            scored_outside.append(int(far.sum()))
+            out[:, far] = np.inf
+            return out
+
+        model = dataclasses.replace(base, log_likelihood=log_likelihood)
+        chain = metropolis_posterior(model, data, _box_prior(1.0), n_samples=1000, seed=5,
+                                     groups=groups if weights is None else None,
+                                     init_psi=np.full(psi_dim, 0.5))
+        assert sum(scored_outside) > 0
+        for samples in (chain.theta_samples, chain.psi_samples):
+            assert samples.min() >= 0.0 and samples.max() <= 1.0
+
+    # (model calls, cells) of the seed-5 chains below
+    BATCHED_CALLS = {"sigmoid-ratio": (177, 49303), None: (180, 49961)}
+
     @pytest.mark.filterwarnings("ignore:acceptance rate")
     @pytest.mark.parametrize("weights", ["sigmoid-ratio", None])
-    def test_one_model_evaluation_per_step(self, partition, weights):
+    def test_one_model_evaluation_per_batch(self, partition, weights):
         """A chain on the 47 arms evaluates the model at its initial state
-        and once per iteration, one cell per arm: the state's theta alone on
-        the sigmoid-ratio step (47 >= N_UNIT) and each arm's own intercept on
-        the fixed-effects step."""
+        and then once per batch of at most PREFETCH proposals, one cell per
+        arm and proposal: the proposal's theta alone on the sigmoid-ratio
+        step (47 >= N_UNIT) and each arm's own intercept on the
+        fixed-effects step.  The counts of calls and cells are pinned for
+        seed 5."""
         data, groups, _ = partition
         assert data.n >= N_UNIT
         cells = []
         metropolis_posterior(_counting(binomial_logit_model(), cells), data,
                              smoking._normal_prior, n_samples=1000, seed=5,
                              groups=groups if weights is None else None)
-        assert len(cells) == 1000 + 1
-        assert set(cells) == {data.n}
+        assert cells[0] == data.n
+        assert all(c % data.n == 0 and data.n <= c <= PREFETCH * data.n for c in cells)
+        assert (len(cells), sum(cells)) == self.BATCHED_CALLS[weights]
+
+
+# On covariates that are not one-hot, BLAS may round a batched x . theta
+# differently from a one-row one.  Summing the four products of the small
+# kind in another order moves its log-target by at most 3 ulps over 7,200
+# random states; this bound leaves a margin over that.
+SMALL_ULPS = 16
+
+
+def _ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+class TestBatchesEqualOracle:
+    """Every batch size from 1 to PREFETCH, at every offset in the chain's
+    candidate buffer, scores TestStepEqualsOracle's random states as the
+    per-step oracle does: each row the walk could reach (its prior finite)
+    gives the oracle's log-target, bit for bit on one-hot covariates, and a
+    row of -inf prior is rejected whatever the model gave it.  All three
+    step kinds are covered: the one-column and the two-column sigmoid-ratio
+    steps, and fixed effects."""
+
+    KINDS = ["partition", "n-unit", "below-n-unit", "small", "fixed-binomial",
+             "fixed-two-intercept", "box-prior"]
+
+    @staticmethod
+    def _case(kind, partition, rng):
+        """(model, data, prior, groups, states) with TestStepEqualsOracle's states."""
+        data, groups, proxy = partition
+        model = binomial_logit_model()
+        prior = smoking._prior_with_proxy(proxy.payload, PROXY_SD)
+        if kind == "fixed-binomial":
+            dim = model.k_theta + len(groups)
+            return (model, data, smoking._normal_prior, groups,
+                    rng.normal(0.0, 1.5, size=(N_STATES, dim)))
+        if kind == "fixed-two-intercept":
+            data = SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(9)]))
+            groups = [[0, 4], [1, 2, 8], [3], [5, 6, 7]]
+            return (_two_intercept_model(), data, _std_normal_prior, groups,
+                    rng.normal(0.0, 1.5, size=(N_STATES, 1 + 2 * len(groups))))
+        psi_sd = 4.0 if kind == "small" else 15.0
+        if kind == "small":
+            data = _small_binomial(rng)
+        elif kind in ("n-unit", "below-n-unit"):
+            data = _first_arms(data, N_UNIT if kind == "n-unit" else N_UNIT - 1)
+        elif kind == "box-prior":
+            prior = _box_prior(1.0)
+        states = np.hstack([rng.normal(0.0, 1.5, size=(N_STATES, 4)),
+                            rng.normal(0.0, psi_sd, size=(N_STATES, 1))])
+        return model, data, prior, None, states
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batches_of_every_size(self, partition, kind):
+        rng = np.random.default_rng(SEED)
+        model, data, prior, groups, states = self._case(kind, partition, rng)
+        if kind == "box-prior":
+            states = np.abs(states) % 1.25      # a fifth of the coordinates outside [0, 1]
+        obs_group = None if groups is None else _obs_group(groups, data.n)
+        oracle = metropolis_log_target(model, data, None, prior, groups)
+        want = np.array([oracle(v) for v in states])
+        k = model.k_theta
+        for size in range(1, PREFETCH + 1):
+            cands, score = _chain_scorer(model, data, obs_group, states.shape[1])
+            got = []
+            for chunk, start in enumerate(range(0, N_STATES, size)):
+                batch = states[start:start + size]
+                lo = chunk % (PREFETCH - len(batch) + 1)
+                cands[lo:lo + len(batch)] = batch
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    lls = score(lo, lo + len(batch))
+                assert len(lls) == len(batch)
+                for vec, ll in zip(batch, lls):
+                    lp = prior(vec[:k], vec[k:])
+                    got.append(lp + ll if np.isfinite(lp) else -np.inf)
+            got = np.array(got)
+            if kind == "small":
+                assert np.array_equal(np.isfinite(got), np.isfinite(want))
+                assert _ulps(got, want).max() <= SMALL_ULPS, size
+            else:
+                assert got.tobytes() == want.tobytes(), size
+        if kind == "box-prior":
+            assert 0 < np.isinf(want).sum() < N_STATES
+        else:
+            assert np.isfinite(want).all()
 
 
 def _counting(model, cells):
@@ -284,6 +415,39 @@ class TestStepErrors:
         with pytest.raises(FloatingPointError, match="NaN log-likelihood"):
             metropolis_posterior(_nan_from_call(linear_model(), 50), linear_data,
                                  _std_normal_prior, n_samples=1000, seed=3, groups=groups)
+
+    @pytest.mark.filterwarnings("ignore:acceptance rate")
+    @pytest.mark.parametrize("failure", ["raise", "nan"])
+    @pytest.mark.parametrize("weights", ["sigmoid-ratio", None])
+    def test_failures_at_unreached_proposals_do_not_raise(self, partition, weights,
+                                                         failure):
+        """A model that raises, or gives NaN cells, at every state outside
+        the prior's box fails only on proposals of -inf prior, which the
+        walk rejects unread: the batch that holds one is scored again from
+        its first proposal alone, and the chain runs to the end."""
+        data, groups, _ = partition
+        base = binomial_logit_model()
+        failed = [0]
+
+        def log_likelihood(data, thetas, psis):
+            out = base.log_likelihood(data, thetas, psis)
+            far = ((thetas < 0.0) | (thetas > 1.0)).any(axis=1) \
+                | ((psis < 0.0) | (psis > 1.0)).any(axis=(0, 2))
+            if far.any():
+                failed[0] += 1
+                if failure == "raise":
+                    raise ValueError("outside the model's domain")
+                out[:, far] = np.nan
+            return out
+
+        model = dataclasses.replace(base, log_likelihood=log_likelihood)
+        psi_dim = len(groups) if weights is None else 1
+        chain = metropolis_posterior(model, data, _box_prior(1.0), n_samples=1000, seed=5,
+                                     groups=groups if weights is None else None,
+                                     init_psi=np.full(psi_dim, 0.5))
+        assert failed[0] > 0
+        for samples in (chain.theta_samples, chain.psi_samples):
+            assert samples.min() >= 0.0 and samples.max() <= 1.0
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:acceptance rate")
@@ -373,7 +537,7 @@ class TestStepErrors:
 
         def overflow_after_start():
             calls[0] += 1
-            if calls[0] == 500:
+            if calls[0] == 200:
                 np.float64(1e300) * np.float64(1e300)
 
         def prior(theta, psi):
@@ -461,6 +625,17 @@ class TestStateShapes:
             metropolis_posterior(binomial_logit_model(), data, smoking._normal_prior,
                                  n_samples=1000, seed=0, groups=groups,
                                  init_psi=np.zeros(22))
+
+    @pytest.mark.filterwarnings("ignore:acceptance rate")
+    def test_an_empty_last_group_keeps_its_intercept(self, small):
+        """The state's size comes from the groups, not from the largest group
+        index an observation has: an empty last group's intercept is one
+        more coordinate, which only the prior moves."""
+        chain = metropolis_posterior(binomial_logit_model(), small, _std_normal_prior,
+                                     n_samples=1000, seed=4,
+                                     groups=[list(range(small.n)), []])
+        assert chain.psi_samples.shape == (750, 2)
+        assert np.unique(chain.psi_samples[:, 1]).size > 1
 
     @pytest.mark.filterwarnings("ignore:acceptance rate")
     def test_zero_d_scale_is_a_scalar(self, small):

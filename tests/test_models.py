@@ -300,8 +300,11 @@ class TestBinomialLogitModel:
             psis = psi_values[:, None]
             psi_column = psis[None, None, :, 0]
         else:
-            psis = np.stack([rng.permutation(psi_values) for _ in range(n)])[:, :, None]
-            psi_column = psis[:, None, :, 0]
+            # every theta row against every psi value, paired row by row
+            thetas = np.repeat(thetas, psi_values.size, axis=0)
+            psis = np.stack([np.tile(rng.permutation(psi_values), 4)
+                             for _ in range(n)])[:, :, None]
+            psi_column = psis
         before = [arr.copy() for arr in (thetas, psis, data.covariates, data.outcomes,
                                          data.trial_counts)]
 
@@ -313,9 +316,11 @@ class TestBinomialLogitModel:
                     - scipy.special.gammaln(data.outcomes + 1)
                     - scipy.special.gammaln(failures[:, 0, 0] + 1))[:, None, None]
         t = (data.covariates @ thetas.T)[:, :, None] + psi_column
-        assert set(self.LOGITS) <= set(t[:, 0, :].ravel())
+        zero_theta = (thetas == 0.0).all(axis=1)
+        assert set(self.LOGITS) <= set(t[:, zero_theta, :].ravel())
         want = log_coef - y * np.logaddexp(0.0, -t) - failures * np.logaddexp(0.0, t)
-        assert got.shape == want.shape == (n, 4, psi_values.size)
+        assert got.shape == want.shape == ((n, 4, psi_values.size) if form == "product"
+                                           else (n, 4 * psi_values.size, 1))
         assert np.isfinite(want).all()
         assert got.tobytes() == want.tobytes()
         for old, new in zip(before, (thetas, psis, data.covariates, data.outcomes,
@@ -870,16 +875,18 @@ class TestBinomialKeptConstants:
 
 
 class TestPerObservationPsi:
-    """psis of shape (n, B, k_psi) gives observation i its own task rows: the
-    known-groups cells are the gather of the full parameter product."""
+    """psis of shape (n, A, k_psi) gives observation i its own task row for
+    each theta row: the aligned cells are the gather of the full parameter
+    product."""
 
     @staticmethod
     def _check_gather(model, data, thetas, nodes, rng):
-        obs_group = rng.integers(0, nodes.shape[0], size=data.n)
+        node_of = rng.integers(0, nodes.shape[0], size=(data.n, thetas.shape[0]))
         product = loglik_tensor(model, data, thetas, nodes)                  # (n, A, G)
-        rows = loglik_tensor(model, data, thetas, nodes[obs_group][:, None, :])
+        rows = loglik_tensor(model, data, thetas, nodes[node_of])            # (n, A, 1)
         assert rows.shape == (data.n, thetas.shape[0], 1)
-        assert_array_equal(rows[:, :, 0], product[np.arange(data.n), :, obs_group])
+        assert_array_equal(rows[:, :, 0], np.take_along_axis(product, node_of[:, :, None],
+                                                             axis=2)[:, :, 0])
 
     def test_linear(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -888,8 +895,12 @@ class TestPerObservationPsi:
                            rng.normal(size=(4, 1)), rng)
 
     def test_binomial(self):
+        """One-hot covariates, as the smoking arms have, so a theta row's
+        linear predictor has the same bits whichever rows share its call."""
         rng = np.random.default_rng(RNG_SEED)
         data = _binomial_data(rng, 9, 15)
+        data = SourceData(np.eye(4)[rng.integers(0, 4, size=9)], data.outcomes,
+                          data.trial_counts)
         self._check_gather(binomial_logit_model(), data, rng.normal(size=(3, 4)),
                            rng.normal(size=(5, 1)), rng)
 
@@ -903,15 +914,19 @@ class TestPerObservationPsi:
                            np.arange(3, dtype=float)[:, None], rng)
 
     def test_several_rows_per_observation(self):
+        """Each (observation, theta row) cell equals the one-cell evaluation
+        of that observation at its own (theta, psi) pair."""
         rng = np.random.default_rng(RNG_SEED)
         data = SourceData(*zip(*[(rng.normal(size=2), rng.normal()) for _ in range(4)]))
-        thetas = rng.normal(size=(2, 1))
+        thetas = rng.normal(size=(3, 1))
         rows = rng.normal(size=(4, 3, 1))
         tensor = loglik_tensor(linear_model(), data, thetas, rows)
+        assert tensor.shape == (4, 3, 1)
         for i in range(4):
             single = scalar.rows(data)[i]
-            assert_array_equal(tensor[i], loglik_tensor(linear_model(), single,
-                                                        thetas, rows[i])[0])
+            for a in range(3):
+                assert_array_equal(tensor[i, a], loglik_tensor(
+                    linear_model(), single, thetas[a:a + 1], rows[i, a:a + 1])[0, 0])
 
     def test_gp_rejects_per_observation_rows(self):
         x = np.linspace(0.0, 1.0, 5)
@@ -923,6 +938,11 @@ class TestPerObservationPsi:
         data = _one([1.0, 0.0], 0.0)
         with pytest.raises(ValueError, match="rows"):
             loglik_tensor(linear_model(), data, [[1.0]], np.ones((2, 1, 1)))
+
+    def test_rows_must_align_with_the_thetas(self):
+        data = _one([1.0, 0.0], 0.0)
+        with pytest.raises(ValueError, match="rows"):
+            loglik_tensor(linear_model(), data, [[1.0], [2.0]], np.ones((1, 3, 1)))
 
 
 class TestLoglikTensor:
@@ -997,7 +1017,8 @@ class TestLoglikTensor:
 
 
 class TestLoglikSum:
-    """loglik_sum is the sum of loglik_tensor's cells, with its NaN check."""
+    """loglik_sum is one sum per theta row of loglik_tensor's cells, each
+    summed as one contiguous vector, with the tensor's NaN check."""
 
     @staticmethod
     def _case(name, form, rng):
@@ -1022,7 +1043,7 @@ class TestLoglikSum:
                               [model.simulate(x, 1.0, 0.5, rng) for _ in range(n)])
             thetas, psis = rng.uniform(0.1, 2.0, size=(3, 1)), rng.uniform(0.1, 2.0, size=(2, 1))
         if form == "per-observation":
-            psis = psis[rng.integers(0, len(psis), size=(n, 2))]
+            psis = psis[rng.integers(0, len(psis), size=(n, len(thetas)))]
         return model, data, thetas, psis
 
     @pytest.mark.parametrize("name, form", [
@@ -1033,9 +1054,25 @@ class TestLoglikSum:
         for _ in range(5):
             model, data, thetas, psis = self._case(name, form, rng)
             got = loglik_sum(model, data, thetas, psis)
-            want = float(loglik_tensor(model, data, thetas, psis).sum())
-            assert type(got) is float
-            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            tensor = loglik_tensor(model, data, thetas, psis)
+            assert len(got) == len(thetas)
+            for a, value in enumerate(got):
+                want = np.ascontiguousarray(tensor[:, a, :]).ravel().sum()
+                assert type(value) is float
+                assert np.float64(value).tobytes() == want.tobytes()
+
+    def test_each_row_sums_as_a_contiguous_vector(self):
+        """Row sums of random cells, for row lengths on both sides of
+        numpy's pairwise blocks, have the bits of the one-row sum."""
+        rng = np.random.default_rng(RNG_SEED)
+        for n in (1, 7, 8, 9, 47, 128, 129, 300):
+            for rows in (1, 2, 6):
+                out = rng.normal(size=(n, rows, 1)) * 10.0 ** rng.integers(-5, 6, size=(n, rows, 1))
+                model = TestLoglikTensor._returning(out)
+                data = SourceData(np.zeros((n, 2)), np.zeros(n))
+                got = loglik_sum(model, data, np.zeros((rows, 1)), np.zeros((1, 1)))
+                for a in range(rows):
+                    assert np.float64(got[a]).tobytes() == out[:, a, 0].copy().sum().tobytes()
 
     def test_nan_cell_raises_as_the_tensor_does(self):
         out = np.zeros((5, 3, 2))
@@ -1052,13 +1089,20 @@ class TestLoglikSum:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_opposite_infinities_sum_to_nan(self):
-        """A +inf and a -inf cell with no NaN pass the tensor's check and sum
-        to NaN; loglik_sum returns that NaN and does not raise."""
+        """A +inf and a -inf cell of one theta row, with no NaN, pass the
+        tensor's check and sum to NaN; loglik_sum returns that NaN for the
+        row, the other rows' sums beside it, and does not raise.  Opposite
+        infinities in different rows make no NaN at all."""
         out = np.zeros((2, 3, 2))
         out[0, 1, 1] = np.inf
-        out[1, 2, 0] = -np.inf
+        out[1, 1, 0] = -np.inf
+        out[1, 2, 0] = np.inf
         model = TestLoglikTensor._returning(out)
         data = SourceData(np.zeros((2, 2)), np.zeros(2))
         got = loglik_sum(model, data, np.zeros((3, 1)), np.zeros((2, 1)))
-        assert math.isnan(got)
-        assert math.isnan(loglik_tensor(model, data, np.zeros((3, 1)), np.zeros((2, 1))).sum())
+        assert got[0] == 0.0 and math.isnan(got[1]) and got[2] == np.inf
+        assert math.isnan(loglik_tensor(model, data, np.zeros((3, 1)), np.zeros((2, 1)))[:, 1].sum())
+        out[1, 1, 0] = 0.0
+        out[1, 2, 0] = -np.inf
+        got = loglik_sum(model, data, np.zeros((3, 1)), np.zeros((2, 1)))
+        assert got == [0.0, np.inf, -np.inf]
