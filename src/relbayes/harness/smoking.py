@@ -16,6 +16,7 @@ approximated rather than reproduced.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import asdict, dataclass, fields
 from importlib import resources
@@ -169,16 +170,48 @@ def _log_mean_exp_with_se(lls: np.ndarray) -> tuple[float, float]:
     return value, se
 
 
+def _runs(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each run of equal consecutive rows of the (S, k)
+    draws, and each row's run number, so that draws[first][run] == draws.
+
+    A Metropolis chain repeats its state at every rejected step, so a
+    predictive scores the R run-starting draws and gathers each draw's
+    value by run number.  Runs are consecutive only: a state the chain
+    revisits later starts a new run.
+    """
+    starts = np.empty(len(draws), dtype=bool)
+    starts[:1] = True
+    np.any(draws[1:] != draws[:-1], axis=1, out=starts[1:])
+    return np.flatnonzero(starts), np.cumsum(starts) - 1
+
+
+@functools.lru_cache(maxsize=1)
+def _quadrature() -> tuple[np.ndarray, np.ndarray]:
+    """The PREDICTIVE_QUAD_NODES-node Gauss-Hermite rule for a standard
+    normal: its nodes and log weights, built on first use, so importing
+    this module does not load numpy.polynomial."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(PREDICTIVE_QUAD_NODES)
+    log_w = np.log(weights) - 0.5 * np.log(2.0 * np.pi)
+    for arr in (nodes, log_w):
+        arr.flags.writeable = False
+    return nodes, log_w
+
+
 def _rweighted_predictive(model, held: SourceData, chain) -> tuple[float, float]:
     """E over the paired (theta, psi) draws of the held-out arms' likelihood.
 
-    One model evaluation pairs each theta draw with its own psi, through the
-    aligned per-observation form: every held-out arm reads the (S, 1) psi
-    draws.
+    One model evaluation scores the first (theta, psi) draw of each run
+    (_runs), pairing each theta with its own psi through the aligned
+    per-observation form: every held-out arm reads the (R, 1) psi draws.
+    Each draw's value is gathered from its run, so on one-hot covariates,
+    where a cell does not depend on how many rows one call holds, every
+    float has the bits of scoring all S draws.
     """
-    psis = np.broadcast_to(chain.psi_samples, (held.n, *chain.psi_samples.shape))
-    lls = loglik_tensor(model, held, chain.theta_samples, psis)[:, :, 0].sum(axis=0)  # (S,)
-    return _log_mean_exp_with_se(lls)
+    first, run = _runs(np.hstack([chain.theta_samples, chain.psi_samples]))
+    psis = chain.psi_samples[first]
+    psis = np.broadcast_to(psis, (held.n, *psis.shape))
+    lls = loglik_tensor(model, held, chain.theta_samples[first], psis)[:, :, 0].sum(axis=0)
+    return _log_mean_exp_with_se(lls[run])                                 # (S,)
 
 
 def _classic_predictive(model, held: SourceData, chain, z: float,
@@ -186,19 +219,23 @@ def _classic_predictive(model, held: SourceData, chain, z: float,
     """E over the theta chain and the conjugate intercept posterior given z.
 
     The intercept prior N(0, 3) combines with z ~ N(psi, sigma) into a
-    normal posterior, integrated by Gauss-Hermite quadrature.
+    normal posterior, integrated by Gauss-Hermite quadrature.  The
+    intercept draws do not enter, so the held-out arms are scored at the
+    run-starting theta draws (_runs) only, each reduced over the nodes on
+    its own and gathered back to every draw; on one-hot covariates every
+    float has the bits of scoring all S draws.
     """
     tau2, s2 = PRIOR_SD ** 2, sigma ** 2
     post_mean = z * tau2 / (s2 + tau2)
     post_sd = np.sqrt(s2 * tau2 / (s2 + tau2))
-    nodes, weights = np.polynomial.hermite_e.hermegauss(PREDICTIVE_QUAD_NODES)
+    nodes, log_w = _quadrature()
     psi_nodes = post_mean + post_sd * nodes
-    log_w = np.log(weights) - 0.5 * np.log(2.0 * np.pi)
 
-    lls = loglik_tensor(model, held, chain.theta_samples,
-                        psi_nodes[:, None]).sum(axis=0)                     # (S, Q)
-    per_sample = logsumexp(lls + log_w[None, :], axis=1)
-    return _log_mean_exp_with_se(per_sample)
+    first, run = _runs(chain.theta_samples)
+    lls = loglik_tensor(model, held, chain.theta_samples[first],
+                        psi_nodes[:, None]).sum(axis=0)                     # (R, Q)
+    per_run = logsumexp(lls + log_w[None, :], axis=1)
+    return _log_mean_exp_with_se(per_run[run])                             # (S,)
 
 
 # ---------------------------------------------------------------------------

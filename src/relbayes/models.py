@@ -300,10 +300,13 @@ def binomial_logit_model() -> ModelSpec:
     data, and a Metropolis chain evaluates one SourceData thousands of
     times.  So the model caches the count columns, broadcast as (n, 1, 1),
     of the last SourceData it saw, which hashes by identity; the columns are
-    read-only, so a cached constant cannot go stale.  The cells are formed
-    in place: the linear predictor is one fresh (n, A, B) array, and both
-    softplus terms are built in it and in one more, so a call holds at most
-    two arrays of its output's size.
+    read-only, so a cached constant cannot go stale.  The two softplus
+    terms share one logaddexp(0, -|t|) at the linear predictor t:
+    log(1 + exp(-t)) is that minus min(t, 0) and log(1 + exp(t)) is
+    max(t, 0) plus it, the branches numpy takes to evaluate logaddexp(0, -t)
+    and logaddexp(0, t), so each cell keeps the textbook form's bits.  The
+    cells are formed in place, in the predictor and two more arrays, so a
+    call holds at most three arrays of its output's size.
     """
 
     @functools.lru_cache(maxsize=1)
@@ -320,11 +323,14 @@ def binomial_logit_model() -> ModelSpec:
         # ndarray.dot forms the product @ would, at a third of its call cost
         t = data.covariates.dot(thetas.T)[:, :, None] + _task_column(psis)  # (n, A, B)
         # log C(n, y) - y log(1 + exp(-t)) - (n - y) log(1 + exp(t)), bit for bit
-        out = np.negative(t)
-        np.logaddexp(0.0, out, out=out)
+        shared = np.copysign(t, -1.0)                                       # -|t|
+        np.logaddexp(0.0, shared, out=shared)
+        out = np.minimum(t, 0.0)
+        np.subtract(shared, out, out=out)
         out *= y
         np.subtract(log_coef, out, out=out)
-        np.logaddexp(0.0, t, out=t)
+        np.maximum(t, 0.0, out=t)
+        t += shared
         t *= failures
         out -= t
         return out
@@ -482,14 +488,18 @@ def gp_model(x_grid) -> ModelSpec:
                              f"shape {data.outcomes.shape}")
         factor, log_det, index = _factor(thetas, psis)
         # forward substitution L z = y for every distinct factor at once, with
-        # the U factors innermost: z[i] = (y_i - sum_{j<i} L_ij z_j) / L_ii
+        # the U factors innermost, each row formed in place in the order of
+        # z[i] = (y_i - sum_{j<i} L_ij z_j) / L_ii
         y = data.outcomes.T                                               # (m, n)
         z = np.empty((m, data.n, factor.shape[2]))
-        for i in range(m):
-            z[i] = (y[i, :, None] - np.einsum("jk,jnk->nk", factor[i, :i], z[:i])) \
-                / factor[i, i]
-        quad = np.einsum("mnk,mnk->nk", z, z)                              # (n, U)
-        ll = -0.5 * quad - log_det - 0.5 * m * LOG_2PI
+        for i, zi in enumerate(z):
+            np.einsum("jk,jnk->nk", factor[i, :i], z[:i], out=zi)
+            np.subtract(y[i, :, None], zi, out=zi)
+            zi /= factor[i, i]
+        ll = np.einsum("mnk,mnk->nk", z, z)                                # (n, U)
+        ll *= -0.5
+        ll -= log_det
+        ll -= 0.5 * m * LOG_2PI
         # take, not fancy indexing: it returns C order, which the reductions
         # downstream need to sum in the order of an unshared product
         return ll.take(index, axis=1).reshape(data.n, thetas.shape[0], psis.shape[0])

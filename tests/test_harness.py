@@ -44,7 +44,7 @@ from relbayes.harness.smoking import (EXPECTED_STUDIES, SmokingRecord,
                                       packaged_smoking_path, partition_rows,
                                       run_smoking_comparison)
 from relbayes.harness.svgplot import box_stats, emit_boxplot_svg
-from relbayes.inference import McmcChain
+from relbayes.inference import McmcChain, metropolis_posterior
 from relbayes.models import binomial_logit_model, linear_model
 from relbayes.synthetic import LINEAR_THETA_STAR, GpScenario, LinearScenario, \
     gen_linear_instance, task_rng
@@ -855,6 +855,85 @@ class TestSmokingPredictives:
             for th in chain.theta_samples])
         assert_allclose(got[0], logsumexp(lls) - np.log(self.S), rtol=1e-13)
         assert_allclose(got, smoking._log_mean_exp_with_se(lls), rtol=1e-12)
+
+
+def _every_draw_predictives(model, held, chain, z, sigma) -> tuple:
+    """Both predictives as they were formed before the run gather, with a
+    model evaluation at every one of the S draws."""
+    psis = np.broadcast_to(chain.psi_samples, (held.n, *chain.psi_samples.shape))
+    lls = smoking.loglik_tensor(model, held, chain.theta_samples, psis)[:, :, 0].sum(axis=0)
+    weighted = smoking._log_mean_exp_with_se(lls)
+    tau2, s2 = smoking.PRIOR_SD ** 2, sigma ** 2
+    post_mean = z * tau2 / (s2 + tau2)
+    post_sd = np.sqrt(s2 * tau2 / (s2 + tau2))
+    nodes, weights = np.polynomial.hermite_e.hermegauss(smoking.PREDICTIVE_QUAD_NODES)
+    log_w = np.log(weights) - 0.5 * np.log(2.0 * np.pi)
+    lls = smoking.loglik_tensor(model, held, chain.theta_samples,
+                                (post_mean + post_sd * nodes)[:, None]).sum(axis=0)
+    per_sample = smoking.logsumexp(lls + log_w[None, :], axis=1)
+    return weighted, smoking._log_mean_exp_with_se(per_sample)
+
+
+class TestPredictiveRuns:
+    """Both predictives score the first draw of each run of equal
+    consecutive draws and gather every draw's value from its run.  Each is
+    held, bit for bit, to the every-draw reference above, and the rows each
+    model call scores are counted: the weighted predictive's runs are of
+    (theta, psi) draws, the classic one's of theta draws, and a state the
+    chain comes back to later starts a new run."""
+
+    Z, SIGMA = 0.4, 0.8
+
+    @staticmethod
+    def _held():
+        return smoking._arm_data(arms_by_study(ingest_smoking_csv(packaged_smoking_path()))["01"])
+
+    def _check(self, chain) -> list:
+        rows = []
+        model = binomial_logit_model()
+
+        def log_likelihood(data, thetas, psis):
+            rows.append(thetas.shape[0])
+            return model.log_likelihood(data, thetas, psis)
+
+        counting = dataclasses.replace(model, log_likelihood=log_likelihood)
+        held = self._held()
+        got = (smoking._rweighted_predictive(counting, held, chain),
+               smoking._classic_predictive(counting, held, chain, self.Z, self.SIGMA))
+        want = _every_draw_predictives(model, held, chain, self.Z, self.SIGMA)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        return rows
+
+    @pytest.mark.filterwarnings("ignore:acceptance rate")
+    def test_a_chain_scores_each_run_once(self):
+        study_map = arms_by_study(ingest_smoking_csv(packaged_smoking_path()))
+        data, _ = smoking._stacked_data({s: r for s, r in study_map.items() if s != "01"})
+        chain = metropolis_posterior(binomial_logit_model(), data,
+                                     smoking._prior_with_proxy(self.Z, self.SIGMA),
+                                     n_samples=1000, seed=RNG_SEED, init_psi=np.array([self.Z]))
+        states = np.hstack([chain.theta_samples, chain.psi_samples])
+        runs = 1 + int((states[1:] != states[:-1]).any(axis=1).sum())
+        assert len(states) == 750 and runs < 750 / 2
+        assert self._check(chain) == [runs, runs]
+
+    def test_draws_with_no_repeats(self):
+        rng = np.random.default_rng(RNG_SEED)
+        chain = McmcChain(theta_samples=rng.normal(-2.0, 0.5, size=(60, 4)),
+                          psi_samples=rng.normal(0.0, 0.5, size=(60, 1)),
+                          acceptance_rate=1.0)
+        assert self._check(chain) == [60, 60]
+
+    def test_a_revisited_state_starts_a_new_run(self):
+        rng = np.random.default_rng(RNG_SEED)
+        thetas = rng.normal(-2.0, 0.5, size=(3, 4))
+        psis = rng.normal(0.0, 0.5, size=(4, 1))
+        # theta draws 0 0 1 1 1 0 0 2 1 1 1 1: 5 runs of 3 states; the psi
+        # draw changes inside the last theta run, so the pairs make 6 runs
+        theta_index = [0, 0, 1, 1, 1, 0, 0, 2, 1, 1, 1, 1]
+        psi_index = [0, 0, 1, 1, 1, 0, 0, 2, 1, 1, 3, 3]
+        chain = McmcChain(theta_samples=thetas[theta_index], psi_samples=psis[psi_index],
+                          acceptance_rate=0.5)
+        assert self._check(chain) == [6, 5]
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,41 @@ class TestBinomialLogitModel:
                                      data.trial_counts)):
             assert new.tobytes() == old.tobytes()
 
+    EXTREME_LOGITS = (-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                      1e308, -1e308, 709.0, -709.0)
+
+    def test_cells_keep_the_textbook_bits_at_non_finite_logits(self):
+        """The shared softplus at the logits the textbook test cannot reach,
+        as it asserts finite cells: the model's log_likelihood is called
+        directly, since loglik_tensor rejects a NaN cell.  A zero theta row
+        puts each psi on t; the product x . 0 sums from +0.0, so a psi of
+        -0.0 reaches t as a zero of either sign, which gives log 2 in both
+        softplus terms.  Outcomes of 0 and of the trial count put 0 * inf,
+        a NaN cell, at t = -inf and t = +inf.  NaN positions, NaN bits and
+        zero signs are compared with the rest."""
+        rng = np.random.default_rng(RNG_SEED)
+        counts = np.array([1, 7, 40, 13])
+        outcomes = np.array([0, 7, 17, 0])
+        data = SourceData(rng.normal(size=(4, 4)), outcomes, counts)
+        thetas = np.vstack([np.zeros(4), rng.normal(size=4)])
+        psis = np.array(self.EXTREME_LOGITS)[:, None]
+
+        with np.errstate(all="ignore"):
+            got = self.model.log_likelihood(data, thetas, psis)
+            y = data.outcomes[:, None, None]
+            failures = data.trial_counts[:, None, None] - y
+            log_coef = (scipy.special.gammaln(data.trial_counts + 1)
+                        - scipy.special.gammaln(data.outcomes + 1)
+                        - scipy.special.gammaln(failures[:, 0, 0] + 1))[:, None, None]
+            t = (data.covariates @ thetas.T)[:, :, None] + psis[None, None, :, 0]
+            want = log_coef - y * np.logaddexp(0.0, -t) - failures * np.logaddexp(0.0, t)
+
+        assert_array_equal(t[:, 0, :], np.broadcast_to(psis[:, 0], (4, psis.shape[0])))
+        assert got.shape == want.shape == (4, 2, len(self.EXTREME_LOGITS))
+        assert np.isnan(want).any() and np.isinf(want).any() and (want == 0.0).any()
+        assert_array_equal(np.isnan(got), np.isnan(want))
+        assert got.tobytes() == want.tobytes()
+
     def test_simulate_mean(self):
         rng = np.random.default_rng(RNG_SEED)
         x = np.array([1.0, 0.0, 0.0, 0.0])

@@ -82,11 +82,17 @@ def test_traced_smoking_partition_counts_one_evaluation_per_step(monkeypatch):
 
     tracer = tracer_module.Tracer()
     tracer.install()
+    # the partition's chains, kept as the traced sampler returns them; set
+    # and restored by hand, inside the tracer's own patching
+    traced, chains = smoking.metropolis_posterior, []
+    smoking.metropolis_posterior = lambda *args, **kwargs: \
+        chains.append(traced(*args, **kwargs)) or chains[-1]
     try:
         with workloads._only_partition("01"):
             results = smoking.run_smoking_comparison(records, "weak", 3, 1000,
                                                      intercepts=intercepts)
     finally:
+        smoking.metropolis_posterior = traced
         tracer.uninstall()
         for name in ("tracer", "workloads"):
             monkeypatch.delitem(sys.modules, name, raising=False)
@@ -98,10 +104,19 @@ def test_traced_smoking_partition_counts_one_evaluation_per_step(monkeypatch):
     # both chains need only the sum of their cells, so they call
     # models.loglik_sum, which the tracer does not wrap (the chains' model
     # evaluations are counted in tests/test_metropolis_step.py); the tensor
-    # calls are the predictives': each scores study 01's 3 arms at the 750
-    # kept draws, the classic one at 40 quadrature intercepts per draw
+    # calls are the predictives': each scores study 01's 3 arms at the first
+    # of each run of equal consecutive kept draws: the weighted one pairs
+    # its (theta, psi) draws, the classic one scores its theta draws at 40
+    # quadrature intercepts each
+    weighted, classic = chains
+    states = np.hstack([weighted.theta_samples, weighted.psi_samples])
+    runs_r = 1 + (states[1:] != states[:-1]).any(axis=1).sum()
+    thetas = classic.theta_samples
+    runs_c = 1 + (thetas[1:] != thetas[:-1]).any(axis=1).sum()
+    assert len(states) == len(thetas) == 750
+    assert max(runs_r, runs_c) < 750
     assert metrics["models.loglik_tensor.calls_per_unit"] == 2
-    assert metrics["models.loglik_tensor.cells_per_unit"] == 3 * 750 * (1 + 40)
+    assert metrics["models.loglik_tensor.cells_per_unit"] == 3 * (runs_r + 40 * runs_c)
     # the weighted chain forms the sigmoid-ratio weights without the public call
     assert metrics["relevance.sigmoid_ratio_relevance.calls_per_unit"] == 0
     # and reads its proxy through its prior density, not the proxy entry point
