@@ -168,9 +168,13 @@ def classic_posterior(problem: GridProblem, source_psi_prior) -> PosteriorTable:
 
 
 def _check_groups(groups, n_obs: int) -> list:
-    """The groups as lists of indices, checked to partition range(n_obs)."""
+    """The groups as lists of indices, checked to partition range(n_obs) with
+    integer members: 1.0 and True equal 1 but do not index as 1."""
     groups = [list(g) for g in groups]
-    if sorted(i for g in groups for i in g) != list(range(n_obs)):
+    members = [i for g in groups for i in g]
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in members):
+        raise ValueError("group members must be integer observation indices")
+    if sorted(members) != list(range(n_obs)):
         raise ValueError("groups must partition the observation indices")
     return groups
 
@@ -262,46 +266,58 @@ def _state_part(value, size: int, name: str) -> np.ndarray:
 PREFETCH = 6
 
 
-def _chain_scorer(model: ModelSpec, data: SourceData, obs_group: Optional[np.ndarray],
-                  dim: int):
+def _chain_scorer(model: ModelSpec, data: SourceData, groups):
     """The model term of a chain's log-target, for several states at once.
 
     Returns (cands, score): cands is a (PREFETCH, dim) buffer of stacked
-    (theta, psi) states of dim coordinates that the chain writes its
-    proposals into, and
-    score(lo, hi) the model term at rows lo to hi - 1 of cands, a list of
-    floats from one checked model call.  What does not change within a
-    chain is formed here, once, as views of cands that a slice narrows to
-    the rows scored.  The fixed-effects target (obs_group given, one group
-    index per observation) gathers each observation's intercept rows out of
-    every row's psi with one flat index, into the aligned (n, rows, k_psi)
-    form.  The sigmoid-ratio target (obs_group None) takes one of two
-    forms.  A pmf model (no log_predictive_mode_density) with at least
-    models.N_UNIT observations has every weight exactly 1.0, so it sums one
-    column per row, the row's theta against its own psi, with no null
-    column and no weights.  Any other model or size pairs each row with the
-    null theta at the same psi, through loglik_tensor, and weights the
-    row's cells by models.sigmoid_ratio_weights of its null column.  Every
-    row's sum has the bits a one-row call would give it wherever the
+    (theta, psi) states that the chain writes its proposals into, dim its
+    width, and score(lo, hi) the model term at rows lo to hi - 1 of cands, a
+    list of floats from one checked model call.  What does not change within
+    a chain is formed here, once, as views of cands that a slice narrows to
+    the rows scored.  The target takes one of two forms, chosen here alone.
+
+    The known-groups form sums n cells per row, one per observation at its
+    group's psi, through models.loglik_sum: one flat index gathers every
+    observation's psi coordinates out of every row, into the aligned
+    (n, rows, k_psi) form.  It serves a groups partition (checked here),
+    where psi holds one block of k_psi coordinates per group, in group
+    order.  Without groups it also serves the sigmoid-ratio target of a pmf
+    model (no log_predictive_mode_density) with at least models.N_UNIT
+    observations, as the one group range(n): each such weight is exactly
+    1.0, and 1.0 * l == l, so the unweighted sum has the weighted sum's
+    bits.  That form never forms the null pool, so a zero pooled null
+    likelihood, which the two-column form raises on, goes unseen; for the
+    binomial model it needs |psi| > 1e305.
+
+    The two-column form serves the sigmoid-ratio target otherwise: it pairs
+    each row with the null theta at the same psi, 2n cells through
+    loglik_tensor, and weights the row's cells by
+    models.sigmoid_ratio_weights of its null column.  Those weights are
+    neither range-checked nor masked: they raise unless the pooled null
+    log-likelihood is finite, and then every one lies in [0.5, 1].
+
+    Every row's sum has the bits a one-row call would give it wherever the
     model's cells do not depend on how many rows one call holds.
     """
     k_theta, k_psi, n = model.k_theta, model.k_psi, data.n
+    if groups is not None:
+        groups = _check_groups(groups, n)
+    elif model.log_predictive_mode_density is None and n >= N_UNIT:
+        groups = [range(n)]
+    dim = k_theta + k_psi * (1 if groups is None else len(groups))
     cands = np.empty((PREFETCH, dim))
     thetas = cands[:, :k_theta]
 
-    if obs_group is not None:
+    if groups is not None:
+        obs_group = np.empty(n, dtype=int)
+        for gi, g in enumerate(groups):
+            obs_group[g] = gi
         cols = k_theta + obs_group[:, None] * k_psi + np.arange(k_psi)      # (n, k_psi)
         gather = cols[:, None, :] + dim * np.arange(PREFETCH)[:, None]      # (n, PREFETCH, k_psi)
         flat = cands.reshape(-1)
 
         def score(lo, hi):
             return loglik_sum(model, data, thetas[lo:hi], flat[gather[:, lo:hi]])
-    elif model.log_predictive_mode_density is None and n >= N_UNIT:
-        psis = np.broadcast_to(cands[None, :, k_theta:], (n, PREFETCH, k_psi))
-
-        def score(lo, hi):
-            # 1.0 * l == l: the sum of the weighted column, bit for bit
-            return loglik_sum(model, data, thetas[lo:hi], psis[:, lo:hi])
     else:
         pairs = np.zeros((PREFETCH, 2, k_theta))    # [j, 0] row j's theta, [j, 1] the null theta
         pair_psis = np.broadcast_to(cands[None, :, None, k_theta:], (n, PREFETCH, 2, k_psi))
@@ -315,8 +331,6 @@ def _chain_scorer(model: ModelSpec, data: SourceData, obs_group: Optional[np.nda
             # each (row, column) cell vector contiguous, so that its sums
             # are pairwise, as a one-row sum is
             both = np.ascontiguousarray(cells[:, :, 0].T).reshape(rows, 2, n)
-            # the weights lie in [0.5, 1] or raise: there is no range to
-            # check and no zero to mask
             w = sigmoid_ratio_weights(both[:, 1], log_n)
             w *= both[:, 0]
             return w.sum(axis=1).tolist()
@@ -366,12 +380,14 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, prior_log_density, 
     The target is prior_log_density(theta, psi), which carries any proxy
     term in psi, plus a log-likelihood that groups selects.  Without groups
     it is weighted by relevance.sigmoid_ratio_relevance, formed without
-    calling it: the model is evaluated at the two theta rows (theta, 0) and
-    the state's psi, and the null column feeds models.sigmoid_ratio_weights.
-    With a groups partition it is the known-groups likelihood where psi
-    holds one intercept per group, stacked in group order (the classic
-    fixed-effects baseline), one cell per observation at its group's
-    intercept.
+    calling it; with a groups partition it is the known-groups likelihood
+    where psi holds one intercept per group, stacked in group order (the
+    classic fixed-effects baseline).  _chain_scorer scores either target in
+    one of its two forms: the known-groups form, n cells per proposal, which
+    also serves the sigmoid-ratio target of a pmf model with at least
+    models.N_UNIT (38) observations, whose weights are then all exactly
+    1.0; and the two-column form, 2n cells per proposal, whose null column
+    feeds models.sigmoid_ratio_weights.
 
     The chain prefetches (Brockwell 2006): a random-walk step's draws do
     not depend on the state, so the proposals of the next PREFETCH steps
@@ -392,23 +408,6 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, prior_log_density, 
     so an error is raised only at a proposal the walk reaches with a finite
     prior.
 
-    Per scored proposal the model evaluates n cells: one models.loglik_sum
-    call for fixed effects and for the sigmoid-ratio target from
-    models.N_UNIT observations on (see below), which need only each
-    proposal's sum and check it for NaN; below N_UNIT, 2n cells through
-    loglik_tensor, whose null column forms the weights.  The sigmoid-ratio
-    weights are neither range-checked nor masked:
-    models.sigmoid_ratio_weights raises unless the pooled null
-    log-likelihood is finite, and then every weight lies in [0.5, 1].
-
-    For a pmf model (no log_predictive_mode_density) each weight is at least
-    sigmoid(n), which is exactly 1.0 in float64 from n = 37 on.  From n =
-    models.N_UNIT (38, one arm of margin) the sigmoid-ratio step evaluates
-    only the state's theta, n cells, and sums them: the same bits as the
-    weighted sum.  The one-column step never forms the null pool, so a zero
-    pooled null likelihood, which raises DegenerateRelevanceError on the
-    full step, goes unseen; for the binomial model it needs |psi| > 1e305.
-
     theta starts at the middle of its support box, and psi at init_psi,
     which defaults to the middle of its own.  init_psi must have shape
     (k_psi,), or (k_psi * len(groups),) for fixed effects, and an array
@@ -426,26 +425,15 @@ def metropolis_posterior(model: ModelSpec, data: SourceData, prior_log_density, 
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
     k_theta = model.k_theta
-    obs_group = None
-    if groups is None:
-        psi_dim = model.k_psi
-    else:
-        groups = _check_groups(groups, data.n)
-        psi_dim = model.k_psi * len(groups)
-        obs_group = np.empty(data.n, dtype=int)
-        for gi, g in enumerate(groups):
-            obs_group[g] = gi
-    dim = k_theta + psi_dim
-
-    psi0 = (np.tile(model.psi_support.mean(axis=1), psi_dim // model.k_psi)
-            if init_psi is None else _state_part(init_psi, psi_dim, "init_psi"))
+    cands, score = _chain_scorer(model, data, groups)
+    dim = cands.shape[1]
+    psi0 = (np.tile(model.psi_support.mean(axis=1), (dim - k_theta) // model.k_psi)
+            if init_psi is None else _state_part(init_psi, dim - k_theta, "init_psi"))
     scales = (np.full(dim, float(proposal_scale)) if np.ndim(proposal_scale) == 0
               else _state_part(proposal_scale, dim, "proposal_scale").copy())
     if not (np.isfinite(scales).all() and scales.min() > 0.0):
         raise ValueError(f"proposal_scale entries must be positive and finite, got {scales}")
     state = np.concatenate([model.theta_support.mean(axis=1), psi0])
-
-    cands, score = _chain_scorer(model, data, obs_group, dim)
     current = _log_target(prior_log_density, cands, score, k_theta, state)
     if not np.isfinite(current):
         raise McmcInitError(f"log-target is {current} at the initial state")

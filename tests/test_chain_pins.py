@@ -6,7 +6,10 @@ the sampler's per-step work was cut: a weighted chain and a fixed-effects
 chain of the partition that holds out study 01, the all-data
 fixed-effects fit behind fit_study_intercepts, and a weighted chain on that
 partition cut to fewer than models.N_UNIT arms, which takes the two-column
-sigmoid-ratio step.  So all three step kinds are pinned.  One end-to-end pin covers
+sigmoid-ratio form.  So both of the scorer's forms are pinned, the
+known-groups form for each target; the weighted chain on the 47 arms is
+also held, bit for bit, to the same call given the one group of all its
+arms, the identity that lets it take that form.  One end-to-end pin covers
 the whole weak-proxy partition that holds out study 01 at the benchmark's
 6,000 iterations: the intercept fit, both chains and the predictive scores,
 hashed over the repr of its partition_rows, which round-trips every float
@@ -33,7 +36,7 @@ from relbayes.harness import smoking
 from relbayes.inference import metropolis_posterior
 from relbayes.models import N_UNIT, SourceData, binomial_logit_model
 from relbayes.synthetic import gen_imprecise_estimate_proxy
-from test_metropolis_step import _chain_log_target, _obs_group
+from test_metropolis_step import _chain_log_target
 
 PROXY_SD = 1.0
 
@@ -71,8 +74,7 @@ def _pin(chain) -> tuple:
 def _log_target_pin(chain, data, prior, groups=None) -> tuple:
     states = np.hstack([chain.theta_samples, chain.psi_samples])
     distinct = states[np.r_[True, (states[1:] != states[:-1]).any(axis=1)]]
-    log_target = _chain_log_target(binomial_logit_model(), data, prior,
-                                   None if groups is None else _obs_group(groups, data.n))
+    log_target = _chain_log_target(binomial_logit_model(), data, prior, groups)
     values = np.array([log_target(state) for state in distinct])
     return len(distinct), hashlib.sha256(values.tobytes()).hexdigest()
 
@@ -101,6 +103,19 @@ def test_weighted_chain_is_pinned(partition):
                                  n_samples=N_SAMPLES, seed=101, init_psi=np.array([z]))
     assert _pin(chain) == WEIGHTED
     assert _log_target_pin(chain, data, prior) == WEIGHTED_LOG_TARGET
+
+
+def test_unit_weight_chain_is_the_one_group_chain(partition):
+    """With 47 >= N_UNIT arms every sigmoid-ratio weight is exactly 1.0, so
+    the weighted chain is the known-groups chain of one group: the same
+    samples and acceptance rate, bit for bit, at the same seed and start."""
+    data, _, z = partition
+    assert data.n >= N_UNIT
+    prior = smoking._prior_with_proxy(z, PROXY_SD)
+    chains = [metropolis_posterior(binomial_logit_model(), data, prior, n_samples=N_SAMPLES,
+                                   seed=101, init_psi=np.array([z]), groups=groups)
+              for groups in (None, [list(range(data.n))])]
+    assert _pin(chains[0]) == _pin(chains[1]) == WEIGHTED
 
 
 def test_two_column_weighted_chain_is_pinned(partition):

@@ -593,6 +593,28 @@ class TestMetropolis:
                 metropolis_posterior(model, data, self._std_normal_prior,
                                      n_samples=1000, seed=0, groups=groups)
 
+    @pytest.mark.parametrize("groups", [[[0.0, 1.0], [2.0, 3.0]], [[0, 1], [2, 3.0]],
+                                        [[False, True], [2, 3]], [[0, np.True_], [2, 3]]],
+                             ids=["floats", "one-float", "bools", "numpy-bool"])
+    def test_group_members_must_be_integers(self, groups):
+        """Whole-number floats and bools compare equal to the indices they
+        stand for, so they pass the partition test; they cannot index, and
+        are refused with ValueError before any indexing."""
+        model = linear_model()
+        data = SourceData([[1.0, 0.5 * i] for i in range(4)], [0.1 * i for i in range(4)])
+        with pytest.raises(ValueError, match="integer"):
+            metropolis_posterior(model, data, self._std_normal_prior,
+                                 n_samples=1000, seed=0, groups=groups)
+
+    def test_numpy_integer_group_members_are_accepted(self):
+        model = linear_model()
+        data = SourceData([[1.0, 0.5 * i] for i in range(4)], [0.1 * i for i in range(4)])
+        plain = metropolis_posterior(model, data, self._std_normal_prior,
+                                     n_samples=1000, seed=0, groups=[[0, 1], [2, 3]])
+        arrays = metropolis_posterior(model, data, self._std_normal_prior, n_samples=1000,
+                                      seed=0, groups=[np.arange(2), np.arange(2, 4)])
+        assert plain.psi_samples.tobytes() == arrays.psi_samples.tobytes()
+
     def test_init_must_be_finite(self):
         model = linear_model()
         data = SourceData([[1.0, 0.0]], [0.0])

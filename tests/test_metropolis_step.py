@@ -1,16 +1,18 @@
 """The Metropolis step against the log-target it replaced, and its error paths.
 
 The sampler builds its scorer once per chain (inference._chain_scorer) and
-keeps what does not change within the chain.  Both kinds, sigmoid-ratio
+keeps what does not change within the chain.  Both targets, sigmoid-ratio
 and fixed effects, are compared, bit for bit, with the per-step oracle in
 _scalar_reference at a few hundred random states, including states outside
-the prior's support; the sigmoid-ratio kind both where it forms its weights
-from the null column and where, with a pmf and N_UNIT or more arms, every
-weight is 1.0 and it evaluates the state's theta alone.  The smoking
-weighted chain's prior, which carries the proxy's log-density, is held to
-the oracle's retired proxy argument.  The chain scores up to PREFETCH
-proposals in one model call, and every batch size, at every offset in its
-candidate buffer, is held to the same oracle.  Model evaluations are
+the prior's support, and so are the scorer's two forms: the two-column
+form, where the sigmoid-ratio target forms its weights from the null
+column, and the known-groups form, which fixed effects takes and which the
+sigmoid-ratio target takes as one group where, with a pmf and N_UNIT or
+more arms, every weight is 1.0.  The smoking weighted chain's prior, which
+carries the proxy's log-density, is held to the oracle's retired proxy
+argument.  The chain scores up to PREFETCH proposals in one model call,
+and every batch size, at every offset in its candidate buffer, is held to
+the same oracle.  Model evaluations are
 counted at the model's own log_likelihood: none for a lone state of -inf
 prior density, and one of n cells per proposal, at most PREFETCH
 proposals per call, on the 47-arm chains.  The error tests hold each
@@ -56,24 +58,15 @@ def _box_prior(hi):
     return prior
 
 
-def _obs_group(groups, n):
-    obs_group = np.empty(n, dtype=int)
-    for gi, g in enumerate(groups):
-        obs_group[g] = gi
-    return obs_group
-
-
-def _chain_log_target(model, data, prior, obs_group):
+def _chain_log_target(model, data, prior, groups=None):
     """The chain's log-target at one stacked (theta, psi) state, as the
     sampler forms it at its initial state."""
-    groups = 1 if obs_group is None else obs_group.max() + 1
-    cands, score = _chain_scorer(model, data, obs_group, model.k_theta + model.k_psi * groups)
+    cands, score = _chain_scorer(model, data, groups)
     return lambda vec: _log_target(prior, cands, score, model.k_theta, vec)
 
 
 def _new_and_old(model, data, prior, groups=None):
-    obs_group = None if groups is None else _obs_group(groups, data.n)
-    return (_chain_log_target(model, data, prior, obs_group),
+    return (_chain_log_target(model, data, prior, groups),
             metropolis_log_target(model, data, None, prior, groups))
 
 
@@ -125,7 +118,7 @@ def _first_arms(data: SourceData, n: int) -> SourceData:
 
 class TestStepEqualsOracle:
     # data kind -> (psi spread, whether the step skips the null column): the
-    # 47-arm partition and its first N_UNIT arms take the one-column step,
+    # 47-arm partition and its first N_UNIT arms take the known-groups form,
     # checked far into the tails; one arm fewer, and 7 random arms, whose
     # wide psi moves the null pool from saturated weights to weights below
     # 1, keep the weighted step
@@ -134,7 +127,7 @@ class TestStepEqualsOracle:
 
     @pytest.mark.parametrize("data_kind", list(KINDS))
     def test_sigmoid_ratio_kind(self, partition, monkeypatch, data_kind):
-        psi_sd, one_column = self.KINDS[data_kind]
+        psi_sd, known_groups = self.KINDS[data_kind]
         rng = np.random.default_rng(SEED)
         data, _, proxy = partition
         if data_kind == "small":
@@ -154,7 +147,7 @@ class TestStepEqualsOracle:
                             rng.normal(0.0, psi_sd, size=(N_STATES, 1))])
         got = _assert_same_at(states, new, old)
         assert np.isfinite(got).all()
-        assert (len(weight_calls) == 0) == one_column
+        assert (len(weight_calls) == 0) == known_groups
 
     @pytest.mark.parametrize("mode", sorted(smoking.PROXY_SETTINGS))
     def test_smoking_prior_carries_the_proxy_term(self, partition, mode):
@@ -237,10 +230,9 @@ class TestStepEqualsOracle:
         acceptance test would take, leaves the chain inside the box."""
         data, groups, _ = partition
         cells = []
-        obs_group = _obs_group(groups, data.n) if weights is None else None
         psi_dim = len(groups) if weights is None else 1
         log_target = _chain_log_target(_counting(binomial_logit_model(), cells), data,
-                                       _box_prior(1.0), obs_group)
+                                       _box_prior(1.0), groups if weights is None else None)
         outside = np.full(4 + psi_dim, 0.5)
         outside[0] = -0.1
         assert log_target(outside) == -np.inf
@@ -308,9 +300,10 @@ class TestBatchesEqualOracle:
     candidate buffer, scores TestStepEqualsOracle's random states as the
     per-step oracle does: each row the walk could reach (its prior finite)
     gives the oracle's log-target, bit for bit on one-hot covariates, and a
-    row of -inf prior is rejected whatever the model gave it.  All three
-    step kinds are covered: the one-column and the two-column sigmoid-ratio
-    steps, and fixed effects."""
+    row of -inf prior is rejected whatever the model gave it.  Both forms
+    are covered: the two-column sigmoid-ratio form, and the known-groups
+    form, both for fixed effects and as one group for the sigmoid-ratio
+    target from N_UNIT arms on."""
 
     KINDS = ["partition", "n-unit", "below-n-unit", "small", "fixed-binomial",
              "fixed-two-intercept", "box-prior"]
@@ -347,12 +340,11 @@ class TestBatchesEqualOracle:
         model, data, prior, groups, states = self._case(kind, partition, rng)
         if kind == "box-prior":
             states = np.abs(states) % 1.25      # a fifth of the coordinates outside [0, 1]
-        obs_group = None if groups is None else _obs_group(groups, data.n)
         oracle = metropolis_log_target(model, data, None, prior, groups)
         want = np.array([oracle(v) for v in states])
         k = model.k_theta
         for size in range(1, PREFETCH + 1):
-            cands, score = _chain_scorer(model, data, obs_group, states.shape[1])
+            cands, score = _chain_scorer(model, data, groups)
             got = []
             for chunk, start in enumerate(range(0, N_STATES, size)):
                 batch = states[start:start + size]
@@ -504,8 +496,9 @@ class TestStepErrors:
                                  init_psi=[0.0])
 
     def test_zero_pooled_null_likelihood_unseen_on_the_one_column_step(self):
-        """With N_UNIT observations the step never forms the null pool, so
-        the state that makes the test above raise has a finite log-target."""
+        """With N_UNIT observations the step takes the known-groups form,
+        which never forms the null pool, so the state that makes the test
+        above raise has a finite log-target."""
         table = np.full((3, 3, 3), 1.0 / 3.0)
         table[0, 2] = [0.5, 0.5, 0.0]
         data = SourceData(np.empty((N_UNIT, 0)), np.resize([0, 2, 1], N_UNIT))
