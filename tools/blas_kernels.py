@@ -8,15 +8,13 @@ the kernel OpenBLAS actually loaded, which can differ from the request (a
 name it does not know loads the CPU's own kernel), and that name is
 printed beside the request.
 
-    python tools/blas_kernels.py                        # all four kernels
-    python tools/blas_kernels.py Haswell Prescott       # some of them
-    python tools/blas_kernels.py -- tests/test_chain_pins.py   # other pytest args
+    python tools/blas_kernels.py
 
-Runs are sequential, one suite at a time.  The exit status is 0 when every
-kernel fails the same tests, 1 otherwise.
+Runs are sequential, one suite at a time.  To check a subset of kernels,
+edit KERNELS, or run pytest with OPENBLAS_CORETYPE set.  The exit status is
+0 when every kernel fails the same tests, 1 otherwise.
 """
 
-import argparse
 import os
 import subprocess
 import sys
@@ -32,12 +30,10 @@ import ctypes, glob, os, numpy
 libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
 name = "unknown"
 for path in glob.glob(os.path.join(libs, "*openblas*")):
-    lib = ctypes.CDLL(path)
-    for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
-        get = getattr(lib, symbol, None)
-        if get is not None:
-            get.argtypes, get.restype = [], ctypes.c_char_p
-            name = get().decode()
+    get = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+    if get is not None:
+        get.argtypes, get.restype = [], ctypes.c_char_p
+        name = get().decode()
 print(name)
 """
 
@@ -49,13 +45,13 @@ def _env(kernel: str) -> dict:
     return env
 
 
-def run_kernel(kernel: str, pytest_args: list) -> tuple:
+def run_kernel(kernel: str) -> tuple:
     """(loaded kernel, pytest's summary line, sorted failing test ids)."""
     env = _env(kernel)
     loaded = subprocess.run([sys.executable, "-c", CORENAME], env=env, capture_output=True,
                             text=True).stdout.strip() or "unknown"
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p",
-                           "no:cacheprovider", *pytest_args],
+                           "no:cacheprovider", *TIER1],
                           cwd=ROOT, env=env, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     failed = sorted(line.split()[1] for line in lines
@@ -63,19 +59,10 @@ def run_kernel(kernel: str, pytest_args: list) -> tuple:
     return loaded, (lines[-1] if lines else proc.stderr.strip()), failed
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    cut = argv.index("--") if "--" in argv else len(argv)
-    parser = argparse.ArgumentParser(
-        description=__doc__.splitlines()[0],
-        usage="%(prog)s [KERNEL ...] [-- PYTEST_ARG ...]")
-    parser.add_argument("kernels", nargs="*", default=list(KERNELS),
-                        help=f"OPENBLAS_CORETYPE values (default: {' '.join(KERNELS)})")
-    args = parser.parse_args(argv[:cut])
-    pytest_args = argv[cut + 1:] or TIER1
+def main() -> int:
     failures = {}
-    for kernel in args.kernels:
-        loaded, summary, failed = run_kernel(kernel, pytest_args)
+    for kernel in KERNELS:
+        loaded, summary, failed = run_kernel(kernel)
         failures[kernel] = failed
         print(f"{kernel} (loaded {loaded}): {summary}")
         for test in failed:
